@@ -65,7 +65,7 @@ _SEMANTIC_OPTION_FIELDS = (
 _RUNTIME_FINGERPRINT_MODULES = (
     "repro.compiler.runtime_library",
     "repro.compiler.codegen.python_backend",
-    "repro.runtime.abort",
+    "repro.runtime.guard",
     "repro.runtime.checked",
     "repro.runtime.memory",
     "repro.runtime.packed",

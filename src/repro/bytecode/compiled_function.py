@@ -219,10 +219,7 @@ class CompiledFunction:
             return self._reevaluate(arguments)
 
         boxed = self._check_and_box(arguments)
-        abort_poll = None
-        if self.evaluator is not None:
-            abort_poll = self.evaluator.abort_pending
-        machine = WVM(abort_poll=abort_poll, evaluator=self.evaluator)
+        machine = WVM(evaluator=self.evaluator)
         self.fallback_stats.record_call(Tier.BYTECODE)
         try:
             result = machine.run(

@@ -35,8 +35,8 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, head_name, is_head
 
 #: compiler/engine version tags serialized into CompiledFunction (§2.2 dump)
-BYTECODE_COMPILER_VERSION = 11
-WVM_ENGINE_VERSION = 12
+BYTECODE_COMPILER_VERSION = 12
+WVM_ENGINE_VERSION = 13
 DEFAULT_COMPILE_FLAGS = 5468
 
 _PURE_HEADS = (

@@ -8,11 +8,10 @@ Register machine execution with the baseline's characteristic costs (§6):
   unboxing and index-predication overhead on every access;
 * machine-integer operations are range-checked; overflow raises the runtime
   error that triggers the soft fallback (F2);
-* abort is polled on backward jumps, so bytecode code is abortable (F3);
-* the active :class:`~repro.runtime.guard.ExecutionGuard` is polled on the
-  same backward-jump cadence (deadlines, step budgets) and charged for
-  tensor allocations (memory budgets), so ``TimeConstrained`` and
-  ``MemoryConstrained`` bound bytecode execution too;
+* every backward jump is a checkpoint of the shared protocol
+  (:mod:`repro.runtime.guard`), so bytecode is abortable (F3) and bounded
+  by deadlines and step budgets; tensor allocations are charged to memory
+  budgets, so ``TimeConstrained``/``MemoryConstrained`` reach it too;
 * each instruction boundary is a named fault-injection site
   (``vm.instruction``), so tests can prove mid-loop unwinds are clean;
 * when tracing is enabled (:mod:`repro.observe`) each ``run`` emits a
@@ -30,11 +29,10 @@ from repro.bytecode.boxed import BoxedTensor
 from repro.bytecode.instructions import Instruction, Op
 from repro.errors import (
     IntegerOverflowError,
-    WolframAbort,
     WolframRuntimeError,
 )
 from repro.observe import trace as _trace
-from repro.runtime.guard import charge_memory, guard_checkpoint
+from repro.runtime.guard import CHECKPOINT, charge_memory, checkpoint
 from repro.testing import faults as _faults
 
 _INT64_MAX = (1 << 63) - 1
@@ -147,10 +145,12 @@ def _binary_pow(a, b):
 class WVM:
     """Executes one compiled function's instruction stream."""
 
-    def __init__(self, abort_poll: Optional[Callable[[], bool]] = None,
-                 evaluator=None):
-        self.abort_poll = abort_poll
+    def __init__(self, evaluator=None):
         self.evaluator = evaluator
+        #: the host's abort flag (F3); ``None`` standalone
+        self.abort_flag = (
+            evaluator.abort_flag if evaluator is not None else None
+        )
         self.random = _random.Random()
 
     def run(self, instructions: list[Instruction], constants: list,
@@ -177,8 +177,8 @@ class WVM:
         regs: list = [None] * max(register_total, 1)
         pc = 0
         count = len(instructions)
-        abort_poll = self.abort_poll
-        backward_jumps = 0
+        abort_flag = self.abort_flag
+        armed = CHECKPOINT  # backward jumps are the VM's checkpoints (§4.5)
         while pc < count:
             if _faults._INJECTOR is not None:
                 _faults.fire("vm.instruction")
@@ -259,34 +259,22 @@ class WVM:
                 regs[ins.target] = arguments[operands[0]]
             elif op == Op.JUMP:
                 destination = operands[0]
-                if destination <= pc:
-                    backward_jumps += 1
-                    guard_checkpoint()
-                    if abort_poll is not None and backward_jumps % 64 == 0:
-                        if abort_poll():
-                            raise WolframAbort()
+                if destination <= pc and armed[0]:
+                    checkpoint(abort_flag)
                 pc = destination
                 continue
             elif op == Op.JUMP_IF:
                 if regs[operands[1]]:
                     destination = operands[0]
-                    if destination <= pc:
-                        backward_jumps += 1
-                        guard_checkpoint()
-                        if abort_poll is not None and backward_jumps % 64 == 0 \
-                                and abort_poll():
-                            raise WolframAbort()
+                    if destination <= pc and armed[0]:
+                        checkpoint(abort_flag)
                     pc = destination
                     continue
             elif op == Op.JUMP_IF_NOT:
                 if not regs[operands[1]]:
                     destination = operands[0]
-                    if destination <= pc:
-                        backward_jumps += 1
-                        guard_checkpoint()
-                        if abort_poll is not None and backward_jumps % 64 == 0 \
-                                and abort_poll():
-                            raise WolframAbort()
+                    if destination <= pc and armed[0]:
+                        checkpoint(abort_flag)
                     pc = destination
                     continue
             elif op == Op.RETURN:

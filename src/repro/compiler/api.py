@@ -30,6 +30,7 @@ the bytecode tier.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Optional, Union
 
 from repro import observe as _observe
@@ -59,13 +60,13 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.parser import parse
 from repro.mexpr.printer import input_form
 from repro.mexpr.symbols import S, to_mexpr
-from repro.runtime.abort import attach_abort_source
 from repro.runtime.guard import (
     FAILURE_LOG,
     CircuitBreaker,
     FailureRecord,
     FallbackStats,
     Tier,
+    checkpoint,
 )
 from repro.runtime.packed import PackedArray
 
@@ -223,6 +224,22 @@ class CompiledCodeFunction:
         #: None if the program does not translate onto the VM
         self._bytecode_tier = _UNSET
 
+    @property
+    def evaluator(self):
+        """The host engine, or ``None`` for a standalone artifact."""
+        return self._evaluator
+
+    @evaluator.setter
+    def evaluator(self, evaluator) -> None:
+        # bound per artifact, never process-wide: concurrent sessions
+        # cannot detach each other's abort flag (F3)
+        self._evaluator = evaluator
+        self.namespace["_check_abort"] = partial(
+            checkpoint,
+            evaluator.abort_flag if evaluator is not None else None,
+            "abort.check",
+        )
+
     # -- introspection -------------------------------------------------------------
 
     @property
@@ -337,24 +354,16 @@ class CompiledCodeFunction:
             )
             self._stats.record_failure(self._breaker.tier, error.kind)
             return self._soft_failure(arguments, error)
-        attached = False
-        if self.evaluator is not None:
-            attach_abort_source(self.evaluator.abort_pending)
-            attached = True
-        try:
-            # standalone artifacts have no slower tier to demote to
-            tier = (
-                self._breaker.tier if self.evaluator is not None
-                else Tier.COMPILED
-            )
-            if tier is Tier.COMPILED:
-                return self._run_compiled(arguments, unpacked)
-            if tier is Tier.BYTECODE:
-                return self._run_bytecode(arguments)
-            return self._interpreter_eval(arguments)
-        finally:
-            if attached:
-                attach_abort_source(None)
+        # standalone artifacts have no slower tier to demote to
+        tier = (
+            self._breaker.tier if self.evaluator is not None
+            else Tier.COMPILED
+        )
+        if tier is Tier.COMPILED:
+            return self._run_compiled(arguments, unpacked)
+        if tier is Tier.BYTECODE:
+            return self._run_bytecode(arguments)
+        return self._interpreter_eval(arguments)
 
     def _run_compiled(self, arguments, unpacked):
         try:
@@ -383,12 +392,7 @@ class CompiledCodeFunction:
             from repro.bytecode.vm import WVM
 
             boxed = artifact._check_and_box(arguments)
-            machine = WVM(
-                abort_poll=(
-                    self.evaluator.abort_pending if self.evaluator else None
-                ),
-                evaluator=self.evaluator,
-            )
+            machine = WVM(evaluator=self.evaluator)
             result = machine.run(
                 artifact.instructions, artifact.constants, boxed,
                 artifact.register_total,
@@ -470,7 +474,7 @@ class CompiledCodeFunction:
 
     #: compiler version serialized into saved artifacts; stale artifacts
     #: recompile from their stored input function, as §2.2 specifies
-    COMPILER_VERSION = "1.0.1.0"
+    COMPILER_VERSION = "1.0.2.0"
 
     def save(self, path: str) -> str:
         """Serialize this compiled function (source + version + options)."""
@@ -576,9 +580,18 @@ def _repack(result):
     if isinstance(result, PackedArray) and result.data and isinstance(
         result.data[0], PackedArray
     ):
-        return PackedArray.from_nested(
-            [element.to_nested() for element in result.data],
-            result.data[0].element_type,
+        # children are already flat row-major: concatenate their data and
+        # prepend the outer length (no per-child nested-list round trip)
+        dims = tuple(result.data[0].dims)
+        flat: list = []
+        for child in result.data:
+            if tuple(child.dims) != dims:
+                raise WolframRuntimeError(
+                    "RaggedArray", "array is not rectangular"
+                )
+            flat.extend(child.data)
+        return PackedArray(
+            flat, (len(result.data), *dims), result.data[0].element_type
         )
     return result
 

@@ -82,14 +82,16 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
 
     Module-level so a cache-restored artifact (repro.artifacts) can
     re-exec its stored source with a rebuilt constant pool, without a
-    live backend or :class:`ProgramModule`.
+    live backend or :class:`ProgramModule`.  ``_check_abort`` starts as
+    the unbound checkpoint slow path; :class:`CompiledCodeFunction`
+    rebinds it to its host engine's abort flag.
     """
     import cmath as _cmath
     import math as _math
 
     from repro.compiler.runtime_library import RUNTIME
     from repro.errors import IntegerOverflowError, WolframRuntimeError
-    from repro.runtime.abort import runtime_check_abort
+    from repro.runtime.guard import CHECKPOINT, checkpoint
     from repro.runtime.memory import memory_acquire, memory_release
     from repro.runtime.packed import PackedArray
 
@@ -106,7 +108,8 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
         "PackedArray": PackedArray,
         "IntegerOverflowError": IntegerOverflowError,
         "WolframRuntimeError": WolframRuntimeError,
-        "_check_abort": runtime_check_abort,
+        "_armed": CHECKPOINT,
+        "_check_abort": checkpoint,
         "_mem_acquire": memory_acquire,
         "_mem_release": memory_release,
         "_consts": constants,
@@ -166,11 +169,6 @@ class PythonBackend:
             self.constants, self.kernel_expressions,
         )
 
-    def _runtime_globals(self, kernel_call) -> dict:
-        return runtime_globals(
-            kernel_call, self.constants, self.kernel_expressions
-        )
-
     def _emit_prelude(self, standalone: bool) -> None:
         self._line(f"# generated by the Wolfram compiler Python backend")
         self._line(f"# program: {self.program.name}")
@@ -187,19 +185,16 @@ class PythonBackend:
                 "from repro.compiler.runtime_library import RUNTIME as _rt"
             )
             self._line(
-                "from repro.runtime.guard import guard_checkpoint "
-                "as _guard_checkpoint"
-            )
-            self._line("def _check_abort():")
-            self._line(
-                "    # abortability is engine-hosted only (§4.6); deadline "
-                "and budget"
+                "# abortability is engine-hosted only (§4.6); deadline and "
+                "budget guards"
             )
             self._line(
-                "    # guards are engine-independent and still enforced "
-                "by wall clock"
+                "# are engine-independent and still enforced by wall clock"
             )
-            self._line("    _guard_checkpoint()")
+            self._line(
+                "from repro.runtime.guard import CHECKPOINT as _armed, "
+                "checkpoint as _check_abort"
+            )
             self._line("def _mem_acquire(v):")
             self._line("    return v")
             self._line("def _mem_release(v):")
@@ -470,7 +465,7 @@ class PythonBackend:
             )
             return
         if isinstance(instruction, CheckAbortInstr):
-            self._line("_check_abort()")
+            self._line("if _armed[0]: _check_abort()")
             return
         if isinstance(instruction, MemoryAcquireInstr):
             self._line(f"_mem_acquire({self._ref(instruction.operands[0])})")

@@ -32,7 +32,6 @@ from repro.runtime import (
     dgemm,
     memory_acquire,
     memory_release,
-    runtime_check_abort,
 )
 
 RUNTIME: dict[str, Callable] = {}
@@ -570,6 +569,5 @@ def random_integer(lo: int, hi: int) -> int:
 
 # -- services ------------------------------------------------------------------------------
 
-RUNTIME["runtime_check_abort"] = runtime_check_abort
 RUNTIME["memory_acquire"] = memory_acquire
 RUNTIME["memory_release"] = memory_release

@@ -6,11 +6,11 @@ compiler performs analysis to compute the loops and then inserts an abort
 check at the head of each loop.  Since functions can be recursive ... the
 compiler also inserts an abort check in each function's prologue."
 
-The check polls the host engine's abort flag and raises through the runtime
-(``runtime_check_abort``); generated cleanup is Python/C unwinding.
-
-The inserted checks are *guard checkpoints*: besides the abort flag they
-poll the active :class:`~repro.runtime.guard.ExecutionGuard`, which is how
+Each inserted check is a checkpoint of the shared protocol
+(:mod:`repro.runtime.guard`): one test of the checkpoint word inline, and a
+slow path that polls the host engine's abort flag and raises through the
+runtime; generated cleanup is Python/C unwinding.  The slow path also
+polls the active :class:`~repro.runtime.guard.ExecutionGuard`, which is how
 ``TimeConstrained``/``MemoryConstrained`` deadlines and budgets reach
 compiled code at exactly the loop-header/prologue granularity the paper
 chose for aborts.  Stripping the checks (``AbortHandling -> False`` or a

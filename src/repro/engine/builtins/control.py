@@ -474,9 +474,9 @@ def _constrained(evaluator, expression, guard, error_class):
 def time_constrained(evaluator, expression):
     """``TimeConstrained[expr, t]``: evaluate with a wall-clock deadline.
 
-    Enforced at guard checkpoints in all three tiers — the interpreter's
-    per-step poll, the VM's backward-jump poll, and compiled code's
-    loop-header/prologue abort checks.
+    Enforced at the checkpoints of every tier — the interpreter's per-step
+    poll, the VM's backward jumps, and template/compiled code's
+    loop-header/prologue checks (one protocol, :mod:`repro.runtime.guard`).
     """
     if len(expression.args) not in (2, 3):
         return None

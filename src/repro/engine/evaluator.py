@@ -9,11 +9,12 @@ Implements the evaluation semantics §2.1 describes:
   builtin dispatch;
 * **OwnValues / DownValues** — user definitions applied by pattern matching
   in specificity order;
-* **abortability (F3)** — an abort flag is polled on every evaluation step;
-  an abort unwinds to the top level and returns ``$Aborted`` with session
-  state intact (possibly mutated by the aborted computation, as the paper
-  specifies);
-* **guarded execution** — the same per-step checkpoint polls the active
+* **abortability (F3)** — every evaluation step is a checkpoint of the
+  shared protocol (:mod:`repro.runtime.guard`) bound to this session's abort
+  flag; an abort unwinds to the top level and returns ``$Aborted`` with
+  session state intact (possibly mutated by the aborted computation, as the
+  paper specifies);
+* **guarded execution** — the same slow path polls the active
   :class:`~repro.runtime.guard.ExecutionGuard`, enforcing
   ``TimeConstrained`` deadlines, step budgets, and (via a small per-node
   allocation charge) ``MemoryConstrained`` budgets.
@@ -25,7 +26,7 @@ version and invalidates the stamps.
 
 from __future__ import annotations
 
-import threading
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -48,7 +49,8 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.parser import parse
 from repro.mexpr.symbols import S, head_name, is_head
 from repro.observe import trace as _trace
-from repro.runtime.guard import _tls as _guard_tls
+from repro.runtime.guard import CHECKPOINT as _CHECKPOINT, AbortFlag
+from repro.runtime.guard import _tls as _guard_tls, checkpoint as _checkpoint
 
 _EVALUATED_STAMP = "$evalv"
 
@@ -73,8 +75,11 @@ class Evaluator:
         self.recursion_limit = recursion_limit
         self.iteration_limit = iteration_limit
         self._depth = 0
-        self._abort_flag = threading.Event()
-        self._steps_since_abort_check = 0
+        #: the user abort interrupt (F3), bound into the checkpoints of this
+        #: session and of every compiled tier it hosts
+        self.abort_flag = AbortFlag()
+        # evaluation steps are not fault-injection sites
+        self._check_abort = partial(_checkpoint, self.abort_flag, None, None)
         self._messages: list[str] = []
         #: hook the compiler installs so ``FunctionCompile`` etc. work inline
         self.extensions: dict[str, Callable] = {}
@@ -111,20 +116,20 @@ class Evaluator:
         try:
             return self.evaluate(expression)
         except WolframAbort:
-            self._abort_flag.clear()
+            self.abort_flag.set(False)
             return MSymbol("$Aborted")
         except (ReturnSignal, ThrowSignal) as signal:
             return signal.value
 
     def request_abort(self) -> None:
         """Trigger the user abort interrupt (feature F3); thread-safe."""
-        self._abort_flag.set()
+        self.abort_flag.set(True)
 
     def abort_pending(self) -> bool:
-        return self._abort_flag.is_set()
+        return self.abort_flag.pending
 
     def clear_abort(self) -> None:
-        self._abort_flag.clear()
+        self.abort_flag.set(False)
 
     def message(self, text: str) -> None:
         self._messages.append(text)
@@ -136,10 +141,11 @@ class Evaluator:
     # -- the evaluation loop ---------------------------------------------------
 
     def evaluate(self, expression: MExpr) -> MExpr:
-        self._check_abort()
+        if _CHECKPOINT[0]:
+            self._check_abort()
         # Non-symbol atoms are self-evaluating; skip the fixed-point loop
         # entirely.  (Symbols may have OwnValues, so they take the full path.)
-        # This sits after _check_abort so step budgets charge as before.
+        # This sits after the checkpoint so step budgets charge as before.
         if expression.is_atom() and not isinstance(expression, MSymbol):
             return expression
         if self._depth >= self.recursion_limit:
@@ -171,17 +177,6 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    def _check_abort(self) -> None:
-        self._steps_since_abort_check += 1
-        if self._steps_since_abort_check >= 64:
-            self._steps_since_abort_check = 0
-            if self._abort_flag.is_set():
-                raise WolframAbort()
-        # deadline / step-budget poll, inlined for the unguarded fast path
-        guard = getattr(_guard_tls, "top", None)
-        if guard is not None:
-            guard.check(1)
-
     def _is_stamped(self, expression: MExpr) -> bool:
         return (
             expression.get_property(_EVALUATED_STAMP) == self.state.state_version
@@ -208,7 +203,7 @@ class Evaluator:
         arguments = self._splice_sequences(head, attributes, arguments)
 
         rebuilt = MExprNormal(head, arguments)
-        guard = getattr(_guard_tls, "top", None)
+        guard = _guard_tls.top
         if guard is not None:
             guard.charge_memory(_NODE_BYTES + _SLOT_BYTES * len(arguments))
 

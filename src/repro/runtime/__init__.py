@@ -2,15 +2,10 @@
 
 Generated code (Python backend) and the bytecode VM both link against this
 package: checked machine arithmetic (F2), packed tensors, reference-counted
-memory management (F7), UTF-8 string primitives, the abort channel (F3), and
-the shared BLAS bridge.
+memory management (F7), UTF-8 string primitives, the abort/guard checkpoint
+protocol (F3), and the shared BLAS bridge.
 """
 
-from repro.runtime.abort import (
-    abort_checks_enabled,
-    attach_abort_source,
-    runtime_check_abort,
-)
 from repro.runtime.blas import dgemm, dot_nested
 from repro.runtime.guard import (
     ExecutionGuard,
@@ -22,7 +17,7 @@ from repro.runtime.guard import (
     FAILURE_LOG,
     active_guard,
     charge_memory,
-    guard_checkpoint,
+    checkpoint,
     guard_scope,
 )
 from repro.runtime.checked import (
@@ -60,9 +55,8 @@ from repro.runtime.strings import (
 __all__ = [
     "CircuitBreaker", "ExecutionGuard", "FAILURE_LOG", "FailureLog",
     "FailureRecord", "FallbackStats", "INT64_MAX", "INT64_MIN",
-    "PackedArray", "Tier", "abort_checks_enabled", "active_guard",
-    "attach_abort_source", "charge_memory", "check_int64",
-    "guard_checkpoint", "guard_scope",
+    "PackedArray", "Tier", "active_guard",
+    "charge_memory", "check_int64", "checkpoint", "guard_scope",
     "checked_binary_mod_Integer64_Integer64",
     "checked_binary_plus_Integer64_Integer64",
     "checked_binary_power_Integer64_Integer64",
@@ -72,7 +66,7 @@ __all__ = [
     "checked_unary_minus_Integer64", "dgemm", "dot_nested",
     "from_character_codes", "is_probable_prime", "memory_acquire",
     "memory_release", "memory_stats", "packed_from_iterable",
-    "reset_memory_stats", "runtime_check_abort", "small_prime_table",
+    "reset_memory_stats", "small_prime_table",
     "string_byte_at", "string_drop", "string_join", "string_length",
     "string_take", "string_utf8_bytes", "to_character_codes",
 ]

@@ -25,10 +25,29 @@ polls at its existing abort checkpoints:
   1024) queryable from ``repro.compiler.api``.
 
 Guards are thread-local: the REPL evaluates on a worker thread and each
-engine session polls only the guards its own thread entered.  With no
-active guard every checkpoint is a single attribute load and ``None`` test,
-so unguarded execution — including standalone exported code (§4.6) — pays
-essentially nothing.
+engine session polls only the guards its own thread entered.
+
+The checkpoint protocol (§4.5, DESIGN §5) — one definition for every tier.
+Each polling site (evaluator step, WVM backward jump, template and compiled
+loop header/prologue, hosted or exported) is ``if CHECKPOINT[0]: <slow path>``
+emitted inline:
+
+* :data:`CHECKPOINT`, the **checkpoint word**, is non-zero iff some
+  checkpoint could have work to do: a guard is installed on *any* thread
+  (:func:`push_guard`), a host's abort is requested and not yet cleared
+  (:class:`AbortFlag`; attaching an engine arms nothing), or a fault
+  injector is armed.  It is a count, maintained under one lock.
+* :func:`checkpoint`, the **slow path**, is the only definition of what a
+  checkpoint does.  Tiers bind their host's abort flag into it with
+  ``functools.partial`` — per artifact, so concurrent sessions never share
+  or detach each other's.  Standalone-exported code binds none ("abortable
+  code [is] disabled, since [it] depend[s] on the Wolfram Engine", §4.6);
+  guard polling is pure wall clock / counters and keeps working.
+
+Arming is process-wide: while any thread holds a guard or a pending abort,
+*every* thread's checkpoints take the slow path — correct for them (it reads
+their own guard stack and abort flag), merely not free.  Unarmed, a
+checkpoint is a list subscript and a truth test.
 
 Event vocabulary (emitted through :mod:`repro.observe` when tracing is
 enabled; emission sits on the raise/transition paths only, so the per-step
@@ -58,10 +77,43 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from repro import observe as _observe
-from repro.errors import WolframBudgetError, WolframTimeoutError
+from repro.errors import WolframAbort, WolframBudgetError, WolframTimeoutError
 from repro.testing import faults as _faults
 
-_tls = threading.local()
+
+class _GuardStack(threading.local):
+    #: class-level default: a thread that never installed a guard reads
+    #: ``None`` by an attribute hit, not an AttributeError miss (~7x dearer)
+    top: Optional["ExecutionGuard"] = None
+
+
+_tls = _GuardStack()
+
+#: the checkpoint word: ``CHECKPOINT[0]`` counts installed guards (all
+#: threads), pending abort requests and armed fault injectors
+CHECKPOINT = [0]
+_word_lock = threading.Lock()
+
+
+def arm(delta: int) -> None:
+    """Add ``delta`` reasons for checkpoints to take the slow path."""
+    with _word_lock:
+        CHECKPOINT[0] += delta
+
+
+class AbortFlag:
+    """A host engine's abort request (F3); arms the word while pending."""
+
+    __slots__ = ("pending",)
+
+    def __init__(self) -> None:
+        self.pending = False
+
+    def set(self, pending: bool) -> None:
+        with _word_lock:
+            if self.pending != pending:
+                self.pending = pending
+                CHECKPOINT[0] += 1 if pending else -1
 
 # -- the guard itself ------------------------------------------------------------------
 
@@ -71,7 +123,7 @@ class ExecutionGuard:
 
     ``deadline`` is an absolute ``time.monotonic()`` instant; ``step_budget``
     counts evaluation steps / VM instructions charged through
-    :func:`guard_checkpoint`; ``memory_budget`` counts bytes charged through
+    :func:`checkpoint`; ``memory_budget`` counts bytes charged through
     :func:`charge_memory` (packed/boxed tensor allocations and interpreter
     expression construction).
     """
@@ -182,23 +234,29 @@ class ExecutionGuard:
 
 def active_guard() -> Optional[ExecutionGuard]:
     """The innermost guard on this thread, or ``None``."""
-    return getattr(_tls, "top", None)
+    return _tls.top
 
 
 def push_guard(guard: ExecutionGuard) -> ExecutionGuard:
-    guard.parent = getattr(_tls, "top", None)
+    guard.parent = _tls.top
     _tls.top = guard
+    arm(1)
     return guard
 
 
 def pop_guard(guard: ExecutionGuard) -> None:
-    if getattr(_tls, "top", None) is guard:
-        _tls.top = guard.parent
-    else:  # unwound out of order; restore the nearest consistent state
-        current = getattr(_tls, "top", None)
-        while current is not None and current is not guard:
-            current = current.parent
-        _tls.top = current.parent if current is not None else None
+    """Unwind this thread's stack through ``guard`` (the whole stack when
+    ``guard`` is not on it: unwound out of order, nearest consistent
+    state), disarming once per guard removed."""
+    removed = 0
+    current = _tls.top
+    while current is not None:
+        removed += 1
+        if current is guard:
+            break
+        current = current.parent
+    _tls.top = current.parent if current is not None else None
+    arm(-removed)
 
 
 @contextmanager
@@ -227,25 +285,30 @@ def guard_scope(
         pop_guard(guard)
 
 
-def guard_checkpoint(steps: int = 1) -> None:
-    """Poll the active guard; a noop when no guard is installed.
+def checkpoint(abort: Optional[AbortFlag] = None,
+               abort_site: Optional[str] = None,
+               guard_site: Optional[str] = "guard.checkpoint") -> None:
+    """The checkpoint slow path; a noop when nothing applies to the caller.
 
-    This is the call every tier's abort checkpoints make: the evaluator on
-    each evaluation step, the VM on instruction batches, compiled code at
-    loop headers and prologues (via ``runtime_check_abort``), and standalone
-    exported code directly — which is how ``TimeConstrained`` still enforces
-    its deadline by wall clock with no engine attached (§4.6).
+    Compiled code binds the ``abort.check`` fault site; the interpreter's
+    per-step poll binds no site at all, so a scheduled
+    ``Fault(site, after=N)`` counts compiled-tier checkpoints only.
     """
-    if _faults._INJECTOR is not None:
-        _faults.fire("guard.checkpoint")
-    guard = getattr(_tls, "top", None)
+    injector = _faults._INJECTOR
+    if injector is not None and abort_site is not None:
+        injector.fire(abort_site)
+    if abort is not None and abort.pending:
+        raise WolframAbort()
+    if injector is not None and guard_site is not None:
+        injector.fire(guard_site)
+    guard = _tls.top
     if guard is not None:
-        guard.check(steps)
+        guard.check(1)
 
 
 def charge_memory(nbytes: int) -> None:
     """Charge an allocation against the active guard; noop when unguarded."""
-    guard = getattr(_tls, "top", None)
+    guard = _tls.top
     if guard is not None:
         guard.charge_memory(nbytes)
 

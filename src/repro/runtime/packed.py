@@ -138,8 +138,10 @@ def _flatten_into(nested, dims: list, level: int, out: list) -> None:
     if not isinstance(nested, (list, tuple)) or len(nested) != dims[level]:
         raise WolframRuntimeError("RaggedArray", "array is not rectangular")
     if level == len(dims) - 1:
-        for item in nested:
-            if isinstance(item, (list, tuple)):
+        # the per-element check runs at C speed: collect the distinct
+        # element types, then test those few for being sequences
+        for item_type in set(map(type, nested)):
+            if issubclass(item_type, (list, tuple)):
                 raise WolframRuntimeError(
                     "RaggedArray", "array is not rectangular"
                 )

@@ -18,9 +18,10 @@ falls back to a slower-to-compile tier.
 
 Contract parity with ``FunctionCompile`` artifacts:
 
-* the stitched function runs ``_checkpoint()`` in its prologue and at
-  every loop header — the same abort/guard cadence compiled code gets from
-  ``runtime_check_abort`` — so ``TimeConstrained``/abort work unchanged;
+* the stitched function carries the checkpoint stencil
+  (``if _armed[0]: _checkpoint()``, see :mod:`repro.runtime.guard`) in its
+  prologue and at every loop header — the same abort/guard cadence
+  compiled code gets — so ``TimeConstrained``/abort work unchanged;
 * self-recursion stitches to a direct ``_self(...)`` call (the bytecode VM
   cannot do this; the template tier can, which is why recursive hotspots
   now get a fast tier even when the full pipeline is unavailable).
@@ -33,15 +34,21 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 from typing import Optional
 
 from repro import observe as _observe
 from repro.errors import TemplateCompilerError
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
+from repro.runtime.guard import checkpoint
 from repro.template_jit import analysis as _analysis
 from repro.template_jit import templates as _t
 from repro.template_jit.artifact import TemplateCompiledFunction
+
+#: the loop-header/prologue stencil: one test of the checkpoint word, the
+#: shared slow path (bound to the host's abort flag) only when it is armed
+_CHECKPOINT = "if _armed[0]: _checkpoint()"
 
 #: statement-form heads `stmt` lowers structurally
 _STATEMENT_HEADS = frozenset({
@@ -247,7 +254,7 @@ class TemplateCompiler:
         if head == "While":
             cond, _ = self.expr(node.args[0])
             self._emit(indent, f"while {cond}:")
-            self._emit(indent + 1, "_checkpoint()")
+            self._emit(indent + 1, _CHECKPOINT)
             if len(node.args) > 1:
                 for argument in node.args[1:]:
                     self.stmt(argument, indent + 1, None)
@@ -266,7 +273,7 @@ class TemplateCompiler:
             self.stmt(init, indent, None)
             cond, _ = self.expr(cond_node)
             self._emit(indent, f"while {cond}:")
-            self._emit(indent + 1, "_checkpoint()")
+            self._emit(indent + 1, _CHECKPOINT)
             self.stmt(body, indent + 1, None)
             self.stmt(step, indent + 1, None)
             if result:
@@ -363,7 +370,7 @@ class TemplateCompiler:
                 lower, upper = "1", self.expr(spec)[0]
                 slot = self._fresh_slot()
             self._emit(indent, f"for {slot} in range({lower}, {upper} + 1):")
-            self._emit(indent + 1, "_checkpoint()")
+            self._emit(indent + 1, _CHECKPOINT)
             self.stmt(body, indent + 1, None)
         finally:
             self._scopes.pop()
@@ -402,7 +409,7 @@ class TemplateCompiler:
             for name, char in zip(self.parameters, self.type_chars)
         ]
         self._emit(0, f"def _tpl({', '.join(slots)}):")
-        self._emit(1, "_checkpoint()")
+        self._emit(1, _CHECKPOINT)
         self.stmt(self.body, 1, "_r")
         self._emit(1, "return _r")
         return "\n".join(self._lines) + "\n"
@@ -440,7 +447,10 @@ def compile_template(
         source = compiler.compile_source()
         code = compile(source, f"<template:{name}>", "exec")
         namespace = dict(_t.RUNTIME_GLOBALS)
-        namespace["_checkpoint"] = _make_checkpoint(evaluator)
+        namespace["_checkpoint"] = partial(
+            checkpoint,
+            evaluator.abort_flag if evaluator is not None else None,
+        )
         exec(code, namespace)
         function = namespace["_tpl"]
         namespace["_self"] = function
@@ -475,20 +485,3 @@ def compile_template_function(
         evaluator=evaluator,
         name=name,
     )
-
-
-def _make_checkpoint(evaluator):
-    from repro.runtime.guard import guard_checkpoint
-
-    if evaluator is None:
-        return guard_checkpoint
-    abort_pending = evaluator.abort_pending
-
-    def checkpoint() -> None:
-        guard_checkpoint()
-        if abort_pending():
-            from repro.errors import WolframAbort
-
-            raise WolframAbort()
-
-    return checkpoint

@@ -34,6 +34,7 @@ it contains only these helpers (plus the per-artifact ``_checkpoint`` and
 from __future__ import annotations
 
 from repro.errors import IntegerOverflowError, WolframRuntimeError
+from repro.runtime.guard import CHECKPOINT, charge_memory
 
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -(1 << 63)
@@ -106,8 +107,6 @@ def _len(value):
 
 
 def _const_array(fill, length):
-    from repro.runtime.guard import charge_memory
-
     charge_memory(8 * int(length))
     return [fill] * int(length)
 
@@ -144,6 +143,7 @@ MATH_RUNTIME = _build_math_runtime()
 #: per-function ``_checkpoint`` / ``_self`` slots never alias
 RUNTIME_GLOBALS: dict = {
     "__builtins__": {},  # stitched code calls only what the table emits
+    "_armed": CHECKPOINT,
     "_ci": _ci,
     "_div": _div,
     "_pow": _pow,

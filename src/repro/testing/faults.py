@@ -9,11 +9,13 @@ and aborts are timing- and input-dependent.  This harness lets a test
 site                   fired from
 =====================  ==============================================
 ``vm.instruction``     the WVM dispatch loop, before each instruction
-``abort.check``        ``runtime_check_abort`` — i.e. every codegen'd
-                       abort check in compiled code (loop headers and
-                       prologues, §4.5) and the VM's backward-jump polls
-``guard.checkpoint``   every guard checkpoint, including standalone
-                       exported code's ``_check_abort`` (§4.6)
+``abort.check``        the checkpoint slow path as bound by compiled code
+                       (``_check_abort`` at loop headers and prologues,
+                       §4.5), before the abort flag is polled
+``guard.checkpoint``   every visit of the slow path from a compiled tier
+                       (VM backward jumps, template/compiled/exported
+                       loop headers and prologues), before the guard chain
+                       is charged; interpreter steps fire no site
 ``template.call``      entry of a :class:`~repro.template_jit.artifact.
                        TemplateCompiledFunction` — drives the baseline
                        tier's demotion ladder (template → bytecode →
@@ -39,7 +41,9 @@ Usage::
     assert full_form(result) == "$Aborted"
 
 The hot-path cost when disarmed is one module-attribute load and ``None``
-test per site visit; arming is process-global but test-scoped.
+test per site visit; arming is process-global but test-scoped, and also
+arms the checkpoint word (:data:`repro.runtime.guard.CHECKPOINT`) so every
+checkpoint reaches the slow path and its two sites.
 """
 
 from __future__ import annotations
@@ -177,11 +181,15 @@ def inject_faults(*faults: Fault) -> Iterator[FaultInjector]:
     global _INJECTOR
     if _INJECTOR is not None:
         raise RuntimeError("fault injection is already armed")
+    from repro.runtime import guard
+
     injector = FaultInjector(list(faults))
     injector.arm_runtime_sites()
     _INJECTOR = injector
+    guard.arm(1)
     try:
         yield injector
     finally:
+        guard.arm(-1)
         _INJECTOR = None
         injector.disarm_runtime_sites()

@@ -29,6 +29,18 @@ def _uninstall_leaked_flight_recorder():
         _trace.TRACER = None
 
 
+@pytest.fixture(autouse=True)
+def _checkpoint_word_disarmed():
+    """A leaked arm (a guard never popped, an abort never cleared, an
+    injector never disarmed) is a silent permanent slow path on every tier:
+    the checkpoint word must be back at 0 after every test."""
+    yield
+    from repro.runtime.guard import CHECKPOINT
+
+    leaked, CHECKPOINT[0] = CHECKPOINT[0], 0  # don't cascade into later tests
+    assert leaked == 0, f"checkpoint word left at {leaked}"
+
+
 @pytest.fixture()
 def artifact_cache(tmp_path, monkeypatch):
     """An enabled, isolated artifact store rooted in ``tmp_path``."""

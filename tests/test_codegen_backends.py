@@ -56,7 +56,8 @@ class TestPythonBackend:
         f = FunctionCompile(LOOP_FN)
         body = f.generated_source
         loop_index = body.index("while True:")
-        check_index = body.index("_check_abort()", loop_index)
+        # the inline checkpoint: a test of the word, the call only when armed
+        check_index = body.index("if _armed[0]: _check_abort()", loop_index)
         assert check_index - loop_index < 60  # first statement of the loop
 
     def test_dispatcher_fallback_is_correct(self):
@@ -192,7 +193,9 @@ class TestLibraryExport:
     def test_exported_source_is_standalone(self, tmp_path):
         source = FunctionCompileExportString(LOOP_FN, "Python")
         assert "_kernel" in source  # the disabled-kernel stub
-        assert "def _check_abort" in source  # abortability disabled (§4.6)
+        # abortability disabled (§4.6): the slow path is bound to no engine
+        assert "checkpoint as _check_abort" in source
+        assert "def _check_abort" not in source
 
     def test_exported_library_with_constants(self, tmp_path):
         path = str(tmp_path / "lib_table.py")

@@ -143,6 +143,7 @@ class TestAbort:
             AbortHandling=False,
         )
         assert "_check_abort" not in fn.generated_source
+        assert "_armed" not in fn.generated_source
         evaluator.request_abort()
         try:
             assert fn(1000) == 1000  # no poll, no abort

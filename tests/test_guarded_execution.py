@@ -22,7 +22,6 @@ from repro.errors import (
     WolframTimeoutError,
     classify_runtime_error,
 )
-from repro.runtime.abort import abort_checks_enabled, attach_abort_source
 from repro.runtime.guard import (
     FAILURE_LOG,
     CircuitBreaker,
@@ -30,7 +29,7 @@ from repro.runtime.guard import (
     FallbackStats,
     Tier,
     active_guard,
-    guard_checkpoint,
+    checkpoint,
     guard_scope,
 )
 
@@ -59,20 +58,20 @@ COUNTING_LOOP = (
 class TestExecutionGuard:
     def test_no_guard_checkpoint_is_noop(self):
         assert active_guard() is None
-        guard_checkpoint()  # must not raise
+        checkpoint()  # must not raise
 
     def test_deadline_raises_timeout(self):
         with guard_scope(time_limit=0.02) as guard:
             time.sleep(0.03)
             with pytest.raises(WolframTimeoutError) as info:
-                guard_checkpoint()
+                checkpoint()
             assert info.value.guard is guard
 
     def test_step_budget_raises_budget_error(self):
         with guard_scope(step_budget=5):
             with pytest.raises(WolframBudgetError) as info:
                 for _ in range(10):
-                    guard_checkpoint()
+                    checkpoint()
             assert info.value.resource == "steps"
 
     def test_memory_budget(self):
@@ -93,7 +92,7 @@ class TestExecutionGuard:
             with guard_scope(inner):
                 time.sleep(0.02)
                 with pytest.raises(WolframTimeoutError) as info:
-                    guard_checkpoint()
+                    checkpoint()
                 # the *outer* guard expired; its identity rides the error
                 assert info.value.guard is outer
 
@@ -197,8 +196,6 @@ class TestStandaloneExport(object):
         path = str(tmp_path / "lib.py")
         FunctionCompileExportLibrary(path, COUNTING_LOOP)
         main = LibraryFunctionLoad(path)
-        attach_abort_source(None)
-        assert not abort_checks_enabled()
         # no abort source, no guard: checks are noops and the call completes
         assert main(10000) == 10000
 
@@ -206,7 +203,6 @@ class TestStandaloneExport(object):
         path = str(tmp_path / "lib.py")
         FunctionCompileExportLibrary(path, COUNTING_LOOP)
         main = LibraryFunctionLoad(path)
-        attach_abort_source(None)
         started = time.monotonic()
         with guard_scope(time_limit=0.1):
             with pytest.raises(WolframTimeoutError):

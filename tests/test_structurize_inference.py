@@ -192,5 +192,6 @@ class TestAbortInhibitDecorator:
             '  s]]'
         )
         # exactly one loop-header check (second loop) + the prologue check
-        assert f.generated_source.count("_check_abort()") == 2
+        assert f.generated_source.count("if _armed[0]: _check_abort()") == 2
+        assert f.generated_source.count("_check_abort") == 2
         assert f(10) == 110

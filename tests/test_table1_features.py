@@ -67,16 +67,17 @@ class TestF3AbortableEvaluation:
             'Function[{Typed[n, "MachineInteger"]},'
             ' Module[{i = 0}, While[i < n, i = i + 1]; i]]'
         )
-        assert "_check_abort()" in f.generated_source
+        assert "if _armed[0]: _check_abort()" in f.generated_source
 
     def test_bytecode_vm_polls_on_back_edges(self):
-        # structural check: the VM polls the abort source on backward jumps
+        # structural check: every backward jump is a checkpoint bound to
+        # the host's abort flag
         import inspect
 
         from repro.bytecode.vm import WVM
 
-        dispatch_loop = getattr(WVM, "_run", WVM.run)
-        assert "abort_poll" in inspect.getsource(dispatch_loop)
+        dispatch_loop = inspect.getsource(getattr(WVM, "_run", WVM.run))
+        assert dispatch_loop.count("checkpoint(abort_flag)") == 3
 
 
 class TestF4BackendSupport:

@@ -96,7 +96,7 @@ class TestStitcher:
         # slot numbering is the only register allocation
         assert "_s0" in source and "_s1" in source
         # the abort/guard cadence: prologue plus every loop header
-        assert source.count("_checkpoint()") >= 2
+        assert source.count("if _armed[0]: _checkpoint()") >= 2
         lines = source.splitlines()
         assert lines[0].startswith("def _tpl(")
         assert artifact(10) == 55
@@ -250,25 +250,28 @@ class TestDemotionLadder:
 
 class TestAbortAndGuards:
     def test_abort_delivered_at_loop_header(self, hosted):
-        # the stitched _checkpoint captures abort_pending at compile time,
-        # so install the probe before stitching
+        # the stitched _checkpoint binds the host's abort flag at compile
+        # time, so install the probe before stitching; the (unconstrained)
+        # guard scope arms the checkpoint word so every header reads it
         calls = {"count": 0}
 
-        def abort_soon():
-            calls["count"] += 1
-            return calls["count"] > 50
+        class AbortSoon:
+            @property
+            def pending(self):
+                calls["count"] += 1
+                return calls["count"] > 50
 
-        hosted.abort_pending = abort_soon
+        real_flag, hosted.abort_flag = hosted.abort_flag, AbortSoon()
         try:
             artifact = _stitch(
                 "{{n, _Integer}}",
                 "Module[{i = 0}, While[i < n, i = i + 1]; i]",
                 evaluator=hosted,
             )
-            with pytest.raises(WolframAbort):
+            with guard_scope(), pytest.raises(WolframAbort):
                 artifact(10_000)
         finally:
-            del hosted.abort_pending
+            hosted.abort_flag = real_flag
         assert calls["count"] > 50  # delivered at a loop header, not late
 
     def test_step_budget_expires_inside_stitched_loop(self):

@@ -440,3 +440,82 @@ class TestGuardedSessionThreads:
                     assert full_form(value) == str(expected)
 
         hammer(worker)
+
+
+class TestCheckpointWordThreads:
+    """The checkpoint word (``repro.runtime.guard.CHECKPOINT``) is a count
+    every thread arms and disarms; a lost update would leave it non-zero (a
+    permanent slow path) or negative (checkpoints that never poll)."""
+
+    def test_hammered_word_returns_to_zero_and_is_never_negative(self):
+        import sys
+
+        from repro.runtime.guard import CHECKPOINT, AbortFlag, guard_scope
+
+        shared = AbortFlag()  # requested and cleared by every thread at once
+        lows: list[int] = []
+
+        def worker(index: int) -> None:
+            own = AbortFlag()
+            low = 0
+            for _ in range(ROUNDS):
+                with guard_scope(step_budget=10):
+                    own.set(True)
+                    shared.set(True)
+                    with guard_scope(time_limit=60):
+                        low = min(low, CHECKPOINT[0])
+                    shared.set(False)
+                    own.set(False)
+                low = min(low, CHECKPOINT[0])
+            lows.append(low)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+            shared.set(False)
+        assert min(lows) >= 0
+        assert CHECKPOINT[0] == 0
+
+    def test_one_sessions_return_does_not_detach_anothers_abort(self):
+        """Regression: the abort source used to be one process global that
+        every ``CompiledCodeFunction.__call__`` reset to ``None`` on exit —
+        session B finishing a call made session A's running loop deaf to
+        ``request_abort`` until the loop ended."""
+        import time
+
+        from repro.compiler import FunctionCompile
+        from repro.engine import Evaluator
+        from repro.errors import WolframAbort
+
+        source = (
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Module[{i = 0}, While[i < n, i = i + 1]; i]]'
+        )
+        session_a, session_b = Evaluator(), Evaluator()
+        long_loop = FunctionCompile(source, evaluator=session_a)
+        short_call = FunctionCompile(source, evaluator=session_b)
+        outcome = {}
+        entered = threading.Event()
+
+        def run_a():
+            entered.set()
+            try:
+                # bounded, so a deaf loop ends (and fails the test) by itself
+                outcome["result"] = long_loop(100_000_000)
+            except WolframAbort:
+                outcome["result"] = "aborted"
+
+        worker = threading.Thread(target=run_a, daemon=True)
+        worker.start()
+        assert entered.wait(timeout=10)
+        time.sleep(0.05)
+        assert short_call(1000) == 1000  # B's call starts and returns
+        session_a.request_abort()
+        worker.join(timeout=3)
+        session_a.clear_abort()
+        assert not worker.is_alive(), "A's loop no longer hears its abort"
+        assert outcome["result"] == "aborted"
+        assert not session_b.abort_pending()

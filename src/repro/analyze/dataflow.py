@@ -69,9 +69,7 @@ from repro.compiler.wir.instructions import (
     PhiInstr,
     Value,
 )
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
+from repro.runtime.checked import INT64_MAX, INT64_MIN
 
 #: no packed array holds more than 2^48 elements (memory argument); any
 #: length-like value is bounded by this even when its tensor is unknown

@@ -47,6 +47,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.runtime.checked import INT64_MAX, INT64_MIN
+
 #: comparison tolerance for real-valued kernels; loose enough for
 #: re-association across tiers, tight enough to catch real bugs
 REAL_TOLERANCE = 1e-8
@@ -489,9 +491,6 @@ def _write_artifacts(report, artifacts_dir, prefix: str) -> None:
 
 # -- boundary mode: check elision on vs off ----------------------------------
 
-
-INT64_MAX = 2**63 - 1
-INT64_MIN = -(2**63)
 
 #: the values an unsound interval analysis is most likely to mishandle
 BOUNDARY_INTEGERS = (

@@ -8,7 +8,8 @@ behaviours around it:
 * version check on call; mismatches trigger recompilation from the stored
   input function;
 * argument type checking and tensor boxing (copy-on-read, F5);
-* soft failure: runtime errors re-evaluate through the interpreter (F2);
+* soft failure: runtime errors re-evaluate through the interpreter (F2) —
+  the call protocol is :class:`~repro.runtime.guard.GovernedFunction`'s;
 * abortability when hosted in an engine (F3).
 """
 
@@ -20,18 +21,20 @@ from typing import Optional
 from repro.bytecode.boxed import BoxedTensor
 from repro.bytecode.instructions import Instruction, Op, RegisterCounts
 from repro.bytecode.vm import WVM
-from repro.errors import (
-    GUARD_EXCEPTIONS,
-    WolframAbort,
-    WolframRuntimeError,
-)
 from repro.mexpr.expr import MExpr
-from repro.mexpr.symbols import to_mexpr
-from repro.runtime.guard import CircuitBreaker, FallbackStats, Tier
+from repro.runtime.guard import (
+    CircuitBreaker,
+    FallbackStats,
+    SpecTypedFunction,
+    Tier,
+)
 
 
 @dataclass
-class CompiledFunction:
+class CompiledFunction(SpecTypedFunction):
+    native_tier = Tier.BYTECODE
+    _box_tensor = staticmethod(BoxedTensor.from_nested)
+
     versions: tuple[int, int, int]
     argument_types: list[str]
     argument_names: list[str]
@@ -48,29 +51,13 @@ class CompiledFunction:
     fallback_stats: FallbackStats = field(
         default_factory=FallbackStats, repr=False
     )
-    #: tier governor: bytecode → interpreter after N soft failures
+    #: tier governor: VM → interpreter after N soft failures
     breaker: CircuitBreaker = field(
         default_factory=lambda: CircuitBreaker(
             "CompiledFunction", start=Tier.BYTECODE
         ),
         repr=False,
     )
-
-    # -- fallback inspection -----------------------------------------------------
-
-    def stats(self) -> FallbackStats:
-        """Inspection API replacing the old bare ``fallback_count`` int."""
-        self.fallback_stats.current_tier = self.breaker.tier.value
-        return self.fallback_stats
-
-    @property
-    def fallback_count(self) -> int:
-        """Compatibility alias: number of interpreter re-evaluations (F2)."""
-        return self.fallback_stats.interpreter_reruns
-
-    def reset_tiers(self) -> None:
-        self.breaker.reset()
-        self.fallback_stats.reset()
 
     # -- serialization fidelity -------------------------------------------------
 
@@ -192,9 +179,9 @@ class CompiledFunction:
         lines.append("]")
         return "\n".join(lines)
 
-    # -- execution ----------------------------------------------------------------
+    # -- execution (the protocol is GovernedFunction.__call__) --------------------
 
-    def __call__(self, *arguments):
+    def _native(self, *boxed):
         from repro.bytecode.compiler import (
             BYTECODE_COMPILER_VERSION,
             WVM_ENGINE_VERSION,
@@ -212,93 +199,12 @@ class CompiledFunction:
             self.register_counts = fresh.register_counts
             self.versions = fresh.versions
 
-        # circuit breaker: after N soft failures the VM tier is not
-        # re-attempted; calls run straight on the interpreter
-        if self.breaker.tier is Tier.INTERPRETER and self.evaluator is not None:
-            self.fallback_stats.record_call(Tier.INTERPRETER)
-            return self._reevaluate(arguments)
-
-        boxed = self._check_and_box(arguments)
-        machine = WVM(evaluator=self.evaluator)
-        self.fallback_stats.record_call(Tier.BYTECODE)
-        try:
-            result = machine.run(
-                self.instructions, self.constants, boxed, self.register_total
-            )
-        except WolframAbort:
-            raise
-        except GUARD_EXCEPTIONS as error:
-            # a deadline/budget expiry is not the VM's fault: record it but
-            # never retry (the guard stays expired) and don't trip the breaker
-            self.fallback_stats.record_failure(Tier.BYTECODE, error.kind)
-            raise
-        except WolframRuntimeError as error:
-            self.fallback_stats.record_failure(Tier.BYTECODE, error.kind)
-            self.breaker.record_failure(Tier.BYTECODE, error.kind, str(error))
-            return self._fallback(arguments, error)
+        result = WVM(evaluator=self.evaluator).run(
+            self.instructions, self.constants, boxed, self.register_total
+        )
         if isinstance(result, BoxedTensor):
             return result.to_nested()
         return result
-
-    def _check_and_box(self, arguments) -> list:
-        if len(arguments) != len(self.argument_types):
-            raise WolframRuntimeError(
-                "ArgumentCount",
-                f"expected {len(self.argument_types)} arguments, "
-                f"got {len(arguments)}",
-            )
-        boxed = []
-        for value, type_char in zip(arguments, self.argument_types):
-            if type_char.startswith("T"):
-                if not isinstance(value, (list, tuple)):
-                    raise WolframRuntimeError("TypeMismatch", "expected a list")
-                # copy-on-read: inputs are boxed into a private copy (F5)
-                boxed.append(BoxedTensor.from_nested(value, type_char[1:]))
-            elif type_char == "i":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise WolframRuntimeError(
-                        "TypeMismatch", f"{value!r} is not a machine integer"
-                    )
-                boxed.append(value)
-            elif type_char == "r":
-                if not isinstance(value, (int, float)):
-                    raise WolframRuntimeError(
-                        "TypeMismatch", f"{value!r} is not a real"
-                    )
-                boxed.append(float(value))
-            elif type_char == "c":
-                boxed.append(complex(value))
-            elif type_char == "b":
-                boxed.append(bool(value))
-            else:  # pragma: no cover
-                boxed.append(value)
-        return boxed
-
-    def _fallback(self, arguments, error: WolframRuntimeError):
-        """Soft failure (F2): re-evaluate with the interpreter."""
-        if self.evaluator is None:
-            raise error
-        self.evaluator.message(
-            "CompiledFunction: CompiledFunction operation encountered a "
-            f"runtime error ({error.kind}); reverting to uncompiled evaluation."
-        )
-        self.fallback_stats.record_rerun()
-        return self._reevaluate(arguments)
-
-    def _reevaluate(self, arguments):
-        from repro.engine.patterns import substitute
-
-        bindings = {
-            name: to_mexpr(value)
-            for name, value in zip(self.argument_names, arguments)
-        }
-        result = self.evaluator.evaluate(
-            substitute(self.source_body, bindings)
-        )
-        try:
-            return result.to_python()
-        except ValueError:
-            return result
 
 
 def compile_function(specs: MExpr, body: MExpr, evaluator=None) -> CompiledFunction:

@@ -32,11 +32,10 @@ from repro.errors import (
     WolframRuntimeError,
 )
 from repro.observe import trace as _trace
+from repro.runtime.checked import INT64_MAX as _INT64_MAX
+from repro.runtime.checked import INT64_MIN as _INT64_MIN
 from repro.runtime.guard import CHECKPOINT, charge_memory, checkpoint
 from repro.testing import faults as _faults
-
-_INT64_MAX = (1 << 63) - 1
-_INT64_MIN = -(1 << 63)
 
 _MATH_FUNCS: dict[int, Callable] = {}
 

@@ -23,9 +23,7 @@ a fresh compile stores its artifact for every later process.  Compiles
 that depend on process-local state (embedded ``constants=``, user passes,
 custom type/macro environments, a pass logger, or the verify-each
 sanitizer) bypass the cache.  A cache-restored function carries a
-:class:`_CachedProgram` placeholder instead of a TWIR module; the real
-module is recompiled lazily iff the circuit breaker ever demotes it to
-the bytecode tier.
+:class:`_CachedProgram` placeholder instead of a TWIR module.
 """
 
 from __future__ import annotations
@@ -48,11 +46,8 @@ from repro.compiler.types.specifier import (
 )
 from repro.compiler.wir.function_module import ProgramModule
 from repro.errors import (
-    GUARD_EXCEPTIONS,
     SOFT_FAILURE_EXCEPTIONS,
     CompilerError,
-    classify_runtime_error,
-    WolframAbort,
     WolframRuntimeError,
 )
 from repro.mexpr.atoms import MSymbol
@@ -65,6 +60,7 @@ from repro.runtime.guard import (
     CircuitBreaker,
     FailureRecord,
     FallbackStats,
+    GovernedFunction,
     Tier,
     checkpoint,
 )
@@ -72,10 +68,8 @@ from repro.runtime.packed import PackedArray
 
 FunctionLike = Union[MExpr, str]
 
-#: soft failures at a tier before the circuit breaker demotes the function
+#: soft failures on the compiled tier before the circuit breaker trips
 CIRCUIT_BREAKER_THRESHOLD = 3
-
-_UNSET = object()
 
 
 def failure_records(
@@ -93,7 +87,7 @@ def failure_records(
 def failure_transitions(
     function: Optional[str] = None,
 ) -> list[FailureRecord]:
-    """Only the tier-demotion records (``transition`` set)."""
+    """Only the tier-transition records (``transition`` set)."""
     return FAILURE_LOG.transitions(function)
 
 
@@ -186,17 +180,26 @@ def _pipeline(type_environment, macro_environment, option_rules,
 class _CachedProgram:
     """Placeholder for :class:`ProgramModule` on a cache-restored function.
 
-    Carries only the main-function name; the full TWIR module is
-    recompiled from the stored source function on first demand — bytecode
-    demotion is the only consumer, and demotion is rare."""
+    Carries only the main-function name: nothing at run time reads the
+    TWIR module."""
 
     def __init__(self, main: str):
         self.main = main
         self.metadata: dict = {"restoredFromCache": True}
 
 
-class CompiledCodeFunction:
+class CompiledCodeFunction(GovernedFunction):
     """The callable artifact of :func:`FunctionCompile` (§4.6)."""
+
+    native_tier = Tier.COMPILED
+    #: a boxing failure is not the compiled code's fault: a hosted call
+    #: reruns in the interpreter, uncounted by the breaker
+    soft_boundary = True
+    soft_exceptions = SOFT_FAILURE_EXCEPTIONS
+    warning = (
+        "CompiledCodeFunction: A compiled code runtime error occurred; "
+        "reverting to uncompiled evaluation: {kind}"
+    )
 
     def __init__(
         self,
@@ -214,15 +217,11 @@ class CompiledCodeFunction:
         self.evaluator = evaluator
         self.options = options or CompilerOptions()
         self._entry = namespace[sanitize(program.main)]
-        #: tier governor: compiled → bytecode → interpreter (Titzer-style
-        #: tiered handoff with circuit breaking)
-        self._breaker = CircuitBreaker(
-            program.main, threshold=CIRCUIT_BREAKER_THRESHOLD
+        self.breaker = CircuitBreaker(
+            program.main, threshold=CIRCUIT_BREAKER_THRESHOLD,
+            start=self.native_tier,
         )
-        self._stats = FallbackStats()
-        #: lazily-built bytecode-tier artifact; _UNSET until first needed,
-        #: None if the program does not translate onto the VM
-        self._bytecode_tier = _UNSET
+        self.fallback_stats = FallbackStats()
 
     @property
     def evaluator(self):
@@ -264,7 +263,7 @@ class CompiledCodeFunction:
 
     # -- the boxing boundary (§4.5) ---------------------------------------------------
 
-    def _unpack(self, arguments: tuple) -> list:
+    def _to_native(self, arguments: tuple) -> list:
         declared = self.signature.params
         if len(arguments) != len(declared):
             raise WolframRuntimeError(
@@ -318,157 +317,15 @@ class CompiledCodeFunction:
             return check_int64(int(value))
         return value
 
-    # -- introspection of the fallback machinery (satellite API) ----------------------
+    # -- execution (the protocol is GovernedFunction.__call__) ---------------------------
 
-    def stats(self) -> FallbackStats:
-        """Per-tier call/failure counters; see :class:`FallbackStats`."""
-        self._stats.current_tier = self._breaker.tier.value
-        return self._stats
+    def _native(self, *unpacked):
+        return _repack(self._entry(*unpacked))
 
-    @property
-    def fallback_count(self) -> int:
-        """Compatibility alias: number of interpreter re-evaluations (F2)."""
-        return self._stats.interpreter_reruns
-
-    @property
-    def current_tier(self) -> Tier:
-        """The tier the circuit breaker will run the next call on."""
-        return self._breaker.tier
-
-    def reset_tiers(self) -> None:
-        """Re-arm the circuit breaker and zero the fallback statistics."""
-        self._breaker.reset()
-        self._stats.reset()
-        self._bytecode_tier = _UNSET
-
-    # -- execution -------------------------------------------------------------------
-
-    def __call__(self, *arguments):
-        try:
-            unpacked = self._unpack(arguments)
-        except WolframRuntimeError as error:
-            # a boxing failure is not the compiled code's fault: rerun in the
-            # interpreter but do not count it against the tier's breaker
-            FAILURE_LOG.record(
-                self.program.main, self._breaker.tier, error.kind, str(error)
-            )
-            self._stats.record_failure(self._breaker.tier, error.kind)
-            return self._soft_failure(arguments, error)
-        # standalone artifacts have no slower tier to demote to
-        tier = (
-            self._breaker.tier if self.evaluator is not None
-            else Tier.COMPILED
-        )
-        if tier is Tier.COMPILED:
-            return self._run_compiled(arguments, unpacked)
-        if tier is Tier.BYTECODE:
-            return self._run_bytecode(arguments)
-        return self._interpreter_eval(arguments)
-
-    def _run_compiled(self, arguments, unpacked):
-        try:
-            self._stats.record_call(Tier.COMPILED)
-            return _repack(self._entry(*unpacked))
-        except WolframAbort:
-            raise
-        except GUARD_EXCEPTIONS as error:
-            # deadline/budget expiry: record it, but never retry on a slower
-            # tier — the guard stays expired there too
-            self._note_failure(Tier.COMPILED, error, breaker=False)
-            raise
-        except SOFT_FAILURE_EXCEPTIONS as error:
-            error = classify_runtime_error(error)
-            self._note_failure(Tier.COMPILED, error)
-            return self._soft_failure(arguments, error)
-
-    def _run_bytecode(self, arguments):
-        """The demoted tier: the same TWIR program on the legacy VM."""
-        artifact = self._bytecode_artifact()
-        if artifact is None:
-            return self._interpreter_eval(arguments)
-        try:
-            self._stats.record_call(Tier.BYTECODE)
-            from repro.bytecode.boxed import BoxedTensor
-            from repro.bytecode.vm import WVM
-
-            boxed = artifact._check_and_box(arguments)
-            machine = WVM(evaluator=self.evaluator)
-            result = machine.run(
-                artifact.instructions, artifact.constants, boxed,
-                artifact.register_total,
-            )
-            if isinstance(result, BoxedTensor):
-                return result.to_nested()
-            return result
-        except WolframAbort:
-            raise
-        except GUARD_EXCEPTIONS as error:
-            self._note_failure(Tier.BYTECODE, error, breaker=False)
-            raise
-        except SOFT_FAILURE_EXCEPTIONS as error:
-            error = classify_runtime_error(error)
-            self._note_failure(Tier.BYTECODE, error)
-            return self._soft_failure(arguments, error)
-
-    def _materialized_program(self) -> ProgramModule:
-        """The full TWIR module; a cache-restored function recompiles it
-        from the stored source function on first demand."""
-        if isinstance(self.program, _CachedProgram):
-            pipeline = CompilerPipeline(options=self.options)
-            self.program = pipeline.compile_program(self.source_function)
-        return self.program
-
-    def _bytecode_artifact(self):
-        if self._bytecode_tier is _UNSET:
-            from repro.compiler.codegen.wvm_backend import WVMBackend
-
-            try:
-                self._bytecode_tier = WVMBackend(
-                    self._materialized_program(), self.options
-                ).compile_main()
-                self._bytecode_tier.evaluator = self.evaluator
-            except CompilerError as error:
-                # the program does not translate onto the VM's ISA (L1):
-                # the tier is unavailable, demote straight past it
-                self._bytecode_tier = None
-                self._breaker.unavailable(Tier.BYTECODE, str(error))
-        return self._bytecode_tier
-
-    def _note_failure(self, tier: Tier, error, breaker: bool = True):
-        kind = getattr(error, "kind", type(error).__name__)
-        self._stats.record_failure(tier, kind)
-        if breaker:
-            self._breaker.record_failure(tier, kind, str(error))
-        else:
-            FAILURE_LOG.record(self.program.main, tier, kind, str(error))
-
-    def _soft_failure(self, arguments, error):
-        """F2: print the paper's warning and revert to the interpreter."""
-        if self.evaluator is None:
-            raise error
-        kind = getattr(error, "kind", type(error).__name__)
-        self.evaluator.message(
-            "CompiledCodeFunction: A compiled code runtime error occurred; "
-            f"reverting to uncompiled evaluation: {kind}"
-        )
-        self._stats.record_rerun()
-        return self._interpreter_eval(arguments)
-
-    def _interpreter_eval(self, arguments):
-        """The always-correct tier: arbitrary-precision interpretation."""
-        if self.evaluator is None:
-            raise WolframRuntimeError(
-                "NoKernel", "interpreter tier requires a host engine"
-            )
-        self._stats.record_call(Tier.INTERPRETER)
-        call = MExprNormal(
+    def _interpreter_form(self, arguments) -> MExpr:
+        return MExprNormal(
             self.source_function, [to_mexpr(a) for a in arguments]
         )
-        result = self.evaluator.evaluate(call)
-        try:
-            return result.to_python()
-        except ValueError:
-            return result
 
     # -- persistence (the §2.2 versioned-artifact behaviour, F10) ---------------------
 

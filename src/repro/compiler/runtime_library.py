@@ -20,6 +20,8 @@ from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, boolean
 from repro.runtime import (
+    INT64_MAX,
+    INT64_MIN,
     PackedArray,
     checked_binary_mod_Integer64_Integer64,
     checked_binary_plus_Integer64_Integer64,
@@ -142,7 +144,7 @@ for _name, _func in {
 @primitive("bit_shift_left_Integer64")
 def bit_shift_left_Integer64(a: int, b: int) -> int:
     result = a << b
-    if result > (1 << 63) - 1 or result < -(1 << 63):
+    if result > INT64_MAX or result < INT64_MIN:
         from repro.errors import IntegerOverflowError
 
         raise IntegerOverflowError()

@@ -38,6 +38,7 @@ from repro.errors import BindingError, CompilerError
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import head_name, is_head
+from repro.runtime.checked import INT64_MAX
 
 #: symbolic constants lowered to Real64 literals
 _REAL_CONSTANTS = {
@@ -137,7 +138,7 @@ class Lowerer:
             finally:
                 self._abort_inhibit_depth -= 1
         if isinstance(node, MInteger):
-            if node.value > (1 << 63) - 1 and node.value < (1 << 64):
+            if node.value > INT64_MAX and node.value < (1 << 64):
                 # out-of-signed-range literals live in unsigned-64 arithmetic
                 return self._constant(node.value, ty("UnsignedInteger64"), node)
             return self._constant(node.value, ty("Integer64"), node)

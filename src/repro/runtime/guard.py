@@ -16,13 +16,18 @@ polls at its existing abort checkpoints:
   subclasses of :class:`~repro.errors.WolframRuntimeError`, so the existing
   soft-failure channel unwinds them cleanly without corrupting session
   state.
-* :class:`CircuitBreaker` governs the tier handoff the way Titzer (2023)
-  argues tiered runtimes must: after ``threshold`` soft failures at a tier a
-  function *demotes itself* (compiled → bytecode → interpreter) and stops
-  re-attempting the failing tier.  Every transition is recorded as a
-  :class:`FailureRecord` in the global :data:`FAILURE_LOG` — a bounded,
-  thread-safe ring buffer (capacity ``REPRO_FAILURE_LOG_MAX``, default
-  1024) queryable from ``repro.compiler.api``.
+* Every callable artifact is a **two-state machine**: its native tier
+  (compiled, template, or the legacy ``Compile`` VM) or the interpreter —
+  the paper's contract (F2) is that compiled code which fails softly
+  reverts to the interpreter, nothing in between.  :class:`CircuitBreaker`
+  holds the state: after ``threshold`` soft failures the function stops
+  re-attempting its native tier.  :class:`GovernedFunction` is the one
+  definition of the call protocol around it; an artifact supplies only its
+  native runner, boundary conversion, soft-exception set and warning text.
+  Every failure and the one possible transition are recorded as
+  :class:`FailureRecord` rows in the global :data:`FAILURE_LOG` — a
+  bounded, thread-safe ring buffer (capacity ``REPRO_FAILURE_LOG_MAX``,
+  default 1024) queryable from ``repro.compiler.api``.
 
 Guards are thread-local: the REPL evaluates on a worker thread and each
 engine session polls only the guards its own thread entered.
@@ -58,9 +63,10 @@ checkpoint cost is unchanged):
     ``label`` (the guard's label, e.g. "TimeConstrained"), and the
     used/budget pair for budget kinds;
 ``tier.demote``
-    a :class:`CircuitBreaker` demoted its function one tier; args:
-    ``symbol`` (the function the breaker is attributed to), ``from``/``to``
-    tier names, and ``kind`` (the failure class that tripped it).  The same
+    a :class:`CircuitBreaker` tripped; args: ``symbol`` (the function the
+    breaker is attributed to), ``from`` (its native tier), ``to``
+    (always "interpreter"), and ``kind`` (the failure class that tripped
+    it).  The same
     transition is always recorded as a :class:`FailureRecord` in
     :data:`FAILURE_LOG` whether or not tracing is on.
 """
@@ -77,7 +83,14 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from repro import observe as _observe
-from repro.errors import WolframAbort, WolframBudgetError, WolframTimeoutError
+from repro.errors import (
+    GUARD_EXCEPTIONS,
+    WolframAbort,
+    WolframBudgetError,
+    WolframRuntimeError,
+    WolframTimeoutError,
+    classify_runtime_error,
+)
 from repro.testing import faults as _faults
 
 
@@ -317,13 +330,14 @@ def charge_memory(nbytes: int) -> None:
 
 
 class Tier(Enum):
-    """The execution tiers, fastest first.
+    """Where a call can run, fastest first.
 
-    ``TEMPLATE`` is the baseline-compiler rung introduced by the hotspot
-    ladder (copy-and-patch stitched Python, microsecond compile latency):
-    faster than the bytecode VM at steady state, far cheaper than the full
-    pipeline at compile time.  Standalone ``FunctionCompile`` artifacts
-    never occupy it — they still demote compiled → bytecode directly.
+    ``COMPILED`` (the full pipeline), ``TEMPLATE`` (the hotspot ladder's
+    copy-and-patch baseline: microsecond compile latency) and ``BYTECODE``
+    (the legacy ``Compile`` VM, native tier of its own ``CompiledFunction``
+    only) are each the *native* tier of one artifact class.  An artifact
+    runs there or on ``INTERPRETER``; no tier falls back to another
+    compiled tier.
     """
 
     COMPILED = "compiled"
@@ -331,17 +345,6 @@ class Tier(Enum):
     BYTECODE = "bytecode"
     INTERPRETER = "interpreter"
 
-
-#: where a tripped tier demotes to.  The compiled tier skips the template
-#: rung on demotion: a template artifact is a *promotion* product (built
-#: from a hotspot plan), not a fallback a failing compiled artifact could
-#: synthesize mid-call, and the bytecode artifact it already carries shares
-#: the interpreter-exact semantics the soft-failure contract wants.
-DEMOTION: dict[Tier, Tier] = {
-    Tier.COMPILED: Tier.BYTECODE,
-    Tier.TEMPLATE: Tier.BYTECODE,
-    Tier.BYTECODE: Tier.INTERPRETER,
-}
 
 @dataclass(frozen=True)
 class FailureRecord:
@@ -451,14 +454,8 @@ FAILURE_LOG = FailureLog()
 
 
 class CircuitBreaker:
-    """Per-function tier governor: demote after ``threshold`` soft failures.
-
-    Failures are counted per tier; once a tier accumulates ``threshold``
-    soft failures the breaker trips, the function demotes one tier
-    (compiled → bytecode → interpreter), and the failing tier is never
-    re-attempted until :meth:`reset`.  A tier can also be declared
-    :meth:`unavailable` outright (e.g. the program does not translate onto
-    the VM's ISA), which demotes immediately.
+    """Per-function tier governor: native tier until ``threshold`` soft
+    failures, then the interpreter until :meth:`reset`.
     """
 
     def __init__(
@@ -476,39 +473,30 @@ class CircuitBreaker:
         self.log = log if log is not None else FAILURE_LOG
         #: serializes counters and the tier transition: concurrent server
         #: sessions may fail the same function on different worker threads,
-        #: and exactly one racing failure must carry the demotion record
+        #: and exactly one racing failure must carry the transition record
         self._lock = threading.Lock()
 
     def record_failure(self, tier: Tier, kind: str, message: str = "") -> Tier:
-        """Count one soft failure; returns the (possibly demoted) tier."""
+        """Count one soft failure; returns the (possibly tripped) tier."""
         self.log.record(self.function, tier, kind, message)
         with self._lock:
             self.failures[tier] += 1
             if (
                 tier is self.tier
-                and tier in DEMOTION
+                and tier is not Tier.INTERPRETER
                 and self.failures[tier] >= self.threshold
             ):
-                self._demote(tier, kind=f"CircuitOpen:{kind}")
+                self.log.record(
+                    self.function, tier, f"CircuitOpen:{kind}",
+                    transition=(tier, Tier.INTERPRETER),
+                )
+                self.tier = Tier.INTERPRETER
+                _observe.event(
+                    "tier.demote", "guard", symbol=self.function,
+                    kind=f"CircuitOpen:{kind}",
+                    **{"from": tier.value, "to": Tier.INTERPRETER.value},
+                )
             return self.tier
-
-    def unavailable(self, tier: Tier, reason: str) -> Tier:
-        """Declare a tier unusable (compile/translate failure); demote now."""
-        with self._lock:
-            if tier is self.tier and tier in DEMOTION:
-                self._demote(tier, kind="TierUnavailable", message=reason)
-            return self.tier
-
-    def _demote(self, tier: Tier, kind: str, message: str = "") -> None:
-        target = DEMOTION[tier]
-        self.log.record(
-            self.function, tier, kind, message, transition=(tier, target)
-        )
-        self.tier = target
-        _observe.event(
-            "tier.demote", "guard", symbol=self.function, kind=kind,
-            **{"from": tier.value, "to": target.value},
-        )
 
     def tripped(self, tier: Tier) -> bool:
         return self.failures[tier] >= self.threshold
@@ -525,7 +513,7 @@ class FallbackStats:
 
     Replaces the old bare ``fallback_count`` integer: per-tier call and
     failure counters, failure kinds, and the breaker's current tier.
-    Surfaced through ``.stats()`` on both compiled-function artifacts and
+    Surfaced through ``.stats()`` on every compiled artifact and
     the ``python -m repro --stats`` CLI.
     """
 
@@ -536,10 +524,14 @@ class FallbackStats:
     current_tier: str = Tier.COMPILED.value
 
     def record_call(self, tier: Tier) -> None:
-        self.calls[tier.value] = self.calls.get(tier.value, 0) + 1
+        # read once: ``Enum.value`` is a Python-level descriptor on 3.11
+        # (two frames a read), and this runs on every governed call
+        name = tier.value
+        self.calls[name] = self.calls.get(name, 0) + 1
 
     def record_failure(self, tier: Tier, kind: str) -> None:
-        self.failures[tier.value] = self.failures.get(tier.value, 0) + 1
+        name = tier.value
+        self.failures[name] = self.failures.get(name, 0) + 1
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
 
     def record_rerun(self) -> None:
@@ -563,3 +555,167 @@ class FallbackStats:
             f"tier={self.current_tier} calls[{calls or 'none'}] "
             f"reruns={self.interpreter_reruns} kinds[{kinds or 'none'}]"
         )
+
+
+class GovernedFunction:
+    """The call protocol of every compiled artifact, defined once.
+
+    An artifact is a two-state machine: it runs on its ``native_tier``
+    until the breaker trips, then on the interpreter.  A subclass supplies
+
+    * ``native_tier``, ``breaker`` (started there) and ``fallback_stats``;
+    * ``evaluator`` — the host engine, ``None`` for a standalone artifact;
+    * ``_to_native(arguments)`` — the boundary check/conversion (§4.5),
+      raising :class:`WolframRuntimeError` on a mismatch, and
+      ``soft_boundary``: whether a hosted mismatch is rerun by the
+      interpreter (uncounted) or raised to the caller;
+    * ``_native(*converted)`` — the native run, result already caller-facing;
+    * ``soft_exceptions`` (and ``classify`` for its non-Wolfram members);
+    * ``warning`` — the F2 message, formatted with ``kind``;
+    * ``_interpreter_form(arguments)`` — the call as the interpreter sees it.
+
+    A standalone artifact has no interpreter to revert to: its failures are
+    recorded and re-raised, never counted, and its tier never changes.
+    """
+
+    native_tier: Tier
+    soft_boundary = False
+    soft_exceptions: tuple = (WolframRuntimeError,)
+    classify = staticmethod(classify_runtime_error)
+    warning: str
+
+    def __call__(self, *arguments):
+        evaluator = self.evaluator
+        native = self.native_tier
+        if evaluator is not None and self.breaker.tier is not native:
+            # tripped: the failing tier is not re-attempted
+            return self._reevaluate(evaluator, arguments)
+        try:
+            converted = self._to_native(arguments)
+        except WolframRuntimeError as error:
+            if not self.soft_boundary:
+                raise
+            # a boundary mismatch is not the native code's fault
+            return self._soft_failure(evaluator, arguments, error, False)
+        self.fallback_stats.record_call(native)
+        try:
+            if _faults._INJECTOR is not None:
+                _faults.fire(f"{native.value}.call")
+            return self._native(*converted)
+        except WolframAbort:
+            raise
+        except GUARD_EXCEPTIONS as error:
+            # an expired deadline/budget stays expired on every tier:
+            # recorded, never retried, never counted
+            self._record(error, False)
+            raise
+        except self.soft_exceptions as error:
+            if not isinstance(error, WolframRuntimeError):
+                error = self.classify(error)
+            return self._soft_failure(evaluator, arguments, error, True)
+
+    def _record(self, error: WolframRuntimeError, counted: bool) -> None:
+        native = self.native_tier
+        self.fallback_stats.record_failure(native, error.kind)
+        if counted:
+            self.breaker.record_failure(native, error.kind, str(error))
+        else:
+            self.breaker.log.record(
+                self.breaker.function, native, error.kind, str(error)
+            )
+
+    def _soft_failure(self, evaluator, arguments, error, counted: bool):
+        """F2: record, print the paper's warning, revert to the interpreter."""
+        self._record(error, counted and evaluator is not None)
+        if evaluator is None:
+            raise error
+        evaluator.message(self.warning.format(kind=error.kind))
+        self.fallback_stats.record_rerun()
+        return self._reevaluate(evaluator, arguments)
+
+    def _reevaluate(self, evaluator, arguments):
+        """The always-correct tier: arbitrary-precision interpretation."""
+        self.fallback_stats.record_call(Tier.INTERPRETER)
+        result = evaluator.evaluate(self._interpreter_form(arguments))
+        try:
+            return result.to_python()
+        except ValueError:
+            return result
+
+    # -- inspection of the fallback machinery ----------------------------------
+
+    def stats(self) -> FallbackStats:
+        """Per-tier call/failure counters; see :class:`FallbackStats`."""
+        self.fallback_stats.current_tier = self.breaker.tier.value
+        return self.fallback_stats
+
+    @property
+    def fallback_count(self) -> int:
+        """Number of interpreter re-evaluations (F2)."""
+        return self.fallback_stats.interpreter_reruns
+
+    @property
+    def current_tier(self) -> Tier:
+        """The tier the next call runs on."""
+        return self.breaker.tier
+
+    def reset_tiers(self) -> None:
+        """Re-arm the circuit breaker and zero the fallback statistics."""
+        self.breaker.reset()
+        self.fallback_stats.reset()
+
+
+class SpecTypedFunction(GovernedFunction):
+    """A governed artifact over ``Compile``-style argument specs:
+    ``argument_types`` type chars (``"i"``, ``"r"``, ``"c"``, ``"b"``,
+    ``"T<char>"``), ``argument_names`` and a ``source_body``;
+    ``_box_tensor(value, element_char)`` makes the private copy of a tensor
+    argument (copy-on-read, F5).  A boundary mismatch is the caller's
+    error, hosted or not: it raises."""
+
+    warning = (
+        "CompiledFunction: CompiledFunction operation encountered a "
+        "runtime error ({kind}); reverting to uncompiled evaluation."
+    )
+
+    def _to_native(self, arguments) -> list:
+        if len(arguments) != len(self.argument_types):
+            raise WolframRuntimeError(
+                "ArgumentCount",
+                f"expected {len(self.argument_types)} arguments, "
+                f"got {len(arguments)}",
+            )
+        checked = []
+        for value, type_char in zip(arguments, self.argument_types):
+            if type_char.startswith("T"):
+                if not isinstance(value, (list, tuple)):
+                    raise WolframRuntimeError("TypeMismatch", "expected a list")
+                checked.append(self._box_tensor(value, type_char[1:]))
+            elif type_char == "i":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise WolframRuntimeError(
+                        "TypeMismatch", f"{value!r} is not a machine integer"
+                    )
+                checked.append(value)
+            elif type_char == "r":
+                if not isinstance(value, (int, float)):
+                    raise WolframRuntimeError(
+                        "TypeMismatch", f"{value!r} is not a real"
+                    )
+                checked.append(float(value))
+            elif type_char == "c":
+                checked.append(complex(value))
+            elif type_char == "b":
+                checked.append(bool(value))
+            else:  # pragma: no cover
+                checked.append(value)
+        return checked
+
+    def _interpreter_form(self, arguments):
+        from repro.engine.patterns import substitute
+        from repro.mexpr.symbols import to_mexpr
+
+        return substitute(self.source_body, {
+            name: to_mexpr(value)
+            for name, value in zip(self.argument_names, arguments)
+        })

@@ -1,9 +1,9 @@
 """Profile-guided tier-up: promote hot DownValue functions up a tier ladder.
 
-PR 1 shipped the *demotion* half of tier governance — the
-:class:`~repro.runtime.guard.CircuitBreaker` walks a failing function down
-the ladder.  This module is the symmetric *promotion* half (Titzer 2023: a
-tiered runtime needs both directions), now a **three-rung ladder**:
+:class:`~repro.runtime.guard.CircuitBreaker` takes a failing artifact off
+its native tier, back to the interpreter.  This module is the *promotion*
+half (Titzer 2023: a tiered runtime needs both directions), a **three-rung
+ladder**:
 
 1. **interpreter** — every symbol starts here; a lightweight profiler
    counts DownValue applications per symbol;
@@ -17,16 +17,15 @@ tiered runtime needs both directions), now a **three-rung ladder**:
    that *stay* hot tier up again — the same plan is compiled through
    ``FunctionCompile`` and the template entry is replaced.  If the
    compiled tier is unavailable the function simply keeps its template
-   artifact (which already beats the bytecode VM).
+   artifact.
 
-With the template rung disabled (``REPRO_TEMPLATE_JIT=0``) the ladder
-degenerates to the PR 2 behaviour: one promotion at the full threshold,
-preferring ``FunctionCompile`` and falling back to the bytecode VM.
+With the template rung disabled (``REPRO_TEMPLATE_JIT=0``) there is one
+promotion, at the full threshold: the full pipeline, or stay interpreted.
 
-The expensive rung is durable: ``FunctionCompile`` (and the bytecode
-tier's ``compile_function``) consult the persistent artifact cache
-(:mod:`repro.artifacts`), so a function promoted in one process promotes
-from a cache hit in the next — no pipeline passes run.  The template rung
+The expensive rung is durable: ``FunctionCompile`` consults the persistent
+artifact cache (:mod:`repro.artifacts`), so a function promoted in one
+process promotes from a cache hit in the next — no pipeline passes run.
+The template rung
 deliberately stays cache-free: its stitch is microseconds, cheaper than a
 cache probe.  :meth:`HotspotProfiler.preload` is the AOT entry point —
 a warm image's manifest replays hot definitions through the full-pipeline
@@ -35,11 +34,9 @@ rung at boot, before any call is dispatched.
 Governance invariants:
 
 * a promoted artifact keeps its own ``CircuitBreaker`` (renamed to the
-  symbol for attribution), so soft failures demote it exactly as PR 1
-  specified — a template artifact walks template → bytecode → interpreter;
-  when the breaker reaches the interpreter tier the promotion is
-  withdrawn entirely and re-promotion is blocked until the definition
-  changes;
+  symbol for attribution); when soft failures trip it to the interpreter
+  tier the promotion is withdrawn entirely and re-promotion is blocked
+  until the definition changes;
 * any change to the symbol's rules — ``Set``, ``Clear``, ``Block`` restore —
   invalidates the promotion in the same ``state_version`` bump: validation
   runs before every promoted dispatch, a stale entry is dropped, and the
@@ -48,7 +45,7 @@ Governance invariants:
   promoted signature (class and int64 range) is evaluated interpretively,
   never coerced;
 * the server's degradation cap (:meth:`HotspotProfiler.demote_all`) ranks
-  the rungs compiled > template > bytecode > interpreter and both
+  the rungs compiled > template > interpreter and both
   promotion paths re-check it before installing an artifact.
 
 Event vocabulary (emitted through :mod:`repro.observe` when tracing is
@@ -61,14 +58,14 @@ enabled; every event carries ``symbol=<name>``):
     the stitch+compile of one template artifact (emitted by
     :mod:`repro.template_jit.compiler`);
 ``tier.promote``
-    promotion succeeded; args add ``tier`` ("compiled" | "template" |
-    "bytecode") and ``applications`` (the profile count that triggered
-    it); tier-ups from the template rung add ``upgraded_from``;
+    promotion succeeded; args add ``tier`` ("compiled" | "template")
+    and ``applications`` (the profile count that triggered it); tier-ups
+    from the template rung add ``upgraded_from``;
 ``tier.demote``
-    a promoted artifact's breaker exhausted all tiers and the promotion
-    was withdrawn; args add ``from``/``to`` tier names (per-failure breaker
-    demotions are emitted by :mod:`repro.runtime.guard` under the same
-    event name);
+    a promoted artifact's breaker tripped and the promotion was withdrawn,
+    or the degradation cap withdrew it; args add ``from``/``to`` tier names
+    (the breaker's own trip is emitted by :mod:`repro.runtime.guard` under
+    the same event name);
 ``tier.invalidate``
     the promotion was dropped because the definition changed (``Set``,
     ``Clear``, ``Block`` restore) or was explicitly invalidated;
@@ -88,10 +85,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import observe as _observe
+from repro.engine.definitions import _PATTERN_HEADS
 from repro.errors import WolframAbort
 from repro.mexpr.atoms import MInteger, MReal, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, to_mexpr
+from repro.runtime.checked import INT64_MAX as _INT64_MAX
+from repro.runtime.checked import INT64_MIN as _INT64_MIN
 from repro.runtime.guard import Tier
 
 DEFAULT_THRESHOLD = 16
@@ -102,12 +102,6 @@ DEFAULT_TEMPLATE_THRESHOLD = 2
 _TEMPLATE_KNOB = "REPRO_TEMPLATE_THRESHOLD"
 #: set to ``0``/``off``/``false`` to disable the template rung entirely
 _TEMPLATE_ENABLE_KNOB = "REPRO_TEMPLATE_JIT"
-
-#: pattern-construct heads (mirrors ``engine.definitions._PATTERN_HEADS``)
-_PATTERN_HEADS = frozenset({
-    "Pattern", "Blank", "BlankSequence", "BlankNullSequence",
-    "Alternatives", "Condition", "PatternTest", "HoldPattern",
-})
 
 #: control heads usable in a promoted body beyond pure numeric calls
 _CONTROL_HEADS = frozenset({"If", "And", "Or", "Not"})
@@ -122,7 +116,6 @@ _TYPE_NAMES = {"i": "MachineInteger", "r": "Real64"}
 #: promotion synthesizes one branch per non-general rule; past this many
 #: rules the If chain stops paying for itself
 _MAX_RULES = 8
-_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
 def threshold_from_environment() -> int:
@@ -158,7 +151,7 @@ class PromotedFunction:
 
     name: str
     artifact: object
-    tier_kind: str  # "compiled" | "template" | "bytecode"
+    tier_kind: str  # "compiled" | "template"
     gate_types: tuple[type, ...]
     kinds: tuple[str, ...]
     #: kernel version the entry was last validated against
@@ -174,10 +167,7 @@ class PromotedFunction:
     upgrade_blocked: bool = False
 
     def artifact_tier(self) -> Tier:
-        breaker = getattr(self.artifact, "_breaker", None)
-        if breaker is None:
-            breaker = self.artifact.breaker
-        return breaker.tier
+        return self.artifact.breaker.tier
 
 
 @dataclass
@@ -198,14 +188,12 @@ class _Plan:
     kinds: tuple[str, ...]
     gate_types: tuple[type, ...]
     body: MExpr
-    recursive: bool
 
 
 #: tier ordering for the degradation cap, hottest highest
 _TIER_RANK = {
-    Tier.COMPILED: 3,
-    Tier.TEMPLATE: 2,
-    Tier.BYTECODE: 1,
+    Tier.COMPILED: 2,
+    Tier.TEMPLATE: 1,
     Tier.INTERPRETER: 0,
 }
 
@@ -269,19 +257,19 @@ class HotspotProfiler:
             if not self._validate(evaluator, name, definition, entry):
                 return None
             if entry.artifact_tier() is Tier.INTERPRETER:
-                # the breaker walked the artifact all the way down:
-                # interpreting *through* the artifact adds pure overhead, so
+                # the breaker tripped: interpreting *through* the
+                # artifact adds pure overhead, so
                 # withdraw the promotion and block re-promotion until the
                 # rules change
                 del self.promoted[name]
                 self._blocked[name] = entry.rules
                 self.events.append(
                     PromotionEvent(name, "demoted", Tier.INTERPRETER.value,
-                                   "circuit breaker exhausted all tiers")
+                                   "circuit breaker tripped")
                 )
                 _observe.event(
                     "tier.demote", "hotspot", symbol=name,
-                    reason="promotion withdrawn: breaker exhausted all tiers",
+                    reason="promotion withdrawn: circuit breaker tripped",
                     **{"from": entry.tier_kind, "to": Tier.INTERPRETER.value},
                 )
                 return None
@@ -322,21 +310,20 @@ class HotspotProfiler:
         Two trigger points implement the ladder's promotion side: the low
         template threshold stitches a baseline artifact (rung 2), the high
         threshold runs the full pipeline directly (rung 1 → 3 when the
-        template rung is disabled, declined the definition, or raced).
+        template rung is disabled, declined the definition, or raced) —
+        unless the degradation cap rules the compiled tier out.
         """
         count = self.counts.get(name, 0) + 1
         self.counts[name] = count
         if name in self.promoted:
             return
-        full = count >= self.threshold
+        full = count >= self.threshold and self.max_tier is Tier.COMPILED
         if not full and not (
             self.template_enabled and count >= self.template_threshold
         ):
             return
         if self.max_tier is Tier.INTERPRETER:
             return  # degraded to the floor: promotion disabled outright
-        if not full and self.max_tier in (Tier.BYTECODE,):
-            return  # cap below the template rung: wait for the high rung
         with self._lock:
             if name in self.promoted or name in self._in_progress:
                 return
@@ -454,11 +441,11 @@ class HotspotProfiler:
         """Cap promotion at ``cap`` and withdraw hotter live promotions.
 
         The graceful-degradation hook of the multi-tenant server: under
-        memory pressure sessions step down compiled → bytecode →
-        interpreter.  Returns the number of promotions withdrawn.  Raising
-        the cap back re-enables promotion, and withdrawn functions
-        re-promote once they get hot again — their profile counts restart
-        from zero.
+        memory pressure sessions step down compiled → template →
+        interpreter (``cap`` is one of those three).  Returns the number of
+        promotions withdrawn.  Raising the cap back re-enables promotion,
+        and withdrawn functions re-promote once they get hot again — their
+        profile counts restart from zero.
         """
         with self._lock:
             self.max_tier = cap
@@ -499,15 +486,10 @@ class HotspotProfiler:
     def compile_time_table(self) -> list[tuple[str, int, float]]:
         """``(tier, promotions, cumulative compile seconds)`` rows for the
         ``--stats`` report, hottest tier first."""
-        order = {"compiled": 0, "template": 1, "bytecode": 2}
-        tiers = set(self.compile_count) | set(self.compile_seconds)
         return [
-            (
-                tier_kind,
-                self.compile_count.get(tier_kind, 0),
-                self.compile_seconds.get(tier_kind, 0.0),
-            )
-            for tier_kind in sorted(tiers, key=lambda t: order.get(t, 9))
+            (kind, self.compile_count[kind], self.compile_seconds[kind])
+            for kind in ("compiled", "template")
+            if kind in self.compile_count
         ]
 
     # -- promotion -----------------------------------------------------------
@@ -533,10 +515,11 @@ class HotspotProfiler:
             return
         started = time.perf_counter()
         if full:
-            artifact, tier_kind = self._compile_plan(evaluator, name, plan)
+            artifact = self._compile_compiled_tier(evaluator, name, plan)
+            tier_kind = "compiled"
         else:
             artifact = self._compile_template(evaluator, name, plan)
-            tier_kind = "template" if artifact is not None else ""
+            tier_kind = "template"
             if artifact is None:
                 # the stitcher declined; not fatal — the definition stays
                 # interpreted until the full-pipeline rung takes over
@@ -559,7 +542,7 @@ class HotspotProfiler:
                 return
         elapsed = time.perf_counter() - started
         if artifact is None:
-            self._block(name, definition, "no tier accepted the definition")
+            self._block(name, definition, "the compiled tier declined the definition")
             return
         with self._lock:
             # compilation ran outside the lock; the server's degradation
@@ -598,10 +581,9 @@ class HotspotProfiler:
     def _attempt_upgrade(self, evaluator, name, entry):
         """Tier-up a template entry to the full pipeline (rung 2 → 3).
 
-        Only the compiled tier counts as an upgrade — the bytecode VM ranks
-        *below* the template artifact, so if ``FunctionCompile`` declines
-        the entry is marked ``upgrade_blocked`` and keeps its template
-        artifact for good.  Returns the new entry, or ``None``.
+        If ``FunctionCompile`` declines, the entry is marked
+        ``upgrade_blocked`` and keeps its template artifact for good.
+        Returns the new entry, or ``None``.
         """
         with self._lock:
             if self.promoted.get(name) is not entry \
@@ -676,35 +658,6 @@ class HotspotProfiler:
             )
         _observe.event("tier.blocked", "hotspot", symbol=name, reason=reason)
 
-    def _compile_plan(self, evaluator, name, plan):
-        if self.max_tier is Tier.COMPILED:
-            artifact = self._compile_compiled_tier(evaluator, name, plan)
-            if artifact is not None:
-                return artifact, "compiled"
-        if plan.recursive:
-            # the VM has no direct self-call; recursion would bounce through
-            # the interpreter escape on every frame
-            return None, ""
-        try:
-            from repro.bytecode.compiled_function import compile_function
-
-            specs = MExprNormal(S.List, [
-                MExprNormal(S.List, [
-                    MSymbol(p),
-                    MExprNormal(S.Blank, [
-                        S.Integer if k == "i" else S.Real
-                    ]),
-                ])
-                for p, k in zip(plan.parameters, plan.kinds)
-            ])
-            artifact = compile_function(specs, plan.body, evaluator=evaluator)
-            artifact.breaker.function = name
-            return artifact, "bytecode"
-        except WolframAbort:
-            raise
-        except Exception:
-            return None, ""
-
     def _compile_compiled_tier(self, evaluator, name, plan):
         typed_params = [
             MExprNormal(S.Typed, [MSymbol(p), to_mexpr(_TYPE_NAMES[k])])
@@ -719,7 +672,7 @@ class HotspotProfiler:
             artifact = FunctionCompile(function, evaluator=evaluator)
             # attribute breaker records to the engine-level symbol, so
             # failure_records() reads naturally in --stats
-            artifact._breaker.function = name
+            artifact.breaker.function = name
             return artifact
         except WolframAbort:
             raise
@@ -832,14 +785,12 @@ class HotspotProfiler:
         )
         if body is None:
             return None
-        recursive = _calls_symbol(general_rhs, name)
         for slots, rhs in reversed(parsed[:-1]):
             branch = self._rewrite_rhs(
                 name, rhs, slots, parameters, integer_typed
             )
             if branch is None:
                 return None
-            recursive = recursive or _calls_symbol(rhs, name)
             conditions = [
                 MExprNormal(S.Equal, [MSymbol(parameters[position]), literal])
                 for position, (kind, literal, _) in enumerate(slots)
@@ -857,7 +808,6 @@ class HotspotProfiler:
             kinds=tuple(kinds),  # type: ignore[arg-type]
             gate_types=tuple(gate_types),
             body=body,
-            recursive=recursive,
         )
 
     def _rewrite_rhs(self, name, rhs, slots, parameters, integer_typed):
@@ -949,14 +899,6 @@ def _body_compilable(
             return False
         stack.extend(node.args)
     return True
-
-
-def _calls_symbol(body: MExpr, name: str) -> bool:
-    for sub in body.subexpressions():
-        if not sub.is_atom() and isinstance(sub.head, MSymbol) \
-                and sub.head.name == name:
-            return True
-    return False
 
 
 def enable_hotspot(

@@ -1,7 +1,7 @@
 """Request-level circuit breakers, scoped per session and per tenant.
 
 :class:`~repro.runtime.guard.CircuitBreaker` (PR 1) governs *tier choice*
-for one function: failures walk it compiled → bytecode → interpreter.  A
+for one function: failures take it off its native tier to the interpreter.  A
 server needs the other classic breaker too — one that governs *admission*:
 a session (or a whole tenant, across all its sessions) that keeps failing
 stops being allowed to consume worker slots at all, so a runaway tenant

@@ -25,7 +25,7 @@ The request path is a small state machine (DESIGN.md §10)::
   arriving into a saturated queue is shed like any other request.
 * **degrade** — every request ticks the
   :class:`~repro.server.degrade.DegradationManager`: under pressure
-  sessions step compiled → bytecode → interpreter, and at critical
+  sessions step compiled → template → interpreter, and at critical
   pressure cold session overlays are evicted entirely.
 
 Failure isolation invariants the chaos suite pins:

@@ -415,14 +415,6 @@ class TemplateCompiler:
         return "\n".join(self._lines) + "\n"
 
 
-def _calls_self(body: MExpr, name: str) -> bool:
-    for sub in body.subexpressions():
-        if not sub.is_atom() and isinstance(sub.head, MSymbol) \
-                and sub.head.name == name:
-            return True
-    return False
-
-
 def compile_template(
     parameters,
     type_chars,
@@ -462,7 +454,6 @@ def compile_template(
             source_body=body,
             function=function,
             evaluator=evaluator,
-            recursive=_calls_self(body, name),
         )
     artifact.compile_seconds = time.perf_counter() - started
     artifact.unchecked_bitmask = mask.bits

@@ -34,10 +34,9 @@ it contains only these helpers (plus the per-artifact ``_checkpoint`` and
 from __future__ import annotations
 
 from repro.errors import IntegerOverflowError, WolframRuntimeError
+from repro.runtime.checked import INT64_MAX as _INT64_MAX
+from repro.runtime.checked import INT64_MIN as _INT64_MIN
 from repro.runtime.guard import CHECKPOINT, charge_memory
-
-_INT64_MAX = (1 << 63) - 1
-_INT64_MIN = -(1 << 63)
 
 
 # -- runtime helpers (the "runtime library" the stencils link against) ---------

@@ -16,10 +16,11 @@ site                   fired from
                        (VM backward jumps, template/compiled/exported
                        loop headers and prologues), before the guard chain
                        is charged; interpreter steps fire no site
-``template.call``      entry of a :class:`~repro.template_jit.artifact.
-                       TemplateCompiledFunction` — drives the baseline
-                       tier's demotion ladder (template → bytecode →
-                       interpreter) deterministically
+``<tier>.call``        the native run of a governed artifact
+                       (:class:`~repro.runtime.guard.GovernedFunction`):
+                       ``compiled.call``, ``template.call``,
+                       ``bytecode.call`` — trips its circuit breaker
+                       deterministically
 ``artifact.load``      :meth:`~repro.artifacts.ArtifactStore.get`, after
                        the entry file is found but before it is parsed —
                        with the ``corrupt`` kind this drives the

@@ -174,39 +174,23 @@ class TestRuntimeLibraryFaults:
 
 
 class TestCircuitBreakerUnderInjection:
-    def test_three_injected_failures_demote_compiled_tier(self, hosted):
+    def test_three_injected_failures_trip_the_compiled_tier(self, hosted):
         compiled = FunctionCompile(COMPILED_LOOP, evaluator=hosted)
         # the prologue abort check fires on every compiled-tier call
         with inject_faults(Fault("abort.check", "runtime", times=3)):
             for _ in range(3):
                 assert compiled(20) == fib(20)  # fallback answers each time
-        assert compiled.current_tier is Tier.BYTECODE
+        assert compiled.current_tier is Tier.INTERPRETER
         transitions = failure_transitions(compiled.program.main)
         assert [t.transition for t in transitions] == [
-            (Tier.COMPILED, Tier.BYTECODE)
+            (Tier.COMPILED, Tier.INTERPRETER)
         ]
-        # the demoted tier actually executes (and is correct)
-        assert compiled(20) == fib(20)
-        assert compiled.stats().calls["bytecode"] == 1
-
-    def test_continued_failures_demote_to_interpreter(self, hosted):
-        compiled = FunctionCompile(COMPILED_LOOP, evaluator=hosted)
-        with inject_faults(Fault("abort.check", "runtime", times=3)):
-            for _ in range(3):
-                compiled(20)
-        assert compiled.current_tier is Tier.BYTECODE
-        with inject_faults(Fault("vm.instruction", "runtime", times=3)):
-            for _ in range(3):
-                assert compiled(20) == fib(20)
-        assert compiled.current_tier is Tier.INTERPRETER
-        assert [t.transition for t in failure_transitions(compiled.program.main)] == [
-            (Tier.COMPILED, Tier.BYTECODE),
-            (Tier.BYTECODE, Tier.INTERPRETER),
-        ]
-        # fully demoted: still correct, no further failures recorded
+        # tripped: still correct, no further failures recorded
         records_before = len(failure_records())
         assert compiled(20) == fib(20)
         assert len(failure_records()) == records_before
+        # three reruns plus the interpreter-direct call
+        assert compiled.stats().calls == {"compiled": 3, "interpreter": 4}
 
     def test_breaker_not_tripped_by_boxing_failures(self, hosted):
         compiled = FunctionCompile(COMPILED_LOOP, evaluator=hosted)
@@ -259,7 +243,7 @@ class TestInjectorMechanics:
 
 class TestPromotedFunctionFaults:
     """Tier-up meets guarded execution: a profile-promoted artifact that
-    soft-fails demotes through the same circuit breaker as an explicit
+    soft-fails trips the same circuit breaker as an explicit
     ``FunctionCompile``, attributed to the *symbol* in the failure log."""
 
     @pytest.fixture()
@@ -272,41 +256,25 @@ class TestPromotedFunctionFaults:
         assert hosted.hotspot.promoted["dbl"].tier_kind == "compiled"
         return hosted
 
-    def test_three_soft_failures_demote_the_promoted_artifact(self, promoted):
+    def test_tripping_the_breaker_withdraws_the_promotion(self, promoted):
         with inject_faults(Fault("abort.check", "runtime", times=3)):
             for _ in range(3):
                 # each call soft-fails in the compiled prologue and the
                 # artifact's internal fallback still answers
                 assert promoted.run("dbl[10]").to_python() == 20
         entry = promoted.hotspot.promoted["dbl"]
-        assert entry.artifact_tier() is Tier.BYTECODE
+        assert entry.artifact_tier() is Tier.INTERPRETER
         # the failure log names the promoted symbol, not a synthetic id
         assert [t.transition for t in failure_transitions("dbl")] == [
-            (Tier.COMPILED, Tier.BYTECODE)
+            (Tier.COMPILED, Tier.INTERPRETER)
         ]
-        # the demoted tier keeps serving the promoted dispatch path
-        assert promoted.run("dbl[21]").to_python() == 42
-        assert "dbl" in promoted.hotspot.promoted
-
-    def test_exhausting_the_breaker_withdraws_the_promotion(self, promoted):
-        with inject_faults(Fault("abort.check", "runtime", times=3)):
-            for _ in range(3):
-                promoted.run("dbl[10]")
-        with inject_faults(Fault("vm.instruction", "runtime", times=3)):
-            for _ in range(3):
-                assert promoted.run("dbl[10]").to_python() == 20
-        # the breaker bottomed out at the interpreter tier; the next
-        # dispatch withdraws the promotion entirely
+        # the next dispatch withdraws the promotion entirely
         assert promoted.run("dbl[4]").to_python() == 8
         assert "dbl" not in promoted.hotspot.promoted
         assert any(
             e.name == "dbl" and e.action == "demoted"
             for e in promoted.hotspot.events
         )
-        assert [t.transition for t in failure_transitions("dbl")] == [
-            (Tier.COMPILED, Tier.BYTECODE),
-            (Tier.BYTECODE, Tier.INTERPRETER),
-        ]
         # the known-bad definition stays blocked while it stays hot ...
         for _ in range(10):
             assert promoted.run("dbl[4]").to_python() == 8
@@ -328,8 +296,8 @@ class TestPromotedFunctionFaults:
 
 
 class TestTemplateTierFaults:
-    """The baseline tier's demotion ladder, driven by the ``template.call``
-    site: template → (lazy) bytecode → interpreter, one shared breaker."""
+    """The baseline tier's breaker, driven by the ``template.call`` site:
+    template → interpreter, then withdrawn like any tripped promotion."""
 
     @pytest.fixture()
     def template_promoted(self, hosted):
@@ -342,7 +310,7 @@ class TestTemplateTierFaults:
         assert hosted.hotspot.promoted["tpl"].tier_kind == "template"
         return hosted
 
-    def test_three_injected_failures_demote_to_bytecode(
+    def test_three_injected_failures_end_with_withdrawal(
         self, template_promoted
     ):
         with inject_faults(Fault("template.call", "runtime", times=3)):
@@ -351,28 +319,15 @@ class TestTemplateTierFaults:
                 # interpreter fallback still answers
                 assert template_promoted.run("tpl[10]").to_python() == 20
         entry = template_promoted.hotspot.promoted["tpl"]
-        assert entry.artifact_tier() is Tier.BYTECODE
+        assert entry.artifact_tier() is Tier.INTERPRETER
         assert [t.transition for t in failure_transitions("tpl")] == [
-            (Tier.TEMPLATE, Tier.BYTECODE)
+            (Tier.TEMPLATE, Tier.INTERPRETER)
         ]
-        # the lazily-compiled bytecode fallback keeps serving the dispatch
-        assert template_promoted.run("tpl[21]").to_python() == 42
-        assert "tpl" in template_promoted.hotspot.promoted
-
-    def test_full_ladder_ends_with_withdrawal(self, template_promoted):
-        with inject_faults(Fault("template.call", "runtime", times=3)):
-            for _ in range(3):
-                template_promoted.run("tpl[10]")
-        with inject_faults(Fault("vm.instruction", "runtime", times=3)):
-            for _ in range(3):
-                assert template_promoted.run("tpl[10]").to_python() == 20
-        # bottomed out at the interpreter: the next dispatch withdraws
-        assert template_promoted.run("tpl[4]").to_python() == 8
+        # tripped: the next dispatch withdraws, and the known-bad
+        # definition stays blocked while it stays hot
+        for _ in range(6):
+            assert template_promoted.run("tpl[4]").to_python() == 8
         assert "tpl" not in template_promoted.hotspot.promoted
-        assert [t.transition for t in failure_transitions("tpl")] == [
-            (Tier.TEMPLATE, Tier.BYTECODE),
-            (Tier.BYTECODE, Tier.INTERPRETER),
-        ]
         # redefinition lifts the block and re-promotes on the template rung
         template_promoted.run("tpl[n_] := n * 2")
         for _ in range(4):

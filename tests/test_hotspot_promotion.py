@@ -201,13 +201,13 @@ class TestInvalidation:
 
 
 class TestDemotion:
-    def test_exhausted_breaker_withdraws_the_promotion(self, hosted):
+    def test_tripped_breaker_withdraws_the_promotion(self, hosted):
         hosted.run("p[n_] := n + 1")
         for _ in range(6):
             hosted.run("p[1]")
         entry = hosted.hotspot.promoted["p"]
-        # force the artifact's breaker all the way down
-        entry.artifact._breaker.tier = Tier.INTERPRETER
+        # trip the artifact's breaker
+        entry.artifact.breaker.tier = Tier.INTERPRETER
         assert hosted.run("p[41]").to_python() == 42
         assert "p" not in hosted.hotspot.promoted
         assert any(
@@ -224,7 +224,7 @@ class TestDemotion:
             hosted.run("p[1]")
         assert "p" in hosted.hotspot.promoted
 
-    def test_template_tier_kept_when_compiled_tier_unavailable(
+    def test_template_tier_kept_when_compiled_tier_declines(
         self, hosted, monkeypatch
     ):
         from repro.errors import CompilerError
@@ -244,7 +244,7 @@ class TestDemotion:
         assert entry.upgrade_blocked
         assert hosted.run("q[14]").to_python() == 42
 
-    def test_bytecode_tier_promotion_when_template_rung_disabled(
+    def test_template_rung_disabled_is_full_pipeline_or_interpreted(
         self, hosted, monkeypatch
     ):
         from repro.errors import CompilerError
@@ -257,8 +257,10 @@ class TestDemotion:
         hosted.run("q[n_] := n * 3")
         for _ in range(6):
             assert hosted.run("q[2]").to_python() == 6
-        assert "q" in hosted.hotspot.promoted
-        assert hosted.hotspot.promoted["q"].tier_kind == "bytecode"
+        # no other tier steps in: the definition stays interpreted, blocked
+        # from re-promotion until it changes
+        assert "q" not in hosted.hotspot.promoted
+        assert [e.action for e in hosted.hotspot.events] == ["blocked"]
         assert hosted.run("q[14]").to_python() == 42
 
     def test_recursive_definition_promotes_on_the_template_rung(
@@ -277,21 +279,6 @@ class TestDemotion:
         assert "fib" in hosted.hotspot.promoted
         assert hosted.hotspot.promoted["fib"].tier_kind == "template"
         assert hosted.run("fib[20]").to_python() == 6765
-
-    def test_recursive_definition_needs_a_self_calling_tier(
-        self, hosted, monkeypatch
-    ):
-        from repro.errors import CompilerError
-
-        def refuse(*args, **kwargs):
-            raise CompilerError("compiled tier unavailable in this test")
-
-        monkeypatch.setattr("repro.compiler.api.FunctionCompile", refuse)
-        hosted.hotspot.template_enabled = False
-        _define_fib(hosted)
-        assert hosted.run("fib[15]").to_python() == 610
-        # the VM has no self-call: recursion is not promoted to bytecode
-        assert "fib" not in hosted.hotspot.promoted
 
 
 class TestThresholdKnob:

@@ -6,17 +6,15 @@ Covers the three layers of the tentpole:
   kernels, the stitched source's shape (slot numbering, checkpoint
   cadence), checked-integer semantics, and the deliberate coverage holes
   (:class:`TemplateCompilerError`);
-* **the artifact** — boundary type gates, copy-on-read tensors, the
-  soft-failure ladder template → lazy bytecode → interpreter behind one
-  shared breaker, abort/guard contract parity;
+* **the artifact** — boundary type gates, copy-on-read tensors,
+  abort/guard contract parity (its breaker and soft-failure protocol are
+  the shared ones: ``tests/test_governed_call.py``);
 * **the ladder** — three-rung promotion ordering, tier-up at the full
   threshold, redefinition invalidation at the template rung, and the
   environment knobs.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -136,7 +134,6 @@ class TestStitcher:
             "{{n, _Integer}}",
             "If[n < 2, n, tpl[n - 1] + tpl[n - 2]]",
         )
-        assert artifact.recursive
         assert "_self(" in artifact.source
         assert artifact(20) == 6765
 
@@ -195,54 +192,6 @@ class TestArtifactBoundary:
         # no evaluator: nothing to fall back to, the soft error surfaces
         with pytest.raises(WolframRuntimeError):
             artifact(0)
-
-
-# -- the demotion ladder -----------------------------------------------------
-
-
-class TestDemotionLadder:
-    def test_soft_failures_demote_to_lazy_bytecode(self, hosted):
-        artifact = _stitch("{{n, _Integer}}", "1 / n", evaluator=hosted)
-        for _ in range(3):
-            artifact(0)  # hosted: each soft failure re-runs interpreted
-        assert artifact.breaker.tier is Tier.BYTECODE
-        # the demoted rung still answers, through the lazily-built VM tier
-        assert artifact(2) == 0.5
-        assert artifact._bytecode is not None
-
-    def test_bytecode_fallback_shares_the_breaker(self, hosted):
-        artifact = _stitch("{{n, _Integer}}", "1 / n", evaluator=hosted)
-        for _ in range(3):
-            artifact(0)
-        inner = artifact._build_bytecode()
-        assert inner is not None
-        assert inner.breaker is artifact.breaker
-        assert inner.fallback_stats is artifact.fallback_stats
-
-    def test_recursive_artifact_skips_the_bytecode_rung(self, hosted):
-        hosted.run("tpl[0] = 0")
-        hosted.run("tpl[1] = 1")
-        hosted.run("tpl[n_] := tpl[n-1] + tpl[n-2]")
-        artifact = _stitch(
-            "{{n, _Integer}}",
-            "If[n < 2, n, tpl[n - 1] + tpl[n - 2]]",
-            evaluator=hosted,
-        )
-        breaker = artifact.breaker
-        for _ in range(3):
-            breaker.record_failure(Tier.TEMPLATE, "TemplateRuntime", "x")
-        assert breaker.tier is Tier.BYTECODE
-        # first demoted call discovers there is no VM lowering for
-        # recursion and walks on to the interpreter
-        assert artifact(10) == 55
-        assert breaker.tier is Tier.INTERPRETER
-
-    def test_interpreter_tier_without_host_raises(self):
-        artifact = _stitch("{{n, _Integer}}", "n + 1")
-        artifact.breaker.tier = Tier.INTERPRETER
-        with pytest.raises(WolframRuntimeError) as info:
-            artifact(1)
-        assert info.value.kind == "NoInterpreter"
 
 
 # -- abort and guard contract ------------------------------------------------
@@ -409,52 +358,3 @@ class TestKnobs:
             assert template_enabled_from_environment() is False
         monkeypatch.setenv("REPRO_TEMPLATE_JIT", "1")
         assert HotspotProfiler().template_enabled is True
-
-
-# -- concurrency -------------------------------------------------------------
-
-
-class TestTemplateThreads:
-    def test_concurrent_calls_during_demotion(self):
-        """Many threads drive one artifact while its breaker demotes: the
-        lazy bytecode build must happen exactly once and no call may
-        crash or return a wrong answer."""
-        artifact = _stitch("{{n, _Integer}}", "n * 3")
-        barrier = threading.Barrier(8)
-        errors: list = []
-        builds: list = []
-
-        original_build = artifact._build_bytecode
-
-        def counting_build():
-            inner = original_build()
-            builds.append(inner)
-            return inner
-
-        artifact._build_bytecode = counting_build
-
-        def worker(index: int) -> None:
-            barrier.wait()
-            try:
-                for round_number in range(50):
-                    if index == 0 and round_number == 10:
-                        for _ in range(3):
-                            artifact.breaker.record_failure(
-                                Tier.TEMPLATE, "TemplateRuntime", "x"
-                            )
-                    value = artifact(7)
-                    if value != 21:
-                        raise AssertionError(f"wrong answer {value}")
-            except Exception as error:  # pragma: no cover
-                errors.append(error)
-
-        pool = [threading.Thread(target=worker, args=(i,))
-                for i in range(8)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        assert errors == []
-        assert artifact.breaker.tier is Tier.BYTECODE
-        # every build call returned the same compiled instance
-        assert len({id(b) for b in builds if b is not None}) <= 1

@@ -75,7 +75,7 @@ class TestFailureLogRing:
 
         def worker(index: int) -> None:
             for round_number in range(ROUNDS):
-                log.record(f"t{index}", Tier.BYTECODE, "Overflow",
+                log.record(f"t{index}", Tier.TEMPLATE, "Overflow",
                            f"r{round_number}")
 
         hammer(worker)
@@ -99,7 +99,7 @@ class TestFailureLogRing:
 
 
 class TestCircuitBreakerThreads:
-    def test_exactly_one_demotion_per_tier(self):
+    def test_exactly_one_transition_record(self):
         log = FailureLog(capacity=10_000)
         breaker = CircuitBreaker("hot", log=log, threshold=THREADS * ROUNDS)
 
@@ -110,11 +110,11 @@ class TestCircuitBreakerThreads:
         hammer(worker)
         # every failure was counted (no torn increments)...
         assert breaker.failures[Tier.COMPILED] == THREADS * ROUNDS
-        # ...and the threshold crossing demoted exactly once
-        demotions = [record for record in log.records()
-                     if record.transition is not None]
-        assert len(demotions) == 1
-        assert breaker.tier is Tier.BYTECODE
+        # ...and the threshold crossing tripped exactly once
+        transitions = [record.transition for record in log.records()
+                       if record.transition is not None]
+        assert transitions == [(Tier.COMPILED, Tier.INTERPRETER)]
+        assert breaker.tier is Tier.INTERPRETER
 
     def test_concurrent_reset_and_failures(self):
         breaker = CircuitBreaker("hot", log=FailureLog(capacity=64),
@@ -129,7 +129,7 @@ class TestCircuitBreakerThreads:
                     breaker.tripped(Tier.COMPILED)
 
         hammer(worker)
-        assert breaker.tier in (Tier.COMPILED, Tier.BYTECODE)
+        assert breaker.tier in (Tier.COMPILED, Tier.INTERPRETER)
 
 
 def _entry(name: str, tier: Tier):
@@ -209,7 +209,7 @@ class TestHotspotTableThreads:
         def scenario(lower_cap_mid_compile: bool) -> HotspotProfiler:
             profiler = HotspotProfiler(threshold=5)
             plan = _Plan(parameters=("x",), kinds=("i",), gate_types=(int,),
-                         body=None, recursive=False)
+                         body=None)
             monkeypatch.setattr(
                 profiler, "_synthesize",
                 lambda name, definition, expression: plan,
@@ -217,10 +217,12 @@ class TestHotspotTableThreads:
 
             def compile_plan(evaluator, name, the_plan):
                 if lower_cap_mid_compile:
-                    profiler.demote_all(Tier.BYTECODE, reason="pressure")
-                return _entry(name, Tier.COMPILED).artifact, "compiled"
+                    profiler.demote_all(Tier.TEMPLATE, reason="pressure")
+                return _entry(name, Tier.COMPILED).artifact
 
-            monkeypatch.setattr(profiler, "_compile_plan", compile_plan)
+            monkeypatch.setattr(
+                profiler, "_compile_compiled_tier", compile_plan
+            )
             profiler.counts["f"] = 5
             profiler._attempt_promotion_inner(
                 _Evaluator(), "f", _Definition(), None, full=True
@@ -266,10 +268,10 @@ class TestHotspotTableThreads:
 
     def test_demote_all_reports_withdrawn_count(self):
         profiler = self._profiler()
-        for name, tier in (("a", Tier.COMPILED), ("b", Tier.BYTECODE)):
+        for name, tier in (("a", Tier.COMPILED), ("b", Tier.TEMPLATE)):
             profiler.promoted[name] = _entry(name, tier)
-        # capping at bytecode withdraws only the compiled entry
-        assert profiler.demote_all(Tier.BYTECODE) == 1
+        # capping at template withdraws only the compiled entry
+        assert profiler.demote_all(Tier.TEMPLATE) == 1
         assert sorted(profiler.promoted) == ["b"]
         assert profiler.demote_all(Tier.INTERPRETER) == 1
         assert profiler.promoted == {}

@@ -34,7 +34,8 @@ Flags
 ``--stats [DUMP]``
     With no argument: print, at session end, each compiled function's
     :class:`~repro.runtime.guard.FallbackStats` (per-tier calls, soft
-    failures, circuit-breaker tier) and the guarded-execution failure log.
+    failures, circuit-breaker tier), the artifact cache's hit / miss /
+    store / unstorable counts, and the guarded-execution failure log.
     With a ``DUMP`` path (a stats file written by ``python -m repro serve
     --dump-stats``): render the server's per-session breaker and failure
     tables instead of starting a session.
@@ -91,7 +92,9 @@ from repro.observe import trace as _trace
 
 
 def _print_session_stats(session, out) -> None:
-    """The ``--stats`` report: hot functions, fallback stats, failure log."""
+    """The ``--stats`` report: hot functions, fallback stats, artifact
+    cache outcomes, failure log."""
+    from repro.artifacts import get_store
     from repro.compiler.api import _ENGINE_TABLE_KEY, failure_records
 
     hotspot = getattr(session, "hotspot", None)
@@ -142,6 +145,14 @@ def _print_session_stats(session, out) -> None:
             f"checks elided: {elided['int64']} int64, "
             f"{elided['bounds']} bounds, "
             f"{elided['checkpoints']} checkpoints\n"
+        )
+    store = get_store()
+    if store is not None:
+        stats = store.stats
+        out.write(
+            f"artifact cache: {stats['hits']} hits, {stats['misses']} "
+            f"misses, {stats['stores']} stores, {stats['unstorable']} "
+            f"unstorable\n"
         )
     records = failure_records()
     if records:

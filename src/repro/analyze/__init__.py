@@ -32,11 +32,13 @@ from repro.analyze.diagnostics import (
 )
 from repro.analyze.differ import (
     BoundaryReport,
+    ConstantsOracle,
     DifferentialOracle,
     ElisionOracle,
     Mismatch,
     OracleReport,
     run_boundary_differential,
+    run_constants_differential,
     run_differential,
 )
 from repro.analyze.lint import lint_program, lint_text
@@ -49,6 +51,7 @@ from repro.errors import SourceLintError, StaticAnalysisError, VerificationError
 
 __all__ = [
     "BoundaryReport",
+    "ConstantsOracle",
     "Diagnostic",
     "DifferentialOracle",
     "ElisionOracle",
@@ -63,6 +66,7 @@ __all__ = [
     "lint_text",
     "raise_on_errors",
     "run_boundary_differential",
+    "run_constants_differential",
     "run_differential",
     "verify_function",
     "verify_program",

@@ -35,6 +35,12 @@ and demands bit-identical results *including the error class*: a
 trapped overflow on the checked side must still trap (or be provably
 absent) on the elided side.  ``run_boundary_differential`` is the CI
 entry point; zero divergences is the acceptance bar.
+
+A third, **constants mode** (:class:`ConstantsOracle`,
+``run_constants_differential``) compiles programs that read an embedded
+constant tensor twice against a scratch artifact store — a miss, then a
+hit — and compares both with the interpreter, over pairs of boundary
+tables one element apart.
 """
 
 from __future__ import annotations
@@ -249,11 +255,15 @@ class OracleReport:
             "mismatches": [m.to_dict() for m in self.mismatches],
         }
 
+    #: the summary line's wording, overridden per mode
+    title = "differential oracle"
+    claim = f"programs agree across {len(_TIERS)} tiers"
+    noun = "mismatch(es)"
+
     def summary(self) -> str:
         return (
-            f"differential oracle: {self.agreed}/{self.attempted} programs "
-            f"agree across {len(_TIERS)} tiers "
-            f"({len(self.mismatches)} mismatch(es), "
+            f"{self.title}: {self.agreed}/{self.attempted} {self.claim} "
+            f"({len(self.mismatches)} {self.noun}, "
             f"{self.elapsed:.1f}s, seed={self.seed})"
         )
 
@@ -417,49 +427,59 @@ class DifferentialOracle:
     def run(self, count: int = 50, time_budget: Optional[float] = None,
             shrink: bool = True, progress=None) -> OracleReport:
         """Generate and cross-check ``count`` programs (or until budget)."""
-        report = OracleReport(seed=self.seed)
-        start = time.perf_counter()
-        for index in range(count):
-            if (
-                time_budget is not None
-                and time.perf_counter() - start > time_budget
-            ):
-                break
+        def check(index: int) -> Optional[Mismatch]:
             spec = self.generator.spec()
             argument = self.generator.argument(spec.kind)
             body = spec.body()
             results = self.run_tiers(spec.kind, body, argument)
-            report.attempted += 1
             if self.consistent(results):
-                report.agreed += 1
-            else:
-                mismatch = Mismatch(
-                    seed=self.seed, index=index, kind=spec.kind,
-                    argument=argument, body=body, results=results,
+                return None
+            mismatch = Mismatch(
+                seed=self.seed, index=index, kind=spec.kind,
+                argument=argument, body=body, results=results,
+            )
+            if shrink:
+                mismatch.shrunk_body, mismatch.shrunk_results = (
+                    self.shrink(spec, argument)
                 )
-                if shrink:
-                    mismatch.shrunk_body, mismatch.shrunk_results = (
-                        self.shrink(spec, argument)
-                    )
-                report.mismatches.append(mismatch)
-            if progress is not None and (index + 1) % 25 == 0:
-                progress(index + 1, count)
-        report.elapsed = time.perf_counter() - start
-        return report
+            return mismatch
+
+        return _drive(OracleReport(seed=self.seed), count, time_budget,
+                      check, progress)
 
 
-def run_differential(
-    count: Optional[int] = None,
-    seed: Optional[int] = None,
-    time_budget: Optional[float] = None,
-    artifacts_dir: Optional[str] = None,
-) -> OracleReport:
-    """One-call entry point with CI-friendly environment defaults.
+def _drive(report: OracleReport, count: int, time_budget: Optional[float],
+           check, progress=None) -> OracleReport:
+    """The main loop every oracle mode shares: ``check(index)`` generates
+    and runs one case and returns its :class:`Mismatch`, or ``None``."""
+    start = time.perf_counter()
+    for index in range(count):
+        if (
+            time_budget is not None
+            and time.perf_counter() - start > time_budget
+        ):
+            break
+        mismatch = check(index)
+        report.attempted += 1
+        if mismatch is None:
+            report.agreed += 1
+        else:
+            report.mismatches.append(mismatch)
+        if progress is not None and (index + 1) % 25 == 0:
+            progress(index + 1, count)
+    report.elapsed = time.perf_counter() - start
+    return report
+
+
+def _run_mode(oracle_type, prefix: str, count, seed, time_budget,
+              artifacts_dir):
+    """The entry points' shared body: fill unset arguments from the CI
+    environment, run, write reproducers.
 
     * ``REPRO_DIFF_COUNT`` — programs to generate (default 50);
     * ``REPRO_DIFF_SEED`` — generator seed (default 0);
     * ``REPRO_DIFF_BUDGET`` — wall-clock budget in seconds (default none);
-    * ``REPRO_DIFF_ARTIFACTS`` — directory for shrunk-reproducer JSON files.
+    * ``REPRO_DIFF_ARTIFACTS`` — directory for reproducer JSON files.
     """
     if count is None:
         count = int(os.environ.get("REPRO_DIFF_COUNT", "50"))
@@ -470,10 +490,21 @@ def run_differential(
         time_budget = float(raw) if raw else None
     if artifacts_dir is None:
         artifacts_dir = os.environ.get("REPRO_DIFF_ARTIFACTS") or None
-    oracle = DifferentialOracle(seed=seed)
-    report = oracle.run(count=count, time_budget=time_budget)
-    _write_artifacts(report, artifacts_dir, prefix="mismatch")
+    report = oracle_type(seed=seed).run(count=count, time_budget=time_budget)
+    _write_artifacts(report, artifacts_dir, prefix)
     return report
+
+
+def run_differential(
+    count: Optional[int] = None,
+    seed: Optional[int] = None,
+    time_budget: Optional[float] = None,
+    artifacts_dir: Optional[str] = None,
+) -> OracleReport:
+    """One-call entry point with CI-friendly environment defaults
+    (:func:`_run_mode`)."""
+    return _run_mode(DifferentialOracle, "mismatch", count, seed,
+                     time_budget, artifacts_dir)
 
 
 def _write_artifacts(report, artifacts_dir, prefix: str) -> None:
@@ -624,13 +655,9 @@ class _ElisionError(_TierError):
 
 
 class BoundaryReport(OracleReport):
-    def summary(self) -> str:
-        return (
-            f"boundary differential: {self.agreed}/{self.attempted} "
-            f"programs agree with checks elided vs kept "
-            f"({len(self.mismatches)} divergence(s), "
-            f"{self.elapsed:.1f}s, seed={self.seed})"
-        )
+    title = "boundary differential"
+    claim = "programs agree with checks elided vs kept"
+    noun = "divergence(s)"
 
 
 class ElisionOracle:
@@ -717,35 +744,25 @@ class ElisionOracle:
 
     def run(self, count: int = 50, time_budget: Optional[float] = None,
             shrink: bool = True, progress=None) -> BoundaryReport:
-        report = BoundaryReport(seed=self.seed)
-        start = time.perf_counter()
-        for index in range(count):
-            if (
-                time_budget is not None
-                and time.perf_counter() - start > time_budget
-            ):
-                break
+        def check(index: int) -> Optional[Mismatch]:
             spec = self.generator.spec()
             argument = self.generator.argument()
             body = spec.body()
             results = self.run_pair(body, argument)
-            report.attempted += 1
             if self.consistent(results):
-                report.agreed += 1
-            else:
-                mismatch = Mismatch(
-                    seed=self.seed, index=index, kind="boundary",
-                    argument=argument, body=body, results=results,
+                return None
+            mismatch = Mismatch(
+                seed=self.seed, index=index, kind="boundary",
+                argument=argument, body=body, results=results,
+            )
+            if shrink:
+                mismatch.shrunk_body, mismatch.shrunk_results = (
+                    self.shrink(spec, argument)
                 )
-                if shrink:
-                    mismatch.shrunk_body, mismatch.shrunk_results = (
-                        self.shrink(spec, argument)
-                    )
-                report.mismatches.append(mismatch)
-            if progress is not None and (index + 1) % 25 == 0:
-                progress(index + 1, count)
-        report.elapsed = time.perf_counter() - start
-        return report
+            return mismatch
+
+        return _drive(BoundaryReport(seed=self.seed), count, time_budget,
+                      check, progress)
 
 
 def run_boundary_differential(
@@ -755,18 +772,162 @@ def run_boundary_differential(
     artifacts_dir: Optional[str] = None,
 ) -> BoundaryReport:
     """Boundary-mode entry point; same environment knobs as
-    :func:`run_differential` (``REPRO_DIFF_COUNT`` / ``REPRO_DIFF_SEED`` /
-    ``REPRO_DIFF_BUDGET`` / ``REPRO_DIFF_ARTIFACTS``)."""
-    if count is None:
-        count = int(os.environ.get("REPRO_DIFF_COUNT", "50"))
-    if seed is None:
-        seed = int(os.environ.get("REPRO_DIFF_SEED", "0"))
-    if time_budget is None:
-        raw = os.environ.get("REPRO_DIFF_BUDGET", "")
-        time_budget = float(raw) if raw else None
-    if artifacts_dir is None:
-        artifacts_dir = os.environ.get("REPRO_DIFF_ARTIFACTS") or None
-    oracle = ElisionOracle(seed=seed)
-    report = oracle.run(count=count, time_budget=time_budget)
-    _write_artifacts(report, artifacts_dir, prefix="boundary")
-    return report
+    :func:`run_differential`."""
+    return _run_mode(ElisionOracle, "boundary", count, seed, time_budget,
+                     artifacts_dir)
+
+
+# -- constants mode: embedded tables, artifact-cache miss vs hit -------------
+
+
+#: tables a key or codec is most likely to under-describe
+BOUNDARY_TABLES = (
+    [], [7], [INT64_MIN, INT64_MAX, 0, -1], [INT64_MAX, INT64_MAX - 1],
+    [0.0, -0.0, 1.5], [float("nan"), float("inf"), -0.0], [0, 1], [0.0, 1.0],
+)
+
+#: position-weighted count: sensitive to every element of an integer table
+_FOLD_BODY = ("Module[{a = 0, j = 1}, While[j <= Length[tbl], "
+              "If[tbl[[j]] > x, a = a + j]; j = j + 1]; a]")
+
+
+class ConstantsReport(OracleReport):
+    title = "constants differential"
+    claim = "table pairs agree across interpreter, cache miss and cache hit"
+    noun = "divergence(s)"
+
+
+class ConstantsOracle:
+    """Programs reading an embedded constant tensor (``constants=``), each
+    compiled twice against a scratch artifact store — a miss, then a hit —
+    with both artifacts compared to the interpreter.
+
+    Every case is a *pair* of tables under one name that differ in one
+    element (or in int-vs-real spelling, or empty vs not): a key that
+    under-describes constants serves the first table's artifact for the
+    second, and a codec that loses a sign bit or an element type restores
+    a different pool — either way the hit disagrees with the interpreter.
+    Agreement is on ``repr``: ``1`` vs ``1.0`` and ``0.0`` vs ``-0.0`` are
+    divergences, ``nan`` agrees with ``nan``.
+    """
+
+    def __init__(self, seed: int = 0):
+        from repro.engine import Evaluator
+
+        self.seed = seed
+        self.rng = random.Random(seed)
+        self._evaluator = Evaluator()
+
+    def case(self) -> tuple[str, int, list, list]:
+        """``(body, argument, table, variant)`` for one pair."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            table = list(rng.choice(BOUNDARY_TABLES))
+        elif rng.random() < 0.5:
+            table = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        else:
+            table = [rng.uniform(-2, 2) for _ in range(rng.randint(1, 6))]
+        variant, index = list(table), rng.randrange(len(table) or 1)
+        integral = all(isinstance(v, int) for v in table)
+        if not table:
+            variant = [0]
+        elif integral and rng.random() < 0.3 and max(map(abs, table)) < 2 ** 53:
+            variant = [float(v) for v in table]  # same values, other type
+        elif integral:
+            variant[index] += -1 if variant[index] > 0 else 1
+        else:  # flip the sign (0.0 <-> -0.0 included); nan becomes 0.0
+            variant[index] = 0.0 if table[index] != table[index] else -table[index]
+        # (body, argument): the literal index is folded into the generated
+        # source, the argument index reads the restored pool at run time
+        programs = [("Length[tbl]", 0)]
+        if table:
+            programs += [(f"tbl[[{index + 1}]]", 0), ("tbl[[x]]", index + 1)]
+        if table and integral:
+            programs.append((_FOLD_BODY, rng.choice(table)))
+        return (*rng.choice(programs), table, variant)
+
+    def run_case(self, body: str, argument: int, table, variant) -> dict:
+        """Interpreter, miss and hit results for both tables of a pair."""
+        results = {}
+        for label, values in (("table", table), ("variant", variant)):
+            for arm in ("interpreter", "miss", "hit"):
+                run = (self._run_interpreter if arm == "interpreter"
+                       else self._run_compiled)
+                try:
+                    results[f"{label}:{arm}"] = run(body, argument, values)
+                except Exception as error:  # noqa: BLE001 — compared
+                    results[f"{label}:{arm}"] = _ElisionError(error)
+        return results
+
+    def _run_interpreter(self, body: str, argument: int, values):
+        from repro.mexpr.symbols import to_mexpr
+
+        state = self._evaluator.state
+        state.set_own_value("tbl", to_mexpr(values))
+        try:
+            return self._evaluator.run(
+                f"Function[{{x}}, {body}]"
+                f"[{DifferentialOracle._literal(argument)}]"
+            ).to_python()
+        finally:
+            state.clear("tbl")
+
+    @staticmethod
+    def _run_compiled(body: str, argument: int, values):
+        from repro.compiler import FunctionCompile
+
+        return FunctionCompile(
+            f'Function[{{Typed[x, "MachineInteger"]}}, {body}]',
+            constants={"tbl": values},
+        )(argument)
+
+    @staticmethod
+    def consistent(results: dict) -> bool:
+        def same(left, right) -> bool:
+            if isinstance(left, _TierError) or isinstance(right, _TierError):
+                return left == right
+            return repr(left) == repr(right)
+
+        return all(
+            same(results[f"{label}:interpreter"], results[f"{label}:{arm}"])
+            for label in ("table", "variant") for arm in ("miss", "hit")
+        )
+
+    def run(self, count: int = 50,
+            time_budget: Optional[float] = None) -> ConstantsReport:
+        import tempfile
+
+        from repro.artifacts import store as _store
+
+        def check(index: int) -> Optional[Mismatch]:
+            body, argument, table, variant = self.case()
+            results = self.run_case(body, argument, table, variant)
+            if self.consistent(results):
+                return None
+            return Mismatch(
+                seed=self.seed, index=index, kind="constants",
+                argument={"x": argument, "table": repr(table),
+                          "variant": repr(variant)},
+                body=body, results=results,
+            )
+
+        previous = _store.active_override()
+        with tempfile.TemporaryDirectory(prefix="repro-differ-") as root:
+            _store.activate_store(_store.ArtifactStore(root))
+            try:
+                return _drive(ConstantsReport(seed=self.seed), count,
+                              time_budget, check)
+            finally:
+                _store.activate_store(previous)
+
+
+def run_constants_differential(
+    count: Optional[int] = None,
+    seed: Optional[int] = None,
+    time_budget: Optional[float] = None,
+    artifacts_dir: Optional[str] = None,
+) -> ConstantsReport:
+    """Constants-mode entry point; same environment knobs as
+    :func:`run_differential`."""
+    return _run_mode(ConstantsOracle, "constants", count, seed, time_budget,
+                     artifacts_dir)

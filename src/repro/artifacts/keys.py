@@ -9,6 +9,11 @@ JSON payload hashed with SHA-256:
   the tree the pipeline lowers, so alpha-identical re-parses of the same
   source text produce the same key across processes and machines
   (``PYTHONHASHSEED`` never leaks in: the payload is sorted-key JSON);
+* the **embedded constants** — a content digest of the normalized
+  ``constants=`` arrays (:func:`constants_digest`: name-sorted; element
+  type, dimensions and the packed element buffer hashed directly), the
+  same objects the lowerer embeds, so ``[0, 1]`` and ``[0.0, 1.0]``, a
+  one-element edit, or a renamed table are different keys;
 * the **semantic compiler options** — every :class:`CompilerOptions`
   field that changes generated code (optimization level, inlining,
   abort handling, memory management, ...).  Non-semantic fields are
@@ -35,10 +40,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import zlib
 from typing import Any, Optional
+
+import numpy as np
 
 from repro.mexpr.expr import MExpr
 from repro.mexpr.serialize import to_wire
+from repro.runtime.packed import PackedArray
 
 #: schema version of the key payload; bump to invalidate every entry
 KEY_SCHEMA = 1
@@ -112,8 +122,11 @@ def function_key(
     options,
     backend: str,
     extra: Optional[dict] = None,
+    constants: Optional[dict] = None,
 ) -> str:
-    """The lookup key for one compile of ``source_function``."""
+    """The lookup key for one compile of ``source_function``;
+    ``constants`` is the normalized ``constants=`` mapping
+    (:func:`repro.compiler.pipeline.normalize_constants`)."""
     from repro import __version__
 
     payload: dict[str, Any] = {
@@ -126,7 +139,71 @@ def function_key(
     }
     if extra:
         payload["extra"] = extra
+    if constants:
+        payload["constants"] = constants_digest(constants)
     return digest_payload(payload)
+
+
+# -- packed arrays: one buffer per array, in keys and in entries -------------
+
+#: homogeneous element lists travel as one little-endian machine buffer
+_BULK_DTYPES = {int: "<i8", float: "<f8", complex: "<c16"}
+
+
+def _bulk_bytes(data: list) -> Optional[tuple[str, bytes]]:
+    """``(dtype, buffer)`` when every element is exactly one machine
+    ``int``/``float``/``complex``; ``None`` for empty, mixed, ``bool`` or
+    out-of-int64-range data, which the callers spell element by element."""
+    kinds = set(map(type, data))
+    dtype = _BULK_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
+    if dtype is None:
+        return None
+    try:
+        return dtype, np.array(data, dtype=dtype).tobytes()
+    except OverflowError:
+        return None
+
+
+def constants_digest(constants: dict) -> str:
+    """Content digest of named :class:`PackedArray` constants, name-sorted
+    so dict insertion order never matters.  ``1`` and ``1.0`` (and ``-0.0``
+    and ``0.0``) hash differently: the element buffers are typed."""
+    digest = hashlib.sha256()
+    for name in sorted(constants):
+        array = constants[name]
+        dtype, buffer = _bulk_bytes(array.data) or (
+            "repr", repr(array.data).encode("utf-8")
+        )
+        header = (name, array.element_type, list(array.dims), dtype,
+                  len(buffer))
+        digest.update(json.dumps(header).encode("utf-8"))
+        digest.update(buffer)
+    return digest.hexdigest()
+
+
+def packed_to_wire(array: PackedArray) -> dict:
+    """Entry form of a constant-pool array: the element buffer, deflated,
+    as one hex string (restored by a bulk decode), else a plain JSON list."""
+    wire: dict[str, Any] = {"e": array.element_type, "d": list(array.dims)}
+    bulk = _bulk_bytes(array.data)
+    if bulk is None:
+        wire["v"] = list(array.data)
+    else:
+        wire["t"], wire["b"] = bulk[0], zlib.compress(bulk[1], 1).hex()
+    return wire
+
+
+def packed_from_wire(wire: dict) -> PackedArray:
+    if "b" in wire:
+        if wire["t"] not in _BULK_DTYPES.values():
+            raise ValueError(f"unknown element buffer type {wire['t']!r}")
+        buffer = zlib.decompress(bytes.fromhex(wire["b"]))
+        data = np.frombuffer(buffer, wire["t"]).tolist()
+    else:
+        data = list(wire["v"])
+    if len(data) != math.prod(wire["d"]):
+        raise ValueError("constant-pool elements do not fill the dimensions")
+    return PackedArray(data, tuple(wire["d"]), wire["e"])
 
 
 def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
@@ -149,10 +226,12 @@ def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
 
 
 def type_to_wire(type_) -> dict:
-    """Serialize a signature type (atomic / compound / literal)."""
+    """Serialize a signature type (atomic / compound / literal /
+    function); any other specifier class is a ``TypeError``."""
     from repro.compiler.types.specifier import (
         AtomicType,
         CompoundType,
+        FunctionType,
         TypeLiteral,
     )
 
@@ -165,6 +244,11 @@ def type_to_wire(type_) -> dict:
             "c": type_.constructor,
             "p": [type_to_wire(p) for p in type_.params],
         }
+    if isinstance(type_, FunctionType):
+        return {
+            "f": [type_to_wire(p) for p in type_.params],
+            "r": type_to_wire(type_.result),
+        }
     raise TypeError(f"cannot serialize signature type {type_!r}")
 
 
@@ -173,6 +257,7 @@ def type_from_wire(payload: dict):
     from repro.compiler.types.specifier import (
         AtomicType,
         CompoundType,
+        FunctionType,
         TypeLiteral,
     )
 
@@ -184,5 +269,10 @@ def type_from_wire(payload: dict):
         return CompoundType(
             payload["c"],
             tuple(type_from_wire(p) for p in payload["p"]),
+        )
+    if "f" in payload:
+        return FunctionType(
+            tuple(type_from_wire(p) for p in payload["f"]),
+            type_from_wire(payload["r"]),
         )
     raise ValueError(f"unknown type wire payload {payload!r}")

@@ -41,9 +41,10 @@ Operational behaviour
   until total size fits ``REPRO_ARTIFACT_CACHE_MAX`` bytes;
 * **observability** — lookups and stores run inside ``artifact.cache``
   spans, and ``artifact.cache.hits`` / ``.misses`` / ``.stores`` /
-  ``.evictions`` / ``.corrupt`` counters land in the observe metrics
-  registry when tracing is enabled; the same counts are always available
-  on :attr:`ArtifactStore.stats`;
+  ``.evictions`` / ``.corrupt`` / ``.unstorable`` counters land in the
+  observe metrics registry when tracing is enabled; the same counts are
+  always available on :attr:`ArtifactStore.stats` (``unstorable`` is a
+  compile whose artifact had no wire form: it recompiles every time);
 * **fault injection** — reads visit the ``artifact.load`` site, so the
   ``artifact.corrupt`` fault class (:mod:`repro.testing`) can prove the
   recovery path deterministically.
@@ -106,7 +107,7 @@ class ArtifactStore:
         )
         self.stats = {
             "hits": 0, "misses": 0, "stores": 0,
-            "evictions": 0, "corrupt": 0,
+            "evictions": 0, "corrupt": 0, "unstorable": 0,
         }
         self._lock = threading.Lock()
 
@@ -170,6 +171,7 @@ class ArtifactStore:
         try:
             text = json.dumps(entry, separators=(",", ":"))
         except (TypeError, ValueError):
+            self.decline()
             return None
         path = self._object_path(digest)
         with _observe.span("artifact.cache", "artifact", op="put",
@@ -194,6 +196,11 @@ class ArtifactStore:
             self._count("stores")
             self._enforce_cap(keep=digest)
         return path
+
+    def decline(self) -> None:
+        """Count a compile whose artifact has no wire form; it is never
+        stored, so every later compile of it runs the whole pipeline."""
+        self._count("unstorable")
 
     def evict(self, digest: str) -> bool:
         try:

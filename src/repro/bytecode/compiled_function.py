@@ -63,8 +63,8 @@ class CompiledFunction(SpecTypedFunction):
 
     def to_payload(self) -> Optional[dict]:
         """The artifact-cache wire form of this function, or ``None`` when
-        some component does not serialize (the compile is then simply not
-        cached — never an error).
+        some component does not serialize (the compile is then not cached
+        and counted ``unstorable`` — never an error).
 
         Everything the VM executes round-trips: the instruction stream
         (``EVAL_EXPR`` payloads carry their escape expression in MExpr wire
@@ -242,6 +242,8 @@ def compile_function(specs: MExpr, body: MExpr, evaluator=None) -> CompiledFunct
     function.evaluator = evaluator
     if store is not None and cache_key is not None:
         payload = function.to_payload()
-        if payload is not None:
+        if payload is None:
+            store.decline()
+        else:
             store.put(cache_key, {"kind": "bytecode", "function": payload})
     return function

@@ -19,10 +19,11 @@ warning and re-evaluates through the interpreter with arbitrary precision
 (:mod:`repro.artifacts`, DESIGN.md §11) before running the pipeline: a
 hit re-execs the stored generated module — constant pool, kernel-escape
 expressions, and signature included — with **zero pipeline passes**, and
-a fresh compile stores its artifact for every later process.  Compiles
-that depend on process-local state (embedded ``constants=``, user passes,
-custom type/macro environments, a pass logger, or the verify-each
-sanitizer) bypass the cache.  A cache-restored function carries a
+a fresh compile stores its artifact for every later process.  Embedded
+``constants=`` are part of the key (by content).  Only compiles that are
+uncacheable by definition bypass the cache: user passes, custom
+type/macro environments, a pass logger, the verify-each sanitizer, or a
+non-Python target.  A cache-restored function carries a
 :class:`_CachedProgram` placeholder instead of a TWIR module.
 """
 
@@ -35,7 +36,11 @@ from repro import observe as _observe
 from repro.compiler.codegen.python_backend import PythonBackend, sanitize
 from repro.compiler.macros import MacroEnvironment
 from repro.compiler.options import CompilerOptions
-from repro.compiler.pipeline import CompilerPipeline, UserPass
+from repro.compiler.pipeline import (
+    CompilerPipeline,
+    UserPass,
+    normalize_constants,
+)
 from repro.compiler.types.environment import TypeEnvironment
 from repro.compiler.types.specifier import (
     AtomicType,
@@ -181,10 +186,11 @@ class _CachedProgram:
     """Placeholder for :class:`ProgramModule` on a cache-restored function.
 
     Carries only the main-function name: nothing at run time reads the
-    TWIR module."""
+    TWIR module, and reports that walk ``functions`` find none."""
 
     def __init__(self, main: str):
         self.main = main
+        self.functions: dict = {}
         self.metadata: dict = {"restoredFromCache": True}
 
 
@@ -456,16 +462,17 @@ def _repack(result):
 # -- persistent artifact cache codec (DESIGN.md §11) ------------------------
 
 
-def _cacheable(options, constants, user_passes, type_environment,
+def _cacheable(options, user_passes, type_environment,
                macro_environment) -> bool:
-    """Only compiles fully described by (function, options) are cached.
+    """Only compiles fully described by (function, constants, options)
+    are cached.
 
-    Embedded constants, user passes, and custom type/macro environments
-    are process-local objects the key cannot capture; a pass logger is a
-    side channel; verify-each exists to *run* the pipeline."""
+    User passes and custom type/macro environments are process-local
+    code the key cannot capture; a pass logger is a side channel;
+    verify-each exists to *run* the pipeline; other targets have their
+    own artifacts."""
     return (
         options.target_system == "Python"
-        and not constants
         and not user_passes
         and type_environment is None
         and macro_environment is None
@@ -475,22 +482,22 @@ def _cacheable(options, constants, user_passes, type_environment,
 
 
 def _const_to_wire(value):
+    from repro.artifacts.keys import packed_to_wire
     from repro.mexpr.serialize import to_wire
 
     if isinstance(value, PackedArray):
-        return {"pa": {"e": value.element_type, "d": list(value.dims),
-                       "v": list(value.data)}}
+        return {"pa": packed_to_wire(value)}
     if isinstance(value, MExpr):
         return {"x": to_wire(value)}
     raise TypeError(f"uncacheable constant {type(value).__name__}")
 
 
 def _const_from_wire(payload):
+    from repro.artifacts.keys import packed_from_wire
     from repro.mexpr.serialize import from_wire
 
     if "pa" in payload:
-        spec = payload["pa"]
-        return PackedArray(list(spec["v"]), tuple(spec["d"]), spec["e"])
+        return packed_from_wire(payload["pa"])
     return from_wire(payload["x"])
 
 
@@ -615,9 +622,10 @@ def _function_compile(
         user_passes=user_passes,
     )
     source_function = _as_function(function)
+    constants = normalize_constants(constants)
 
     store = cache_key = None
-    if _cacheable(pipeline.options, constants, user_passes,
+    if _cacheable(pipeline.options, user_passes,
                   type_environment, macro_environment):
         from repro.artifacts import function_key, get_store
 
@@ -626,6 +634,7 @@ def _function_compile(
             cache_key = function_key(
                 source_function, pipeline.options, backend="python",
                 extra={"compiler": CompiledCodeFunction.COMPILER_VERSION},
+                constants=constants,
             )
             if span_record is not None:
                 span_record.args["cache"] = "miss"
@@ -678,7 +687,9 @@ def _function_compile(
     compiled_holder["fn"] = compiled
     if store is not None and cache_key is not None:
         payload = _cache_payload(cache_key, program, compiled, backend)
-        if payload is not None:
+        if payload is None:
+            store.decline()
+        else:
             store.put(cache_key, payload)
     if bind is not None:
         if evaluator is None:

@@ -17,6 +17,7 @@ frequency of array unboxing" optimization of §6.
 
 from __future__ import annotations
 
+import math
 import string
 from typing import Optional
 
@@ -116,6 +117,13 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
         "_kexprs": kernel_expressions,
         "_kernel": kernel_call or _no_kernel,
     }
+
+
+def _float_literal(value: float) -> str:
+    """Source text for a float: ``repr``, except that ``nan``/``inf`` are
+    names no module defines."""
+    text = repr(value)
+    return text if math.isfinite(value) else f"float({text!r})"
 
 
 def execute_module(source: str, name: str, kernel_call,
@@ -511,10 +519,16 @@ class PythonBackend:
             self._line(f"{target} = _consts[{index}]")
             return
         if isinstance(value, complex):
-            self._line(f"{target} = complex({value.real!r}, {value.imag!r})")
+            self._line(
+                f"{target} = complex({_float_literal(value.real)}, "
+                f"{_float_literal(value.imag)})"
+            )
             return
         if value is None:
             self._line(f"{target} = None")
+            return
+        if isinstance(value, float):
+            self._line(f"{target} = {_float_literal(value)}")
             return
         self._line(f"{target} = {value!r}")
 

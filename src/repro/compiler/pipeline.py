@@ -314,7 +314,9 @@ class CompilerPipeline:
         def lower():
             lowerer = Lowerer(name, self.type_environment)
             if constants:
-                lowerer = _with_constants(lowerer, constants)
+                lowerer = _with_constants(
+                    lowerer, normalize_constants(constants)
+                )
             return lowerer.lower(parameters, body)
 
         module = self._timed(f"lower:{name}", lower)
@@ -556,23 +558,32 @@ def _signature_of(function_module: FunctionModule) -> FunctionType:
     return FunctionType(params, result)
 
 
-def _with_constants(lowerer: Lowerer, constants: dict[str, object]) -> Lowerer:
+def normalize_constants(constants: Optional[dict]) -> dict[str, PackedArray]:
+    """The ``constants=`` mapping as named packed arrays — the one object
+    both the artifact key and the lowerer read (idempotent: a
+    :class:`PackedArray` passes through; a flat list is ``Integer64`` when
+    every element is an ``int``, anything else is ``Real64``)."""
+    packed: dict[str, PackedArray] = {}
+    for name, data in (constants or {}).items():
+        if not isinstance(data, PackedArray):
+            data = list(data)
+            kinds = set(map(type, data))
+            if any(issubclass(k, (list, tuple)) for k in kinds):
+                data = PackedArray.from_nested(data, "Real64")
+            else:  # rank 1: the scan above is the only pass over the data
+                integral = all(issubclass(k, int) for k in kinds)
+                data = PackedArray(
+                    data, (len(data),), "Integer64" if integral else "Real64"
+                )
+        packed[name] = data
+    return packed
+
+
+def _with_constants(lowerer: Lowerer, packed: dict[str, PackedArray]) -> Lowerer:
     """Teach the lowerer to resolve named embedded constant arrays (§6
     PrimeQ: 'a 2^14 seed table ... embedded into the compiled code as a
     constant array')."""
     from repro.compiler.types.specifier import CompoundType, TypeLiteral, ty
-
-    packed: dict[str, PackedArray] = {}
-    for name, data in constants.items():
-        if isinstance(data, PackedArray):
-            packed[name] = data
-        else:
-            element = (
-                "Integer64"
-                if all(isinstance(x, int) for x in data)
-                else "Real64"
-            )
-            packed[name] = PackedArray.from_nested(list(data), element)
 
     original = lowerer._lower_symbol
 

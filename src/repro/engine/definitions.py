@@ -23,11 +23,13 @@ its session isolation on.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
+from repro.engine.patterns import pattern_specificity
 from repro.mexpr.atoms import MSymbol
 from repro.mexpr.expr import MExpr
 from repro.observe import trace as _trace
@@ -64,9 +66,15 @@ class DownValue:
     rhs: MExpr
     #: ``True`` for ``:=`` (rhs held until the rule fires), ``False`` for ``=``
     delayed: bool = True
-    #: memoized ``pattern_specificity(lhs)`` (rule ordering is recomputed on
-    #: every insertion; the lhs never mutates, so the score never changes)
+    #: memoized ``pattern_specificity(lhs)`` (the insertion point is found
+    #: by it; the lhs never mutates, so the score never changes)
     specificity: Optional[int] = field(default=None, compare=False, repr=False)
+
+
+def _specificity(down_value: DownValue) -> int:
+    if down_value.specificity is None:
+        down_value.specificity = pattern_specificity(down_value.lhs)
+    return down_value.specificity
 
 
 class DownValueIndex:
@@ -150,6 +158,10 @@ class Definition:
     _index: Optional[DownValueIndex] = field(
         default=None, compare=False, repr=False
     )
+    #: ``(list indexed, lhs -> rule)``; see :meth:`rules_by_lhs`
+    _by_lhs: Optional[tuple[list, dict]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def clear_values(self) -> None:
         self.own_value = None
@@ -159,6 +171,19 @@ class Definition:
 
     def invalidate_index(self) -> None:
         self._index = None
+
+    def rules_by_lhs(self) -> dict[MExpr, DownValue]:
+        """``lhs -> rule`` over ``down_values`` (an lhs occurs at most
+        once), so a definition finds the rule it replaces by one hash
+        lookup.  Rebuilt when another list object was swapped in
+        (``Block`` restore, ``Clear``); :meth:`KernelState.add_down_value`,
+        the only in-place writer, keeps it current."""
+        cached = self._by_lhs
+        if cached is None or cached[0] is not self.down_values:
+            cached = self._by_lhs = (
+                self.down_values, {dv.lhs: dv for dv in self.down_values}
+            )
+        return cached[1]
 
     def dispatch_index(self) -> DownValueIndex:
         """The (lazily rebuilt) dispatch index over ``down_values``.
@@ -297,28 +322,28 @@ class KernelState:
 
     def add_down_value(self, name: str, down_value: DownValue) -> None:
         definition = self.definition(name)
+        rules, by_lhs = definition.down_values, definition.rules_by_lhs()
         # Later identical-lhs definitions replace earlier ones, as in Wolfram.
-        for index, existing in enumerate(definition.down_values):
-            if existing.lhs == down_value.lhs:
-                definition.down_values[index] = down_value
-                definition.invalidate_index()
-                self.touch()
-                return
-        definition.down_values.append(down_value)
-        self._sort_down_values(definition)
+        existing = by_lhs.get(down_value.lhs)
+        if existing is not None:
+            position = next(
+                i for i, rule in enumerate(rules) if rule is existing
+            )
+            rules[position] = down_value
+        else:
+            # more specific rules first (Wolfram pattern ordering, §4.2),
+            # definition order among equals: after the last rule that is
+            # at least as specific
+            rules.insert(
+                bisect.bisect_right(
+                    rules, -_specificity(down_value),
+                    key=lambda rule: -_specificity(rule),
+                ),
+                down_value,
+            )
+        by_lhs[down_value.lhs] = down_value
         definition.invalidate_index()
         self.touch()
-
-    def _sort_down_values(self, definition: Definition) -> None:
-        """Keep more specific rules first (Wolfram pattern ordering, §4.2)."""
-        from repro.engine.patterns import pattern_specificity
-
-        def specificity(down_value: DownValue) -> int:
-            if down_value.specificity is None:
-                down_value.specificity = pattern_specificity(down_value.lhs)
-            return down_value.specificity
-
-        definition.down_values.sort(key=specificity, reverse=True)
 
     def set_attributes(self, name: str, attributes: frozenset[str]) -> None:
         definition = self.definition(name)

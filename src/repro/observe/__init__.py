@@ -33,7 +33,9 @@ event / metric                  emitted by
                                 (``op=`` get/put, ``key=`` digest prefix)
 ``artifact.cache.hits``         persistent-cache outcomes (counters);
                                 ``.misses``, ``.stores``, ``.evictions``,
-                                ``.corrupt`` alongside
+                                ``.corrupt``, ``.unstorable`` (an artifact
+                                with no wire form, recompiled every time)
+                                alongside
 ``server.request`` (span)       one engine-server request, ``session=``,
                                 ``tenant=``
 ``server.requests``             requests received (counter); ``server.ok``,

@@ -17,17 +17,33 @@ import sys
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.artifacts import (
     ArtifactStore,
     bytecode_key,
     function_key,
     get_store,
     runtime_fingerprint,
+    type_from_wire,
+    type_to_wire,
 )
+from repro.benchsuite import programs, reference
 from repro.compiler import FunctionCompile
 from repro.compiler.options import CompilerOptions
+from repro.compiler.pipeline import normalize_constants
+from repro.compiler.types.specifier import (
+    ATOMIC_TYPE_NAMES,
+    AtomicType,
+    CompoundType,
+    FunctionType,
+    TypeLiteral,
+    TypeVariable,
+)
 from repro.mexpr import parse
 from repro.observe import with_tracing
+from repro.runtime.packed import PackedArray
 
 FIB = ('Function[{Typed[n, "MachineInteger"]}, '
        'Module[{a = 0, b = 1, i = 1}, '
@@ -44,6 +60,24 @@ caches_function_compiles = pytest.mark.skipif(
 
 def _pass_spans(tracer) -> list:
     return [e for e in tracer.events if e.name.startswith("pass:")]
+
+
+TABLE_READ = 'Function[{Typed[n, "MachineInteger"]}, Part[myTable, n]]'
+
+
+def _constants_key(constants: dict, source: str = TABLE_READ) -> str:
+    return function_key(parse(source), CompilerOptions(), "python",
+                        constants=normalize_constants(constants))
+
+
+def _primeq_constants() -> dict:
+    return {"primeTable": reference.prime_sieve_bitmap(),
+            "witnesses": programs.RM_WITNESSES}
+
+
+def _only_digest(store) -> str:
+    (path, _, _), = store._entries()
+    return os.path.basename(path)[:-len(".json")]
 
 
 # -- keys --------------------------------------------------------------------
@@ -85,6 +119,65 @@ class TestKeys:
         assert bytecode_key(specs, body, (1, 2, 3)) != \
             bytecode_key(specs, body, (1, 2, 4))
 
+    def test_constants_are_keyed_by_content(self):
+        table = reference.prime_sieve_bitmap()  # the 2^14-entry §6 table
+        base = _constants_key({"myTable": table})
+        edited = list(table)
+        edited[9001] ^= 1
+        assert len({
+            base,
+            _constants_key({}),
+            _constants_key({"myTable": edited}),  # one element of 16 384
+            _constants_key({"myTable": [float(x) for x in table]}),
+            _constants_key({"otherTable": table}),  # renamed
+            _constants_key({"myTable": [0.0]}), _constants_key({"myTable": [-0.0]}),
+            _constants_key({"myTable": [1]}), _constants_key({"myTable": [True]}),
+            _constants_key({"myTable": [2 ** 70]}),  # no int64 buffer
+            _constants_key({"myTable": [[1, 2], [3, 4]]}),
+            _constants_key({"myTable": [[1, 2, 3, 4]]}),  # same data, dims
+        }) == 12
+
+    def test_constant_spelling_and_order_do_not_matter(self):
+        packed = PackedArray([10, 20, 30], (3,), "Integer64")
+        assert _constants_key({"myTable": [10, 20, 30]}) == \
+            _constants_key({"myTable": (10, 20, 30)}) == \
+            _constants_key({"myTable": packed})
+        assert _constants_key({"a": [1], "myTable": [2.5]}) == \
+            _constants_key({"myTable": [2.5], "a": [1]})
+
+    def test_normalize_constants_is_idempotent(self):
+        once = normalize_constants({"t": [1, 2], "u": [1, 2.5], "e": []})
+        assert [(a.element_type, a.dims, a.data) for a in once.values()] == [
+            ("Integer64", (2,), [1, 2]), ("Real64", (2,), [1, 2.5]),
+            ("Integer64", (0,), []),
+        ]
+        again = normalize_constants(once)
+        assert all(again[name] is once[name] for name in once)
+        assert normalize_constants(None) == {}
+
+    @given(st.recursive(
+        st.sampled_from(sorted(ATOMIC_TYPE_NAMES)).map(AtomicType)
+        | st.builds(TypeLiteral, st.integers(-3, 9),
+                    st.sampled_from(["Integer64", "MachineInteger"])),
+        lambda inner: st.builds(
+            CompoundType, st.sampled_from(["Tensor", "List", "Complex"]),
+            st.lists(inner, max_size=3).map(tuple))
+        | st.builds(FunctionType, st.lists(inner, max_size=3).map(tuple),
+                    inner),
+        max_leaves=8,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_signature_types_round_trip(self, type_):
+        wire = json.loads(json.dumps(type_to_wire(type_)))
+        assert type_from_wire(wire) == type_
+
+    def test_unknown_specifier_class_fails_loudly(self):
+        with pytest.raises(TypeError):
+            type_to_wire(FunctionType((TypeVariable("a"),),
+                                      AtomicType("Integer64")))
+        with pytest.raises(ValueError):
+            type_from_wire({"z": 1})
+
     def test_runtime_fingerprint_is_stable_hex(self):
         assert runtime_fingerprint() == runtime_fingerprint()
         assert len(runtime_fingerprint()) == 64
@@ -104,13 +197,14 @@ class TestStore:
         assert store.evict(digest) and store.get(digest) is None
         assert store.stats == {
             "hits": 1, "misses": 2, "stores": 1,
-            "evictions": 1, "corrupt": 0,
+            "evictions": 1, "corrupt": 0, "unstorable": 0,
         }
 
-    def test_unserializable_entry_declined(self, tmp_path):
+    def test_unserializable_entry_declined_and_counted(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         assert store.put("cd" * 32, {"bad": object()}) is None
         assert store.stats["stores"] == 0
+        assert store.stats["unstorable"] == 1
 
     def test_lru_cap_evicts_oldest_not_newest(self, tmp_path):
         store = ArtifactStore(str(tmp_path), max_bytes=400)
@@ -180,13 +274,140 @@ class TestFunctionCompileCache:
         assert artifact_cache.stats["hits"] == 0
         assert artifact_cache.stats["stores"] == 2
 
-    def test_constants_bypass_cache(self, artifact_cache):
-        source = ('Function[{Typed[n, "MachineInteger"]}, '
-                  'Part[myTable, n]]')
-        FunctionCompile(source, constants={"myTable": [10, 20, 30]})
-        FunctionCompile(source, constants={"myTable": [10, 20, 30]})
-        assert artifact_cache.stats["stores"] == 0
+    @caches_function_compiles
+    def test_same_constants_store_once_then_hit(self, artifact_cache):
+        cold = FunctionCompile(TABLE_READ, constants={"myTable": [10, 20, 30]})
+        with with_tracing() as tracer:
+            warm = FunctionCompile(
+                TABLE_READ,
+                constants={"myTable": PackedArray([10, 20, 30], (3,),
+                                                  "Integer64")},
+            )
+        assert _pass_spans(tracer) == []
+        assert artifact_cache.stats["stores"] == 1
+        assert artifact_cache.stats["hits"] == 1
+        assert [cold(i) for i in (1, 2, 3)] == [warm(i) for i in (1, 2, 3)] \
+            == [10, 20, 30]
+
+    @caches_function_compiles
+    def test_changed_constants_never_serve_a_stale_artifact(
+        self, artifact_cache
+    ):
+        variants = [[10, 20, 30], [10, 21, 30], [10.0, 20.0, 30.0]]
+        for table in variants:
+            fn = FunctionCompile(TABLE_READ, constants={"myTable": table})
+            assert fn(2) == table[1] and type(fn(2)) is type(table[1])
+        assert artifact_cache.stats["stores"] == 3
         assert artifact_cache.stats["hits"] == 0
+
+    @pytest.mark.parametrize("table", [
+        [],  # empty: no element buffer
+        [-2 ** 63, 2 ** 63 - 1],
+        [0.0, -0.0, float("inf"), float("nan")],
+        [1, 2.5],  # mixed: spelled element by element
+        [True, False],
+        [[1.5, 2.5], [3.5, 4.5]],
+    ], ids=["empty", "int64-extremes", "signed-zero-nan", "mixed", "bool",
+            "rank2"])
+    def test_constant_pool_codec_is_exact(self, table):
+        from repro.artifacts.keys import packed_from_wire, packed_to_wire
+
+        original = normalize_constants({"myTable": table})["myTable"]
+        wire = json.loads(json.dumps(packed_to_wire(original)))
+        restored = packed_from_wire(wire)
+        assert restored.element_type == original.element_type
+        assert restored.dims == original.dims
+        assert list(map(repr, restored.data)) == list(map(repr, original.data))
+        complex_pool = PackedArray([1 + 2j, -0.0 + 0j], (2,), "ComplexReal64")
+        assert packed_from_wire(packed_to_wire(complex_pool)).data == \
+            complex_pool.data
+
+    @caches_function_compiles
+    def test_large_pool_is_one_buffer_and_corruption_recompiles(
+        self, artifact_cache
+    ):
+        from repro.testing import corrupt_artifact
+
+        limit = 2000
+        expected = reference.primeq_count_c_port(
+            limit, reference.prime_sieve_bitmap()
+        )
+        FunctionCompile(programs.NEW_PRIMEQ, constants=_primeq_constants())
+        digest = _only_digest(artifact_cache)
+        pools = [c["pa"] for c in artifact_cache.get(digest)["consts"]
+                 if "pa" in c]
+        # one deflated buffer per array, never a 16 384-element JSON list
+        assert all("b" in p and "v" not in p for p in pools)
+        assert os.path.getsize(artifact_cache._object_path(digest)) < 64_000
+        corrupt_artifact(artifact_cache, digest, "truncate")
+        warm = FunctionCompile(programs.NEW_PRIMEQ,
+                               constants=_primeq_constants())
+        assert warm(limit) == expected
+        assert artifact_cache.stats["corrupt"] == 1
+        assert artifact_cache.stats["evictions"] == 1
+        assert artifact_cache.stats["stores"] == 2
+        # a decodable envelope around an undecodable pool: evict, recompile
+        entry = artifact_cache.get(digest)
+        for const in entry["consts"]:
+            if "b" in const.get("pa", {}):
+                const["pa"]["b"] = const["pa"]["b"][:-3]
+        artifact_cache.put(digest, entry)
+        again = FunctionCompile(programs.NEW_PRIMEQ,
+                                constants=_primeq_constants())
+        assert again(limit) == expected
+        assert artifact_cache.stats["evictions"] == 2
+        assert artifact_cache.stats["stores"] == 4
+
+    @caches_function_compiles
+    def test_function_typed_parameter_hits(self, artifact_cache):
+        cold = FunctionCompile(programs.NEW_QSORT)
+        with with_tracing() as tracer:
+            warm = FunctionCompile(programs.NEW_QSORT)
+        assert _pass_spans(tracer) == []
+        assert artifact_cache.stats["hits"] == 1
+        assert warm.signature == cold.signature
+        assert isinstance(warm.signature.params[1], FunctionType)
+        data = [5, 3, 9, 1]
+        assert warm(data, lambda a, b: a > b).to_nested() == [9, 5, 3, 1]
+
+    @caches_function_compiles
+    def test_unstorable_compile_is_counted_and_shown(
+        self, artifact_cache, monkeypatch
+    ):
+        import io
+
+        from repro.__main__ import batch
+        from repro.compiler import api
+
+        def no_wire_form(value):
+            raise TypeError("no wire form")
+
+        monkeypatch.setattr(api, "_const_to_wire", no_wire_form)
+        with with_tracing() as tracer:
+            fn = FunctionCompile(TABLE_READ, constants={"myTable": [7]})
+        assert fn(1) == 7
+        assert artifact_cache.stats["unstorable"] == 1
+        assert artifact_cache.stats["stores"] == 0
+        assert tracer.metrics.counters["artifact.cache.unstorable"] == 1
+        out = io.StringIO()
+        batch(["1 + 1"], show_stats=True, output=out)
+        assert "1 unstorable" in out.getvalue()
+
+    @caches_function_compiles
+    def test_stats_report_survives_a_cache_restored_function(
+        self, artifact_cache
+    ):
+        import io
+
+        from repro.__main__ import batch
+
+        line = f"cf = FunctionCompile[{FIB}]; cf[10]"
+        for expected in ("0 hits, 1 misses, 1 stores", "1 hits, 0 misses"):
+            out = io.StringIO()
+            artifact_cache.stats.update(dict.fromkeys(artifact_cache.stats, 0))
+            assert batch([line], show_stats=True, output=out) == 0
+            assert "Out[1]= 55" in out.getvalue()
+            assert f"artifact cache: {expected}" in out.getvalue()
 
     @caches_function_compiles
     def test_corrupted_entry_recompiles_transparently(self, artifact_cache):
@@ -286,6 +507,89 @@ class TestCrossProcess:
         assert second["stats"]["hits"] == 1
         assert second["passes"] == 0  # zero pipeline passes, new process
         assert first["result"] == second["result"] == 832040
+
+
+    @caches_function_compiles
+    def test_child_fills_the_store_parent_hits_primeq_and_qsort(
+        self, tmp_path, monkeypatch
+    ):
+        child = (
+            "from repro.benchsuite import programs, reference\n"
+            "from repro.compiler import FunctionCompile\n"
+            "from repro.artifacts import get_store\n"
+            "FunctionCompile(programs.NEW_PRIMEQ, constants={\n"
+            "    'primeTable': reference.prime_sieve_bitmap(),\n"
+            "    'witnesses': programs.RM_WITNESSES})\n"
+            "FunctionCompile(programs.NEW_QSORT)\n"
+            "print(get_store().stats['stores'])\n"
+        )
+        cache = str(tmp_path / "cache")
+        env = dict(os.environ, REPRO_ARTIFACT_CACHE=cache, PYTHONPATH=(
+            os.path.dirname(os.path.dirname(
+                os.path.abspath(sys.modules["repro"].__file__)))
+        ))
+        proc = subprocess.run([sys.executable, "-c", child],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
+
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", cache)
+        with with_tracing() as tracer:
+            primeq = FunctionCompile(programs.NEW_PRIMEQ,
+                                     constants=_primeq_constants())
+            qsort = FunctionCompile(programs.NEW_QSORT)
+        assert _pass_spans(tracer) == []  # zero pipeline passes, both
+        limit = 19_000  # the layered benchmark's PrimeQ input
+        assert primeq(limit) == reference.primeq_count_c_port(
+            limit, reference.prime_sieve_bitmap()
+        )
+        data = [(i * 7919) % 1000 for i in range(500)]
+        assert qsort(data, lambda a, b: a < b).to_nested() == sorted(data)
+
+
+# -- no silent holes ---------------------------------------------------------
+
+
+def _shipped_programs() -> list:
+    """Every ``repro.benchsuite`` / ``examples/programs`` function the
+    new compiler builds, with the keyword arguments its compile needs."""
+    shipped = [
+        (name, getattr(programs, name), {})
+        for name in sorted(vars(programs))
+        if name.startswith("NEW_")
+    ]
+    shipped.append(("ITERATIVE_FIB", programs.ITERATIVE_FIB, {}))
+    examples = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", "programs")
+    for name in sorted(os.listdir(examples)):
+        with open(os.path.join(examples, name), encoding="utf-8") as handle:
+            shipped.append((name, handle.read(), {}))
+    return shipped
+
+
+class TestNoSilentHoles:
+    """The next unserialisable type or constant fails here, instead of
+    costing a whole pipeline run per call forever."""
+
+    @caches_function_compiles
+    @pytest.mark.parametrize(
+        "source,keywords",
+        [pytest.param(source, keywords, id=name)
+         for name, source, keywords in _shipped_programs()],
+    )
+    def test_every_shipped_program_hits_the_second_time(
+        self, artifact_cache, source, keywords
+    ):
+        if "primeTable" in source:
+            keywords = {"constants": _primeq_constants()}
+        FunctionCompile(source, **keywords)
+        with with_tracing() as tracer:
+            FunctionCompile(source, **keywords)
+        assert artifact_cache.stats["unstorable"] == 0
+        assert artifact_cache.stats["stores"] == 1
+        assert artifact_cache.stats["hits"] == 1
+        assert _pass_spans(tracer) == []
 
 
 # -- AOT warm images ---------------------------------------------------------

@@ -207,6 +207,25 @@ class TestLibraryExport:
         main = LibraryFunctionLoad(path)
         assert main(2) == 20
 
+    def test_folded_non_finite_constants_are_valid_source(self):
+        # Part[constant, literal] folds to a float constant; nan/inf are
+        # not names the generated module defines
+        import math
+
+        from repro.compiler import FunctionCompile
+
+        table = [float("nan"), float("inf"), float("-inf"), -0.0]
+        values = [
+            FunctionCompile(
+                f'Function[{{Typed[i, "MachineInteger"]}}, lookup[[{k}]]]',
+                constants={"lookup": table},
+            )(0)
+            for k in (1, 2, 3, 4)
+        ]
+        assert math.isnan(values[0])
+        assert values[1:3] == [math.inf, -math.inf]
+        assert math.copysign(1.0, values[3]) == -1.0
+
     def test_ir_export(self):
         text = FunctionCompileExportString(LOOP_FN, "IR")
         assert "Main" in text and "Phi" in text

@@ -1,13 +1,16 @@
 """The differential oracle (repro.analyze.differ): generator determinism,
 three-tier agreement, mismatch shrinking, the boundary-value elision
-mode (checks elided vs kept), and the CI smoke entry points."""
+mode (checks elided vs kept), the constants mode (embedded tables, cache
+miss vs hit vs interpreter), and the CI smoke entry points."""
 
 import pytest
 
 from repro.analyze import (
+    ConstantsOracle,
     DifferentialOracle,
     ElisionOracle,
     run_boundary_differential,
+    run_constants_differential,
     run_differential,
 )
 from repro.analyze.differ import (
@@ -18,6 +21,7 @@ from repro.analyze.differ import (
     BOUNDARY_INTEGERS,
     INT64_MAX,
 )
+from repro.compiler.options import CompilerOptions
 import random
 
 
@@ -213,6 +217,102 @@ class TestElisionOracle:
         assert report.mismatches
         files = list(tmp_path.glob("boundary-seed0-*.json"))
         assert len(files) == len(report.mismatches)
+
+
+class TestConstantsOracle:
+    """Embedded-constant programs: interpreter = cache miss = cache hit,
+    for both tables of every one-element-apart pair."""
+
+    #: the sensitivity tests need compiles to reach the store
+    needs_cache = pytest.mark.skipif(
+        CompilerOptions().verify_ir != "off",
+        reason="REPRO_VERIFY_IR bypasses the FunctionCompile artifact cache",
+    )
+
+    def test_same_seed_same_cases(self):
+        first, second = ConstantsOracle(seed=4), ConstantsOracle(seed=4)
+        assert [repr(first.case()) for _ in range(20)] == \
+            [repr(second.case()) for _ in range(20)]
+
+    def test_pairs_differ_and_cover_the_boundary_tables(self):
+        oracle = ConstantsOracle(seed=1)
+        cases = [oracle.case() for _ in range(300)]
+        assert all(repr(table) != repr(variant)
+                   for _, _, table, variant in cases)
+        tables = {repr(table) for _, _, table, _ in cases}
+        assert {"[]", "[7]", "[0.0, -0.0, 1.5]", "[nan, inf, -0.0]",
+                f"[{-INT64_MAX - 1}, {INT64_MAX}, 0, -1]"} <= tables
+
+    def test_constant_programs_agree_and_leave_no_store_behind(self):
+        from repro.artifacts.store import active_override
+
+        before = active_override()
+        report = ConstantsOracle(seed=13).run(count=40)
+        assert report.ok(), [m.to_dict() for m in report.mismatches]
+        assert report.attempted == 40
+        assert "cache miss and cache hit" in report.summary()
+        assert active_override() is before
+
+    @needs_cache
+    def test_key_that_ignores_constants_is_detected(self, monkeypatch):
+        from repro.artifacts import keys
+
+        monkeypatch.setattr(keys, "constants_digest", lambda constants: "x")
+        report = ConstantsOracle(seed=0).run(count=40)
+        assert report.mismatches, "a stale artifact went unnoticed"
+        results = report.mismatches[0].results
+        # the variant's compiles were served the first table's artifact
+        assert repr(results["variant:miss"]) == repr(results["table:hit"])
+
+    @needs_cache
+    def test_codec_that_drops_the_sign_of_zero_is_detected(self, monkeypatch):
+        from repro.artifacts import keys
+
+        exact = keys.packed_from_wire
+
+        def lossy(wire):
+            array = exact(wire)
+            array.data = [value + 0 for value in array.data]
+            return array
+
+        monkeypatch.setattr(keys, "packed_from_wire", lossy)
+        report = ConstantsOracle(seed=0).run(count=120)
+        assert report.mismatches
+        results = report.mismatches[0].results
+        assert "-0.0" in {repr(results["table:miss"]),
+                          repr(results["variant:miss"])}
+
+    @needs_cache
+    def test_artifacts_written(self, tmp_path, monkeypatch):
+        from repro.artifacts import keys
+
+        monkeypatch.setattr(keys, "constants_digest", lambda constants: "x")
+        monkeypatch.setenv("REPRO_DIFF_ARTIFACTS", str(tmp_path))
+        monkeypatch.setenv("REPRO_DIFF_COUNT", "30")
+        report = run_constants_differential(seed=0)
+        assert report.mismatches
+        files = list(tmp_path.glob("constants-seed0-*.json"))
+        assert len(files) == len(report.mismatches)
+
+
+@pytest.mark.differential
+class TestConstantsCiSmoke:
+    """Rides in the static-analysis job's differential smoke step: table
+    pairs through interpreter, cache miss and cache hit, zero divergences
+    (a handful of seconds of its 60 s budget)."""
+
+    def test_constant_table_pairs_agree(self):
+        report = run_constants_differential(
+            count=300, seed=0, time_budget=15.0
+        )
+        assert report.ok(), [m.to_dict() for m in report.mismatches]
+        assert report.attempted >= 200
+
+    def test_alternate_seed_agrees(self):
+        report = run_constants_differential(
+            count=150, seed=20260927, time_budget=10.0
+        )
+        assert report.ok(), [m.to_dict() for m in report.mismatches]
 
 
 @pytest.mark.differential

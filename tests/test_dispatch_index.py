@@ -162,3 +162,120 @@ class TestSpecificityCache:
         index = _index_of(session, "big")
         # literal dispatch looks at 2 candidates, not 301
         assert len(list(index.candidates(parse("big[250]")))) == 2
+
+
+class TestInsertion:
+    """``add_down_value`` finds the rule it replaces by one hash lookup and
+    its insertion point by bisection — the same order a stable
+    sort-by-specificity of the definition sequence gives, without the
+    quadratic scan-and-resort."""
+
+    def test_lhs_comparisons_are_linear_in_the_rule_count(
+        self, session, monkeypatch
+    ):
+        from repro.engine.definitions import DownValue
+        from repro.engine.patterns import pattern_specificity
+        from repro.mexpr.expr import MExpr
+
+        rules = [DownValue(parse(f"table[{i}]"), parse(str(i)))
+                 for i in range(2000)]
+        comparisons = specificities = 0
+        real_eq = MExpr.__eq__
+
+        def counting_eq(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return real_eq(self, other)
+
+        def counting_specificity(pattern):
+            nonlocal specificities
+            specificities += 1
+            return pattern_specificity(pattern)
+
+        monkeypatch.setattr(MExpr, "__eq__", counting_eq)
+        monkeypatch.setattr("repro.engine.definitions.pattern_specificity",
+                            counting_specificity)
+        for rule in rules:
+            session.state.add_down_value("table", rule)
+        for rule in rules[::2]:  # redefinitions: one equality test each
+            session.state.add_down_value(
+                "table", DownValue(rule.lhs, parse("0"))
+            )
+        monkeypatch.undo()
+        # the scan-and-resort this replaces made 1 999 000 comparisons
+        assert comparisons <= 2 * 3000
+        assert specificities == 2000  # once per new lhs, never re-derived
+        stored = session.state.lookup("table").down_values
+        assert [dv.lhs for dv in stored] == [rule.lhs for rule in rules]
+        assert session.run("table[1998]").to_python() == 0
+        assert session.run("table[1999]").to_python() == 1999
+
+    def test_order_matches_a_stable_sort_by_specificity(self, session):
+        from repro.engine.patterns import pattern_specificity
+
+        sources = ["o[x_]", "o[1]", "o[x_Integer]", "o[xs__]", "o[2]",
+                   "o[x_, y_]", "o[x_Real]", "o[3, y_]", "o[x_ /; x > 0]",
+                   "o[{a_, b_}]", "o[x_?NumberQ]", "o[]", "o[4]", "o[y_]"]
+        for position, source in enumerate(sources):
+            session.run(f"{source} := {position}")
+        lhs = [parse(source) for source in sources]
+        expected = sorted(lhs, key=pattern_specificity, reverse=True)
+        stored = session.state.lookup("o").down_values
+        assert [full_form(dv.lhs) for dv in stored] == \
+            [full_form(pattern) for pattern in expected]
+        assert [dv.specificity for dv in stored] == \
+            [pattern_specificity(dv.lhs) for dv in stored]
+
+    def test_redefinition_keeps_position_and_count(self, session):
+        session.run("r[0] = 1")
+        session.run("r[1] = 2")
+        session.run("r[n_] := 3")
+        before = [full_form(dv.lhs)
+                  for dv in session.state.lookup("r").down_values]
+        session.run("r[0] = 10")
+        session.run("r[n_] := 30")
+        definition = session.state.lookup("r")
+        assert [full_form(dv.lhs) for dv in definition.down_values] == before
+        assert session.run("{r[0], r[1], r[2]}").to_python() == [10, 2, 30]
+        session.run("r[2] = 5")  # a new rule lands after a replaced one
+        assert session.run("{r[0], r[1], r[2]}").to_python() == [10, 2, 5]
+
+    def test_block_restore_forgets_rules_defined_inside(self, session):
+        session.run("b[0] = 1")
+        session.run("b[n_] := 2")
+        assert session.run(
+            "Block[{b}, b[0] = 7; b[5] = 8; {b[0], b[5]}]"
+        ).to_python() == [7, 8]
+        # b[5] was only ever defined inside the Block: defining it now is
+        # an insertion, and b[0] = 9 replaces the *restored* rule
+        session.run("b[5] = 50")
+        session.run("b[0] = 9")
+        rules = session.state.lookup("b").down_values
+        assert [full_form(dv.lhs) for dv in rules] == \
+            ["b[0]", "b[5]", "b[Pattern[n, Blank[]]]"]
+        assert session.run("{b[0], b[5], b[6]}").to_python() == [9, 50, 2]
+
+    def test_clear_then_redefine_starts_from_empty(self, session):
+        session.run("c[0] = 1")
+        session.run("Clear[c]")
+        session.run("c[0] = 2")
+        assert len(session.state.lookup("c").down_values) == 1
+        assert session.run("c[0]").to_python() == 2
+
+    def test_overlay_insert_never_touches_the_shared_base(self):
+        from repro.server import BaseImage
+
+        base = BaseImage(prelude=("k[0] = 1", "k[n_] := 2"))
+        shared = base.definitions["k"]
+        shared_rules = list(shared.down_values)
+        a = Evaluator(state=base.create_state())
+        b = Evaluator(state=base.create_state())
+        a.run("k[0] = 10")
+        a.run("k[1] = 11")
+        assert a.run("{k[0], k[1], k[2]}").to_python() == [10, 11, 2]
+        assert b.run("{k[0], k[1], k[2]}").to_python() == [1, 2, 2]
+        assert shared.down_values == shared_rules
+        assert all(x is y for x, y in zip(shared.down_values, shared_rules))
+        # the base's own lhs map (built while warming) still names its rules
+        assert list(map(id, shared.rules_by_lhs().values())) == \
+            list(map(id, shared_rules))

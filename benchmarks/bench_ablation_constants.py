@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.benchsuite import programs, reference
+from repro.benchsuite import best_of, programs, reference
 from repro.compiler import FunctionCompile
-from repro.perflab import stats
 
 
 @pytest.fixture(scope="module")
@@ -30,27 +29,17 @@ def _compiled(table, handling: str):
     )
 
 
-def test_primeq_hoisted_constants(benchmark, setup):
-    limit, table = setup
-    benchmark(_compiled(table, "hoisted"), limit)
-
-
-def test_primeq_naive_constants(benchmark, setup):
-    limit, table = setup
-    benchmark(_compiled(table, "naive"), limit)
-
-
 def test_constant_handling_ablation(setup, capsys):
     limit, table = setup
     hoisted = _compiled(table, "hoisted")
     naive = _compiled(table, "naive")
-    assert hoisted(limit) == naive(limit)
     # the naive version re-builds the table per call: visible in the source
     assert "list(_consts[" in naive.generated_source
     assert "list(_consts[" not in hoisted.generated_source
 
-    t_hoisted = stats.best_of(hoisted, limit)
-    t_naive = stats.best_of(naive, limit)
+    t_hoisted, count_hoisted = best_of(hoisted, limit)
+    t_naive, count_naive = best_of(naive, limit)
+    assert count_hoisted == count_naive
     with capsys.disabled():
         print(f"\nConstant-array handling (PrimeQ): hoisted "
               f"{t_hoisted*1000:.1f}ms, naive {t_naive*1000:.1f}ms "

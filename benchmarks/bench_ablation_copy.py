@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchsuite import best_of, programs
 from repro.benchsuite import data as workloads
-from repro.benchsuite import programs
 from repro.compiler import FunctionCompile
-from repro.perflab import stats
 from repro.runtime import PackedArray
 
 
@@ -26,23 +25,6 @@ def _less(a, b):
 @pytest.fixture(scope="module")
 def qsort_input(sizes):
     return workloads.presorted_list(sizes.qsort_length)
-
-
-def test_qsort_with_copy(benchmark, qsort_input):
-    compiled = FunctionCompile(programs.NEW_QSORT)
-    benchmark(compiled, qsort_input, _less)
-
-
-def test_qsort_in_place(benchmark, qsort_input):
-    compiled = FunctionCompile(
-        programs.NEW_QSORT, CopyInsertion=False, ArgumentAlias=True
-    )
-
-    def run():
-        packed = PackedArray.from_nested(list(qsort_input), "Integer64")
-        return compiled(packed, _less)
-
-    benchmark(run)
 
 
 def test_copy_ablation_factor(qsort_input, capsys):
@@ -58,9 +40,11 @@ def test_copy_ablation_factor(qsort_input, capsys):
     in_place(packed, _less)
     assert packed.to_nested() == sorted(qsort_input)
 
-    t_copy = stats.best_of(lambda: with_copy(qsort_input, _less))
+    # millisecond calls and a factor near 1: the minimum needs more than
+    # three repeats to shake off a neighbour's CPU burst
+    t_copy, _ = best_of(with_copy, qsort_input, _less, repeats=15)
     fresh = PackedArray.from_nested(list(qsort_input), "Integer64")
-    t_in_place = stats.best_of(lambda: in_place(fresh, _less))
+    t_in_place, _ = best_of(in_place, fresh, _less, repeats=15)
     factor = t_copy / t_in_place
     with capsys.disabled():
         print(f"\nF5 copy cost (QSort): with copy {t_copy*1000:.1f}ms, "

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchsuite import best_of, programs, reference
 from repro.benchsuite import data as workloads
-from repro.benchsuite import programs, reference
 from repro.compiler import FunctionCompile
-from repro.perflab import stats
 
 
 @pytest.fixture(scope="module")
@@ -29,25 +28,14 @@ def _drive(kernel, points):
     return total
 
 
-def test_mandelbrot_inlined(benchmark, points):
-    compiled = FunctionCompile(programs.NEW_MANDELBROT)
-    benchmark(_drive, compiled, points)
-
-
-def test_mandelbrot_no_inlining(benchmark, points):
-    compiled = FunctionCompile(programs.NEW_MANDELBROT, InlinePolicy=None)
-    benchmark(_drive, compiled, points)
-
-
 def test_inlining_ablation_factor(points, capsys):
     """Shape target: no-inline is substantially slower (paper: ~10× vs C)."""
     inlined = FunctionCompile(programs.NEW_MANDELBROT)
     no_inline = FunctionCompile(programs.NEW_MANDELBROT, InlinePolicy=None)
-    assert _drive(inlined, points) == _drive(no_inline, points)
-
-    t_in = stats.best_of(_drive, inlined, points)
-    t_out = stats.best_of(_drive, no_inline, points)
-    t_c = stats.best_of(_drive, reference.mandelbrot_point, points)
+    t_in, total_in = best_of(_drive, inlined, points)
+    t_out, total_out = best_of(_drive, no_inline, points)
+    t_c, total_c = best_of(_drive, reference.mandelbrot_point, points)
+    assert total_in == total_out == total_c
 
     with capsys.disabled():
         print(f"\nInlining ablation (Mandelbrot): reference {t_c*1000:.1f}ms,"

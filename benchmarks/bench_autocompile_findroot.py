@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchsuite import best_of
 from repro.compiler import disable_auto_compilation, enable_auto_compilation
 from repro.engine import Evaluator
 from repro.mexpr import parse
-from repro.perflab import stats
 
-EQUATION = "FindRoot[Sin[x] + E^x, {x, 0}]"
 HARDER = "FindRoot[Cos[x]*Exp[x] - x*x + Sin[3.0*x], {x, 0.5}]"
-
-
-@pytest.fixture()
-def fresh_evaluator():
-    return Evaluator()
 
 
 def _solve_many(evaluator, source: str, repetitions: int = 30):
@@ -31,31 +25,6 @@ def _solve_many(evaluator, source: str, repetitions: int = 30):
     return result
 
 
-def test_findroot_interpreted(benchmark, fresh_evaluator):
-    disable_auto_compilation(fresh_evaluator)
-    benchmark(_solve_many, fresh_evaluator, EQUATION, 5)
-
-
-def test_findroot_autocompiled(benchmark, fresh_evaluator):
-    enable_auto_compilation(fresh_evaluator)
-    _solve_many(fresh_evaluator, EQUATION, 1)  # warm the compile cache
-    benchmark(_solve_many, fresh_evaluator, EQUATION, 5)
-
-
-def test_nminimize_autocompiled(benchmark, fresh_evaluator):
-    """§1 names NMinimize alongside FindRoot as an auto-compiling solver."""
-    enable_auto_compilation(fresh_evaluator)
-    program = "NMinimize[Sin[x] + x*x/10.0, {x, -4, 4}]"
-    _solve_many(fresh_evaluator, program, 1)  # warm the compile cache
-    benchmark(_solve_many, fresh_evaluator, program, 3)
-
-
-def test_nminimize_interpreted(benchmark, fresh_evaluator):
-    disable_auto_compilation(fresh_evaluator)
-    benchmark(_solve_many, fresh_evaluator,
-              "NMinimize[Sin[x] + x*x/10.0, {x, -4, 4}]", 1)
-
-
 def test_autocompile_speedup_factor(capsys):
     """The paper reports 1.6×; we assert >1 and print our factor."""
     interpreted = Evaluator()
@@ -64,8 +33,8 @@ def test_autocompile_speedup_factor(capsys):
     enable_auto_compilation(compiled)
     _solve_many(compiled, HARDER, 1)  # compile outside the timed region
 
-    t_interp = stats.best_of(_solve_many, interpreted, HARDER, 10)
-    t_compiled = stats.best_of(_solve_many, compiled, HARDER, 10)
+    t_interp, root_interp = best_of(_solve_many, interpreted, HARDER, 10)
+    t_compiled, root_compiled = best_of(_solve_many, compiled, HARDER, 10)
     factor = t_interp / t_compiled
     with capsys.disabled():
         print(f"\nFindRoot auto-compilation speedup: {factor:.2f}x "
@@ -73,6 +42,6 @@ def test_autocompile_speedup_factor(capsys):
     assert factor > 1.0
 
     # both agree on the root
-    a = interpreted.evaluate(parse(HARDER)).args[0].args[1].to_python()
-    b = compiled.evaluate(parse(HARDER)).args[0].args[1].to_python()
+    a = root_interp.args[0].args[1].to_python()
+    b = root_compiled.args[0].args[1].to_python()
     assert a == pytest.approx(b)

@@ -1,251 +1,19 @@
-"""Figure 2 (§6): the seven benchmarks, every tier, plus the paper-style
+"""Figure 2 (§6): the seven benchmarks on every tier, as the paper-style
 normalized table.
 
-Run: ``pytest benchmarks/bench_figure2.py --benchmark-only -q``
+Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_figure2.py -q -s``
 
-Per-benchmark pytest-benchmark timings cover the hand-optimized reference
-("C" stand-in), the new compiler, and the bytecode compiler; the final test
-prints the Figure-2 row layout (normalized to the reference, bytecode
-display-capped at 2.5 with the actual slowdown annotated, QSort reported
-unsupported for bytecode).
+``Figure2Harness`` times the hand-optimized reference ("C" stand-in), the
+new compiler and the bytecode compiler on identical inputs and checks the
+answers agree; the test prints the Figure-2 row layout (normalized to the
+reference, bytecode display-capped at 2.5 with the actual slowdown
+annotated, QSort reported unsupported for bytecode).  ``bench/run.py
+--workload kernels_hot`` is the measurement of record for the
+new-compiler column; this table is the only place the bytecode column is
+timed on all seven kernels.
 """
 
 from __future__ import annotations
-
-import pytest
-
-from repro.benchsuite import data as workloads
-from repro.benchsuite import programs, reference
-from repro.bytecode import compile_function
-from repro.compiler import FunctionCompile
-from repro.mexpr import parse
-
-
-# -- FNV1a ---------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def fnv_inputs(sizes):
-    text = workloads.fnv_string(sizes.fnv_length)
-    return text, list(text.encode("utf-8"))
-
-
-def test_fnv1a_reference(benchmark, fnv_inputs):
-    text, _codes = fnv_inputs
-    benchmark(reference.fnv1a_c_port, text)
-
-
-def test_fnv1a_new_compiler(benchmark, fnv_inputs):
-    text, _codes = fnv_inputs
-    compiled = FunctionCompile(programs.NEW_FNV1A)
-    assert compiled(text) == reference.fnv1a_c_port(text)
-    benchmark(compiled, text)
-
-
-def test_fnv1a_bytecode(benchmark, fnv_inputs, evaluator):
-    """§6: the bytecode tier uses the int64 character-code workaround."""
-    text, codes = fnv_inputs
-    compiled = compile_function(
-        parse(programs.BYTECODE_FNV1A_SPECS),
-        parse(programs.BYTECODE_FNV1A_BODY),
-        evaluator,
-    )
-    assert compiled(codes) == reference.fnv1a_c_port(text)
-    benchmark(compiled, codes)
-
-
-# -- Mandelbrot -------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def mandel_points(sizes):
-    return workloads.mandelbrot_points(sizes.mandel_resolution)
-
-
-def _drive(kernel, points):
-    total = 0
-    for point in points:
-        total += kernel(point)
-    return total
-
-
-def test_mandelbrot_reference(benchmark, mandel_points):
-    benchmark(_drive, reference.mandelbrot_point, mandel_points)
-
-
-def test_mandelbrot_new_compiler(benchmark, mandel_points):
-    compiled = FunctionCompile(programs.NEW_MANDELBROT)
-    assert _drive(compiled, mandel_points) == _drive(
-        reference.mandelbrot_point, mandel_points
-    )
-    benchmark(_drive, compiled, mandel_points)
-
-
-def test_mandelbrot_bytecode(benchmark, mandel_points, evaluator):
-    compiled = compile_function(
-        parse(programs.BYTECODE_MANDELBROT_SPECS),
-        parse(programs.BYTECODE_MANDELBROT_BODY),
-        evaluator,
-    )
-    benchmark(_drive, compiled, mandel_points[: max(len(mandel_points) // 8, 8)])
-
-
-# -- Dot -----------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def dot_inputs(sizes):
-    return (workloads.random_matrix(sizes.dot_n, 11),
-            workloads.random_matrix(sizes.dot_n, 12))
-
-
-def test_dot_reference(benchmark, dot_inputs):
-    a, b = dot_inputs
-    benchmark(reference.dot_reference, a, b)
-
-
-def test_dot_new_compiler(benchmark, dot_inputs):
-    a, b = dot_inputs
-    compiled = FunctionCompile(programs.NEW_DOT)
-    benchmark(compiled, a, b)
-
-
-def test_dot_bytecode(benchmark, dot_inputs, evaluator):
-    """§6: all tiers call the same BLAS — 'no performance difference'."""
-    a, b = dot_inputs
-    compiled = compile_function(
-        parse(programs.BYTECODE_DOT_SPECS),
-        parse(programs.BYTECODE_DOT_BODY),
-        evaluator,
-    )
-    benchmark(compiled, a, b)
-
-
-# -- Blur ------------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def blur_inputs(sizes):
-    side = sizes.blur_side
-    return (workloads.blur_image_flat(side),
-            workloads.blur_image_nested(side), side)
-
-
-def test_blur_reference(benchmark, blur_inputs):
-    flat, _nested, side = blur_inputs
-    benchmark(reference.blur_c_port, flat, side, side)
-
-
-def test_blur_new_compiler(benchmark, blur_inputs):
-    _flat, nested, _side = blur_inputs
-    compiled = FunctionCompile(programs.NEW_BLUR)
-    benchmark(compiled, nested)
-
-
-def test_blur_bytecode(benchmark, blur_inputs, evaluator):
-    flat, _nested, side = blur_inputs
-    compiled = compile_function(
-        parse(programs.BYTECODE_BLUR_SPECS),
-        parse(programs.BYTECODE_BLUR_BODY),
-        evaluator,
-    )
-    small = side // 4 + 3
-    benchmark(compiled, flat[: small * small], small, small)
-
-
-# -- Histogram ------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def histogram_input(sizes):
-    return workloads.histogram_data(sizes.histogram_length)
-
-
-def test_histogram_reference(benchmark, histogram_input):
-    benchmark(reference.histogram_c_port, histogram_input)
-
-
-def test_histogram_new_compiler(benchmark, histogram_input):
-    compiled = FunctionCompile(programs.NEW_HISTOGRAM)
-    assert compiled(histogram_input).data == (
-        reference.histogram_c_port(histogram_input)
-    )
-    benchmark(compiled, histogram_input)
-
-
-def test_histogram_bytecode(benchmark, histogram_input, evaluator):
-    compiled = compile_function(
-        parse(programs.BYTECODE_HISTOGRAM_SPECS),
-        parse(programs.BYTECODE_HISTOGRAM_BODY),
-        evaluator,
-    )
-    benchmark(compiled, histogram_input[: max(len(histogram_input) // 8, 64)])
-
-
-# -- PrimeQ -----------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def primeq_setup(sizes):
-    return sizes.primeq_limit, reference.prime_sieve_bitmap()
-
-
-def test_primeq_reference(benchmark, primeq_setup):
-    limit, table = primeq_setup
-    benchmark(reference.primeq_count_c_port, limit, table)
-
-
-def test_primeq_new_compiler(benchmark, primeq_setup):
-    limit, table = primeq_setup
-    compiled = FunctionCompile(
-        programs.NEW_PRIMEQ,
-        constants={"primeTable": table, "witnesses": programs.RM_WITNESSES},
-    )
-    assert compiled(limit) == reference.primeq_count_c_port(limit, table)
-    benchmark(compiled, limit)
-
-
-def test_primeq_bytecode(benchmark, primeq_setup, evaluator):
-    limit, table = primeq_setup
-    compiled = compile_function(
-        parse(programs.BYTECODE_PRIMEQ_SPECS),
-        parse(programs.BYTECODE_PRIMEQ_BODY),
-        evaluator,
-    )
-    benchmark(compiled, max(limit // 8, 64), table, programs.RM_WITNESSES)
-
-
-# -- QSort -------------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def qsort_input(sizes):
-    return workloads.presorted_list(sizes.qsort_length)
-
-
-def test_qsort_reference(benchmark, qsort_input):
-    benchmark(reference.qsort_c_port, qsort_input, lambda a, b: a < b)
-
-
-def test_qsort_new_compiler(benchmark, qsort_input):
-    compiled = FunctionCompile(programs.NEW_QSORT)
-    out = compiled(qsort_input, lambda a, b: a < b)
-    assert out.to_nested() == sorted(qsort_input)
-    benchmark(compiled, qsort_input, lambda a, b: a < b)
-
-
-def test_qsort_bytecode_unsupported(evaluator):
-    """Figure 2 annotates QSort as unrepresentable in bytecode (L1)."""
-    from repro.errors import BytecodeCompilerError
-
-    with pytest.raises(BytecodeCompilerError):
-        compile_function(
-            parse("{{data, _Integer, 1}}"), parse("MySort[data, Less]"),
-            evaluator,
-        )
-
-
-# -- the paper-style summary table ----------------------------------------------------------
 
 
 def test_figure2_normalized_table(harness, capsys):

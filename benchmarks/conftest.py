@@ -1,31 +1,26 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the paper-experiment scripts.
 
-Workload sizes follow ``REPRO_BENCH_SCALE`` (default: small CI-friendly
-sizes; 1.0 = the paper's sizes).  Compiled artifacts are cached per session
-so pytest-benchmark timings measure execution, not compilation.
+Workload sizes follow ``--repro-scale`` (default: small CI-friendly
+sizes; 1.0 = the paper's sizes).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.benchsuite import Figure2Harness, figure2_sizes
-from repro.engine import Evaluator
+from repro.benchsuite import DEFAULT_SCALE, Figure2Harness, figure2_sizes
 
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--repro-scale", type=float, default=None,
-        help="workload scale (1.0 = paper sizes); overrides REPRO_BENCH_SCALE",
+        "--repro-scale", type=float, default=DEFAULT_SCALE,
+        help="workload scale (1.0 = paper sizes)",
     )
 
 
 @pytest.fixture(scope="session")
 def scale(request) -> float:
-    from repro.benchsuite.data import bench_scale
-
-    option = request.config.getoption("--repro-scale")
-    return option if option is not None else bench_scale()
+    return request.config.getoption("--repro-scale")
 
 
 @pytest.fixture(scope="session")
@@ -35,13 +30,4 @@ def sizes(scale):
 
 @pytest.fixture(scope="session")
 def harness(scale) -> Figure2Harness:
-    return Figure2Harness(scale=scale, repeats=1)
-
-
-@pytest.fixture(scope="session")
-def evaluator() -> Evaluator:
-    from repro.compiler import install_engine_support
-
-    session = Evaluator()
-    install_engine_support(session)
-    return session
+    return Figure2Harness(scale=scale)

@@ -2,8 +2,6 @@
 
 Run:  python -m repro [--stats [DUMP]] [--trace FILE] [--metrics [FILE]]
                       [-e EXPR]...
-      python -m repro bench [--suite S] [--filter NAME] [--compare]
-                            [--report FILE] [--trace-dir DIR]
       python -m repro serve [--port N] [--image IMG] [--loadgen | --chaos]
                             [--dump-stats PATH] [--flight-dir DIR]
       python -m repro top [--host H] [--port N] [--watch] [--json]
@@ -42,12 +40,6 @@ Flags
 
 Subcommands
 -----------
-
-``bench``
-    The performance lab (:mod:`repro.perflab`): run the registered
-    benchmark suites, append schema-versioned records to the
-    ``BENCH_*.json`` trajectory files, and compare against the baseline.
-    See ``python -m repro bench --help``.
 
 ``lint``
     Source-level static analysis (:mod:`repro.analyze.lint`): unbound
@@ -373,10 +365,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None, input_stream=None, output=None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "bench":
-        from repro.perflab.cli import main as bench_main
-
-        return bench_main(arguments[1:], output=output)
     if arguments and arguments[0] == "lint":
         from repro.analyze.lint import run_lint_cli
 

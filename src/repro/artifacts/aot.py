@@ -175,26 +175,6 @@ def boot_warm(manifest: dict):
     return image, evaluator
 
 
-def boot_cold(manifest: dict):
-    """The control: identical prelude + preload work, no artifacts.
-
-    Runs against an empty temp-dir store so every preload pays the full
-    pipeline — exactly what a first-ever boot costs.  The perflab's
-    ``aot.warm_boot`` spec measures this against :func:`boot_warm`.
-    """
-    from repro.server.base import BaseImage
-
-    previous = active_override()
-    activate_store(ArtifactStore(tempfile.mkdtemp(prefix="repro-aot-cold-")))
-    try:
-        image = BaseImage(prelude=manifest.get("prelude", ()),
-                          preload=manifest.get("preload", ()))
-        evaluator = image.create_evaluator()
-        return image, evaluator
-    finally:
-        activate_store(previous)
-
-
 def main(argv=None, output=None) -> int:
     """The ``python -m repro aot`` entry point."""
     out = output or sys.stdout

@@ -1,23 +1,18 @@
 """Deterministic workload generators for the benchmark suite.
 
-Paper-scale sizes (§6) and a ``scale`` knob mapping them down so the whole
-harness runs in CI time; ``REPRO_BENCH_SCALE=1.0`` reproduces the paper's
-sizes.
+Paper-scale sizes (§6) and a ``scale`` argument mapping them down so the
+whole harness runs in CI time; ``scale=1.0`` reproduces the paper's sizes
+(``--repro-scale 1.0`` on the ``benchmarks/`` scripts).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import string as _string
 from dataclasses import dataclass
 
-
-def bench_scale(default: float = 0.05) -> float:
-    raw = os.environ.get("REPRO_BENCH_SCALE")
-    if raw is None:
-        return default
-    return float(raw)
+#: a twentieth of the paper's sizes: the whole Figure-2 table in seconds
+DEFAULT_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -33,16 +28,15 @@ class Figure2Sizes:
     qsort_length: int        # 2^15 pre-sorted
 
 
-def figure2_sizes(scale: float | None = None) -> Figure2Sizes:
-    s = bench_scale() if scale is None else scale
+def figure2_sizes(scale: float = DEFAULT_SCALE) -> Figure2Sizes:
     return Figure2Sizes(
-        fnv_length=max(int(1_000_000 * s), 1_000),
-        mandel_resolution=0.1 if s >= 0.5 else 0.2,
-        dot_n=max(int(1000 * s ** 0.5), 50),
-        blur_side=max(int(1000 * s ** 0.5), 40),
-        histogram_length=max(int(1_000_000 * s), 10_000),
-        primeq_limit=max(int(1_000_000 * s * 0.05), 2_000),
-        qsort_length=max(int((1 << 15) * s), 512),
+        fnv_length=max(int(1_000_000 * scale), 1_000),
+        mandel_resolution=0.1 if scale >= 0.5 else 0.2,
+        dot_n=max(int(1000 * scale ** 0.5), 50),
+        blur_side=max(int(1000 * scale ** 0.5), 40),
+        histogram_length=max(int(1_000_000 * scale), 10_000),
+        primeq_limit=max(int(1_000_000 * scale * 0.05), 2_000),
+        qsort_length=max(int((1 << 15) * scale), 512),
     )
 
 

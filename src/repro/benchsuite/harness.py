@@ -10,6 +10,8 @@ annotated (as in the figure), and QSort reported unsupported for bytecode.
 
 from __future__ import annotations
 
+import gc
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,7 +22,6 @@ from repro.compiler import FunctionCompile
 from repro.engine import Evaluator
 from repro.errors import BytecodeCompilerError
 from repro.mexpr import parse
-from repro.perflab import stats as perfstats
 
 
 @dataclass
@@ -29,8 +30,6 @@ class TierResult:
     seconds: Optional[float]
     checksum: object = None
     note: str = ""
-    #: the full repeat statistics behind ``seconds`` (a perflab Sample)
-    sample: Optional[perfstats.Sample] = None
 
 
 @dataclass
@@ -48,12 +47,22 @@ class BenchmarkResult:
         return other.seconds / base.seconds
 
 
-def _best_time(callable_, *args, repeats: int = 3,
-               warmup: int = 0) -> tuple[perfstats.Sample, object]:
-    """One tier's timed region, via the shared perflab timing core
-    (gc paused, per-repeat samples kept for min/median/MAD)."""
-    return perfstats.measure(callable_, *args, repeats=repeats,
-                             warmup=warmup)
+def best_of(callable_, *args, repeats: int = 3) -> tuple[float, object]:
+    """``(seconds, result)`` of the fastest of ``repeats`` calls of
+    ``callable_(*args)``.  gc is paused while the clock runs: collection
+    pauses are the largest source of CPython timing outliers."""
+    best = float("inf")
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = callable_(*args)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return best, result
 
 
 def _tensor_checksum(value) -> object:
@@ -82,33 +91,48 @@ class Figure2Harness:
     BENCHMARKS = ("fnv1a", "mandelbrot", "dot", "blur", "histogram",
                   "primeq", "qsort")
 
-    def __init__(self, scale: Optional[float] = None, repeats: int = 3,
-                 warmup: int = 0):
+    def __init__(self, scale: float = workloads.DEFAULT_SCALE,
+                 repeats: int = 3):
         self.sizes = workloads.figure2_sizes(scale)
         self.repeats = repeats
-        self.warmup = warmup
+        #: the VM is orders of magnitude slower: fewer repeats suffice
+        self.slow_repeats = max(1, repeats - 2)
         self.evaluator = Evaluator()
 
     # -- tier construction helpers --------------------------------------------------
 
-    def _time(self, callable_, *args, repeats: Optional[int] = None):
-        return _best_time(callable_, *args,
-                          repeats=self.repeats if repeats is None else repeats,
-                          warmup=self.warmup)
+    def _tier(self, result: BenchmarkResult, name: str, callable_, *args,
+              note: str = "", repeats: Optional[int] = None) -> None:
+        """Time one tier of one benchmark and file it under ``name``."""
+        seconds, value = best_of(
+            callable_, *args,
+            repeats=self.repeats if repeats is None else repeats,
+        )
+        result.tiers[name] = TierResult(name, seconds,
+                                        _tensor_checksum(value), note)
+
+    @staticmethod
+    def _idiomatic_is_c_port(result: BenchmarkResult) -> None:
+        # a distinct object: sharing the TierResult would let a note
+        # mutation on one tier silently edit the other
+        c_port = result.tiers["c_port"]
+        result.tiers["idiomatic"] = TierResult(
+            "idiomatic", c_port.seconds, c_port.checksum,
+            note="same measurement as c_port (no distinct idiomatic variant)",
+        )
 
     def _new(self, source: str, **options):
         return FunctionCompile(source, evaluator=self.evaluator, **options)
 
-    def _bytecode(self, specs: Optional[str], body: Optional[str]):
-        if specs is None:
-            return None
+    def _bytecode(self, specs: str, body: str):
         return compile_function(parse(specs), parse(body), self.evaluator)
 
     # -- benchmark runners ------------------------------------------------------------
 
     def run(self, name: str) -> BenchmarkResult:
-        runner = getattr(self, f"_run_{name}")
-        return runner()
+        result = getattr(self, f"_run_{name}")()
+        self._verify(result)
+        return result
 
     def run_all(self, names=None) -> list[BenchmarkResult]:
         return [self.run(name) for name in (names or self.BENCHMARKS)]
@@ -116,33 +140,20 @@ class Figure2Harness:
     def _run_fnv1a(self) -> BenchmarkResult:
         text = workloads.fnv_string(self.sizes.fnv_length)
         codes = list(text.encode("utf-8"))
-        new = self._new(programs.NEW_FNV1A)
-        bytecode = self._bytecode(
-            programs.BYTECODE_FNV1A_SPECS, programs.BYTECODE_FNV1A_BODY
-        )
         result = BenchmarkResult("fnv1a")
-        s, c = self._time(reference.fnv1a_c_port, text)
-        result.tiers["c_port"] = TierResult("c_port", s.best, c, sample=s)
-        s, c = self._time(reference.fnv1a_idiomatic, text)
-        result.tiers["idiomatic"] = TierResult("idiomatic", s.best, c,
-                                               sample=s)
-        s, c = self._time(new, text)
-        result.tiers["new"] = TierResult("new", s.best, c, sample=s)
-        s, c = self._time(bytecode, codes)
-        result.tiers["bytecode"] = TierResult(
-            "bytecode", s.best, c,
-            note="int64 character-code vector workaround (§6)",
-            sample=s,
+        self._tier(result, "c_port", reference.fnv1a_c_port, text)
+        self._tier(result, "idiomatic", reference.fnv1a_idiomatic, text)
+        self._tier(result, "new", self._new(programs.NEW_FNV1A), text)
+        self._tier(
+            result, "bytecode",
+            self._bytecode(programs.BYTECODE_FNV1A_SPECS,
+                           programs.BYTECODE_FNV1A_BODY),
+            codes, note="int64 character-code vector workaround (§6)",
         )
-        self._verify(result)
         return result
 
     def _run_mandelbrot(self) -> BenchmarkResult:
         points = workloads.mandelbrot_points(self.sizes.mandel_resolution)
-        new = self._new(programs.NEW_MANDELBROT)
-        bytecode = self._bytecode(
-            programs.BYTECODE_MANDELBROT_SPECS, programs.BYTECODE_MANDELBROT_BODY
-        )
 
         def drive(kernel):
             total = 0
@@ -151,96 +162,63 @@ class Figure2Harness:
             return total
 
         result = BenchmarkResult("mandelbrot")
-        s, c = self._time(drive, reference.mandelbrot_point)
-        result.tiers["c_port"] = TierResult("c_port", s.best, c, sample=s)
-        result.tiers["idiomatic"] = TierResult(
-            "idiomatic", s.best, c, sample=s,
-            note="same measurement as c_port (no distinct idiomatic variant)",
+        self._tier(result, "c_port", drive, reference.mandelbrot_point)
+        self._idiomatic_is_c_port(result)
+        self._tier(result, "new", drive, self._new(programs.NEW_MANDELBROT))
+        self._tier(
+            result, "bytecode", drive,
+            self._bytecode(programs.BYTECODE_MANDELBROT_SPECS,
+                           programs.BYTECODE_MANDELBROT_BODY),
+            repeats=self.slow_repeats,
         )
-        s, c = self._time(drive, new)
-        result.tiers["new"] = TierResult("new", s.best, c, sample=s)
-        s, c = self._time(drive, bytecode, repeats=max(1, self.repeats - 2))
-        result.tiers["bytecode"] = TierResult("bytecode", s.best, c, sample=s)
-        self._verify(result)
         return result
 
     def _run_dot(self) -> BenchmarkResult:
         n = self.sizes.dot_n
         a = workloads.random_matrix(n, seed=11)
         b = workloads.random_matrix(n, seed=12)
-        new = self._new(programs.NEW_DOT)
-        bytecode = self._bytecode(
-            programs.BYTECODE_DOT_SPECS, programs.BYTECODE_DOT_BODY
-        )
         result = BenchmarkResult("dot")
-        s, c = self._time(reference.dot_reference, a, b)
-        result.tiers["c_port"] = TierResult("c_port", s.best,
-                                            _tensor_checksum(c), sample=s)
-        # distinct object: sharing the TierResult lets a note mutation on
-        # one tier silently edit the other
-        result.tiers["idiomatic"] = TierResult(
-            "idiomatic", s.best, _tensor_checksum(c), sample=s,
-            note="same measurement as c_port (no distinct idiomatic variant)",
+        self._tier(result, "c_port", reference.dot_reference, a, b)
+        self._idiomatic_is_c_port(result)
+        self._tier(result, "new", self._new(programs.NEW_DOT), a, b)
+        self._tier(
+            result, "bytecode",
+            self._bytecode(programs.BYTECODE_DOT_SPECS,
+                           programs.BYTECODE_DOT_BODY),
+            a, b, note="all tiers call the same BLAS (§6: MKL everywhere)",
         )
-        s, c = self._time(new, a, b)
-        result.tiers["new"] = TierResult("new", s.best, _tensor_checksum(c),
-                                         sample=s)
-        s, c = self._time(bytecode, a, b)
-        result.tiers["bytecode"] = TierResult(
-            "bytecode", s.best, _tensor_checksum(c),
-            note="all tiers call the same BLAS (§6: MKL everywhere)",
-            sample=s,
-        )
-        self._verify(result)
         return result
 
     def _run_blur(self) -> BenchmarkResult:
         side = self.sizes.blur_side
         flat = workloads.blur_image_flat(side)
         nested = workloads.blur_image_nested(side)
-        new = self._new(programs.NEW_BLUR)
-        bytecode = self._bytecode(
-            programs.BYTECODE_BLUR_SPECS, programs.BYTECODE_BLUR_BODY
-        )
         result = BenchmarkResult("blur")
-        s, c = self._time(reference.blur_c_port, flat, side, side)
-        result.tiers["c_port"] = TierResult("c_port", s.best,
-                                            _tensor_checksum(c), sample=s)
-        s, c = self._time(reference.blur_idiomatic, flat, side, side)
-        result.tiers["idiomatic"] = TierResult("idiomatic", s.best,
-                                               _tensor_checksum(c), sample=s)
-        s, c = self._time(new, nested)
-        result.tiers["new"] = TierResult("new", s.best, _tensor_checksum(c),
-                                         sample=s)
-        s, c = self._time(bytecode, flat, side, side,
-                          repeats=max(1, self.repeats - 2))
-        result.tiers["bytecode"] = TierResult(
-            "bytecode", s.best, _tensor_checksum(c),
+        self._tier(result, "c_port", reference.blur_c_port, flat, side, side)
+        self._tier(result, "idiomatic", reference.blur_idiomatic,
+                   flat, side, side)
+        self._tier(result, "new", self._new(programs.NEW_BLUR), nested)
+        self._tier(
+            result, "bytecode",
+            self._bytecode(programs.BYTECODE_BLUR_SPECS,
+                           programs.BYTECODE_BLUR_BODY),
+            flat, side, side, repeats=self.slow_repeats,
             note="flat rank-1 layout (no efficient rank-2 support)",
-            sample=s,
         )
-        self._verify(result)
         return result
 
     def _run_histogram(self) -> BenchmarkResult:
         data = workloads.histogram_data(self.sizes.histogram_length)
-        new = self._new(programs.NEW_HISTOGRAM)
-        bytecode = self._bytecode(
-            programs.BYTECODE_HISTOGRAM_SPECS, programs.BYTECODE_HISTOGRAM_BODY
-        )
         result = BenchmarkResult("histogram")
-        s, c = self._time(reference.histogram_c_port, data)
-        result.tiers["c_port"] = TierResult("c_port", s.best, c, sample=s)
-        s, c = self._time(reference.histogram_idiomatic, data)
-        result.tiers["idiomatic"] = TierResult("idiomatic", s.best, c,
-                                               sample=s)
-        s, c = self._time(new, data)
-        result.tiers["new"] = TierResult("new", s.best, _tensor_checksum(c),
-                                         sample=s)
-        s, c = self._time(bytecode, data, repeats=max(1, self.repeats - 2))
-        result.tiers["bytecode"] = TierResult("bytecode", s.best,
-                                              _tensor_checksum(c), sample=s)
-        self._verify(result)
+        self._tier(result, "c_port", reference.histogram_c_port, data)
+        self._tier(result, "idiomatic", reference.histogram_idiomatic, data)
+        self._tier(result, "new", self._new(programs.NEW_HISTOGRAM), data)
+        self._tier(
+            result, "bytecode",
+            self._bytecode(programs.BYTECODE_HISTOGRAM_SPECS,
+                           programs.BYTECODE_HISTOGRAM_BODY),
+            data, repeats=self.slow_repeats,
+        )
         return result
 
     def _run_primeq(self) -> BenchmarkResult:
@@ -251,67 +229,49 @@ class Figure2Harness:
             programs.NEW_PRIMEQ,
             constants={"primeTable": table, "witnesses": witnesses},
         )
-        bytecode = self._bytecode(
-            programs.BYTECODE_PRIMEQ_SPECS, programs.BYTECODE_PRIMEQ_BODY
-        )
         result = BenchmarkResult("primeq")
-        s, c = self._time(reference.primeq_count_c_port, limit, table)
-        result.tiers["c_port"] = TierResult("c_port", s.best, c, sample=s)
-        result.tiers["idiomatic"] = TierResult(
-            "idiomatic", s.best, c, sample=s,
-            note="same measurement as c_port (no distinct idiomatic variant)",
+        self._tier(result, "c_port", reference.primeq_count_c_port,
+                   limit, table)
+        self._idiomatic_is_c_port(result)
+        self._tier(result, "new", new, limit)
+        self._tier(
+            result, "bytecode",
+            self._bytecode(programs.BYTECODE_PRIMEQ_SPECS,
+                           programs.BYTECODE_PRIMEQ_BODY),
+            limit, table, witnesses, repeats=self.slow_repeats,
         )
-        s, c = self._time(new, limit)
-        result.tiers["new"] = TierResult("new", s.best, c, sample=s)
-        s, c = self._time(bytecode, limit, table, witnesses,
-                          repeats=max(1, self.repeats - 2))
-        result.tiers["bytecode"] = TierResult("bytecode", s.best, c, sample=s)
-        self._verify(result)
         return result
 
     def _run_qsort(self) -> BenchmarkResult:
         data = workloads.presorted_list(self.sizes.qsort_length)
-        new = self._new(programs.NEW_QSORT)
-        result = BenchmarkResult("qsort")
 
         def py_less(a, b):
             return a < b
 
-        s, c = self._time(reference.qsort_c_port, data, py_less)
-        result.tiers["c_port"] = TierResult("c_port", s.best, c, sample=s)
-        result.tiers["idiomatic"] = TierResult(
-            "idiomatic", s.best, c, sample=s,
-            note="same measurement as c_port (no distinct idiomatic variant)",
-        )
-        s, c = self._time(new, data, py_less)
-        result.tiers["new"] = TierResult("new", s.best, _tensor_checksum(c),
-                                         sample=s)
+        result = BenchmarkResult("qsort")
+        self._tier(result, "c_port", reference.qsort_c_port, data, py_less)
+        self._idiomatic_is_c_port(result)
+        self._tier(result, "new", self._new(programs.NEW_QSORT),
+                   data, py_less)
         # the bytecode compiler rejects the comparator argument (L1)
         try:
-            compile_function(
-                parse("{{data, _Integer, 1}}"),
-                parse("MySort[data, Less]"),
-                self.evaluator,
-            )
+            self._bytecode("{{data, _Integer, 1}}", "MySort[data, Less]")
             note = "unexpectedly compiled"
         except BytecodeCompilerError as error:
             note = str(error)
         result.tiers["bytecode"] = TierResult("bytecode", None, None,
                                               note=note)
-        self._verify(result)
         return result
 
     # -- verification and reporting ------------------------------------------------------
 
     @staticmethod
     def _verify(result: BenchmarkResult) -> None:
-        reference_tier = result.tiers["c_port"]
+        expected = result.tiers["c_port"].checksum
         for name, tier in result.tiers.items():
             if tier.seconds is None or tier.checksum is None:
                 continue
-            expected = _tensor_checksum(reference_tier.checksum)
-            actual = _tensor_checksum(tier.checksum)
-            if expected != actual:
+            if tier.checksum != expected:
                 raise AssertionError(
                     f"{result.name}: tier {name} disagrees with reference"
                 )

@@ -294,7 +294,6 @@ RM_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 #: iterative fib — overflows Integer64 at i = 93 and reverts to the
 #: interpreter's bignums, reproducing the paper's ``cfib[200]`` transcript
-#: (shared by ``benchmarks/bench_soft_failure.py`` and the perflab)
 ITERATIVE_FIB = (
     'Function[{Typed[n, "MachineInteger"]},'
     ' Module[{a = 0, b = 1, i = 1},'

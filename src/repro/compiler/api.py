@@ -371,8 +371,10 @@ class CompiledCodeFunction(GovernedFunction):
             payload = json.load(handle)
         source_function = from_wire(payload["inputFunction"])
         # any version skew — or simply loading into a fresh process, where
-        # the cached namespace is gone — recompiles from source
-        return FunctionCompile(source_function, evaluator=evaluator)
+        # the cached namespace is gone — recompiles from source, under the
+        # options save() stored (files older than the block: defaults)
+        return FunctionCompile(source_function, evaluator=evaluator,
+                               **payload.get("options", {}))
 
     # -- hosting ----------------------------------------------------------------------
 
@@ -722,12 +724,6 @@ def FunctionCompileExportString(
         from repro.compiler.codegen.c_backend import CBackend
 
         return CBackend(program, pipeline.options).generate_source()
-    if target in ("JavaScript", "JS", "WebAssembly"):
-        # F4's cloud-deployment targets; WebAssembly ships as JS here (the
-        # substitution table in DESIGN.md)
-        from repro.compiler.codegen.js_backend import JSBackend
-
-        return JSBackend(program, pipeline.options).generate_source()
     if target == "IR":
         return program.to_string()
     if target in ("WVM", "Assembler"):

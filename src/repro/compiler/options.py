@@ -55,10 +55,10 @@ def _dataflow_default() -> bool:
     return _env_flag("REPRO_DATAFLOW", True)
 
 
-def _elide_checks_default() -> bool:
+def elide_checks_default() -> bool:
     """``REPRO_ELIDE_CHECKS=0`` keeps every runtime check even when the
     dataflow facts prove it redundant (A/B knob for the differential
-    oracle and the perflab elision-speedup spec)."""
+    oracle and the template tier, which reads it through here)."""
     return _env_flag("REPRO_ELIDE_CHECKS", True)
 
 
@@ -75,7 +75,7 @@ class CompilerOptions:
     dataflow: bool = field(default_factory=_dataflow_default)
     #: let the dataflow facts delete runtime checks (overflow guards,
     #: Part bounds predicates, bounded-loop abort checkpoints)
-    elide_checks: bool = field(default_factory=_elide_checks_default)
+    elide_checks: bool = field(default_factory=elide_checks_default)
     constant_array_handling: str = "hoisted"  # 'hoisted' | 'naive'
     #: instrument generated code with per-primitive execution counters
     #: (the "Profile" flag in the §A.6.2 Information header)

@@ -104,8 +104,8 @@ class CompilerPipeline:
         self.pass_totals: dict[str, dict] = {}
         #: IR-verifier sanitizer bookkeeping: wall-clock and run count are
         #: tracked *outside* pass_timings/pass_totals so enabling
-        #: ``verify_ir`` never skews ``pass_report()`` (the perflab
-        #: ``compile_time`` spec measures passes, not the sanitizer)
+        #: ``verify_ir`` never skews ``pass_report()`` (which reports
+        #: passes, not the sanitizer)
         self.verify_seconds: float = 0.0
         self.verify_runs: int = 0
         #: the program being compiled, for cross-function call checks

@@ -38,8 +38,8 @@ State machine (per request)::
 
 Overhead: the buffer/ring paths cost one routing branch and one deque or
 list append over the plain tracer; CI gates the whole always-on recorder
-at ≤5% over the fully-disabled path (``bench_dispatch.py
---trace-overhead``, noise-widened like every perf gate in this repo).
+at ≤5% over the fully-disabled path (``benchmarks/bench_trace_overhead.py
+--trace-overhead``, widened by the samples' own noise).
 """
 
 from __future__ import annotations

@@ -184,7 +184,7 @@ class EngineServer:
         self._executor: Optional[ThreadPoolExecutor] = None
         # the always-on flight recorder: installed as the process tracer
         # unless telemetry is off or an explicit tracer is already active
-        # (--trace, with_tracing, a perflab probe) — explicit tracing wins
+        # (--trace, with_tracing) — explicit tracing wins
         # and still records every server event, just unbounded/unsampled
         self.flight: Optional[FlightRecorder] = None
         self._owns_flight = False

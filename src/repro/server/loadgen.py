@@ -4,9 +4,7 @@ Drives an in-process :class:`~repro.server.core.EngineServer` with a
 seeded mixture of realistic requests — definition writes, pattern
 dispatch, arithmetic, small list workloads — spread across sessions and
 tenants, and reports the latency distribution (p50 / p99), throughput,
-and shed rate.  The perflab ``server`` suite wraps this into a BenchSpec
-so overload behaviour is tracked across commits like any other
-performance surface.
+and shed rate (``python -m repro serve --loadgen``).
 
 Everything is seeded: the same :class:`LoadSpec` produces the same
 request sequence, so regressions in the latency distribution are

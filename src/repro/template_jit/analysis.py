@@ -29,17 +29,10 @@ artifact for debugging and telemetry.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.mexpr.atoms import MInteger, MSymbol
 from repro.mexpr.expr import MExpr
-
-
-def elision_enabled() -> bool:
-    """The ``REPRO_ELIDE_CHECKS`` knob, shared with the full pipeline."""
-    raw = os.environ.get("REPRO_ELIDE_CHECKS", "").strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 class UncheckedMask:

@@ -38,6 +38,7 @@ from functools import partial
 from typing import Optional
 
 from repro import observe as _observe
+from repro.compiler.options import elide_checks_default
 from repro.errors import TemplateCompilerError
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
@@ -432,7 +433,7 @@ def compile_template(
     with _observe.span("template.compile", "template_jit", symbol=name):
         mask = (
             _analysis.unchecked_mask(body)
-            if _analysis.elision_enabled() else _analysis.EMPTY_MASK
+            if elide_checks_default() else _analysis.EMPTY_MASK
         )
         compiler = TemplateCompiler(name, parameters, type_chars, body,
                                     unchecked=mask)

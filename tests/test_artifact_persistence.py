@@ -1,11 +1,22 @@
 """Saved compiled artifacts: round trip + version-skew recompilation."""
 
 import json
+import re
 
 from repro.compiler import CompiledCodeFunction, FunctionCompile
 
 
 SRC = 'Function[{Typed[x, "MachineInteger"]}, x * x + 1]'
+
+
+def _renumbered(source: str) -> str:
+    """SSA value names count up process-wide; renumber them by first use
+    so two compiles of one program compare equal."""
+    names: dict = {}
+    return re.sub(
+        r"\bv\d+", lambda m: names.setdefault(m.group(), f"v{len(names)}"),
+        source,
+    )
 
 
 class TestPersistence:
@@ -40,6 +51,33 @@ class TestPersistence:
             json.dump(payload, handle)
         loaded = CompiledCodeFunction.load(path)
         assert loaded(6) == 37  # fresh compile, not the tampered source
+
+    def test_load_recompiles_under_the_saved_options(self, tmp_path):
+        loop = (
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 1]; s]]'
+        )
+        original = FunctionCompile(loop, AbortHandling=False,
+                                   InlinePolicy=None, OptimizationLevel=0)
+        assert "_armed" not in original.generated_source
+        path = str(tmp_path / "loop.json")
+        original.save(path)
+        loaded = CompiledCodeFunction.load(path)
+        assert loaded.options == original.options
+        assert _renumbered(loaded.generated_source) == _renumbered(
+            original.generated_source
+        )
+        assert loaded(10) == 55
+
+        # a file written before save() stored options loads with defaults
+        with open(path) as handle:
+            payload = json.load(handle)
+        del payload["options"]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        defaults = CompiledCodeFunction.load(path)
+        assert defaults.options == FunctionCompile(loop).options
+        assert "_armed" in defaults.generated_source
 
     def test_loaded_artifact_keeps_soft_failure(self, tmp_path):
         from repro.compiler import install_engine_support

@@ -233,5 +233,7 @@ class TestLibraryExport:
     def test_unknown_target_rejected(self):
         from repro.errors import CompilerError
 
-        with pytest.raises(CompilerError):
-            FunctionCompileExportString(LOOP_FN, "FPGA")
+        # the JavaScript backend is gone: its spellings are unknown too
+        for target in ("FPGA", "JavaScript", "JS", "WebAssembly"):
+            with pytest.raises(CompilerError, match="unknown export target"):
+                FunctionCompileExportString(LOOP_FN, target)

@@ -297,17 +297,31 @@ class TestTemplateMask:
         body = "Module[{a = 1}, a = a * a; a + a]"
         assert len(unchecked_mask(parse(body))) == 0
 
+    #: every accepted spelling of ``REPRO_ELIDE_CHECKS`` (None = unset)
+    KNOB_SPELLINGS = [
+        *((raw, False) for raw in ("0", "off", "false", "no", " OFF ")),
+        *((raw, True) for raw in ("1", "on", "true", "yes", None)),
+    ]
+
     def test_knob_gates_the_stitcher(self, monkeypatch):
+        from repro.compiler.options import CompilerOptions
         from repro.template_jit import compile_template_function
 
         specs = parse("{{x, _Integer}}")
         body = parse(self.BODY)
-        monkeypatch.setenv("REPRO_ELIDE_CHECKS", "1")
-        elided = compile_template_function(specs, body)
-        monkeypatch.setenv("REPRO_ELIDE_CHECKS", "0")
-        checked = compile_template_function(specs, body)
-        assert elided.unchecked_ops >= 1
-        assert checked.unchecked_ops == 0 and checked.unchecked_bitmask == 0
+        stitched = {}
+        for raw, enabled in self.KNOB_SPELLINGS:
+            if raw is None:
+                monkeypatch.delenv("REPRO_ELIDE_CHECKS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_ELIDE_CHECKS", raw)
+            # one table, both tiers: the pipeline's default and the
+            # template stitcher read the knob through the same function
+            assert CompilerOptions().elide_checks is enabled, raw
+            stitched[enabled] = compile_template_function(specs, body)
+            assert (stitched[enabled].unchecked_ops >= 1) is enabled, raw
+        elided, checked = stitched[True], stitched[False]
+        assert checked.unchecked_bitmask == 0
         assert elided.source.count("_ci(") < checked.source.count("_ci(")
         # both stitches compute the same sum of squares
         assert elided(0) == checked(0) == sum(i * i for i in range(1, 101))

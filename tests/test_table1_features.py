@@ -1,8 +1,8 @@
 """Table 1, cell by cell: every F1–F10 feature is asserted for the new
 compiler, and the bytecode compiler's ✓ / ⋆ / ✗ entries are checked too.
 
-Each test names the feature it certifies; ``benchmarks/bench_table1_features.py``
-prints the matrix these assertions back.
+Each test names the feature it certifies; EXPERIMENTS.md prints the matrix
+these assertions back.
 """
 
 import pytest

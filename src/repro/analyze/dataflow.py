@@ -48,14 +48,11 @@ interval checks (:mod:`repro.analyze.lint`).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.compiler.wir.analysis import (
-    compute_dominators,
-    find_natural_loops,
-    reverse_postorder,
-)
+from repro.compiler.wir.analysis import CFG
 from repro.compiler.wir.function_module import FunctionModule, ProgramModule
 from repro.compiler.wir.instructions import (
     BranchInstr,
@@ -513,20 +510,25 @@ def _result_values(function: FunctionModule) -> dict[int, object]:
 
 def analyze_function(function: FunctionModule,
                      program: Optional[ProgramModule] = None,
-                     callee_effects: Optional[dict[str, str]] = None
-                     ) -> FunctionFacts:
-    """Run all three domains over one function."""
+                     callee_effects: Optional[dict[str, str]] = None,
+                     cfg: Optional[CFG] = None) -> FunctionFacts:
+    """Run all three domains over one function.  ``cfg`` is where block
+    order, predecessors, dominators and loops are read from: the
+    function's shared facts unless the caller (the verifier) brings its
+    own."""
+    if cfg is None:
+        cfg = function.cfg()
     facts = FunctionFacts(function)
-    _interval_fixpoint(function, facts)
+    _interval_fixpoint(function, facts, cfg)
     _shape_pass(function, facts)
     # shapes can sharpen length results to constants; one cheap re-run of
     # the interval fixpoint folds those through dependent arithmetic
     if any(s.length() is not None for s in facts.shapes.values()):
-        _interval_fixpoint(function, facts)
-    _derive_refinements(function, facts)
-    _resolve_environments(function, facts)
+        _interval_fixpoint(function, facts, cfg)
+    _derive_refinements(function, facts, cfg)
+    _resolve_environments(function, facts, cfg)
     facts.effect = _effect_of(function, callee_effects or {})
-    _loop_facts(function, facts)
+    facts.loops = loop_facts(function, facts, cfg)
     return facts
 
 
@@ -650,8 +652,8 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
     return TOP
 
 
-def _interval_fixpoint(function: FunctionModule,
-                       facts: FunctionFacts) -> None:
+def _interval_fixpoint(function: FunctionModule, facts: FunctionFacts,
+                       cfg: CFG) -> None:
     table = _result_values(function)
     intervals: dict[int, Interval] = {}
     for parameter in function.parameters:
@@ -661,33 +663,51 @@ def _interval_fixpoint(function: FunctionModule,
     def of(value: Value) -> Optional[Interval]:
         return intervals.get(value.id)
 
-    order = [
-        function.blocks[name]
-        for name in reverse_postorder(function)
+    # Round-robin sweeps over the value-defining instructions in reverse
+    # postorder, of which a sweep evaluates only those with an operand that
+    # moved since they were last evaluated: the others would read the same
+    # operands, get the same interval and change nothing, so the result
+    # (widening counts included) is that of the dense sweeps.
+    schedule = [
+        instruction
+        for name in cfg.reverse_postorder
         if name in function.blocks
+        for instruction in function.blocks[name].all_instructions()
+        if instruction.result is not None
     ]
+    users: dict[int, list[int]] = {}
+    for position, instruction in enumerate(schedule):
+        for operand in instruction.operands:
+            users.setdefault(operand.id, []).append(position)
+    sweep = list(range(len(schedule)))  # a heap: sorted, so already one
     for _round in range(64):
-        changed = False
-        for block in order:
-            for instruction in block.all_instructions():
-                result = instruction.result
-                if result is None:
-                    continue
-                new = _transfer(instruction, of, facts)
-                if new is None:
-                    continue
-                old = intervals.get(result.id)
-                if old is not None:
-                    new = old.union(new)
-                    if new != old:
-                        updates[result.id] = updates.get(result.id, 0) + 1
-                        if updates[result.id] > WIDEN_AFTER:
-                            new = old.widen(new)
-                if new != old:
-                    intervals[result.id] = new
-                    changed = True
-        if not changed:
+        if not sweep:
             break
+        queued = set(sweep)
+        later: set[int] = set()
+        while sweep:
+            position = heapq.heappop(sweep)
+            instruction = schedule[position]
+            result = instruction.result
+            new = _transfer(instruction, of, facts)
+            if new is None:
+                continue
+            old = intervals.get(result.id)
+            if old is not None:
+                new = old.union(new)
+                if new != old:
+                    updates[result.id] = updates.get(result.id, 0) + 1
+                    if updates[result.id] > WIDEN_AFTER:
+                        new = old.widen(new)
+            if new != old:
+                intervals[result.id] = new
+                for user in users.get(result.id, ()):
+                    if user <= position:
+                        later.add(user)  # its turn in this sweep is over
+                    elif user not in queued:
+                        queued.add(user)
+                        heapq.heappush(sweep, user)
+        sweep = sorted(later)
     # anything never reached stays unanalyzed: queries default to TOP
     for value_id in table:
         intervals.setdefault(value_id, TOP)
@@ -797,9 +817,9 @@ def _comparison_facts(guard: CallPrimitiveInstr, sense: bool, facts):
     return numeric, symbolic
 
 
-def _derive_refinements(function: FunctionModule,
-                        facts: FunctionFacts) -> None:
-    predecessors = function.predecessors()
+def _derive_refinements(function: FunctionModule, facts: FunctionFacts,
+                        cfg: CFG) -> None:
+    predecessors = cfg.predecessors
     for name, block in function.blocks.items():
         preds = list(predecessors.get(name, ()))
         if len(preds) != 1:
@@ -872,11 +892,11 @@ def _derive_refinements(function: FunctionModule,
             facts.bounds[name] = bounds
 
 
-def _resolve_environments(function: FunctionModule,
-                          facts: FunctionFacts) -> None:
+def _resolve_environments(function: FunctionModule, facts: FunctionFacts,
+                          cfg: CFG) -> None:
     """Inherit refinements down the dominator tree: a fact learned on an
     edge holds in every block that edge dominates."""
-    idom = compute_dominators(function)
+    idom = cfg.idom
     children: dict[str, list[str]] = {}
     for name, parent in idom.items():
         if parent is not None:
@@ -928,9 +948,15 @@ def _effect_of(function: FunctionModule,
     return effect
 
 
-def _loop_facts(function: FunctionModule, facts: FunctionFacts) -> None:
-    loops = find_natural_loops(function)
+def loop_facts(function: FunctionModule, facts: FunctionFacts,
+               cfg: Optional[CFG] = None) -> dict[str, LoopFact]:
+    """``{header: LoopFact}`` of the loops the function has *now*, their
+    trip counts bounded from ``facts.intervals`` — which may be older than
+    the CFG: a value the intervals do not know reads as unbounded, so a
+    stale fact bundle can lose a bound but never invent one."""
+    loops = (cfg or function.cfg()).loops
     headers = {loop.header for loop in loops}
+    found: dict[str, LoopFact] = {}
     for loop in loops:
         fact = LoopFact(header=loop.header, body=frozenset(loop.body))
         fact.innermost = not any(
@@ -948,7 +974,8 @@ def _loop_facts(function: FunctionModule, facts: FunctionFacts) -> None:
             fact.trip_bound = _trip_bound(
                 function, loop, header.terminator, facts, fact
             )
-        facts.loops[loop.header] = fact
+        found[loop.header] = fact
+    return found
 
 
 def _trip_bound(function, loop, terminator, facts,

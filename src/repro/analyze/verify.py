@@ -60,11 +60,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analyze.diagnostics import Diagnostic
-from repro.compiler.wir.analysis import (
-    compute_dominators,
-    dominates,
-    loop_headers,
-)
+from repro.compiler.wir.analysis import CFG, dominates
 from repro.compiler.wir.function_module import FunctionModule, ProgramModule
 from repro.compiler.wir.instructions import (
     BranchInstr,
@@ -106,7 +102,12 @@ def verify_function(
     untyped instructions that a re-inference round will type (§4.5).
     """
     diagnostics: list[Diagnostic] = []
-    _check_cfg(function, diagnostics)
+    # Predecessors, dominators and loops come from the blocks as they are
+    # now, never from `function.cfg()`: a pass that rewires a terminator
+    # below the CFG version counter leaves those shared facts stale, and
+    # that pass is what the verifier is here to name.
+    cfg = CFG(function)
+    _check_cfg(function, cfg, diagnostics)
     # a structurally broken CFG makes dominance analysis meaningless (and
     # possibly non-terminating); report the structural findings alone
     if any(d.invariant.startswith("cfg.") and d.is_error()
@@ -114,17 +115,17 @@ def verify_function(
         return diagnostics
     reachable = _reachable_blocks(function)
     definitions = _check_ssa_definitions(function, diagnostics)
-    _check_dominance(function, reachable, definitions, diagnostics)
-    _check_phis(function, reachable, diagnostics)
+    _check_dominance(function, cfg, reachable, definitions, diagnostics)
+    _check_phis(function, cfg, reachable, diagnostics)
     if program is not None:
         _check_calls(function, program, diagnostics)
     if check_types is None:
         check_types = function.is_typed()
     if check_types:
         _check_types(function, diagnostics)
-    _check_abort_checkpoints(function, diagnostics)
-    _check_memory_pairing(function, diagnostics)
-    _check_fact_consistency(function, diagnostics)
+    _check_abort_checkpoints(function, cfg, diagnostics)
+    _check_memory_pairing(function, cfg, diagnostics)
+    _check_fact_consistency(function, cfg, diagnostics)
     return diagnostics
 
 
@@ -157,7 +158,8 @@ def _diag(diagnostics, invariant, message, function, block=None,
     ))
 
 
-def _check_cfg(function: FunctionModule, diagnostics: list) -> None:
+def _check_cfg(function: FunctionModule, cfg: CFG,
+               diagnostics: list) -> None:
     if function.entry is None or function.entry not in function.blocks:
         _diag(diagnostics, "cfg.entry",
               f"entry block {function.entry!r} does not exist", function)
@@ -185,7 +187,7 @@ def _check_cfg(function: FunctionModule, diagnostics: list) -> None:
                       f"terminator {instruction} appears mid-block in "
                       f"{block.name}", function, block=block.name,
                       instruction=instruction)
-    predecessors = function.predecessors()
+    predecessors = cfg.predecessors
     if predecessors.get(function.entry):
         _diag(diagnostics, "cfg.entry",
               f"entry block {function.entry} has predecessors "
@@ -244,11 +246,12 @@ def _check_ssa_definitions(
 
 def _check_dominance(
     function: FunctionModule,
+    cfg: CFG,
     reachable: set[str],
     definitions: dict[int, tuple[str, int]],
     diagnostics: list,
 ) -> None:
-    idom = compute_dominators(function)
+    idom = cfg.idom
 
     def defined_at(value: Value) -> Optional[tuple[str, int]]:
         return definitions.get(value.id)
@@ -307,9 +310,10 @@ def _check_dominance(
 
 
 def _check_phis(
-    function: FunctionModule, reachable: set[str], diagnostics: list
+    function: FunctionModule, cfg: CFG, reachable: set[str],
+    diagnostics: list,
 ) -> None:
-    predecessors = function.predecessors()
+    predecessors = cfg.predecessors
     for block in function.ordered_blocks():
         if block.name not in reachable:
             continue
@@ -443,7 +447,7 @@ def _check_types(function: FunctionModule, diagnostics: list) -> None:
 
 
 def _check_abort_checkpoints(
-    function: FunctionModule, diagnostics: list
+    function: FunctionModule, cfg: CFG, diagnostics: list
 ) -> None:
     """After abort insertion ran (``GuardCheckpoints`` recorded and abort
     handling on), every non-inhibited loop header and the prologue must
@@ -454,7 +458,7 @@ def _check_abort_checkpoints(
     if "GuardCheckpoints" not in information:
         return  # the insertion pass has not run yet for this function
     coalesced = information.get("CoalescedHeaders", {})
-    for name in loop_headers(function):
+    for name in {loop.header for loop in cfg.loops}:
         if name in coalesced:
             continue  # deliberately removed; analysis.fact re-proves it
         block = function.blocks.get(name)
@@ -478,7 +482,7 @@ def _check_abort_checkpoints(
 
 
 def _check_memory_pairing(
-    function: FunctionModule, diagnostics: list
+    function: FunctionModule, cfg: CFG, diagnostics: list
 ) -> None:
     """After memory management ran, acquires/releases must be well-paired:
     every release names an acquired value, every acquire names an
@@ -517,7 +521,7 @@ def _check_memory_pairing(
     multi = {vid: blocks for vid, blocks in released.items()
              if len(blocks) > 1}
     if multi:
-        idom = compute_dominators(function)
+        idom = cfg.idom
         reachable = _reachable_blocks(function)
         for value_id, blocks in multi.items():
             for i, first in enumerate(blocks):
@@ -556,7 +560,7 @@ _UNCHECKED_PARTS = {
 
 
 def _check_fact_consistency(
-    function: FunctionModule, diagnostics: list
+    function: FunctionModule, cfg: CFG, diagnostics: list
 ) -> None:
     """Every elided check must be re-provable from *recomputed* facts.
 
@@ -584,7 +588,7 @@ def _check_fact_consistency(
         analyze_function,
     )
 
-    facts = analyze_function(function)
+    facts = analyze_function(function, cfg=cfg)
     for block, instruction in sites:
         name = instruction.primitive.runtime_name
         justification = instruction.properties.get("elided_check")

@@ -99,13 +99,19 @@ class MacroExpander:
         self.environment = environment
         self.options = options or {}
         self._fuel = _MAX_EXPANSIONS
+        #: subtrees this run has already brought to normal form, by object
+        #: identity (the node is kept so its id stays its own).  What
+        #: `_expand_once` returns is normal — its children are, and no rule
+        #: matched it — so a rule's result is walked once, not once more
+        #: per enclosing rule that fires.
+        self._normal: dict[int, MExpr] = {}
 
     def expand(self, node: MExpr) -> MExpr:
         """Depth-first expansion to fixed point."""
         try:
             while True:
                 expanded = self._expand_once(node)
-                if expanded is node or expanded == node:
+                if expanded is node:
                     return expanded
                 node = expanded
                 self._spend()
@@ -120,9 +126,13 @@ class MacroExpander:
             raise MacroExpansionError("macro expansion did not terminate")
 
     def _expand_once(self, node: MExpr) -> MExpr:
-        if node.is_atom():
+        if node.is_atom() or id(node) in self._normal:
             return node
+        expanded = self._rewrite(node)
+        self._normal[id(expanded)] = expanded
+        return expanded
 
+    def _rewrite(self, node: MExpr) -> MExpr:
         # don't descend into held function bodies' parameter lists etc.;
         # expand head and arguments depth-first
         new_head = self._expand_once(node.head)

@@ -62,6 +62,26 @@ def elide_checks_default() -> bool:
     return _env_flag("REPRO_ELIDE_CHECKS", True)
 
 
+#: WL-style option names ("AbortHandling" -> True, ...) and their fields
+_WOLFRAM_NAMES = {
+    "OptimizationLevel": "optimization_level",
+    "AbortHandling": "abort_handling",
+    "InlinePolicy": "inline_policy",
+    "MemoryManagement": "memory_management",
+    "CopyInsertion": "copy_insertion",
+    "IndexCheckElision": "index_check_elision",
+    "Dataflow": "dataflow",
+    "ElideChecks": "elide_checks",
+    "ConstantArrayHandling": "constant_array_handling",
+    "Profile": "profile",
+    "TargetSystem": "target_system",
+    "PassLogger": "pass_logger",
+    "LazyJIT": "lazy_jit",
+    "ArgumentAlias": "argument_alias",
+    "VerifyIR": "verify_ir",
+}
+
+
 @dataclass(frozen=True)
 class CompilerOptions:
     optimization_level: int = 1
@@ -93,29 +113,22 @@ class CompilerOptions:
     def with_(self, **changes) -> "CompilerOptions":
         return replace(self, **changes)
 
+    def to_wolfram(self) -> dict:
+        """The options under their WL names, as the IR export prints them.
+        ``PassLogger`` is left out: a callable has no spelling that two
+        runs would agree on, and it changes nothing about the IR."""
+        return {
+            name: getattr(self, field_name)
+            for name, field_name in _WOLFRAM_NAMES.items()
+            if field_name != "pass_logger"
+        }
+
     @classmethod
     def from_wolfram(cls, rules: dict) -> "CompilerOptions":
         """Translate WL-style option names ("AbortHandling" -> True, ...)."""
-        mapping = {
-            "OptimizationLevel": "optimization_level",
-            "AbortHandling": "abort_handling",
-            "InlinePolicy": "inline_policy",
-            "MemoryManagement": "memory_management",
-            "CopyInsertion": "copy_insertion",
-            "IndexCheckElision": "index_check_elision",
-            "Dataflow": "dataflow",
-            "ElideChecks": "elide_checks",
-            "ConstantArrayHandling": "constant_array_handling",
-            "Profile": "profile",
-            "TargetSystem": "target_system",
-            "PassLogger": "pass_logger",
-            "LazyJIT": "lazy_jit",
-            "ArgumentAlias": "argument_alias",
-            "VerifyIR": "verify_ir",
-        }
         translated = {}
         for key, value in rules.items():
-            field_name = mapping.get(key)
+            field_name = _WOLFRAM_NAMES.get(key)
             if field_name is None:
                 raise ValueError(f"unknown compile option {key!r}")
             if value is None and field_name == "optimization_level":

@@ -498,7 +498,8 @@ class CompilerPipeline:
                 if elide:
                     coalesced = self._timed(
                         "checkpoint-coalescing",
-                        lambda f=function_module: coalesce_checkpoints(f),
+                        lambda f=function_module, facts=facts:
+                            coalesce_checkpoints(f, facts),
                         subject=function_module,
                     )
                     if coalesced:

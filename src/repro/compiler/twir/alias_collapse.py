@@ -12,7 +12,8 @@ tensor phi chain to a single value.
 
 from __future__ import annotations
 
-from repro.compiler.wir.function_module import FunctionModule
+from repro.compiler.twir.passes import simplify_trivial_phis
+from repro.compiler.wir.function_module import Forwarding, FunctionModule
 from repro.compiler.wir.instructions import CallPrimitiveInstr
 
 _ALIASING = {
@@ -23,6 +24,7 @@ _ALIASING = {
 
 def collapse_mutation_aliases(function: FunctionModule) -> int:
     collapsed = 0
+    forwarding = Forwarding()
     for block in function.ordered_blocks():
         for instruction in block.instructions:
             if not isinstance(instruction, CallPrimitiveInstr):
@@ -32,29 +34,11 @@ def collapse_mutation_aliases(function: FunctionModule) -> int:
             result = instruction.result
             if result is None:
                 continue
-            target = instruction.operands[0]
-            for other in function.ordered_blocks():
-                for user in other.all_instructions():
-                    if user is not instruction:
-                        user.replace_operand(result, target)
+            forwarding.replace(result, instruction.operands[0])
             instruction.result = None
             collapsed += 1
     if collapsed:
-        _simplify_trivial_phis(function)
+        forwarding.apply(function)
+        simplify_trivial_phis(function)
     return collapsed
 
-
-def _simplify_trivial_phis(function: FunctionModule) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for block in function.ordered_blocks():
-            for phi in list(block.phis):
-                values = {v for _, v in phi.incoming if v is not phi.result}
-                if len(values) == 1:
-                    (only,) = values
-                    for other in function.ordered_blocks():
-                        for instruction in other.all_instructions():
-                            instruction.replace_operand(phi.result, only)
-                    block.phis.remove(phi)
-                    changed = True

@@ -133,18 +133,26 @@ def coalesce_checkpoints(
     Must run after :func:`repro.compiler.twir.abort.insert_abort_checks`
     (which would otherwise re-insert).  Returns the number coalesced.
     """
-    from repro.analyze.dataflow import COALESCE_TRIP_LIMIT, analyze_function
+    from repro.analyze.dataflow import (
+        COALESCE_TRIP_LIMIT,
+        analyze_function,
+        loop_facts,
+    )
 
     if limit is None:
         limit = COALESCE_TRIP_LIMIT
     if not function.information.get("AbortHandling", False):
         return 0
-    # the IR may have changed since the facts were computed (copy
-    # insertion, abort checkpoints); trip bounds must be re-derived on
-    # the current CFG
-    facts = analyze_function(function)
+    # the IR has changed since the facts were computed (copy insertion,
+    # abort checkpoints), so the loops are re-derived on the current CFG;
+    # their trip bounds read the intervals already computed, in which a
+    # value created since is unbounded and can only refuse a coalescing
+    if facts is None:
+        loops = analyze_function(function).loops
+    else:
+        loops = loop_facts(function, facts)
     coalesced: dict[str, int] = {}
-    for header_name, loop in facts.loops.items():
+    for header_name, loop in loops.items():
         if loop.trip_bound is None or loop.trip_bound > limit:
             continue
         if not loop.innermost or not loop.effect_local:

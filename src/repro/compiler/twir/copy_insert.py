@@ -17,7 +17,7 @@ place".
 from __future__ import annotations
 
 from repro.compiler.wir.analysis import compute_liveness
-from repro.compiler.wir.function_module import FunctionModule
+from repro.compiler.wir.function_module import Forwarding, FunctionModule
 from repro.compiler.wir.instructions import (
     CallPrimitiveInstr,
     CopyInstr,
@@ -51,11 +51,7 @@ def insert_copies(function: FunctionModule) -> int:
                 )
 
         new_instructions = []
-        rewrites: dict[Value, Value] = {}
         for index, instruction in enumerate(block.instructions):
-            # apply pending rewrites from earlier copies in this block
-            for old, new in rewrites.items():
-                instruction.replace_operand(old, new)
             if (
                 isinstance(instruction, CallPrimitiveInstr)
                 and instruction.primitive.runtime_name in _MUTATING
@@ -80,9 +76,6 @@ def insert_copies(function: FunctionModule) -> int:
                     inserted += 1
             new_instructions.append(instruction)
         block.instructions = new_instructions
-        if block.terminator is not None:
-            for old, new in rewrites.items():
-                block.terminator.replace_operand(old, new)
     if inserted:
         function.information["CopiesInserted"] = (
             function.information.get("CopiesInserted", 0) + inserted
@@ -127,22 +120,21 @@ def _copy_mutated_arguments(function: FunctionModule) -> int:
                     if isinstance(origin.definition, LoadArgumentInstr):
                         argument_values.add(origin)
 
-    inserted = 0
-    entry = function.blocks[function.entry]
-    for argument in argument_values:
-        load = argument.definition
-        position = entry.instructions.index(load)
+    # every use of such an argument now sees a private copy; the copies
+    # themselves enter the function after that sweep, so they keep reading
+    # the argument
+    forwarding = Forwarding()
+    copies = []
+    for argument in sorted(argument_values, key=lambda v: v.id):
         copy_value = Value(hint=f"{argument.hint}_copy")
         copy_value.type = argument.type
         copy = CopyInstr(copy_value, [argument])
         copy.properties["reason"] = "argument mutated in loop (F5)"
-        entry.instructions.insert(position + 1, copy)
-        # every other use of the argument now sees the private copy
-        for block in function.ordered_blocks():
-            for instruction in block.all_instructions():
-                if instruction is not copy and instruction is not load:
-                    instruction.replace_operand(argument, copy_value)
-            if block.terminator is not None:
-                block.terminator.replace_operand(argument, copy_value)
-        inserted += 1
-    return inserted
+        copies.append(copy)
+        forwarding.replace(argument, copy_value)
+    forwarding.apply(function)
+    entry = function.blocks[function.entry]
+    for copy in copies:
+        load = copy.operands[0].definition
+        entry.instructions.insert(entry.instructions.index(load) + 1, copy)
+    return len(copies)

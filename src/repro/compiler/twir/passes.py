@@ -14,7 +14,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.compiler.wir.analysis import compute_dominators, dominates
-from repro.compiler.wir.function_module import BasicBlock, FunctionModule
+from repro.compiler.wir.function_module import (
+    BasicBlock,
+    Forwarding,
+    FunctionModule,
+)
 from repro.compiler.wir.instructions import (
     BranchInstr,
     BuildListInstr,
@@ -123,9 +127,11 @@ def simplify_boolean_comparisons(function: FunctionModule) -> bool:
             if isinstance(instruction, ConstantInstr):
                 constants[instruction.result.id] = instruction.value
 
+    forwarding = Forwarding()
+
     def boolean_operand(instruction) -> Optional[Value]:
         """The non-constant operand when the other one is literal True."""
-        a, b = instruction.operands
+        a, b = map(forwarding.resolve, instruction.operands)
         if constants.get(a.id) is True and isinstance(b.type, AtomicType) \
                 and b.type.name == "Boolean":
             return b
@@ -145,11 +151,9 @@ def simplify_boolean_comparisons(function: FunctionModule) -> bool:
             operand = boolean_operand(instruction)
             if operand is None:
                 continue
-            for other in function.ordered_blocks():
-                for user in other.all_instructions():
-                    if user is not instruction:
-                        user.replace_operand(instruction.result, operand)
+            forwarding.replace(instruction.result, operand)
             changed = True
+    forwarding.apply(function)
     return changed
 
 
@@ -206,24 +210,27 @@ def delete_dead_blocks(function: FunctionModule) -> bool:
                         [(p, v) for p, v in phi.incoming if p != name]
                     )
         function.remove_block(name)
-    _simplify_trivial_phis(function)
+    simplify_trivial_phis(function)
     return bool(dead)
 
 
-def _simplify_trivial_phis(function: FunctionModule) -> None:
+def simplify_trivial_phis(function: FunctionModule) -> None:
+    """Remove every phi that merges one value (with itself), to a fixed
+    point: removing one can make another trivial."""
+    forwarding = Forwarding()
     changed = True
     while changed:
         changed = False
         for block in function.ordered_blocks():
             for phi in list(block.phis):
-                values = {v for _, v in phi.incoming if v is not phi.result}
+                values = {forwarding.resolve(v) for _, v in phi.incoming}
+                values.discard(phi.result)
                 if len(values) == 1:
                     (only,) = values
-                    for other in function.ordered_blocks():
-                        for instruction in other.all_instructions():
-                            instruction.replace_operand(phi.result, only)
+                    forwarding.replace(phi.result, only)
                     block.phis.remove(phi)
                     changed = True
+    forwarding.apply(function)
 
 
 # -- block fusion ----------------------------------------------------------------------
@@ -232,6 +239,7 @@ def _simplify_trivial_phis(function: FunctionModule) -> None:
 def fuse_blocks(function: FunctionModule) -> bool:
     """Merge a block into its unique predecessor when control is linear."""
     changed = False
+    forwarding = Forwarding()
     progress = True
     while progress:
         progress = False
@@ -250,10 +258,7 @@ def fuse_blocks(function: FunctionModule) -> bool:
                 # single predecessor: phis are trivial; inline them as copies
                 for phi in target.phis:
                     if phi.incoming:
-                        value = phi.incoming[0][1]
-                        for other in function.ordered_blocks():
-                            for instruction in other.all_instructions():
-                                instruction.replace_operand(phi.result, value)
+                        forwarding.replace(phi.result, phi.incoming[0][1])
                 target.phis = []
             block.instructions.extend(target.instructions)
             block.terminator = target.terminator
@@ -271,6 +276,7 @@ def fuse_blocks(function: FunctionModule) -> bool:
             function.remove_block(target_name)
             changed = progress = True
             break
+    forwarding.apply(function)
     return changed
 
 
@@ -322,42 +328,49 @@ def common_subexpression_elimination(function: FunctionModule) -> bool:
             children.setdefault(parent, []).append(name)
 
     changed = False
+    forwarding = Forwarding()
+    #: one table for the whole walk: a block's entries are visible in its
+    #: dominator subtree and taken out again when the walk leaves it
+    available: dict[tuple, Value] = {}
 
     def key_of(instruction) -> Optional[tuple]:
         if isinstance(instruction, CallPrimitiveInstr) and instruction.primitive.pure:
             return ("prim", instruction.primitive.runtime_name,
-                    tuple(v.id for v in instruction.operands))
+                    tuple(forwarding.resolve(v).id
+                          for v in instruction.operands))
         if isinstance(instruction, ConstantInstr):
             value = instruction.value
             if isinstance(value, (int, float, bool, str, complex)):
                 return ("const", type(value).__name__, value)
         return None
 
-    def walk(block_name: str, available: dict[tuple, Value]) -> None:
+    def walk(block_name: str) -> None:
         nonlocal changed
         block = function.blocks.get(block_name)
         if block is None:
             return
-        scope = dict(available)
+        added = []
         kept = []
         for instruction in block.instructions:
             key = key_of(instruction)
             if key is not None:
-                existing = scope.get(key)
+                existing = available.get(key)
                 if existing is not None:
-                    for other in function.ordered_blocks():
-                        for user in other.all_instructions():
-                            user.replace_operand(instruction.result, existing)
+                    forwarding.replace(instruction.result, existing)
                     changed = True
                     continue
-                scope[key] = instruction.result
+                available[key] = instruction.result
+                added.append(key)
             kept.append(instruction)
         block.instructions = kept
         for child in children.get(block_name, []):
-            walk(child, scope)
+            walk(child)
+        for key in added:
+            del available[key]
 
     assert function.entry is not None
-    walk(function.entry, {})
+    walk(function.entry)
+    forwarding.apply(function)
     return changed
 
 

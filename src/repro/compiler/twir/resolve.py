@@ -27,7 +27,12 @@ from repro.compiler.types.environment import (
     mangle,
 )
 from repro.compiler.types.specifier import AtomicType, FunctionType, Type
-from repro.compiler.wir.function_module import BasicBlock, FunctionModule, ProgramModule
+from repro.compiler.wir.function_module import (
+    BasicBlock,
+    Forwarding,
+    FunctionModule,
+    ProgramModule,
+)
 from repro.compiler.wir.instructions import (
     CallFunctionInstr,
     CallIndirectInstr,
@@ -72,6 +77,9 @@ class FunctionResolver:
         self.environment = environment
         self.compile_implementation = compile_implementation
         self.inline_policy = inline_policy  # 'none' | 'default' | 'aggressive'
+        #: call results replaced by an inlined callee's single return value;
+        #: applied when ``run`` finishes with the function
+        self._forwarding = Forwarding()
 
     # -- entry --------------------------------------------------------------------
 
@@ -84,6 +92,7 @@ class FunctionResolver:
             index = 0
             while index < len(block.instructions):
                 instruction = block.instructions[index]
+                self._forwarding.rewrite(instruction)
                 if isinstance(instruction, CallInstr):
                     inlined = self._resolve_call(function, block, index,
                                                  instruction)
@@ -98,6 +107,7 @@ class FunctionResolver:
                 ):
                     self._resolve_function_ref(instruction)
                 index += 1
+        self._forwarding.apply(function)
         return needs_reinference
 
     # -- direct calls --------------------------------------------------------------
@@ -319,8 +329,7 @@ class FunctionResolver:
         if result is not None:
             if len(incoming) == 1:
                 # single return: replace uses of the result
-                only = incoming[0][1]
-                _replace_uses(caller, result, only)
+                self._forwarding.replace(result, incoming[0][1])
             else:
                 phi = PhiInstr(result, incoming)
                 continuation.phis.insert(0, phi)
@@ -338,12 +347,6 @@ def _clone(instruction, mapped):
     if isinstance(instruction, PhiInstr):  # handled by caller
         raise AssertionError("phis are cloned separately")
     return clone
-
-
-def _replace_uses(function: FunctionModule, old: Value, new: Value) -> None:
-    for block in function.ordered_blocks():
-        for instruction in block.all_instructions():
-            instruction.replace_operand(old, new)
 
 
 def _require_type(value: Value, instruction) -> Type:

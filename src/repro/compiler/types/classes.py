@@ -34,6 +34,9 @@ class TypeClassRegistry:
             "Indexed": {"Tensor", "List", "PackedArray"},
             "MemoryManaged": {"Tensor", "List", "PackedArray"},
         }
+        #: moves with every membership change; anything remembered about
+        #: which qualified overload a type selects is keyed on it
+        self.version = 0
 
     def declare_class(self, name: str) -> None:
         self._members.setdefault(name, set())
@@ -44,6 +47,7 @@ class TypeClassRegistry:
         """Extend a class with a new member type (user extensibility)."""
         table = self._compound_members if compound else self._members
         table.setdefault(class_name, set()).add(type_name)
+        self.version += 1
 
     def classes(self) -> list[str]:
         return sorted(set(self._members) | set(self._compound_members))

@@ -31,7 +31,7 @@ from repro.compiler.types.specifier import (
     TypeVariable,
     instantiate,
 )
-from repro.compiler.types.unify import Substitution, unify, unifiable
+from repro.compiler.types.unify import Substitution, unify
 from repro.errors import (
     AmbiguousTypeError,
     FunctionResolutionError,
@@ -96,9 +96,11 @@ class Declaration:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResolvedCall:
-    """The outcome of function resolution for one call site."""
+    """The outcome of function resolution for one call site.  Frozen: a
+    resolution at ground argument types is shared by every call site that
+    asks for it (:meth:`TypeEnvironment.ground_candidates`)."""
 
     declaration: Declaration
     function_type: FunctionType  # fully instantiated
@@ -119,6 +121,7 @@ class TypeEnvironment:
         self.classes = classes or (parent.classes if parent else DEFAULT_CLASSES)
         self._functions: dict[str, list[Declaration]] = {}
         self._types: dict[str, dict] = {}
+        self._ground_candidates: dict[tuple, Optional[tuple]] = {}
 
     # -- declarations ------------------------------------------------------------
 
@@ -180,13 +183,18 @@ class TypeEnvironment:
         (ground) argument types.  Raises on no match or ambiguity."""
         substitution = substitution or Substitution()
         argument_types = [substitution.resolve(t) for t in argument_types]
-        candidates = self._candidates(name, argument_types, substitution)
+        candidates = None
+        if not any(t.free_variables() for t in argument_types):
+            candidates = self.ground_candidates(name, argument_types)
+        if candidates is None:
+            candidates = self._candidates(
+                name, self.declarations(name), argument_types, substitution
+            )
         if not candidates:
             raise FunctionResolutionError(
                 f"no implementation of {name} matches "
                 f"({', '.join(map(str, argument_types))})"
             )
-        candidates.sort(key=lambda c: c[1])
         if (
             len(candidates) > 1
             and candidates[0][1] == candidates[1][1]
@@ -200,14 +208,47 @@ class TypeEnvironment:
             )
         return candidates[0][0]
 
+    def ground_candidates(
+        self, name: str, argument_types: list[Type]
+    ) -> Optional[tuple[tuple[ResolvedCall, tuple], ...]]:
+        """Every overload of ``name`` that accepts the variable-free
+        ``argument_types``, best rank first — worked out once per
+        environment and then shared by every call site, function and
+        compile that asks (inference and function resolution both do).
+        ``None`` when some overload's instantiated type keeps a free
+        variable: those belong to one call site and are never shared.
+
+        The key holds everything the answer depends on besides the types:
+        the orders of the declarations consulted, so a ``declare_function``
+        for ``name`` here or in a parent environment is a new key, and the
+        class registry's version, for the qualifier obligations."""
+        declarations = self.declarations(name)
+        key = (name, tuple(argument_types),
+               tuple(d.order for d in declarations), self.classes.version)
+        try:
+            return self._ground_candidates[key]
+        except KeyError:
+            pass
+        candidates = self._candidates(
+            name, declarations, argument_types, Substitution()
+        )
+        shared = None
+        if not any(r.function_type.free_variables() for r, _ in candidates):
+            shared = tuple(candidates)
+        self._ground_candidates[key] = shared
+        return shared
+
     def _candidates(
         self,
         name: str,
+        declarations: list[Declaration],
         argument_types: list[Type],
         substitution: Substitution,
     ) -> list[tuple[ResolvedCall, tuple]]:
+        """The overloads that accept ``argument_types``, best rank first
+        (ties keep declaration order)."""
         out: list[tuple[ResolvedCall, tuple]] = []
-        for declaration in self.declarations(name):
+        for declaration in declarations:
             if declaration.arity() != len(argument_types):
                 continue
             instantiated, obligations = instantiate(declaration.type)
@@ -218,10 +259,14 @@ class TypeEnvironment:
             coercion_count = 0
             failed = False
             for param, argument in zip(instantiated.params, argument_types):
-                if unifiable(param, argument, probe):
+                # a failed unification leaves a binding behind only when
+                # both sides are structured, and then nothing widens either
+                try:
                     unify(param, argument, probe)
                     coercions.append(None)
                     continue
+                except TypeInferenceError:
+                    pass
                 resolved_param = probe.resolve(param)
                 resolved_argument = probe.resolve(argument)
                 if widens_to(resolved_argument, resolved_param):
@@ -261,6 +306,7 @@ class TypeEnvironment:
             # extensions override builtins)
             rank = (coercion_count, unresolved, -declaration.order)
             out.append((resolved, rank))
+        out.sort(key=lambda c: c[1])
         return out
 
 

@@ -10,8 +10,8 @@ Phase 1 traverses the IR generating constraints:
   instantiation each alternative carries plus its class-qualifier
   obligations.
 
-Phase 2 solves them: a constraint graph (networkx) links constraints whose
-free variables overlap; equality constraints unify eagerly; alternative
+Phase 2 solves them: constraints whose free variables overlap form one
+group of the constraint graph; equality constraints unify eagerly; alternative
 constraints are retried as their neighbourhood becomes ground, committing
 when exactly one candidate survives or when the candidate ordering (§4.4,
 [58, 74]) yields a unique minimum.  An unresolvable ordering raises
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import networkx as nx
 
 from repro.compiler.types.environment import TypeEnvironment, widens_to
 from repro.compiler.types.specifier import (
@@ -240,8 +238,7 @@ class TypeInference:
                     still_lists.append(deferred)
             lists_pending = still_lists
 
-            graph = self._constraint_graph(pending)
-            ordered = self._solve_order(graph, pending)
+            ordered = self._solve_order(pending)
             still_pending = []
             for constraint in ordered:
                 if self._try_resolve_call(constraint, commit_unique=True):
@@ -296,35 +293,37 @@ class TypeInference:
             for v in deferred.instruction.operands
         )
 
-    def _constraint_graph(self, constraints) -> nx.Graph:
-        """Nodes are constraints; edges link overlapping free-variable sets."""
-        graph = nx.Graph()
-        variable_owners: dict[str, list[int]] = {}
+    def _solve_order(self, constraints):
+        """Constraints whose free variables overlap (directly or through a
+        chain of others) are solved together, the substitution applied
+        iteratively per group (§4.4): groups in order of their first
+        constraint, and within a group the most-ground constraints first,
+        otherwise in program order."""
+        group = list(range(len(constraints)))  # union-find parents
+
+        def find(index: int) -> int:
+            while group[index] != index:
+                group[index] = index = group[group[index]]
+            return index
+
+        first_owner: dict[str, int] = {}
         for index, constraint in enumerate(constraints):
-            graph.add_node(index)
-            names: set[str] = set()
             for operand_type in (*constraint.operand_types,
                                  constraint.result_type):
-                names |= self.substitution.resolve(operand_type).free_variables()
-            for name in names:
-                variable_owners.setdefault(name, []).append(index)
-        for owners in variable_owners.values():
-            for a, b in zip(owners, owners[1:]):
-                graph.add_edge(a, b)
-        return graph
-
-    def _solve_order(self, graph: nx.Graph, constraints):
-        """Process strongly connected groups of constraints together; the
-        substitution is applied iteratively per component (§4.4)."""
+                for name in self.substitution.resolve(
+                    operand_type
+                ).free_variables():
+                    owner = find(first_owner.setdefault(name, index))
+                    if owner != index:
+                        group[find(index)] = owner
+        members: dict[int, list[int]] = {}
+        for index in range(len(constraints)):
+            members.setdefault(find(index), []).append(index)
         order = []
-        for component in nx.connected_components(graph):
-            # within a component, most-ground constraints first
-            members = sorted(
-                component,
-                key=lambda i: self._groundness(constraints[i]),
-                reverse=True,
-            )
-            order.extend(constraints[i] for i in members)
+        for indices in members.values():
+            indices.sort(key=lambda i: self._groundness(constraints[i]),
+                         reverse=True)
+            order.extend(constraints[i] for i in indices)
         return order
 
     def _groundness(self, constraint: CallConstraint) -> int:
@@ -345,6 +344,54 @@ class TypeInference:
         if not declarations:
             return self._try_self_call(constraint, operand_types)
 
+        ground_enough = all(
+            not t.free_variables() for t in operand_types
+        )
+        shared = (
+            self.environment.ground_candidates(name, operand_types)
+            if ground_enough else None
+        )
+        if shared is not None:
+            # variable-free overloads, ranked once per environment: only
+            # the result type still has to fit this call site
+            viable = [
+                (*rank, resolved.function_type)
+                for resolved, rank in shared
+                if unifiable(resolved.function_type.result,
+                             constraint.result_type, self.substitution)
+            ]
+        else:
+            viable = self._viable_overloads(
+                declarations, operand_types, constraint.result_type
+            )
+        if not viable:
+            raise TypeInferenceError(
+                f"no matching definition for {name}"
+                f"({', '.join(map(str, operand_types))}) "
+                f"in `{_source_of(instruction)}`"
+            )
+        best = viable[0]
+        is_unique = len(viable) == 1 or viable[1][:2] != best[:2]
+        if not (is_unique or ground_enough):
+            if commit_unique:
+                return False
+        # commit: unify for real against the main substitution
+        instantiated = best[3]
+        for param, argument in zip(instantiated.params,
+                                   constraint.operand_types):
+            resolved_arg = self.substitution.resolve(argument)
+            if unifiable(param, resolved_arg, self.substitution):
+                unify(param, resolved_arg, self.substitution)
+        self._unify_soft(instantiated.result, constraint.result_type,
+                         instruction)
+        constraint.resolved = True
+        return True
+
+    def _viable_overloads(self, declarations, operand_types: list[Type],
+                          result_type: Type) -> list[tuple]:
+        """``(coercions, unresolved, -order, instantiated type)`` of every
+        declaration that accepts the operands and can produce
+        ``result_type``, best first."""
         viable = []
         for declaration in declarations:
             if declaration.arity() != len(operand_types):
@@ -354,9 +401,13 @@ class TypeInference:
             coercion_count = 0
             failed = False
             for param, argument in zip(instantiated.params, operand_types):
-                if unifiable(param, argument, probe):
+                # a failed unification leaves a binding behind only when
+                # both sides are structured, and then nothing widens either
+                try:
                     unify(param, argument, probe)
                     continue
+                except TypeInferenceError:
+                    pass
                 if widens_to(probe.resolve(argument), probe.resolve(param)):
                     coercion_count += 1
                     continue
@@ -376,38 +427,12 @@ class TypeInference:
                     break
             if obligations_failed:
                 continue
-            if not unifiable(instantiated.result,
-                             constraint.result_type, probe):
+            if not unifiable(instantiated.result, result_type, probe):
                 continue
             viable.append((coercion_count, unresolved, -declaration.order,
-                           instantiated, probe))
-
-        if not viable:
-            raise TypeInferenceError(
-                f"no matching definition for {name}"
-                f"({', '.join(map(str, operand_types))}) "
-                f"in `{_source_of(instruction)}`"
-            )
+                           instantiated))
         viable.sort(key=lambda item: item[:3])
-        best = viable[0]
-        is_unique = len(viable) == 1 or viable[1][:2] != best[:2]
-        ground_enough = all(
-            not t.free_variables() for t in operand_types
-        )
-        if not (is_unique or ground_enough):
-            if commit_unique:
-                return False
-        # commit: unify for real against the main substitution
-        _count, _unresolved, _order, instantiated, _probe = best
-        for param, argument in zip(instantiated.params,
-                                   constraint.operand_types):
-            resolved_arg = self.substitution.resolve(argument)
-            if unifiable(param, resolved_arg, self.substitution):
-                unify(param, resolved_arg, self.substitution)
-        self._unify_soft(instantiated.result, constraint.result_type,
-                         instruction)
-        constraint.resolved = True
-        return True
+        return viable
 
     def _try_self_call(self, constraint: CallConstraint,
                        operand_types: list[Type]) -> bool:

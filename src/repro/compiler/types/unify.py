@@ -109,7 +109,27 @@ def unify(a: Type, b: Type, substitution: Substitution) -> None:
 
 
 def unifiable(a: Type, b: Type, substitution: Substitution) -> bool:
-    probe = substitution.copy()
+    """Would ``unify(a, b, substitution)`` succeed?  Commits nothing.
+
+    Overload resolution asks this once per parameter of every candidate,
+    nearly always about an atomic type or an unbound variable: those are
+    answered from the resolved types alone.  Only a pair of compound types
+    is unified on trial, and on a copy of the substitution only when a
+    variable inside them could be bound."""
+    a = substitution.resolve(a)
+    b = substitution.resolve(b)
+    if a == b:
+        return True
+    for one, other in ((a, b), (b, a)):
+        if isinstance(one, TypeVariable):
+            # binding succeeds unless the occurs check fails
+            return one.name not in other.free_variables()
+    if type(a) is not type(b) or isinstance(a, AtomicType):
+        return False
+    if a.free_variables() or b.free_variables():
+        probe = substitution.copy()
+    else:
+        probe = Substitution()
     try:
         unify(a, b, probe)
     except TypeInferenceError:

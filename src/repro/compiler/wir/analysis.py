@@ -3,72 +3,141 @@ Harvey-Kennedy [21]), natural-loop detection [13, 62], and liveness [12].
 
 Used by abort-check insertion (loop headers), the structurizer, memory
 management (live intervals), and the copy-insertion mutability pass.
+
+The facts that depend on the CFG alone — predecessors, reverse postorder,
+immediate dominators, natural loops — live on one :class:`CFG` object,
+each derived on first request.  :meth:`FunctionModule.cfg` keeps the
+object until the function's CFG version moves, so a compile derives each
+fact once per CFG shape instead of once per question; the module-level
+functions below read that shared object, whose results callers must not
+mutate.  The IR verifier builds its own ``CFG(function)`` instead: a pass
+that writes a branch target behind the version counter is exactly what it
+exists to catch, so it never trusts a cached fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
-from repro.compiler.wir.function_module import BasicBlock, FunctionModule
-from repro.compiler.wir.instructions import PhiInstr, Value
+if TYPE_CHECKING:  # pragma: no cover - function_module imports this module
+    from repro.compiler.wir.function_module import FunctionModule
+    from repro.compiler.wir.instructions import Value
 
 
-def reverse_postorder(function: FunctionModule) -> list[str]:
-    seen: set[str] = set()
-    order: list[str] = []
+@dataclass
+class NaturalLoop:
+    header: str
+    body: set[str] = field(default_factory=set)
+    back_edges: list[tuple[str, str]] = field(default_factory=list)
 
-    def visit(name: str) -> None:
-        if name in seen or name not in function.blocks:
-            return
-        seen.add(name)
-        for successor in function.blocks[name].successors():
-            visit(successor)
-        order.append(name)
 
-    assert function.entry is not None
-    visit(function.entry)
-    order.reverse()
-    return order
+class CFG:
+    """The CFG facts of one function, read from its blocks as they stand
+    when each fact is first asked for."""
+
+    def __init__(self, function: FunctionModule):
+        self.function = function
+        #: the function's CFG version when this object was made
+        self.version = function.cfg_version
+
+    @cached_property
+    def predecessors(self) -> dict[str, list[str]]:
+        function = self.function
+        preds: dict[str, list[str]] = {name: [] for name in function.blocks}
+        for block in function.ordered_blocks():
+            for successor in block.successors():
+                if successor in preds:
+                    preds[successor].append(block.name)
+        return preds
+
+    @cached_property
+    def reverse_postorder(self) -> list[str]:
+        function = self.function
+        seen: set[str] = set()
+        order: list[str] = []
+
+        def visit(name: str) -> None:
+            if name in seen or name not in function.blocks:
+                return
+            seen.add(name)
+            for successor in function.blocks[name].successors():
+                visit(successor)
+            order.append(name)
+
+        assert function.entry is not None
+        visit(function.entry)
+        order.reverse()
+        return order
+
+    @cached_property
+    def idom(self) -> dict[str, Optional[str]]:
+        """Immediate dominators via the Cooper–Harvey–Kennedy iteration."""
+        order = self.reverse_postorder
+        index = {name: i for i, name in enumerate(order)}
+        predecessors = self.predecessors
+        idom: dict[str, Optional[str]] = {name: None for name in order}
+        entry = self.function.entry
+        idom[entry] = entry
+
+        def intersect(a: str, b: str) -> str:
+            while a != b:
+                while index[a] > index[b]:
+                    a = idom[a]  # type: ignore[assignment]
+                while index[b] > index[a]:
+                    b = idom[b]  # type: ignore[assignment]
+            return a
+
+        changed = True
+        while changed:
+            changed = False
+            for name in order:
+                if name == entry:
+                    continue
+                candidates = [
+                    p for p in predecessors.get(name, ())
+                    if p in index and idom.get(p) is not None
+                ]
+                if not candidates:
+                    continue
+                new_idom = candidates[0]
+                for other in candidates[1:]:
+                    new_idom = intersect(new_idom, other)
+                if idom[name] != new_idom:
+                    idom[name] = new_idom
+                    changed = True
+        idom[entry] = None
+        return idom
+
+    @cached_property
+    def loops(self) -> list[NaturalLoop]:
+        """Back edges (successor dominates source) and their natural loops."""
+        function = self.function
+        idom = self.idom
+        predecessors = self.predecessors
+        loops: dict[str, NaturalLoop] = {}
+        for block in function.ordered_blocks():
+            for successor in block.successors():
+                if successor in function.blocks and dominates(
+                    idom, successor, block.name
+                ):
+                    loop = loops.setdefault(successor, NaturalLoop(successor))
+                    loop.back_edges.append((block.name, successor))
+                    # walk predecessors from the latch up to the header
+                    stack = [block.name]
+                    loop.body.add(successor)
+                    while stack:
+                        current = stack.pop()
+                        if current in loop.body:
+                            continue
+                        loop.body.add(current)
+                        stack.extend(predecessors.get(current, ()))
+        return list(loops.values())
 
 
 def compute_dominators(function: FunctionModule) -> dict[str, Optional[str]]:
-    """Immediate dominators via the Cooper–Harvey–Kennedy iteration."""
-    order = reverse_postorder(function)
-    index = {name: i for i, name in enumerate(order)}
-    predecessors = function.predecessors()
-    idom: dict[str, Optional[str]] = {name: None for name in order}
-    entry = function.entry
-    idom[entry] = entry
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]  # type: ignore[assignment]
-            while index[b] > index[a]:
-                b = idom[b]  # type: ignore[assignment]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            if name == entry:
-                continue
-            candidates = [
-                p for p in predecessors.get(name, ())
-                if p in index and idom.get(p) is not None
-            ]
-            if not candidates:
-                continue
-            new_idom = candidates[0]
-            for other in candidates[1:]:
-                new_idom = intersect(new_idom, other)
-            if idom[name] != new_idom:
-                idom[name] = new_idom
-                changed = True
-    idom[entry] = None
-    return idom
+    return function.cfg().idom
 
 
 def dominates(idom: dict[str, Optional[str]], a: str, b: str) -> bool:
@@ -76,7 +145,7 @@ def dominates(idom: dict[str, Optional[str]], a: str, b: str) -> bool:
 
     Blocks absent from ``idom`` are unreachable; dominance is undefined
     there, and answering ``False`` keeps unreachable self-loops out of
-    :func:`find_natural_loops` (they never execute, so treating them as
+    :attr:`CFG.loops` (they never execute, so treating them as
     loops would make passes instrument dead code).
     """
     if a not in idom or b not in idom:
@@ -89,39 +158,12 @@ def dominates(idom: dict[str, Optional[str]], a: str, b: str) -> bool:
     return False
 
 
-@dataclass
-class NaturalLoop:
-    header: str
-    body: set[str] = field(default_factory=set)
-    back_edges: list[tuple[str, str]] = field(default_factory=list)
-
-
 def find_natural_loops(function: FunctionModule) -> list[NaturalLoop]:
-    """Back edges (successor dominates source) and their natural loops."""
-    idom = compute_dominators(function)
-    predecessors = function.predecessors()
-    loops: dict[str, NaturalLoop] = {}
-    for block in function.ordered_blocks():
-        for successor in block.successors():
-            if successor in function.blocks and dominates(
-                idom, successor, block.name
-            ):
-                loop = loops.setdefault(successor, NaturalLoop(successor))
-                loop.back_edges.append((block.name, successor))
-                # walk predecessors from the latch up to the header
-                stack = [block.name]
-                loop.body.add(successor)
-                while stack:
-                    current = stack.pop()
-                    if current in loop.body:
-                        continue
-                    loop.body.add(current)
-                    stack.extend(predecessors.get(current, ()))
-    return list(loops.values())
+    return function.cfg().loops
 
 
 def loop_headers(function: FunctionModule) -> set[str]:
-    return {loop.header for loop in find_natural_loops(function)}
+    return {loop.header for loop in function.cfg().loops}
 
 
 def compute_liveness(

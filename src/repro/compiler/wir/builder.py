@@ -7,14 +7,22 @@ to virtual registers —, the compiler lowers MExprs directly into SSA form."
 This is the sealed-block algorithm of Braun et al. [15]: local-variable
 reads consult the per-block definition map, inserting operandless phis into
 unsealed blocks (loop headers under construction) and completing them when
-the block seals.  Trivial phis are removed on the fly.
+the block seals.  Trivial phis are removed on the fly: the phi leaves its
+block at once, and its uses are forwarded to the value it merged
+(:class:`~repro.compiler.wir.function_module.Forwarding`) — rewritten in
+one sweep by :meth:`SSABuilder.finish` once the function is lowered, and
+read through the forwarding by ``read`` until then.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.compiler.wir.function_module import BasicBlock, FunctionModule
+from repro.compiler.wir.function_module import (
+    BasicBlock,
+    Forwarding,
+    FunctionModule,
+)
 from repro.compiler.wir.instructions import PhiInstr, Value
 from repro.errors import BindingError
 
@@ -27,6 +35,25 @@ class SSABuilder:
         self._sealed: set[str] = set()
         #: block name -> variable -> incomplete phi
         self._incomplete: dict[str, dict[str, PhiInstr]] = {}
+        self._forwarding = Forwarding()
+        #: block name -> the blocks terminated into it so far.  Lowering
+        #: only ever adds edges, so the builder keeps its own lists and a
+        #: variable read walks no CFG.
+        self._predecessors: dict[str, list[BasicBlock]] = {}
+
+    # -- edges ----------------------------------------------------------------
+
+    def terminate(self, block: BasicBlock, terminator) -> None:
+        block.terminator = terminator
+        for successor in terminator.successors():
+            self._predecessors.setdefault(successor, []).append(block)
+
+    def predecessors(self, block: BasicBlock) -> list[str]:
+        """Names of the blocks that jump to ``block``, in block order —
+        the order ``FunctionModule.predecessors()`` lists them in, which
+        fixes the order of phi operands."""
+        found = self._predecessors.get(block.name, ())
+        return [b.name for b in sorted(found, key=lambda b: b.index)]
 
     # -- writes ---------------------------------------------------------------
 
@@ -38,11 +65,11 @@ class SSABuilder:
     def read(self, variable: str, block: BasicBlock) -> Value:
         per_block = self._definitions.get(variable, {})
         if block.name in per_block:
-            return per_block[block.name]
+            return self._forwarding.resolve(per_block[block.name])
         return self._read_recursive(variable, block)
 
     def _read_recursive(self, variable: str, block: BasicBlock) -> Value:
-        predecessors = self.function.predecessors().get(block.name, [])
+        predecessors = self.predecessors(block)
         if block.name not in self._sealed:
             # incomplete CFG: place an operandless phi, fill at seal time
             value = Value(hint=variable)
@@ -69,7 +96,7 @@ class SSABuilder:
     def _add_phi_operands(
         self, variable: str, phi: PhiInstr, block: BasicBlock
     ) -> Value:
-        predecessors = self.function.predecessors().get(block.name, [])
+        predecessors = self.predecessors(block)
         incoming = []
         for predecessor in predecessors:
             incoming.append(
@@ -90,20 +117,10 @@ class SSABuilder:
         if distinct is None:
             # no real operands: an unreachable-path read; keep the phi
             return phi.result
-        # replace all uses of the trivial phi with its unique value
-        self._replace_everywhere(phi.result, distinct)
+        self._forwarding.replace(phi.result, distinct)
         if phi in block.phis:
             block.phis.remove(phi)
         return distinct
-
-    def _replace_everywhere(self, old: Value, new: Value) -> None:
-        for candidate in self.function.ordered_blocks():
-            for instruction in candidate.all_instructions():
-                instruction.replace_operand(old, new)
-        for per_block in self._definitions.values():
-            for block_name, value in list(per_block.items()):
-                if value is old:
-                    per_block[block_name] = new
 
     # -- sealing ------------------------------------------------------------------
 
@@ -112,3 +129,8 @@ class SSABuilder:
         for variable, phi in pending.items():
             self._add_phi_operands(variable, phi, block)
         self._sealed.add(block.name)
+
+    def finish(self) -> None:
+        """Rewrite the uses of every removed phi; call once, when the
+        whole function has been lowered."""
+        self._forwarding.apply(self.function)

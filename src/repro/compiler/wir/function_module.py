@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from repro.compiler.wir.analysis import CFG
 from repro.compiler.wir.instructions import (
     Instruction,
     PhiInstr,
@@ -13,11 +14,31 @@ from repro.compiler.wir.instructions import (
 
 
 class BasicBlock:
-    def __init__(self, name: str):
+    def __init__(self, name: str, function: "FunctionModule", index: int):
         self.name = name
+        self.function = function
+        #: creation number: ``block_order`` lists blocks by ascending index
+        self.index = index
         self.phis: list[PhiInstr] = []
         self.instructions: list[Instruction] = []
-        self.terminator: Optional[Terminator] = None
+        self._terminator: Optional[Terminator] = None
+
+    @property
+    def terminator(self) -> Optional[Terminator]:
+        return self._terminator
+
+    @terminator.setter
+    def terminator(self, terminator: Optional[Terminator]) -> None:
+        self._terminator = terminator
+        self.function.cfg_version += 1
+
+    def retarget(self, old: str, new: str) -> None:
+        """Point this block's edges to ``old`` at ``new``.  An attached
+        terminator is retargeted here, never through its own
+        :meth:`Terminator.retarget`, which cannot tell the function that
+        its CFG changed."""
+        self._terminator.retarget(old, new)
+        self.function.cfg_version += 1
 
     def append(self, instruction: Instruction) -> Instruction:
         if isinstance(instruction, PhiInstr):
@@ -64,32 +85,42 @@ class FunctionModule:
             "AbortHandling": True,
         }
         self._block_counter = 0
+        #: moves whenever the shape of the CFG may have: a terminator is
+        #: assigned or retargeted through its block, a block is added or
+        #: removed.  :meth:`cfg` serves facts derived at the current value.
+        self.cfg_version = 0
+        self._cfg: Optional[CFG] = None
 
     def new_block(self, hint: str = "bb") -> BasicBlock:
         self._block_counter += 1
         name = f"{hint}({self._block_counter})"
-        block = BasicBlock(name)
+        block = BasicBlock(name, self, self._block_counter)
         self.blocks[name] = block
         self.block_order.append(name)
         if self.entry is None:
             self.entry = name
+        self.cfg_version += 1
         return block
 
     def remove_block(self, name: str) -> None:
         self.blocks.pop(name, None)
         if name in self.block_order:
             self.block_order.remove(name)
+        self.cfg_version += 1
 
     def ordered_blocks(self) -> list[BasicBlock]:
         return [self.blocks[n] for n in self.block_order if n in self.blocks]
 
+    def cfg(self) -> CFG:
+        """Predecessors, reverse postorder, dominators and natural loops
+        of the CFG as it stands, each derived at most once until
+        :attr:`cfg_version` next moves.  Shared: do not mutate."""
+        if self._cfg is None or self._cfg.version != self.cfg_version:
+            self._cfg = CFG(self)
+        return self._cfg
+
     def predecessors(self) -> dict[str, list[str]]:
-        preds: dict[str, list[str]] = {name: [] for name in self.blocks}
-        for block in self.ordered_blocks():
-            for successor in block.successors():
-                if successor in preds:
-                    preds[successor].append(block.name)
-        return preds
+        return self.cfg().predecessors
 
     def values(self) -> Iterator[Value]:
         seen = set()
@@ -128,6 +159,58 @@ class FunctionModule:
         return "\n".join(lines)
 
     __str__ = to_string
+
+
+class Forwarding:
+    """The IR's one use-replacement mechanism: ``replace(old, new)`` only
+    records that every use of ``old`` is to become ``new``; ``apply``
+    rewrites all of them in a single sweep of the function.
+
+    A pass (or the SSA builder) that replaces many values therefore costs
+    one sweep, not one per value.  Until ``apply`` has run, replaced values
+    still sit in operand lists, so whatever compares or keys on an operand
+    meanwhile reads it through ``resolve``.
+    """
+
+    def __init__(self):
+        self._forward: dict[Value, Value] = {}
+
+    def replace(self, old: Value, new: Value) -> None:
+        new = self.resolve(new)
+        if new is not old:
+            self._forward[old] = new
+
+    def resolve(self, value: Value) -> Value:
+        forward = self._forward
+        target = forward.get(value)
+        if target is None:
+            return value
+        # `replace` resolves its target first, so chains only arise when a
+        # target is itself replaced later; compress them as they are read
+        chain = []
+        while (further := forward.get(target)) is not None:
+            chain.append(value)
+            value, target = target, further
+        for link in chain:
+            forward[link] = target
+        return target
+
+    def rewrite(self, instruction: Instruction) -> None:
+        """Bring one instruction's operands up to date."""
+        forward = self._forward
+        if forward:
+            for operand in instruction.operands:
+                if operand in forward:
+                    instruction.replace_operand(
+                        operand, self.resolve(operand)
+                    )
+
+    def apply(self, function: FunctionModule) -> None:
+        """Rewrite every pending use in ``function``, then forget them."""
+        if self._forward:
+            for instruction in function.instructions():
+                self.rewrite(instruction)
+            self._forward.clear()
 
 
 def _wl_rules(value) -> str:
@@ -169,8 +252,13 @@ class ProgramModule:
 
     def to_string(self) -> str:
         parts = []
-        if self.metadata:
-            parts.append(f"; module metadata: {self.metadata}")
+        # the options and nothing else: timings, fact bundles and object
+        # addresses would make two exports of one function differ
+        options = self.metadata.get("options")
+        if options is not None:
+            parts.append(
+                f"; module metadata: {_wl_rules(options.to_wolfram())}"
+            )
         for name in sorted(self.functions, key=lambda n: n != self.main):
             parts.append(self.functions[name].to_string())
         return "\n\n".join(parts)

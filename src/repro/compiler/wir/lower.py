@@ -88,8 +88,8 @@ class Lowerer:
             self.builder.write(name, self.block, value)
 
         result = self.lower_expr(binding.body)
-        if self.block is not None and self.block.terminator is None:
-            self.block.terminator = ReturnInstr(result)
+        self._terminate(ReturnInstr(result))
+        self.builder.finish()
         return self.function
 
     # -- helpers -----------------------------------------------------------------
@@ -109,7 +109,7 @@ class Lowerer:
 
     def _terminate(self, terminator) -> None:
         if self.block is not None and self.block.terminator is None:
-            self.block.terminator = terminator
+            self.builder.terminate(self.block, terminator)
 
     def _constant(self, value, type_: Optional[Type], source=None) -> Value:
         result = self._new_value()
@@ -260,7 +260,7 @@ class Lowerer:
 
         self.block = join_block
         self.builder.seal(join_block)
-        if not self.function.predecessors().get(join_block.name):
+        if not self.builder.predecessors(join_block):
             # both branches escaped (Return/Break): join unreachable
             self.block = None
             return self._unreachable_value()

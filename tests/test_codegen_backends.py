@@ -230,6 +230,28 @@ class TestLibraryExport:
         text = FunctionCompileExportString(LOOP_FN, "IR")
         assert "Main" in text and "Phi" in text
 
+    def test_ir_export_is_reproducible(self):
+        """Two exports of one function differ only in value numbering
+        (ids come from a process-wide counter): no timing, fact bundle or
+        object address is printed."""
+        import re
+
+        def renumbered(text: str) -> str:
+            first_use: dict[str, str] = {}
+            return re.sub(
+                r"%\d+",
+                lambda m: first_use.setdefault(
+                    m.group(), f"%v{len(first_use)}"
+                ),
+                text,
+            )
+
+        first = FunctionCompileExportString(LOOP_FN, "IR")
+        second = FunctionCompileExportString(LOOP_FN, "IR")
+        assert renumbered(first) == renumbered(second)
+        assert "0x" not in first and "passTimings" not in first
+        assert first.startswith('; module metadata: {"OptimizationLevel" -> 1')
+
     def test_unknown_target_rejected(self):
         from repro.errors import CompilerError
 

@@ -130,6 +130,63 @@ class TestSsaChecks:
         assert "phi.edges" in invariants(verify_function(function))
 
 
+class TestVerifierBypassesCachedCfgFacts:
+    """``FunctionModule.cfg()`` serves predecessors, dominators and loops
+    derived at the current CFG version.  A write below the version counter
+    (``terminator.target = ...``) leaves them stale, and such a write is
+    what the verifier exists to catch — so it reads the blocks, never the
+    cache."""
+
+    @staticmethod
+    def compiled_with_warm_caches():
+        program = CompilerPipeline().compile_program(parse(LOOP_SOURCE))
+        function = program.main_function()
+        cfg = function.cfg()
+        warmed = (cfg.predecessors, cfg.reverse_postorder, cfg.idom,
+                  cfg.loops)
+        assert function.cfg() is cfg and all(warmed)
+        return program, function
+
+    #: every ``corrupt-ir`` class and the invariant it must trip
+    EXPECTED = {
+        "drop-terminator": "cfg.terminated",
+        "bad-target": "cfg.target",
+        "duplicate-def": "ssa.unique-def",
+        "dangling-operand": "ssa.dominance",
+        "phi-edge": "phi.edges",
+        "type-mismatch": "type.branch",
+        "analysis.bad_fact": "analysis.fact",
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(EXPECTED))
+    def test_every_corruption_is_named_with_all_caches_warm(self, corruption):
+        from repro.testing.corrupt import CORRUPTIONS
+
+        assert set(CORRUPTIONS) == set(self.EXPECTED)
+        program, function = self.compiled_with_warm_caches()
+        CORRUPTIONS[corruption](function)
+        found = verify_function(function, program=program)
+        assert self.EXPECTED[corruption] in invariants(found), found
+
+    def test_edge_rewired_below_the_version_counter(self):
+        """The back edge is pointed at the loop exit by writing the jump's
+        ``target`` directly: the CFG stays well-formed and the cached
+        predecessors still show the old edge, so only a verifier that
+        recomputes them sees a header phi fed by a non-predecessor."""
+        _program, function = self.compiled_with_warm_caches()
+        (loop,) = function.cfg().loops
+        (latch, header), = loop.back_edges
+        exit_name = next(
+            s for s in function.blocks[header].successors()
+            if s not in loop.body
+        )
+        version = function.cfg_version
+        function.blocks[latch].terminator.target = exit_name
+        assert function.cfg_version == version
+        assert latch in function.predecessors()[header]  # stale, as built
+        assert "phi.edges" in invariants(verify_function(function))
+
+
 class TestPipelineIntegration:
     def test_real_compile_verifies_cleanly(self):
         pipeline = CompilerPipeline()

@@ -143,3 +143,60 @@ class TestLivenessAcrossBlocks:
         assert carried in live_in[middle.name]
         assert carried in live_in[last.name]
         assert carried not in live_out[last.name]
+
+
+class TestCfgFactsFollowTheCfgVersion:
+    """``FunctionModule.cfg()`` serves one set of facts per CFG shape: the
+    same object while nothing moved, a fresh one after each of the four
+    ways the compiler changes an edge."""
+
+    def diamond(self):
+        function = FunctionModule("F")
+        entry = function.new_block("entry")
+        left = function.new_block("left")
+        right = function.new_block("right")
+        condition = Value("c")
+        entry.append(ConstantInstr(condition, True))
+        entry.terminator = BranchInstr(condition, left.name, right.name)
+        left.terminator = JumpInstr(right.name)
+        right.terminator = ReturnInstr(None)
+        return function, entry, left, right
+
+    def test_shared_until_the_cfg_changes(self):
+        function, entry, left, right = self.diamond()
+        cfg = function.cfg()
+        assert function.cfg() is cfg
+        assert compute_dominators(function) is cfg.idom
+        assert function.predecessors()[right.name] == [entry.name, left.name]
+        left.instructions.append(ConstantInstr(Value("k"), 1))  # no edge moved
+        assert function.cfg() is cfg
+
+    def test_terminator_assignment(self):
+        function, entry, left, right = self.diamond()
+        assert compute_dominators(function)[right.name] == entry.name
+        entry.terminator = JumpInstr(left.name)
+        assert function.predecessors()[right.name] == [left.name]
+        assert compute_dominators(function)[right.name] == left.name
+
+    def test_retarget_through_the_block(self):
+        function, entry, left, right = self.diamond()
+        assert function.predecessors()[left.name] == [entry.name]
+        entry.retarget(left.name, right.name)
+        assert function.predecessors()[left.name] == []
+        assert function.predecessors()[right.name] == [entry.name, entry.name,
+                                                       left.name]
+
+    def test_new_block_and_remove_block(self):
+        function, entry, left, right = self.diamond()
+        assert find_natural_loops(function) == []
+        latch = function.new_block("latch")
+        assert latch.name in function.predecessors()
+        latch.terminator = JumpInstr(left.name)
+        left.terminator = BranchInstr(
+            entry.instructions[0].result, latch.name, right.name
+        )
+        assert loop_headers(function) == {left.name}
+        left.terminator = JumpInstr(right.name)
+        function.remove_block(latch.name)
+        assert latch.name not in function.predecessors()
+        assert loop_headers(function) == set()

@@ -32,6 +32,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Optional, Union
 
+import numpy as np
+
 from repro import observe as _observe
 from repro.compiler.codegen.python_backend import PythonBackend, sanitize
 from repro.compiler.macros import MacroEnvironment
@@ -53,6 +55,7 @@ from repro.compiler.wir.function_module import ProgramModule
 from repro.errors import (
     SOFT_FAILURE_EXCEPTIONS,
     CompilerError,
+    IntegerOverflowError,
     WolframRuntimeError,
 )
 from repro.mexpr.atoms import MSymbol
@@ -69,6 +72,7 @@ from repro.runtime.guard import (
     Tier,
     checkpoint,
 )
+from repro.runtime.checked import INT64_MAX, INT64_MIN, check_int64
 from repro.runtime.packed import PackedArray
 
 FunctionLike = Union[MExpr, str]
@@ -223,6 +227,9 @@ class CompiledCodeFunction(GovernedFunction):
         self.evaluator = evaluator
         self.options = options or CompilerOptions()
         self._entry = namespace[sanitize(program.main)]
+        #: one boundary check per parameter, chosen from the signature here
+        #: so a call does no type dispatch of its own
+        self._unpackers = tuple(map(_unpacker, signature.params))
         self.breaker = CircuitBreaker(
             program.main, threshold=CIRCUIT_BREAKER_THRESHOLD,
             start=self.native_tier,
@@ -270,58 +277,16 @@ class CompiledCodeFunction(GovernedFunction):
     # -- the boxing boundary (§4.5) ---------------------------------------------------
 
     def _to_native(self, arguments: tuple) -> list:
-        declared = self.signature.params
-        if len(arguments) != len(declared):
+        unpackers = self._unpackers
+        if len(arguments) != len(unpackers):
             raise WolframRuntimeError(
                 "ArgumentCount",
-                f"expected {len(declared)} arguments, got {len(arguments)}",
+                f"expected {len(unpackers)} arguments, got {len(arguments)}",
             )
         unpacked = []
-        for value, type_ in zip(arguments, declared):
-            unpacked.append(self._unpack_one(value, type_))
+        for unpack, value in zip(unpackers, arguments):
+            unpacked.append(unpack(value))
         return unpacked
-
-    def _unpack_one(self, value, type_: Type):
-        if isinstance(value, MExpr) and not (
-            isinstance(type_, AtomicType) and type_.name == "Expression"
-        ):
-            try:
-                value = value.to_python()
-            except ValueError:
-                pass
-        if isinstance(type_, AtomicType) and type_.name == "Expression":
-            return to_mexpr(value) if not isinstance(value, MExpr) else value
-        if isinstance(type_, CompoundType) and type_.constructor == "Tensor":
-            element = getattr(type_.params[0], "name", "Real64")
-            if isinstance(value, PackedArray):
-                return value
-            if isinstance(value, (list, tuple)):
-                import numpy as np
-
-                if isinstance(value, np.ndarray):  # pragma: no cover
-                    return PackedArray.from_numpy(value)
-                return PackedArray.from_nested(list(value), element)
-            try:
-                import numpy as np
-
-                if isinstance(value, np.ndarray):
-                    return PackedArray.from_numpy(value)
-            except ImportError:  # pragma: no cover
-                pass
-            raise WolframRuntimeError(
-                "TypeMismatch", f"{value!r} is not a tensor"
-            )
-        if not python_check(type_, value):
-            raise WolframRuntimeError(
-                "TypeMismatch", f"{value!r} does not match {type_}"
-            )
-        if isinstance(type_, AtomicType) and type_.name == "Real64":
-            return float(value)
-        if isinstance(type_, AtomicType) and type_.name.startswith("Integer"):
-            from repro.runtime.checked import check_int64
-
-            return check_int64(int(value))
-        return value
 
     # -- execution (the protocol is GovernedFunction.__call__) ---------------------------
 
@@ -403,6 +368,72 @@ class CompiledCodeFunction(GovernedFunction):
             bindings[name] = to_mexpr(value)
         result = self.evaluator.evaluate(substitute(expression, bindings))
         return _convert_kernel_result(result, result_type)
+
+
+def _unpack_one(value, type_: Type):
+    """Check and convert one argument at the boundary: the general case
+    (``MExpr`` inputs, tensors, ``Expression`` parameters, and whatever the
+    scalar fast paths of :func:`_unpacker` do not recognise)."""
+    if isinstance(value, MExpr) and not (
+        isinstance(type_, AtomicType) and type_.name == "Expression"
+    ):
+        try:
+            value = value.to_python()
+        except ValueError:
+            pass
+    if isinstance(type_, AtomicType) and type_.name == "Expression":
+        return to_mexpr(value) if not isinstance(value, MExpr) else value
+    if isinstance(type_, CompoundType) and type_.constructor == "Tensor":
+        element = getattr(type_.params[0], "name", "Real64")
+        if isinstance(value, PackedArray):
+            return value
+        if isinstance(value, (list, tuple)):
+            return PackedArray.from_nested(list(value), element)
+        if isinstance(value, np.ndarray):
+            return PackedArray.from_numpy(value)
+        raise WolframRuntimeError(
+            "TypeMismatch", f"{value!r} is not a tensor"
+        )
+    if not python_check(type_, value):
+        raise WolframRuntimeError(
+            "TypeMismatch", f"{value!r} does not match {type_}"
+        )
+    if isinstance(type_, AtomicType) and type_.name == "Real64":
+        return float(value)
+    if isinstance(type_, AtomicType) and type_.name.startswith("Integer"):
+        return check_int64(int(value))
+    return value
+
+
+def _unpacker(type_: Type):
+    """The boundary check of one declared parameter type, as a function of
+    the argument alone.  A machine integer or real that arrives as an exact
+    Python ``int``/``float`` — what the hotspot gate and every hosted call
+    of a numeric function pass — is checked inline; anything else takes
+    :func:`_unpack_one`, so both raise the same errors."""
+    general = partial(_unpack_one, type_=type_)
+    if isinstance(type_, AtomicType) and type_.name.startswith("Integer"):
+
+        def unpack_integer(value):
+            if type(value) is int:  # excludes bool, as python_check does
+                if value > INT64_MAX or value < INT64_MIN:
+                    raise IntegerOverflowError()
+                return value
+            return general(value)
+
+        return unpack_integer
+    if isinstance(type_, AtomicType) and type_.name == "Real64":
+
+        def unpack_real(value):
+            kind = type(value)
+            if kind is float:
+                return value
+            if kind is int:
+                return float(value)
+            return general(value)
+
+        return unpack_real
+    return general
 
 
 def _convert_kernel_result(result, result_type):

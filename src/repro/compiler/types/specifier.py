@@ -25,6 +25,7 @@ from repro.errors import WolframTypeError
 from repro.mexpr.atoms import MInteger, MString, MSymbol
 from repro.mexpr.expr import MExpr
 from repro.mexpr.symbols import head_name, is_head
+from repro.runtime.packed import PackedArray
 
 #: canonical aliases: platform-sized names resolve to concrete widths (§2.2)
 TYPE_ALIASES = {
@@ -339,9 +340,6 @@ def parse_type_specifier(node: MExpr) -> Type:
 #: runtime Python representatives, used for argument checking at the boundary
 def python_check(type_: Type, value) -> bool:
     """Does a Python value inhabit this (monomorphic) type at the boundary?"""
-    from repro.mexpr.expr import MExpr as _MExpr
-    from repro.runtime.packed import PackedArray
-
     if isinstance(type_, AtomicType):
         name = type_.name
         if name.startswith("Integer") or name.startswith("UnsignedInteger"):

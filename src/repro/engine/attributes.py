@@ -23,15 +23,3 @@ ALL_ATTRIBUTES = frozenset({
     HOLD_ALL, HOLD_FIRST, HOLD_REST, HOLD_ALL_COMPLETE, FLAT, ORDERLESS,
     LISTABLE, ONE_IDENTITY, PROTECTED, SEQUENCE_HOLD, NUMERIC_FUNCTION,
 })
-
-
-def held_argument_indices(attributes: frozenset[str], argument_count: int) -> set[int]:
-    """Indices (0-based) of arguments that must NOT be evaluated."""
-    if HOLD_ALL in attributes or HOLD_ALL_COMPLETE in attributes:
-        return set(range(argument_count))
-    held: set[int] = set()
-    if HOLD_FIRST in attributes and argument_count:
-        held.add(0)
-    if HOLD_REST in attributes:
-        held.update(range(1, argument_count))
-    return held

@@ -12,6 +12,7 @@ from repro.engine.controlflow import (
     ReturnSignal,
     ThrowSignal,
 )
+from repro.engine.builtins.scoping import block_symbols
 from repro.engine.definitions import DownValue
 from repro.errors import (
     WolframAbort,
@@ -22,6 +23,7 @@ from repro.errors import (
 from repro.mexpr.atoms import MInteger, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, head_name, is_false, is_head, is_true
+from repro.runtime.guard import charge_memory
 
 
 @builtin("CompoundExpression", HOLD_ALL)
@@ -78,24 +80,24 @@ def for_(evaluator, expression):
 def iteration_values(evaluator, spec: MExpr):
     """Expand a Do/Table/Sum iterator spec into (name | None, values).
 
-    The range length is known before the list is built, so the nominal
-    memory cost is charged against the active
-    :class:`~repro.runtime.guard.ExecutionGuard` *up front* —
+    ``values`` is iterated once.  A range is generated lazily — the body
+    runs for ``{i, 1, 10^12}`` as soon as the loop starts — but its length
+    is known first, so the nominal memory cost is charged against the
+    active :class:`~repro.runtime.guard.ExecutionGuard` *up front*:
     ``MemoryConstrained`` trips on a runaway ``Table``/``Do`` range before
-    a single element is allocated.  The build loop also polls the abort
-    flag and guard deadline so a huge range stays interruptible.
+    a single element is allocated.
     """
     if not is_head(spec, "List"):
         count = as_number(evaluator.evaluate(spec))
         if not isinstance(count, int):
             raise WolframEvaluationError(f"bad iterator specification {spec}")
-        return None, _materialize_range(evaluator, 1, count, 1)
+        return None, _range_values(evaluator, 1, count, 1)
     parts = spec.args
     if len(parts) == 1:
         count = as_number(evaluator.evaluate(parts[0]))
         if not isinstance(count, int):
             raise WolframEvaluationError(f"bad iterator specification {spec}")
-        return None, _materialize_range(evaluator, 1, count, 1)
+        return None, _range_values(evaluator, 1, count, 1)
     name = parts[0]
     if not isinstance(name, MSymbol):
         raise WolframEvaluationError("iterator variable must be a symbol")
@@ -105,8 +107,6 @@ def iteration_values(evaluator, spec: MExpr):
         if len(parts) == 2:
             values = evaluator.evaluate(parts[1])
             if is_head(values, "List"):
-                from repro.runtime.guard import charge_memory
-
                 charge_memory(16 * len(values.args))
                 return name.name, list(values.args)
         raise WolframEvaluationError(f"bad iterator specification {spec}")
@@ -116,33 +116,29 @@ def iteration_values(evaluator, spec: MExpr):
         start, stop, step = bounds[0], bounds[1], 1
     else:
         start, stop, step = bounds[0], bounds[1], bounds[2]
-    return name.name, _materialize_range(evaluator, start, stop, step)
+    return name.name, _range_values(evaluator, start, stop, step)
 
 
-def _materialize_range(evaluator, start, stop, step):
-    from repro.runtime.guard import charge_memory
-
+def _range_values(evaluator, start, stop, step):
+    """Validate and charge for a range now; hand back its lazy values."""
     if step == 0:
         raise WolframEvaluationError("iterator step must be nonzero")
     if all(isinstance(b, int) for b in (start, stop, step)):
         count = max(0, (stop - start) // step + 1)
-        charge_memory(16 * count)
-        values = []
-        current = start
-        while (step > 0 and current <= stop) or (step < 0 and current >= stop):
-            values.append(MInteger(current))
-            current += step
-            if len(values) & 4095 == 0:
-                evaluator._check_abort()
-        return values
-    count = max(0, int((stop - start) / step + 1e-9) + 1)
+    else:
+        count = max(0, int((stop - start) / step + 1e-9) + 1)
     charge_memory(16 * count)
-    values = []
+    return _generate_range(evaluator, start, step, count)
+
+
+def _generate_range(evaluator, start, step, count):
+    # ``start + index * step`` is the integer walk and the real one alike;
+    # every 4096th value is a checkpoint of its own, as when ranges were
+    # lists, so a step budget is charged the same for a long range
     for index in range(count):
-        values.append(number_expr(start + index * step))
-        if len(values) & 4095 == 0:
+        yield number_expr(start + index * step)
+        if (index + 1) & 4095 == 0:
             evaluator._check_abort()
-    return values
 
 
 @builtin("Do", HOLD_ALL)
@@ -154,30 +150,49 @@ def do(evaluator, expression):
     return _iterate_nested(evaluator, body, list(args[1:]), collect=False)
 
 
-def _iterate_nested(evaluator, body, specs, collect: bool):
-    from repro.engine.builtins.scoping import block_symbols
+_EXHAUSTED = object()
 
+
+def _iterate_nested(evaluator, body, specs, collect: bool):
     if not specs:
         return evaluator.evaluate(body)
     name, values = iteration_values(evaluator, specs[0])
     rest = specs[1:]
     results = []
-    try:
-        for value in values:
-            def run_once():
-                if rest:
-                    return _iterate_nested(evaluator, body, rest, collect)
-                return evaluator.evaluate(body)
 
-            try:
-                if name is None:
-                    item = run_once()
-                else:
-                    item = block_symbols(evaluator, {name: value}, run_once)
-            except ContinueSignal:
-                item = MSymbol("Null")
-            if collect:
-                results.append(item)
+    def run_once():
+        try:
+            if rest:
+                item = _iterate_nested(evaluator, body, rest, collect)
+            else:
+                item = evaluator.evaluate(body)
+        except ContinueSignal:
+            item = MSymbol("Null")
+        if collect:
+            results.append(item)
+
+    def run_bound():
+        # the iterator symbol is Block-ed once around the whole loop, by
+        # the caller; each further value rebinds it in place.  The
+        # ``touch`` per value stays: ``Table[f[k], {k, {k, 2}}]`` binds
+        # ``k`` to the *symbol* ``k``, so an ``f[k]`` stamped as evaluated
+        # under one value must not read as evaluated under the next.
+        run_once()
+        definition = evaluator.state.definition(name)
+        for value in values:
+            definition.bind(value)
+            evaluator.state.touch()
+            run_once()
+
+    try:
+        if name is None:
+            for _ in values:
+                run_once()
+        else:
+            values = iter(values)
+            first = next(values, _EXHAUSTED)
+            if first is not _EXHAUSTED:  # an empty range binds nothing
+                block_symbols(evaluator, {name: first}, run_bound)
     except BreakSignal:
         pass
     if collect:

@@ -80,19 +80,13 @@ def block_symbols(evaluator, bindings: dict[str, MExpr], body: Callable[[], MExp
     for name, value in bindings.items():
         definition = evaluator.state.definition(name)
         saved[name] = definition.snapshot()
-        definition.clear_values()
-        if value is not None:
-            definition.own_value = value
-            definition.has_own_value = True
+        definition.bind(value)
     evaluator.state.touch()
     try:
         return body()
     finally:
         for name, snapshot in saved.items():
-            definition = evaluator.state.definition(name)
-            definition.own_value = snapshot.own_value
-            definition.has_own_value = snapshot.has_own_value
-            definition.down_values = snapshot.down_values
+            evaluator.state.definition(name).restore_values(snapshot)
         evaluator.state.touch()
 
 

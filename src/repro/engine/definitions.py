@@ -145,6 +145,10 @@ class DownValueIndex:
         return (entry[1] for entry in merged)
 
 
+#: process-wide source of :attr:`Definition.rules_version` stamps
+_rules_versions = itertools.count(1)
+
+
 @dataclass
 class Definition:
     """Everything the kernel knows about one symbol."""
@@ -162,15 +166,40 @@ class Definition:
     _by_lhs: Optional[tuple[list, dict]] = field(
         default=None, compare=False, repr=False
     )
+    #: names the current contents of ``down_values``: every write to the
+    #: rule list (a rule added or replaced, ``Clear``, a ``Block`` entry or
+    #: restore) and every copy of the definition takes a stamp no other
+    #: rule list in the process ever had, so "same rules as when I looked"
+    #: is one integer comparison (the hotspot profiler's validity test)
+    rules_version: int = field(
+        default_factory=_rules_versions.__next__, compare=False, repr=False
+    )
 
     def clear_values(self) -> None:
         self.own_value = None
         self.has_own_value = False
         self.down_values = []
-        self._index = None
+        self.invalidate_index()
 
     def invalidate_index(self) -> None:
+        """The rule list was written (every writer calls this)."""
         self._index = None
+        self.rules_version = next(_rules_versions)
+
+    def bind(self, value: Optional[MExpr]) -> None:
+        """``Block``'s rebinding: no rules, and ``value`` (if any) as the
+        OwnValue.  The caller owns the ``state_version`` bump."""
+        self.clear_values()
+        if value is not None:
+            self.own_value = value
+            self.has_own_value = True
+
+    def restore_values(self, saved: "Definition") -> None:
+        """Put back what :meth:`snapshot` saved (``Block`` exit)."""
+        self.own_value = saved.own_value
+        self.has_own_value = saved.has_own_value
+        self.down_values = saved.down_values
+        self.invalidate_index()
 
     def rules_by_lhs(self) -> dict[MExpr, DownValue]:
         """``lhs -> rule`` over ``down_values`` (an lhs occurs at most
@@ -249,9 +278,17 @@ class KernelState:
         self._definitions: dict[str, Definition] = {}
         #: the immutable shared layer; ``None`` for a plain standalone state
         self._base = base
+        if base is None:
+            # one layer: ``lookup`` *is* the dict's own ``get``.  The
+            # evaluator asks for every symbol it meets, and a C method
+            # costs it no Python frame
+            self.lookup = self._definitions.get
         self.state_version = (
             0 if base is None else next(_version_slots) * _VERSION_STRIDE
         )
+        #: bumped by :meth:`set_attributes`, the only writer of an
+        #: attribute set; what the evaluator's per-head plans are keyed on
+        self.attributes_version = 0
         self._module_counter = 0
 
     def definition(self, name: str) -> Definition:
@@ -348,6 +385,7 @@ class KernelState:
     def set_attributes(self, name: str, attributes: frozenset[str]) -> None:
         definition = self.definition(name)
         definition.attributes = frozenset(attributes)
+        self.attributes_version += 1
         self.touch()
 
     def fresh_module_suffix(self) -> int:

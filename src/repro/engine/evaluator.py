@@ -26,7 +26,7 @@ version and invalidates the stamps.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -36,10 +36,13 @@ from repro.errors import (
 )
 from repro.engine.attributes import (
     FLAT,
+    HOLD_ALL,
     HOLD_ALL_COMPLETE,
+    HOLD_FIRST,
+    HOLD_REST,
     LISTABLE,
     ORDERLESS,
-    held_argument_indices,
+    SEQUENCE_HOLD,
 )
 from repro.engine.controlflow import ReturnSignal, ThrowSignal
 from repro.engine.definitions import KernelState
@@ -58,6 +61,45 @@ _EVALUATED_STAMP = "$evalv"
 #: only an accounting unit for MemoryConstrained, not real allocation
 _NODE_BYTES = 32
 _SLOT_BYTES = 16
+
+
+class _Plan:
+    """What an attribute set asks of one evaluation step, resolved once.
+
+    The step reads these fields instead of putting the same membership
+    questions to the frozenset for every node it visits.
+    """
+
+    __slots__ = ("hold_first", "hold_rest", "pierce", "flat", "orderless",
+                 "listable", "splice")
+
+    def __init__(self, attributes: frozenset[str]):
+        hold_all = HOLD_ALL in attributes or HOLD_ALL_COMPLETE in attributes
+        #: is the first / is every later argument left unevaluated?
+        self.hold_first = hold_all or HOLD_FIRST in attributes
+        self.hold_rest = hold_all or HOLD_REST in attributes
+        #: does ``Evaluate[x]`` pierce the hold?
+        self.pierce = HOLD_ALL_COMPLETE not in attributes
+        self.flat = FLAT in attributes
+        self.orderless = ORDERLESS in attributes
+        self.listable = LISTABLE in attributes
+        #: are ``Sequence`` arguments spliced in?
+        self.splice = not (
+            SEQUENCE_HOLD in attributes or HOLD_ALL_COMPLETE in attributes
+        )
+
+
+#: one plan per distinct attribute set in the process (a pure function of
+#: the frozenset; at most a few dozen sets ever exist)
+_plan_for = lru_cache(maxsize=None)(_Plan)
+
+_NO_ATTRIBUTES = _plan_for(frozenset())
+
+#: the concrete self-evaluating atom classes, for one set probe where a
+#: subclass-proof ``isinstance`` would be a call per leaf
+_LEAF_TYPES = frozenset({MInteger, MReal, MString, MComplex})
+#: what is *not* a leaf, subclasses included
+_NODE_TYPES = (MSymbol, MExprNormal)
 
 
 class Evaluator:
@@ -86,13 +128,22 @@ class Evaluator:
         #: profile-guided tier-up profiler; ``None`` on bare evaluators, set
         #: by :func:`repro.compiler.install_engine_support`
         self.hotspot = None
-        #: per-``state_version`` attribute lookup cache (symbol name ->
-        #: attribute set); definitions change rarely relative to dispatches
-        self._attr_cache: dict[str, frozenset[str]] = {}
-        self._attr_version = -1
-        from repro.engine.builtins import BUILTINS
+        #: head name -> :class:`_Plan`, valid for one
+        #: ``state.attributes_version`` (only ``SetAttributes``/``ClearAll``
+        #: move it).  Held here, not on the ``Definition``: base-image
+        #: definitions are shared by every session of a server
+        self._plans: dict[str, _Plan] = {}
+        self._plans_version = self.state.attributes_version
+        #: the last fixed-point copy :meth:`evaluate` returned for the very
+        #: node it was given (see there); how a parent step learns that an
+        #: argument came back unchanged without comparing structures
+        self._unchanged: Optional[MExpr] = None
+        from repro.engine.builtins import BUILTINS, HEAD_APPLICATORS
+        from repro.engine.builtins.functional import apply_function
 
         self._builtins = BUILTINS
+        self._head_applicators = HEAD_APPLICATORS
+        self._apply_function = apply_function
 
     # -- public API ----------------------------------------------------------
 
@@ -141,33 +192,270 @@ class Evaluator:
     # -- the evaluation loop ---------------------------------------------------
 
     def evaluate(self, expression: MExpr) -> MExpr:
+        """Evaluate ``expression`` to its fixed point.
+
+        One frame per node in the common case.  The cost model (DESIGN §4):
+
+        * every node the seed evaluator would have entered ``evaluate`` for
+          is still **one checkpoint poll** — a guard is charged the same
+          steps — but a leaf (a non-symbol atom, a symbol without an
+          OwnValue) is polled inline by its parent's step and never gets a
+          frame, a depth count or a trip round the fixed-point loop;
+        * what a head's attributes ask of the step is a :class:`_Plan`
+          looked up by name; one pass over the arguments evaluates them and
+          notes what it saw, so flattening, ``Sequence`` splicing and
+          ``Listable`` threading run only when there is something to do;
+        * a node whose head and arguments all came back unchanged *is* a
+          fixed point — no hash, no structural comparison.  Its evaluated
+          copy is stamped and returned (never the caller's own node:
+          stamping that would change which later evaluations stop at a
+          stamp), and ``self._unchanged`` names that copy so the parent's
+          step can tell "an equal copy" from "something else".
+        """
         if _CHECKPOINT[0]:
             self._check_abort()
-        # Non-symbol atoms are self-evaluating; skip the fixed-point loop
-        # entirely.  (Symbols may have OwnValues, so they take the full path.)
-        # This sits after the checkpoint so step budgets charge as before.
-        if expression.is_atom() and not isinstance(expression, MSymbol):
-            return expression
+        kind = type(expression)
+        if kind is not MExprNormal and kind is not MSymbol and (
+            kind in _LEAF_TYPES or not isinstance(expression, _NODE_TYPES)
+        ):
+            return expression  # a non-symbol atom is its own value
         if self._depth >= self.recursion_limit:
-            raise WolframRecursionError(
-                f"$RecursionLimit of {self.recursion_limit} exceeded"
-            )
+            raise self._recursion_limit_exceeded()
+        state = self.state
+        lookup = state.lookup
+        if kind is MSymbol:
+            definition = lookup(expression.name)
+            if definition is None or not definition.has_own_value:
+                return expression
         self._depth += 1
+        #: an inline leaf at this depth is where the seed's own
+        #: ``evaluate`` frame would have tripped $RecursionLimit
+        at_limit = self._depth >= self.recursion_limit
         tracer = _trace.TRACER  # one attribute load; None on the fast path
         try:
             current = expression
             for _ in range(self.iteration_limit):
-                if self._is_stamped(current):
+                if type(current) is not MExprNormal:
+                    if not isinstance(current, MSymbol):
+                        if current.is_atom():
+                            return current
+                    else:
+                        name = current.name
+                        definition = lookup(name)
+                        if definition is None or not definition.has_own_value:
+                            return current
+                        if tracer is not None:
+                            tracer.metrics.count("eval.fixed_point_iterations")
+                        # the next trip evaluates the OwnValue
+                        result = definition.own_value
+                        if isinstance(result, MSymbol):
+                            if result.name == name:
+                                return result  # ``x = x``
+                        elif result.is_atom():
+                            return result
+                        current = result
+                        continue
+
+                properties = current._properties
+                if (
+                    properties is not None
+                    and properties.get(_EVALUATED_STAMP) == state.state_version
+                ):
+                    if current is not expression:
+                        self._unchanged = None
                     return current
                 if tracer is not None:
                     tracer.metrics.count("eval.fixed_point_iterations")
-                result = self._evaluate_once(current)
-                # cheap checks first: identity, then (cached) hashes — a hash
-                # mismatch proves inequality without walking either tree
-                if result is current or (
-                    hash(result) == hash(current) and result == current
-                ):
-                    self._stamp(result)
+
+                # -- the head ------------------------------------------------
+                unchanged = True  # head and arguments all came back as given
+                head = given = current.head
+                kind = type(head)
+                name = None
+                if kind is MSymbol:
+                    name = head.name
+                    definition = lookup(name)
+                    if definition is None or not definition.has_own_value:
+                        if _CHECKPOINT[0]:
+                            self._check_abort()
+                        if at_limit:
+                            raise self._recursion_limit_exceeded()
+                    else:
+                        head = self.evaluate(head)
+                        unchanged = False
+                        name = head.name if type(head) is MSymbol else None
+                elif kind in _LEAF_TYPES or not isinstance(head, _NODE_TYPES):
+                    if _CHECKPOINT[0]:
+                        self._check_abort()
+                else:
+                    head = self.evaluate(head)
+                    if head is not given and head is not self._unchanged:
+                        unchanged = False
+                    if isinstance(head, MSymbol):
+                        name = head.name
+
+                if name is None:
+                    plan = _NO_ATTRIBUTES
+                else:
+                    if state.attributes_version != self._plans_version:
+                        self._plans.clear()
+                        self._plans_version = state.attributes_version
+                    plan = self._plans.get(name)
+                    if plan is None:
+                        plan = self._plans[name] = _plan_for(
+                            self._attributes_of(head)
+                        )
+
+                # -- one pass over the arguments -------------------------------
+                # evaluates the unheld ones and records what it saw
+                values: list[MExpr] = []
+                append = values.append
+                held, hold_rest = plan.hold_first, plan.hold_rest
+                saw_sequence = saw_list = saw_nested = False
+                for argument in current.args:
+                    kind = type(argument)
+                    value = argument
+                    if held:
+                        if (
+                            kind is MExprNormal
+                            and plan.pierce
+                            and len(argument.args) == 1
+                            and isinstance(argument.head, MSymbol)
+                            and argument.head.name == "Evaluate"
+                        ):
+                            # Evaluate[...] pierces holds (but not
+                            # HoldAllComplete)
+                            value = self.evaluate(argument.args[0])
+                            unchanged = False
+                    elif kind is MSymbol:
+                        definition = lookup(argument.name)
+                        if definition is None or not definition.has_own_value:
+                            if _CHECKPOINT[0]:
+                                self._check_abort()
+                            if at_limit:
+                                raise self._recursion_limit_exceeded()
+                        else:
+                            value = self.evaluate(argument)
+                            unchanged = False
+                    elif kind in _LEAF_TYPES or (
+                        kind is not MExprNormal
+                        and not isinstance(argument, _NODE_TYPES)
+                    ):
+                        if _CHECKPOINT[0]:
+                            self._check_abort()
+                    else:
+                        value = self.evaluate(argument)
+                        if value is not argument and (
+                            value is not self._unchanged
+                        ):
+                            unchanged = False
+                    held = hold_rest
+                    append(value)
+                    if type(value) is MExprNormal:
+                        value_head = value.head
+                        if type(value_head) is MSymbol:
+                            value_name = value_head.name
+                            if value_name == "Sequence":
+                                saw_sequence = True
+                            elif value_name == "List":
+                                saw_list = True
+                            if value_name == name:
+                                saw_nested = True
+
+                # -- canonical form, only where the pass saw a reason ---------
+                if saw_nested and plan.flat:
+                    values = self._flatten(name, values)
+                    unchanged = False
+                    # the spliced-in arguments were not seen by the pass
+                    saw_sequence = saw_list = True
+                if plan.orderless and len(values) > 1:
+                    keys = [
+                        value._okey or _build_order_key(value)
+                        for value in values
+                    ]
+                    order = sorted(range(len(keys)), key=keys.__getitem__)
+                    if order != list(range(len(keys))):
+                        values = [values[index] for index in order]
+                        unchanged = False
+                if saw_sequence and plan.splice:
+                    spliced = self._splice_sequences(values)
+                    if spliced is not values:
+                        values = spliced
+                        unchanged = False
+                        saw_list = True
+
+                rebuilt = MExprNormal(head, values)
+                guard = _guard_tls.top
+                if guard is not None:
+                    guard.charge_memory(
+                        _NODE_BYTES + _SLOT_BYTES * len(values)
+                    )
+
+                result = None
+                if saw_list and plan.listable:
+                    result = self._thread_listable(rebuilt)
+                if result is None and name is not None:
+                    # User DownValues take precedence over builtins, so users
+                    # can redefine (unprotected) behaviour — and the engine's
+                    # own library functions (FindRoot's method steps etc.)
+                    # are definable in-language.
+                    definition = lookup(name)
+                    if definition is not None and definition.down_values:
+                        result = self._apply_down_values(
+                            name, definition, rebuilt
+                        )
+                    if result is None:
+                        builtin = self._builtins.get(name)
+                        if builtin is not None:
+                            result = builtin.func(self, rebuilt)
+                elif result is None and not head.is_atom():
+                    head_head = head.head
+                    if isinstance(head_head, MSymbol):
+                        # a Function head beta-reduces; CompiledFunction[k],
+                        # CompiledCodeFunction[k] and friends have registered
+                        # applicators — how both compilers integrate with
+                        # the interpreter (F1)
+                        if head_head.name == "Function":
+                            result = self._apply_function(self, head, values)
+                        if result is None:
+                            applicator = self._head_applicators.get(
+                                head_head.name
+                            )
+                            if applicator is not None:
+                                result = applicator(self, head, values)
+
+                if result is None or result is rebuilt:
+                    # inert: nothing rewrote the node this trip
+                    result = rebuilt
+                    fixed = unchanged
+                else:
+                    fixed = False
+                if not fixed:
+                    # type and arity decide most inequalities before a hash
+                    # has to build either structure key
+                    kind = type(result)
+                    if kind is not MExprNormal:
+                        if not isinstance(result, MSymbol):
+                            if result.is_atom():
+                                return result  # ``3`` is ``3``: no second trip
+                    elif (
+                        len(result.args) == len(current.args)
+                        and hash(result) == hash(current)
+                        and result == current
+                    ):
+                        fixed = True
+                if fixed:
+                    if result._properties is None:
+                        result._properties = {
+                            _EVALUATED_STAMP: state.state_version
+                        }
+                    else:
+                        result._properties[_EVALUATED_STAMP] = (
+                            state.state_version
+                        )
+                    self._unchanged = (
+                        result if current is expression else None
+                    )
                     return result
                 current = result
             raise WolframIterationError(
@@ -177,125 +465,23 @@ class Evaluator:
         finally:
             self._depth -= 1
 
-    def _is_stamped(self, expression: MExpr) -> bool:
-        return (
-            expression.get_property(_EVALUATED_STAMP) == self.state.state_version
+    def _recursion_limit_exceeded(self) -> WolframRecursionError:
+        return WolframRecursionError(
+            f"$RecursionLimit of {self.recursion_limit} exceeded"
         )
 
-    def _stamp(self, expression: MExpr) -> None:
-        if not expression.is_atom():
-            expression.set_property(_EVALUATED_STAMP, self.state.state_version)
-
-    def _evaluate_once(self, expression: MExpr) -> MExpr:
-        if isinstance(expression, MSymbol):
-            return self._evaluate_symbol(expression)
-        if expression.is_atom():
-            return expression
-
-        head = self.evaluate(expression.head)
-        attributes = self._attributes_of(head)
-
-        arguments = self._evaluate_arguments(expression.args, attributes)
-        if FLAT in attributes and isinstance(head, MSymbol):
-            arguments = self._flatten(head.name, arguments)
-        if ORDERLESS in attributes:
-            arguments = sorted(arguments, key=canonical_order_key)
-        arguments = self._splice_sequences(head, attributes, arguments)
-
-        rebuilt = MExprNormal(head, arguments)
-        guard = _guard_tls.top
-        if guard is not None:
-            guard.charge_memory(_NODE_BYTES + _SLOT_BYTES * len(arguments))
-
-        if LISTABLE in attributes:
-            threaded = self._thread_listable(rebuilt)
-            if threaded is not None:
-                return threaded
-
-        # User DownValues take precedence over builtins, so users can
-        # redefine (unprotected) behaviour — and the engine's own library
-        # functions (FindRoot's method steps etc.) are definable in-language.
-        if isinstance(head, MSymbol):
-            applied = self._apply_down_values(head.name, rebuilt)
-            if applied is not None:
-                return applied
-            builtin = self._builtins.get(head.name)
-            if builtin is not None:
-                result = builtin.func(self, rebuilt)
-                if result is not None:
-                    return result
-
-        # Expression with a Function head: beta-reduce.
-        if is_head(head, "Function") or (
-            not head.is_atom() and is_head(head.head, "Function")
-        ):
-            from repro.engine.builtins.functional import apply_function
-
-            reduced = apply_function(self, head, arguments)
-            if reduced is not None:
-                return reduced
-
-        # Non-symbol heads with registered applicators: CompiledFunction[k],
-        # CompiledCodeFunction[k] — this is how both compilers integrate with
-        # the interpreter (F1).
-        if not head.is_atom():
-            from repro.engine.builtins import HEAD_APPLICATORS
-
-            applicator = HEAD_APPLICATORS.get(head_name(head))
-            if applicator is not None:
-                result = applicator(self, head, arguments)
-                if result is not None:
-                    return result
-
-        return rebuilt
-
-    def _evaluate_symbol(self, symbol: MSymbol) -> MExpr:
-        definition = self.state.lookup(symbol.name)
-        if definition is not None and definition.has_own_value:
-            return definition.own_value  # next fixed-point pass re-evaluates
-        return symbol
-
     def _attributes_of(self, head: MExpr) -> frozenset[str]:
+        """The attribute set in force for ``head`` (user-set attributes
+        shadow a builtin's)."""
         if not isinstance(head, MSymbol):
             return frozenset()
-        version = self.state.state_version
-        if version != self._attr_version:
-            self._attr_cache.clear()
-            self._attr_version = version
-        name = head.name
-        cached = self._attr_cache.get(name)
-        if cached is not None:
-            return cached
-        definition = self.state.lookup(name)
+        definition = self.state.lookup(head.name)
         if definition is not None and definition.attributes:
-            attributes = definition.attributes
-        else:
-            builtin = self._builtins.get(name)
-            attributes = (
-                builtin.attributes if builtin is not None else frozenset()
-            )
-        self._attr_cache[name] = attributes
-        return attributes
+            return definition.attributes
+        builtin = self._builtins.get(head.name)
+        return builtin.attributes if builtin is not None else frozenset()
 
-    def _evaluate_arguments(
-        self, arguments: tuple[MExpr, ...], attributes: frozenset[str]
-    ) -> list[MExpr]:
-        held = held_argument_indices(attributes, len(arguments))
-        out: list[MExpr] = []
-        for index, argument in enumerate(arguments):
-            if index in held:
-                # Evaluate[...] pierces holds (but not HoldAllComplete).
-                if (
-                    HOLD_ALL_COMPLETE not in attributes
-                    and is_head(argument, "Evaluate")
-                    and len(argument.args) == 1
-                ):
-                    out.append(self.evaluate(argument.args[0]))
-                else:
-                    out.append(argument)
-            else:
-                out.append(self.evaluate(argument))
-        return out
+    # -- the flagged branches of the step ----------------------------------------
 
     @staticmethod
     def _flatten(head_name_: str, arguments: list[MExpr]) -> list[MExpr]:
@@ -308,11 +494,8 @@ class Evaluator:
         return flat
 
     @staticmethod
-    def _splice_sequences(
-        head: MExpr, attributes: frozenset[str], arguments: list[MExpr]
-    ) -> list[MExpr]:
-        if "SequenceHold" in attributes or HOLD_ALL_COMPLETE in attributes:
-            return arguments
+    def _splice_sequences(arguments: list[MExpr]) -> list[MExpr]:
+        """``arguments`` itself when it holds no ``Sequence``."""
         if not any(is_head(a, "Sequence") for a in arguments):
             return arguments
         spliced: list[MExpr] = []
@@ -343,13 +526,10 @@ class Evaluator:
         return self.evaluate(MExprNormal(S.List, rows))
 
     def _apply_down_values(
-        self, name: str, expression: MExprNormal
+        self, name: str, definition, expression: MExprNormal
     ) -> Optional[MExpr]:
-        definition = self.state.lookup(name)
-        if definition is None or not definition.down_values:
-            return None
         hotspot = self.hotspot
-        if hotspot is not None:
+        if hotspot is not None and name in hotspot.promoted:
             promoted = hotspot.dispatch(self, name, definition, expression)
             if promoted is not None:
                 return promoted
@@ -366,34 +546,36 @@ class Evaluator:
 
 
 def _build_order_key(expression: MExpr) -> tuple:
-    """Build the canonical ordering key (uncached); see below for shape."""
-    if isinstance(expression, MInteger):
-        return (0, expression.value, "", ())
-    if isinstance(expression, MReal):
-        return (0, expression.value, "", ())
-    if isinstance(expression, MString):
-        return (1, 0, expression.value, ())
-    if isinstance(expression, MSymbol):
-        return (2, 0, expression.name, ())
-    if isinstance(expression, MComplex):  # tier 3, ordered by (re, im)
+    """Build, cache on the node and return the canonical ordering key; see
+    :func:`canonical_order_key` for its shape."""
+    if isinstance(expression, (MInteger, MReal)):
+        key = (0, expression.value, "", ())
+    elif isinstance(expression, MString):
+        key = (1, 0, expression.value, ())
+    elif isinstance(expression, MSymbol):
+        key = (2, 0, expression.name, ())
+    elif isinstance(expression, MComplex):  # tier 3, ordered by (re, im)
         value = expression.value
-        return (
+        key = (
             3,
             -1,
             "",
             ((0, value.real, "", ()), (0, value.imag, "", ())),
         )
-    if expression.is_atom():  # future atom types: order by structure key text
-        return (3, -2, repr(expression.structure_key()), ())
-    return (
-        3,
-        len(expression.args),
-        "",
-        (
-            canonical_order_key(expression.head),
-            *(canonical_order_key(a) for a in expression.args),
-        ),
-    )
+    elif expression.is_atom():  # future atom types: by structure key text
+        key = (3, -2, repr(expression.structure_key()), ())
+    else:
+        key = (
+            3,
+            len(expression.args),
+            "",
+            (
+                canonical_order_key(expression.head),
+                *(canonical_order_key(a) for a in expression.args),
+            ),
+        )
+    expression._okey = key
+    return key
 
 
 def canonical_order_key(expression: MExpr) -> tuple:
@@ -407,10 +589,7 @@ def canonical_order_key(expression: MExpr) -> tuple:
     head/argument keys.  Unlike the historical ``full_form``-string
     comparator this orders ``f[2]`` before ``f[10]``.
     """
-    key = expression._okey
-    if key is None:
-        key = expression._okey = _build_order_key(expression)
-    return key
+    return expression._okey or _build_order_key(expression)
 
 
 #: historical name, still imported by builtins (Sort, SortBy)

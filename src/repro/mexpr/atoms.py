@@ -17,7 +17,11 @@ from repro.mexpr.expr import MExpr
 
 
 class MExprAtom(MExpr):
-    """Base class for leaf nodes.  Atoms have no arguments."""
+    """Base class for leaf nodes.  Atoms have no arguments.
+
+    Concrete atoms inline the base initialiser (one frame per node built,
+    and every arithmetic result builds one).
+    """
 
     __slots__ = ()
 
@@ -38,7 +42,7 @@ class MInteger(MExprAtom):
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        super().__init__()
+        self._properties = self._hash = self._skey = self._okey = None
         self.value = int(value)
 
     @property
@@ -72,7 +76,7 @@ class MReal(MExprAtom):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        super().__init__()
+        self._properties = self._hash = self._skey = self._okey = None
         self.value = float(value)
 
     @property
@@ -97,7 +101,7 @@ class MComplex(MExprAtom):
     __slots__ = ("value",)
 
     def __init__(self, value: complex):
-        super().__init__()
+        self._properties = self._hash = self._skey = self._okey = None
         self.value = complex(value)
 
     @property
@@ -122,7 +126,7 @@ class MString(MExprAtom):
     __slots__ = ("value",)
 
     def __init__(self, value: str):
-        super().__init__()
+        self._properties = self._hash = self._skey = self._okey = None
         self.value = str(value)
 
     @property
@@ -158,7 +162,7 @@ class MSymbol(MExprAtom):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        super().__init__()
+        self._properties = self._hash = self._skey = self._okey = None
         self.name = name
 
     @property

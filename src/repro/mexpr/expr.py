@@ -182,41 +182,40 @@ class MExpr:
 
 
 class MExprNormal(MExpr):
-    """A compound ("Normal") expression ``head[arg1, arg2, ...]``."""
+    """A compound ("Normal") expression ``head[arg1, arg2, ...]``.
 
-    __slots__ = ("_head", "_args")
+    ``head`` and ``args`` are plain slots, not properties: every evaluator
+    step, matcher and builtin reads them, and a property is a Python frame
+    per read.  Trees are immutable by contract (the cached keys above
+    depend on it); nothing assigns them after construction.
+    """
+
+    __slots__ = ("head", "args")
 
     def __init__(self, head: MExpr, args):
-        super().__init__()
-        self._head = head
-        self._args = tuple(args)
+        # the base initialiser, inlined: one frame per node built
+        self._properties = self._hash = self._skey = self._okey = None
+        self.head = head
+        self.args = tuple(args)
 
     def is_atom(self) -> bool:
         return False
 
-    @property
-    def head(self) -> MExpr:
-        return self._head
-
-    @property
-    def args(self) -> tuple[MExpr, ...]:
-        return self._args
-
     def _structure_key(self) -> tuple:
         # children's cached keys are reused, so building a parent key after
         # its subtrees were compared/hashed is O(arity), not O(tree)
-        return ("Normal", self._head.structure_key(),
-                tuple(a.structure_key() for a in self._args))
+        return ("Normal", self.head.structure_key(),
+                tuple(a.structure_key() for a in self.args))
 
     def to_python(self) -> Any:
         from repro.mexpr.atoms import MSymbol
 
-        if isinstance(self._head, MSymbol) and self._head.name == "List":
-            return [a.to_python() for a in self._args]
+        if isinstance(self.head, MSymbol) and self.head.name == "List":
+            return [a.to_python() for a in self.args]
         raise ValueError(f"{self!r} has no Python value")
 
     def __repr__(self) -> str:
-        return f"MExprNormal({self._head!r}, [{', '.join(map(repr, self._args))}])"
+        return f"MExprNormal({self.head!r}, [{', '.join(map(repr, self.args))}])"
 
 
 def normal(head: MExpr, *args: MExpr) -> MExprNormal:

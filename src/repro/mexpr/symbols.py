@@ -125,6 +125,11 @@ def head_name(node: MExpr) -> str | None:
 
 
 def is_head(node: MExpr, name: str) -> bool:
+    # one type test, no method calls, for what every caller means:
+    # a normal expression whose head is the symbol ``name``
+    if type(node) is MExprNormal:
+        head = node.head
+        return isinstance(head, MSymbol) and head.name == name
     return not node.is_atom() and head_name(node) == name
 
 

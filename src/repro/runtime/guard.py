@@ -524,9 +524,10 @@ class FallbackStats:
     current_tier: str = Tier.COMPILED.value
 
     def record_call(self, tier: Tier) -> None:
-        # read once: ``Enum.value`` is a Python-level descriptor on 3.11
-        # (two frames a read), and this runs on every governed call
-        name = tier.value
+        # ``_value_``, not ``value``: the public name is a Python-level
+        # descriptor on 3.11 (two frames a read), and this runs on every
+        # governed call
+        name = tier._value_
         self.calls[name] = self.calls.get(name, 0) + 1
 
     def record_failure(self, tier: Tier, kind: str) -> None:

@@ -156,9 +156,8 @@ class PromotedFunction:
     kinds: tuple[str, ...]
     #: kernel version the entry was last validated against
     state_version: int
-    #: identity snapshot of the rule list backing the promotion
-    rules_list: list
-    rules: tuple
+    #: ``Definition.rules_version`` of the rule list behind the promotion
+    rules_version: int
     hits: int = 0
     #: the synthesized plan, kept on template entries so the tier-up to the
     #: full pipeline skips re-synthesis
@@ -235,12 +234,13 @@ class HotspotProfiler:
         #: the hottest tier promotion may target; lowered by the server's
         #: graceful-degradation path (see :meth:`demote_all`)
         self.max_tier: Tier = Tier.COMPILED
-        #: definitions that failed the gate, keyed to the exact rule tuple
-        #: that failed — redefinition clears the block
-        self._blocked: dict[str, tuple] = {}
+        #: definitions that failed the gate, keyed to the
+        #: ``Definition.rules_version`` that failed — any redefinition
+        #: (even to equal rules) takes a new version and retries once
+        self._blocked: dict[str, int] = {}
         #: definitions the template stitcher declined (keyed like
         #: ``_blocked``): they stay interpreted until the full-pipeline rung
-        self._template_blocked: dict[str, tuple] = {}
+        self._template_blocked: dict[str, int] = {}
         self._in_progress: set[str] = set()
         self._lock = threading.RLock()
 
@@ -254,15 +254,18 @@ class HotspotProfiler:
         with self._lock:
             if self.promoted.get(name) is not entry:
                 return None  # a racer invalidated or withdrew it
-            if not self._validate(evaluator, name, definition, entry):
+            if (
+                entry.state_version != evaluator.state.state_version
+                and not self._revalidate(evaluator, name, definition, entry)
+            ):
                 return None
-            if entry.artifact_tier() is Tier.INTERPRETER:
+            if entry.artifact.breaker.tier is Tier.INTERPRETER:
                 # the breaker tripped: interpreting *through* the
                 # artifact adds pure overhead, so
                 # withdraw the promotion and block re-promotion until the
                 # rules change
                 del self.promoted[name]
-                self._blocked[name] = entry.rules
+                self._blocked[name] = entry.rules_version
                 self.events.append(
                     PromotionEvent(name, "demoted", Tier.INTERPRETER.value,
                                    "circuit breaker tripped")
@@ -327,10 +330,10 @@ class HotspotProfiler:
         with self._lock:
             if name in self.promoted or name in self._in_progress:
                 return
-            rules = tuple(definition.down_values)
-            if self._blocked.get(name) == rules:
+            version = definition.rules_version
+            if self._blocked.get(name) == version:
                 return
-            if not full and self._template_blocked.get(name) == rules:
+            if not full and self._template_blocked.get(name) == version:
                 return  # the stitcher declined: hold for the full pipeline
             self._in_progress.add(name)
         try:
@@ -383,8 +386,7 @@ class HotspotProfiler:
                         gate_types=plan.gate_types,
                         kinds=plan.kinds,
                         state_version=evaluator.state.state_version,
-                        rules_list=definition.down_values,
-                        rules=tuple(definition.down_values),
+                        rules_version=definition.rules_version,
                         plan=plan,
                     )
                     self._charge_compile("compiled", elapsed)
@@ -401,15 +403,12 @@ class HotspotProfiler:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _validate(self, evaluator, name, definition, entry) -> bool:
-        version = evaluator.state.state_version
-        if entry.state_version == version:
-            return True
-        rules = definition.down_values
-        if entry.rules_list is rules and len(rules) == len(entry.rules) and all(
-            a is b for a, b in zip(rules, entry.rules)
-        ):
-            entry.state_version = version  # unrelated definition changed
+    def _revalidate(self, evaluator, name, definition, entry) -> bool:
+        """The kernel version moved since ``entry`` was last validated: is
+        it still this symbol's rule list behind the promotion?"""
+        if entry.rules_version == definition.rules_version:
+            # an unrelated definition changed
+            entry.state_version = evaluator.state.state_version
             return True
         # the rules behind the promotion changed: drop it in this same bump
         del self.promoted[name]
@@ -524,9 +523,7 @@ class HotspotProfiler:
                 # the stitcher declined; not fatal — the definition stays
                 # interpreted until the full-pipeline rung takes over
                 with self._lock:
-                    self._template_blocked[name] = tuple(
-                        definition.down_values
-                    )
+                    self._template_blocked[name] = definition.rules_version
                     self.events.append(
                         PromotionEvent(
                             name, "blocked", Tier.TEMPLATE.value,
@@ -565,8 +562,7 @@ class HotspotProfiler:
                 gate_types=plan.gate_types,
                 kinds=plan.kinds,
                 state_version=evaluator.state.state_version,
-                rules_list=definition.down_values,
-                rules=tuple(definition.down_values),
+                rules_version=definition.rules_version,
                 plan=plan,
             )
             self._charge_compile(tier_kind, elapsed)
@@ -616,8 +612,7 @@ class HotspotProfiler:
                         gate_types=entry.gate_types,
                         kinds=entry.kinds,
                         state_version=entry.state_version,
-                        rules_list=entry.rules_list,
-                        rules=entry.rules,
+                        rules_version=entry.rules_version,
                         hits=entry.hits,
                         plan=entry.plan,
                     )
@@ -651,7 +646,7 @@ class HotspotProfiler:
 
     def _block(self, name, definition, reason: str) -> None:
         with self._lock:
-            self._blocked[name] = tuple(definition.down_values)
+            self._blocked[name] = definition.rules_version
             self.events.append(
                 PromotionEvent(name, "blocked", Tier.INTERPRETER.value,
                                reason)

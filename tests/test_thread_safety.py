@@ -144,7 +144,7 @@ def _entry(name: str, tier: Tier):
 
     return PromotedFunction(
         name=name, artifact=_Artifact(), tier_kind=tier.value,
-        gate_types=(), kinds=(), state_version=0, rules_list=[], rules=(),
+        gate_types=(), kinds=(), state_version=0, rules_version=0,
     )
 
 
@@ -199,6 +199,7 @@ class TestHotspotTableThreads:
 
         class _Definition:
             down_values: list = []
+            rules_version = 0
 
         class _State:
             state_version = 0

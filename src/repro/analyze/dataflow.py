@@ -63,6 +63,7 @@ from repro.compiler.wir.instructions import (
     ConstantInstr,
     CopyInstr,
     KernelCallInstr,
+    LoadArgumentInstr,
     PhiInstr,
     Value,
 )
@@ -197,6 +198,30 @@ class Interval:
             None if hi == inf else int(hi),
         )
 
+    def bit_and(self, other: "Interval") -> "Interval":
+        """``a & b`` keeps only bits of a non-negative operand, so it lies
+        between 0 and the smaller such operand; with a negative on both
+        sides nothing is known."""
+        if self.is_empty or other.is_empty:
+            return EMPTY
+        his = [i.hi for i in (self, other) if i.lo is not None and i.lo >= 0]
+        if not his:
+            return TOP
+        known = [hi for hi in his if hi is not None]
+        return Interval(0, min(known) if known else None)
+
+    def bit_xor(self, other: "Interval") -> "Interval":
+        """Non-negative ``a ^ b`` sets no bit above the highest bit of
+        either: it stays below the next power of two."""
+        if self.is_empty or other.is_empty:
+            return EMPTY
+        if (
+            self.lo is None or self.lo < 0 or other.lo is None
+            or other.lo < 0 or self.hi is None or other.hi is None
+        ):
+            return TOP
+        return Interval(0, (1 << max(self.hi, other.hi).bit_length()) - 1)
+
     # -- lattice operations --------------------------------------------------
 
     def union(self, other: "Interval") -> "Interval":
@@ -302,7 +327,14 @@ _ARITH = {
     "checked_binary_times_Integer64_Integer64": "multiply",
     "times_unchecked_Integer64": "multiply_exact",
 }
-_LENGTH_LIKE = {"tensor_length", "string_length", "expr_length"}
+_BITWISE = {"bit_and_Integer64": "bit_and", "bit_xor_Integer64": "bit_xor"}
+#: primitives whose result tensor holds only elements of a known range
+_ELEMENTS_OF = {
+    "string_utf8bytes": Interval(0, 0xFF),
+    "string_to_character_codes": Interval(0, 0x10FFFF),
+}
+_LENGTH_LIKE = {"tensor_length", "string_length", "expr_length",
+                "tensor_row_length"}
 _COMPARISONS = {
     "compare_less", "compare_less_equal",
     "compare_greater", "compare_greater_equal", "compare_equal",
@@ -370,9 +402,11 @@ class FunctionFacts:
         if env is not None and value.id in env:
             result = result.intersect(env[value.id])
         for base_id, offset in self.upper_bounds_at(value, block).items():
-            base_hi = self.intervals.get(base_id, TOP).hi
-            if base_hi is not None:
-                result = result.intersect(Interval(None, base_hi + offset))
+            base = self.intervals.get(base_id, TOP)
+            if env is not None and base_id in env:
+                base = base.intersect(env[base_id])
+            if base.hi is not None:
+                result = result.intersect(Interval(None, base.hi + offset))
         if _depth > 0:
             definition = value.definition
             if isinstance(definition, CallPrimitiveInstr):
@@ -570,9 +604,17 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
         return joined
     if isinstance(instruction, CopyInstr):
         return of(instruction.operands[0])
+    if isinstance(instruction, LoadArgumentInstr):
+        return _argument_range(instruction.result)
     if isinstance(instruction, CallPrimitiveInstr):
         name = instruction.primitive.runtime_name
         operands = instruction.operands
+        op = _BITWISE.get(name)
+        if op is not None:
+            a, b = of(operands[0]), of(operands[1])
+            if a is None or b is None:
+                return None
+            return getattr(a, op)(b)
         op = _ARITH.get(name)
         if op is not None:
             a, b = of(operands[0]), of(operands[1])
@@ -596,6 +638,12 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
                 if shape is not None and shape.length() is not None:
                     return Interval.const(shape.length())
             return LENGTH_RANGE
+        if name in ("tensor_part1", "tensor_part1_unchecked"):
+            # an element of a tensor the runtime itself filled
+            producer = underlying(operands[0]).definition
+            if isinstance(producer, CallPrimitiveInstr):
+                return _ELEMENTS_OF.get(producer.primitive.runtime_name, TOP)
+            return TOP
         if name == "checked_binary_mod_Integer64_Integer64":
             b = of(operands[1])
             if b is None:
@@ -652,12 +700,19 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
     return TOP
 
 
+def _argument_range(value: Value) -> Interval:
+    """What the call boundary lets through for a parameter of this type:
+    every ``Integer*`` argument is range-checked as an Integer64."""
+    name = getattr(value.type, "name", "")
+    return INT64_RANGE if name.startswith("Integer") else TOP
+
+
 def _interval_fixpoint(function: FunctionModule, facts: FunctionFacts,
                        cfg: CFG) -> None:
     table = _result_values(function)
     intervals: dict[int, Interval] = {}
     for parameter in function.parameters:
-        intervals[parameter.id] = TOP
+        intervals[parameter.id] = _argument_range(parameter)
     updates: dict[int, int] = {}
 
     def of(value: Value) -> Optional[Interval]:
@@ -714,19 +769,85 @@ def _interval_fixpoint(function: FunctionModule, facts: FunctionFacts,
     facts.intervals = intervals
 
 
-def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
+def _declared_rank(value: Value) -> Optional[int]:
     from repro.compiler.types.specifier import CompoundType, TypeLiteral
 
-    def declared_rank(value: Value) -> Optional[int]:
-        type_ = value.type
-        if isinstance(type_, CompoundType) and type_.constructor == "Tensor":
-            for argument in type_.params:
-                if isinstance(argument, TypeLiteral) and isinstance(
-                    argument.value, int
-                ):
-                    return argument.value
-        return None
+    type_ = value.type
+    if isinstance(type_, CompoundType) and type_.constructor == "Tensor":
+        for argument in type_.params:
+            if isinstance(argument, TypeLiteral) and isinstance(
+                argument.value, int
+            ):
+                return argument.value
+    return None
 
+
+_UNDERIVED = object()
+
+#: element-wise primitives: the result has the shape its operands share
+_ELEMENTWISE = {"tensor_plus": 2, "tensor_times": 2,
+                "tensor_scale": 1, "tensor_shift": 1}
+
+
+def static_lengths(function: FunctionModule) -> dict[int, int]:
+    """``{value id: n}`` for the rank-1 tensors that have ``n`` elements
+    on every path: a list display, a constant array, and whatever copies,
+    stores into, merges (phi) or combines element-wise only such tensors
+    of one length.  Optimistic over phis, so a loop-carried ``acc = acc +
+    step`` that starts as ``{0., 0.}`` has length 2."""
+    if not any(
+        isinstance(i, BuildListInstr) or (
+            isinstance(i, ConstantInstr) and hasattr(i.value, "dims")
+        )
+        for i in function.instructions()
+    ):
+        return {}
+    candidates = [
+        i for i in function.instructions()
+        if i.result is not None and _declared_rank(i.result) == 1
+    ]
+    #: absent = nothing derived yet, None = no single length
+    lengths: dict[int, Optional[int]] = {}
+
+    def derive(instruction):
+        """The length of ``instruction``'s result; ``_UNDERIVED`` while
+        none of what it depends on has a length yet."""
+        if isinstance(instruction, BuildListInstr):
+            return len(instruction.operands)
+        if isinstance(instruction, ConstantInstr):
+            dims = getattr(instruction.value, "dims", None)
+            return dims[0] if dims is not None and len(dims) == 1 else None
+        if isinstance(instruction, PhiInstr):
+            sources = [v for v in instruction.operands
+                       if v is not instruction.result]
+        elif isinstance(instruction, CopyInstr):
+            sources = instruction.operands
+        elif isinstance(instruction, CallPrimitiveInstr):
+            sources = instruction.operands[
+                :1 if instruction.primitive.mutates
+                else _ELEMENTWISE.get(instruction.primitive.runtime_name, 0)
+            ]
+        else:
+            sources = []
+        known = {lengths[v.id] for v in sources if v.id in lengths}
+        if not sources or None in known or len(known) > 1:
+            return None
+        return known.pop() if known else _UNDERIVED
+
+    changed = True
+    while changed:
+        changed = False
+        for instruction in candidates:
+            new = derive(instruction)
+            if new is not _UNDERIVED and (
+                lengths.get(instruction.result.id, _UNDERIVED) != new
+            ):
+                lengths[instruction.result.id] = new
+                changed = True
+    return {i: n for i, n in lengths.items() if n is not None}
+
+
+def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
     for block in function.ordered_blocks():
         for instruction in block.all_instructions():
             result = instruction.result
@@ -741,11 +862,11 @@ def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
                 continue
             if isinstance(instruction, BuildListInstr):
                 facts.shapes[result.id] = ShapeFact(
-                    rank=declared_rank(result) or 1,
+                    rank=_declared_rank(result) or 1,
                     dims=(len(instruction.operands),),
                 )
                 continue
-            rank = declared_rank(result)
+            rank = _declared_rank(result)
             if rank is not None and result.id not in facts.shapes:
                 if isinstance(instruction, CopyInstr):
                     source = facts.shapes.get(
@@ -755,10 +876,7 @@ def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
                         facts.shapes[result.id] = source
                         continue
                 if isinstance(instruction, CallPrimitiveInstr) and (
-                    instruction.primitive.runtime_name
-                    in ("tensor_part1_set", "tensor_part2_set",
-                        "tensor_part1_set_unchecked",
-                        "tensor_part2_set_unchecked")
+                    instruction.primitive.mutates
                 ):
                     source = facts.shapes.get(
                         underlying(instruction.operands[0]).id
@@ -767,6 +885,10 @@ def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
                         facts.shapes[result.id] = source
                         continue
                 facts.shapes[result.id] = ShapeFact(rank=rank)
+    for value_id, length in static_lengths(function).items():
+        known = facts.shapes.get(value_id)
+        if known is None or known.dims is None:
+            facts.shapes[value_id] = ShapeFact(rank=1, dims=(length,))
 
 
 def _comparison_facts(guard: CallPrimitiveInstr, sense: bool, facts):
@@ -923,8 +1045,39 @@ def _resolve_environments(function: FunctionModule, facts: FunctionFacts,
                         target[base] = offset
         facts._env[name] = env
         facts._ub[name] = ub
+        survived = _survived_checks(function.blocks[name], facts)
+        if survived:
+            env = dict(env)
+            for value_id, interval in survived:
+                env[value_id] = env.get(value_id, TOP).intersect(interval)
         for child in sorted(children.get(name, ())):
             stack.append((child, env, ub))
+
+
+def _survived_checks(block, facts: FunctionFacts):
+    """What a checked ``a + b`` / ``a - b`` in ``block`` says about its
+    operands wherever control gets past it — in every block ``block``
+    strictly dominates: the sum did not overflow, so ``a <= MAX - b``."""
+    found = []
+    for instruction in block.instructions:
+        if not isinstance(instruction, CallPrimitiveInstr):
+            continue
+        op = _ARITH.get(instruction.primitive.runtime_name)
+        if op not in ("add", "subtract"):
+            continue
+        a, b = instruction.operands
+        ia, ib = facts.interval_of(a), facts.interval_of(b)
+        if op == "subtract":
+            # a - b is a + (-b); what is learnt about -b is negated back
+            ib = ib.negate()
+        for value, other, flip in ((a, ib, False), (b, ia, op == "subtract")):
+            bound = Interval(
+                None if other.hi is None else INT64_MIN - other.hi,
+                None if other.lo is None else INT64_MAX - other.lo,
+            )
+            if not bound.is_top:
+                found.append((value.id, bound.negate() if flip else bound))
+    return found
 
 
 def _effect_of(function: FunctionModule,

@@ -556,6 +556,11 @@ _UNCHECKED_PARTS = {
     "tensor_part1_set_unchecked": slice(1, 2),
     "tensor_part2_unchecked": slice(1, 3),
     "tensor_part2_set_unchecked": slice(1, 3),
+    # an unchecked rank-2 access after row-base lowering: the row index
+    # is proven on the row base, the column index on the access
+    "tensor_row_base": slice(1, 2),
+    "tensor_at": slice(2, 3),
+    "tensor_at_set": slice(2, 3),
 }
 
 

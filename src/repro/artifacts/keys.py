@@ -22,11 +22,14 @@ JSON payload hashed with SHA-256:
   bypass the cache entirely rather than key on it);
 * the **backend** the artifact was generated for (``python`` for the
   generated-Python JIT tier, ``bytecode`` for the WVM tier);
-* the **runtime-library fingerprint** — a content hash over the source
-  of every module that generated code calls back into (the runtime
-  primitive table, the Python backend itself, checked arithmetic, packed
-  arrays, the WVM).  Editing any of those invalidates every cached
-  artifact, because the stored source may embed assumptions about them;
+* the **compiler and runtime fingerprint** — a content hash over the
+  source of every module under ``repro.compiler`` and ``repro.analyze``
+  (each pass, the inline templates of the type environment, the back
+  ends, the analysis that elides checks) and of every module generated
+  code calls back into (checked arithmetic, packed arrays, the guard, the
+  WVM).  Editing any of those invalidates every cached artifact: a fixed
+  pass must not keep serving what the broken one produced, and stored
+  source may embed assumptions about the runtime;
 * the **repro package version** and any caller-supplied extra versions
   (e.g. ``CompiledCodeFunction.COMPILER_VERSION``).
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import zlib
 from typing import Any, Optional
 
@@ -70,11 +74,13 @@ _SEMANTIC_OPTION_FIELDS = (
     "argument_alias",
 )
 
-#: modules whose source the generated code (or the VM) depends on; their
-#: content hash is folded into every key
+#: packages whose every module decides what code a compile produces: the
+#: pipeline, each pass, the type environment with its inline templates,
+#: the back ends, and the analysis that elides checks
+_COMPILER_PACKAGES = ("repro.compiler", "repro.analyze")
+
+#: modules the generated code (or the VM) links against when it runs
 _RUNTIME_FINGERPRINT_MODULES = (
-    "repro.compiler.runtime_library",
-    "repro.compiler.codegen.python_backend",
     "repro.runtime.guard",
     "repro.runtime.checked",
     "repro.runtime.memory",
@@ -87,20 +93,47 @@ _RUNTIME_FINGERPRINT_MODULES = (
 _fingerprint_cache: Optional[str] = None
 
 
+def source_fingerprint(package_directories, module_files) -> str:
+    """SHA-256 over every ``*.py`` file under ``package_directories`` and
+    every file of ``module_files``, each with its path relative to where
+    it was found, so that one changed byte anywhere is a different
+    digest."""
+    digest = hashlib.sha256()
+    for directory in package_directories:
+        for folder, folders, files in os.walk(directory):
+            folders.sort()
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    digest.update(
+                        os.path.relpath(path, directory).encode("utf-8"))
+                    with open(path, "rb") as handle:
+                        digest.update(handle.read())
+    for path in module_files:
+        digest.update(os.path.basename(path).encode("utf-8"))
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
 def runtime_fingerprint() -> str:
-    """SHA-256 over the source of every runtime module generated code
-    links against; computed once per process."""
+    """The :func:`source_fingerprint` of everything a cached artifact
+    depends on besides its own inputs: the whole compiler and analysis
+    packages (a fixed pass or template must not keep serving what the
+    broken one produced) and the runtime modules generated code links
+    against; computed once per process."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
-        import importlib
+        from importlib.util import find_spec
 
-        digest = hashlib.sha256()
-        for module_name in _RUNTIME_FINGERPRINT_MODULES:
-            module = importlib.import_module(module_name)
-            digest.update(module_name.encode("utf-8"))
-            with open(module.__file__, "rb") as handle:
-                digest.update(handle.read())
-        _fingerprint_cache = digest.hexdigest()
+        _fingerprint_cache = source_fingerprint(
+            [
+                directory
+                for package in _COMPILER_PACKAGES
+                for directory in find_spec(package).submodule_search_locations
+            ],
+            [find_spec(name).origin for name in _RUNTIME_FINGERPRINT_MODULES],
+        )
     return _fingerprint_cache
 
 

@@ -390,6 +390,9 @@ class CompilerPipeline:
     def _optimize(self, program: ProgramModule) -> None:
         if self.options.optimization_level < 1:
             return
+        from repro.compiler.twir.loops import thread_jumps
+        from repro.compiler.twir.tensors import simplify_tensors
+
         for function_module in program.functions.values():
             for _ in range(8):
                 changed = False
@@ -409,6 +412,11 @@ class CompilerPipeline:
                     subject=function_module,
                 )
                 changed |= self._timed(
+                    "jump-threading",
+                    lambda f=function_module: thread_jumps(f),
+                    subject=function_module,
+                )
+                changed |= self._timed(
                     "dead-branch-deletion",
                     lambda f=function_module: delete_dead_blocks(f),
                     subject=function_module,
@@ -417,6 +425,14 @@ class CompilerPipeline:
                     "block-fusion", lambda f=function_module: fuse_blocks(f),
                     subject=function_module,
                 )
+                # Profile counts calls of the source program's functions:
+                # one tensor Plus stays the one call it was written as
+                if not self.options.profile:
+                    changed |= self._timed(
+                        "tensor-simplification",
+                        lambda f=function_module: simplify_tensors(f),
+                        subject=function_module,
+                    )
                 changed |= self._timed(
                     "cse",
                     lambda f=function_module: common_subexpression_elimination(f),
@@ -432,6 +448,8 @@ class CompilerPipeline:
 
     def _semantic_passes(self, program: ProgramModule) -> None:
         from repro import observe
+        from repro.compiler.twir.loops import hoist_loop_invariants
+        from repro.compiler.twir.tensors import lower_row_addressing
 
         fact_map = None
         if self.options.dataflow and self.options.optimization_level >= 1:
@@ -487,6 +505,33 @@ class CompilerPipeline:
                 self._timed(
                     "alias-collapse",
                     lambda f=function_module: collapse_mutation_aliases(f),
+                    subject=function_module,
+                )
+            if self.options.optimization_level >= 1 and (
+                not self.options.profile
+            ):
+                # addressing made explicit only now: the accesses it splits
+                # are the ones check elision proved, and after alias
+                # collapse a tensor stored into in a loop is one value, so
+                # its row base is invariant there.  For the same reason the
+                # clean-up shares row bases but no reads: two reads of that
+                # one value may have a store between them
+                if self._timed(
+                    "row-addressing",
+                    lambda f=function_module: lower_row_addressing(f),
+                    subject=function_module,
+                ):
+                    self._timed(
+                        "cse",
+                        lambda f=function_module:
+                            common_subexpression_elimination(
+                                f, stores_in_place=True),
+                        subject=function_module,
+                    )
+                self._timed(
+                    "loop-invariant-motion",
+                    lambda f=function_module, facts=facts:
+                        hoist_loop_invariants(f, facts),
                     subject=function_module,
                 )
             if self.options.abort_handling:

@@ -284,6 +284,30 @@ def tensor_row(t: PackedArray, i: int) -> PackedArray:
     return PackedArray(t.data[start : start + cols], (cols,), t.element_type)
 
 
+@primitive("tensor_row_length")
+def tensor_row_length(t: PackedArray, i: int) -> int:
+    """``Length[t[[i]]]`` without the row: the bounds check and the count."""
+    t.part_index(i, t.dims[0])
+    return t.dims[1]
+
+
+@primitive("tensor_row_base")
+def tensor_row_base(t: PackedArray, i: int) -> int:
+    """Flat index of the element before row ``i``'s first."""
+    return (i - 1) * t.dims[1] - 1
+
+
+@primitive("tensor_at")
+def tensor_at(t: PackedArray, base: int, j: int):
+    return t.data[base + j]
+
+
+@primitive("tensor_at_set")
+def tensor_at_set(t: PackedArray, base: int, j: int, value) -> PackedArray:
+    t.data[base + j] = value
+    return t
+
+
 @primitive("tensor_length")
 def tensor_length(t: PackedArray) -> int:
     return t.dims[0] if t.dims else 0

@@ -16,11 +16,6 @@ from repro.compiler.twir.passes import simplify_trivial_phis
 from repro.compiler.wir.function_module import Forwarding, FunctionModule
 from repro.compiler.wir.instructions import CallPrimitiveInstr
 
-_ALIASING = {
-    "tensor_part1_set", "tensor_part1_set_unchecked",
-    "tensor_part2_set", "tensor_part2_set_unchecked",
-}
-
 
 def collapse_mutation_aliases(function: FunctionModule) -> int:
     collapsed = 0
@@ -29,7 +24,7 @@ def collapse_mutation_aliases(function: FunctionModule) -> int:
         for instruction in block.instructions:
             if not isinstance(instruction, CallPrimitiveInstr):
                 continue
-            if instruction.primitive.runtime_name not in _ALIASING:
+            if not instruction.primitive.mutates:
                 continue
             result = instruction.result
             if result is None:

@@ -64,6 +64,60 @@ CHECKED_PARTS = {
 }
 
 
+#: what re-proves each primitive, under its checked or its unchecked name
+_ARITH_PROOF = {
+    name: method
+    for checked, (unchecked, method) in CHECKED_ARITH.items()
+    for name in (checked, unchecked)
+}
+_PART_PROOF = {
+    name: indices
+    for checked, (unchecked, indices) in CHECKED_PARTS.items()
+    for name in (checked, unchecked)
+}
+# a rank-2 access lowered to explicit addressing: the row base carries the
+# row index's part of the proof, the access itself the column index's
+_PART_PROOF.update(
+    tensor_row_base=slice(1, 2), tensor_at=slice(2, 3),
+    tensor_at_set=slice(2, 3),
+)
+
+
+def proof_of(instruction: CallPrimitiveInstr, block: str,
+             facts: "FunctionFacts") -> Optional[str]:
+    """The ``elided_check`` justification under which ``instruction`` — a
+    checked primitive, or the unchecked one it was swapped for — needs no
+    check inside ``block``; ``None`` when the facts prove none."""
+    name = instruction.primitive.runtime_name
+    method = _ARITH_PROOF.get(name)
+    if method is not None:
+        a = facts.interval_at(instruction.operands[0], block)
+        b = facts.interval_at(instruction.operands[1], block)
+        return "int64-overflow" if getattr(a, method)(b).fits_int64() else None
+    tensor = instruction.operands[0]
+    indices = instruction.operands[_PART_PROOF.get(name, slice(0))]
+    if indices and all(
+        facts.proves_part_in_range(index, tensor, block) for index in indices
+    ):
+        return "part-bounds"
+    if indices and all(
+        facts.proves_positive_index(index, block) for index in indices
+    ):
+        return "part-positive"
+    return None
+
+
+def justified_at(instruction: CallPrimitiveInstr, block: str,
+                 facts: "FunctionFacts") -> bool:
+    """Does the proof recorded on ``instruction`` also hold in ``block``
+    (where a pass is about to move it)?"""
+    recorded = instruction.properties["elided_check"]
+    proven = proof_of(instruction, block, facts)
+    return proven == recorded or (
+        proven == "part-bounds" and recorded == "part-positive"
+    )
+
+
 def elide_redundant_checks(
     function: FunctionModule, facts: Optional["FunctionFacts"] = None
 ) -> dict[str, int]:
@@ -84,38 +138,15 @@ def elide_redundant_checks(
             if not isinstance(instruction, CallPrimitiveInstr):
                 continue
             name = instruction.primitive.runtime_name
-            arith = CHECKED_ARITH.get(name)
-            if arith is not None:
-                unchecked_name, method = arith
-                a = facts.interval_at(instruction.operands[0], block.name)
-                b = facts.interval_at(instruction.operands[1], block.name)
-                if getattr(a, method)(b).fits_int64():
-                    instruction.primitive = PRIMITIVE_IMPLS[unchecked_name]
-                    instruction.properties["elided_check"] = "int64-overflow"
-                    counts["int64"] += 1
+            swap = CHECKED_ARITH.get(name) or CHECKED_PARTS.get(name)
+            if swap is None:
                 continue
-            part = CHECKED_PARTS.get(name)
-            if part is not None:
-                unchecked_name, index_slice = part
-                tensor = instruction.operands[0]
-                indices = instruction.operands[index_slice]
-                if not indices:
-                    continue
-                if all(
-                    facts.proves_part_in_range(index, tensor, block.name)
-                    for index in indices
-                ):
-                    justification = "part-bounds"
-                elif all(
-                    facts.proves_positive_index(index, block.name)
-                    for index in indices
-                ):
-                    justification = "part-positive"
-                else:
-                    continue
-                instruction.primitive = PRIMITIVE_IMPLS[unchecked_name]
-                instruction.properties["elided_check"] = justification
-                counts["bounds"] += 1
+            justification = proof_of(instruction, block.name, facts)
+            if justification is None:
+                continue
+            instruction.primitive = PRIMITIVE_IMPLS[swap[0]]
+            instruction.properties["elided_check"] = justification
+            counts["int64" if name in CHECKED_ARITH else "bounds"] += 1
     if counts["int64"]:
         function.information["OverflowChecksElided"] = counts["int64"]
     if counts["bounds"]:

@@ -25,12 +25,6 @@ from repro.compiler.wir.instructions import (
     Value,
 )
 
-#: primitives that mutate their first operand in place
-_MUTATING = {
-    "tensor_part1_set", "tensor_part1_set_unchecked",
-    "tensor_part2_set", "tensor_part2_set_unchecked",
-}
-
 
 def insert_copies(function: FunctionModule) -> int:
     """Insert a Copy before each mutation whose target is still aliased."""
@@ -54,7 +48,7 @@ def insert_copies(function: FunctionModule) -> int:
         for index, instruction in enumerate(block.instructions):
             if (
                 isinstance(instruction, CallPrimitiveInstr)
-                and instruction.primitive.runtime_name in _MUTATING
+                and instruction.primitive.mutates
             ):
                 target = instruction.operands[0]
                 still_used = any(
@@ -105,7 +99,7 @@ def _copy_mutated_arguments(function: FunctionModule) -> int:
                 out |= origins(incoming, seen)
             return out
         if isinstance(definition, CallPrimitiveInstr) and (
-            definition.primitive.runtime_name in _MUTATING
+            definition.primitive.mutates
         ):
             return origins(definition.operands[0], seen)
         return {value}
@@ -114,7 +108,7 @@ def _copy_mutated_arguments(function: FunctionModule) -> int:
     for block in function.ordered_blocks():
         for instruction in block.instructions:
             if isinstance(instruction, CallPrimitiveInstr) and (
-                instruction.primitive.runtime_name in _MUTATING
+                instruction.primitive.mutates
             ):
                 for origin in origins(instruction.operands[0], set()):
                     if isinstance(origin.definition, LoadArgumentInstr):

@@ -38,12 +38,6 @@ _ALLOCATING = {
     "string_to_character_codes", "string_join", "string_take", "string_drop",
 }
 
-#: primitives whose result aliases their first operand (mutation in place)
-_ALIASING = {
-    "tensor_part1_set", "tensor_part1_set_unchecked",
-    "tensor_part2_set", "tensor_part2_set_unchecked",
-}
-
 
 def _is_allocation(instruction) -> bool:
     if isinstance(instruction, (BuildListInstr, CopyInstr, KernelCallInstr,
@@ -73,7 +67,7 @@ def insert_memory_management(function: FunctionModule) -> int:
                 aliased_onward.add(value.id)
         for instruction in block.instructions:
             if isinstance(instruction, CallPrimitiveInstr) and (
-                instruction.primitive.runtime_name in _ALIASING
+                instruction.primitive.mutates
                 and instruction.result is not None
             ):
                 # the mutation hands its reference to the result value;

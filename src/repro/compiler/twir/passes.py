@@ -319,8 +319,16 @@ def dead_code_elimination(function: FunctionModule) -> bool:
 # -- common subexpression elimination ----------------------------------------------------------
 
 
-def common_subexpression_elimination(function: FunctionModule) -> bool:
-    """Dominator-scoped value numbering over pure instructions."""
+def common_subexpression_elimination(function: FunctionModule,
+                                     stores_in_place: bool = False) -> bool:
+    """Dominator-scoped value numbering over pure instructions.
+
+    A key is the primitive and its operands and knows nothing of memory,
+    which is sound while every ``PartSet`` makes a new SSA tensor.  Once
+    alias collapse has made a store's result its operand
+    (``stores_in_place``), two reads either side of the store would key
+    alike, so only *total* primitives, which read no tensor data, merge.
+    """
     idom = compute_dominators(function)
     children: dict[str, list[str]] = {}
     for name, parent in idom.items():
@@ -334,7 +342,11 @@ def common_subexpression_elimination(function: FunctionModule) -> bool:
     available: dict[tuple, Value] = {}
 
     def key_of(instruction) -> Optional[tuple]:
-        if isinstance(instruction, CallPrimitiveInstr) and instruction.primitive.pure:
+        if (
+            isinstance(instruction, CallPrimitiveInstr)
+            and instruction.primitive.pure
+            and (instruction.primitive.total or not stores_in_place)
+        ):
             return ("prim", instruction.primitive.runtime_name,
                     tuple(forwarding.resolve(v).id
                           for v in instruction.operands))

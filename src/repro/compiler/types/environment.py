@@ -67,9 +67,33 @@ def widens_to(source: Type, target: Type) -> bool:
 class PrimitiveImpl:
     """A compiler-runtime primitive implementation.
 
-    ``py_inline`` is a statement template the Python backend splices when
-    primitive inlining is enabled (the default; §6 attributes a 10× swing to
-    this).  ``runtime_name`` is the mangled symbol resolved against
+    The Python backend splices these templates when primitive inlining is
+    enabled (the default; §6 attributes a 10× swing to this):
+
+    * ``py_inline`` — the *result expression* (``"{a0} + {a1}"``).  A
+      leading ``"{out} = "`` is accepted and dropped, so a one-line
+      statement template still declares a primitive;
+    * ``py_guard`` — a statement that can raise, kept with the result:
+      one that mentions ``{out}`` runs after the assignment (the overflow
+      test), one that mentions only operands runs before it (the zero
+      divisor test).  A guarded result is always a named local;
+    * ``py_effect`` — the statement of a primitive that acts instead of
+      computing (``PartSet``); its result, when kept, is ``py_inline``.
+
+    Placeholders: ``{aN}`` operand, ``{aN_data}`` its flat ``.data`` list,
+    ``{aN_cols}`` its column count, ``{args}`` every operand, ``{out}``
+    the result local, ``{elem}`` the result's element type name.
+
+    ``total`` marks a primitive that is defined for every well-typed
+    operand and reads nothing a store can change: it cannot raise, so the
+    backend folds it into its consumer without regard to order and the
+    loop-invariant pass may run it ahead of a loop that never runs.
+
+    ``mutates`` marks a primitive that changes its first operand in place
+    and returns it (``PartSet``): the one definition the copy-insertion,
+    alias-collapse and memory passes and the shape analysis read.
+
+    ``runtime_name`` is the mangled symbol resolved against
     :mod:`repro.compiler.runtime_library` when inlining is disabled, and is
     also the name the C backend declares.
     """
@@ -78,6 +102,14 @@ class PrimitiveImpl:
     py_inline: Optional[str] = None
     c_inline: Optional[str] = None
     pure: bool = True
+    py_guard: Optional[str] = None
+    py_effect: Optional[str] = None
+    total: bool = False
+    mutates: bool = False
+
+    def __post_init__(self):
+        if self.py_inline is not None and self.py_inline.startswith("{out} = "):
+            self.py_inline = self.py_inline[len("{out} = "):]
 
 
 @dataclass

@@ -132,9 +132,12 @@ class FaultInjector:
         """Wrap ``RUNTIME[<name>]`` for every ``runtime.<name>`` site.
 
         The generated code's ``_rt`` global aliases the shared ``RUNTIME``
-        dict, so swapping entries in place reaches already-compiled
-        functions too (primitive calls go through ``_rt[...]`` whenever
-        inlining is off, and for the non-inlined primitives always).
+        dict, so swapping entries in place reaches functions compiled with
+        inlining off, whose every primitive call is a look-up in it.
+        Optimised code binds the entries it calls when its ``def`` runs,
+        so a swap reaches it only if it is compiled (or restored from the
+        artifact cache) while armed; it then keeps the wrapper, which calls
+        straight through once this injector is no longer the armed one.
         """
         from repro.compiler.runtime_library import RUNTIME
 
@@ -148,7 +151,8 @@ class FaultInjector:
             self._wrapped_primitives[name] = original
 
             def wrapped(*args, _site=site, _original=original, **kwargs):
-                self.fire(_site)
+                if _INJECTOR is self:
+                    self.fire(_site)
                 return _original(*args, **kwargs)
 
             RUNTIME[name] = wrapped

@@ -182,6 +182,37 @@ class TestKeys:
         assert runtime_fingerprint() == runtime_fingerprint()
         assert len(runtime_fingerprint()) == 64
 
+    @pytest.mark.parametrize("edited", [
+        os.path.join("types", "builtin_env.py"),   # every py_inline template
+        os.path.join("twir", "passes.py"),         # a pass
+        os.path.join("codegen", "structurize.py"),
+        os.path.join("wir", "lower.py"),
+    ])
+    def test_one_byte_of_the_compiler_changes_the_fingerprint(
+        self, tmp_path, edited
+    ):
+        """A fixed pass or template must not keep serving what the broken
+        one produced."""
+        import shutil
+
+        import repro.compiler
+        from repro.artifacts.keys import source_fingerprint
+
+        copy = tmp_path / "compiler"
+        shutil.copytree(os.path.dirname(repro.compiler.__file__), copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = source_fingerprint([str(copy)], [])
+        assert before == source_fingerprint([str(copy)], [])
+        with open(copy / edited, "ab") as handle:
+            handle.write(b"#")
+        assert source_fingerprint([str(copy)], []) != before
+
+    def test_fingerprint_covers_the_compiler_and_the_analysis(self):
+        from repro.artifacts import keys
+
+        assert {"repro.compiler", "repro.analyze"} <= set(
+            keys._COMPILER_PACKAGES)
+
 
 # -- the store ---------------------------------------------------------------
 
@@ -266,6 +297,23 @@ class TestFunctionCompileCache:
         assert [e.name for e in tracer.events
                 if e.name == "artifact.cache"]
         assert cold(30) == warm(30) == 832040
+
+    @caches_function_compiles
+    def test_store_filled_by_another_compiler_misses(
+        self, artifact_cache, monkeypatch
+    ):
+        """What a user's ``~/.cache/repro`` holds from before a compiler
+        change is keyed on that compiler's fingerprint: it is not served."""
+        from repro.artifacts import keys
+
+        monkeypatch.setattr(keys, "_fingerprint_cache", "0" * 64)
+        FunctionCompile(FIB)
+        assert artifact_cache.stats["stores"] == 1
+        monkeypatch.setattr(keys, "_fingerprint_cache", None)
+        fresh = FunctionCompile(FIB)
+        assert artifact_cache.stats["hits"] == 0
+        assert artifact_cache.stats["stores"] == 2
+        assert fresh(20) == 6765
 
     @caches_function_compiles
     def test_option_change_recompiles(self, artifact_cache):

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 from repro.compiler import (
+    CompileToIR,
     FunctionCompile,
     FunctionCompileExportLibrary,
     FunctionCompileExportString,
@@ -80,16 +81,20 @@ class TestPythonBackend:
         assert f(100) == 5050
 
     def test_constant_hoisting(self):
-        f = FunctionCompile(
+        src = (
             'Function[{Typed[n, "MachineInteger"]},'
             ' Module[{s = 0, i = 1},'
             '  While[i <= n, s = s + 7; i = i + 1]; s]]'
         )
-        source = f.generated_source
-        # the literal 7 is assigned once, before the loop
-        seven_lines = [l for l in source.splitlines() if l.strip().endswith("= 7")]
-        assert len(seven_lines) == 1
-        assert source.index("= 7") < source.index("while True:")
+        # the IR defines the literal 7 once, before the loop (what the C
+        # and WVM exports load it from) ...
+        text = CompileToIR(src)["toString"]
+        assert text.count("Constant 7") == 1
+        assert text.index("Constant 7") < text.index("while_head")
+        # ... and Python source writes it where it is used
+        source = FunctionCompile(src).generated_source
+        assert "+ 7" in source
+        assert not [l for l in source.splitlines() if l.strip().endswith("= 7")]
 
 
 class TestCBackend:

@@ -162,6 +162,38 @@ class TestCheckElision:
         assert bound == 100
         assert bound <= COALESCE_TRIP_LIMIT
 
+    @pytest.mark.parametrize("source, kept", [
+        # BitAnd bounds the hash, BitXor of two bounded values stays
+        # below the next power of two: the multiply cannot overflow
+        ('Function[{Typed[n, "MachineInteger"]},'
+         ' Module[{h = 2166136261, i = 0},'
+         '  While[i < n, h = BitAnd[BitXor[h, 255] * 16777619, 4294967295];'
+         '   i = i + 1]; h]]', 0),
+        # a byte of a string the runtime encoded is in [0, 255]
+        ('Function[{Typed[s, "String"]},'
+         ' Module[{b = Native`UTF8Bytes[s], h = 7, i = 1},'
+         '  While[i <= Length[b],'
+         '   h = BitAnd[BitXor[h, b[[i]]] * 31, 65535]; i = i + 1]; h]]', 0),
+        # i < n <= INT64_MAX: an argument is an Integer64, not anything
+        ('Function[{Typed[n, "MachineInteger"]},'
+         ' Module[{i = 0}, While[i < n, i = i + 1]; i]]', 0),
+        # a negative operand on both sides of BitAnd bounds nothing
+        ('Function[{Typed[n, "MachineInteger"], Typed[m, "MachineInteger"]},'
+         ' BitAnd[n, m] * 3]', 1),
+        # past a checked n + 1, n <= INT64_MAX - 1: i <= n makes i + 1 fit
+        ('Function[{Typed[n, "MachineInteger"]},'
+         ' Module[{t = Native`CreateTensor[n + 1, 0], i = 1},'
+         '  While[i <= n, i = i + 1]; Length[t] + i]]', 2),
+    ])
+    def test_which_overflow_checks_survive(self, source, kept):
+        _, program = compile_kernel(source)
+        checked = [
+            i for i in main_function(program).instructions()
+            if getattr(getattr(i, "primitive", None), "runtime_name", ""
+                       ).startswith("checked_binary")
+        ]
+        assert len(checked) == kept, [str(i) for i in checked]
+
     def test_elide_off_keeps_every_check(self):
         _, program = compile_kernel(OVERFLOW_KERNEL, elide_checks=False)
         info = main_function(program).information

@@ -167,6 +167,26 @@ class TestRuntimeLibraryFaults:
         assert compiled(1) == 2
         assert compiled.fallback_count == 2
 
+    def test_function_compiled_while_armed_is_normal_afterwards(self, hosted):
+        # optimised code binds the library entries it calls when its def
+        # runs, so compiled while armed it holds the injector's wrapper
+        source = (
+            'Function[{Typed[v, TypeSpecifier["Tensor"["Real64", 1]]]},'
+            ' Total[v + v]]'
+        )
+        fault = Fault("runtime.tensor_plus", "runtime", times=100)
+        with inject_faults(fault):
+            compiled = FunctionCompile(source, evaluator=hosted)
+            assert "_rt_tensor_plus=" in compiled.generated_source
+            assert compiled([1.0, 2.0]) == 6.0  # interpreter fallback
+            assert compiled.fallback_count == 1
+        assert fault.hits == 1
+        assert compiled([1.0, 2.0]) == 6.0
+        with inject_faults(Fault("runtime.tensor_plus", "runtime")):
+            assert compiled([1.0, 2.0]) == 6.0  # not this injector's wrapper
+        assert compiled.fallback_count == 1
+        assert fault.hits == 1
+
     def test_unknown_primitive_site_is_an_error(self):
         with pytest.raises(KeyError):
             with inject_faults(Fault("runtime.no_such_primitive", "overflow")):

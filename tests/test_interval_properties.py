@@ -58,6 +58,20 @@ def test_multiply_over_approximates(left, right):
 
 
 @settings(max_examples=300, deadline=None)
+@given(interval_with_member(), interval_with_member())
+def test_bit_and_over_approximates(left, right):
+    (a, x), (b, y) = left, right
+    assert a.bit_and(b).contains(x & y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_with_member(), interval_with_member())
+def test_bit_xor_over_approximates(left, right):
+    (a, x), (b, y) = left, right
+    assert a.bit_xor(b).contains(x ^ y)
+
+
+@settings(max_examples=300, deadline=None)
 @given(interval_with_member())
 def test_negate_over_approximates(pair):
     a, x = pair

@@ -18,27 +18,32 @@ Layout
 ------
 
 * :mod:`repro.artifacts.keys` — canonical SHA-256 keys over the source
-  function's wire form, the semantic compiler options, the backend, the
+  function (one streamed walk of the tree), the semantic compiler
+  options, the backend, the Python bytecode identity, the
   runtime-library fingerprint, and the package version, so semantically
   identical compiles hit across processes;
 * :mod:`repro.artifacts.store` — the on-disk object tree
   (``$REPRO_ARTIFACT_CACHE`` or ``~/.cache/repro``): atomic
-  write-rename, LRU size cap (``REPRO_ARTIFACT_CACHE_MAX``),
-  corruption-tolerant loads, ``artifact.cache`` spans and counters;
+  write-rename, LRU size cap (``REPRO_ARTIFACT_CACHE_MAX``), a content
+  digest checked before any decode, corruption-tolerant loads,
+  ``artifact.cache`` spans and counters;
+* :mod:`repro.artifacts.codec` — what an entry of each tier holds and
+  how a hit is rebuilt from it (``lookup`` / ``store``, the two calls a
+  cached compiler makes);
 * :mod:`repro.artifacts.aot` — ``python -m repro aot``: warm a
   definition set, emit a manifest-driven self-contained image, and boot
   a server :class:`~repro.server.base.BaseImage` from it.
 
 On-disk format and compatibility policy: see
 :mod:`repro.artifacts.store` — in short, entries are schema-versioned
-JSON objects named by their own key; any version or format skew makes
-old entries unreachable misses (reclaimed by the LRU sweep), and a
-corrupt entry is evicted and recompiled, never raised.
+JSON objects named by their own key and led by the digest of their own
+bytes; any version or format skew makes old entries unreachable misses
+(reclaimed by the LRU sweep), and a corrupt entry is evicted and
+recompiled, never raised and never decoded.
 """
 
 from repro.artifacts.keys import (
     bytecode_key,
-    canonical_options,
     function_key,
     runtime_fingerprint,
     type_from_wire,
@@ -56,7 +61,6 @@ __all__ = [
     "bytecode_key",
     "cache_enabled",
     "cache_root_from_environment",
-    "canonical_options",
     "function_key",
     "get_store",
     "runtime_fingerprint",

@@ -19,14 +19,18 @@ The image is one self-contained JSON manifest::
       "objects":  {"<digest>": {...entry...}, ...}
     }
 
-``objects`` embeds the artifact-store entries produced while warming, so
-the image needs no cache directory to travel with it: booting seeds them
-into the process store (:func:`seed_store`), creating a temp-dir store
-when the host has none configured.  ``repro``/``runtime`` are recorded
-for operators — they are *already folded into every object key*, so a
-version-skewed image degrades safely: its entries become unreachable,
-every compile misses, and the boot completes cold rather than serving
-stale code.
+``objects`` embeds the artifact-store entries produced while warming —
+schema-2 entries, each with its content digest and marshalled code object
+(:mod:`repro.artifacts.store`) — so the image needs no cache directory to
+travel with it: booting seeds them into the process store
+(:func:`seed_store`), creating a temp-dir store when the host has none
+configured, and every preload is then a lookup: no ``compile``, no
+pipeline.  ``repro``/``runtime`` are recorded for operators — they are
+*already folded into every object key*, as is the Python that wrote the
+code objects, so a version-skewed image degrades safely: its entries
+become unreachable, every compile misses, and the boot completes cold
+rather than serving stale code.  So does an image whose objects are not
+what their digests say (a schema-1 image has none): those are not seeded.
 
 Build:  ``python -m repro aot --prelude FILE [--compile EXPR]... --out IMG``
 Verify: ``python -m repro aot --boot IMG`` (boots, reports probe stats)
@@ -154,14 +158,19 @@ def seed_store(manifest: dict) -> ArtifactStore:
     with no cache configured, roots a store in a fresh temp dir and
     :func:`~repro.artifacts.store.activate_store`-s it so the boot is
     still warm.  Version-skewed objects are seeded too — harmless, since
-    their keys can never be looked up by this package version.
+    their keys can never be looked up by this package version or Python.
     """
     store = get_store()
     if store is None:
         store = ArtifactStore(tempfile.mkdtemp(prefix="repro-aot-"))
         activate_store(store)
     for digest, entry in manifest.get("objects", {}).items():
-        if not os.path.exists(store._object_path(digest)):
+        # only what ``put`` can check against its own content digest: an
+        # object without one (a schema-1 image) is left out, and one that
+        # no longer matches its digest is refused there
+        if "sha256" in entry and not os.path.exists(
+            store._object_path(digest)
+        ):
             store.put(digest, entry)
     return store
 

@@ -1,19 +1,22 @@
 """Canonical content-addressed keys for compiled artifacts.
 
 A cache that stores compiler *output* is only sound if its key captures
-every compiler *input*.  The digest built here covers, in one canonical
-JSON payload hashed with SHA-256:
+every compiler *input*.  The key is the SHA-256 of one text, built in one
+pass with no intermediate form: a ``repr``-ed tuple of plain values, then
+the source tree written node by node (:func:`_write_tree`: tag, a payload
+that says where it ends, serialisable metadata sorted by name — nothing
+depends on dict or set order, so ``PYTHONHASHSEED`` never leaks in).  It
+covers:
 
-* the **source function** — the macro-expanded ``Function[...]`` MExpr in
-  its tagged wire form (:mod:`repro.mexpr.serialize`), which is exactly
-  the tree the pipeline lowers, so alpha-identical re-parses of the same
-  source text produce the same key across processes and machines
-  (``PYTHONHASHSEED`` never leaks in: the payload is sorted-key JSON);
+* the **source function** — the ``Function[...]`` MExpr exactly as the
+  pipeline will lower it, so alpha-identical re-parses of the same source
+  text produce the same key across processes and machines, and ``1``,
+  ``1.0`` and ``"1"`` produce different ones;
 * the **embedded constants** — a content digest of the normalized
   ``constants=`` arrays (:func:`constants_digest`: name-sorted; element
-  type, dimensions and the packed element buffer hashed directly), the
-  same objects the lowerer embeds, so ``[0, 1]`` and ``[0.0, 1.0]``, a
-  one-element edit, or a renamed table are different keys;
+  type, dimensions and the elements, typed, in one pass), the same objects
+  the lowerer embeds, so ``[0, 1]`` and ``[0.0, 1.0]``, a one-element edit,
+  or a renamed table are different keys;
 * the **semantic compiler options** — every :class:`CompilerOptions`
   field that changes generated code (optimization level, inlining,
   abort handling, memory management, ...).  Non-semantic fields are
@@ -22,6 +25,12 @@ JSON payload hashed with SHA-256:
   bypass the cache entirely rather than key on it);
 * the **backend** the artifact was generated for (``python`` for the
   generated-Python JIT tier, ``bytecode`` for the WVM tier);
+* the **Python bytecode identity** (:data:`PYTHON_TAG`:
+  ``sys.implementation.cache_tag`` and ``importlib.util.MAGIC_NUMBER``) —
+  a ``python`` entry holds a marshalled code object, which only the
+  interpreter that wrote it can load, so a store shared by two
+  interpreters is two key spaces and a hit never has to fall back to
+  compiling the stored source;
 * the **compiler and runtime fingerprint** — a content hash over the
   source of every module under ``repro.compiler`` and ``repro.analyze``
   (each pass, the inline templates of the type environment, the back
@@ -29,33 +38,40 @@ JSON payload hashed with SHA-256:
   code calls back into (checked arithmetic, packed arrays, the guard, the
   WVM).  Editing any of those invalidates every cached artifact: a fixed
   pass must not keep serving what the broken one produced, and stored
-  source may embed assumptions about the runtime;
-* the **repro package version** and any caller-supplied extra versions
-  (e.g. ``CompiledCodeFunction.COMPILER_VERSION``).
+  code may embed assumptions about the runtime;
+* the **repro package version**, the key schema, and any caller-supplied
+  extra versions (e.g. ``CompiledCodeFunction.COMPILER_VERSION``).
 
-The typed-IR digest of the *output* program is recorded inside stored
-entries for integrity checks and tooling, but it is not part of the
-lookup key — hashing the TWIR would require running the very pipeline the
-cache exists to skip.
+Not in the key: the source *text* (two spellings of one tree share an
+entry, and the tree is what a caller holds), the host evaluator, ``bind=``,
+and the typed-IR digest of the *output* program — that is recorded inside
+stored entries for tooling, but hashing the TWIR would require running the
+very pipeline the cache exists to skip.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import marshal
 import math
 import os
+import sys
 import zlib
+from importlib.util import MAGIC_NUMBER
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.mexpr.expr import MExpr
-from repro.mexpr.serialize import to_wire
+from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
+from repro.mexpr.expr import MExpr, MExprNormal
 from repro.runtime.packed import PackedArray
 
-#: schema version of the key payload; bump to invalidate every entry
-KEY_SCHEMA = 1
+#: schema version of the key text; bump to invalidate every entry
+KEY_SCHEMA = 2
+
+#: which interpreter's bytecode a ``python`` entry holds: entries carry
+#: marshalled code objects, which only the Python that wrote them can load
+PYTHON_TAG = (sys.implementation.cache_tag, MAGIC_NUMBER.hex())
 
 #: CompilerOptions fields that change generated code, in canonical order
 _SEMANTIC_OPTION_FIELDS = (
@@ -137,17 +153,53 @@ def runtime_fingerprint() -> str:
     return _fingerprint_cache
 
 
-def canonical_options(options) -> dict:
-    """The semantic-field projection of a :class:`CompilerOptions`."""
-    return {
-        name: getattr(options, name) for name in _SEMANTIC_OPTION_FIELDS
-    }
+def _write_tree(node: MExpr, emit) -> None:
+    """``emit`` the canonical text of ``node`` in one pre-order walk: per
+    node a tag, then a payload that says where it ends (a length before a
+    name or string, the argument count before the children, a terminator
+    after a number's ``repr``), then its serialisable metadata sorted by
+    name.  Equal trees give equal text and different trees different text
+    — ``1``, ``1.0`` and ``"1"`` differ in the tag."""
+    if isinstance(node, MExprNormal):
+        emit(f"n{len(node.args)}:")
+    elif isinstance(node, MSymbol):
+        emit(f"y{len(node.name)}:{node.name}")
+    elif isinstance(node, MInteger):
+        emit(f"i{node.value};")
+    elif isinstance(node, MReal):
+        emit(f"r{node.value!r};")
+    elif isinstance(node, MString):
+        emit(f"s{len(node.value)}:{node.value}")
+    elif isinstance(node, MComplex):
+        emit(f"c{node.value.real!r},{node.value.imag!r};")
+    else:  # pragma: no cover - exhaustive over node kinds
+        raise TypeError(f"cannot key {type(node).__name__}")
+    properties = node._properties
+    if properties:
+        for name in sorted(properties):
+            value = properties[name]
+            if value is None or isinstance(value, (str, int, float, bool)):
+                text = repr(value)
+                emit(f"m{len(name)}:{name}{len(text)}:{text}")
+    if isinstance(node, MExprNormal):
+        _write_tree(node.head, emit)
+        for argument in node.args:
+            _write_tree(argument, emit)
 
 
-def digest_payload(payload: dict) -> str:
-    """SHA-256 of the canonical (sorted-key, compact) JSON rendering."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(fields: tuple, *trees: MExpr) -> str:
+    """SHA-256 over what every key shares — key schema, Python bytecode
+    identity, compiler/runtime fingerprint, package version — then the
+    caller's ``fields`` (a tuple of plain values, keyed by ``repr``), then
+    each tree."""
+    from repro import __version__
+
+    parts = [repr((KEY_SCHEMA, PYTHON_TAG, runtime_fingerprint(),
+                   __version__, *fields))]
+    for tree in trees:
+        _write_tree(tree, parts.append)
+    text = "".join(parts)
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def function_key(
@@ -160,24 +212,45 @@ def function_key(
     """The lookup key for one compile of ``source_function``;
     ``constants`` is the normalized ``constants=`` mapping
     (:func:`repro.compiler.pipeline.normalize_constants`)."""
-    from repro import __version__
-
-    payload: dict[str, Any] = {
-        "schema": KEY_SCHEMA,
-        "function": to_wire(source_function),
-        "options": canonical_options(options),
-        "backend": backend,
-        "runtime": runtime_fingerprint(),
-        "repro": __version__,
-    }
-    if extra:
-        payload["extra"] = extra
-    if constants:
-        payload["constants"] = constants_digest(constants)
-    return digest_payload(payload)
+    return _digest(
+        (
+            backend,
+            tuple(getattr(options, name) for name in _SEMANTIC_OPTION_FIELDS),
+            sorted(extra.items()) if extra else None,
+            constants_digest(constants) if constants else None,
+        ),
+        source_function,
+    )
 
 
-# -- packed arrays: one buffer per array, in keys and in entries -------------
+def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
+    """The lookup key for one bytecode-tier (WVM) compile."""
+    return _digest(("bytecode", tuple(versions)), specs, body)
+
+
+# -- packed arrays: one pass per array in a key, one buffer in an entry ------
+
+
+def constants_digest(constants: dict) -> str:
+    """Content digest of named :class:`PackedArray` constants, name-sorted
+    so dict insertion order never matters.  The elements are hashed as
+    their version-2 ``marshal`` text — one pass in C that writes each
+    element with its type and by value only (that version has no object
+    references), so ``1``, ``1.0`` and ``True`` (and ``-0.0`` and ``0.0``)
+    hash differently; elements ``marshal`` rejects are hashed by ``repr``."""
+    digest = hashlib.sha256()
+    for name in sorted(constants):
+        array = constants[name]
+        try:
+            form, buffer = "marshal", marshal.dumps(array.data, 2)
+        except ValueError:
+            form, buffer = "repr", repr(array.data).encode("utf-8")
+        header = (name, array.element_type, tuple(array.dims), form,
+                  len(buffer))
+        digest.update(repr(header).encode("utf-8"))
+        digest.update(buffer)
+    return digest.hexdigest()
+
 
 #: homogeneous element lists travel as one little-endian machine buffer
 _BULK_DTYPES = {int: "<i8", float: "<f8", complex: "<c16"}
@@ -186,7 +259,7 @@ _BULK_DTYPES = {int: "<i8", float: "<f8", complex: "<c16"}
 def _bulk_bytes(data: list) -> Optional[tuple[str, bytes]]:
     """``(dtype, buffer)`` when every element is exactly one machine
     ``int``/``float``/``complex``; ``None`` for empty, mixed, ``bool`` or
-    out-of-int64-range data, which the callers spell element by element."""
+    out-of-int64-range data, which is spelled element by element."""
     kinds = set(map(type, data))
     dtype = _BULK_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
     if dtype is None:
@@ -195,23 +268,6 @@ def _bulk_bytes(data: list) -> Optional[tuple[str, bytes]]:
         return dtype, np.array(data, dtype=dtype).tobytes()
     except OverflowError:
         return None
-
-
-def constants_digest(constants: dict) -> str:
-    """Content digest of named :class:`PackedArray` constants, name-sorted
-    so dict insertion order never matters.  ``1`` and ``1.0`` (and ``-0.0``
-    and ``0.0``) hash differently: the element buffers are typed."""
-    digest = hashlib.sha256()
-    for name in sorted(constants):
-        array = constants[name]
-        dtype, buffer = _bulk_bytes(array.data) or (
-            "repr", repr(array.data).encode("utf-8")
-        )
-        header = (name, array.element_type, list(array.dims), dtype,
-                  len(buffer))
-        digest.update(json.dumps(header).encode("utf-8"))
-        digest.update(buffer)
-    return digest.hexdigest()
 
 
 def packed_to_wire(array: PackedArray) -> dict:
@@ -237,22 +293,6 @@ def packed_from_wire(wire: dict) -> PackedArray:
     if len(data) != math.prod(wire["d"]):
         raise ValueError("constant-pool elements do not fill the dimensions")
     return PackedArray(data, tuple(wire["d"]), wire["e"])
-
-
-def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
-    """The lookup key for one bytecode-tier (WVM) compile."""
-    from repro import __version__
-
-    payload = {
-        "schema": KEY_SCHEMA,
-        "specs": to_wire(specs),
-        "body": to_wire(body),
-        "backend": "bytecode",
-        "versions": list(versions),
-        "runtime": runtime_fingerprint(),
-        "repro": __version__,
-    }
-    return digest_payload(payload)
 
 
 # -- type wire form (signatures stored inside entries) -----------------------

@@ -7,28 +7,46 @@ One directory tree, ccache-style::
 
     <root>/objects/<digest[:2]>/<digest>.json
 
-Each object file is a single JSON document::
+Each object file is a single JSON document whose first member is the
+SHA-256 of every byte after it::
 
-    {"schema": 1, "key": "<digest>", "kind": "python" | "bytecode", ...}
+    {"sha256":"<64 hex>","key":"<digest>","kind":"python"|"bytecode",
+     ...,"schema":2,...}
 
-``schema`` is the entry-format version (bump it and every older entry
-reads as a miss), ``key`` must equal the file's own digest (a copied or
-renamed file never masquerades as another entry), and ``kind`` selects
-the decoder — the generated-Python JIT tier stores its module source,
-signature, and constant pool; the bytecode tier stores its instruction
-stream.  Everything else in the entry belongs to the decoder.
+A read checks that digest over the bytes it got **before decoding any of
+them** (the prefix is fixed-width, so finding it needs no parser): a
+truncated file, a flipped byte anywhere — inside the stored source, the
+code blob or the digest itself — and every schema-1 entry (which has no
+such prefix) stop there.  Only then is the JSON parsed; ``schema`` is the
+entry-format version (bump it and every older entry reads as a miss),
+``key`` must equal the file's own digest (a copied or renamed file never
+masquerades as another entry), and ``kind`` selects the decoder
+(:mod:`repro.artifacts.codec`) — the generated-Python JIT tier stores its
+module's marshalled code object, source, signature and constant pool; the
+bytecode tier stores its instruction stream.  Everything else in the
+entry belongs to the decoder.  The content digest is what makes handing
+entry bytes to ``marshal`` acceptable: ``marshal.loads`` is not safe on
+arbitrary input, and nothing reaches it that has not passed the check.
+
+:meth:`ArtifactStore.get` returns the decoded document, ``sha256``
+included, and :meth:`ArtifactStore.put` accepts it back (that is how an
+AOT image's embedded objects are seeded): an entry that carries a digest
+is written only if the digest still holds for it.
 
 Compatibility policy
 --------------------
 
 Entries carry no migration path *by design*: the lookup key already
-folds in the repro package version, the runtime-library fingerprint, and
-the entry schema, so any skew — a package upgrade, an edited runtime
-module, an entry-format change — simply makes old entries unreachable
-and the LRU sweep reclaims them.  A reachable entry that fails to read
-or decode (truncation, garbled JSON, schema or key mismatch) is treated
-as a **miss**: the file is evicted and the caller recompiles.  The cache
-must never be the thing that crashes a compile.
+folds in the repro package version, the runtime-library fingerprint, the
+Python bytecode identity and the key schema, so any skew — a package
+upgrade, an edited runtime module, another interpreter, an entry-format
+change — simply makes old entries unreachable and the LRU sweep reclaims
+them.  A reachable entry that fails to read or decode (truncation,
+digest, schema or key mismatch, garbled JSON) is treated as a **miss**:
+the file is evicted and the caller recompiles.  An entry that is simply
+not there — never stored, or evicted by another process between two
+lookups — is a miss and nothing else.  The cache must never be the thing
+that crashes a compile.
 
 Operational behaviour
 ---------------------
@@ -55,6 +73,7 @@ Location: ``$REPRO_ARTIFACT_CACHE`` when set (``0``/``off``/``false``/
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -66,7 +85,14 @@ from repro.errors import ArtifactCorruptError
 from repro.testing import faults as _faults
 
 #: entry-format version; a mismatch reads as a miss and evicts
-ENTRY_SCHEMA = 1
+ENTRY_SCHEMA = 2
+
+#: how every object file starts; the 64 hex digits that follow are the
+#: SHA-256 of everything after their closing ``",``
+_DIGEST_FIELD = b'{"sha256":"'
+_BODY_AT = len(_DIGEST_FIELD) + 64 + len(b'",')
+
+_UTIME_TAKES_FD = os.utime in os.supports_fd
 
 _ENV_DIR = "REPRO_ARTIFACT_CACHE"
 _ENV_MAX = "REPRO_ARTIFACT_CACHE_MAX"
@@ -94,6 +120,40 @@ def max_bytes_from_environment() -> int:
         return max(1, int(raw))
     except ValueError:
         return DEFAULT_MAX_BYTES
+
+
+def _encode(entry: dict) -> tuple[str, bytes]:
+    """``(content digest, bytes of the object file)`` of ``entry``; the
+    members are written sorted, so the bytes — and with them the digest —
+    are a function of the entry's content alone, whatever order a JSON
+    round trip (an AOT image, say) left its members in."""
+    body = json.dumps(entry, sort_keys=True,
+                      separators=(",", ":"))[1:].encode("ascii")
+    content = hashlib.sha256(body).hexdigest()
+    return content, _DIGEST_FIELD + content.encode("ascii") + b'",' + body
+
+
+def _decode(data: bytes, digest: str) -> dict:
+    """The entry in the bytes of one object file; nothing is decoded
+    before their content digest has been checked."""
+    body = memoryview(data)[_BODY_AT:]
+    if (
+        not data.startswith(_DIGEST_FIELD)
+        or data[_BODY_AT - 2:_BODY_AT] != b'",'
+        or hashlib.sha256(body).hexdigest().encode("ascii")
+        != data[len(_DIGEST_FIELD):_BODY_AT - 2]
+    ):
+        raise ArtifactCorruptError("content digest mismatch")
+    entry = json.loads(data)
+    if not isinstance(entry, dict):
+        raise ArtifactCorruptError("entry is not an object")
+    if entry.get("schema") != ENTRY_SCHEMA:
+        raise ArtifactCorruptError(
+            f"entry schema {entry.get('schema')!r} != {ENTRY_SCHEMA}"
+        )
+    if entry.get("key") != digest:
+        raise ArtifactCorruptError("entry key mismatch")
+    return entry
 
 
 class ArtifactStore:
@@ -126,64 +186,72 @@ class ArtifactStore:
     def get(self, digest: str) -> Optional[dict]:
         """The decoded entry for ``digest``, or ``None`` on a miss.
 
-        Corruption of any shape — unreadable file, garbled JSON, schema
-        or key mismatch, an injected ``artifact.load`` fault — counts as
-        a miss, evicts the entry, and never raises.
+        A file that is not there is a plain miss.  Corruption of any
+        shape — unreadable file, content digest absent (a schema-1 entry)
+        or not that of the bytes read, garbled JSON, schema or key
+        mismatch, an injected ``artifact.load`` fault — counts as
+        ``corrupt`` and a miss, evicts the entry, and never raises.
         """
         path = self._object_path(digest)
         with _observe.span("artifact.cache", "artifact", op="get",
                            key=digest[:12]):
-            if not os.path.exists(path):
+            try:
+                with open(path, "rb") as handle:
+                    _faults.fire("artifact.load")
+                    entry = _decode(handle.read(), digest)
+                    try:  # refresh LRU recency
+                        os.utime(handle.fileno() if _UTIME_TAKES_FD else path)
+                    except OSError:
+                        pass
+            except FileNotFoundError:
+                # never stored, or evicted by a sweep since: not corruption
                 self._count("misses")
                 return None
-            try:
-                _faults.fire("artifact.load")
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                if not isinstance(entry, dict):
-                    raise ArtifactCorruptError("entry is not an object")
-                if entry.get("schema") != ENTRY_SCHEMA:
-                    raise ArtifactCorruptError(
-                        f"entry schema {entry.get('schema')!r} != "
-                        f"{ENTRY_SCHEMA}"
-                    )
-                if entry.get("key") != digest:
-                    raise ArtifactCorruptError("entry key mismatch")
             except (OSError, ValueError, ArtifactCorruptError):
                 # bad entry -> miss + evict, never a crash
                 self._count("corrupt")
                 self._count("misses")
                 self.evict(digest)
                 return None
-            try:
-                os.utime(path)  # refresh LRU recency
-            except OSError:
-                pass
             self._count("hits")
             return entry
 
     def put(self, digest: str, entry: dict) -> Optional[str]:
-        """Atomically store ``entry`` under ``digest``; returns the path
-        (or ``None`` when the entry cannot be serialized or written)."""
+        """Atomically store ``entry`` under ``digest``; returns the path,
+        or ``None`` when the entry cannot be serialized or written.
+
+        A fresh payload is stamped with the schema and its key.  An entry
+        that already carries ``sha256`` — one :meth:`get` returned, or one
+        embedded in an AOT image — is written back only if that digest,
+        its schema and its key still hold for what is written; otherwise
+        it counts as ``corrupt`` and nothing is stored."""
         entry = dict(entry)
-        entry["schema"] = ENTRY_SCHEMA
-        entry["key"] = digest
+        claimed = entry.pop("sha256", None)
+        if claimed is None:
+            entry["schema"], entry["key"] = ENTRY_SCHEMA, digest
         try:
-            text = json.dumps(entry, separators=(",", ":"))
+            content, data = _encode(entry)
         except (TypeError, ValueError):
             self.decline()
             return None
+        if claimed is not None and (
+            claimed != content
+            or entry.get("schema") != ENTRY_SCHEMA
+            or entry.get("key") != digest
+        ):
+            self._count("corrupt")
+            return None
         path = self._object_path(digest)
         with _observe.span("artifact.cache", "artifact", op="put",
-                           key=digest[:12], bytes=len(text)):
+                           key=digest[:12], bytes=len(data)):
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 fd, tmp = tempfile.mkstemp(
                     dir=os.path.dirname(path), suffix=".tmp"
                 )
                 try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        handle.write(text)
+                    with os.fdopen(fd, "wb") as handle:
+                        handle.write(data)
                     os.replace(tmp, path)  # atomic write-rename
                 except BaseException:
                     try:

@@ -214,7 +214,7 @@ def compile_function(specs: MExpr, body: MExpr, evaluator=None) -> CompiledFunct
     entirely; a fresh compile whose payload serializes is stored for the
     next process.  Cache failures of any kind degrade to a plain compile.
     """
-    from repro.artifacts import bytecode_key, get_store
+    from repro.artifacts import bytecode_key, codec, get_store
     from repro.bytecode.compiler import (
         BYTECODE_COMPILER_VERSION,
         DEFAULT_COMPILE_FLAGS,
@@ -223,27 +223,17 @@ def compile_function(specs: MExpr, body: MExpr, evaluator=None) -> CompiledFunct
     )
 
     store = get_store()
-    cache_key = None
     if store is not None:
         versions = (BYTECODE_COMPILER_VERSION, WVM_ENGINE_VERSION,
                     DEFAULT_COMPILE_FLAGS)
         cache_key = bytecode_key(specs, body, versions)
-        entry = store.get(cache_key)
-        if entry is not None:
-            try:
-                function = CompiledFunction.from_payload(entry["function"])
-            except Exception:
-                store.evict(cache_key)
-            else:
-                function.evaluator = evaluator
-                return function
+        function = codec.lookup(store, cache_key, "bytecode")
+        if function is not None:
+            function.evaluator = evaluator
+            return function
 
     function = BytecodeCompiler().compile(specs, body)
     function.evaluator = evaluator
-    if store is not None and cache_key is not None:
-        payload = function.to_payload()
-        if payload is None:
-            store.decline()
-        else:
-            store.put(cache_key, {"kind": "bytecode", "function": payload})
+    if store is not None:
+        codec.store(store, cache_key, "bytecode", function=function)
     return function

@@ -23,8 +23,10 @@ a fresh compile stores its artifact for every later process.  Embedded
 ``constants=`` are part of the key (by content).  Only compiles that are
 uncacheable by definition bypass the cache: user passes, custom
 type/macro environments, a pass logger, the verify-each sanitizer, or a
-non-Python target.  A cache-restored function carries a
-:class:`_CachedProgram` placeholder instead of a TWIR module.
+non-Python target.  What an entry holds and how a hit is rebuilt is
+:mod:`repro.artifacts.codec`; a cache-restored function carries its
+:class:`~repro.artifacts.codec.CachedProgram` placeholder instead of a
+TWIR module.
 """
 
 from __future__ import annotations
@@ -168,34 +170,24 @@ def CompileToIR(
     )
 
 
-def _pipeline(type_environment, macro_environment, option_rules,
-              user_passes=None) -> CompilerPipeline:
+def _options(option_rules) -> CompilerOptions:
     if option_rules and set(option_rules) == {"options"} and isinstance(
         option_rules["options"], CompilerOptions
     ):
-        options = option_rules["options"]
-    elif option_rules:
-        options = CompilerOptions.from_wolfram(option_rules)
-    else:
-        options = CompilerOptions()
+        return option_rules["options"]
+    if option_rules:
+        return CompilerOptions.from_wolfram(option_rules)
+    return CompilerOptions()
+
+
+def _pipeline(type_environment, macro_environment, option_rules,
+              user_passes=None) -> CompilerPipeline:
     return CompilerPipeline(
         type_environment=type_environment,
         macro_environment=macro_environment,
-        options=options,
+        options=_options(option_rules),
         user_passes=user_passes,
     )
-
-
-class _CachedProgram:
-    """Placeholder for :class:`ProgramModule` on a cache-restored function.
-
-    Carries only the main-function name: nothing at run time reads the
-    TWIR module, and reports that walk ``functions`` find none."""
-
-    def __init__(self, main: str):
-        self.main = main
-        self.functions: dict = {}
-        self.metadata: dict = {"restoredFromCache": True}
 
 
 class CompiledCodeFunction(GovernedFunction):
@@ -492,130 +484,6 @@ def _repack(result):
     return result
 
 
-# -- persistent artifact cache codec (DESIGN.md §11) ------------------------
-
-
-def _cacheable(options, user_passes, type_environment,
-               macro_environment) -> bool:
-    """Only compiles fully described by (function, constants, options)
-    are cached.
-
-    User passes and custom type/macro environments are process-local
-    code the key cannot capture; a pass logger is a side channel;
-    verify-each exists to *run* the pipeline; other targets have their
-    own artifacts."""
-    return (
-        options.target_system == "Python"
-        and not user_passes
-        and type_environment is None
-        and macro_environment is None
-        and options.pass_logger is None
-        and options.verify_ir == "off"
-    )
-
-
-def _const_to_wire(value):
-    from repro.artifacts.keys import packed_to_wire
-    from repro.mexpr.serialize import to_wire
-
-    if isinstance(value, PackedArray):
-        return {"pa": packed_to_wire(value)}
-    if isinstance(value, MExpr):
-        return {"x": to_wire(value)}
-    raise TypeError(f"uncacheable constant {type(value).__name__}")
-
-
-def _const_from_wire(payload):
-    from repro.artifacts.keys import packed_from_wire
-    from repro.mexpr.serialize import from_wire
-
-    if "pa" in payload:
-        return packed_from_wire(payload["pa"])
-    return from_wire(payload["x"])
-
-
-def _cache_payload(cache_key, program, compiled, backend) -> Optional[dict]:
-    """Serialize one fresh compile into a store entry; ``None`` when any
-    piece (an exotic constant, a polymorphic type) resists the wire form."""
-    import hashlib
-
-    from repro.artifacts import type_to_wire
-    from repro.mexpr.serialize import to_wire
-
-    try:
-        kexprs = []
-        for expression, names, result_type in backend.kernel_expressions:
-            kexprs.append({
-                "e": to_wire(expression),
-                "v": list(names),
-                "t": type_to_wire(result_type)
-                if result_type is not None else None,
-            })
-        return {
-            "kind": "python",
-            "main": program.main,
-            "source": compiled.generated_source,
-            "params": [type_to_wire(t) for t in compiled.signature.params],
-            "result": type_to_wire(compiled.signature.result),
-            "consts": [_const_to_wire(c) for c in backend.constants],
-            "kexprs": kexprs,
-            "twir": hashlib.sha256(
-                program.to_string().encode("utf-8")
-            ).hexdigest(),
-        }
-    except (TypeError, ValueError):
-        return None
-
-
-def _restore_cached(entry, source_function, evaluator, options,
-                    store, cache_key) -> Optional[CompiledCodeFunction]:
-    """Rebuild a :class:`CompiledCodeFunction` from a store entry by
-    re-execing the stored module — no pipeline passes run.  A payload
-    that fails to decode is evicted and reported as a miss (``None``)."""
-    from repro.artifacts import type_from_wire
-    from repro.compiler.codegen.python_backend import execute_module
-    from repro.mexpr.serialize import from_wire
-
-    try:
-        if entry.get("kind") != "python":
-            raise ValueError(f"unexpected entry kind {entry.get('kind')!r}")
-        main = entry["main"]
-        constants = [_const_from_wire(c) for c in entry["consts"]]
-        kernel_expressions = [
-            (from_wire(k["e"]), list(k["v"]),
-             type_from_wire(k["t"]) if k["t"] is not None else None)
-            for k in entry["kexprs"]
-        ]
-        signature = FunctionType(
-            tuple(type_from_wire(p) for p in entry["params"]),
-            type_from_wire(entry["result"]),
-        )
-        compiled_holder: dict[str, CompiledCodeFunction] = {}
-
-        def kernel_call(expression_spec, argument_values):
-            return compiled_holder["fn"]._kernel_call(
-                expression_spec, argument_values
-            )
-
-        namespace = execute_module(
-            entry["source"], main, kernel_call,
-            constants, kernel_expressions,
-        )
-        compiled = CompiledCodeFunction(
-            program=_CachedProgram(main),
-            namespace=namespace,
-            signature=signature,
-            source_function=source_function,
-            evaluator=evaluator,
-            options=options,
-        )
-        compiled_holder["fn"] = compiled
-        return compiled
-    except Exception:
-        store.evict(cache_key)
-        return None
-
-
 def FunctionCompile(
     function: FunctionLike,
     evaluator=None,
@@ -649,54 +517,47 @@ def _function_compile(
         raise CompilerError("pass either options= or WL-style option rules")
     if span_record is not None:
         span_record.args["cache"] = "off"
-    pipeline = _pipeline(
-        type_environment, macro_environment,
-        {"options": options} if options is not None else option_rules,
-        user_passes=user_passes,
-    )
+    if options is None:
+        options = _options(option_rules)
     source_function = _as_function(function)
     constants = normalize_constants(constants)
 
+    # on first use, as before: importing the compiler does not load the cache
+    from repro.artifacts import codec, function_key, get_store
+
+    # key and look up before anything the compile itself needs is built
     store = cache_key = None
-    if _cacheable(pipeline.options, user_passes,
-                  type_environment, macro_environment):
-        from repro.artifacts import function_key, get_store
-
+    if codec.cacheable(options, user_passes,
+                       type_environment, macro_environment):
         store = get_store()
-        if store is not None:
-            cache_key = function_key(
-                source_function, pipeline.options, backend="python",
-                extra={"compiler": CompiledCodeFunction.COMPILER_VERSION},
-                constants=constants,
-            )
-            if span_record is not None:
-                span_record.args["cache"] = "miss"
-            entry = store.get(cache_key)
-            if entry is not None:
-                restored = _restore_cached(
-                    entry, source_function, evaluator, pipeline.options,
-                    store, cache_key,
-                )
-                if restored is not None:
-                    if span_record is not None:
-                        span_record.args["cache"] = "hit"
-                    if bind is not None:
-                        if evaluator is None:
-                            raise CompilerError("bind= requires an evaluator")
-                        restored.install(evaluator, bind)
-                    return restored
+    if store is not None:
+        cache_key = function_key(
+            source_function, options, backend="python",
+            extra={"compiler": CompiledCodeFunction.COMPILER_VERSION},
+            constants=constants,
+        )
+        compiled = codec.lookup(
+            store, cache_key, "python", source_function=source_function,
+            evaluator=evaluator, options=options,
+        )
+        if span_record is not None:
+            span_record.args["cache"] = "miss" if compiled is None else "hit"
+        if compiled is not None:
+            return _bound(compiled, evaluator, bind)
 
+    pipeline = _pipeline(type_environment, macro_environment,
+                         {"options": options}, user_passes)
     program = pipeline.compile_program(source_function, constants=constants)
 
-    if pipeline.options.target_system == "WVM":
+    if options.target_system == "WVM":
         # F4: target the existing virtual machine instead of the JIT
         from repro.compiler.codegen.wvm_backend import WVMBackend
 
-        artifact = WVMBackend(program, pipeline.options).compile_main()
+        artifact = WVMBackend(program, options).compile_main()
         artifact.evaluator = evaluator
         return artifact
 
-    backend = PythonBackend(program, pipeline.options)
+    backend = PythonBackend(program, options)
     compiled_holder: dict[str, CompiledCodeFunction] = {}
 
     def kernel_call(expression_spec, argument_values):
@@ -715,15 +576,17 @@ def _function_compile(
         signature=signature,
         source_function=source_function,
         evaluator=evaluator,
-        options=pipeline.options,
+        options=options,
     )
     compiled_holder["fn"] = compiled
-    if store is not None and cache_key is not None:
-        payload = _cache_payload(cache_key, program, compiled, backend)
-        if payload is None:
-            store.decline()
-        else:
-            store.put(cache_key, payload)
+    if store is not None:
+        codec.store(store, cache_key, "python", program=program,
+                    compiled=compiled, backend=backend)
+    return _bound(compiled, evaluator, bind)
+
+
+def _bound(compiled: CompiledCodeFunction, evaluator,
+           bind: Optional[str]) -> CompiledCodeFunction:
     if bind is not None:
         if evaluator is None:
             raise CompilerError("bind= requires an evaluator")

@@ -127,12 +127,18 @@ def _float_literal(value: float) -> str:
     return text if math.isfinite(value) else f"float({text!r})"
 
 
-def execute_module(source: str, name: str, kernel_call,
+def module_code(source: str, name: str):
+    """Compile one generated module to the code object
+    :func:`execute_module` runs and the artifact cache stores."""
+    return compile(source, f"<wolfram-compiled:{name}>", "exec")
+
+
+def execute_module(code, source: str, kernel_call,
                    constants, kernel_expressions) -> dict:
-    """Exec one generated module (fresh or cache-restored) and return its
-    namespace, with ``__wolfram_source__`` attached."""
+    """Exec one generated module — ``code`` is :func:`module_code` of
+    ``source``, just built or restored from the artifact cache — and
+    return its namespace, with ``__wolfram_source__`` attached."""
     namespace = runtime_globals(kernel_call, constants, kernel_expressions)
-    code = compile(source, f"<wolfram-compiled:{name}>", "exec")
     exec(code, namespace)
     namespace["__wolfram_source__"] = source
     return namespace
@@ -295,6 +301,8 @@ class PythonBackend:
         self.options = options or CompilerOptions()
         self.constants: list[object] = []
         self.kernel_expressions: list[tuple[MExpr, list[str]]] = []
+        #: the module's code object, once :meth:`compile` has built it
+        self.code = None
         self._lines: list[str] = []
         self._indent = 0
         self._fold = (
@@ -322,10 +330,12 @@ class PythonBackend:
         return "\n".join(self._lines) + "\n"
 
     def compile(self, kernel_call=None) -> dict:
-        """Exec the generated module; returns its namespace."""
+        """Exec the generated module; returns its namespace.  The code
+        object stays on ``self.code`` for the artifact cache."""
         source = self.generate_source(standalone=False)
+        self.code = module_code(source, self.program.name)
         return execute_module(
-            source, self.program.name, kernel_call,
+            self.code, source, kernel_call,
             self.constants, self.kernel_expressions,
         )
 

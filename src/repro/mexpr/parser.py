@@ -11,7 +11,9 @@ replacement (``->``, ``:>``, ``/.``), assignment (``=``, ``:=``), patterns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.errors import WolframParseError
 from repro.mexpr.atoms import MInteger, MReal, MString, MSymbol
@@ -19,19 +21,11 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # 'int' | 'real' | 'string' | 'name' | 'op' | 'eof'
     text: str
     pos: int
 
-
-_TWO_CHAR_OPS = {
-    "&&", "||", "==", "!=", "<=", ">=", "->", ":>", ":=", "/.", "//",
-    "/;", "@@", "/@", "<>", "++", "--", "+=", "-=", "*=", "/=", "*^",
-}
-_THREE_CHAR_OPS = {"===", "=!=", "//.", "@@@"}
-_ONE_CHAR_OPS = set("+-*/^()[]{},;=<>!&@#_?:|.'")
 
 _UNICODE_ALIASES = {
     "→": "->",   # → Rule
@@ -41,103 +35,116 @@ _UNICODE_ALIASES = {
     "≠": "!=",   # ≠
 }
 
+_STRING_ESCAPES = {"n": "\n", "t": "\t"}
+
+#: what the empty group closing each alternative of the token pattern
+#: stands for: the first eight a token kind, the rest a case
+#: :func:`tokenize` handles itself
+_ROLES = (
+    None, "name", "name", "op", "real", "int", "real", "op", "op",
+    "comment", "skip", "string", "unterminated", "alias", "pi", "eof",
+    "unexpected",
+)
+_PLAIN_ROLES = 8
+
+
+@lru_cache(maxsize=8)
+def _token_pattern(digits: str = "", not_letters: str = "") -> re.Pattern:
+    r"""One token and the white space after it.  Every alternative starts
+    with a literal or a set — which lets the matcher discard it on one
+    character — and no two start alike; it ends in an empty group whose
+    number says what matched (``_ROLES``).  Where two roles share a first
+    character the alternative decides after it: a number before ``.``, a
+    comment before ``(``, three characters before two.
+
+    ``\d`` is ``str.isdecimal`` and ``[^\W_]`` is ``str.isalnum``, but a
+    number's digits are ``str.isdigit`` and a name starts on
+    ``str.isalpha``: ``digits`` and ``not_letters`` are the characters of
+    a text on which those differ (``²``, ``½``; see :func:`tokenize`)."""
+    digit = rf"[\d{digits}]"
+    exponent = rf"(?:\*\^[+-]?{digit}*|[eE](?=[\d{digits}+-])[+-]?{digit}*)"
+    name_rest = r"[^\W_]*(?:[$`][^\W_]*)*"
+    return re.compile(
+        rf"""(?:
+          [^\W\d_π{not_letters}]{name_rest}()
+        | \${name_rest}()
+        | (?:===|=!=|//\.|@@@
+            |&&|\|\||==|!=|<=|>=|->|:>|:=|/\.|//|/;|@@|/@|<>|\+\+|--
+            |\+=|-=|\*=|/=|\*\^
+            |[-+*/^)\[\]{{}},;=<>!&@\#_?:|'])()
+        | {digit}+(?:(?:\.(?!\.){digit}*{exponent}?|{exponent})()|())
+        | \.(?:{digit}+{exponent}?()|())
+        | \((?:(?!\*)()|\*())
+        | [ \t\r\n]+()
+        | "(?:[^"\\]*(?:\\.[^"\\]*)*"()|())
+        | [{"".join(_UNICODE_ALIASES)}]()
+        | π()
+        | \Z()
+        | .()
+        )[ \t\r\n]*""",
+        re.VERBOSE | re.DOTALL,
+    )
+
+
+_COMMENT_EDGE = re.compile(r"\(\*|\*\)")
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(match: re.Match) -> str:
+    return _STRING_ESCAPES.get(match.group(1), match.group(1))
+
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if text.startswith("(*", i):
-            depth, i = 1, i + 2
-            while i < n and depth:
-                if text.startswith("(*", i):
-                    depth += 1
-                    i += 2
-                elif text.startswith("*)", i):
-                    depth -= 1
-                    i += 2
-                else:
-                    i += 1
-            if depth:
-                raise WolframParseError("unterminated comment")
-            continue
-        if ch in _UNICODE_ALIASES:
-            tokens.append(Token("op", _UNICODE_ALIASES[ch], i))
-            i += 1
-            continue
-        if ch == "π":  # π
-            tokens.append(Token("name", "Pi", i))
-            i += 1
-            continue
-        if ch == '"':
-            j, out = i + 1, []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise WolframParseError(f"unterminated string at {i}")
-            tokens.append(Token("string", "".join(out), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            is_real = False
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                is_real = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            # exponent: Wolfram `*^` or conventional `e`
-            if j < n and text.startswith("*^", j):
-                is_real = True
-                j += 2
-                if j < n and text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            elif j < n and text[j] in "eE" and j + 1 < n and (
-                text[j + 1].isdigit() or text[j + 1] in "+-"
-            ):
-                is_real = True
-                j += 1
-                if text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("real" if is_real else "int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "$":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "$`"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if text[i:i + 3] in _THREE_CHAR_OPS:
-            tokens.append(Token("op", text[i:i + 3], i))
-            i += 3
-            continue
-        if text[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token("op", text[i:i + 2], i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise WolframParseError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token("eof", "", n))
+    return list(map(Token._make, _scan(text)))
+
+
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, pos)`` of every token, ``eof`` last — what the
+    parser reads; :func:`tokenize` is the same list with named fields."""
+    if text.isascii():
+        pattern = _token_pattern()
+    else:
+        odd = [c for c in sorted(set(text)) if not c.isdecimal()]
+        pattern = _token_pattern(
+            "".join(c for c in odd if c.isdigit()),
+            "".join(c for c in odd if c.isalnum() and not c.isalpha()),
+        )
+    tokens: list[tuple[str, str, int]] = []
+    append, roles = tokens.append, _ROLES
+    resume = 0
+    while resume is not None:
+        matches, resume = pattern.finditer(text, resume), None
+        for match in matches:
+            group, start = match.lastindex, match.start()
+            kind, value = roles[group], text[start:match.start(group)]
+            if group > _PLAIN_ROLES:
+                if kind == "skip":
+                    continue
+                if kind == "eof":
+                    append((kind, value, start))
+                    return tokens
+                if kind == "comment":
+                    depth, resume = 1, start + 2
+                    while depth:
+                        edge = _COMMENT_EDGE.search(text, resume)
+                        if edge is None:
+                            raise WolframParseError("unterminated comment")
+                        depth += 1 if edge.group() == "(*" else -1
+                        resume = edge.end()
+                    break
+                if kind == "unterminated":
+                    raise WolframParseError(f"unterminated string at {start}")
+                if kind == "unexpected":
+                    raise WolframParseError(
+                        f"unexpected character {value!r} at position {start}"
+                    )
+                if kind == "string":
+                    value = _ESCAPE.sub(_unescape, value[1:-1])
+                elif kind == "alias":
+                    kind, value = "op", _UNICODE_ALIASES[value]
+                elif kind == "pi":
+                    kind, value = "name", "Pi"
+            append((kind, value, start))
     return tokens
 
 
@@ -178,42 +185,42 @@ _BINARY_HEADS = {
 #: binding power of implicit multiplication (``2 Pi``), same tier as ``*``.
 _IMPLICIT_TIMES_BP = 70
 
+#: every operator that can continue an expression, with the binding power
+#: it must reach: the binary ones, call/Part, the postfix ones and a slot
+_POSTFIX_BP = {
+    **_BINARY, "[": 100, "&": 25, "++": 85, "--": 85, "'": 99,
+    "#": _IMPLICIT_TIMES_BP,
+}
+
 
 class Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        #: ``(kind, text, pos)`` tuples, ``eof`` last
+        self.tokens = _scan(text)
         self.pos = 0
 
     # -- token helpers -------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, text: str) -> None:
+        _, found, at = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
+        if found != text:
             raise WolframParseError(
-                f"expected {text!r} but found {tok.text!r} at position {tok.pos}"
+                f"expected {text!r} but found {found!r} at position {at}"
             )
-        return tok
 
     def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+        kind, found, _ = self.tokens[self.pos]
+        return found == text and kind == "op"
 
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> MExpr:
         node = self.parse_expr(0)
-        tok = self.peek()
-        if tok.kind != "eof":
+        kind, text, at = self.tokens[self.pos]
+        if kind != "eof":
             raise WolframParseError(
-                f"unexpected trailing input {tok.text!r} at position {tok.pos}"
+                f"unexpected trailing input {text!r} at position {at}"
             )
         return node
 
@@ -227,40 +234,44 @@ class Parser:
         return node
 
     def parse_prefix(self) -> MExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.next()
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "op":
+            return self.parse_primary()
+        if text == "-":
+            self.pos += 1
             operand = self.parse_expr(75)
             if isinstance(operand, MInteger):
                 return MInteger(-operand.value)
             if isinstance(operand, MReal):
                 return MReal(-operand.value)
             return MExprNormal(S.Times, [MInteger(-1), operand])
-        if tok.kind == "op" and tok.text == "+":
-            self.next()
+        if text == "+":
+            self.pos += 1
             return self.parse_expr(75)
-        if tok.kind == "op" and tok.text == "!":
-            self.next()
+        if text == "!":
+            self.pos += 1
             return MExprNormal(S.Not, [self.parse_expr(50)])
-        if tok.kind == "op" and tok.text == "++":
-            self.next()
+        if text == "++":
+            self.pos += 1
             return MExprNormal(S.PreIncrement, [self.parse_expr(85)])
-        if tok.kind == "op" and tok.text == "--":
-            self.next()
+        if text == "--":
+            self.pos += 1
             return MExprNormal(S.PreDecrement, [self.parse_expr(85)])
         return self.parse_primary()
 
     def parse_postfix(self, node: MExpr, min_bp: int) -> MExpr | None:
-        tok = self.peek()
-        if tok.kind == "eof":
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "eof":
             return None
-        if tok.kind == "op":
-            text = tok.text
+        if kind == "op":
+            bp = _POSTFIX_BP.get(text)
+            if bp is None or bp < min_bp:
+                return None
             # f[args] and x[[parts]]: Part is two consecutive `[` tokens
-            if text == "[" and 100 >= min_bp:
-                self.next()
+            if text == "[":
+                self.pos += 1
                 if self.at_op("["):
-                    self.next()
+                    self.pos += 1
                     parts = self.parse_sequence(close="]")
                     self.expect("]")
                     self.expect("]")
@@ -268,40 +279,29 @@ class Parser:
                 args = self.parse_sequence(close="]")
                 self.expect("]")
                 return MExprNormal(node, args)
-            if text == "&" and 25 >= min_bp:
-                self.next()
-                return MExprNormal(S.Function, [node])
-            if text == "++" and 85 >= min_bp:
-                self.next()
-                return MExprNormal(S.Increment, [node])
-            if text == "--" and 85 >= min_bp:
-                self.next()
-                return MExprNormal(S.Decrement, [node])
-            if text == "'" and 99 >= min_bp:
-                self.next()
-                return MExprNormal(S.Derivative1, [node])
-            if text == ";" and _BINARY[";"] >= min_bp:
+            if text == ";":
                 return self.parse_compound(node)
-            if text == "//" and _BINARY["//"] >= min_bp:
-                self.next()
-                fn = self.parse_expr(_BINARY["//"] + 1)
-                return MExprNormal(fn, [node])
-            bp = _BINARY.get(text)
-            if bp is not None and bp >= min_bp and text not in {";", "//"}:
-                self.next()
-                next_bp = bp if text in _RIGHT_ASSOC else bp + 1
-                rhs = self.parse_expr(next_bp)
-                return self.combine_binary(text, node, rhs)
-            if text == "#" and _IMPLICIT_TIMES_BP >= min_bp:
+            if text == "#":
                 # implicit multiplication against a slot: `2 #`
                 rhs = self.parse_expr(_IMPLICIT_TIMES_BP + 1)
                 return MExprNormal(S.Times, [node, rhs])
-            return None
-        # implicit multiplication: `2 Pi`, `2 x`, `2 #`
-        implicit = tok.kind in {"int", "real", "name", "string"} or (
-            tok.kind == "op" and tok.text == "#"
-        )
-        if implicit and _IMPLICIT_TIMES_BP >= min_bp:
+            self.pos += 1
+            if text == "&":
+                return MExprNormal(S.Function, [node])
+            if text == "++":
+                return MExprNormal(S.Increment, [node])
+            if text == "--":
+                return MExprNormal(S.Decrement, [node])
+            if text == "'":
+                return MExprNormal(S.Derivative1, [node])
+            if text == "//":
+                fn = self.parse_expr(bp + 1)
+                return MExprNormal(fn, [node])
+            next_bp = bp if text in _RIGHT_ASSOC else bp + 1
+            rhs = self.parse_expr(next_bp)
+            return self.combine_binary(text, node, rhs)
+        # a number, name or string: implicit multiplication, `2 Pi`, `2 x`
+        if _IMPLICIT_TIMES_BP >= min_bp:
             rhs = self.parse_expr(_IMPLICIT_TIMES_BP + 1)
             return MExprNormal(S.Times, [node, rhs])
         return None
@@ -355,10 +355,10 @@ class Parser:
         """``a; b; c`` (and a trailing ``;`` appends ``Null``)."""
         items = [first]
         while self.at_op(";"):
-            self.next()
-            tok = self.peek()
-            ends = tok.kind == "eof" or (
-                tok.kind == "op" and tok.text in {")", "]", "}", ",", "]]"}
+            self.pos += 1
+            kind, text, _ = self.tokens[self.pos]
+            ends = kind == "eof" or (
+                kind == "op" and text in {")", "]", "}", ",", "]]"}
             )
             if ends:
                 items.append(MSymbol("Null"))
@@ -373,60 +373,58 @@ class Parser:
         # `]]` closing may appear as two `]`s if parts nested oddly; keep simple
         items.append(self.parse_expr(0))
         while self.at_op(","):
-            self.next()
+            self.pos += 1
             items.append(self.parse_expr(0))
         return items
 
     def parse_primary(self) -> MExpr:
-        tok = self.next()
-        if tok.kind == "int":
-            return MInteger(int(tok.text))
-        if tok.kind == "real":
-            return MReal(float(tok.text.replace("*^", "e")))
-        if tok.kind == "string":
-            return MString(tok.text)
-        if tok.kind == "name":
-            return self.maybe_pattern(MSymbol(tok.text))
-        if tok.kind == "op":
-            if tok.text == "(":
+        kind, text, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "name":
+            # `x_`, `x__`, `x___`, `x_Head` after an identifier
+            if self.at_op("_"):
+                self.pos += 1
+                return self.parse_blank(1, MSymbol(text))
+            return MSymbol(text)
+        if kind == "int":
+            return MInteger(int(text))
+        if kind == "real":
+            return MReal(float(text.replace("*^", "e")))
+        if kind == "string":
+            return MString(text)
+        if kind == "op":
+            if text == "(":
                 inner = self.parse_expr(0)
                 self.expect(")")
                 return inner
-            if tok.text == "{":
+            if text == "{":
                 items = self.parse_sequence(close="}")
                 self.expect("}")
                 return MExprNormal(S.List, items)
-            if tok.text == "#":
-                nxt = self.peek()
-                if nxt.kind == "int":
-                    self.next()
-                    return MExprNormal(S.Slot, [MInteger(int(nxt.text))])
+            if text == "#":
+                kind, digits, _ = self.tokens[self.pos]
+                if kind == "int":
+                    self.pos += 1
+                    return MExprNormal(S.Slot, [MInteger(int(digits))])
                 return MExprNormal(S.Slot, [MInteger(1)])
-            if tok.text == "_":
+            if text == "_":
                 return self.parse_blank(1, None)
         raise WolframParseError(
-            f"unexpected token {tok.text!r} at position {tok.pos}"
+            f"unexpected token {text!r} at position {at}"
         )
-
-    def maybe_pattern(self, name_symbol: MSymbol) -> MExpr:
-        """Handle ``x_``, ``x__``, ``x___``, ``x_Head`` after an identifier."""
-        if not self.at_op("_"):
-            return name_symbol
-        self.next()
-        return self.parse_blank(1, name_symbol)
 
     def parse_blank(self, underscores: int, name_symbol: MSymbol | None) -> MExpr:
         while self.at_op("_"):
-            self.next()
+            self.pos += 1
             underscores += 1
         blank_head = {1: "Blank", 2: "BlankSequence", 3: "BlankNullSequence"}.get(underscores)
         if blank_head is None:
             raise WolframParseError("too many underscores in pattern")
         head_args: list[MExpr] = []
-        tok = self.peek()
-        if tok.kind == "name":
-            self.next()
-            head_args.append(MSymbol(tok.text))
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "name":
+            self.pos += 1
+            head_args.append(MSymbol(text))
         blank = MExprNormal(S(blank_head), head_args)
         if name_symbol is None:
             return blank

@@ -224,24 +224,71 @@ def _artifact_bad_json(path: str) -> None:
         handle.write('{"schema": 1, "key": ')  # unterminated document
 
 
-def _artifact_wrong_schema(path: str) -> None:
+def _artifact_rewrite(path: str, **changes) -> None:
+    """Store ``changes`` in the entry as a well-formed object file — its
+    content digest is that of the changed entry — so the read gets past
+    the digest and meets the member itself."""
     import json
 
-    with open(path, "r", encoding="utf-8") as handle:
+    from repro.artifacts.store import _encode
+
+    with open(path, "rb") as handle:
         entry = json.load(handle)
-    entry["schema"] = -1
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    del entry["sha256"]
+    entry.update(changes)
+    with open(path, "wb") as handle:
+        handle.write(_encode(entry)[1])
+
+
+def _artifact_wrong_schema(path: str) -> None:
+    _artifact_rewrite(path, schema=-1)
 
 
 def _artifact_key_mismatch(path: str) -> None:
+    _artifact_rewrite(path, key="0" * 64)
+
+
+def _artifact_flip(path: str, member: str, offset: int) -> None:
+    """Change one character ``offset`` into the JSON string ``member`` for
+    another letter or digit: the file is still JSON, a flipped ``source``
+    is still Python and a flipped ``code`` still base64."""
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    opening = b'"%s":"' % member.encode("ascii")
+    if opening not in data:
+        raise CorruptionUnapplicable(f"the entry has no {member!r} string")
+    at = data.index(opening) + len(opening) + offset
+    if not chr(data[at]).isalnum():
+        raise CorruptionUnapplicable(f"no letter or digit at {member}+{offset}")
+    data[at] = ord("b") if data[at] == ord("a") else ord("a")
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
+def _artifact_flip_code(path: str) -> None:
+    _artifact_flip(path, "code", 40)
+
+
+def _artifact_flip_source(path: str) -> None:
+    _artifact_flip(path, "source", 4)  # in the header comment
+
+
+def _artifact_flip_digest(path: str) -> None:
+    _artifact_flip(path, "sha256", 5)
+
+
+def _artifact_schema_1(path: str) -> None:
+    """The file as the schema-1 store wrote it: plain JSON, no content
+    digest, no code object."""
     import json
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         entry = json.load(handle)
-    entry["key"] = "0" * 64
+    del entry["sha256"]
+    entry.pop("code", None)
+    entry["schema"] = 1
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+        json.dump(entry, handle, separators=(",", ":"))
 
 
 #: corruption name -> mutator over a stored artifact entry file
@@ -251,6 +298,10 @@ ARTIFACT_CORRUPTIONS = {
     "bad-json": _artifact_bad_json,
     "wrong-schema": _artifact_wrong_schema,
     "key-mismatch": _artifact_key_mismatch,
+    "flip-code": _artifact_flip_code,
+    "flip-source": _artifact_flip_source,
+    "flip-digest": _artifact_flip_digest,
+    "schema-1": _artifact_schema_1,
 }
 
 

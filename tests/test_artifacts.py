@@ -10,6 +10,7 @@ server :class:`~repro.server.base.BaseImage`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -42,6 +43,9 @@ from repro.compiler.types.specifier import (
     TypeVariable,
 )
 from repro.mexpr import parse
+from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
+from repro.mexpr.expr import MExprNormal
+from repro.mexpr.serialize import from_wire, to_wire
 from repro.observe import with_tracing
 from repro.runtime.packed import PackedArray
 
@@ -56,6 +60,59 @@ caches_function_compiles = pytest.mark.skipif(
     CompilerOptions().verify_ir != "off",
     reason="REPRO_VERIFY_IR bypasses the FunctionCompile artifact cache",
 )
+
+
+_METADATA = st.dictionaries(
+    st.sampled_from(["a", "b", "scope"]),
+    st.none() | st.booleans() | st.integers(-1, 1)
+    | st.sampled_from([0.0, -0.0, 1.0]) | st.sampled_from(["", "1", "x"])
+    | st.builds(object),  # not serialisable: never part of a key
+    max_size=2,
+)
+
+
+def _annotated(node, metadata):
+    for name, value in metadata.items():
+        node.set_property(name, value)
+    return node
+
+
+#: small alphabets, so that equal trees turn up by chance as well
+_ATOMS = st.one_of(
+    st.integers(-1, 2).map(MInteger),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e300]).map(MReal),
+    st.sampled_from(["", "1", "x", "y1:x", "π"]).map(MString),
+    st.sampled_from(["x", "y", "Plus", "1"]).map(MSymbol),
+    st.sampled_from([1 + 0j, 1j]).map(MComplex),
+)
+_TREES = st.recursive(
+    st.builds(_annotated, _ATOMS, _METADATA),
+    lambda children: st.builds(
+        _annotated,
+        st.builds(MExprNormal, children, st.lists(children, max_size=3)),
+        _METADATA,
+    ),
+    max_leaves=8,
+)
+
+
+_RETYPE = {
+    MInteger: lambda node: MReal(float(node.value)),
+    MReal: lambda node: MString(repr(node.value)),
+    MString: lambda node: MSymbol(node.value),
+    MSymbol: lambda node: MString(node.name),
+    MComplex: lambda node: MReal(node.value.real),
+}
+
+
+def _retyped(node):
+    """``node`` with its first atom replaced by one of another type that
+    prints alike; everything else, metadata included, as it was."""
+    if isinstance(node, MExprNormal):
+        changed = MExprNormal(_retyped(node.head), node.args)
+    else:
+        changed = _RETYPE[type(node)](node)
+    return _annotated(changed, node._properties or {})
 
 
 def _pass_spans(tracer) -> list:
@@ -73,6 +130,47 @@ def _constants_key(constants: dict, source: str = TABLE_READ) -> str:
 def _primeq_constants() -> dict:
     return {"primeTable": reference.prime_sieve_bitmap(),
             "witnesses": programs.RM_WITNESSES}
+
+
+@contextlib.contextmanager
+def _counting_compiles():
+    """Count ``builtins.compile`` calls and ``CompilerPipeline``s built by
+    ``FunctionCompile`` while the block runs."""
+    import builtins
+
+    from repro.compiler import api
+
+    counts = {"compile": 0, "pipeline": 0}
+    real_compile, real_pipeline = builtins.compile, api.CompilerPipeline
+
+    def counting_compile(*args, **kwargs):
+        counts["compile"] += 1
+        return real_compile(*args, **kwargs)
+
+    def counting_pipeline(*args, **kwargs):
+        counts["pipeline"] += 1
+        return real_pipeline(*args, **kwargs)
+
+    builtins.compile, api.CompilerPipeline = counting_compile, counting_pipeline
+    try:
+        yield counts
+    finally:
+        builtins.compile, api.CompilerPipeline = real_compile, real_pipeline
+
+
+def _counting_marshal_loads(monkeypatch) -> list:
+    """One element per ``marshal.loads`` the entry codec makes from now."""
+    import marshal
+    import types
+
+    from repro.artifacts import codec
+
+    loads = []
+    monkeypatch.setattr(codec, "marshal", types.SimpleNamespace(
+        dumps=marshal.dumps,
+        loads=lambda data: loads.append(1) or marshal.loads(data),
+    ))
+    return loads
 
 
 def _only_digest(store) -> str:
@@ -110,6 +208,61 @@ class TestKeys:
             function_key(expr, options, "bytecode")
         assert function_key(expr, options, "python") != \
             function_key(expr, options, "python", extra={"compiler": 99})
+
+    @given(st.lists(_TREES, min_size=2, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_streamed_key_separates_exactly_what_the_wire_form_did(
+        self, trees
+    ):
+        """The one-walk key against the key it replaced (the sorted-key
+        JSON of the tagged wire form): two trees share a key exactly when
+        their wire forms are equal — same structure, atom types and
+        serialisable metadata."""
+        options = CompilerOptions()
+        trees.append(_retyped(trees[0]))  # one atom's type changed
+        trees.append(from_wire(to_wire(trees[0])))  # an equal tree, rebuilt
+        new = [function_key(tree, options, "python") for tree in trees]
+        old = [json.dumps(to_wire(tree), sort_keys=True) for tree in trees]
+        assert new[0] == new[-1] != new[-2]
+        for i in range(len(trees)):
+            for j in range(i):
+                assert (new[i] == new[j]) == (old[i] == old[j]), (
+                    trees[i], trees[j])
+
+    def test_key_tells_atom_types_and_metadata_apart(self):
+        options = CompilerOptions()
+
+        def key(node, **properties):
+            tree = MExprNormal(MSymbol("f"), [node])
+            for name, value in properties.items():
+                node.set_property(name, value)
+            return function_key(tree, options, "python")
+
+        assert len({
+            key(MInteger(1)), key(MReal(1.0)), key(MString("1")),
+            key(MSymbol("1")), key(MComplex(1 + 0j)),
+            key(MReal(0.0)), key(MReal(-0.0)),
+            key(MString("i1;")), key(MString("")),
+            key(MInteger(1), tag=1), key(MInteger(1), tag=1.0),
+            key(MInteger(1), tag=True), key(MInteger(1), tag="1"),
+            key(MInteger(1), tag=None), key(MInteger(1), other=1),
+            key(MInteger(1), tag=1, other=1),
+            key(MExprNormal(MSymbol("f"), [])),
+            key(MExprNormal(MSymbol("f"), [MSymbol("f")])),
+        }) == 18
+        # order of annotation and unserialisable metadata do not matter
+        assert key(MInteger(1), a=1, b=2) == key(MInteger(1), b=2, a=1)
+        assert key(MInteger(1), scope=object()) == key(MInteger(1))
+
+    def test_key_covers_the_python_that_will_load_the_code(
+        self, monkeypatch
+    ):
+        from repro.artifacts import keys
+
+        options = CompilerOptions()
+        base = function_key(parse(FIB), options, "python")
+        monkeypatch.setattr(keys, "PYTHON_TAG", ("cpython-00", "00000000"))
+        assert function_key(parse(FIB), options, "python") != base
 
     def test_bytecode_key_depends_on_body_and_versions(self):
         specs = parse('{{x, _Real}}')
@@ -247,8 +400,70 @@ class TestStore:
         # the most recent store is exempt from its own sweep
         assert store.get(digests[-1]) is not None
 
+    def test_entry_evicted_between_two_lookups_is_a_plain_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """Another process's sweep unlinks the file just before this one
+        opens it: that is a miss, not corruption."""
+        import builtins
+
+        store = ArtifactStore(str(tmp_path))
+        digest = "ab" * 32
+        path = store.put(digest, {"kind": "python", "x": 1})
+        real_open = builtins.open
+
+        def racing_open(file, *args, **kwargs):
+            if file == path:
+                os.unlink(path)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", racing_open)
+        assert store.get(digest) is None
+        assert store.stats == {
+            "hits": 0, "misses": 1, "stores": 1,
+            "evictions": 0, "corrupt": 0, "unstorable": 0,
+        }
+
+    def test_a_hit_opens_the_file_once(self, tmp_path, monkeypatch):
+        import builtins
+
+        store = ArtifactStore(str(tmp_path))
+        digest = "ab" * 32
+        path = store.put(digest, {"kind": "python", "x": 1})
+        os.utime(path, (1, 1))
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(
+            builtins, "open",
+            lambda file, *a, **k: opened.append(file) or real_open(file, *a, **k),
+        )
+        monkeypatch.setattr(os.path, "exists", lambda path: 1 / 0)
+        assert store.get(digest)["x"] == 1
+        assert opened == [path]
+        assert os.stat(path).st_mtime > 1  # the hit refreshed LRU recency
+
+    def test_put_accepts_what_get_returned_and_nothing_edited(
+        self, tmp_path
+    ):
+        store = ArtifactStore(str(tmp_path))
+        digest = "ab" * 32
+        path = store.put(digest, {"kind": "python", "x": 1.5, "s": "π\ud800"})
+        with open(path, "rb") as handle:
+            before = handle.read()
+        entry = store.get(digest)
+        assert len(entry["sha256"]) == 64
+        assert store.put(digest, entry) == path
+        with open(path, "rb") as handle:
+            assert handle.read() == before  # byte-identical round trip
+        # an entry is written back only under the digest it carries
+        assert store.put(digest, {**entry, "x": 2.5}) is None
+        assert store.put("cd" * 32, entry) is None
+        assert store.stats["corrupt"] == 2 and store.stats["stores"] == 2
+        assert store.get(digest)["x"] == 1.5
+
     @pytest.mark.parametrize("corruption", [
         "truncate", "garbage", "bad-json", "wrong-schema", "key-mismatch",
+        "flip-digest", "schema-1",
     ])
     def test_corrupt_entry_is_miss_plus_evict(self, tmp_path, corruption):
         from repro.testing import corrupt_artifact
@@ -290,13 +505,20 @@ class TestFunctionCompileCache:
     ):
         cold = FunctionCompile(FIB)
         assert artifact_cache.stats["stores"] == 1
-        with with_tracing() as tracer:
+        with with_tracing() as tracer, _counting_compiles() as counts:
             warm = FunctionCompile(FIB)
         assert artifact_cache.stats["hits"] == 1
         assert _pass_spans(tracer) == []  # the acceptance criterion
+        # a hit is a lookup: the stored source is not compiled again and
+        # no pipeline is even built
+        assert counts == {"compile": 0, "pipeline": 0}
         assert [e.name for e in tracer.events
                 if e.name == "artifact.cache"]
         assert cold(30) == warm(30) == 832040
+        assert warm.generated_source == cold.generated_source
+        with _counting_compiles() as counts:
+            FunctionCompile(FIB.replace("a + b", "b + a"))  # a miss
+        assert counts["compile"] >= 1 and counts["pipeline"] == 1
 
     @caches_function_compiles
     def test_store_filled_by_another_compiler_misses(
@@ -394,8 +616,12 @@ class TestFunctionCompileCache:
         assert artifact_cache.stats["corrupt"] == 1
         assert artifact_cache.stats["evictions"] == 1
         assert artifact_cache.stats["stores"] == 2
-        # a decodable envelope around an undecodable pool: evict, recompile
+        # a well-formed entry around an undecodable pool (stored as a fresh
+        # payload: the store refuses an edited entry under its old digest):
+        # evict, recompile
         entry = artifact_cache.get(digest)
+        assert artifact_cache.put(digest, {**entry, "main": "x"}) is None
+        del entry["sha256"]
         for const in entry["consts"]:
             if "b" in const.get("pa", {}):
                 const["pa"]["b"] = const["pa"]["b"][:-3]
@@ -425,12 +651,12 @@ class TestFunctionCompileCache:
         import io
 
         from repro.__main__ import batch
-        from repro.compiler import api
+        from repro.artifacts import codec
 
         def no_wire_form(value):
             raise TypeError("no wire form")
 
-        monkeypatch.setattr(api, "_const_to_wire", no_wire_form)
+        monkeypatch.setattr(codec, "_const_to_wire", no_wire_form)
         with with_tracing() as tracer:
             fn = FunctionCompile(TABLE_READ, constants={"myTable": [7]})
         assert fn(1) == 7
@@ -470,6 +696,76 @@ class TestFunctionCompileCache:
         assert warm(10) == 55
         assert artifact_cache.stats["corrupt"] == 1
         assert artifact_cache.stats["stores"] == 2
+
+    @pytest.mark.faults
+    @caches_function_compiles
+    @pytest.mark.parametrize("corruption", [
+        "flip-code", "flip-source", "flip-digest", "truncate", "schema-1",
+    ])
+    def test_damaged_schema_2_entry_is_never_unmarshalled(
+        self, artifact_cache, monkeypatch, corruption
+    ):
+        """One byte anywhere in a stored entry — still JSON, still Python,
+        still base64 — is a miss, an eviction and a recompile with the
+        right value; the bytes never reach ``marshal``."""
+        from repro.testing import corrupt_artifact
+
+        loads = _counting_marshal_loads(monkeypatch)
+        FunctionCompile(FIB)
+        digest = _only_digest(artifact_cache)
+        corrupt_artifact(artifact_cache, digest, corruption)
+        with _counting_compiles() as counts:
+            again = FunctionCompile(FIB)  # never raises
+        assert again(30) == 832040
+        assert loads == []
+        assert counts["pipeline"] == 1  # recompiled, not restored
+        assert artifact_cache.stats == {
+            "hits": 0, "misses": 2, "stores": 2,
+            "evictions": 1, "corrupt": 1, "unstorable": 0,
+        }
+        # the recompile healed the store
+        assert FunctionCompile(FIB)(30) == 832040
+        assert artifact_cache.stats["hits"] == 1
+        assert loads == [1]
+
+    @pytest.mark.faults
+    @caches_function_compiles
+    def test_injected_load_fault_recompiles_without_unmarshalling(
+        self, artifact_cache, monkeypatch
+    ):
+        from repro.testing import Fault, inject_faults
+
+        loads = _counting_marshal_loads(monkeypatch)
+        FunctionCompile(FIB)
+        with inject_faults(Fault("artifact.load", "corrupt")):
+            again = FunctionCompile(FIB)
+        assert again(30) == 832040 and loads == []
+        assert artifact_cache.stats["corrupt"] == 1
+        assert artifact_cache.stats["evictions"] == 1
+        assert artifact_cache.stats["stores"] == 2
+
+    @pytest.mark.faults
+    @caches_function_compiles
+    def test_entry_of_another_python_is_another_key(
+        self, artifact_cache, monkeypatch
+    ):
+        """A store shared by two interpreters is two key spaces: what the
+        other one stored is neither loaded nor evicted."""
+        from repro.artifacts import keys
+
+        with monkeypatch.context() as other:
+            other.setattr(keys, "PYTHON_TAG", ("cpython-00", "00000000"))
+            FunctionCompile(FIB)
+        foreign = _only_digest(artifact_cache)
+        with _counting_compiles() as counts:
+            mine = FunctionCompile(FIB)
+        assert mine(30) == 832040 and counts["pipeline"] == 1
+        assert artifact_cache.stats == {
+            "hits": 0, "misses": 2, "stores": 2,
+            "evictions": 0, "corrupt": 0, "unstorable": 0,
+        }
+        assert os.path.exists(artifact_cache._object_path(foreign))
+        assert len(artifact_cache._entries()) == 2
 
     @caches_function_compiles
     def test_tensor_constant_pool_roundtrips(self, artifact_cache):
@@ -519,6 +815,28 @@ from repro.compiler import FunctionCompile
 from repro.artifacts import get_store
 from repro.observe import with_tracing
 
+import builtins
+from repro.compiler import api
+
+# a fresh process also compiles the modules it imports on the way (no
+# .pyc is guaranteed); what must not happen is a compile of generated code
+compiles, pipelines = [], []
+real_compile, real_pipeline = builtins.compile, api.CompilerPipeline
+
+
+def counting_compile(source, filename, *rest, **options):
+    if not str(filename).endswith(".py"):
+        compiles.append(filename)
+    return real_compile(source, filename, *rest, **options)
+
+
+def counting_pipeline(*args, **options):
+    pipelines.append(1)
+    return real_pipeline(*args, **options)
+
+
+builtins.compile, api.CompilerPipeline = counting_compile, counting_pipeline
+
 source = sys.argv[1]
 with with_tracing() as tracer:
     fn = FunctionCompile(source)
@@ -526,6 +844,8 @@ passes = [e.name for e in tracer.events if e.name.startswith("pass:")]
 print(json.dumps({
     "result": fn(30),
     "passes": len(passes),
+    "compiles": len(compiles),
+    "pipelines": len(pipelines),
     "stats": get_store().stats,
 }))
 """
@@ -554,6 +874,8 @@ class TestCrossProcess:
         second = compile_in_child()
         assert second["stats"]["hits"] == 1
         assert second["passes"] == 0  # zero pipeline passes, new process
+        assert first["compiles"] >= 1 and first["pipelines"] == 1
+        assert second["compiles"] == 0 and second["pipelines"] == 0
         assert first["result"] == second["result"] == 832040
 
 
@@ -714,6 +1036,59 @@ class TestAOT:
         image = BaseImage.from_image(manifest)
         evaluator = image.create_evaluator()  # boots cold, does not raise
         assert evaluator.run("fib[10]").to_python() == 55
+
+    @caches_function_compiles
+    def test_cli_image_boots_with_zero_compiles(
+        self, artifact_cache, tmp_path
+    ):
+        """An image built by ``python -m repro aot`` carries schema-2
+        entries: booting from it restores every artifact from its
+        marshalled code, with no ``compile`` and no pipeline."""
+        from repro.artifacts import aot
+        from repro.artifacts.store import ENTRY_SCHEMA
+        from repro.server.base import BaseImage
+
+        prelude = tmp_path / "prelude.wl"
+        prelude.write_text("\n".join(_PRELUDE) + "\n")
+        path = str(tmp_path / "image.json")
+        assert aot.main(["--prelude", str(prelude), "--out", path],
+                        output=open(os.devnull, "w")) == 0
+        manifest = aot.load_image(path)
+        assert manifest["objects"] and all(
+            entry["schema"] == ENTRY_SCHEMA and entry["code"]
+            and len(entry["sha256"]) == 64
+            for entry in manifest["objects"].values()
+        )
+        image = BaseImage.from_image(manifest)
+        with with_tracing() as tracer, _counting_compiles() as counts:
+            evaluator = image.create_evaluator()
+        assert counts == {"compile": 0, "pipeline": 0}
+        assert _pass_spans(tracer) == []
+        assert evaluator.hotspot.promoted["fib"].tier_kind == "compiled"
+        assert evaluator.run("fib[20] + sq[3]").to_python() == 6765 + 9
+
+    @caches_function_compiles
+    def test_schema_1_or_tampered_image_degrades_to_cold_boot(
+        self, artifact_cache
+    ):
+        from repro.artifacts import aot
+        from repro.server.base import BaseImage
+
+        manifest = aot.build_image(_PRELUDE)
+        (first, entry), (second, other) = sorted(manifest["objects"].items())
+        # one object as a schema-1 build wrote it, one with a byte of its
+        # code changed inside the manifest: neither is seeded
+        legacy = {k: v for k, v in entry.items() if k not in ("sha256", "code")}
+        manifest["objects"][first] = dict(legacy, schema=1)
+        flipped = "B" if other["code"][40] == "A" else "A"
+        manifest["objects"][second] = dict(
+            other, code=other["code"][:40] + flipped + other["code"][41:])
+        image = BaseImage.from_image(manifest)
+        assert artifact_cache.stats["stores"] == 0
+        with _counting_compiles() as counts:
+            evaluator = image.create_evaluator()  # boots cold, does not raise
+        assert counts["pipeline"] == 2
+        assert evaluator.run("fib[20] + sq[3]").to_python() == 6765 + 9
 
     def test_cli_build_and_boot(self, artifact_cache, tmp_path, capsys):
         from repro.artifacts.aot import main as aot_main

@@ -1,6 +1,12 @@
 """Parser tests: grammar coverage, precedence, round-trips, errors."""
 
+import glob
+import json
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WolframParseError
 from repro.mexpr import full_form, input_form, parse, tokenize
@@ -233,3 +239,208 @@ class TestTokenizer:
         assert tokens[0].pos == 0
         assert tokens[1].pos == 3
         assert tokens[2].pos == 5
+
+
+# -- the tokenizer against the one it replaced -------------------------------
+#
+# A frozen copy of the character-loop tokenizer (as of the commit before the
+# master pattern), producing ``(kind, text, pos)`` tuples.  The pattern must
+# give the same stream, or the same ``WolframParseError`` message, on
+# everything.
+
+_FROZEN_TWO_CHAR_OPS = {
+    "&&", "||", "==", "!=", "<=", ">=", "->", ":>", ":=", "/.", "//",
+    "/;", "@@", "/@", "<>", "++", "--", "+=", "-=", "*=", "/=", "*^",
+}
+_FROZEN_THREE_CHAR_OPS = {"===", "=!=", "//.", "@@@"}
+_FROZEN_ONE_CHAR_OPS = set("+-*/^()[]{},;=<>!&@#_?:|.'")
+
+_FROZEN_UNICODE_ALIASES = {
+    "→": "->",   # → Rule
+    "≡": "===",  # ≡ SameQ (as used in the paper's listings)
+    "≥": ">=",   # ≥
+    "≤": "<=",   # ≤
+    "≠": "!=",   # ≠
+}
+
+
+def _frozen_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if text.startswith("(*", i):
+            depth, i = 1, i + 2
+            while i < n and depth:
+                if text.startswith("(*", i):
+                    depth += 1
+                    i += 2
+                elif text.startswith("*)", i):
+                    depth -= 1
+                    i += 2
+                else:
+                    i += 1
+            if depth:
+                raise WolframParseError("unterminated comment")
+            continue
+        if ch in _FROZEN_UNICODE_ALIASES:
+            tokens.append(("op", _FROZEN_UNICODE_ALIASES[ch], i))
+            i += 1
+            continue
+        if ch == "π":  # π
+            tokens.append(("name", "Pi", i))
+            i += 1
+            continue
+        if ch == '"':
+            j, out = i + 1, []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
+                    j += 2
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n:
+                raise WolframParseError(f"unterminated string at {i}")
+            tokens.append(("string", "".join(out), i))
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            is_real = False
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "." and not text.startswith("..", j):
+                is_real = True
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            # exponent: Wolfram `*^` or conventional `e`
+            if j < n and text.startswith("*^", j):
+                is_real = True
+                j += 2
+                if j < n and text[j] in "+-":
+                    j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            elif j < n and text[j] in "eE" and j + 1 < n and (
+                text[j + 1].isdigit() or text[j + 1] in "+-"
+            ):
+                is_real = True
+                j += 1
+                if text[j] in "+-":
+                    j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            tokens.append(("real" if is_real else "int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "$":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "$`"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        if text[i:i + 3] in _FROZEN_THREE_CHAR_OPS:
+            tokens.append(("op", text[i:i + 3], i))
+            i += 3
+            continue
+        if text[i:i + 2] in _FROZEN_TWO_CHAR_OPS:
+            tokens.append(("op", text[i:i + 2], i))
+            i += 2
+            continue
+        if ch in _FROZEN_ONE_CHAR_OPS:
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        raise WolframParseError(f"unexpected character {ch!r} at position {i}")
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+def _stream(scan, text):
+    try:
+        return [tuple(token) for token in scan(text)]
+    except WolframParseError as error:
+        return str(error)
+
+
+def _load(path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "_tokenizer_corpus_" + os.path.basename(path)[:-3], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _corpus() -> list[str]:
+    """Every Wolfram text the repository ships: the benchmark's programs,
+    session scripts and served requests, the example programs and the
+    inputs of the evaluator transcript."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    programs = os.path.join(root, "bench", "programs")
+    kernels, probes, scripts, traffic = (
+        _load(os.path.join(programs, name + ".py"))
+        for name in ("kernels", "probes", "scripts", "traffic"))
+    texts = [*kernels.SOURCES.values(), *probes.SOURCES.values()]
+    for name in scripts.NAMES:
+        texts += scripts.build(name, seed=1)[0]
+    for _, line, _ in traffic.prelude("s") + traffic.make_pass(1, 0, 200, "s"):
+        try:
+            texts += [v for v in json.loads(line).values()
+                      if isinstance(v, str)]
+        except ValueError:  # the malformed request in fifty
+            texts.append(line)
+    for path in glob.glob(os.path.join(root, "examples", "programs", "*.wl")):
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    transcript = os.path.join(root, "tests", "golden",
+                              "evaluator_transcript.json")
+    with open(transcript, encoding="utf-8") as handle:
+        for entries in json.load(handle).values():
+            texts += [entry["in"] for entry in entries]
+    return texts
+
+
+#: pieces that meet at every boundary the tokenizer decides on
+_PIECES = st.sampled_from([
+    "a", "x1", "$v", "a`b", "é", "π", "一", "1", "23", ".5", "1.", "1..",
+    "1.5e3", "2e", "2e+", "3*^4", "3*^-", "٣", "²", "½", "Ⅷ", "①", '"',
+    '"s"', '"a\\"b"', '"\\', "\\", "(*", "*)", "(* c *)", "(", ")", "[",
+    "]", "{", "}", ",", ";", ".", "..", "_", "__", "#", "&", "'", "?", ":",
+    "|", "=", "==", "===", "=!=", "!=", "!", "<", "<=", "<>", ">", ">=",
+    "->", ":>", ":=", "/", "/.", "//", "//.", "/;", "/@", "/=", "@", "@@",
+    "@@@", "+", "++", "+=", "-", "--", "-=", "*", "*=", "*^", "^", "&&",
+    "||", "→", "≡", "≥", "≤", "≠", " ", "\t", "\n", "\r", "\x0b", "\xa0",
+    "~", "%", "e", "E",
+])
+
+
+class TestTokenizerAgreement:
+    def test_every_shipped_text(self):
+        texts = _corpus()
+        assert len(texts) > 300
+        for text in texts:
+            assert _stream(tokenize, text) == _stream(_frozen_tokenize, text)
+
+    @given(st.lists(_PIECES, max_size=12).map("".join))
+    @settings(max_examples=2000, deadline=None)
+    def test_fuzzed_boundaries(self, text):
+        assert _stream(tokenize, text) == _stream(_frozen_tokenize, text)
+
+    @given(st.text(max_size=20))
+    @settings(max_examples=1000, deadline=None)
+    def test_fuzzed_unicode(self, text):
+        assert _stream(tokenize, text) == _stream(_frozen_tokenize, text)
+
+    def test_token_is_a_named_tuple(self):
+        token = tokenize("ab")[0]
+        assert token == ("name", "ab", 0)
+        assert (token.kind, token.text, token.pos) == ("name", "ab", 0)

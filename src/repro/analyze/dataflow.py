@@ -9,7 +9,8 @@ with three abstract domains over one engine:
 **Int64 intervals with overflow tracking**
     every SSA value gets an :class:`Interval` ``[lo, hi]`` over the
     mathematical integers (``None`` = unbounded).  Checked arithmetic
-    traps on overflow, so its *result* is clamped into the Integer64
+    traps on overflow (and unchecked arithmetic is unchecked because it
+    was proven not to), so its *result* is clamped into the Integer64
     range; the *unclamped* abstract result of an operation decides
     whether the check can go — ``fits_int64`` on the exact sum/product
     is precisely "this guard can never fire".
@@ -417,9 +418,7 @@ class FunctionFacts:
                     b = self.interval_at(
                         definition.operands[1], block, _depth - 1)
                     recomputed = getattr(a, op.replace("_exact", ""))(b)
-                    if not op.endswith("_exact"):
-                        recomputed = recomputed.clamp_int64()
-                    result = result.intersect(recomputed)
+                    result = result.intersect(recomputed.clamp_int64())
         return result
 
     def upper_bounds_at(self, value: Value, block: str,
@@ -620,12 +619,12 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
             a, b = of(operands[0]), of(operands[1])
             if a is None or b is None:
                 return None
-            result = getattr(a, op.replace("_exact", ""))(b)
-            # checked ops trap outside Integer64: the surviving result
-            # is clamped; unchecked ops were proven exact
-            if not op.endswith("_exact"):
-                result = result.clamp_int64()
-            return result
+            # checked ops trap outside Integer64, and an unchecked one is
+            # unchecked because it was proven to stay inside (the verifier
+            # re-proves it from its operands): either way what comes out
+            # is an Integer64.  By induction over execution, no proof
+            # leans on the result of an operation that has yet to run.
+            return getattr(a, op.replace("_exact", ""))(b).clamp_int64()
         if name == "checked_unary_minus_Integer64":
             a = of(operands[0])
             return None if a is None else a.negate().clamp_int64()
@@ -707,6 +706,22 @@ def _argument_range(value: Value) -> Interval:
     return INT64_RANGE if name.startswith("Integer") else TOP
 
 
+def _widen(old: Interval, new: Interval) -> Interval:
+    """Widening with one threshold, the Integer64 range: a bound still
+    moving inside the range stops at the range's end — where the clamped
+    result of a checked operation stops — and goes to unbounded only if it
+    moves again from there.  So a counter that a checked ``k - 2`` feeds
+    back keeps ``[MIN, MAX]``, and a guard ``k > 0`` then proves the
+    ``k - 1`` under it."""
+    widened = old.widen(new)
+    lo, hi = widened.lo, widened.hi
+    if lo is None and new.lo is not None and new.lo >= INT64_MIN:
+        lo = INT64_MIN
+    if hi is None and new.hi is not None and new.hi <= INT64_MAX:
+        hi = INT64_MAX
+    return Interval(lo, hi)
+
+
 def _interval_fixpoint(function: FunctionModule, facts: FunctionFacts,
                        cfg: CFG) -> None:
     table = _result_values(function)
@@ -753,7 +768,7 @@ def _interval_fixpoint(function: FunctionModule, facts: FunctionFacts,
                 if new != old:
                     updates[result.id] = updates.get(result.id, 0) + 1
                     if updates[result.id] > WIDEN_AFTER:
-                        new = old.widen(new)
+                        new = _widen(old, new)
             if new != old:
                 intervals[result.id] = new
                 for user in users.get(result.id, ()):
@@ -784,6 +799,19 @@ def _declared_rank(value: Value) -> Optional[int]:
 
 _UNDERIVED = object()
 
+
+def _primitive_named(instruction, name: str) -> bool:
+    return isinstance(instruction, CallPrimitiveInstr) and (
+        instruction.primitive.runtime_name == name
+    )
+
+
+def _holds_rows(value: Value) -> bool:
+    """Is ``value`` a tensor whose elements are tensors?"""
+    inner = getattr(value.type, "params", None)
+    return bool(inner) and getattr(inner[0], "constructor", None) == "Tensor"
+
+
 #: element-wise primitives: the result has the shape its operands share
 _ELEMENTWISE = {"tensor_plus": 2, "tensor_times": 2,
                 "tensor_scale": 1, "tensor_shift": 1}
@@ -791,21 +819,33 @@ _ELEMENTWISE = {"tensor_plus": 2, "tensor_times": 2,
 
 def static_lengths(function: FunctionModule) -> dict[int, int]:
     """``{value id: n}`` for the rank-1 tensors that have ``n`` elements
-    on every path: a list display, a constant array, and whatever copies,
-    stores into, merges (phi) or combines element-wise only such tensors
-    of one length.  Optimistic over phis, so a loop-carried ``acc = acc +
-    step`` that starts as ``{0., 0.}`` has length 2."""
+    on every path — and the matrices that have ``n`` columns: a list
+    display, a constant array, a matrix created with a constant column
+    count, a row of such a matrix, a tensor of rows that all have one
+    length (its "length" is theirs), and whatever copies, stores into,
+    merges (phi) or combines element-wise only such tensors of one
+    length.  Optimistic over phis, so a loop-carried ``acc = acc + step``
+    that starts as ``{0., 0.}`` has length 2."""
     if not any(
         isinstance(i, BuildListInstr) or (
             isinstance(i, ConstantInstr) and hasattr(i.value, "dims")
-        )
+        ) or _primitive_named(i, "matrix_create")
         for i in function.instructions()
     ):
         return {}
-    candidates = [
-        i for i in function.instructions()
-        if i.result is not None and _declared_rank(i.result) == 1
-    ]
+    candidates = []
+    #: rows stored in place (after alias collapse a store has no result):
+    #: they are sources of the tensor of rows they went into
+    stored_rows: dict[int, list[Value]] = {}
+    for i in function.instructions():
+        if i.result is not None:
+            if _declared_rank(i.result) in (1, 2):
+                candidates.append(i)
+        elif isinstance(i, CallPrimitiveInstr) and i.primitive.mutates and (
+            _holds_rows(i.operands[0])
+        ):
+            stored_rows.setdefault(i.operands[0].id, []).append(
+                i.operands[-1])
     #: absent = nothing derived yet, None = no single length
     lengths: dict[int, Optional[int]] = {}
 
@@ -813,24 +853,48 @@ def static_lengths(function: FunctionModule) -> dict[int, int]:
         """The length of ``instruction``'s result; ``_UNDERIVED`` while
         none of what it depends on has a length yet."""
         if isinstance(instruction, BuildListInstr):
-            return len(instruction.operands)
-        if isinstance(instruction, ConstantInstr):
+            if _declared_rank(instruction.result) == 1:
+                return len(instruction.operands)
+            sources = instruction.operands  # a display of rows
+        elif isinstance(instruction, ConstantInstr):
             dims = getattr(instruction.value, "dims", None)
-            return dims[0] if dims is not None and len(dims) == 1 else None
-        if isinstance(instruction, PhiInstr):
+            return (
+                dims[-1] if dims is not None and len(dims) in (1, 2) else None
+            )
+        elif isinstance(instruction, PhiInstr):
             sources = [v for v in instruction.operands
                        if v is not instruction.result]
         elif isinstance(instruction, CopyInstr):
             sources = instruction.operands
         elif isinstance(instruction, CallPrimitiveInstr):
-            sources = instruction.operands[
-                :1 if instruction.primitive.mutates
-                else _ELEMENTWISE.get(instruction.primitive.runtime_name, 0)
-            ]
+            name = instruction.primitive.runtime_name
+            if name == "matrix_create":
+                return _constant_of(instruction.operands[1])
+            tensor = instruction.operands[0] if instruction.operands else None
+            if name == "tensor_create_uninit":
+                sources = []  # no row yet: whatever gets stored
+            elif tensor is not None and _holds_rows(tensor):
+                # a tensor of rows has the length of its rows: the ones
+                # stored into it, and so the ones read back out
+                sources = {
+                    "tensor_part1": [tensor],
+                    "tensor_part1_set": [tensor, instruction.operands[-1]],
+                }.get(name.removesuffix("_unchecked"), [])
+            else:
+                sources = instruction.operands[
+                    :1 if instruction.primitive.mutates
+                    or name == "tensor_row"
+                    else _ELEMENTWISE.get(name, 0)
+                ]
         else:
             sources = []
+        if not sources and not _primitive_named(
+            instruction, "tensor_create_uninit"
+        ):
+            return None  # made by something that says nothing of lengths
+        sources = [*sources, *stored_rows.get(instruction.result.id, ())]
         known = {lengths[v.id] for v in sources if v.id in lengths}
-        if not sources or None in known or len(known) > 1:
+        if None in known or len(known) > 1:
             return None
         return known.pop() if known else _UNDERIVED
 
@@ -888,7 +952,12 @@ def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
     for value_id, length in static_lengths(function).items():
         known = facts.shapes.get(value_id)
         if known is None or known.dims is None:
-            facts.shapes[value_id] = ShapeFact(rank=1, dims=(length,))
+            # of a matrix this is the column count: its length is unknown
+            facts.shapes[value_id] = (
+                ShapeFact(rank=1, dims=(length,))
+                if known is None or known.rank in (None, 1)
+                else ShapeFact(rank=known.rank, dims=(None, length))
+            )
 
 
 def _comparison_facts(guard: CallPrimitiveInstr, sense: bool, facts):
@@ -1054,15 +1123,37 @@ def _resolve_environments(function: FunctionModule, facts: FunctionFacts,
             stack.append((child, env, ub))
 
 
+#: a ``Part``/``PartSet`` that returned had each of these operands inside
+#: the tensor: the checked forms raise ``PartOutOfRange`` otherwise, and
+#: the rank-1 unchecked forms (index proven >= 1) ``IndexError``, both of
+#: which leave the function.  Unchecked rank-2 forms say nothing: a column
+#: past the row's end reads the next row.
+_PART_INDICES = {
+    "tensor_part1": slice(1, 2), "tensor_part1_set": slice(1, 2),
+    "tensor_part1_unchecked": slice(1, 2),
+    "tensor_part1_set_unchecked": slice(1, 2),
+    "tensor_part2": slice(1, 3), "tensor_part2_set": slice(1, 3),
+}
+PART_INDEX_RANGE = Interval(-LENGTH_BOUND, LENGTH_BOUND)
+
+
 def _survived_checks(block, facts: FunctionFacts):
-    """What a checked ``a + b`` / ``a - b`` in ``block`` says about its
-    operands wherever control gets past it — in every block ``block``
-    strictly dominates: the sum did not overflow, so ``a <= MAX - b``."""
+    """What the checks in ``block`` say about their operands wherever
+    control gets past them — in every block ``block`` strictly dominates.
+    A checked ``a + b`` / ``a - b`` did not overflow, so ``a <= MAX - b``;
+    a ``Part`` found its element, so its index is no longer than the
+    longest list (:data:`LENGTH_BOUND`), either way round."""
     found = []
     for instruction in block.instructions:
         if not isinstance(instruction, CallPrimitiveInstr):
             continue
-        op = _ARITH.get(instruction.primitive.runtime_name)
+        name = instruction.primitive.runtime_name
+        indices = _PART_INDICES.get(name)
+        if indices is not None:
+            for index in instruction.operands[indices]:
+                found.append((index.id, PART_INDEX_RANGE))
+            continue
+        op = _ARITH.get(name)
         if op not in ("add", "subtract"):
             continue
         a, b = instruction.operands

@@ -53,6 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analyze.dataflow import LENGTH_BOUND
 from repro.runtime.checked import INT64_MAX, INT64_MIN
 
 #: comparison tolerance for real-valued kernels; loose enough for
@@ -554,9 +555,11 @@ class _BoundaryGenerator:
     """Seeded programs biased toward elision-breaking inputs.
 
     Every shape targets one of the three fact-driven deletions: checked
-    arithmetic fed ``INT64_MAX±1`` (overflow elision), ``Part`` with
-    off-by-one and empty-array indices (bounds elision), and statically
-    bounded ``Do`` loops (checkpoint coalescing).
+    arithmetic fed ``INT64_MAX±1`` (overflow elision, including the
+    arithmetic on an index that a ``Part`` which succeeded has bounded),
+    ``Part`` with off-by-one, negative, huge and empty-array indices
+    (bounds elision), and statically bounded ``Do`` loops (checkpoint
+    coalescing).
     """
 
     def __init__(self, rng: random.Random):
@@ -590,8 +593,9 @@ class _BoundaryGenerator:
         return self.rng.randint(-9, 9)
 
     def _index(self, length: int) -> str:
-        """Off-by-one biased: 0, 1, length, length±1, or the argument."""
-        pick = self.rng.randrange(6)
+        """Off-by-one biased: 0, 1, ±length, ±(length + 1), length - 1,
+        the largest Integer64, or the argument."""
+        pick = self.rng.randrange(9)
         if pick == 0:
             return "0"
         if pick == 1:
@@ -602,10 +606,16 @@ class _BoundaryGenerator:
             return str(length + 1)
         if pick == 4:
             return str(max(length - 1, 0))
+        if pick == 5:
+            return str(-length)
+        if pick == 6:
+            return str(-(length + 1))
+        if pick == 7:
+            return str(INT64_MAX)
         return "x"
 
     def _statement(self, length: int) -> str:
-        pick = self.rng.randrange(7)
+        pick = self.rng.randrange(8)
         if pick == 0:  # overflow-probing checked arithmetic
             operator = self.rng.choice(["+", "-", "*"])
             return f"a = a {operator} {self._boundary_or_small()}"
@@ -622,6 +632,21 @@ class _BoundaryGenerator:
         if pick == 5:  # statically bounded scalar loop (coalescing shape)
             trips = self.rng.randint(1, 8)
             return f"Do[a = a + j, {{j, {trips}}}]"
+        if pick == 6:
+            # a Part that succeeded bounds its index where control got
+            # past it: arithmetic on the index under a branch loses its
+            # overflow check only when the offset leaves room for the
+            # longest list, and must keep it one step further out
+            offset = self.rng.choice([
+                INT64_MAX, INT64_MAX - 1, INT64_MAX - LENGTH_BOUND,
+                INT64_MAX - LENGTH_BOUND + 1, self.rng.randint(0, 9),
+            ])
+            sign = self.rng.choice(["+", "-"])
+            return (
+                f"a = a + v[[x]]; "
+                f"If[a > {self._boundary_or_small()}, "
+                f"a = x {sign} {offset}, a = x {sign} 1]"
+            )
         # boundary comparison steering an If — unreachable-branch facts
         return (
             f"If[a > {self._boundary_or_small()}, "

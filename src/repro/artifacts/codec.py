@@ -63,10 +63,14 @@ class CachedProgram:
     Carries only the main-function name: nothing at run time reads the
     TWIR module, and reports that walk ``functions`` find none."""
 
-    def __init__(self, main: str):
+    def __init__(self, main: str, ndarray_parameters=()):
         self.main = main
         self.functions: dict = {}
-        self.metadata: dict = {"restoredFromCache": True}
+        self.metadata: dict = {
+            "restoredFromCache": True,
+            # which boundary each parameter gets is decided from the TWIR
+            "ndarrayParameters": tuple(ndarray_parameters),
+        }
 
 
 def lookup(cache: ArtifactStore, key: str, kind: str, **context):
@@ -129,6 +133,7 @@ def _python_payload(program, compiled, backend) -> Optional[dict]:
             "source": compiled.generated_source,
             "params": [type_to_wire(t) for t in compiled.signature.params],
             "result": type_to_wire(compiled.signature.result),
+            "ndarray": list(program.metadata.get("ndarrayParameters", ())),
             "consts": [_const_to_wire(c) for c in backend.constants],
             "kexprs": kexprs,
             "twir": hashlib.sha256(
@@ -164,7 +169,7 @@ def _python_function(entry, source_function, evaluator, options):
         return holder["fn"]._kernel_call(expression_spec, argument_values)
 
     holder["fn"] = compiled = CompiledCodeFunction(
-        program=CachedProgram(main),
+        program=CachedProgram(main, entry["ndarray"]),
         namespace=execute_module(code, entry["source"], kernel_call,
                                  constants, kernel_expressions),
         signature=signature,

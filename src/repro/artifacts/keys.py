@@ -101,6 +101,7 @@ _RUNTIME_FINGERPRINT_MODULES = (
     "repro.runtime.checked",
     "repro.runtime.memory",
     "repro.runtime.packed",
+    "repro.runtime.blas",
     "repro.bytecode.compiler",
     "repro.bytecode.instructions",
     "repro.bytecode.vm",

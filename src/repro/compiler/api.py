@@ -60,7 +60,7 @@ from repro.errors import (
     IntegerOverflowError,
     WolframRuntimeError,
 )
-from repro.mexpr.atoms import MSymbol
+from repro.mexpr.atoms import MComplex, MInteger, MReal, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.parser import parse
 from repro.mexpr.printer import input_form
@@ -220,8 +220,13 @@ class CompiledCodeFunction(GovernedFunction):
         self.options = options or CompilerOptions()
         self._entry = namespace[sanitize(program.main)]
         #: one boundary check per parameter, chosen from the signature here
-        #: so a call does no type dispatch of its own
-        self._unpackers = tuple(map(_unpacker, signature.params))
+        #: so a call does no type dispatch of its own; a tensor parameter
+        #: the code hands only to the BLAS arrives as one ndarray
+        resident = program.metadata.get("ndarrayParameters", ())
+        self._unpackers = tuple(
+            _unpacker(type_, index in resident)
+            for index, type_ in enumerate(signature.params)
+        )
         self.breaker = CircuitBreaker(
             program.main, threshold=CIRCUIT_BREAKER_THRESHOLD,
             start=self.native_tier,
@@ -294,7 +299,7 @@ class CompiledCodeFunction(GovernedFunction):
 
     #: compiler version serialized into saved artifacts; stale artifacts
     #: recompile from their stored input function, as §2.2 specifies
-    COMPILER_VERSION = "1.0.2.0"
+    COMPILER_VERSION = "1.0.3.0"
 
     def save(self, path: str) -> str:
         """Serialize this compiled function (source + version + options)."""
@@ -355,9 +360,10 @@ class CompiledCodeFunction(GovernedFunction):
 
         bindings = {}
         for name, value in zip(variable_names, argument_values):
-            if isinstance(value, PackedArray):
-                value = value.to_nested()
-            bindings[name] = to_mexpr(value)
+            bindings[name] = (
+                _packed_to_mexpr(value) if isinstance(value, PackedArray)
+                else to_mexpr(value)
+            )
         result = self.evaluator.evaluate(substitute(expression, bindings))
         return _convert_kernel_result(result, result_type)
 
@@ -376,13 +382,13 @@ def _unpack_one(value, type_: Type):
     if isinstance(type_, AtomicType) and type_.name == "Expression":
         return to_mexpr(value) if not isinstance(value, MExpr) else value
     if isinstance(type_, CompoundType) and type_.constructor == "Tensor":
-        element = getattr(type_.params[0], "name", "Real64")
+        element, rank = _tensor_shape(type_)
         if isinstance(value, PackedArray):
             return value
         if isinstance(value, (list, tuple)):
-            return PackedArray.from_nested(list(value), element)
+            return PackedArray.from_nested(value, element, rank=rank)
         if isinstance(value, np.ndarray):
-            return PackedArray.from_numpy(value)
+            return PackedArray.resident_from(value, element, rank)
         raise WolframRuntimeError(
             "TypeMismatch", f"{value!r} is not a tensor"
         )
@@ -397,13 +403,36 @@ def _unpack_one(value, type_: Type):
     return value
 
 
-def _unpacker(type_: Type):
+def _tensor_shape(type_: CompoundType) -> tuple:
+    """``(element type name, rank)`` of a (possibly nested) ``Tensor``
+    type; the rank is ``None`` where the type leaves it open."""
+    rank = 0
+    while isinstance(type_, CompoundType) and type_.constructor == "Tensor":
+        level = getattr(type_.params[1], "value", None)
+        rank = None if rank is None or type(level) is not int else rank + level
+        type_ = type_.params[0]
+    return getattr(type_, "name", "Real64"), rank
+
+
+def _unpacker(type_: Type, resident: bool = False):
     """The boundary check of one declared parameter type, as a function of
     the argument alone.  A machine integer or real that arrives as an exact
     Python ``int``/``float`` — what the hotspot gate and every hosted call
     of a numeric function pass — is checked inline; anything else takes
-    :func:`_unpack_one`, so both raise the same errors."""
+    :func:`_unpack_one`, so both raise the same errors.  ``resident`` is
+    for a tensor parameter whose every use is ndarray-native
+    (:func:`repro.compiler.twir.tensors.ndarray_parameters`): a nested
+    list becomes an ndarray-resident array, never a flat list."""
     general = partial(_unpack_one, type_=type_)
+    if resident:
+        element, rank = _tensor_shape(type_)
+
+        def unpack_resident(value):
+            if type(value) is list:
+                return PackedArray.resident_from(value, element, rank)
+            return general(value)
+
+        return unpack_resident
     if isinstance(type_, AtomicType) and type_.name.startswith("Integer"):
 
         def unpack_integer(value):
@@ -465,8 +494,10 @@ def _convert_kernel_result(result, result_type):
 def _repack(result):
     """Pack a tensor-of-tensors result into one rectangular PackedArray,
     the way the engine packs rank-n output (e.g. NestList over vectors)."""
-    if isinstance(result, PackedArray) and result.data and isinstance(
-        result.data[0], PackedArray
+    if (
+        isinstance(result, PackedArray)
+        and result.resident is None  # rows are objects: never an ndarray
+        and result.data and isinstance(result.data[0], PackedArray)
     ):
         # children are already flat row-major: concatenate their data and
         # prepend the outer length (no per-child nested-list round trip)
@@ -482,6 +513,28 @@ def _repack(result):
             flat, (len(result.data), *dims), result.data[0].element_type
         )
     return result
+
+
+#: element type stem -> the atom every element of such a tensor becomes
+_ATOMS = {"Integer": MInteger, "UnsignedInteger": MInteger, "Real": MReal,
+          "Complex": MComplex}
+
+
+def _packed_to_mexpr(array: PackedArray) -> MExpr:
+    """A tensor as the ``List`` expression the engine takes it back as
+    (§4.5 reboxing), in one pass: each element goes through the one atom
+    constructor its element type names, and rows are slices of that flat
+    list, cut by ``dims`` innermost first."""
+    atom = _ATOMS.get(array.element_type.rstrip("0123456789"))
+    if atom is None or not array.dims or 0 in array.dims:
+        return to_mexpr(array.to_nested())
+    resident = array.resident
+    flat = array.data if resident is None else resident.ravel().tolist()
+    items = list(map(atom, flat))
+    for size in reversed(array.dims[1:]):
+        items = [MExprNormal(S.List, items[start:start + size])
+                 for start in range(0, len(items), size)]
+    return MExprNormal(S.List, items)
 
 
 def FunctionCompile(
@@ -689,7 +742,7 @@ def _apply_compiled_code_function(evaluator, head: MExpr, arguments: list):
             python_arguments.append(argument)
     result = compiled(*python_arguments)
     if isinstance(result, PackedArray):
-        return to_mexpr(result.to_nested())
+        return _packed_to_mexpr(result)
     if isinstance(result, MExpr):
         return result
     return to_mexpr(result)

@@ -94,7 +94,11 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
     from repro.compiler.runtime_library import RUNTIME
     from repro.errors import IntegerOverflowError, WolframRuntimeError
     from repro.runtime.guard import CHECKPOINT, checkpoint
-    from repro.runtime.memory import memory_acquire, memory_release
+    from repro.runtime.memory import (
+        memory_acquire,
+        memory_charge,
+        memory_release,
+    )
     from repro.runtime.packed import PackedArray
 
     def _no_kernel(expression, arguments):  # standalone behaviour (§4.6)
@@ -113,6 +117,7 @@ def runtime_globals(kernel_call, constants, kernel_expressions) -> dict:
         "_armed": CHECKPOINT,
         "_check_abort": checkpoint,
         "_mem_acquire": memory_acquire,
+        "_mem_charge": memory_charge,
         "_mem_release": memory_release,
         "_consts": constants,
         "_kexprs": kernel_expressions,
@@ -273,6 +278,22 @@ def _plans(templates: tuple, bind: bool, arity: int) -> tuple:
     return plans, tuple(counts), counts
 
 
+def _index_offset(instruction) -> Optional[tuple]:
+    """``(position of e, c)`` when ``instruction`` computes ``e + c`` with
+    ``c`` a literal and no overflow check left on it; else ``None``."""
+    if not isinstance(instruction, CallPrimitiveInstr) or (
+        instruction.primitive.runtime_name != "plus_unchecked_Integer64"
+    ):
+        return None
+    for position, operand in enumerate(instruction.operands):
+        constant = getattr(operand.definition, "value", None)
+        if isinstance(operand.definition, ConstantInstr) and (
+            type(constant) is int
+        ):
+            return 1 - position, constant
+    return None
+
+
 class PythonBackend:
     """Generates one Python module for a :class:`ProgramModule`.
 
@@ -365,6 +386,9 @@ class PythonBackend:
                 "from repro.runtime.guard import CHECKPOINT as _armed, "
                 "checkpoint as _check_abort"
             )
+            self._line(
+                "from repro.runtime.memory import memory_charge as _mem_charge"
+            )
             self._line("def _mem_acquire(v):")
             self._line("    return v")
             self._line("def _mem_release(v):")
@@ -442,8 +466,12 @@ class PythonBackend:
         self._aliased: set[int] = set()
         uses: dict[int, int] = {}
         where: dict[int, str] = {}
+        definitions: dict[int, Instruction] = {}
         data_read: set[int] = set()
         columns_read: set[int] = set()
+        length_read: set[int] = set()
+        #: how many operand slots take the value only as ``{aN_zero}``
+        zero_slots: dict[int, int] = {}
         inline = self.options.inline_policy != "none"
         for block in function.ordered_blocks():
             for phi in block.phis:
@@ -454,12 +482,15 @@ class PythonBackend:
                 for operand in instruction.operands:
                     uses[operand.id] = uses.get(operand.id, 0) + 1
                     where[operand.id] = block.name
+                if instruction.result is not None:
+                    definitions[instruction.result.id] = instruction
                 if isinstance(instruction, ConstantInstr):
                     literal = self._literal(instruction)
                     if literal is not None:
                         self._literals[instruction.result.id] = literal
                 elif isinstance(instruction, CallPrimitiveInstr) and inline:
                     primitive = instruction.primitive
+                    forms: dict[int, set] = {}
                     for template in (primitive.py_inline, primitive.py_guard,
                                      primitive.py_effect):
                         if template is None:
@@ -470,6 +501,16 @@ class PythonBackend:
                             elif form == "cols":
                                 columns_read.add(
                                     instruction.operands[index].id)
+                            elif form == "len":
+                                length_read.add(
+                                    instruction.operands[index].id)
+                            elif index is not None:
+                                forms.setdefault(index, set()).add(form)
+                    for index, seen in forms.items():
+                        if seen == {"zero"}:
+                            operand = instruction.operands[index]
+                            zero_slots[operand.id] = (
+                                zero_slots.get(operand.id, 0) + 1)
             if block.terminator is not None:
                 for operand in block.terminator.operands:
                     uses[operand.id] = uses.get(operand.id, 0) + 1
@@ -480,6 +521,16 @@ class PythonBackend:
         }
         self._data_read = data_read
         self._columns_read = columns_read
+        self._length_read = length_read
+        # an index ``e + c`` that is only ever used less one is computed
+        # as ``e + (c - 1)``, once: ``bins[[Mod[x, 256] + 1]]`` indexes
+        # with ``x % 256``
+        self._zero_based = {
+            value_id: found
+            for value_id, slots in zero_slots.items()
+            if slots == uses.get(value_id)
+            and (found := _index_offset(definitions.get(value_id)))
+        }
 
     # -- structured emission ------------------------------------------------------------
 
@@ -641,17 +692,21 @@ class PythonBackend:
 
     def _emit_aliases(self, value: Optional[Value]) -> None:
         """Locals for the data list (§6, "reduce the frequency of array
-        unboxing") and the column count of a tensor, when something reads
-        them."""
+        unboxing"), its length and the column count of a tensor, when
+        something reads them."""
         if value is None or not _is_tensor(value.type):
             return
         name = self._var(value)
-        if value.id in self._data_read:
-            self._line(f"{name}_d = {name}.data")
-            self._aliased.add(value.id)
-        if value.id in self._columns_read:
-            self._line(f"{name}_c = {name}.dims[1]")
-            self._aliased.add(value.id)
+        length = f"{name}_d" if value.id in self._data_read else (
+            f"{name}.data")
+        for suffix, wanted, source in (
+            ("d", self._data_read, f"{name}.data"),
+            ("n", self._length_read, f"len({length})"),
+            ("c", self._columns_read, f"{name}.dims[1]"),
+        ):
+            if value.id in wanted:
+                self._line(f"{name}_{suffix} = {source}")
+                self._aliased.add(value.id)
 
     def _literal(self, instruction: ConstantInstr) -> Optional[str]:
         """Source text of a constant that is written where it is used."""
@@ -788,7 +843,19 @@ class PythonBackend:
             if form == "":
                 return _wrap(text)
             operand = operands[index]
+            if form == "zero":
+                if operand.id in self._zero_based:
+                    return text  # computed less one already
+                if operand.id in self._literals and (
+                    type(operand.definition.value) is int
+                ):
+                    return str(operand.definition.value - 1)
+                return f"{_wrap(text)} - 1"
             named_tensor = index not in taken and operand.id in self._aliased
+            if form == "len":
+                if named_tensor and operand.id in self._length_read:
+                    return f"{text}_n"
+                return f"len({_wrap(text)}.data)"
             if form == "data":
                 if named_tensor and operand.id in self._data_read:
                     return f"{text}_d"
@@ -893,7 +960,8 @@ class PythonBackend:
             source = instruction.operands[0]
             template = "{out} = {a0_bare}"
             if _is_tensor(source.type):
-                template = ("{out} = PackedArray(list({a0_data}), {a0}.dims, "
+                template = ("if _armed[0]: _mem_charge(len({a0_data}))\n"
+                            "{out} = PackedArray(list({a0_data}), {a0}.dims, "
                             "{a0}.element_type)")
             self._statement(template, instruction.operands, ACTS, result)
             self._emit_aliases(result)
@@ -969,7 +1037,8 @@ class PythonBackend:
         if isinstance(result_type, CompoundType) and result_type.params and (
             not _is_tensor(instruction.operands[0].type)
         ):
-            template = "{out} = PackedArray([{args}], ({count},), '{elem}')"
+            template = ("if _armed[0]: _mem_charge({count})\n"
+                        "{out} = PackedArray([{args}], ({count},), '{elem}')")
         else:
             template = "{out} = _rt['tensor_from_elements']({args})"
         self._statement(template, instruction.operands, ACTS, result,
@@ -1013,6 +1082,12 @@ class PythonBackend:
         expression = primitive.py_inline
         guard = self._guard_of(instruction)
         effect = primitive.py_effect
+        if result is not None and result.id in self._zero_based:
+            position, offset = self._zero_based[result.id]
+            expression = (
+                f"{{a{position}_bare}}" if offset == 1
+                else f"{{a{position}}} + {_wrap(repr(offset - 1))}"
+            )
         if expression is None or self.options.inline_policy == "none":
             expression = f"_rt['{primitive.runtime_name}']({{args}})"
             guard = effect = None

@@ -394,6 +394,17 @@ def build_default_macro_environment() -> MacroEnvironment:
         "   While[k$ <= len$,"
         "    Set[Part[res$, k$], body]; Set[i, i + 1]; Set[k$, k$ + 1]];"
         "   res$]]]",
+        # a real-valued stepped iterator: the count and the values are the
+        # interpreter's (floor((b - a)/step + 1*^-9) + 1 of them, a + k step)
+        "Table[body_, {i_, a_, b_, step_}] -> "
+        "Module[{lo$ = a, step$ = step},"
+        " Module[{len$ = Max[IntegerPart[(b - lo$)/step$ + 1.*^-9] + 1, 0],"
+        "         k$ = 1},"
+        "  Module[{res$ = Native`CreateTensorUninit[len$]},"
+        "   While[k$ <= len$,"
+        "    Module[{i = lo$ + N[k$ - 1]*step$}, Set[Part[res$, k$], body]];"
+        "    Set[k$, k$ + 1]];"
+        "   res$]]]",
     )
     register_macro(
         env, "Sum",

@@ -298,6 +298,9 @@ class CompilerPipeline:
                 )
             if self.options.verify_ir in ("final", "each"):
                 self.verify("final", program)
+            from repro.compiler.twir.tensors import ndarray_parameters
+
+            program.metadata["ndarrayParameters"] = ndarray_parameters(main)
         finally:
             self._program = None
         program.metadata["passTimings"] = list(self.pass_timings)
@@ -430,7 +433,8 @@ class CompilerPipeline:
                 if not self.options.profile:
                     changed |= self._timed(
                         "tensor-simplification",
-                        lambda f=function_module: simplify_tensors(f),
+                        lambda f=function_module:
+                            simplify_tensors(f, program),
                         subject=function_module,
                     )
                 changed |= self._timed(
@@ -497,16 +501,18 @@ class CompilerPipeline:
                     lambda f=function_module: insert_copies(f),
                     subject=function_module,
                 )
-                # after copy insertion, PartSet results alias their operand
-                from repro.compiler.twir.alias_collapse import (
-                    collapse_mutation_aliases,
-                )
+            # a store writes into its operand, and its result is that
+            # operand: after copy insertion that is also what the program
+            # means, and with CopyInsertion -> False it is what was asked for
+            from repro.compiler.twir.alias_collapse import (
+                collapse_mutation_aliases,
+            )
 
-                self._timed(
-                    "alias-collapse",
-                    lambda f=function_module: collapse_mutation_aliases(f),
-                    subject=function_module,
-                )
+            self._timed(
+                "alias-collapse",
+                lambda f=function_module: collapse_mutation_aliases(f),
+                subject=function_module,
+            )
             if self.options.optimization_level >= 1 and (
                 not self.options.profile
             ):

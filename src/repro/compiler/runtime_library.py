@@ -33,6 +33,7 @@ from repro.runtime import (
     checked_unary_minus_Integer64,
     dgemm,
     memory_acquire,
+    memory_charge,
     memory_release,
 )
 
@@ -207,17 +208,20 @@ for _name, _func in {
 @primitive("tensor_create")
 def tensor_create(length: int, fill) -> PackedArray:
     element_type = "Integer64" if isinstance(fill, int) else "Real64"
+    memory_charge(length)
     return PackedArray([fill] * int(length), (int(length),), element_type)
 
 
 @primitive("tensor_create_uninit")
 def tensor_create_uninit(length: int) -> PackedArray:
+    memory_charge(length)
     return PackedArray([0] * int(length), (int(length),), "Integer64")
 
 
 @primitive("matrix_create")
 def matrix_create(rows: int, cols: int, fill) -> PackedArray:
     element_type = "Real64" if isinstance(fill, float) else "Integer64"
+    memory_charge(rows * cols)
     return PackedArray([fill] * (rows * cols), (rows, cols), element_type)
 
 
@@ -315,6 +319,7 @@ def tensor_length(t: PackedArray) -> int:
 
 @primitive("tensor_copy")
 def tensor_copy(t: PackedArray) -> PackedArray:
+    memory_charge(t.flat_length)
     return t.copy()
 
 
@@ -362,6 +367,7 @@ def tensor_shift(a: PackedArray, s) -> PackedArray:
 def tensor_from_elements(*elements) -> PackedArray:
     if elements and isinstance(elements[0], PackedArray):
         inner_dims = elements[0].dims
+        memory_charge(len(elements) * math.prod(inner_dims))
         data: list = []
         for element in elements:
             if not isinstance(element, PackedArray) or element.dims != inner_dims:
@@ -375,6 +381,7 @@ def tensor_from_elements(*elements) -> PackedArray:
         if all(isinstance(e, int) and not isinstance(e, bool) for e in elements)
         else "Real64"
     )
+    memory_charge(len(elements))
     return PackedArray(list(elements), (len(elements),), element_type)
 
 

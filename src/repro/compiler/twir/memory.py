@@ -32,7 +32,8 @@ from repro.compiler.wir.instructions import (
 
 #: primitives whose result is a fresh managed allocation
 _ALLOCATING = {
-    "tensor_create", "tensor_create_uninit", "tensor_from_elements",
+    "tensor_create", "tensor_create_uninit", "matrix_create",
+    "tensor_from_elements",
     "tensor_copy", "tensor_plus", "tensor_times", "tensor_scale",
     "tensor_shift", "tensor_dot", "tensor_row", "string_utf8bytes",
     "string_to_character_codes", "string_join", "string_take", "string_drop",

@@ -218,30 +218,40 @@ _impl("power_mod_Integer64", "pow({a0}, {a1}, {a2})",
       "{out} = wolfram_rt_powmod_i64({a0}, {a1}, {a2});")
 
 # -- tensors -----------------------------------------------------------------------------------
+# Template fields beyond ``{aN}``: ``{aN_data}`` / ``{aN_cols}`` /
+# ``{aN_len}`` are the tensor's data list, column count and flat length
+# (locals bound once per tensor value: ``data`` is never resized in
+# place), ``{aN_zero}`` is the index operand less one, written without the
+# ``+ c ... - c`` round trip when the index is ``e + c``.
 
+# storage is charged against the active guard where it is created, so a
+# MemoryConstrained budget trips before the buffer exists; unguarded, the
+# statement is one test of the checkpoint word
 _impl("tensor_create", pure=False,
       c_inline="{out} = wolfram_rt_tensor_create({a0}, {a1});")
 _impl("tensor_create_uninit", pure=False,
+      py_guard="if _armed[0]: _mem_charge({a0})",
       py_inline="PackedArray([0] * {a0}, ({a0},), 'Integer64')",
       c_inline="{out} = wolfram_rt_tensor_create_uninit({a0});")
 _impl("matrix_create", pure=False,
+      py_guard="if _armed[0]: _mem_charge({a0} * {a1})",
       py_inline="PackedArray([{a2}] * ({a0} * {a1}), ({a0}, {a1}), '{elem}')",
       c_inline="{out} = wolfram_rt_matrix_create({a0}, {a1}, {a2});")
 _impl(
     "tensor_part1",
-    py_inline="{a0_data}[{a1} - 1] if 0 < {a1} <= len({a0_data}) "
+    py_inline="{a0_data}[{a1_zero}] if 0 < {a1} <= {a0_len} "
               "else _rt['tensor_part1']({a0}, {a1})",
     c_inline="{out} = wolfram_rt_tensor_part1({a0}, {a1});",
 )
 _impl(
     "tensor_part1_unchecked",
-    py_inline="{a0_data}[{a1} - 1]",
+    py_inline="{a0_data}[{a1_zero}]",
     c_inline="{out} = {a0}->data.i64[{a1} - 1];",
 )
 _impl(
     "tensor_part1_set",
-    py_effect="if 0 < {a1} <= len({a0_data}):\n"
-              "    {a0_data}[{a1} - 1] = {a2}\n"
+    py_effect="if 0 < {a1} <= {a0_len}:\n"
+              "    {a0_data}[{a1_zero}] = {a2}\n"
               "else:\n"
               "    _rt['tensor_part1_set']({a0}, {a1}, {a2})",
     py_inline="{a0}",
@@ -250,7 +260,7 @@ _impl(
 )
 _impl(
     "tensor_part1_set_unchecked",
-    py_effect="{a0_data}[{a1} - 1] = {a2}", py_inline="{a0}",
+    py_effect="{a0_data}[{a1_zero}] = {a2}", py_inline="{a0}",
     pure=False,
     c_inline="{a0}->data.i64[{a1} - 1] = {a2}; {out} = {a0};",
 )
@@ -259,7 +269,7 @@ _impl("tensor_part2",
       c_inline="{out} = wolfram_rt_tensor_part2({a0}, {a1}, {a2});")
 _impl(
     "tensor_part2_unchecked",
-    py_inline="{a0_data}[({a1} - 1) * {a0_cols} + {a2} - 1]",
+    py_inline="{a0_data}[({a1_zero}) * {a0_cols} + {a2_zero}]",
     c_inline="{out} = {a0}->data.i64[({a1} - 1) * {a0}->dims[1] + {a2} - 1];",
 )
 _impl("tensor_part2_set", pure=False,
@@ -269,7 +279,7 @@ _impl("tensor_part2_set", pure=False,
                "{out} = {a0};")
 _impl(
     "tensor_part2_set_unchecked",
-    py_effect="{a0_data}[({a1} - 1) * {a0_cols} + {a2} - 1] = {a3}",
+    py_effect="{a0_data}[({a1_zero}) * {a0_cols} + {a2_zero}] = {a3}",
     py_inline="{a0}",
     pure=False,
     c_inline="{a0}->data.i64[({a1} - 1) * {a0}->dims[1] + {a2} - 1] = {a3}; "
@@ -279,7 +289,7 @@ _impl(
 # index of the element before the row's first) is its own value, so CSE
 # shares it between the accesses of one row and the loop-invariant pass
 # takes it out of the loop over the columns
-_impl("tensor_row_base", py_inline="({a1} - 1) * {a0_cols} - 1",
+_impl("tensor_row_base", py_inline="({a1_zero}) * {a0_cols} - 1",
       c_inline="{out} = ({a1} - 1) * {a0}->dims[1] - 1;", total=True)
 _impl("tensor_at", py_inline="{a0_data}[{a1} + {a2}]",
       c_inline="{out} = {a0}->data.i64[{a1} + {a2}];")

@@ -35,6 +35,7 @@ from repro.runtime.checked import (
 )
 from repro.runtime.memory import (
     memory_acquire,
+    memory_charge,
     memory_release,
     memory_stats,
     reset_memory_stats,
@@ -65,7 +66,7 @@ __all__ = [
     "checked_binary_times_Integer64_Integer64", "checked_divide_Real64",
     "checked_unary_minus_Integer64", "dgemm", "dot_nested",
     "from_character_codes", "is_probable_prime", "memory_acquire",
-    "memory_release", "memory_stats", "packed_from_iterable",
+    "memory_charge", "memory_release", "memory_stats", "packed_from_iterable",
     "reset_memory_stats", "small_prime_table",
     "string_byte_at", "string_drop", "string_join", "string_length",
     "string_take", "string_utf8_bytes", "to_character_codes",

@@ -11,13 +11,20 @@ adjusted and are released at zero.
 CPython garbage-collects regardless; the explicit counts exist so tests can
 assert the paper's invariants (balanced acquire/release, no use after free)
 and so the C backend can emit real calls.
+
+Counting references and accounting for storage are separate: storage is
+charged against the active :class:`~repro.runtime.guard.ExecutionGuard`
+where it is created — :func:`memory_charge`, called by the allocating
+runtime-library functions and by the statement generated code puts in
+front of an inline allocation — which is how ``MemoryConstrained`` sees a
+compiled tensor before it exists.  Acquire and release never charge.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime.guard import charge_memory
+from repro.runtime.guard import CHECKPOINT, charge_memory
 from repro.runtime.packed import PackedArray
 
 #: collected diagnostics: counts of acquire/release per run (test hook)
@@ -27,19 +34,17 @@ _STATS = {"acquire": 0, "release": 0, "freed": 0}
 _WORD = 8
 
 
-def memory_acquire(value: Any) -> Any:
-    """Polymorphic acquire: refcount increment for managed objects, noop else.
+def memory_charge(elements: int) -> None:
+    """Book ``elements`` machine words that are about to be allocated
+    against the active guard (one call per buffer, whatever its rank).
+    Nothing is armed in an unguarded run, and then this is one test."""
+    if CHECKPOINT[0] and elements > 0:
+        charge_memory(_WORD * elements)
 
-    First acquisition of a managed object also charges its storage against
-    the active :class:`~repro.runtime.guard.ExecutionGuard`, which is how
-    ``MemoryConstrained`` sees compiled code's tensor allocations.
-    """
-    if isinstance(value, PackedArray):
-        if value.ref_count == 0:
-            charge_memory(_WORD * len(value.data))
-        value.ref_count += 1
-        _STATS["acquire"] += 1
-    elif hasattr(value, "ref_count"):
+
+def memory_acquire(value: Any) -> Any:
+    """Polymorphic acquire: refcount increment for managed objects, noop else."""
+    if isinstance(value, PackedArray) or hasattr(value, "ref_count"):
         value.ref_count += 1
         _STATS["acquire"] += 1
     return value

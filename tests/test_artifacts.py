@@ -209,6 +209,30 @@ class TestKeys:
         assert function_key(expr, options, "python") != \
             function_key(expr, options, "python", extra={"compiler": 99})
 
+    def test_constant_in_either_array_state_has_one_key(self):
+        """An ndarray-resident constant is the same constant: same
+        content digest, same function key, same entry form."""
+        import numpy as np
+
+        from repro.artifacts.keys import constants_digest, packed_to_wire
+        from repro.compiler.pipeline import normalize_constants
+        from repro.runtime.packed import PackedArray
+
+        table = [[1.0, 2.5], [3.0, -0.0]]
+        listed = PackedArray.from_nested(table, "Real64")
+        resident = PackedArray.from_numpy(np.array(table))
+        assert constants_digest({"t": listed}) == \
+            constants_digest({"t": resident})
+        resident = PackedArray.from_numpy(np.array(table))
+        assert packed_to_wire(listed) == packed_to_wire(resident)
+        resident = PackedArray.from_numpy(np.array(table))
+        keys = [
+            function_key(parse(FIB), CompilerOptions(), "python",
+                         constants=normalize_constants({"t": constant}))
+            for constant in (listed, resident)
+        ]
+        assert keys[0] == keys[1]
+
     @given(st.lists(_TREES, min_size=2, max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_streamed_key_separates_exactly_what_the_wire_form_did(

@@ -16,6 +16,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchsuite import programs, reference
 from repro.compiler import FunctionCompile, install_engine_support
@@ -126,19 +128,22 @@ class TestShape:
         assert "IntegerOverflowError" not in source
         assert "_state" not in source  # threaded, and still structured
 
-    def test_randomwalk_step_is_one_array_and_no_library_call(self, compiled):
+    def test_randomwalk_step_makes_no_array_and_no_library_call(self,
+                                                                compiled):
         source = compiled["randomwalk"].generated_source
         (loop,) = _loops(source)
-        body = ast.unparse(loop)
-        assert body.count("PackedArray(") == 1
+        assert "PackedArray(" not in ast.unparse(loop)
+        assert source.count("PackedArray(") == 1  # the n x 2 result
         assert "tensor_plus" not in source
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                         reason="bounds are stated for CPython 3.11 bytecode")
     @pytest.mark.parametrize("name, bound", [
         ("fnv1a", 85), ("mandelbrot", 60), ("histogram", 100),
-        ("blur", 270), ("randomwalk", 150),
-    ])  # 112 / 78 / 125 / 406 / 195 with one statement per SSA value
+        ("blur", 270), ("randomwalk", 165),
+    ])  # 112 / 78 / 125 / 406 / 195 with one statement per SSA value;
+    # the random walk's loop is 61 of its 159: the rest is set-up, which
+    # grew when the rows became one buffer (142 -> 159)
     def test_entry_function_bytecode_bound(self, compiled, name, bound):
         entry = compiled[name].namespace["Main"]
         assert len(list(dis.get_instructions(entry))) <= bound
@@ -163,9 +168,10 @@ class TestShape:
         assert count == polls
 
     @pytest.mark.parametrize("name, outstanding", [
-        ("fnv1a", 1), ("blur", 1), ("histogram", 2), ("qsort", 2),
-        ("randomwalk", 11),
-    ])
+        ("fnv1a", 1), ("blur", 2), ("histogram", 2), ("qsort", 2),
+        ("randomwalk", 1),
+    ])  # blur: the matrix it returns is reference counted like any other
+    # allocation; randomwalk: one buffer, where there was a row per step
     def test_references_outstanding_are_unchanged(self, compiled, name,
                                                   outstanding):
         """A temporary that no longer exists took its acquire and its
@@ -437,6 +443,215 @@ class TestOrderOfEffects:
             sum(2.0 * (k + 0.5) for k in range(1, 300)))
 
 
+# -- a tensor is one buffer from argument to result -----------------------------
+
+
+def _calls(node):
+    """Names called anywhere inside ``node``."""
+    return {
+        ast.unparse(call.func) for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def _overflow_tests(source):
+    return source.count("raise IntegerOverflowError()")
+
+
+STEPPED_TABLE = (
+    'Function[{Typed[n, "MachineInteger"]},'
+    ' Table[{Cos[t], Sin[t], t}, {t, 0., 1., .01}]]'
+)
+FOLD_STATE = (
+    'Function[{Typed[v, TypeSpecifier["Tensor"["Real64", 1]]]},'
+    ' Fold[{#2, #2*#2, 1.} + #1 &, {0., 0., 0.}, v]]'
+)
+
+
+class TestFigure2Shapes:
+    """What the last four Figure-2 kernels over 1.4x were paying for, by
+    the AST of the code emitted for the benchmark's own programs."""
+
+    def test_randomwalk_loop_allocates_nothing(self, compiled):
+        source = compiled["randomwalk"].generated_source
+        (loop,) = _loops(source)
+        assert _calls(loop) == {
+            "_check_abort", "_rt_random_real", "_math_cos", "_math_sin"}
+        text = ast.unparse(loop)
+        assert "PackedArray(" not in text and "_mem_acquire" not in text
+        walk = compiled["randomwalk"](9)
+        assert walk.dims == (10, 2) and walk.element_type == "Real64"
+        assert walk.to_nested()[0] == [0.0, 0.0]
+
+    def test_qsort_scans_without_len_or_increment_checks(self, compiled):
+        source = compiled["qsort"].generated_source
+        for loop in _loops(source):
+            assert "len" not in _calls(loop), source
+        # `lo + hi` can overflow and says so; `i + 1`, `j - 1`, `top +- k`
+        # cannot once the Part beside them has succeeded
+        assert _overflow_tests(source) == 1
+        assert re.search(r"(v\d+) = (v\d+) \+ (v\d+)\n\s+if \1 > ", source)
+
+    def test_histogram_indexes_with_the_remainder(self, compiled):
+        source = compiled["histogram"].generated_source
+        (loop,) = _loops(source)
+        plus_one = {
+            node.targets[0].id for node in ast.walk(loop)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Add)
+            and ast.unparse(node.value.right) == "1"
+            # the 1-based loop counter steps by one; that is not a round trip
+            and ast.unparse(node.value.left) != node.targets[0].id
+        }
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Subscript) and isinstance(
+                    node.slice, ast.BinOp):
+                assert not (
+                    isinstance(node.slice.op, ast.Sub)
+                    and ast.unparse(node.slice.left) in plus_one
+                ), source
+        assert compiled["histogram"]([0, 255, 256, 511]).to_nested()[
+            ::255] == [2, 2]
+
+    def test_dot_never_builds_a_list(self, compiled):
+        import numpy as np
+
+        from repro.runtime import PackedArray
+
+        dot = compiled["dot"]
+        left = PackedArray.from_numpy(np.arange(6.0).reshape(2, 3))
+        right = PackedArray.from_numpy(np.ones((3, 2)))
+        product = dot._native(left, right)
+        for array in (left, right, product):
+            assert array.resident is not None  # ``data`` is still unset
+        assert product.to_nested() == [[3.0, 3.0], [12.0, 12.0]]
+        # and through the boundary: one conversion per argument, no list
+        product = dot([[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]])
+        assert product.resident is not None
+        assert product.to_nested() == [[2.0, 1.0], [4.0, 3.0]]
+
+
+class TestFixedShapeRows:
+    """Rows of one static length live in one rank-2 buffer; a row carried
+    round a loop is its elements."""
+
+    @pytest.mark.parametrize("source, arguments", [
+        (STEPPED_TABLE, (0,)),
+        (FOLD_STATE, ([1.0, 2.0, 3.0],)),
+    ], ids=["stepped-table", "fold-state"])
+    def test_no_allocation_inside_the_loop(self, source, arguments):
+        function = FunctionCompile(source)
+        for loop in _loops(function.generated_source):
+            text = ast.unparse(loop)
+            assert "PackedArray(" not in text and "_mem_acquire" not in text
+        plain = FunctionCompile(source, OptimizationLevel=0)
+        assert function(*arguments).to_nested() == plain(
+            *arguments).to_nested()
+
+    def test_stepped_table_is_the_interpreters(self):
+        rows = FunctionCompile(STEPPED_TABLE)(0)
+        assert rows.dims == (101, 3)
+        assert rows.to_nested() == _interpreted(STEPPED_TABLE, "0")
+
+    def test_fold_state_is_the_interpreters(self):
+        function = FunctionCompile(FOLD_STATE)
+        assert function([1.0, 2.0, 3.0]).to_nested() == _interpreted(
+            FOLD_STATE, "{1., 2., 3.}") == [6.0, 14.0, 3.0]
+
+    @given(st.integers(1, 5),
+           st.sampled_from(["table", "nestlist", "earlier-row", "unequal",
+                            "run-time-length"]))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_agree_with_interpreter_and_unoptimised(self, length, shape):
+        """Row lengths 1...5 (4 is scalarised, 5 is not), sizes that do not
+        enter the loop, enter it once, and run it: the same value from
+        every tier where there is one, and where the compiled tiers fail
+        (rows that do not make a rectangle) the same error kind from both
+        and the interpreter's value from the hosted rerun."""
+        def row(first, count=length):
+            return "{" + ", ".join(
+                f"{first} + {k}." for k in range(count)) + "}"
+
+        body = {
+            "table": f"Table[{row('N[i]')}, {{i, 1, n}}]",
+            "nestlist": f"NestList[# + {row('1.')} &, {row('0.')}, n]",
+            "earlier-row": (
+                f"Module[{{res = Table[{row('N[i]')}, {{i, 1, n}}], k = 2}},"
+                f" While[k <= n, res[[k]] = res[[k - 1]] + {row('1.')};"
+                "  k = k + 1]; res]"),
+            "unequal": (
+                f"Table[If[i < 3, {row('N[i]')},"
+                f" {row('N[i]', length + 1)}], {{i, 1, n}}]"),
+            "run-time-length": (
+                f"Table[Table[N[i] + N[j], {{j, 1, Min[n, {length}]}}],"
+                " {i, 1, n}]"),
+        }[shape]
+        source = f'Function[{{Typed[n, "MachineInteger"]}}, {body}]'
+        evaluator = Evaluator()
+        install_engine_support(evaluator)
+        hosted = FunctionCompile(source, evaluator=evaluator)
+        for n in (0, 1, 2, 50):
+            expected = _interpreted(source, str(n))
+            outcomes = []
+            for function in _both(source):
+                try:
+                    outcomes.append(function(n).to_nested())
+                except WolframRuntimeError as error:
+                    outcomes.append(error.kind)
+            assert outcomes[0] == outcomes[1], (source, n)
+            if isinstance(outcomes[0], list):
+                assert outcomes[0] == expected, (source, n)
+            value = hosted(n)  # reruns in the interpreter if it must
+            assert getattr(value, "to_nested", lambda: value)() == expected
+
+    def test_five_element_rows_keep_the_list_of_rows(self):
+        source = (
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Table[{1., 2., 3., 4., N[i]}, {i, 1, n}]]'
+        )
+        function = FunctionCompile(source)
+        assert "PackedArray([" in function.generated_source
+        assert function(2).to_nested() == _interpreted(source, "2")
+
+    def test_a_called_function_keeps_its_result_type(self):
+        """Only what the call boundary alone sees may change shape."""
+        from repro.compiler import CompileToIR
+
+        source = (
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Module[{walk = Function[{Typed[k, "MachineInteger"]},'
+            '    NestList[# + {1., 2.} &, {0., 0.}, k]]},'
+            '  Length[walk[n]] + Length[walk[n + 1]]]]'
+        )
+        assert FunctionCompile(source)(3) == 9
+        program = CompileToIR(source, InlinePolicy="none")["program"]
+        for function in program.functions.values():
+            if function.name != program.main:
+                assert '"Tensor"["Tensor"' in str(function.result_type)
+        assert FunctionCompile(source, InlinePolicy="none")(3) == 9
+
+    def test_data_is_never_resized_in_place(self):
+        """Generated code binds ``len(v.data)`` once per tensor value, so
+        nothing it can call may grow or shrink a ``data`` list."""
+        import inspect
+
+        from repro.compiler import runtime_library
+        from repro.compiler.types.builtin_env import PRIMITIVE_IMPLS
+        from repro.runtime import blas, packed
+
+        resizing = re.compile(
+            r"\.data\.(append|extend|insert|pop|remove|clear|sort)\b"
+            r"|del [\w.]*\.data\b|\.data\s*\+=|\.data\[[^\]]*:[^\]]*\]\s*=")
+        for module in (runtime_library, packed, blas):
+            assert not resizing.search(inspect.getsource(module)), module
+        for primitive in PRIMITIVE_IMPLS.values():
+            for template in (primitive.py_inline, primitive.py_guard,
+                             primitive.py_effect):
+                assert not resizing.search(
+                    (template or "").replace("{a0_data}", "x.data"))
+
+
 # -- the exported module -------------------------------------------------------
 
 
@@ -491,7 +706,7 @@ class TestExportedSourceAgrees:
         arguments = compiled[name]._to_native(INPUTS[name])
         result = exported(*arguments)
         if name == "randomwalk":
-            assert len(result.data) == INPUTS[name][0] + 1
+            assert result.dims == (INPUTS[name][0] + 1, 2)
         else:
             hosted = compiled[name]._native(*arguments)
             assert getattr(result, "data", result) == getattr(

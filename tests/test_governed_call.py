@@ -79,6 +79,76 @@ def _transitions(artifact) -> list:
             for r in failure_transitions(artifact.breaker.function)]
 
 
+_INTEGER_VECTOR = 'TypeSpecifier["Tensor"["Integer64", 1]]'
+_REAL_MATRIX = 'TypeSpecifier["Tensor"["Real64", 2]]'
+
+
+class TestTensorBoundary:
+    """A ``Tensor`` parameter is checked as a scalar one is: rank and
+    element type, on the list path and on the ndarray path alike."""
+
+    TOTAL = f"Function[{{Typed[v, {_INTEGER_VECTOR}]}}, Total[v]]"
+    FIRST = f"Function[{{Typed[v, {_INTEGER_VECTOR}]}}, v[[1]]]"
+    DOT = (f"Function[{{Typed[a, {_REAL_MATRIX}], Typed[b, {_REAL_MATRIX}]}},"
+           " Dot[a, b]]")
+
+    @pytest.mark.parametrize("source, arguments", [
+        (TOTAL, ([1.5, 2.5],)),               # returned 4.0 from Integer64
+        (FIRST, ([[1, 2], [3, 4]],)),         # rank 2 read as rank 1: 1
+        (TOTAL, (["a", "b"],)),               # a raw Python TypeError
+        (TOTAL, ([True, False],)),            # a Boolean is not a number
+        (DOT, ([["1.5", "2"], ["3", "4"]],) * 2),   # strings parsed as numbers
+        (DOT, ([1.0, 2.0], [3.0, 4.0])),      # rank 1 for rank 2
+        (DOT, ([[[1.0]]], [[[1.0]]])),        # rank 3 for rank 2
+        (DOT, ([[True, False], [False, True]],) * 2),
+        (DOT, ([[1.0, 2j], [3.0, 4.0]],) * 2),
+    ])
+    def test_wrong_rank_or_element_type_is_a_type_mismatch(self, source,
+                                                           arguments):
+        with pytest.raises(WolframRuntimeError) as info:
+            FunctionCompile(source)(*arguments)
+        assert info.value.kind == "TypeMismatch"
+
+    def test_ragged_stays_ragged_on_both_paths(self):
+        ragged = [[1.0, 2.0], [3.0]]
+        row_total = FunctionCompile(
+            f"Function[{{Typed[a, {_REAL_MATRIX}]}}, Total[a[[1]]]]")
+        for function, arguments in ((row_total, (ragged,)),       # lists
+                                    (FunctionCompile(self.DOT),   # ndarrays
+                                     (ragged, [[1.0, 2.0], [3.0, 4.0]]))):
+            with pytest.raises(WolframRuntimeError) as info:
+                function(*arguments)
+            assert info.value.kind == "RaggedArray"
+
+    def test_what_a_real_tensor_accepts(self):
+        import numpy as np
+
+        total = FunctionCompile(
+            'Function[{Typed[v, TypeSpecifier["Tensor"["Real64", 1]]]},'
+            ' Total[v]]')
+        assert total([1, 2.5]) == 3.5        # an int, as a Real64 takes one
+        assert total((1.0, 2.0)) == 3.0
+        assert total(np.array([1.0, 2.0])) == 3.0
+        assert total(np.array([1, 2])) == 3.0
+        dot = FunctionCompile(self.DOT)
+        assert dot([[1, 2], [3, 4]], [[1, 0], [0, 1]]).to_nested() == [
+            [1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(WolframRuntimeError) as info:
+            total(np.array(["1.0"]))
+        assert info.value.kind == "TypeMismatch"
+
+    def test_hosted_mismatch_is_rerun_by_the_interpreter(self, hosted):
+        """Soft boundary, as for scalars: uncounted, one message."""
+        total = FunctionCompile(self.TOTAL, evaluator=hosted)
+        assert total([1.5, 2.5]) == 4.0
+        assert "TypeMismatch" in hosted.messages[-1]
+        assert total.current_tier is Tier.COMPILED
+        assert total.stats().kinds == {"TypeMismatch": 1}
+        dot = FunctionCompile(self.DOT, evaluator=hosted)
+        assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert dot.stats().kinds == {"TypeMismatch": 1}
+
+
 @pytest.mark.parametrize("tier", ARTIFACTS)
 class TestGovernanceContract:
     def test_threshold_soft_failures_reach_the_interpreter(self, hosted, tier):

@@ -166,6 +166,66 @@ class TestConstrainedBuiltins:
             "MemoryConstrained[Table[{i, i, i}, {i, 1000}], 5000]"
         ) == "$Aborted"
 
+    BIG_TENSOR = (
+        'Function[{Typed[n, "MachineInteger"]},'
+        ' Module[{t = Native`CreateTensor[n, 0]}, t[[1]] = 7; t[[1]]]]'
+    )
+
+    def test_memory_constrained_sees_compiled_allocations(self, hosted):
+        """Storage is charged where it is created, before it exists: the
+        compiled tier trips where the interpreter's ``Table`` does."""
+        from repro.mexpr import full_form
+
+        def run(source):
+            return full_form(hosted.run(source))
+
+        run(f"big = FunctionCompile[{self.BIG_TENSOR}]")
+        assert run('MemoryConstrained[big[2000000], 10000, "too big"]') == (
+            '"too big"')
+        assert run('MemoryConstrained[big[20], 10000, "too big"]') == "7"
+        assert run(
+            'MemoryConstrained[Table[0, {i, 2000000}][[1]], 10000, "too big"]'
+        ) == '"too big"'
+        # rows in one buffer are one charge of 8 n L bytes, a list display
+        # in a loop is charged each time round
+        run('rows = FunctionCompile[Function[{Typed[n, "MachineInteger"]},'
+            ' Length[Table[{1., 2.}, {i, 1, n}]]]]')
+        assert run('MemoryConstrained[rows[2000], 10000, "too big"]') == (
+            '"too big"')
+        assert run('MemoryConstrained[rows[200], 10000, "too big"]') == "200"
+
+    @pytest.mark.parametrize("tier", ["compiled", "template"])
+    def test_memory_budget_trips_in_generated_code(self, tier):
+        from repro.mexpr import parse
+        from repro.template_jit import compile_template_function
+
+        if tier == "compiled":
+            function = FunctionCompile(self.BIG_TENSOR)
+        else:
+            function = compile_template_function(
+                parse("{{n, _Integer}}"),
+                parse("Module[{t = ConstantArray[0, n]},"
+                      " t[[1]] = 7; t[[1]]]"))
+        with guard_scope(memory_budget=10_000):
+            assert function(20) == 7
+        with pytest.raises(WolframBudgetError):
+            with guard_scope(memory_budget=10_000):
+                function(2_000_000)
+        assert function(2_000_000) == 7  # unguarded: nothing to charge
+
+    def test_dot_is_charged_by_dims_alone(self):
+        """The product's size comes from the operands' dims; nothing on
+        Dot's path makes a ``data`` list to measure."""
+        dot = FunctionCompile(
+            'Function[{Typed[a, TypeSpecifier["Tensor"["Real64", 2]]]},'
+            ' Dot[a, a]]')
+        square = [[1.0] * 40 for _ in range(40)]
+        with pytest.raises(WolframBudgetError):
+            with guard_scope(memory_budget=8 * 40 * 40 - 1):
+                dot(square)
+        with guard_scope(memory_budget=8 * 40 * 40):
+            assert dot(square).resident is not None
+
     def test_memory_constrained_passes_small_work(self, run):
         assert run("MemoryConstrained[1 + 1, 1000000]") == "2"
 

@@ -132,6 +132,93 @@ class TestPackedArray:
             assert array.get1(-index) == data[-index]
 
 
+class TestPackedArrayStates:
+    """One class, two states: a list of elements, or (for an array only
+    the BLAS looks at) an ndarray until the first read of ``data``."""
+
+    NESTED = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    def _pair(self):
+        import numpy as np
+
+        listed = PackedArray.from_nested(self.NESTED, "Real64")
+        resident = PackedArray.from_numpy(np.array(self.NESTED))
+        assert listed.resident is None and resident.resident is not None
+        return listed, resident
+
+    def test_both_states_answer_alike(self):
+        import numpy as np
+
+        listed, resident = self._pair()
+        assert resident.dims == listed.dims == (2, 3)
+        assert resident.element_type == listed.element_type == "Real64"
+        assert len(resident) == len(listed) == 2
+        assert resident.flat_length == listed.flat_length == 6
+        assert resident.to_nested() == listed.to_nested() == self.NESTED
+        assert np.array_equal(resident.to_numpy(), listed.to_numpy())
+        assert resident == listed and listed == resident
+        assert resident.copy() == listed.copy() == listed
+        # none of that needed the list
+        assert resident.resident is not None
+        assert resident.copy().resident is not None
+
+    def test_unequal_arrays_differ_across_states(self):
+        import numpy as np
+
+        listed, _ = self._pair()
+        assert listed != PackedArray.from_numpy(np.zeros((2, 3)))
+        assert listed != PackedArray.from_numpy(np.array(self.NESTED).T)
+
+    def test_first_read_of_data_drops_the_ndarray(self):
+        _, resident = self._pair()
+        data = resident.data
+        assert data == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert resident.resident is None and resident.data is data
+        # one authority: a write through ``data`` is what to_numpy sees
+        data[0] = 9.0
+        assert resident.to_numpy()[0, 0] == 9.0
+        assert resident.get2(1, 1) == 9.0
+
+    def test_from_numpy_copies_what_it_is_given(self):
+        import numpy as np
+
+        source = np.array(self.NESTED)
+        resident = PackedArray.from_numpy(source)
+        source[0, 0] = -1.0
+        assert resident.to_nested() == self.NESTED
+        with pytest.raises(ValueError):
+            resident.to_numpy()[0, 0] = 7.0  # shared, so read-only
+
+    def test_integer_arrays_keep_their_element_type(self):
+        import numpy as np
+
+        resident = PackedArray.from_numpy(np.array([1, 2, 3]))
+        assert resident.element_type == "Integer64"
+        assert resident.data == [1, 2, 3]
+        assert all(type(item) is int for item in resident.data)
+
+    def test_dgemm_takes_and_returns_the_ndarray_state(self):
+        import numpy as np
+
+        from repro.runtime import dgemm
+
+        listed, resident = self._pair()
+        other = PackedArray.from_numpy(np.ones((3, 2)))
+        for left in (listed, resident):
+            product = dgemm(left, other)
+            assert product.resident is not None
+            assert product.to_nested() == [[6.0, 6.0], [15.0, 15.0]]
+        assert resident.resident is not None and other.resident is not None
+
+    def test_pickle_round_trips_either_state(self):
+        import pickle
+
+        listed, resident = self._pair()
+        for array in (listed, resident):
+            again = pickle.loads(pickle.dumps(array))
+            assert again == listed and again.dims == (2, 3)
+
+
 class TestMemoryManagement:
     def test_acquire_release_refcount(self):
         array = PackedArray.from_nested([1], "Integer64")

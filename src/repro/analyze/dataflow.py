@@ -360,6 +360,55 @@ def underlying(value: Value) -> Value:
     return value
 
 
+def _dims_roots(function: FunctionModule) -> dict[int, int]:
+    """``{value id: root id}`` for :meth:`FunctionFacts.dims_of`.  Phis
+    resolve optimistically: one whose other operands all come from one
+    root has that root (its own loop-carried stores come back to it), one
+    that merges two roots is its own."""
+    source: dict[int, int] = {}
+    phis: list[PhiInstr] = []
+    for instruction in function.instructions():
+        if instruction.result is None:
+            continue
+        if isinstance(instruction, PhiInstr):
+            phis.append(instruction)
+        elif isinstance(instruction, CopyInstr) or (
+            isinstance(instruction, CallPrimitiveInstr) and (
+                instruction.primitive.mutates
+                or instruction.primitive.runtime_name == "identity"
+            )
+        ):
+            source[instruction.result.id] = instruction.operands[0].id
+    #: phi id -> its root, ``None`` while no operand has one yet
+    merged: dict[int, Optional[int]] = {phi.result.id: None for phi in phis}
+
+    def root(value_id: int) -> Optional[int]:
+        seen = set()
+        while value_id in source and value_id not in seen:
+            seen.add(value_id)
+            value_id = source[value_id]
+        return merged[value_id] if value_id in merged else value_id
+
+    changed = bool(phis)
+    while changed:
+        changed = False
+        for phi in phis:
+            own = phi.result.id
+            if merged[own] == own:
+                continue  # merges two tensors: settled
+            roots = {root(v.id) for v in phi.operands if v.id != own}
+            roots.discard(None)
+            new = own if len(roots) > 1 else (roots.pop() if roots else None)
+            if new != merged[own]:
+                merged[own] = new
+                changed = True
+    resolved = {}
+    for value_id in (*source, *merged):
+        found = root(value_id)
+        resolved[value_id] = value_id if found is None else found
+    return resolved
+
+
 class FunctionFacts:
     """Everything the analysis proved about one function.
 
@@ -381,8 +430,15 @@ class FunctionFacts:
         self.shapes: dict[int, ShapeFact] = {}
         self.effect: str = EFFECT_PURE
         self.loops: dict[str, LoopFact] = {}
-        #: length-result value id -> the measured tensor's underlying id
-        self.length_of: dict[int, int] = {}
+        #: value id -> the tensors (by :meth:`dims_of`) it is the length
+        #: (row count) of: a ``tensor_length`` result, the ``r`` of a
+        #: ``matrix_create(r, c, _)``
+        self.length_of: dict[int, set[int]] = {}
+        #: value id -> the rank-2 tensors (by :meth:`dims_of`) it is the
+        #: column count of: a ``tensor_row_length(t, k)`` result, the ``c``
+        #: of a ``matrix_create(r, c, _)``
+        self.columns_of: dict[int, set[int]] = {}
+        self._dims_roots: Optional[dict[int, int]] = None
         # resolved (inherited) per-block environments
         self._env: dict[str, dict[int, Interval]] = {}
         self._ub: dict[str, dict[int, dict[int, int]]] = {}
@@ -469,19 +525,71 @@ class FunctionFacts:
 
     def proves_part_in_range(self, index: Value, tensor: Value,
                              block: str) -> bool:
-        """Is ``index`` provably in ``[1, Length[tensor]]`` at ``block``?"""
+        """Is ``index`` provably in ``[1, Length[tensor]]`` at ``block``?
+        For a rank-2 tensor that is the row index; its column index is
+        :meth:`proves_column_in_range`'s."""
+        shape = self.shapes.get(underlying(tensor).id)
+        return self._within(index, tensor, block, self.length_of,
+                            None if shape is None else shape.length())
+
+    def proves_column_in_range(self, index: Value, tensor: Value,
+                               block: str) -> bool:
+        """Is ``index`` provably in ``[1, columns of tensor]`` at
+        ``block``, for the column of a rank-2 ``Part``?"""
+        shape = self.shapes.get(underlying(tensor).id)
+        columns = None
+        if shape is not None and shape.rank == 2 and shape.dims is not None \
+                and len(shape.dims) == 2:
+            columns = shape.dims[1]
+        return self._within(index, tensor, block, self.columns_of, columns)
+
+    def index_proof(self, index: Value, tensor: Value, block: str,
+                    column: bool = False) -> Optional[str]:
+        """Why ``index`` needs no check as a ``Part`` index of ``tensor``
+        at ``block``: ``"part-bounds"`` when it is proven within its
+        axis's count; ``"part-positive"`` when one past the count cannot
+        read another element but traps — a row or rank-1 index ``>= 1``
+        lands past the end of the flat data, column 1 is in every row
+        unless there is no element at all; else ``None``.  A larger
+        column has no such fallback: it lands in the next row."""
+        if column:
+            if self.proves_column_in_range(index, tensor, block):
+                return "part-bounds"
+            interval = self.interval_at(index, block)
+            return "part-positive" if interval.lo == interval.hi == 1 \
+                else None
+        if self.proves_part_in_range(index, tensor, block):
+            return "part-bounds"
+        if self.proves_positive_index(index, block):
+            return "part-positive"
+        return None
+
+    def _within(self, index: Value, tensor: Value, block: str,
+                counts: dict[int, set[int]], known: Optional[int]) -> bool:
+        """``1 <= index <= n`` at ``block``, where ``n`` is ``known`` or a
+        value that ``counts`` names as ``tensor``'s count on that axis."""
         interval = self.interval_at(index, block)
         if interval.lo is None or interval.lo < 1:
             return False
-        tensor_id = underlying(tensor).id
-        shape = self.shapes.get(tensor_id)
-        if shape is not None and shape.length() is not None:
-            if interval.hi is not None and interval.hi <= shape.length():
-                return True
+        if known is not None and interval.hi is not None \
+                and interval.hi <= known:
+            return True
+        tensor_id = self.dims_of(tensor)
         for base, offset in self.upper_bounds_at(index, block).items():
-            if offset <= 0 and self.length_of.get(base) == tensor_id:
+            if offset <= 0 and tensor_id in counts.get(base, ()):
                 return True
         return False
+
+    def dims_of(self, tensor: Value) -> int:
+        """The id of the value whose dims ``tensor`` has on every path:
+        through copies, element stores (each returns the tensor it wrote
+        into, dims unchanged) and phis that merge versions of that one
+        tensor only — so a matrix written in a loop is still the one
+        ``matrix_create`` made."""
+        if self._dims_roots is None:
+            self._dims_roots = _dims_roots(self._function)
+        tensor = underlying(tensor)
+        return self._dims_roots.get(tensor.id, tensor.id)
 
     def proves_positive_index(self, index: Value, block: str) -> bool:
         """The legacy (weaker) Part criterion: index >= 1, so negative-
@@ -630,13 +738,25 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
             return None if a is None else a.negate().clamp_int64()
         if name in _LENGTH_LIKE:
             if name == "tensor_length":
-                facts.length_of[instruction.result.id] = underlying(
-                    operands[0]
-                ).id
+                facts.length_of.setdefault(
+                    instruction.result.id, set()).add(
+                        facts.dims_of(operands[0]))
                 shape = facts.shapes.get(underlying(operands[0]).id)
                 if shape is not None and shape.length() is not None:
                     return Interval.const(shape.length())
+            elif name == "tensor_row_length":
+                # every row of a rank-2 tensor has its column count
+                facts.columns_of.setdefault(
+                    instruction.result.id, set()).add(
+                        facts.dims_of(operands[0]))
             return LENGTH_RANGE
+        if name == "matrix_create":
+            rows, columns = operands[0].id, operands[1].id
+            facts.length_of.setdefault(rows, set()).add(
+                instruction.result.id)
+            facts.columns_of.setdefault(columns, set()).add(
+                instruction.result.id)
+            return TOP
         if name in ("tensor_part1", "tensor_part1_unchecked"):
             # an element of a tensor the runtime itself filled
             producer = underlying(operands[0]).definition

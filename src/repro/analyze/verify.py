@@ -550,20 +550,6 @@ _UNCHECKED_ARITH = {
     "times_unchecked_Integer64": "multiply",
 }
 
-#: unchecked Part primitives -> their index operand slice
-_UNCHECKED_PARTS = {
-    "tensor_part1_unchecked": slice(1, 2),
-    "tensor_part1_set_unchecked": slice(1, 2),
-    "tensor_part2_unchecked": slice(1, 3),
-    "tensor_part2_set_unchecked": slice(1, 3),
-    # an unchecked rank-2 access after row-base lowering: the row index
-    # is proven on the row base, the column index on the access
-    "tensor_row_base": slice(1, 2),
-    "tensor_at": slice(2, 3),
-    "tensor_at_set": slice(2, 3),
-}
-
-
 def _check_fact_consistency(
     function: FunctionModule, cfg: CFG, diagnostics: list
 ) -> None:
@@ -573,17 +559,25 @@ def _check_fact_consistency(
     ``elided_check`` justification; this rule recomputes the dataflow
     analysis from scratch and re-derives the proof, so a pass that plants
     a wrong fact (or a later pass that invalidates one) is caught rather
-    than miscompiled.  Skipped entirely when the function contains no
-    unchecked primitives and no coalesced checkpoints — the worklist
-    recompute is not free and verify-each runs this after every pass.
+    than miscompiled.  A Part is re-proven per axis by the rule that
+    elided it (:func:`~repro.compiler.twir.check_elision.justified_at`)
+    over the recomputed facts.  Skipped entirely when the function
+    contains no unchecked primitives and no coalesced checkpoints — the
+    worklist recompute is not free and verify-each runs this after every
+    pass.
     """
+    from repro.compiler.twir.check_elision import (
+        UNCHECKED_PARTS,
+        justified_at,
+    )
+
     sites: list[tuple] = []
     for block in function.ordered_blocks():
         for instruction in block.instructions:
             if not isinstance(instruction, CallPrimitiveInstr):
                 continue
             name = instruction.primitive.runtime_name
-            if name in _UNCHECKED_ARITH or name in _UNCHECKED_PARTS:
+            if name in _UNCHECKED_ARITH or name in UNCHECKED_PARTS:
                 sites.append((block, instruction))
     coalesced = function.information.get("CoalescedHeaders", {})
     if not sites and not coalesced:
@@ -614,20 +608,7 @@ def _check_fact_consistency(
                       f"Integer64", function, block=block.name,
                       instruction=instruction, justification=justification)
             continue
-        index_slice = _UNCHECKED_PARTS[name]
-        tensor = instruction.operands[0]
-        indices = instruction.operands[index_slice]
-        if justification == "part-bounds":
-            proven = all(
-                facts.proves_part_in_range(index, tensor, block.name)
-                for index in indices
-            )
-        else:  # "part-positive" or anything unknown: the weaker criterion
-            proven = all(
-                facts.proves_positive_index(index, block.name)
-                for index in indices
-            )
-        if not proven:
+        if not justified_at(instruction, block.name, facts):
             _diag(diagnostics, "analysis.fact",
                   f"elided bounds check on {name} is not justified by the "
                   f"recomputed facts ({justification})", function,

@@ -224,9 +224,13 @@ class CompiledCodeFunction(GovernedFunction):
         #: the code hands only to the BLAS arrives as one ndarray
         resident = program.metadata.get("ndarrayParameters", ())
         self._unpackers = tuple(
-            _unpacker(type_, index in resident)
+            unpacker(type_, index in resident)
             for index, type_ in enumerate(signature.params)
         )
+        if isinstance(signature.result, AtomicType):
+            # no tensor to repack: the native runner is the generated entry
+            # itself, no wrapper frame between the protocol and the code
+            self._native = self._entry
         self.breaker = CircuitBreaker(
             program.main, threshold=CIRCUIT_BREAKER_THRESHOLD,
             start=self.native_tier,
@@ -288,7 +292,10 @@ class CompiledCodeFunction(GovernedFunction):
     # -- execution (the protocol is GovernedFunction.__call__) ---------------------------
 
     def _native(self, *unpacked):
-        return _repack(self._entry(*unpacked))
+        result = self._entry(*unpacked)
+        if isinstance(result, PackedArray):
+            return _repack(result)
+        return result
 
     def _interpreter_form(self, arguments) -> MExpr:
         return MExprNormal(
@@ -371,7 +378,7 @@ class CompiledCodeFunction(GovernedFunction):
 def _unpack_one(value, type_: Type):
     """Check and convert one argument at the boundary: the general case
     (``MExpr`` inputs, tensors, ``Expression`` parameters, and whatever the
-    scalar fast paths of :func:`_unpacker` do not recognise)."""
+    scalar fast paths of :func:`unpacker` do not recognise)."""
     if isinstance(value, MExpr) and not (
         isinstance(type_, AtomicType) and type_.name == "Expression"
     ):
@@ -414,7 +421,7 @@ def _tensor_shape(type_: CompoundType) -> tuple:
     return getattr(type_, "name", "Real64"), rank
 
 
-def _unpacker(type_: Type, resident: bool = False):
+def unpacker(type_: Type, resident: bool = False):
     """The boundary check of one declared parameter type, as a function of
     the argument alone.  A machine integer or real that arrives as an exact
     Python ``int``/``float`` — what the hotspot gate and every hosted call
@@ -491,12 +498,11 @@ def _convert_kernel_result(result, result_type):
     return result
 
 
-def _repack(result):
+def _repack(result: PackedArray):
     """Pack a tensor-of-tensors result into one rectangular PackedArray,
     the way the engine packs rank-n output (e.g. NestList over vectors)."""
     if (
-        isinstance(result, PackedArray)
-        and result.resident is None  # rows are objects: never an ndarray
+        result.resident is None  # rows are objects: never an ndarray
         and result.data and isinstance(result.data[0], PackedArray)
     ):
         # children are already flat row-major: concatenate their data and

@@ -13,13 +13,16 @@ kinds of per-instruction safety tax, each swap stamped with a justifying
   2^48, far from the boundary.
 
 * **Part bounds predicates** — a checked Part whose indices are proven
-  ``>= 1`` swaps to the direct-index primitive.  When every index is
-  additionally proven ``<= Length`` (symbolically against the measured
-  tensor, or via a known shape) the justification is ``part-bounds``;
-  otherwise it is ``part-positive`` — the legacy criterion, sound
-  because positive indexing needs no predication and a residual
-  too-large index is a *trapped* runtime error handled by the
-  soft-failure path (F2), never a silent wrong answer.
+  in range swaps to the direct-index primitive, proven per axis (see
+  :func:`proof_of`).  When every index is proven ``<=`` its axis's count
+  (symbolically against the measured tensor, or via a known shape) the
+  justification is ``part-bounds``.  A row (or rank-1) index may instead
+  be proven only ``>= 1`` — ``part-positive``, sound because positive
+  indexing needs no predication and a residual too-large row is a
+  *trapped* runtime error handled by the soft-failure path (F2), never a
+  silent wrong answer.  A rank-2 column index never has that fallback:
+  ``(i - 1) * columns + j - 1`` with a too-large ``j`` stays inside the
+  flat data and reads the next row.
 
 * **Abort checkpoints** — :func:`coalesce_checkpoints` removes the
   loop-header poll from innermost loops with a statically bounded trip
@@ -70,16 +73,24 @@ _ARITH_PROOF = {
     for checked, (unchecked, method) in CHECKED_ARITH.items()
     for name in (checked, unchecked)
 }
+
+_ROW, _COLUMN = "row", "column"
+#: Part primitive -> ``(operand position, axis)`` of each index it takes
 _PART_PROOF = {
-    name: indices
+    name: tuple(zip(range(indices.start, indices.stop), (_ROW, _COLUMN)))
     for checked, (unchecked, indices) in CHECKED_PARTS.items()
     for name in (checked, unchecked)
 }
 # a rank-2 access lowered to explicit addressing: the row base carries the
 # row index's part of the proof, the access itself the column index's
 _PART_PROOF.update(
-    tensor_row_base=slice(1, 2), tensor_at=slice(2, 3),
-    tensor_at_set=slice(2, 3),
+    tensor_row_base=((1, _ROW),), tensor_at=((2, _COLUMN),),
+    tensor_at_set=((2, _COLUMN),),
+)
+#: the unchecked forms: each must carry a justification
+UNCHECKED_PARTS = frozenset(
+    {unchecked for unchecked, _ in CHECKED_PARTS.values()}
+    | {"tensor_row_base", "tensor_at", "tensor_at_set"}
 )
 
 
@@ -87,24 +98,31 @@ def proof_of(instruction: CallPrimitiveInstr, block: str,
              facts: "FunctionFacts") -> Optional[str]:
     """The ``elided_check`` justification under which ``instruction`` — a
     checked primitive, or the unchecked one it was swapped for — needs no
-    check inside ``block``; ``None`` when the facts prove none."""
+    check inside ``block``; ``None`` when the facts prove none.
+
+    A Part's indices are proven per axis
+    (:meth:`~repro.analyze.dataflow.FunctionFacts.index_proof`), and the
+    access is as safe as its least safe index: ``part-bounds`` when every
+    one is within its count, ``part-positive`` when one may only trap."""
     name = instruction.primitive.runtime_name
     method = _ARITH_PROOF.get(name)
     if method is not None:
         a = facts.interval_at(instruction.operands[0], block)
         b = facts.interval_at(instruction.operands[1], block)
         return "int64-overflow" if getattr(a, method)(b).fits_int64() else None
+    axes = _PART_PROOF.get(name)
+    if not axes:
+        return None
     tensor = instruction.operands[0]
-    indices = instruction.operands[_PART_PROOF.get(name, slice(0))]
-    if indices and all(
-        facts.proves_part_in_range(index, tensor, block) for index in indices
-    ):
-        return "part-bounds"
-    if indices and all(
-        facts.proves_positive_index(index, block) for index in indices
-    ):
-        return "part-positive"
-    return None
+    justification = "part-bounds"
+    for position, axis in axes:
+        proven = facts.index_proof(instruction.operands[position], tensor,
+                                   block, column=axis == _COLUMN)
+        if proven is None:
+            return None
+        if proven == "part-positive":
+            justification = proven
+    return justification
 
 
 def justified_at(instruction: CallPrimitiveInstr, block: str,

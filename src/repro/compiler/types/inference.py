@@ -128,7 +128,6 @@ class TypeInference:
                 self._generate(instruction, bool_type, return_type)
 
         self._solve()
-        self._default_unresolved()
         self._apply(function, return_type)
 
     def _generate(self, instruction, bool_type: Type, return_type: Type) -> None:
@@ -479,14 +478,7 @@ class TypeInference:
             result = CompoundType("Tensor", (first, TypeLiteral(1)))
         self._unify_soft(self.type_of(instruction.result), result, instruction)
 
-    # -- defaulting and application ------------------------------------------------------
-
-    def _default_unresolved(self) -> None:
-        """Unconstrained numeric literals default to their natural types."""
-        for value_id, variable in self._value_types.items():
-            resolved = self.substitution.resolve(variable)
-            # leftover literal rank variables keep inference from grounding;
-            # nothing defaults silently beyond this
+    # -- application ------------------------------------------------------------------
 
     def _apply(self, function: FunctionModule, return_type: Type) -> None:
         for value in function.values():

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import attrgetter
 from typing import Optional
 
 from repro.engine.attributes import FLAT, LISTABLE, NUMERIC_FUNCTION, ORDERLESS, ONE_IDENTITY
 from repro.engine.builtins.support import (
     NUMERIC_CONSTANTS,
+    Number,
     as_number,
     boolean,
     builtin,
@@ -25,27 +27,64 @@ from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, is_head
 
 
-@builtin("Plus", FLAT, ORDERLESS, LISTABLE, ONE_IDENTITY, NUMERIC_FUNCTION)
+_VALUE = attrgetter("value")
+
+
+# -- the numeric cores ---------------------------------------------------------
+# Each is the one definition of what its builtin does with numbers: the
+# builtin calls it, and so does the evaluator step when every argument is
+# exactly an ``MInteger`` or ``MReal`` (the ``fold`` of the registration;
+# see ``Evaluator.evaluate``), handing over the arguments in the order the
+# builtin would have seen them.
+
+
+def add(numbers) -> Number:
+    """Plus's numeric core: the sum in the order given."""
+    total = 0
+    for number in numbers:
+        total += number
+    return total
+
+
+def multiply(numbers) -> Number:
+    """Times's numeric core: the product in the order given."""
+    product = 1
+    for number in numbers:
+        product *= number
+    return product
+
+
+def _fold_plus(values: list) -> MExpr:
+    if len(values) == 1:
+        return values[0]
+    return number_expr(add(map(_VALUE, values)))
+
+
+def _fold_times(values: list) -> MExpr:
+    if len(values) == 1:
+        return values[0]
+    return number_expr(multiply(map(_VALUE, values)))
+
+
+@builtin("Plus", FLAT, ORDERLESS, LISTABLE, ONE_IDENTITY, NUMERIC_FUNCTION,
+         fold=_fold_plus)
 def plus(evaluator, expression):
     if len(expression.args) == 0:
         return MInteger(0)
     if len(expression.args) == 1:
         return expression.args[0]
-    numeric_total = 0
-    saw_real = saw_complex = False
+    numbers: list[Number] = []
     symbolic: list[MExpr] = []
-    count = 0
     for argument in expression.args:
         value = as_number(argument)
         if value is None:
             symbolic.append(argument)
         else:
-            count += 1
-            saw_real |= isinstance(value, float)
-            saw_complex |= isinstance(value, complex)
-            numeric_total += value
+            numbers.append(value)
+    numeric_total = add(numbers)
     if not symbolic:
         return number_expr(numeric_total)
+    count = len(numbers)
     if count <= 1 and not (count == 1 and numeric_total == 0):
         return None  # nothing to fold
     parts = list(symbolic)
@@ -69,13 +108,14 @@ def _reciprocal_integer(node: MExpr):
     return None
 
 
-@builtin("Times", FLAT, ORDERLESS, LISTABLE, ONE_IDENTITY, NUMERIC_FUNCTION)
+@builtin("Times", FLAT, ORDERLESS, LISTABLE, ONE_IDENTITY, NUMERIC_FUNCTION,
+         fold=_fold_times)
 def times(evaluator, expression):
     if len(expression.args) == 0:
         return MInteger(1)
     if len(expression.args) == 1:
         return expression.args[0]
-    numeric_product = 1
+    numbers: list[Number] = []
     divisor = 1
     symbolic: list[MExpr] = []
     count = 0
@@ -89,8 +129,9 @@ def times(evaluator, expression):
             else:
                 symbolic.append(argument)
         else:
-            count += 1
-            numeric_product *= value
+            numbers.append(value)
+    numeric_product = multiply(numbers)
+    count += len(numbers)
     if divisor != 1 and not symbolic:
         if isinstance(numeric_product, int) and numeric_product % divisor == 0:
             return MInteger(numeric_product // divisor)
@@ -122,11 +163,11 @@ def times(evaluator, expression):
     return MExprNormal(S.Times, parts)
 
 
-@builtin("Power", LISTABLE, NUMERIC_FUNCTION)
-def power(evaluator, expression):
-    if len(expression.args) != 2:
+def _power(arguments) -> Optional[MExpr]:
+    """Power on its evaluated arguments (the builtin and its fold)."""
+    if len(arguments) != 2:
         return None
-    base, exponent = expression.args
+    base, exponent = arguments
     base_value, exp_value = as_number(base), as_number(exponent)
     if exp_value == 1:
         return base
@@ -149,6 +190,11 @@ def power(evaluator, expression):
     if isinstance(result, complex) and result.imag == 0:
         result = result.real
     return number_expr(result)
+
+
+@builtin("Power", LISTABLE, NUMERIC_FUNCTION, fold=_power)
+def power(evaluator, expression):
+    return _power(expression.args)
 
 
 @builtin("Subtract", LISTABLE, NUMERIC_FUNCTION)
@@ -174,28 +220,45 @@ def minus(evaluator, expression):
     return MExprNormal(S.Times, [MInteger(-1), expression.args[0]])
 
 
-@builtin("Mod", LISTABLE, NUMERIC_FUNCTION)
-def mod(evaluator, expression):
-    if len(expression.args) != 2:
+def _real_pair(arguments):
+    """The two real numbers of a ``Mod``/``Quotient`` call with a non-zero
+    divisor, else ``None``."""
+    if len(arguments) != 2:
         return None
-    a, b = (as_number(x) for x in expression.args)
+    a, b = as_number(arguments[0]), as_number(arguments[1])
     if a is None or b is None or b == 0:
         return None
     if isinstance(a, complex) or isinstance(b, complex):
         return None
+    return a, b
+
+
+def _mod(arguments) -> Optional[MExpr]:
+    """Mod on its evaluated arguments (the builtin and its fold)."""
+    pair = _real_pair(arguments)
+    if pair is None:
+        return None
+    a, b = pair
     return number_expr(a - b * math.floor(a / b))
 
 
-@builtin("Quotient", LISTABLE, NUMERIC_FUNCTION)
-def quotient(evaluator, expression):
-    if len(expression.args) != 2:
+def _quotient(arguments) -> Optional[MExpr]:
+    """Quotient on its evaluated arguments (the builtin and its fold)."""
+    pair = _real_pair(arguments)
+    if pair is None:
         return None
-    a, b = (as_number(x) for x in expression.args)
-    if a is None or b is None or b == 0:
-        return None
-    if isinstance(a, complex) or isinstance(b, complex):
-        return None
+    a, b = pair
     return number_expr(math.floor(a / b))
+
+
+@builtin("Mod", LISTABLE, NUMERIC_FUNCTION, fold=_mod)
+def mod(evaluator, expression):
+    return _mod(expression.args)
+
+
+@builtin("Quotient", LISTABLE, NUMERIC_FUNCTION, fold=_quotient)
+def quotient(evaluator, expression):
+    return _quotient(expression.args)
 
 
 def _pi_multiple(node: MExpr):

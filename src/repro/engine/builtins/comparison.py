@@ -21,12 +21,16 @@ def _compare_values(a: MExpr, b: MExpr):
     return None
 
 
-@builtin("Equal")
-def equal(evaluator, expression):
-    if len(expression.args) < 2:
+# Each comparison is one function of its evaluated arguments: the builtin
+# calls it, and the evaluator step folds machine-number arguments through
+# the same function (the ``fold`` of the registration).
+
+
+def _equal(arguments):
+    if len(arguments) < 2:
         return boolean(True)
     results = []
-    for left, right in zip(expression.args, expression.args[1:]):
+    for left, right in zip(arguments, arguments[1:]):
         comparison = _compare_values(left, right)
         if comparison is None:
             if left == right:
@@ -37,28 +41,40 @@ def equal(evaluator, expression):
     return boolean(all(results))
 
 
-@builtin("Unequal")
-def unequal(evaluator, expression):
-    if len(expression.args) != 2:
+def _unequal(arguments):
+    if len(arguments) != 2:
         return None
-    inner = equal(evaluator, expression)
+    inner = _equal(arguments)
     if inner is None:
         return None
     return boolean(is_false(inner))
 
 
+@builtin("Equal", fold=_equal)
+def equal(evaluator, expression):
+    return _equal(expression.args)
+
+
+@builtin("Unequal", fold=_unequal)
+def unequal(evaluator, expression):
+    return _unequal(expression.args)
+
+
 def _chain_comparison(name, predicate):
-    @builtin(name)
-    def implementation(evaluator, expression, _pred=predicate):
-        if len(expression.args) < 2:
+    def compare(arguments):
+        if len(arguments) < 2:
             return boolean(True)
-        for left, right in zip(expression.args, expression.args[1:]):
+        for left, right in zip(arguments, arguments[1:]):
             comparison = _compare_values(left, right)
             if comparison is None:
                 return None
-            if not _pred(comparison):
+            if not predicate(comparison):
                 return boolean(False)
         return boolean(True)
+
+    @builtin(name, fold=compare)
+    def implementation(evaluator, expression):
+        return compare(expression.args)
 
     return implementation
 

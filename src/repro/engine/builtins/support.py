@@ -18,21 +18,30 @@ Number = Union[int, float, complex]
 BuiltinFunc = Callable[["Evaluator", MExprNormal], Optional[MExpr]]
 
 
+#: ``fold(values)``: the builtin's numeric core over a list of exactly
+#: ``MInteger``/``MReal`` arguments — the atom the builtin would return,
+#: or ``None`` where it would not return one
+NumberFold = Callable[[list], Optional[MExpr]]
+
+
 @dataclass(frozen=True)
 class Builtin:
     name: str
     func: BuiltinFunc
     attributes: frozenset[str]
+    #: set for the arithmetic and comparison heads the evaluator step
+    #: folds on machine-number arguments without building the node
+    fold: Optional[NumberFold] = None
 
 
 _REGISTRY: dict[str, Builtin] = {}
 
 
-def builtin(name: str, *attributes: str):
+def builtin(name: str, *attributes: str, fold: Optional[NumberFold] = None):
     """Decorator registering a builtin implementation under ``name``."""
 
     def register(func: BuiltinFunc) -> BuiltinFunc:
-        _REGISTRY[name] = Builtin(name, func, frozenset(attributes))
+        _REGISTRY[name] = Builtin(name, func, frozenset(attributes), fold)
         return func
 
     return register
@@ -52,13 +61,14 @@ NUMERIC_CONSTANTS: dict[str, float] = {
 }
 
 
+_NUMBER_ATOMS = (MInteger, MReal, MComplex)
+#: the same classes, for one set probe where most arguments are exact ones
+_NUMBER_TYPES = frozenset(_NUMBER_ATOMS)
+
+
 def as_number(node: MExpr) -> Optional[Number]:
     """The Python number of a literal node, else ``None`` (stays symbolic)."""
-    if isinstance(node, MInteger):
-        return node.value
-    if isinstance(node, MReal):
-        return node.value
-    if isinstance(node, MComplex):
+    if type(node) in _NUMBER_TYPES or isinstance(node, _NUMBER_ATOMS):
         return node.value
     return None
 

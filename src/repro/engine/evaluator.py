@@ -27,6 +27,7 @@ version and invalidates the stamps.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.errors import (
@@ -64,16 +65,20 @@ _SLOT_BYTES = 16
 
 
 class _Plan:
-    """What an attribute set asks of one evaluation step, resolved once.
+    """What an attribute set (and a builtin's numeric fold) asks of one
+    evaluation step, resolved once.
 
     The step reads these fields instead of putting the same membership
     questions to the frozenset for every node it visits.
     """
 
     __slots__ = ("hold_first", "hold_rest", "pierce", "flat", "orderless",
-                 "listable", "splice")
+                 "listable", "splice", "fold")
 
-    def __init__(self, attributes: frozenset[str]):
+    def __init__(self, attributes: frozenset[str], fold=None):
+        #: the builtin's numeric core over machine-number arguments, or
+        #: ``None`` (see the fold in :meth:`Evaluator.evaluate`)
+        self.fold = fold
         hold_all = HOLD_ALL in attributes or HOLD_ALL_COMPLETE in attributes
         #: is the first / is every later argument left unevaluated?
         self.hold_first = hold_all or HOLD_FIRST in attributes
@@ -89,8 +94,8 @@ class _Plan:
         )
 
 
-#: one plan per distinct attribute set in the process (a pure function of
-#: the frozenset; at most a few dozen sets ever exist)
+#: one plan per distinct (attribute set, fold) in the process (a pure
+#: function of the pair; at most a few dozen ever exist)
 _plan_for = lru_cache(maxsize=None)(_Plan)
 
 _NO_ATTRIBUTES = _plan_for(frozenset())
@@ -100,6 +105,9 @@ _NO_ATTRIBUTES = _plan_for(frozenset())
 _LEAF_TYPES = frozenset({MInteger, MReal, MString, MComplex})
 #: what is *not* a leaf, subclasses included
 _NODE_TYPES = (MSymbol, MExprNormal)
+
+#: the canonical order of numbers (see :func:`canonical_order_key`)
+_NUMBER_VALUE = attrgetter("value")
 
 
 class Evaluator:
@@ -302,8 +310,10 @@ class Evaluator:
                         self._plans_version = state.attributes_version
                     plan = self._plans.get(name)
                     if plan is None:
+                        builtin = self._builtins.get(name)
                         plan = self._plans[name] = _plan_for(
-                            self._attributes_of(head)
+                            self._attributes_of(head),
+                            builtin.fold if builtin is not None else None,
                         )
 
                 # -- one pass over the arguments -------------------------------
@@ -362,6 +372,44 @@ class Evaluator:
                             if value_name == name:
                                 saw_nested = True
 
+                # -- machine numbers: the builtin's numeric core, here --------
+                # every argument exactly an MInteger or MReal and no user
+                # DownValues: the atom the builtin would return, without the
+                # order keys, the sort, the rebuilt node and the dispatch it
+                # took to get there (flattening, splicing and threading have
+                # nothing to do on such arguments).  IEEE + and * commute, so
+                # only three or more operands with a real among them are put
+                # in canonical order — for numbers, a stable sort by value.
+                charged = False
+                fold = plan.fold
+                if fold is not None:
+                    reals = False
+                    for value in values:
+                        kind = type(value)
+                        if kind is MReal:
+                            reals = True
+                        elif kind is not MInteger:
+                            break
+                    else:
+                        definition = lookup(name)
+                        if definition is None or not definition.down_values:
+                            guard = _guard_tls.top
+                            if guard is not None:
+                                guard.charge_memory(
+                                    _NODE_BYTES + _SLOT_BYTES * len(values)
+                                )
+                                charged = True
+                            result = fold(
+                                sorted(values, key=_NUMBER_VALUE)
+                                if reals and plan.orderless and len(values) > 2
+                                else values
+                            )
+                            if result is not None:
+                                if type(result) is not MSymbol:
+                                    return result
+                                current = result  # True, False: one more trip
+                                continue
+
                 # -- canonical form, only where the pass saw a reason ---------
                 if saw_nested and plan.flat:
                     values = self._flatten(name, values)
@@ -384,16 +432,31 @@ class Evaluator:
                         unchanged = False
                         saw_list = True
 
-                rebuilt = MExprNormal(head, values)
                 guard = _guard_tls.top
-                if guard is not None:
+                if guard is not None and not charged:
                     guard.charge_memory(
                         _NODE_BYTES + _SLOT_BYTES * len(values)
                     )
 
-                result = None
-                if saw_list and plan.listable:
-                    result = self._thread_listable(rebuilt)
+                # -- a promoted definition: the gate and the native call, on
+                # the arguments as they stand (no node is built for them)
+                result = rebuilt = None
+                hotspot = self.hotspot
+                if (
+                    hotspot is not None
+                    and name in hotspot.promoted
+                    and not (saw_list and plan.listable)
+                ):
+                    definition = lookup(name)
+                    if definition is not None and definition.down_values:
+                        result = hotspot.dispatch(
+                            self, name, definition, values
+                        )
+
+                if result is None:
+                    rebuilt = MExprNormal(head, values)
+                    if saw_list and plan.listable:
+                        result = self._thread_listable(rebuilt)
                 if result is None and name is not None:
                     # User DownValues take precedence over builtins, so users
                     # can redefine (unprotected) behaviour — and the engine's
@@ -435,9 +498,11 @@ class Evaluator:
                     # has to build either structure key
                     kind = type(result)
                     if kind is not MExprNormal:
-                        if not isinstance(result, MSymbol):
-                            if result.is_atom():
-                                return result  # ``3`` is ``3``: no second trip
+                        if kind in _LEAF_TYPES or (
+                            not isinstance(result, MSymbol)
+                            and result.is_atom()
+                        ):
+                            return result  # ``3`` is ``3``: no second trip
                     elif (
                         len(result.args) == len(current.args)
                         and hash(result) == hash(current)
@@ -529,10 +594,6 @@ class Evaluator:
         self, name: str, definition, expression: MExprNormal
     ) -> Optional[MExpr]:
         hotspot = self.hotspot
-        if hotspot is not None and name in hotspot.promoted:
-            promoted = hotspot.dispatch(self, name, definition, expression)
-            if promoted is not None:
-                return promoted
         for down_value in definition.dispatch_index().candidates(expression):
             bindings = match(down_value.lhs, expression, evaluator=self)
             if bindings is not None:

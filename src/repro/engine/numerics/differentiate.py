@@ -9,7 +9,8 @@ differentiation").
 
 from __future__ import annotations
 
-from repro.engine.builtins.support import as_number, builtin
+from repro.engine.builtins.support import as_number, builtin, number_expr
+from repro.engine.evaluator import canonical_order_key
 from repro.errors import WolframEvaluationError
 from repro.mexpr.atoms import MInteger, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
@@ -116,108 +117,169 @@ def differentiate(expression: MExpr, variable: MSymbol) -> MExpr:
     raise WolframEvaluationError(f"D: cannot differentiate {name}[...]")
 
 
-def _expand_node(node: MExpr) -> MExpr:
-    """Distribute Times over Plus and expand positive integer powers of
-    sums — the structural core of ``Expand``."""
-    if node.is_atom():
-        return node
-    node = MExprNormal(node.head, [_expand_node(a) for a in node.args])
-    name = head_name(node)
-    if name == "Power" and len(node.args) == 2:
-        base, exponent = node.args
-        count = as_number(exponent)
-        if is_head(base, "Plus") and isinstance(count, int) and 1 < count <= 16:
-            product = base
-            for _ in range(count - 1):
-                product = _expand_node(MExprNormal(S.Times, [product, base]))
-            return product
-    if name == "Times":
-        for index, factor in enumerate(node.args):
-            if is_head(factor, "Plus"):
-                others = [*node.args[:index], *node.args[index + 1:]]
-                terms = [
-                    _expand_node(MExprNormal(S.Times, [term, *others]))
-                    for term in factor.args
-                ]
-                return MExprNormal(S.Plus, terms)
-    return node
+#: ``Power[sum, n]`` is multiplied out for ``1 < n <=`` this; a higher (or
+#: non-integer, or negative) power of a sum stays one factor
+_MAX_EXPANDED_POWER = 16
 
 
-def _term_parts(term: MExpr):
-    """Split a term into (numeric coefficient, {base: power}) factors."""
-    coefficient = 1
-    powers: dict[MExpr, int] = {}
-    factors = term.args if is_head(term, "Times") else [term]
-    for factor in factors:
-        value = as_number(factor)
+class _Expansion:
+    """``Expand`` as arithmetic on collected polynomials.
+
+    A polynomial is a dict from monomial to numeric coefficient; a monomial
+    is a sorted tuple of ``(base index, exponent)`` pairs over the bases
+    interned in ``self.bases`` (a symbol, or any factor that is not a sum, a
+    product or a number).  Sums add maps, products multiply them and merge
+    like terms as they go, so ``(a + b + c + d)^n`` holds at most the
+    C(n + 3, 3) terms of its answer at every step instead of distributing
+    into 4^n products first.
+
+    A factor is split the way a term's factors always were: a number is a
+    coefficient, ``Power[b, k]`` with a positive integer ``k`` is ``b`` to
+    the ``k``, anything else is a base to the first power — its arguments
+    expanded first when a sum occurs in them.  Coefficients of like terms
+    are exact sums for integers; machine reals are added in multiplication
+    order.
+    """
+
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.bases: list[MExpr] = []
+        self._index: dict[MExpr, int] = {}
+
+    def expression(self, node: MExpr) -> MExpr:
+        """The expanded form of ``node``, not yet evaluated."""
+        return self._rebuild(self.terms(node))
+
+    def terms(self, node: MExpr) -> dict:
+        value = as_number(node)
         if value is not None:
-            coefficient *= value
-            continue
-        if is_head(factor, "Power") and len(factor.args) == 2:
-            exponent = as_number(factor.args[1])
-            if isinstance(exponent, int) and exponent > 0:
-                base = factor.args[0]
-                powers[base] = powers.get(base, 0) + exponent
+            return {(): value}
+        name = head_name(node)
+        if name == "Plus":
+            total: dict = {}
+            for argument in node.args:
+                for monomial, coefficient in self.terms(argument).items():
+                    total[monomial] = total.get(monomial, 0) + coefficient
+            return {m: c for m, c in total.items() if c != 0}
+        if name == "Times":
+            product: dict = {(): 1}
+            for argument in node.args:
+                product = _multiply(product, self.terms(argument))
+            return product
+        if name == "Power" and len(node.args) == 2:
+            base, exponent = node.args
+            count = as_number(exponent)
+            if (
+                isinstance(count, int) and 1 < count <= _MAX_EXPANDED_POWER
+                and _is_sum(base)
+            ):
+                base_terms = self.terms(base)
+                product = base_terms
+                for _ in range(count - 1):
+                    product = _multiply(product, base_terms)
+                return product
+        return self._factor(node)
+
+    def _factor(self, node: MExpr) -> dict:
+        if not node.is_atom() and any(map(_contains_sum, node.args)):
+            arguments = [self.expression(a) for a in node.args]
+            if any(new != old for new, old in zip(arguments, node.args)):
+                node = self.evaluator.evaluate(
+                    MExprNormal(node.head, arguments)
+                )
+                value = as_number(node)
+                if value is not None:
+                    return {(): value}
+        exponent = 1
+        if is_head(node, "Power") and len(node.args) == 2:
+            power = as_number(node.args[1])
+            if isinstance(power, int) and power > 0:
+                node, exponent = node.args[0], power
+        index = self._index.get(node)
+        if index is None:
+            index = self._index[node] = len(self.bases)
+            self.bases.append(node)
+        return {((index, exponent),): 1}
+
+    def _rebuild(self, terms: dict) -> MExpr:
+        summands: list[MExpr] = []
+        for monomial, coefficient in terms.items():
+            factors: list[MExpr] = [
+                self.bases[index] if exponent == 1 else MExprNormal(
+                    S.Power, [self.bases[index], MInteger(exponent)]
+                )
+                for index, exponent in monomial
+            ]
+            if not factors:
+                summands.append(number_expr(coefficient))
                 continue
-        powers[factor] = powers.get(factor, 0) + 1
-    return coefficient, powers
+            if coefficient != 1:
+                factors.append(number_expr(coefficient))
+            factors.sort(key=canonical_order_key)
+            summands.append(
+                factors[0] if len(factors) == 1
+                else MExprNormal(S.Times, factors)
+            )
+        if not summands:
+            return MInteger(0)
+        if len(summands) == 1:
+            return summands[0]
+        summands.sort(key=canonical_order_key)
+        return MExprNormal(S.Plus, summands)
 
 
-def _rebuild_term(coefficient, powers: dict) -> MExpr:
-    from repro.engine.builtins.support import number_expr
-
-    factors: list[MExpr] = []
-    for base, exponent in sorted(powers.items(), key=lambda kv: str(kv[0])):
-        if exponent == 1:
-            factors.append(base)
-        else:
-            factors.append(MExprNormal(S.Power, [base, MInteger(exponent)]))
-    if not factors:
-        return number_expr(coefficient)
-    if coefficient != 1:
-        factors.insert(0, number_expr(coefficient))
-    if len(factors) == 1:
-        return factors[0]
-    return MExprNormal(S.Times, factors)
+def _is_sum(node: MExpr) -> bool:
+    """Does distributing products over sums turn ``node`` into a sum?"""
+    name = head_name(node)
+    if name == "Plus":
+        return True
+    if name == "Times":
+        return any(_is_sum(a) for a in node.args)
+    if name == "Power" and len(node.args) == 2:
+        count = as_number(node.args[1])
+        return (isinstance(count, int) and 1 < count <= _MAX_EXPANDED_POWER
+                and _is_sum(node.args[0]))
+    return False
 
 
-def _collect_like_terms(node: MExpr) -> MExpr:
-    """Merge x + x -> 2 x and x*x -> x^2 in an expanded sum."""
-    from repro.engine.builtins.support import number_expr
+def _contains_sum(node: MExpr) -> bool:
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not node.is_atom():
+            if is_head(node, "Plus"):
+                return True
+            stack.extend(node.args)
+    return False
 
-    if not is_head(node, "Plus"):
-        coefficient, powers = _term_parts(node)
-        return _rebuild_term(coefficient, powers)
-    grouped: dict[tuple, tuple] = {}
-    order: list[tuple] = []
-    for term in node.args:
-        coefficient, powers = _term_parts(term)
-        key = tuple(sorted((str(b), e) for b, e in powers.items()))
-        if key in grouped:
-            existing_coefficient, existing_powers = grouped[key]
-            grouped[key] = (existing_coefficient + coefficient,
-                            existing_powers)
-        else:
-            grouped[key] = (coefficient, powers)
-            order.append(key)
-    terms = [
-        _rebuild_term(*grouped[key]) for key in order
-        if grouped[key][0] != 0
-    ]
-    if not terms:
-        return number_expr(0)
-    if len(terms) == 1:
-        return terms[0]
-    return MExprNormal(S.Plus, terms)
+
+def _multiply(left: dict, right: dict) -> dict:
+    """The product of two polynomials, like terms merged."""
+    product: dict = {}
+    for left_monomial, left_coefficient in left.items():
+        for right_monomial, right_coefficient in right.items():
+            if not left_monomial:
+                monomial = right_monomial
+            elif not right_monomial:
+                monomial = left_monomial
+            else:
+                exponents = dict(left_monomial)
+                for index, exponent in right_monomial:
+                    exponents[index] = exponents.get(index, 0) + exponent
+                monomial = tuple(sorted(exponents.items()))
+            product[monomial] = (product.get(monomial, 0)
+                                 + left_coefficient * right_coefficient)
+    return {m: c for m, c in product.items() if c != 0}
 
 
 @builtin("Expand")
 def expand(evaluator, expression):
-    """Symbolic polynomial expansion (the §2.1 symbolic-compute surface)."""
+    """Symbolic polynomial expansion (the §2.1 symbolic-compute surface):
+    one collected polynomial, evaluated once."""
     if len(expression.args) != 1:
         return None
-    distributed = evaluator.evaluate(_expand_node(expression.args[0]))
-    return evaluator.evaluate(_collect_like_terms(distributed))
+    return evaluator.evaluate(
+        _Expansion(evaluator).expression(expression.args[0]))
 
 
 @builtin("D")

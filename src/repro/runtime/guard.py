@@ -586,18 +586,28 @@ class GovernedFunction:
     warning: str
 
     def __call__(self, *arguments):
-        evaluator = self.evaluator
-        native = self.native_tier
-        if evaluator is not None and self.breaker.tier is not native:
+        # only a hosted breaker ever leaves its native tier, so the tier
+        # test alone decides the common case
+        if self.breaker.tier is not self.native_tier \
+                and self.evaluator is not None:
             # tripped: the failing tier is not re-attempted
-            return self._reevaluate(evaluator, arguments)
+            return self._reevaluate(self.evaluator, arguments)
         try:
             converted = self._to_native(arguments)
         except WolframRuntimeError as error:
             if not self.soft_boundary:
                 raise
             # a boundary mismatch is not the native code's fault
-            return self._soft_failure(evaluator, arguments, error, False)
+            return self._soft_failure(self.evaluator, arguments, error,
+                                      False)
+        return self.call_converted(converted, arguments)
+
+    def call_converted(self, converted, arguments):
+        """The protocol past the boundary check: ``converted`` is
+        ``arguments`` as the native code takes them.  The hotspot gate
+        enters here with values its own check already converted, after
+        finding the breaker on the native tier."""
+        native = self.native_tier
         self.fallback_stats.record_call(native)
         try:
             if _faults._INJECTOR is not None:
@@ -613,7 +623,7 @@ class GovernedFunction:
         except self.soft_exceptions as error:
             if not isinstance(error, WolframRuntimeError):
                 error = self.classify(error)
-            return self._soft_failure(evaluator, arguments, error, True)
+            return self._soft_failure(self.evaluator, arguments, error, True)
 
     def _record(self, error: WolframRuntimeError, counted: bool) -> None:
         native = self.native_tier

@@ -9,7 +9,7 @@ ladder**:
    counts DownValue applications per symbol;
 2. **template JIT** (``REPRO_TEMPLATE_THRESHOLD``, default 2): at the low
    threshold the definition is synthesized into a typed plan and stitched
-   by :mod:`repro.template_jit` — microsecond compile latency, so a
+   by :mod:`repro.template_jit` — about 0.2 ms a compile, so a
    just-became-hot function gets decent code almost immediately instead of
    stalling on the full pipeline (the copy-and-patch tradeoff, Xu &
    Kjolstad 2021);
@@ -26,7 +26,7 @@ The expensive rung is durable: ``FunctionCompile`` consults the persistent
 artifact cache (:mod:`repro.artifacts`), so a function promoted in one
 process promotes from a cache hit in the next — no pipeline passes run.
 The template rung
-deliberately stays cache-free: its stitch is microseconds, cheaper than a
+deliberately stays cache-free: its ≈ 0.2 ms stitch is cheaper than a
 cache probe.  :meth:`HotspotProfiler.preload` is the AOT entry point —
 a warm image's manifest replays hot definitions through the full-pipeline
 rung at boot, before any call is dispatched.
@@ -38,9 +38,10 @@ Governance invariants:
   tier the promotion is withdrawn entirely and re-promotion is blocked
   until the definition changes;
 * any change to the symbol's rules — ``Set``, ``Clear``, ``Block`` restore —
-  invalidates the promotion in the same ``state_version`` bump: validation
-  runs before every promoted dispatch, a stale entry is dropped, and the
-  call falls through to ordinary rule dispatch;
+  invalidates the promotion in the same ``state_version`` bump: every
+  promoted dispatch compares the entry's ``rules_version`` with the
+  definition's (no lock), a stale entry is dropped, and the call falls
+  through to ordinary rule dispatch;
 * argument gating is exact: a call whose arguments do not match the
   promoted signature (class and int64 range) is evaluated interpretively,
   never coerced;
@@ -82,22 +83,20 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro import observe as _observe
 from repro.engine.definitions import _PATTERN_HEADS
-from repro.errors import WolframAbort
+from repro.errors import WolframAbort, WolframRuntimeError
 from repro.mexpr.atoms import MInteger, MReal, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, to_mexpr
-from repro.runtime.checked import INT64_MAX as _INT64_MAX
-from repro.runtime.checked import INT64_MIN as _INT64_MIN
 from repro.runtime.guard import Tier
 
 DEFAULT_THRESHOLD = 16
 _ENV_KNOB = "REPRO_HOTSPOT_THRESHOLD"
 
-#: the template rung fires almost immediately — its compile is microseconds
+#: the template rung fires almost immediately — its compile is ≈ 0.2 ms
 DEFAULT_TEMPLATE_THRESHOLD = 2
 _TEMPLATE_KNOB = "REPRO_TEMPLATE_THRESHOLD"
 #: set to ``0``/``off``/``false`` to disable the template rung entirely
@@ -152,12 +151,12 @@ class PromotedFunction:
     name: str
     artifact: object
     tier_kind: str  # "compiled" | "template"
-    gate_types: tuple[type, ...]
     kinds: tuple[str, ...]
-    #: kernel version the entry was last validated against
-    state_version: int
-    #: ``Definition.rules_version`` of the rule list behind the promotion
+    #: ``Definition.rules_version`` of the rule list behind the promotion;
+    #: the entry is valid while the definition still has it
     rules_version: int
+    #: the arguments' check and conversion (see :func:`_gate`)
+    gate: Optional[Callable] = None
     hits: int = 0
     #: the synthesized plan, kept on template entries so the tier-up to the
     #: full pipeline skips re-synthesis
@@ -188,6 +187,11 @@ class _Plan:
     gate_types: tuple[type, ...]
     body: MExpr
 
+
+#: read on every promoted call and every profiled rule application: an
+#: enum member is a descriptor lookup (~100 ns on CPython 3.11), a global
+#: is not
+_COMPILED, _INTERPRETER = Tier.COMPILED, Tier.INTERPRETER
 
 #: tier ordering for the degradation cap, hottest highest
 _TIER_RANK = {
@@ -244,38 +248,32 @@ class HotspotProfiler:
         self._in_progress: set[str] = set()
         self._lock = threading.RLock()
 
-    # -- dispatch-side API (called from Evaluator._apply_down_values) --------
+    # -- dispatch-side API (called from the evaluator step) -----------------
 
-    def dispatch(self, evaluator, name, definition, expression):
-        """Run ``expression`` on the promoted tier, or ``None`` to decline."""
+    def dispatch(self, evaluator, name, definition, arguments):
+        """Run ``name[arguments...]`` (evaluated, in canonical order) on the
+        promoted tier, or ``None`` to decline.
+
+        The read path takes no lock.  An entry is valid while its
+        ``rules_version`` is the definition's — every write to the rule
+        list takes a new one, so a redefinition inside a running loop
+        drops the promotion at its next call — and while its breaker is
+        on the native tier; otherwise :meth:`_withdraw` takes the lock.
+        The gate converts each argument once, with the compiled tier's
+        boundary check for the parameter's machine type, and enters the
+        artifact's call protocol past its own (:meth:`~repro.runtime.guard
+        .GovernedFunction.call_converted`).
+        """
         entry = self.promoted.get(name)
         if entry is None:
             return None
-        with self._lock:
-            if self.promoted.get(name) is not entry:
-                return None  # a racer invalidated or withdrew it
-            if (
-                entry.state_version != evaluator.state.state_version
-                and not self._revalidate(evaluator, name, definition, entry)
-            ):
-                return None
-            if entry.artifact.breaker.tier is Tier.INTERPRETER:
-                # the breaker tripped: interpreting *through* the
-                # artifact adds pure overhead, so
-                # withdraw the promotion and block re-promotion until the
-                # rules change
-                del self.promoted[name]
-                self._blocked[name] = entry.rules_version
-                self.events.append(
-                    PromotionEvent(name, "demoted", Tier.INTERPRETER.value,
-                                   "circuit breaker tripped")
-                )
-                _observe.event(
-                    "tier.demote", "hotspot", symbol=name,
-                    reason="promotion withdrawn: circuit breaker tripped",
-                    **{"from": entry.tier_kind, "to": Tier.INTERPRETER.value},
-                )
-                return None
+        artifact = entry.artifact
+        if (
+            entry.rules_version != definition.rules_version
+            or artifact.breaker.tier is _INTERPRETER
+        ):
+            self._withdraw(name, definition, entry)
+            return None
         # rung 3: a template entry that *stays* hot tiers up to the full
         # pipeline once total applications reach the high threshold
         if (
@@ -286,26 +284,15 @@ class HotspotProfiler:
             upgraded = self._attempt_upgrade(evaluator, name, entry)
             if upgraded is not None:
                 entry = upgraded
-        # the type gate and the artifact call run outside the lock: the
-        # artifact is where the time goes, and it never mutates the table
-        arguments = expression.args
-        if len(arguments) != len(entry.gate_types):
+                artifact = entry.artifact
+        try:
+            values = entry.gate(arguments)
+        except WolframRuntimeError:
+            return None  # outside the machine range: the interpreter's
+        if values is None:
             return None
-        values = []
-        for argument, gate, kind in zip(
-            arguments, entry.gate_types, entry.kinds
-        ):
-            if type(argument) is not gate:
-                return None
-            value = argument.value
-            if kind == "i" and not _INT64_MIN <= value <= _INT64_MAX:
-                return None
-            values.append(value)
         entry.hits += 1
-        result = entry.artifact(*values)
-        if isinstance(result, MExpr):
-            return result
-        return to_mexpr(result)
+        return _rebox(artifact.call_converted(values, arguments))
 
     def record(self, evaluator, name, definition, expression) -> None:
         """Count one interpreted rule application; maybe promote.
@@ -320,13 +307,15 @@ class HotspotProfiler:
         self.counts[name] = count
         if name in self.promoted:
             return
-        full = count >= self.threshold and self.max_tier is Tier.COMPILED
+        full = count >= self.threshold and self.max_tier is _COMPILED
         if not full and not (
             self.template_enabled and count >= self.template_threshold
         ):
             return
-        if self.max_tier is Tier.INTERPRETER:
+        if self.max_tier is _INTERPRETER:
             return  # degraded to the floor: promotion disabled outright
+        if self._blocked.get(name) == definition.rules_version:
+            return  # failed the gate at these rules: no lock to take
         with self._lock:
             if name in self.promoted or name in self._in_progress:
                 return
@@ -383,10 +372,9 @@ class HotspotProfiler:
                         name=name,
                         artifact=artifact,
                         tier_kind="compiled",
-                        gate_types=plan.gate_types,
                         kinds=plan.kinds,
-                        state_version=evaluator.state.state_version,
                         rules_version=definition.rules_version,
+                        gate=_gate(plan),
                         plan=plan,
                     )
                     self._charge_compile("compiled", elapsed)
@@ -403,25 +391,37 @@ class HotspotProfiler:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _revalidate(self, evaluator, name, definition, entry) -> bool:
-        """The kernel version moved since ``entry`` was last validated: is
-        it still this symbol's rule list behind the promotion?"""
-        if entry.rules_version == definition.rules_version:
-            # an unrelated definition changed
-            entry.state_version = evaluator.state.state_version
-            return True
-        # the rules behind the promotion changed: drop it in this same bump
-        del self.promoted[name]
-        self.counts[name] = 0
-        self._blocked.pop(name, None)
-        self._template_blocked.pop(name, None)
-        self.events.append(
-            PromotionEvent(name, "invalidated", entry.tier_kind,
-                           "definition changed")
-        )
-        _observe.event("tier.invalidate", "hotspot", symbol=name,
-                       reason="definition changed")
-        return False
+    def _withdraw(self, name, definition, entry) -> None:
+        """Drop ``entry``, which :meth:`dispatch` found stale or tripped."""
+        with self._lock:
+            if self.promoted.get(name) is not entry:
+                return  # a racer invalidated or withdrew it
+            del self.promoted[name]
+            if entry.rules_version != definition.rules_version:
+                # the rules behind the promotion changed
+                self.counts[name] = 0
+                self._blocked.pop(name, None)
+                self._template_blocked.pop(name, None)
+                self.events.append(
+                    PromotionEvent(name, "invalidated", entry.tier_kind,
+                                   "definition changed")
+                )
+                _observe.event("tier.invalidate", "hotspot", symbol=name,
+                               reason="definition changed")
+                return
+            # the breaker tripped: interpreting *through* the artifact adds
+            # pure overhead, so withdraw the promotion and block
+            # re-promotion until the rules change
+            self._blocked[name] = entry.rules_version
+            self.events.append(
+                PromotionEvent(name, "demoted", Tier.INTERPRETER.value,
+                               "circuit breaker tripped")
+            )
+            _observe.event(
+                "tier.demote", "hotspot", symbol=name,
+                reason="promotion withdrawn: circuit breaker tripped",
+                **{"from": entry.tier_kind, "to": Tier.INTERPRETER.value},
+            )
 
     def invalidate(self, name: str) -> None:
         """Explicitly drop a promotion (test/tooling hook)."""
@@ -559,10 +559,9 @@ class HotspotProfiler:
                 name=name,
                 artifact=artifact,
                 tier_kind=tier_kind,
-                gate_types=plan.gate_types,
                 kinds=plan.kinds,
-                state_version=evaluator.state.state_version,
                 rules_version=definition.rules_version,
+                gate=_gate(plan),
                 plan=plan,
             )
             self._charge_compile(tier_kind, elapsed)
@@ -609,10 +608,9 @@ class HotspotProfiler:
                         name=name,
                         artifact=artifact,
                         tier_kind="compiled",
-                        gate_types=entry.gate_types,
                         kinds=entry.kinds,
-                        state_version=entry.state_version,
                         rules_version=entry.rules_version,
+                        gate=entry.gate,
                         hits=entry.hits,
                         plan=entry.plan,
                     )
@@ -824,6 +822,68 @@ class HotspotProfiler:
 
 #: sentinel: promotion not possible with *these* arguments, retry later
 _RETRY_LATER = object()
+
+
+def _gate(plan: _Plan):
+    """:attr:`PromotedFunction.gate` of ``plan``: ``gate(arguments)`` is
+    the arguments' values as the native code takes them, or ``None`` when
+    one is not of its parameter's exact atom class.  Each value goes
+    through the compiled tier's boundary unpacker for its machine type —
+    the one check it gets, whichever tier runs it — which raises for an
+    integer outside int64 (the template tier's own boundary accepts
+    everything this one passes).  One and two parameters, the common
+    arities, get the loop unrolled."""
+    from repro.compiler.api import unpacker
+    from repro.compiler.types.specifier import ty
+
+    unpackers = {kind: unpacker(ty(_TYPE_NAMES[kind]))
+                 for kind in set(plan.kinds)}
+    checks = tuple((atom, unpackers[kind])
+                   for atom, kind in zip(plan.gate_types, plan.kinds))
+    if len(checks) == 1:
+        ((atom, unpack),) = checks
+
+        def gate(arguments):
+            if len(arguments) == 1 and type(arguments[0]) is atom:
+                return [unpack(arguments[0].value)]
+            return None
+
+    elif len(checks) == 2:
+        (atom1, unpack1), (atom2, unpack2) = checks
+
+        def gate(arguments):
+            if len(arguments) == 2:
+                first, second = arguments
+                if type(first) is atom1 and type(second) is atom2:
+                    return [unpack1(first.value), unpack2(second.value)]
+            return None
+
+    else:
+
+        def gate(arguments):
+            if len(arguments) != len(checks):
+                return None
+            values = []
+            for argument, (atom, unpack) in zip(arguments, checks):
+                if type(argument) is not atom:
+                    return None
+                values.append(unpack(argument.value))
+            return values
+
+    return gate
+
+
+def _rebox(result) -> MExpr:
+    """A promoted call's result as the engine takes it back: the one atom
+    constructor of a machine integer or real, and ``to_mexpr`` only for
+    what else arrives (a rerun's bignum is an ``int`` too; its unevaluated
+    expression is already an ``MExpr``)."""
+    kind = type(result)
+    if kind is int:
+        return MInteger(result)
+    if kind is float:
+        return MReal(result)
+    return to_mexpr(result)
 
 
 def _parse_slot(argument: MExpr):

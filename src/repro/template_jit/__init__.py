@@ -1,11 +1,13 @@
 """Template-JIT baseline tier: copy-and-patch stitching for hotspot tier-up.
 
 The compile-speed/code-quality tradeoff (Titzer 2023) made concrete: this
-package compiles a typed function body in *microseconds* by stitching
-pre-generated Python source templates — one per bytecode instruction /
-typed-IR op — in a single linear pass, with no optimization pipeline and
-no register allocation beyond slot numbering (Xu & Kjolstad's
-copy-and-patch, transposed to Python source stencils).
+package compiles a typed function body by stitching pre-generated Python
+source templates — one per bytecode instruction / typed-IR op — in a
+single linear pass, with no optimization pipeline and no register
+allocation beyond slot numbering (Xu & Kjolstad's copy-and-patch,
+transposed to Python source stencils).  A stitch, ``compile()`` of the
+stitched source included, takes about 0.2 ms (``template_jit.stitch_us``
+190–215 µs in ``bench/``); the full pipeline takes milliseconds.
 
 The hotspot ladder (``repro.runtime.hotspot``) promotes hot functions
 here first, at a low threshold, so they get decent code almost

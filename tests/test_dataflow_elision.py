@@ -403,3 +403,86 @@ class TestStatsOneLiner:
         assert "Out[2]= 1275" in text
         assert "checks elided:" in text
         assert "int64" in text and "checkpoints" in text
+
+
+_MATRIX = 'TypeSpecifier["Tensor"["Integer64", 2]]'
+#: a column past the last: ``(1 - 1) * 3 + 5 - 1`` is inside the flat data
+COLUMN_PAST_THE_END = f"Function[{{Typed[m, {_MATRIX}]}}, m[[1, 5]]]"
+COLUMN_LOOP = (
+    f"Function[{{Typed[m, {_MATRIX}]}},"
+    " Module[{s = 0, j = 1}, While[j <= 5, s = s + m[[1, j]]; j = j + 1]; s]]"
+)
+SQUARE = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+
+
+class TestRank2Columns:
+    """A rank-2 ``Part`` is proven per axis.  A too-large row lands past
+    the end of the flat data and traps, so ``>= 1`` lets it go unchecked;
+    a too-large column lands in the next row, so it keeps its check unless
+    proven ``<=`` the column count (a ``tensor_row_length`` of the tensor,
+    the ``c`` of the ``matrix_create(r, c, _)`` that made it, a known
+    shape)."""
+
+    @pytest.mark.parametrize("verify_ir", ["off", "each"])
+    @pytest.mark.parametrize("source", [COLUMN_PAST_THE_END, COLUMN_LOOP],
+                             ids=["constant", "loop"])
+    def test_a_column_past_the_end_is_part_out_of_range(self, source,
+                                                        verify_ir):
+        from repro.compiler import FunctionCompile
+        from repro.errors import WolframRuntimeError
+
+        function = FunctionCompile(
+            source, options=CompilerOptions(verify_ir=verify_ir))
+        with pytest.raises(WolframRuntimeError) as info:
+            function(SQUARE)
+        assert info.value.kind == "PartOutOfRange"
+
+    @pytest.mark.parametrize("verify_ir", ["off", "each"])
+    @pytest.mark.parametrize("source", [COLUMN_PAST_THE_END, COLUMN_LOOP],
+                             ids=["constant", "loop"])
+    def test_hosted_it_is_rerun_by_the_interpreter(self, source, verify_ir):
+        from repro.compiler import FunctionCompile, install_engine_support
+        from repro.engine import Evaluator
+        from repro.errors import WolframEvaluationError
+
+        evaluator = Evaluator()
+        install_engine_support(evaluator)
+        function = FunctionCompile(
+            source, evaluator=evaluator,
+            options=CompilerOptions(verify_ir=verify_ir))
+        with pytest.raises(WolframEvaluationError, match="Part"):
+            function(SQUARE)
+        assert function.stats().kinds == {"PartOutOfRange": 1}
+        assert function.fallback_count == 1
+        assert "PartOutOfRange" in evaluator.messages[-1]
+
+    def test_a_column_bounded_by_the_row_length_is_unchecked(self):
+        source = (
+            f"Function[{{Typed[m, {_MATRIX}]}},"
+            " Module[{s = 0, j = 1, w = Length[m[[1]]]},"
+            "  While[j <= w, s = s + m[[1, j]]; j = j + 1]; s]]"
+        )
+        _, program = compile_kernel(source)
+        accesses = {
+            i.primitive.runtime_name: i.properties.get("elided_check")
+            for i in main_function(program).instructions()
+            if getattr(i, "primitive", None) is not None
+            and i.primitive.runtime_name in ("tensor_part2", "tensor_at")
+        }
+        # row 1 of a matrix of unknown length: only positive
+        assert accesses == {"tensor_at": "part-positive"}
+
+    @pytest.mark.parametrize("kernel", ["NEW_BLUR", "NEW_RANDOM_WALK"])
+    def test_blur_and_randomwalk_keep_every_access_unchecked(self, kernel):
+        from repro.benchsuite import programs
+        from repro.compiler.twir.check_elision import CHECKED_PARTS
+
+        _, program = compile_kernel(getattr(programs, kernel))
+        names = {
+            i.primitive.runtime_name
+            for function in program.functions.values()
+            for i in function.instructions()
+            if getattr(i, "primitive", None) is not None
+        }
+        assert not names & set(CHECKED_PARTS)
+        assert {"tensor_at", "tensor_at_set"} & names

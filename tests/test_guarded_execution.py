@@ -307,7 +307,7 @@ class TestClassification:
         def broken_entry(n):
             raise AttributeError("backend bug")
 
-        f._entry = broken_entry
+        f._native = broken_entry  # a scalar result: the entry runs directly
         with pytest.raises(AttributeError):
             f(10)
         assert f.fallback_count == 0

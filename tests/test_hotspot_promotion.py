@@ -330,3 +330,99 @@ class TestStatsSurface:
         assert full_form(parse("fib[10] + fib[10]")) == \
             "Plus[fib[10], fib[10]]"
         assert hosted.run("fib[10] + fib[10]").to_python() == 110
+
+
+class TestPromotedCall:
+    """A promoted call is gated once: no lock on the read path (an entry
+    is valid while its ``rules_version`` is the definition's), one check
+    and conversion per argument, and the artifact's call protocol past its
+    own boundary — breaker, soft failure and ``fallback_stats`` as ever."""
+
+    @staticmethod
+    def _promote(session):
+        session.run("sq[n_] := n*n + 1")
+        session.run("Table[sq[k], {k, 1, 10}]")
+        entry = session.hotspot.promoted["sq"]
+        assert entry.tier_kind == "compiled"
+        return entry
+
+    def test_a_loop_over_a_promoted_call_takes_no_lock(self, hosted):
+        """Every ``Table`` iteration moves ``state_version``; the promotion
+        stays valid without the table's lock being taken."""
+        entry = self._promote(hosted)
+
+        class Untouchable:
+            def __enter__(self):
+                raise AssertionError("the read path took the lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        hosted.hotspot._lock = Untouchable()
+        hits = entry.hits
+        assert hosted.run("Total[Table[sq[k], {k, 1, 50}]]").to_python() == \
+            sum(k * k + 1 for k in range(1, 51))
+        assert entry.hits == hits + 50
+
+    def test_redefinition_inside_a_running_table_drops_it_in_that_bump(
+        self, hosted
+    ):
+        self._promote(hosted)
+        values = hosted.run(
+            "Table[If[k == 5, sq[n_] := n + 100]; sq[k], {k, 1, 8}]"
+        ).to_python()
+        assert values == [2, 5, 10, 17, 105, 106, 107, 108]
+        assert ("sq", "invalidated") in [
+            (e.name, e.action) for e in hosted.hotspot.events
+        ]
+
+    def test_a_real_argument_to_an_integer_gate_declines(self, hosted):
+        entry = self._promote(hosted)
+        calls = dict(entry.artifact.stats().calls)
+        assert hosted.run("sq[2.5]").to_python() == 7.25
+        assert hosted.run("sq[2^70]").to_python() == 2 ** 140 + 1
+        # interpreted by the rules: the native code never ran, no warning
+        assert entry.artifact.stats().calls == calls
+        assert hosted.messages == []
+        assert hosted.hotspot.promoted["sq"] is entry
+
+    def test_a_tripped_breaker_still_withdraws(self, hosted):
+        hosted.run("cube[n_] := n*n*n")
+        hosted.run("Table[cube[k], {k, 1, 10}]")
+        entry = hosted.hotspot.promoted["cube"]
+        big = 3_000_000_000_000
+        values = hosted.run(
+            f"Table[cube[{big} + k], {{k, 1, 5}}]").to_python()
+        assert values == [(big + k) ** 3 for k in range(1, 6)]
+        # three overflows trip it; the next call withdraws the promotion
+        assert len(hosted.messages) == entry.artifact.breaker.threshold
+        assert "cube" not in hosted.hotspot.promoted
+        assert ("cube", "demoted") in [
+            (e.name, e.action) for e in hosted.hotspot.events
+        ]
+
+    def test_an_abort_mid_table_over_a_promoted_body(self, hosted):
+        import threading
+
+        entry = self._promote(hosted)
+        hits = entry.hits
+        timer = threading.Timer(0.05, hosted.request_abort)
+        timer.start()
+        try:
+            result = hosted.evaluate_protected(
+                parse("Table[sq[k], {k, 1, 10^6}]"))
+        finally:
+            timer.cancel()
+            hosted.clear_abort()
+        assert full_form(result) == "$Aborted"
+        assert entry.hits > hits
+        assert hosted.run("sq[3]").to_python() == 10
+
+    def test_fallback_stats_count_each_promoted_call_once(self, hosted):
+        entry = self._promote(hosted)
+        before = entry.artifact.stats().calls.get("compiled", 0)
+        hits = entry.hits
+        hosted.run("Table[sq[k], {k, 1, 100}]")
+        assert entry.artifact.stats().calls == {"compiled": before + 100}
+        assert entry.hits == hits + 100
+        assert entry.artifact.fallback_count == 0

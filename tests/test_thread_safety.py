@@ -144,7 +144,7 @@ def _entry(name: str, tier: Tier):
 
     return PromotedFunction(
         name=name, artifact=_Artifact(), tier_kind=tier.value,
-        gate_types=(), kinds=(), state_version=0, rules_version=0,
+        kinds=(), rules_version=0,
     )
 
 

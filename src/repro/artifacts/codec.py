@@ -7,8 +7,13 @@ compiler: :func:`lookup` before it and :func:`store` after it.
 code object — ``marshal``, base64 — beside its source, the signature, the
 constant pool and the kernel-escape expressions.  A hit unmarshals the
 code object and ``exec``s it: no ``compile`` of the source, no pipeline
-pass.  That is the only way a ``python`` entry is restored; the source is
-kept for ``generated_source``, ``--stats`` and tooling.  ``marshal`` is
+pass.  A pool entry that *is* one of the caller's named ``constants=``
+arrays is stored as its name (``{"n": name}``), never as its elements:
+the key holds that array's content digest, so a hit binds the caller's
+normalized array — the object a miss embeds — and decodes nothing.  Any
+other array is one deflated element buffer (``{"pa": ...}``).  That is
+the only way a ``python`` entry is restored; the source is kept for
+``generated_source``, ``--stats`` and tooling.  ``marshal`` is
 safe here because nothing reaches it but what
 :meth:`~repro.artifacts.store.ArtifactStore.get` returned, and ``get``
 checks the content digest of the bytes it read before decoding any of
@@ -76,7 +81,8 @@ class CachedProgram:
 def lookup(cache: ArtifactStore, key: str, kind: str, **context):
     """The artifact stored under ``key``, rebuilt, or ``None`` on a miss.
     ``context`` is what the ``kind`` needs besides the entry (``python``:
-    ``source_function``, ``evaluator``, ``options``)."""
+    ``source_function``, ``evaluator``, ``options`` and the normalized
+    ``constants`` the key was taken over)."""
     entry = cache.get(key)
     if entry is None:
         return None
@@ -102,21 +108,30 @@ def store(cache: ArtifactStore, key: str, kind: str, **artifact) -> None:
 # -- python entries -----------------------------------------------------------
 
 
-def _const_to_wire(value):
+def _const_to_wire(value, named: dict):
+    """A pool entry's wire form; ``named`` maps ``id`` of each named
+    ``constants=`` array to its name."""
     if isinstance(value, PackedArray):
+        name = named.get(id(value))
+        if name is not None:
+            return {"n": name}
         return {"pa": keys.packed_to_wire(value)}
     if isinstance(value, MExpr):
         return {"x": to_wire(value)}
     raise TypeError(f"uncacheable constant {type(value).__name__}")
 
 
-def _const_from_wire(payload):
+def _const_from_wire(payload, constants: dict):
+    if "n" in payload:
+        return constants[payload["n"]]
     if "pa" in payload:
         return keys.packed_from_wire(payload["pa"])
     return from_wire(payload["x"])
 
 
-def _python_payload(program, compiled, backend) -> Optional[dict]:
+def _python_payload(program, compiled, backend,
+                    constants: dict) -> Optional[dict]:
+    named = {id(array): name for name, array in constants.items()}
     try:
         kexprs = []
         for expression, names, result_type in backend.kernel_expressions:
@@ -134,7 +149,7 @@ def _python_payload(program, compiled, backend) -> Optional[dict]:
             "params": [type_to_wire(t) for t in compiled.signature.params],
             "result": type_to_wire(compiled.signature.result),
             "ndarray": list(program.metadata.get("ndarrayParameters", ())),
-            "consts": [_const_to_wire(c) for c in backend.constants],
+            "consts": [_const_to_wire(c, named) for c in backend.constants],
             "kexprs": kexprs,
             "twir": hashlib.sha256(
                 program.to_string().encode("utf-8")
@@ -144,7 +159,7 @@ def _python_payload(program, compiled, backend) -> Optional[dict]:
         return None
 
 
-def _python_function(entry, source_function, evaluator, options):
+def _python_function(entry, source_function, evaluator, options, constants):
     from repro.compiler.api import CompiledCodeFunction
     from repro.compiler.codegen.python_backend import execute_module
     from repro.compiler.types.specifier import FunctionType
@@ -153,7 +168,7 @@ def _python_function(entry, source_function, evaluator, options):
     if not isinstance(code, CodeType):
         raise ValueError("entry code is not a code object")
     main = entry["main"]
-    constants = [_const_from_wire(c) for c in entry["consts"]]
+    pool = [_const_from_wire(c, constants) for c in entry["consts"]]
     kernel_expressions = [
         (from_wire(k["e"]), list(k["v"]),
          type_from_wire(k["t"]) if k["t"] is not None else None)
@@ -171,7 +186,7 @@ def _python_function(entry, source_function, evaluator, options):
     holder["fn"] = compiled = CompiledCodeFunction(
         program=CachedProgram(main, entry["ndarray"]),
         namespace=execute_module(code, entry["source"], kernel_call,
-                                 constants, kernel_expressions),
+                                 pool, kernel_expressions),
         signature=signature,
         source_function=source_function,
         evaluator=evaluator,

@@ -154,38 +154,52 @@ def runtime_fingerprint() -> str:
     return _fingerprint_cache
 
 
+_NODE_KINDS = (MExprNormal, MSymbol, MInteger, MReal, MString, MComplex)
+
+
 def _write_tree(node: MExpr, emit) -> None:
     """``emit`` the canonical text of ``node`` in one pre-order walk: per
     node a tag, then a payload that says where it ends (a length before a
     name or string, the argument count before the children, a terminator
     after a number's ``repr``), then its serialisable metadata sorted by
     name.  Equal trees give equal text and different trees different text
-    — ``1``, ``1.0`` and ``"1"`` differ in the tag."""
-    if isinstance(node, MExprNormal):
-        emit(f"n{len(node.args)}:")
-    elif isinstance(node, MSymbol):
-        emit(f"y{len(node.name)}:{node.name}")
-    elif isinstance(node, MInteger):
-        emit(f"i{node.value};")
-    elif isinstance(node, MReal):
-        emit(f"r{node.value!r};")
-    elif isinstance(node, MString):
-        emit(f"s{len(node.value)}:{node.value}")
-    elif isinstance(node, MComplex):
-        emit(f"c{node.value.real!r},{node.value.imag!r};")
-    else:  # pragma: no cover - exhaustive over node kinds
-        raise TypeError(f"cannot key {type(node).__name__}")
-    properties = node._properties
-    if properties:
-        for name in sorted(properties):
-            value = properties[name]
-            if value is None or isinstance(value, (str, int, float, bool)):
-                text = repr(value)
-                emit(f"m{len(name)}:{name}{len(text)}:{text}")
-    if isinstance(node, MExprNormal):
-        _write_tree(node.head, emit)
-        for argument in node.args:
-            _write_tree(argument, emit)
+    — ``1``, ``1.0`` and ``"1"`` differ in the tag.  The walk is a loop
+    over an explicit stack, so keying does not depend on tree depth."""
+    stack = [node]
+    pop, push, append = stack.pop, stack.extend, stack.append
+    while stack:
+        node = pop()
+        kind = type(node)
+        while True:
+            if kind is MExprNormal:
+                arguments = node.args
+                emit(f"n{len(arguments)}:")
+                push(arguments[::-1])
+                append(node.head)
+            elif kind is MSymbol:
+                emit(f"y{len(node.name)}:{node.name}")
+            elif kind is MInteger:
+                emit(f"i{node.value};")
+            elif kind is MReal:
+                emit(f"r{node.value!r};")
+            elif kind is MString:
+                emit(f"s{len(node.value)}:{node.value}")
+            elif kind is MComplex:
+                emit(f"c{node.value.real!r},{node.value.imag!r};")
+            else:  # a subclass keys as the node kind it extends
+                kind = next(
+                    (k for k in _NODE_KINDS if isinstance(node, k)), None)
+                if kind is None:
+                    raise TypeError(f"cannot key {type(node).__name__}")
+                continue
+            break
+        properties = node._properties
+        if properties:
+            for name in sorted(properties):
+                value = properties[name]
+                if value is None or isinstance(value, (str, int, float, bool)):
+                    text = repr(value)
+                    emit(f"m{len(name)}:{name}{len(text)}:{text}")
 
 
 def _digest(fields: tuple, *trees: MExpr) -> str:
@@ -232,24 +246,35 @@ def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
 # -- packed arrays: one pass per array in a key, one buffer in an entry ------
 
 
+def content_digest(elements: list) -> str:
+    """SHA-256 of a list of constant elements as their version-2 ``marshal``
+    text — one pass in C that writes each element with its type and by
+    value only (that version has no object references), so ``1``, ``1.0``
+    and ``True`` (and ``-0.0`` and ``0.0``) differ; elements ``marshal``
+    rejects are digested by ``repr``.  The first letter names the form."""
+    try:
+        return "m" + hashlib.sha256(marshal.dumps(elements, 2)).hexdigest()
+    except ValueError:
+        return "r" + hashlib.sha256(
+            repr(elements).encode("utf-8", "surrogatepass")).hexdigest()
+
+
 def constants_digest(constants: dict) -> str:
     """Content digest of named :class:`PackedArray` constants, name-sorted
-    so dict insertion order never matters.  The elements are hashed as
-    their version-2 ``marshal`` text — one pass in C that writes each
-    element with its type and by value only (that version has no object
-    references), so ``1``, ``1.0`` and ``True`` (and ``-0.0`` and ``0.0``)
-    hash differently; elements ``marshal`` rejects are hashed by ``repr``."""
+    so dict insertion order never matters: per name its element type,
+    dimensions and :func:`content_digest`.  That digest is the one
+    :func:`~repro.compiler.pipeline.normalize_constants` took while
+    building the array (``constants.digests``), else taken here."""
+    known = getattr(constants, "digests", {})
     digest = hashlib.sha256()
     for name in sorted(constants):
         array = constants[name]
-        try:
-            form, buffer = "marshal", marshal.dumps(array.data, 2)
-        except ValueError:
-            form, buffer = "repr", repr(array.data).encode("utf-8")
-        header = (name, array.element_type, tuple(array.dims), form,
-                  len(buffer))
-        digest.update(repr(header).encode("utf-8"))
-        digest.update(buffer)
+        built, content = known.get(name, (None, None))
+        if built is not array:
+            content = content_digest(array.data)
+        digest.update(repr(
+            (name, array.element_type, tuple(array.dims), content)
+        ).encode("utf-8"))
     return digest.hexdigest()
 
 

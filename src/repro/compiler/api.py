@@ -597,7 +597,7 @@ def _function_compile(
         )
         compiled = codec.lookup(
             store, cache_key, "python", source_function=source_function,
-            evaluator=evaluator, options=options,
+            evaluator=evaluator, options=options, constants=constants,
         )
         if span_record is not None:
             span_record.args["cache"] = "miss" if compiled is None else "hit"
@@ -640,7 +640,7 @@ def _function_compile(
     compiled_holder["fn"] = compiled
     if store is not None:
         codec.store(store, cache_key, "python", program=program,
-                    compiled=compiled, backend=backend)
+                    compiled=compiled, backend=backend, constants=constants)
     return _bound(compiled, evaluator, bind)
 
 

@@ -610,23 +610,61 @@ def _signature_of(function_module: FunctionModule) -> FunctionType:
     return FunctionType(params, result)
 
 
-def normalize_constants(constants: Optional[dict]) -> dict[str, PackedArray]:
+class NamedConstants(dict):
+    """The normalized ``constants=`` mapping, name to :class:`PackedArray`,
+    with ``digests``: for each array built from a list, ``(array, content
+    digest)`` as taken while building it — the digest the artifact key
+    needs (:func:`repro.artifacts.keys.constants_digest`)."""
+
+    def __init__(self):
+        super().__init__()
+        self.digests: dict[str, tuple[PackedArray, str]] = {}
+
+
+#: what a ``constants=`` list normalizes to — ``Integer64``, ``Real64`` or
+#: ``nested`` — by its content digest, which spells every element's type,
+#: so it decides as surely as the element scan it saves (a list is
+#: mutable: never by identity).  Cleared when full.
+_ELEMENT_TYPES: dict[str, str] = {}
+_ELEMENT_TYPES_MAX = 256
+
+
+def _element_type(data: list) -> str:
+    kinds = set(map(type, data))
+    if any(issubclass(k, (list, tuple)) for k in kinds):
+        return "nested"
+    return "Integer64" if all(issubclass(k, int) for k in kinds) else "Real64"
+
+
+def normalize_constants(constants: Optional[dict]) -> NamedConstants:
     """The ``constants=`` mapping as named packed arrays — the one object
     both the artifact key and the lowerer read (idempotent: a
     :class:`PackedArray` passes through; a flat list is ``Integer64`` when
-    every element is an ``int``, anything else is ``Real64``)."""
-    packed: dict[str, PackedArray] = {}
-    for name, data in (constants or {}).items():
+    every element is an ``int``, anything else is ``Real64``; a nested
+    one is a ``Real64`` tensor).  A list is copied, then digested in one
+    pass in C; the element scan runs only for content not seen before."""
+    if isinstance(constants, NamedConstants):
+        return constants
+    packed = NamedConstants()
+    if not constants:
+        return packed
+    from repro.artifacts.keys import content_digest
+
+    for name, data in constants.items():
         if not isinstance(data, PackedArray):
             data = list(data)
-            kinds = set(map(type, data))
-            if any(issubclass(k, (list, tuple)) for k in kinds):
+            digest = content_digest(data)
+            element_type = _ELEMENT_TYPES.get(digest)
+            if element_type is None:
+                element_type = _element_type(data)
+                if len(_ELEMENT_TYPES) >= _ELEMENT_TYPES_MAX:
+                    _ELEMENT_TYPES.clear()
+                _ELEMENT_TYPES[digest] = element_type
+            if element_type == "nested":  # the key digests the flat rows
                 data = PackedArray.from_nested(data, "Real64")
-            else:  # rank 1: the scan above is the only pass over the data
-                integral = all(issubclass(k, int) for k in kinds)
-                data = PackedArray(
-                    data, (len(data),), "Integer64" if integral else "Real64"
-                )
+            else:
+                data = PackedArray(data, (len(data),), element_type)
+                packed.digests[name] = (data, digest)
         packed[name] = data
     return packed
 

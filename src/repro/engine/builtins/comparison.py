@@ -42,12 +42,20 @@ def _equal(arguments):
 
 
 def _unequal(arguments):
-    if len(arguments) != 2:
+    """``a != b != c`` means pairwise distinct: ``False`` once any two
+    arguments are equal, ``True`` once every two are known to differ,
+    unevaluated while a symbolic pair leaves it open."""
+    if len(arguments) < 2:
         return None
-    inner = _equal(arguments)
-    if inner is None:
-        return None
-    return boolean(is_false(inner))
+    undecided = False
+    for index, left in enumerate(arguments):
+        for right in arguments[index + 1:]:
+            same = _equal((left, right))
+            if same is None:
+                undecided = True
+            elif is_true(same):
+                return boolean(False)
+    return None if undecided else boolean(True)
 
 
 @builtin("Equal", fold=_equal)
@@ -93,8 +101,10 @@ def same_q(evaluator, expression):
 
 @builtin("UnsameQ")
 def unsame_q(evaluator, expression):
+    # pairwise distinct, as for Unequal: UnsameQ[1, 2, 1] is False
     args = expression.args
-    return boolean(all(a != b for a, b in zip(args, args[1:])))
+    return boolean(all(left != right for index, left in enumerate(args)
+                       for right in args[index + 1:]))
 
 
 @builtin("TrueQ")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from repro.errors import WolframParseError
 from repro.mexpr.atoms import MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
-from repro.mexpr.symbols import S
+from repro.mexpr.symbols import S, is_head
 
 
 class Token(NamedTuple):
@@ -116,90 +116,156 @@ def _scan(text: str) -> list[tuple[str, str, int]]:
         matches, resume = pattern.finditer(text, resume), None
         for match in matches:
             group, start = match.lastindex, match.start()
+            if group <= _PLAIN_ROLES:  # nearly every token: one tuple
+                append((roles[group], text[start:match.start(group)], start))
+                continue
             kind, value = roles[group], text[start:match.start(group)]
-            if group > _PLAIN_ROLES:
-                if kind == "skip":
-                    continue
-                if kind == "eof":
-                    append((kind, value, start))
-                    return tokens
-                if kind == "comment":
-                    depth, resume = 1, start + 2
-                    while depth:
-                        edge = _COMMENT_EDGE.search(text, resume)
-                        if edge is None:
-                            raise WolframParseError("unterminated comment")
-                        depth += 1 if edge.group() == "(*" else -1
-                        resume = edge.end()
-                    break
-                if kind == "unterminated":
-                    raise WolframParseError(f"unterminated string at {start}")
-                if kind == "unexpected":
-                    raise WolframParseError(
-                        f"unexpected character {value!r} at position {start}"
-                    )
-                if kind == "string":
-                    value = _ESCAPE.sub(_unescape, value[1:-1])
-                elif kind == "alias":
-                    kind, value = "op", _UNICODE_ALIASES[value]
-                elif kind == "pi":
-                    kind, value = "name", "Pi"
+            if kind == "skip":
+                continue
+            if kind == "eof":
+                append((kind, value, start))
+                return tokens
+            if kind == "comment":
+                depth, resume = 1, start + 2
+                while depth:
+                    edge = _COMMENT_EDGE.search(text, resume)
+                    if edge is None:
+                        raise WolframParseError("unterminated comment")
+                    depth += 1 if edge.group() == "(*" else -1
+                    resume = edge.end()
+                break
+            if kind == "unterminated":
+                raise WolframParseError(f"unterminated string at {start}")
+            if kind == "unexpected":
+                raise WolframParseError(
+                    f"unexpected character {value!r} at position {start}"
+                )
+            if kind == "string":
+                value = value[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(_unescape, value)
+            elif kind == "alias":
+                kind, value = "op", _UNICODE_ALIASES[value]
+            elif kind == "pi":
+                kind, value = "name", "Pi"
             append((kind, value, start))
     return tokens
 
 
-# Binding powers, loosely following the Wolfram operator-precedence table.
-_BINARY = {
-    ";": 10,
-    "=": 20, ":=": 20, "+=": 20, "-=": 20, "*=": 20, "/=": 20,
-    "//": 24,
-    "/.": 30, "//.": 30,
-    "->": 35, ":>": 35,
-    "/;": 37,
-    "||": 40,
-    "&&": 45,
-    "==": 55, "!=": 55, "===": 55, "=!=": 55,
-    "<": 55, ">": 55, "<=": 55, ">=": 55,
-    "<>": 58,
-    "+": 60, "-": 60,
-    "*": 70, "/": 70,
-    ".": 72,
-    "^": 80,
-    "@@": 88, "@@@": 88, "/@": 88,
-    "@": 90,
-    "?": 96,
-    ":": 97,
-}
-_RIGHT_ASSOC = {"=", ":=", "+=", "-=", "*=", "/=", "->", ":>", "^", "@", "@@", "@@@", "/@", ":"}
-
-_BINARY_HEADS = {
-    "->": "Rule", ":>": "RuleDelayed", "/.": "ReplaceAll", "//.": "ReplaceRepeated",
-    "||": "Or", "&&": "And", "==": "Equal", "!=": "Unequal",
-    "===": "SameQ", "=!=": "UnsameQ", "<": "Less", ">": "Greater",
-    "<=": "LessEqual", ">=": "GreaterEqual", "<>": "StringJoin",
-    "=": "Set", ":=": "SetDelayed", "+=": "AddTo", "-=": "SubtractFrom",
-    "*=": "TimesBy", "/=": "DivideBy", "^": "Power", ".": "Dot",
-    "/;": "Condition", "?": "PatternTest",
-}
+#: how deeply expressions may nest — brackets, braces, parentheses, prefix
+#: operators and right-associative chains each count one level; the
+#: parser spends at most two Python frames a level, so any caller with a
+#: few hundred frames of headroom gets a :class:`WolframParseError`, never
+#: a ``RecursionError``
+MAX_DEPTH = 256
 
 #: binding power of implicit multiplication (``2 Pi``), same tier as ``*``.
 _IMPLICIT_TIMES_BP = 70
 
-#: every operator that can continue an expression, with the binding power
-#: it must reach: the binary ones, call/Part, the postfix ones and a slot
-_POSTFIX_BP = {
-    **_BINARY, "[": 100, "&": 25, "++": 85, "--": 85, "'": 99,
-    "#": _IMPLICIT_TIMES_BP,
+_PLUS, _TIMES, _POWER, _LIST, _PART = S.Plus, S.Times, S.Power, S.List, S.Part
+_PATTERN, _SLOT, _COMPOUND = S.Pattern, S.Slot, S.CompoundExpression
+_APPLY, _MAP = S.Apply, S.Map
+_BLANKS = (None, S.Blank, S.BlankSequence, S.BlankNullSequence)
+
+#: what a prefix operator builds: ``(binding power of the operand, head)``;
+#: ``-`` and ``+`` are handled in :meth:`Parser.parse_expr`
+_PREFIX = {"!": (50, S.Not), "++": (85, S.PreIncrement),
+           "--": (85, S.PreDecrement)}
+
+#: what a postfix operator builds around the expression before it, all at
+#: binding power 25 (``&``) or above
+_POSTFIX = {"&": (25, S.Function), "++": (85, S.Increment),
+            "--": (85, S.Decrement), "'": (99, S.Derivative1)}
+
+#: what ends the statements of ``a; b;`` early (a trailing ``;`` is Null)
+_COMPOUND_ENDS = frozenset((")", "]", "}", ",", "]]"))
+
+
+def _nary(name: str):
+    """The builder of an operator that chains n-ary in Wolfram: ``1 < 2 < 3``
+    is ``Less[1, 2, 3]`` and ``a + b + c`` one ``Plus``.  An operand whose
+    head already is ``name`` — the chain so far, or ``Plus[a, b]`` spelled
+    out — contributes its arguments."""
+    head = S(name)
+
+    def build(lhs: MExpr, rhs: MExpr) -> MExpr:
+        if (type(lhs) is MExprNormal and isinstance(lhs.head, MSymbol)
+                and lhs.head.name == name):
+            left = lhs.args
+        else:
+            left = (lhs,)
+        if (type(rhs) is MExprNormal and isinstance(rhs.head, MSymbol)
+                and rhs.head.name == name):
+            return MExprNormal(head, left + rhs.args)
+        return MExprNormal(head, left + (rhs,))
+
+    return build
+
+
+def _binary(name: str):
+    head = S(name)
+    return lambda lhs, rhs: MExprNormal(head, (lhs, rhs))
+
+
+def _pattern(lhs: MExpr, rhs: MExpr) -> MExpr:
+    if not isinstance(lhs, MSymbol):
+        raise WolframParseError("pattern name must be a symbol")
+    return MExprNormal(_PATTERN, (lhs, rhs))
+
+
+_plus, _times = _nary("Plus"), _nary("Times")
+
+#: every infix operator, by token: ``(binding power, binding power of the
+#: right operand, builder)`` — the right operand binds at the operator's
+#: own power where the operator is right-associative, one above it where
+#: it is left-associative; the binding powers loosely follow the Wolfram
+#: operator-precedence table
+_INFIX = {
+    **{op: (20, 20, _binary(head)) for op, head in (
+        ("=", "Set"), (":=", "SetDelayed"), ("+=", "AddTo"),
+        ("-=", "SubtractFrom"), ("*=", "TimesBy"), ("/=", "DivideBy"))},
+    "//": (24, 25, lambda lhs, fn: MExprNormal(fn, (lhs,))),
+    "/.": (30, 31, _binary("ReplaceAll")),
+    "//.": (30, 31, _binary("ReplaceRepeated")),
+    "->": (35, 35, _binary("Rule")),
+    ":>": (35, 35, _binary("RuleDelayed")),
+    "/;": (37, 38, _binary("Condition")),
+    "||": (40, 41, _nary("Or")),
+    "&&": (45, 46, _nary("And")),
+    **{op: (55, 56, _nary(head)) for op, head in (
+        ("==", "Equal"), ("!=", "Unequal"), ("===", "SameQ"),
+        ("=!=", "UnsameQ"), ("<", "Less"), (">", "Greater"),
+        ("<=", "LessEqual"), (">=", "GreaterEqual"))},
+    "<>": (58, 59, _nary("StringJoin")),
+    "+": (60, 61, _plus),
+    "-": (60, 61, lambda lhs, rhs: _plus(
+        lhs, MExprNormal(_TIMES, (MInteger(-1), rhs)))),
+    "*": (70, 71, _times),
+    "/": (70, 71, lambda lhs, rhs: _times(
+        lhs, MExprNormal(_POWER, (rhs, MInteger(-1))))),
+    ".": (72, 73, _nary("Dot")),
+    "^": (80, 80, _binary("Power")),
+    "@@": (88, 88, lambda lhs, rhs: MExprNormal(_APPLY, (lhs, rhs))),
+    "@@@": (88, 88, lambda lhs, rhs: MExprNormal(
+        _APPLY, (lhs, rhs, MExprNormal(_LIST, (MInteger(1),))))),
+    "/@": (88, 88, lambda lhs, rhs: MExprNormal(_MAP, (lhs, rhs))),
+    "@": (90, 90, lambda lhs, rhs: MExprNormal(lhs, (rhs,))),
+    "?": (96, 97, _binary("PatternTest")),
+    ":": (97, 97, _pattern),
 }
+
+_COMPOUND_BP = 10
 
 
 class Parser:
+    """One Pratt parser over :func:`_scan`'s tokens: :meth:`parse_expr`
+    reads an operand and then every operator that binds at least as
+    tightly as its caller asked."""
+
     def __init__(self, text: str):
         #: ``(kind, text, pos)`` tuples, ``eof`` last
         self.tokens = _scan(text)
         self.pos = 0
-
-    # -- token helpers -------------------------------------------------------
 
     def expect(self, text: str) -> None:
         _, found, at = self.tokens[self.pos]
@@ -209,14 +275,8 @@ class Parser:
                 f"expected {text!r} but found {found!r} at position {at}"
             )
 
-    def at_op(self, text: str) -> bool:
-        kind, found, _ = self.tokens[self.pos]
-        return found == text and kind == "op"
-
-    # -- grammar -------------------------------------------------------------
-
     def parse(self) -> MExpr:
-        node = self.parse_expr(0)
+        node = self.parse_expr(0, 0)
         kind, text, at = self.tokens[self.pos]
         if kind != "eof":
             raise WolframParseError(
@@ -224,211 +284,163 @@ class Parser:
             )
         return node
 
-    def parse_expr(self, min_bp: int) -> MExpr:
-        node = self.parse_prefix()
-        while True:
-            node2 = self.parse_postfix(node, min_bp)
-            if node2 is None:
-                break
-            node = node2
-        return node
-
-    def parse_prefix(self) -> MExpr:
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "op":
-            return self.parse_primary()
-        if text == "-":
-            self.pos += 1
-            operand = self.parse_expr(75)
-            if isinstance(operand, MInteger):
-                return MInteger(-operand.value)
-            if isinstance(operand, MReal):
-                return MReal(-operand.value)
-            return MExprNormal(S.Times, [MInteger(-1), operand])
-        if text == "+":
-            self.pos += 1
-            return self.parse_expr(75)
-        if text == "!":
-            self.pos += 1
-            return MExprNormal(S.Not, [self.parse_expr(50)])
-        if text == "++":
-            self.pos += 1
-            return MExprNormal(S.PreIncrement, [self.parse_expr(85)])
-        if text == "--":
-            self.pos += 1
-            return MExprNormal(S.PreDecrement, [self.parse_expr(85)])
-        return self.parse_primary()
-
-    def parse_postfix(self, node: MExpr, min_bp: int) -> MExpr | None:
-        kind, text, _ = self.tokens[self.pos]
-        if kind == "eof":
-            return None
-        if kind == "op":
-            bp = _POSTFIX_BP.get(text)
-            if bp is None or bp < min_bp:
-                return None
-            # f[args] and x[[parts]]: Part is two consecutive `[` tokens
-            if text == "[":
-                self.pos += 1
-                if self.at_op("["):
-                    self.pos += 1
-                    parts = self.parse_sequence(close="]")
-                    self.expect("]")
-                    self.expect("]")
-                    return MExprNormal(S.Part, [node, *parts])
-                args = self.parse_sequence(close="]")
-                self.expect("]")
-                return MExprNormal(node, args)
-            if text == ";":
-                return self.parse_compound(node)
-            if text == "#":
-                # implicit multiplication against a slot: `2 #`
-                rhs = self.parse_expr(_IMPLICIT_TIMES_BP + 1)
-                return MExprNormal(S.Times, [node, rhs])
-            self.pos += 1
-            if text == "&":
-                return MExprNormal(S.Function, [node])
-            if text == "++":
-                return MExprNormal(S.Increment, [node])
-            if text == "--":
-                return MExprNormal(S.Decrement, [node])
-            if text == "'":
-                return MExprNormal(S.Derivative1, [node])
-            if text == "//":
-                fn = self.parse_expr(bp + 1)
-                return MExprNormal(fn, [node])
-            next_bp = bp if text in _RIGHT_ASSOC else bp + 1
-            rhs = self.parse_expr(next_bp)
-            return self.combine_binary(text, node, rhs)
-        # a number, name or string: implicit multiplication, `2 Pi`, `2 x`
-        if _IMPLICIT_TIMES_BP >= min_bp:
-            rhs = self.parse_expr(_IMPLICIT_TIMES_BP + 1)
-            return MExprNormal(S.Times, [node, rhs])
-        return None
-
-    def combine_binary(self, op: str, lhs: MExpr, rhs: MExpr) -> MExpr:
-        if op == "+":
-            return self.flatten("Plus", lhs, rhs)
-        if op == "-":
-            neg = MExprNormal(S.Times, [MInteger(-1), rhs])
-            return self.flatten("Plus", lhs, neg)
-        if op == "*":
-            return self.flatten("Times", lhs, rhs)
-        if op == "/":
-            inv = MExprNormal(S.Power, [rhs, MInteger(-1)])
-            return self.flatten("Times", lhs, inv)
-        if op == "@":
-            return MExprNormal(lhs, [rhs])
-        if op == "@@":
-            return MExprNormal(S.Apply, [lhs, rhs])
-        if op == "@@@":
-            return MExprNormal(S.Apply, [lhs, rhs, MExprNormal(S.List, [MInteger(1)])])
-        if op == "/@":
-            return MExprNormal(S.Map, [lhs, rhs])
-        if op == ":":
-            if not isinstance(lhs, MSymbol):
-                raise WolframParseError("pattern name must be a symbol")
-            return MExprNormal(S.Pattern, [lhs, rhs])
-        head = _BINARY_HEADS.get(op)
-        if head is None:
-            raise WolframParseError(f"unsupported operator {op!r}")
-        if head in {"And", "Or", "StringJoin", "Dot", "Less", "Greater",
-                    "LessEqual", "GreaterEqual", "Equal", "SameQ"}:
-            # comparisons chain n-ary in Wolfram: 1 < 2 < 3 is Less[1, 2, 3]
-            return self.flatten(head, lhs, rhs)
-        return MExprNormal(S(head), [lhs, rhs])
-
-    @staticmethod
-    def flatten(head: str, lhs: MExpr, rhs: MExpr) -> MExpr:
-        """Merge nested same-head binary parses into one n-ary node."""
-        args: list[MExpr] = []
-        from repro.mexpr.symbols import is_head
-
-        for part in (lhs, rhs):
-            if is_head(part, head):
-                args.extend(part.args)
-            else:
-                args.append(part)
-        return MExprNormal(S(head), args)
-
-    def parse_compound(self, first: MExpr) -> MExpr:
-        """``a; b; c`` (and a trailing ``;`` appends ``Null``)."""
-        items = [first]
-        while self.at_op(";"):
-            self.pos += 1
-            kind, text, _ = self.tokens[self.pos]
-            ends = kind == "eof" or (
-                kind == "op" and text in {")", "]", "}", ",", "]]"}
-            )
-            if ends:
-                items.append(MSymbol("Null"))
-                break
-            items.append(self.parse_expr(_BINARY[";"] + 1))
-        return MExprNormal(S.CompoundExpression, items)
-
-    def parse_sequence(self, close: str) -> list[MExpr]:
-        items: list[MExpr] = []
-        if self.at_op(close):
-            return items
-        # `]]` closing may appear as two `]`s if parts nested oddly; keep simple
-        items.append(self.parse_expr(0))
-        while self.at_op(","):
-            self.pos += 1
-            items.append(self.parse_expr(0))
-        return items
-
-    def parse_primary(self) -> MExpr:
-        kind, text, at = self.tokens[self.pos]
+    def parse_expr(self, min_bp: int, depth: int) -> MExpr:
+        """The expression at ``depth`` levels of nesting that takes every
+        operator binding at least as tightly as ``min_bp``."""
+        tokens = self.tokens
+        kind, text, at = tokens[self.pos]
+        if depth == MAX_DEPTH:
+            raise WolframParseError(f"nesting too deep at position {at}")
+        depth += 1
         self.pos += 1
+        # -- the operand: an atom, a bracketed form or a prefix operator
         if kind == "name":
-            # `x_`, `x__`, `x___`, `x_Head` after an identifier
-            if self.at_op("_"):
-                self.pos += 1
-                return self.parse_blank(1, MSymbol(text))
-            return MSymbol(text)
-        if kind == "int":
-            return MInteger(int(text))
-        if kind == "real":
-            return MReal(float(text.replace("*^", "e")))
-        if kind == "string":
-            return MString(text)
-        if kind == "op":
+            if tokens[self.pos][1] == "_" and tokens[self.pos][0] == "op":
+                node = self.parse_blank(MSymbol(text))
+            else:
+                node = MSymbol(text)
+        elif kind == "op":
             if text == "(":
-                inner = self.parse_expr(0)
+                node = self.parse_expr(0, depth)
                 self.expect(")")
-                return inner
-            if text == "{":
-                items = self.parse_sequence(close="}")
-                self.expect("}")
-                return MExprNormal(S.List, items)
-            if text == "#":
-                kind, digits, _ = self.tokens[self.pos]
+            elif text == "{":
+                node = MExprNormal(_LIST, self.parse_sequence("}", depth))
+            elif text == "-":
+                node = self.parse_expr(75, depth)
+                if isinstance(node, MInteger):
+                    node = MInteger(-node.value)
+                elif isinstance(node, MReal):
+                    node = MReal(-node.value)
+                else:
+                    node = MExprNormal(_TIMES, (MInteger(-1), node))
+            elif text == "#":
+                kind, digits, _ = tokens[self.pos]
                 if kind == "int":
                     self.pos += 1
-                    return MExprNormal(S.Slot, [MInteger(int(digits))])
-                return MExprNormal(S.Slot, [MInteger(1)])
-            if text == "_":
-                return self.parse_blank(1, None)
-        raise WolframParseError(
-            f"unexpected token {text!r} at position {at}"
-        )
+                    node = MExprNormal(_SLOT, (MInteger(int(digits)),))
+                else:
+                    node = MExprNormal(_SLOT, (MInteger(1),))
+            elif text == "+":
+                node = self.parse_expr(75, depth)
+            elif text in _PREFIX:
+                bp, head = _PREFIX[text]
+                node = MExprNormal(head, (self.parse_expr(bp, depth),))
+            elif text == "_":
+                node = self.parse_blank(None)
+            else:
+                raise WolframParseError(
+                    f"unexpected token {text!r} at position {at}")
+        elif kind == "int":
+            node = MInteger(int(text))
+        elif kind == "real":
+            node = MReal(float(text.replace("*^", "e")))
+        elif kind == "string":
+            node = MString(text)
+        else:
+            raise WolframParseError(
+                f"unexpected token {text!r} at position {at}")
+        # -- every operator that binds at least as tightly as ``min_bp``
+        while True:
+            kind, text, _ = tokens[self.pos]
+            if kind == "op":
+                infix = _INFIX.get(text)
+                if infix is not None:
+                    bp, right_bp, build = infix
+                    if bp < min_bp:
+                        break
+                    self.pos += 1
+                    node = build(node, self.parse_expr(right_bp, depth))
+                elif text == "[":
+                    if min_bp > 100:
+                        break
+                    # f[args] and x[[parts]]: Part is two `[` tokens
+                    kind, text, _ = tokens[self.pos + 1]
+                    if text == "[" and kind == "op":
+                        self.pos += 2
+                        parts = self.parse_sequence("]", depth)
+                        self.expect("]")
+                        node = MExprNormal(_PART, (node, *parts))
+                    else:
+                        self.pos += 1
+                        node = MExprNormal(node, self.parse_sequence("]", depth))
+                elif text in _POSTFIX:
+                    bp, head = _POSTFIX[text]
+                    if bp < min_bp:
+                        break
+                    self.pos += 1
+                    node = MExprNormal(head, (node,))
+                elif text == ";":
+                    if min_bp > _COMPOUND_BP:
+                        break
+                    node = self.parse_compound(node, depth)
+                elif text == "#" and min_bp <= _IMPLICIT_TIMES_BP:
+                    # implicit multiplication against a slot: `2 #`
+                    node = MExprNormal(_TIMES, (
+                        node, self.parse_expr(_IMPLICIT_TIMES_BP + 1, depth)))
+                else:
+                    break
+            elif kind == "eof" or min_bp > _IMPLICIT_TIMES_BP:
+                break
+            else:  # a number, name or string: `2 Pi`, `2 x`
+                node = MExprNormal(_TIMES, (
+                    node, self.parse_expr(_IMPLICIT_TIMES_BP + 1, depth)))
+        return node
 
-    def parse_blank(self, underscores: int, name_symbol: MSymbol | None) -> MExpr:
-        while self.at_op("_"):
+    def parse_compound(self, first: MExpr, depth: int) -> MExpr:
+        """``a; b; c`` (and a trailing ``;`` appends ``Null``)."""
+        tokens = self.tokens
+        items = [first]
+        while True:
+            kind, text, _ = tokens[self.pos]
+            if text != ";" or kind != "op":
+                break
+            self.pos += 1
+            kind, text, _ = tokens[self.pos]
+            if kind == "eof" or (kind == "op" and text in _COMPOUND_ENDS):
+                items.append(MSymbol("Null"))
+                break
+            items.append(self.parse_expr(_COMPOUND_BP + 1, depth))
+        return MExprNormal(_COMPOUND, items)
+
+    def parse_sequence(self, close: str, depth: int) -> list[MExpr]:
+        """The comma-separated expressions up to ``close``, which it
+        consumes."""
+        tokens = self.tokens
+        kind, text, _ = tokens[self.pos]
+        if text == close and kind == "op":
+            self.pos += 1
+            return []
+        items = [self.parse_expr(0, depth)]
+        while True:
+            kind, text, _ = tokens[self.pos]
+            if text != "," or kind != "op":
+                break
+            self.pos += 1
+            items.append(self.parse_expr(0, depth))
+        self.expect(close)
+        return items
+
+    def parse_blank(self, name: MSymbol | None) -> MExpr:
+        """``_``, ``__``, ``___``, each with an optional head, after the
+        first ``_`` (``x_Integer`` when ``name`` is ``x``)."""
+        tokens = self.tokens
+        if name is not None:
+            self.pos += 1  # the first `_`
+        underscores = 1
+        while tokens[self.pos][1] == "_" and tokens[self.pos][0] == "op":
             self.pos += 1
             underscores += 1
-        blank_head = {1: "Blank", 2: "BlankSequence", 3: "BlankNullSequence"}.get(underscores)
-        if blank_head is None:
+        if underscores > 3:
             raise WolframParseError("too many underscores in pattern")
-        head_args: list[MExpr] = []
-        kind, text, _ = self.tokens[self.pos]
+        kind, text, _ = tokens[self.pos]
         if kind == "name":
             self.pos += 1
-            head_args.append(MSymbol(text))
-        blank = MExprNormal(S(blank_head), head_args)
-        if name_symbol is None:
+            blank = MExprNormal(_BLANKS[underscores], (MSymbol(text),))
+        else:
+            blank = MExprNormal(_BLANKS[underscores], ())
+        if name is None:
             return blank
-        return MExprNormal(S.Pattern, [name_symbol, blank])
+        return MExprNormal(_PATTERN, (name, blank))
 
 
 def parse(text: str) -> MExpr:
@@ -446,8 +458,6 @@ def parse_all(text: str) -> list[MExpr]:
     if not stripped:
         return []
     node = parse(stripped)
-    from repro.mexpr.symbols import is_head
-
     if is_head(node, "CompoundExpression"):
-        return [a for a in node.args]
+        return list(node.args)
     return [node]

@@ -209,6 +209,23 @@ class TestKeys:
         assert function_key(expr, options, "python") != \
             function_key(expr, options, "python", extra={"compiler": 99})
 
+    def test_ten_thousand_deep_tree_keys_without_recursion(self):
+        from repro.artifacts.keys import _write_tree
+
+        def chain(depth):
+            tree = MSymbol("x")
+            for _ in range(depth):
+                tree = MExprNormal(MSymbol("f"), (tree,))
+            return tree
+
+        deep = chain(10_000)
+        assert sys.getrecursionlimit() < 10_000
+        written: list[str] = []
+        _write_tree(deep, written.append)
+        assert "".join(written) == "n1:y1:f" * 10_000 + "y1:x"
+        key = function_key(deep, CompilerOptions(), "python")
+        assert key != function_key(chain(9_999), CompilerOptions(), "python")
+
     def test_constant_in_either_array_state_has_one_key(self):
         """An ndarray-resident constant is the same constant: same
         content digest, same function key, same entry form."""
@@ -617,7 +634,7 @@ class TestFunctionCompileCache:
             complex_pool.data
 
     @caches_function_compiles
-    def test_large_pool_is_one_buffer_and_corruption_recompiles(
+    def test_large_pool_is_a_named_reference_and_corruption_recompiles(
         self, artifact_cache
     ):
         from repro.testing import corrupt_artifact
@@ -628,11 +645,11 @@ class TestFunctionCompileCache:
         )
         FunctionCompile(programs.NEW_PRIMEQ, constants=_primeq_constants())
         digest = _only_digest(artifact_cache)
-        pools = [c["pa"] for c in artifact_cache.get(digest)["consts"]
-                 if "pa" in c]
-        # one deflated buffer per array, never a 16 384-element JSON list
-        assert all("b" in p and "v" not in p for p in pools)
-        assert os.path.getsize(artifact_cache._object_path(digest)) < 64_000
+        consts = artifact_cache.get(digest)["consts"]
+        # the 16 384-element table is stored as its name, never its elements
+        assert {"n": "primeTable"} in consts
+        assert not any("pa" in c for c in consts)
+        assert os.path.getsize(artifact_cache._object_path(digest)) < 12_000
         corrupt_artifact(artifact_cache, digest, "truncate")
         warm = FunctionCompile(programs.NEW_PRIMEQ,
                                constants=_primeq_constants())
@@ -640,21 +657,117 @@ class TestFunctionCompileCache:
         assert artifact_cache.stats["corrupt"] == 1
         assert artifact_cache.stats["evictions"] == 1
         assert artifact_cache.stats["stores"] == 2
-        # a well-formed entry around an undecodable pool (stored as a fresh
-        # payload: the store refuses an edited entry under its old digest):
-        # evict, recompile
+        # a well-formed entry naming a constant the caller did not pass
+        # (stored as a fresh payload: the store refuses an edited entry
+        # under its old digest): evict, recompile
         entry = artifact_cache.get(digest)
         assert artifact_cache.put(digest, {**entry, "main": "x"}) is None
         del entry["sha256"]
         for const in entry["consts"]:
-            if "b" in const.get("pa", {}):
-                const["pa"]["b"] = const["pa"]["b"][:-3]
+            if "n" in const:
+                const["n"] = "noSuchTable"
         artifact_cache.put(digest, entry)
         again = FunctionCompile(programs.NEW_PRIMEQ,
                                 constants=_primeq_constants())
         assert again(limit) == expected
         assert artifact_cache.stats["evictions"] == 2
         assert artifact_cache.stats["stores"] == 4
+
+    @caches_function_compiles
+    def test_named_constant_hit_binds_the_callers_array(self, artifact_cache):
+        table = PackedArray([10, 20, 30], (3,), "Integer64")
+        cold = FunctionCompile(TABLE_READ, constants={"myTable": table})
+        warm = FunctionCompile(TABLE_READ, constants={"myTable": table})
+        assert artifact_cache.stats["hits"] == 1
+        # the hit's pool holds the very array the miss embedded
+        for compiled in (cold, warm):
+            assert any(c is table for c in compiled.namespace["_consts"])
+        assert warm.generated_source == cold.generated_source
+        assert [warm(i) for i in (1, 2, 3)] == [10, 20, 30]
+
+    @caches_function_compiles
+    def test_named_constant_beside_a_kernel_escape_stores_and_hits(
+        self, artifact_cache
+    ):
+        from repro.compiler import install_engine_support
+        from repro.engine import Evaluator
+
+        evaluator = Evaluator()
+        install_engine_support(evaluator)
+        source = ('Function[{Typed[n, "MachineInteger"]}, Module[{x = '
+                  'Part[myTable, n]}, KernelFunction[Fibonacci][n]; x]]')
+        table = {"myTable": [100, 200, 300]}
+        cold = FunctionCompile(source, evaluator=evaluator, constants=table)
+        assert artifact_cache.stats["stores"] == 1
+        assert artifact_cache.stats["unstorable"] == 0
+        entry = artifact_cache.get(_only_digest(artifact_cache))
+        assert entry["kexprs"] and {"n": "myTable"} in entry["consts"]
+        hits = artifact_cache.stats["hits"]
+        warm = FunctionCompile(source, evaluator=evaluator, constants=table)
+        assert artifact_cache.stats["hits"] == hits + 1
+        assert [warm(n) for n in (1, 2, 3)] == [cold(n) for n in (1, 2, 3)] \
+            == [100, 200, 300]
+
+    @caches_function_compiles
+    def test_one_changed_element_of_a_large_table_misses(self, artifact_cache):
+        constants = _primeq_constants()
+        FunctionCompile(programs.NEW_PRIMEQ, constants=constants)
+        edited = list(constants["primeTable"])
+        edited[9973] = 0
+        FunctionCompile(programs.NEW_PRIMEQ,
+                        constants={**constants, "primeTable": edited})
+        assert artifact_cache.stats["hits"] == 0
+        assert artifact_cache.stats["stores"] == 2
+        FunctionCompile(programs.NEW_PRIMEQ,
+                        constants={**constants, "primeTable": edited})
+        assert artifact_cache.stats["hits"] == 1
+
+    @caches_function_compiles
+    @pytest.mark.parametrize("table", [
+        [-2 ** 63, 2 ** 63 - 1],
+        [0.0, -0.0, float("nan"), float("inf")],
+        [1, 2.5],
+        [True, False],
+        [[1.5, -0.0], [float("nan"), 4.5]],
+    ], ids=["int64-extremes", "signed-zero-nan", "mixed", "bool", "rank2"])
+    def test_named_constant_round_trips_exactly(self, artifact_cache, table):
+        source = (TABLE_READ if not isinstance(table[0], list) else
+                  'Function[{Typed[n, "MachineInteger"]}, '
+                  'Part[myTable, n, 2] + Part[myTable, n, 1]]')
+        cold = FunctionCompile(source, constants={"myTable": table})
+        warm = FunctionCompile(source, constants={"myTable": table})
+        assert artifact_cache.stats["hits"] == 1
+        normalized = normalize_constants({"myTable": table})["myTable"]
+        bound, = [c for c in warm.namespace["_consts"]
+                  if isinstance(c, PackedArray)]
+        assert (bound.element_type, bound.dims) == \
+            (normalized.element_type, normalized.dims)
+        assert list(map(repr, bound.data)) == \
+            list(map(repr, normalized.data))
+        assert [repr(warm(i)) for i in range(1, len(table) + 1)] == \
+            [repr(cold(i)) for i in range(1, len(table) + 1)]
+
+    @caches_function_compiles
+    def test_entry_with_a_packed_buffer_still_restores(self, artifact_cache):
+        """An entry written before pools became named references holds
+        the table's elements (``pa``); it restores them."""
+        from repro.artifacts.keys import packed_to_wire
+
+        table = [10, 20, 30]
+        FunctionCompile(TABLE_READ, constants={"myTable": table})
+        digest = _only_digest(artifact_cache)
+        entry = artifact_cache.get(digest)
+        del entry["sha256"]
+        entry["consts"] = [
+            {"pa": packed_to_wire(PackedArray(table, (3,), "Integer64"))}
+            if "n" in const else const for const in entry["consts"]
+        ]
+        artifact_cache.put(digest, entry)
+        hits = artifact_cache.stats["hits"]
+        warm = FunctionCompile(TABLE_READ, constants={"myTable": table})
+        assert artifact_cache.stats["hits"] == hits + 1
+        assert artifact_cache.stats["evictions"] == 0
+        assert [warm(i) for i in (1, 2, 3)] == table
 
     @caches_function_compiles
     def test_function_typed_parameter_hits(self, artifact_cache):
@@ -677,7 +790,7 @@ class TestFunctionCompileCache:
         from repro.__main__ import batch
         from repro.artifacts import codec
 
-        def no_wire_form(value):
+        def no_wire_form(value, names):
             raise TypeError("no wire form")
 
         monkeypatch.setattr(codec, "_const_to_wire", no_wire_form)

@@ -266,16 +266,20 @@ class TestConstantsOracle:
 
     @needs_cache
     def test_codec_that_drops_the_sign_of_zero_is_detected(self, monkeypatch):
-        from repro.artifacts import keys
+        from repro.artifacts import codec
+        from repro.runtime.packed import PackedArray
 
-        exact = keys.packed_from_wire
+        exact = codec._const_from_wire
 
-        def lossy(wire):
-            array = exact(wire)
-            array.data = [value + 0 for value in array.data]
+        def lossy(payload, constants):
+            array = exact(payload, constants)
+            if isinstance(array, PackedArray):
+                array = PackedArray([value + 0 for value in array.data],
+                                    array.dims, array.element_type)
             return array
 
-        monkeypatch.setattr(keys, "packed_from_wire", lossy)
+        # every pool entry a hit restores, named or buffered, passes here
+        monkeypatch.setattr(codec, "_const_from_wire", lossy)
         report = ConstantsOracle(seed=0).run(count=120)
         assert report.mismatches
         results = report.mismatches[0].results

@@ -110,7 +110,8 @@ def test_three_or_more_reals_fold_in_canonical_order(name, arguments):
     ("Plus[0.3, 0.2, 0.1]", "0.6000000000000001"),  # as written: 0.6
     ("Power[2, -1]", "Power[2, -1]"),               # declined: no Rational
     ("Mod[7, 0]", "Mod[7, 0]"), ("Mod[-7, 3]", "2"), ("Quotient[7, 2]", "3"),
-    ("Less[1, 2, 2.5]", "True"), ("Unequal[1, 2, 3]", "Unequal[1, 2, 3]"),
+    ("Less[1, 2, 2.5]", "True"), ("Unequal[1, 2, 3]", "True"),
+    ("Unequal[1, 2, 1]", "False"), ("Unequal[1, 2.5, 2.5]", "False"),
     ("Plus[2^70, 1]", "1180591620717411303425"),
 ])
 def test_edge_cases(run, source, expected):

@@ -207,6 +207,60 @@ class TestErrors:
             parse(bad)
 
 
+class TestNesting:
+    """Nesting past ``MAX_DEPTH`` is a classified parse error, never a
+    ``RecursionError``, whatever construct does the nesting."""
+
+    @pytest.mark.parametrize("opening, middle, closing", [
+        ("(", "1", ")"), ("f[", "1", "]"), ("{", "1", "}"),
+        ("x[[", "1", "]]"), ("-", "x", ""), ("!", "x", ""), ("++", "x", ""),
+        ("a^", "a", ""), ("a -> ", "a", ""), ("f @ ", "x", ""),
+        ("a = ", "1", ""), ("(a; ", "b", ")"), ("p : ", "_", ""),
+    ], ids=lambda part: part.strip() or "-")
+    def test_deep_nesting_is_a_parse_error(self, opening, middle, closing):
+        text = opening * 3000 + middle + closing * 3000
+        with pytest.raises(WolframParseError, match="nesting too deep"):
+            parse(text)
+
+    def test_depth_bound_is_exact(self):
+        from repro.mexpr.parser import MAX_DEPTH
+
+        inside = "{" * (MAX_DEPTH - 1) + "1" + "}" * (MAX_DEPTH - 1)
+        tree = parse(inside)
+        for _ in range(MAX_DEPTH - 1):
+            tree = tree.args[0]
+        assert tree == parse("1")
+        with pytest.raises(WolframParseError, match="nesting too deep"):
+            parse("{" + inside + "}")
+
+    def test_bound_leaves_stack_headroom(self):
+        """At the bound the parser is deep in Python frames; it must fit
+        under a caller that already used a few hundred of them."""
+        import sys
+
+        from repro.mexpr.parser import MAX_DEPTH
+
+        text = "f[{" * (MAX_DEPTH // 2 - 1) + "1" + "}]" * (MAX_DEPTH // 2 - 1)
+
+        def nested(levels):
+            return nested(levels - 1) if levels else parse(text)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert nested(300) == parse(text)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_hundred_thousand_parentheses_fail_fast(self):
+        import time
+
+        started = time.perf_counter()
+        with pytest.raises(WolframParseError, match="nesting too deep"):
+            parse("(" * 100_000 + "1" + ")" * 100_000)
+        assert time.perf_counter() - started < 5
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("source", [
         "fib = Function[{n}, If[n < 1, 1, fib[n-1]+fib[n-2]]]",

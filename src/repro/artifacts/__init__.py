@@ -6,13 +6,11 @@ Why it exists
 -------------
 
 Every process restart re-pays JIT warmup: the server's base image, the
-hotspot ladder's full-pipeline rung, and every ``FunctionCompile`` all
-run the same multi-pass pipeline over the same definitions, per process.
-This package makes the *expensive* rung's results durable (Titzer's
-baseline-compiler argument: the µs template rung stays cache-free — it
-is already cheaper than a cache probe) and, via the AOT mode, specializes
-the engine to a fixed definition set ahead of time — the first Futamura
-projection reading of ``repro serve``'s warm boot.
+hotspot ladder's compiled rung, and every ``FunctionCompile`` all run
+the same multi-pass pipeline over the same definitions, per process.
+This package makes the pipeline's results durable and, via the AOT
+mode, specializes the engine to a fixed definition set ahead of time —
+the first Futamura projection reading of ``repro serve``'s warm boot.
 
 Layout
 ------

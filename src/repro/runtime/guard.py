@@ -332,12 +332,12 @@ def charge_memory(nbytes: int) -> None:
 class Tier(Enum):
     """Where a call can run, fastest first.
 
-    ``COMPILED`` (the full pipeline), ``TEMPLATE`` (the hotspot ladder's
-    copy-and-patch baseline: microsecond compile latency) and ``BYTECODE``
-    (the legacy ``Compile`` VM, native tier of its own ``CompiledFunction``
-    only) are each the *native* tier of one artifact class.  An artifact
-    runs there or on ``INTERPRETER``; no tier falls back to another
-    compiled tier.
+    ``COMPILED`` (the full pipeline, and the hotspot ladder's one rung
+    above the interpreter), ``TEMPLATE`` (the standalone copy-and-patch
+    baseline of :mod:`repro.template_jit`) and ``BYTECODE`` (the legacy
+    ``Compile`` VM) are each the *native* tier of one artifact class
+    only.  An artifact runs there or on ``INTERPRETER``; no tier falls
+    back to another compiled tier.
     """
 
     COMPILED = "compiled"

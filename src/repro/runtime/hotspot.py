@@ -1,35 +1,27 @@
-"""Profile-guided tier-up: promote hot DownValue functions up a tier ladder.
+"""Profile-guided tier-up: promote hot DownValue functions to the compiled
+tier.
 
 :class:`~repro.runtime.guard.CircuitBreaker` takes a failing artifact off
 its native tier, back to the interpreter.  This module is the *promotion*
-half (Titzer 2023: a tiered runtime needs both directions), a **three-rung
+half (Titzer 2023: a tiered runtime needs both directions), a **two-rung
 ladder**:
 
 1. **interpreter** — every symbol starts here; a lightweight profiler
-   counts DownValue applications per symbol;
-2. **template JIT** (``REPRO_TEMPLATE_THRESHOLD``, default 2): at the low
-   threshold the definition is synthesized into a typed plan and stitched
-   by :mod:`repro.template_jit` — about 0.2 ms a compile, so a
-   just-became-hot function gets decent code almost immediately instead of
-   stalling on the full pipeline (the copy-and-patch tradeoff, Xu &
-   Kjolstad 2021);
-3. **full pipeline** (``REPRO_HOTSPOT_THRESHOLD``, default 16): functions
-   that *stay* hot tier up again — the same plan is compiled through
-   ``FunctionCompile`` and the template entry is replaced.  If the
-   compiled tier is unavailable the function simply keeps its template
-   artifact.
+   counts DownValue applications per symbol *and definition*: a count
+   belongs to the ``Definition.rules_version`` it was taken against, so
+   any write to the rules (``Set``, ``Clear``, ``Block`` entry or restore)
+   restarts it, whether or not the symbol was ever promoted;
+2. **full pipeline** (``REPRO_HOTSPOT_THRESHOLD``, default 16): a
+   definition applied that many times is synthesized into a typed plan and
+   compiled through ``FunctionCompile``.  If the compiled tier declines,
+   the definition stays interpreted, blocked until it changes.
 
-With the template rung disabled (``REPRO_TEMPLATE_JIT=0``) there is one
-promotion, at the full threshold: the full pipeline, or stay interpreted.
-
-The expensive rung is durable: ``FunctionCompile`` consults the persistent
-artifact cache (:mod:`repro.artifacts`), so a function promoted in one
-process promotes from a cache hit in the next — no pipeline passes run.
-The template rung
-deliberately stays cache-free: its ≈ 0.2 ms stitch is cheaper than a
-cache probe.  :meth:`HotspotProfiler.preload` is the AOT entry point —
-a warm image's manifest replays hot definitions through the full-pipeline
-rung at boot, before any call is dispatched.
+The rung is durable: ``FunctionCompile`` consults the persistent artifact
+cache (:mod:`repro.artifacts`), so a function promoted in one process
+promotes from a cache hit in the next — no pipeline passes run.
+:meth:`HotspotProfiler.preload` is the AOT entry point — a warm image's
+manifest replays hot definitions through the same rung at boot, before
+any call is dispatched.
 
 Governance invariants:
 
@@ -45,23 +37,19 @@ Governance invariants:
 * argument gating is exact: a call whose arguments do not match the
   promoted signature (class and int64 range) is evaluated interpretively,
   never coerced;
-* the server's degradation cap (:meth:`HotspotProfiler.demote_all`) ranks
-  the rungs compiled > template > interpreter and both
-  promotion paths re-check it before installing an artifact.
+* the server's degradation cap (:meth:`HotspotProfiler.demote_all`) is
+  the compiled tier or the interpreter, and a promotion re-checks it
+  before installing an artifact.
 
 Event vocabulary (emitted through :mod:`repro.observe` when tracing is
 enabled; every event carries ``symbol=<name>``):
 
 ``hotspot.promote`` (span)
-    one promotion attempt — synthesis, compilability gating, and tier
-    compilation — timed end to end (tier-up attempts add ``upgrade``);
-``template.compile`` (span)
-    the stitch+compile of one template artifact (emitted by
-    :mod:`repro.template_jit.compiler`);
+    one promotion attempt — synthesis, compilability gating, and
+    compilation — timed end to end;
 ``tier.promote``
-    promotion succeeded; args add ``tier`` ("compiled" | "template")
-    and ``applications`` (the profile count that triggered it); tier-ups
-    from the template rung add ``upgraded_from``;
+    promotion succeeded; args add ``tier`` ("compiled") and
+    ``applications`` (the profile count that triggered it);
 ``tier.demote``
     a promoted artifact's breaker tripped and the promotion was withdrawn,
     or the degradation cap withdrew it; args add ``from``/``to`` tier names
@@ -82,7 +70,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import observe as _observe
@@ -95,12 +83,6 @@ from repro.runtime.guard import Tier
 
 DEFAULT_THRESHOLD = 16
 _ENV_KNOB = "REPRO_HOTSPOT_THRESHOLD"
-
-#: the template rung fires almost immediately — its compile is ≈ 0.2 ms
-DEFAULT_TEMPLATE_THRESHOLD = 2
-_TEMPLATE_KNOB = "REPRO_TEMPLATE_THRESHOLD"
-#: set to ``0``/``off``/``false`` to disable the template rung entirely
-_TEMPLATE_ENABLE_KNOB = "REPRO_TEMPLATE_JIT"
 
 #: control heads usable in a promoted body beyond pure numeric calls
 _CONTROL_HEADS = frozenset({"If", "And", "Or", "Not"})
@@ -127,30 +109,13 @@ def threshold_from_environment() -> int:
         return DEFAULT_THRESHOLD
 
 
-def template_threshold_from_environment() -> int:
-    raw = os.environ.get(_TEMPLATE_KNOB)
-    if raw is None:
-        return DEFAULT_TEMPLATE_THRESHOLD
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_TEMPLATE_THRESHOLD
-
-
-def template_enabled_from_environment() -> bool:
-    raw = os.environ.get(_TEMPLATE_ENABLE_KNOB)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "off", "false", "no")
-
-
 @dataclass
 class PromotedFunction:
     """One symbol's live promotion: artifact + validity + type gate."""
 
     name: str
     artifact: object
-    tier_kind: str  # "compiled" | "template"
+    tier_kind: str  # "compiled"
     kinds: tuple[str, ...]
     #: ``Definition.rules_version`` of the rule list behind the promotion;
     #: the entry is valid while the definition still has it
@@ -158,11 +123,6 @@ class PromotedFunction:
     #: the arguments' check and conversion (see :func:`_gate`)
     gate: Optional[Callable] = None
     hits: int = 0
-    #: the synthesized plan, kept on template entries so the tier-up to the
-    #: full pipeline skips re-synthesis
-    plan: Optional[object] = None
-    #: set when a tier-up attempt failed; the entry stays template for good
-    upgrade_blocked: bool = False
 
     def artifact_tier(self) -> Tier:
         return self.artifact.breaker.tier
@@ -193,13 +153,6 @@ class _Plan:
 #: is not
 _COMPILED, _INTERPRETER = Tier.COMPILED, Tier.INTERPRETER
 
-#: tier ordering for the degradation cap, hottest highest
-_TIER_RANK = {
-    Tier.COMPILED: 2,
-    Tier.TEMPLATE: 1,
-    Tier.INTERPRETER: 0,
-}
-
 
 class HotspotProfiler:
     """Counts DownValue applications and promotes past the threshold.
@@ -211,40 +164,29 @@ class HotspotProfiler:
     shifts promotion by one application.
     """
 
-    def __init__(
-        self,
-        threshold: Optional[int] = None,
-        template_threshold: Optional[int] = None,
-        template_enabled: Optional[bool] = None,
-    ):
+    def __init__(self, threshold: Optional[int] = None):
         self.threshold = (
             threshold if threshold is not None else threshold_from_environment()
         )
-        self.template_threshold = (
-            template_threshold if template_threshold is not None
-            else template_threshold_from_environment()
-        )
-        self.template_enabled = (
-            template_enabled if template_enabled is not None
-            else template_enabled_from_environment()
-        )
+        #: applications of each symbol's current definition
         self.counts: dict[str, int] = {}
+        #: the ``Definition.rules_version`` each count was taken against: a
+        #: count restarts when the rules change, promoted or not
+        self._counted: dict[str, int] = {}
         self.promoted: dict[str, PromotedFunction] = {}
         self.events: list[PromotionEvent] = []
-        #: cumulative wall-clock compile cost and promotion count per tier
-        #: (surfaced by the ``--stats`` hot-function report)
-        self.compile_seconds: dict[str, float] = {}
-        self.compile_count: dict[str, int] = {}
-        #: the hottest tier promotion may target; lowered by the server's
-        #: graceful-degradation path (see :meth:`demote_all`)
+        #: cumulative wall-clock compile cost and promotion count (surfaced
+        #: by the ``--stats`` hot-function report)
+        self.compile_seconds = 0.0
+        self.compile_count = 0
+        #: ``COMPILED``, or ``INTERPRETER`` when the server's
+        #: graceful-degradation path has switched promotion off (see
+        #: :meth:`demote_all`)
         self.max_tier: Tier = Tier.COMPILED
         #: definitions that failed the gate, keyed to the
         #: ``Definition.rules_version`` that failed — any redefinition
         #: (even to equal rules) takes a new version and retries once
         self._blocked: dict[str, int] = {}
-        #: definitions the template stitcher declined (keyed like
-        #: ``_blocked``): they stay interpreted until the full-pipeline rung
-        self._template_blocked: dict[str, int] = {}
         self._in_progress: set[str] = set()
         self._lock = threading.RLock()
 
@@ -274,17 +216,6 @@ class HotspotProfiler:
         ):
             self._withdraw(name, definition, entry)
             return None
-        # rung 3: a template entry that *stays* hot tiers up to the full
-        # pipeline once total applications reach the high threshold
-        if (
-            entry.tier_kind == "template"
-            and not entry.upgrade_blocked
-            and self.counts.get(name, 0) + entry.hits + 1 >= self.threshold
-        ):
-            upgraded = self._attempt_upgrade(evaluator, name, entry)
-            if upgraded is not None:
-                entry = upgraded
-                artifact = entry.artifact
         try:
             values = entry.gate(arguments)
         except WolframRuntimeError:
@@ -297,38 +228,38 @@ class HotspotProfiler:
     def record(self, evaluator, name, definition, expression) -> None:
         """Count one interpreted rule application; maybe promote.
 
-        Two trigger points implement the ladder's promotion side: the low
-        template threshold stitches a baseline artifact (rung 2), the high
-        threshold runs the full pipeline directly (rung 1 → 3 when the
-        template rung is disabled, declined the definition, or raced) —
-        unless the degradation cap rules the compiled tier out.
+        The count is of applications of *this* definition: a new
+        ``rules_version`` starts it over, so a symbol redefined more often
+        than every ``threshold`` calls never promotes.  At the threshold
+        the full pipeline runs — unless the degradation cap has switched
+        promotion off.
         """
-        count = self.counts.get(name, 0) + 1
+        version = definition.rules_version
+        if self._counted.get(name) == version:
+            # ``get``: a racing first count may have stamped the version
+            # before storing its count
+            count = self.counts.get(name, 0) + 1
+        else:
+            self._counted[name] = version
+            count = 1
         self.counts[name] = count
-        if name in self.promoted:
-            return
-        full = count >= self.threshold and self.max_tier is _COMPILED
-        if not full and not (
-            self.template_enabled and count >= self.template_threshold
+        if (
+            count < self.threshold
+            or name in self.promoted
+            or self.max_tier is not _COMPILED
+            or self._blocked.get(name) == version
         ):
-            return
-        if self.max_tier is _INTERPRETER:
-            return  # degraded to the floor: promotion disabled outright
-        if self._blocked.get(name) == definition.rules_version:
-            return  # failed the gate at these rules: no lock to take
+            return  # not hot, promoted, capped, or failed the gate
         with self._lock:
-            if name in self.promoted or name in self._in_progress:
+            if (
+                name in self.promoted
+                or name in self._in_progress
+                or self._blocked.get(name) == version
+            ):
                 return
-            version = definition.rules_version
-            if self._blocked.get(name) == version:
-                return
-            if not full and self._template_blocked.get(name) == version:
-                return  # the stitcher declined: hold for the full pipeline
             self._in_progress.add(name)
         try:
-            self._attempt_promotion(
-                evaluator, name, definition, expression, full
-            )
+            self._attempt_promotion(evaluator, name, definition, expression)
         finally:
             self._in_progress.discard(name)
 
@@ -350,7 +281,7 @@ class HotspotProfiler:
         definition = evaluator.state.lookup(name)
         if definition is None or not definition.down_values:
             return False
-        if self.max_tier is not Tier.COMPILED:
+        if self.max_tier is not _COMPILED:
             return False
         with self._lock:
             if name in self.promoted or name in self._in_progress:
@@ -358,7 +289,7 @@ class HotspotProfiler:
             self._in_progress.add(name)
         try:
             with _observe.span("hotspot.promote", "hotspot", symbol=name,
-                               rung="full", preload=True):
+                               preload=True):
                 plan = self._synthesize(name, definition, None)
                 if plan is None or plan is _RETRY_LATER:
                     return False
@@ -375,9 +306,8 @@ class HotspotProfiler:
                         kinds=plan.kinds,
                         rules_version=definition.rules_version,
                         gate=_gate(plan),
-                        plan=plan,
                     )
-                    self._charge_compile("compiled", elapsed)
+                    self._charge_compile(elapsed)
                     self.events.append(
                         PromotionEvent(name, "promoted", "compiled",
                                        "AOT preload")
@@ -398,10 +328,8 @@ class HotspotProfiler:
                 return  # a racer invalidated or withdrew it
             del self.promoted[name]
             if entry.rules_version != definition.rules_version:
-                # the rules behind the promotion changed
-                self.counts[name] = 0
-                self._blocked.pop(name, None)
-                self._template_blocked.pop(name, None)
+                # the rules behind the promotion changed (the next
+                # application starts the new definition's count)
                 self.events.append(
                     PromotionEvent(name, "invalidated", entry.tier_kind,
                                    "definition changed")
@@ -440,18 +368,18 @@ class HotspotProfiler:
         """Cap promotion at ``cap`` and withdraw hotter live promotions.
 
         The graceful-degradation hook of the multi-tenant server: under
-        memory pressure sessions step down compiled → template →
-        interpreter (``cap`` is one of those three).  Returns the number of
+        memory pressure sessions step down from the compiled tier to the
+        interpreter (``cap`` is one of those two).  Returns the number of
         promotions withdrawn.  Raising the cap back re-enables promotion,
         and withdrawn functions re-promote once they get hot again — their
         profile counts restart from zero.
         """
         with self._lock:
             self.max_tier = cap
+            if cap is _COMPILED:
+                return 0
             withdrawn = 0
             for name, entry in list(self.promoted.items()):
-                if _TIER_RANK[Tier(entry.tier_kind)] <= _TIER_RANK[cap]:
-                    continue
                 del self.promoted[name]
                 self.counts[name] = 0
                 withdrawn += 1
@@ -476,7 +404,8 @@ class HotspotProfiler:
                 tier = entry.artifact_tier().value
                 hits = entry.hits
             else:
-                status = "blocked" if name in self._blocked else "profiling"
+                blocked = self._blocked.get(name) == self._counted.get(name)
+                status = "blocked" if blocked else "profiling"
                 tier = Tier.INTERPRETER.value
                 hits = 0
             rows.append((name, count, status, tier, hits))
@@ -484,59 +413,31 @@ class HotspotProfiler:
 
     def compile_time_table(self) -> list[tuple[str, int, float]]:
         """``(tier, promotions, cumulative compile seconds)`` rows for the
-        ``--stats`` report, hottest tier first."""
-        return [
-            (kind, self.compile_count[kind], self.compile_seconds[kind])
-            for kind in ("compiled", "template")
-            if kind in self.compile_count
-        ]
+        ``--stats`` report: one row, once anything was promoted."""
+        if not self.compile_count:
+            return []
+        return [("compiled", self.compile_count, self.compile_seconds)]
 
     # -- promotion -----------------------------------------------------------
 
-    def _attempt_promotion(self, evaluator, name, definition, expression,
-                           full: bool):
-        with _observe.span("hotspot.promote", "hotspot", symbol=name,
-                           rung="full" if full else "template"):
+    def _attempt_promotion(self, evaluator, name, definition, expression):
+        with _observe.span("hotspot.promote", "hotspot", symbol=name):
             self._attempt_promotion_inner(
-                evaluator, name, definition, expression, full
+                evaluator, name, definition, expression
             )
 
     def _attempt_promotion_inner(self, evaluator, name, definition,
-                                 expression, full: bool):
+                                 expression):
         plan = self._synthesize(name, definition, expression)
         if plan is None:
             self._block(name, definition, "definition is not promotable")
             return
         if plan is _RETRY_LATER:
             # e.g. symbolic arguments this call: stay hot, try again next time
-            trigger = self.threshold if full else self.template_threshold
-            self.counts[name] = trigger - 1
+            self.counts[name] = self.threshold - 1
             return
         started = time.perf_counter()
-        if full:
-            artifact = self._compile_compiled_tier(evaluator, name, plan)
-            tier_kind = "compiled"
-        else:
-            artifact = self._compile_template(evaluator, name, plan)
-            tier_kind = "template"
-            if artifact is None:
-                # the stitcher declined; not fatal — the definition stays
-                # interpreted until the full-pipeline rung takes over
-                with self._lock:
-                    self._template_blocked[name] = definition.rules_version
-                    self.events.append(
-                        PromotionEvent(
-                            name, "blocked", Tier.TEMPLATE.value,
-                            "template stitch declined; deferred to the "
-                            "full pipeline",
-                        )
-                    )
-                _observe.event(
-                    "tier.blocked", "hotspot", symbol=name,
-                    tier=Tier.TEMPLATE.value,
-                    reason="template stitch declined",
-                )
-                return
+        artifact = self._compile_compiled_tier(evaluator, name, plan)
         elapsed = time.perf_counter() - started
         if artifact is None:
             self._block(name, definition, "the compiled tier declined the definition")
@@ -547,7 +448,7 @@ class HotspotProfiler:
             # withdraws entries already in the table).  Installing an
             # over-cap artifact now would stick until the *next* cap
             # change, so re-check and drop it instead.
-            if _TIER_RANK[Tier(tier_kind)] > _TIER_RANK[self.max_tier]:
+            if self.max_tier is not _COMPILED:
                 self.events.append(
                     PromotionEvent(name, "blocked", self.max_tier.value,
                                    "tier cap lowered during promotion")
@@ -558,89 +459,23 @@ class HotspotProfiler:
             self.promoted[name] = PromotedFunction(
                 name=name,
                 artifact=artifact,
-                tier_kind=tier_kind,
+                tier_kind="compiled",
                 kinds=plan.kinds,
                 rules_version=definition.rules_version,
                 gate=_gate(plan),
-                plan=plan,
             )
-            self._charge_compile(tier_kind, elapsed)
+            self._charge_compile(elapsed)
             self.events.append(
-                PromotionEvent(name, "promoted", tier_kind,
+                PromotionEvent(name, "promoted", "compiled",
                                f"after {self.counts[name]} applications")
             )
         _observe.event("tier.promote", "hotspot", symbol=name,
-                       tier=tier_kind, applications=self.counts[name])
-        _observe.count(f"hotspot.promotions.{tier_kind}")
+                       tier="compiled", applications=self.counts[name])
+        _observe.count("hotspot.promotions.compiled")
 
-    def _attempt_upgrade(self, evaluator, name, entry):
-        """Tier-up a template entry to the full pipeline (rung 2 → 3).
-
-        If ``FunctionCompile`` declines, the entry is marked
-        ``upgrade_blocked`` and keeps its template artifact for good.
-        Returns the new entry, or ``None``.
-        """
-        with self._lock:
-            if self.promoted.get(name) is not entry \
-                    or name in self._in_progress:
-                return None
-            if self.max_tier is not Tier.COMPILED:
-                return None  # capped below the compiled rung: stay template
-            self._in_progress.add(name)
-        try:
-            with _observe.span("hotspot.promote", "hotspot", symbol=name,
-                               rung="full", upgrade=True):
-                started = time.perf_counter()
-                artifact = self._compile_compiled_tier(
-                    evaluator, name, entry.plan
-                )
-                elapsed = time.perf_counter() - started
-                if artifact is None:
-                    entry.upgrade_blocked = True
-                    return None
-                with self._lock:
-                    if self.promoted.get(name) is not entry:
-                        return None  # invalidated/withdrawn while compiling
-                    if self.max_tier is not Tier.COMPILED:
-                        entry.upgrade_blocked = True
-                        return None  # cap lowered during the compile
-                    upgraded = PromotedFunction(
-                        name=name,
-                        artifact=artifact,
-                        tier_kind="compiled",
-                        kinds=entry.kinds,
-                        rules_version=entry.rules_version,
-                        gate=entry.gate,
-                        hits=entry.hits,
-                        plan=entry.plan,
-                    )
-                    self.promoted[name] = upgraded
-                    self._charge_compile("compiled", elapsed)
-                    applications = self.counts.get(name, 0) + entry.hits
-                    self.events.append(
-                        PromotionEvent(
-                            name, "promoted", "compiled",
-                            f"tier-up from template after {applications} "
-                            "applications",
-                        )
-                    )
-            _observe.event(
-                "tier.promote", "hotspot", symbol=name, tier="compiled",
-                applications=applications, upgraded_from="template",
-            )
-            if upgraded:
-                _observe.count("hotspot.promotions.compiled")
-            return upgraded
-        finally:
-            self._in_progress.discard(name)
-
-    def _charge_compile(self, tier_kind: str, seconds: float) -> None:
-        self.compile_seconds[tier_kind] = (
-            self.compile_seconds.get(tier_kind, 0.0) + seconds
-        )
-        self.compile_count[tier_kind] = (
-            self.compile_count.get(tier_kind, 0) + 1
-        )
+    def _charge_compile(self, seconds: float) -> None:
+        self.compile_seconds += seconds
+        self.compile_count += 1
 
     def _block(self, name, definition, reason: str) -> None:
         with self._lock:
@@ -667,20 +502,6 @@ class HotspotProfiler:
             # failure_records() reads naturally in --stats
             artifact.breaker.function = name
             return artifact
-        except WolframAbort:
-            raise
-        except Exception:
-            return None
-
-    def _compile_template(self, evaluator, name, plan):
-        """Stitch the plan on the baseline tier; ``None`` when declined."""
-        try:
-            from repro.template_jit import compile_template
-
-            return compile_template(
-                plan.parameters, plan.kinds, plan.body,
-                evaluator=evaluator, name=name,
-            )
         except WolframAbort:
             raise
         except Exception:
@@ -829,10 +650,8 @@ def _gate(plan: _Plan):
     the arguments' values as the native code takes them, or ``None`` when
     one is not of its parameter's exact atom class.  Each value goes
     through the compiled tier's boundary unpacker for its machine type —
-    the one check it gets, whichever tier runs it — which raises for an
-    integer outside int64 (the template tier's own boundary accepts
-    everything this one passes).  One and two parameters, the common
-    arities, get the loop unrolled."""
+    the one check it gets — which raises for an integer outside int64.
+    One and two parameters, the common arities, get the loop unrolled."""
     from repro.compiler.api import unpacker
     from repro.compiler.types.specifier import ty
 
@@ -956,19 +775,10 @@ def _body_compilable(
     return True
 
 
-def enable_hotspot(
-    evaluator,
-    threshold: Optional[int] = None,
-    template_threshold: Optional[int] = None,
-    template_enabled: Optional[bool] = None,
-):
+def enable_hotspot(evaluator, threshold: Optional[int] = None):
     """Attach a profiler to an engine session (idempotent)."""
     if getattr(evaluator, "hotspot", None) is None:
-        evaluator.hotspot = HotspotProfiler(
-            threshold=threshold,
-            template_threshold=template_threshold,
-            template_enabled=template_enabled,
-        )
+        evaluator.hotspot = HotspotProfiler(threshold=threshold)
     return evaluator.hotspot
 
 

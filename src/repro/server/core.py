@@ -25,8 +25,8 @@ The request path is a small state machine (DESIGN.md §10)::
   arriving into a saturated queue is shed like any other request.
 * **degrade** — every request ticks the
   :class:`~repro.server.degrade.DegradationManager`: under pressure
-  sessions step compiled → template → interpreter, and at critical
-  pressure cold session overlays are evicted entirely.
+  sessions step compiled → interpreter, and at critical pressure cold
+  session overlays are evicted entirely.
 
 Failure isolation invariants the chaos suite pins:
 

@@ -7,13 +7,12 @@ short — it sheds *quality* before it sheds *availability*:
 pressure       response
 =============  ==========================================================
 ``NORMAL``     full service: hotspot promotion up to the compiled tier
-``ELEVATED``   sessions demote to the **template** tier (compiled
+``ELEVATED``   sessions demote to the **interpreter** (compiled
                artifacts are withdrawn — generated code and its compile
-               caches are the most memory-hungry tier; the stitched
-               baseline keeps decent speed at a fraction of the
-               footprint), new admissions get proportionally tighter
-               budgets
-``CRITICAL``   sessions demote to the **interpreter** tier, and cold
+               caches are the most memory-hungry tier, so pressure sheds
+               them before it sheds a session), new admissions get
+               proportionally tighter budgets
+``CRITICAL``   as ``ELEVATED`` with tighter budgets still, and cold
                session overlays (idle past ``idle_ttl``) are evicted
                entirely, freeing their definitions
 =============  ==========================================================
@@ -44,7 +43,7 @@ class PressureLevel(IntEnum):
 #: tier cap applied to every session at each pressure level
 TIER_CAPS = {
     PressureLevel.NORMAL: Tier.COMPILED,
-    PressureLevel.ELEVATED: Tier.TEMPLATE,
+    PressureLevel.ELEVATED: Tier.INTERPRETER,
     PressureLevel.CRITICAL: Tier.INTERPRETER,
 }
 

@@ -5,8 +5,8 @@ The runtime contract is the one every compiled artifact has
 run, soft failure (F2) recorded against the breaker and re-evaluated by the
 hosting interpreter, abortability (F3) and guard budgets via the stitched
 ``_checkpoint`` calls.  The breaker starts at :data:`Tier.TEMPLATE`; once
-it trips the artifact answers from the interpreter and the hotspot profiler
-withdraws the promotion.  What this module adds:
+it trips the artifact answers from the interpreter.  What this module
+adds:
 
 * the boundary is the ``Compile``-spec one it shares with the legacy
   artifact (:class:`repro.runtime.guard.SpecTypedFunction`),

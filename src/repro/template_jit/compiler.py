@@ -13,8 +13,7 @@ The compile path is deliberately primitive — that is the entire design:
 There is no optimization pipeline, no CSE, no type inference beyond a
 one-pass "both operands statically integer" kind propagation that selects
 the overflow-checked arithmetic stencils.  Anything outside the stencil
-table raises :class:`~repro.errors.TemplateCompilerError` and the caller
-falls back to a slower-to-compile tier.
+table raises :class:`~repro.errors.TemplateCompilerError`.
 
 Contract parity with ``FunctionCompile`` artifacts:
 
@@ -23,8 +22,7 @@ Contract parity with ``FunctionCompile`` artifacts:
   prologue and at every loop header — the same abort/guard cadence
   compiled code gets — so ``TimeConstrained``/abort work unchanged;
 * self-recursion stitches to a direct ``_self(...)`` call (the bytecode VM
-  cannot do this; the template tier can, which is why recursive hotspots
-  now get a fast tier even when the full pipeline is unavailable).
+  cannot do this).
 
 Observability: every compilation runs under a ``template.compile`` span
 carrying the symbol name and stitched line count.

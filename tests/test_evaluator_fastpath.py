@@ -463,10 +463,10 @@ def _session(spec: dict) -> Evaluator:
     evaluator = Evaluator(*limits) if limits else Evaluator()
     if spec.get("hosted"):
         install_engine_support(evaluator)
-        # the ladder's thresholds, whatever REPRO_* says in this environment
-        evaluator.hotspot = HotspotProfiler(
-            threshold=16, template_threshold=2, template_enabled=True
-        )
+        # whatever REPRO_* says in this environment, the first promotion is
+        # at the second application, where the sessions were written (and
+        # the golden recorded) to promote
+        evaluator.hotspot = HotspotProfiler(threshold=2)
     return evaluator
 
 

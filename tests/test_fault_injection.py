@@ -305,6 +305,28 @@ class TestPromotedFunctionFaults:
             assert promoted.run("dbl[5]").to_python() == 10
         assert "dbl" in promoted.hotspot.promoted
 
+    def test_three_injected_failures_end_with_withdrawal(self, promoted):
+        with inject_faults(Fault("compiled.call", "runtime", times=3)):
+            for _ in range(3):
+                # each call soft-fails at the compiled entry; the
+                # interpreter fallback still answers
+                assert promoted.run("dbl[10]").to_python() == 20
+        entry = promoted.hotspot.promoted["dbl"]
+        assert entry.artifact_tier() is Tier.INTERPRETER
+        assert [t.transition for t in failure_transitions("dbl")] == [
+            (Tier.COMPILED, Tier.INTERPRETER)
+        ]
+        # tripped: the next dispatch withdraws, and the known-bad
+        # definition stays blocked while it stays hot
+        for _ in range(6):
+            assert promoted.run("dbl[4]").to_python() == 8
+        assert "dbl" not in promoted.hotspot.promoted
+        # redefinition lifts the block and re-promotes
+        promoted.run("dbl[n_] := n * 2")
+        for _ in range(4):
+            assert promoted.run("dbl[5]").to_python() == 10
+        assert "dbl" in promoted.hotspot.promoted
+
     def test_injected_fault_leaves_no_corrupted_state(self, promoted):
         before = _session_snapshot(promoted, "dbl")
         with inject_faults(Fault("abort.check", "overflow", after=1)):
@@ -316,64 +338,47 @@ class TestPromotedFunctionFaults:
 
 
 class TestTemplateTierFaults:
-    """The baseline tier's breaker, driven by the ``template.call`` site:
-    template → interpreter, then withdrawn like any tripped promotion."""
+    """The baseline compiler's breaker, driven by the ``template.call``
+    site on a stitched artifact hosted by a session."""
 
     @pytest.fixture()
-    def template_promoted(self, hosted):
-        # a threshold too high to reach keeps the entry on the template rung
-        hosted.hotspot.threshold = 1000
-        hosted.hotspot.template_threshold = 2
-        hosted.run("tpl[n_] := n + n")
-        for _ in range(4):
-            assert hosted.run("tpl[3]").to_python() == 6
-        assert hosted.hotspot.promoted["tpl"].tier_kind == "template"
-        return hosted
+    def stitched(self, hosted):
+        from repro.template_jit import compile_template_function
 
-    def test_three_injected_failures_end_with_withdrawal(
-        self, template_promoted
-    ):
+        return compile_template_function(
+            parse("{{n, _Integer}}"), parse("n + n"), evaluator=hosted,
+            name="tpl",
+        )
+
+    def test_three_injected_failures_trip_to_the_interpreter(self, stitched):
         with inject_faults(Fault("template.call", "runtime", times=3)):
             for _ in range(3):
                 # each call soft-fails at the stitched entry; the
                 # interpreter fallback still answers
-                assert template_promoted.run("tpl[10]").to_python() == 20
-        entry = template_promoted.hotspot.promoted["tpl"]
-        assert entry.artifact_tier() is Tier.INTERPRETER
+                assert stitched(10) == 20
+        assert stitched.breaker.tier is Tier.INTERPRETER
         assert [t.transition for t in failure_transitions("tpl")] == [
             (Tier.TEMPLATE, Tier.INTERPRETER)
         ]
-        # tripped: the next dispatch withdraws, and the known-bad
-        # definition stays blocked while it stays hot
-        for _ in range(6):
-            assert template_promoted.run("tpl[4]").to_python() == 8
-        assert "tpl" not in template_promoted.hotspot.promoted
-        # redefinition lifts the block and re-promotes on the template rung
-        template_promoted.run("tpl[n_] := n * 2")
-        for _ in range(4):
-            assert template_promoted.run("tpl[5]").to_python() == 10
-        assert "tpl" in template_promoted.hotspot.promoted
+        assert stitched(4) == 8
 
-    def test_injected_abort_unwinds_cleanly(self, template_promoted):
+    def test_injected_abort_unwinds_cleanly(self, hosted, stitched):
         with inject_faults(Fault("template.call", "abort")):
-            result = template_promoted.evaluate_protected(parse("tpl[10]"))
-        assert full_form(result) == "$Aborted"
-        assert not template_promoted.abort_pending()
+            with pytest.raises(WolframAbort):
+                stitched(10)
+        assert not hosted.abort_pending()
+        assert active_guard() is None
         # no breaker damage: aborts are not soft failures
-        entry = template_promoted.hotspot.promoted["tpl"]
-        assert entry.artifact_tier() is Tier.TEMPLATE
-        assert template_promoted.run("tpl[6]").to_python() == 12
+        assert stitched.breaker.tier is Tier.TEMPLATE
+        assert stitched(6) == 12
 
-    def test_injected_timeout_is_recorded_but_never_retried(
-        self, template_promoted
-    ):
-        artifact = template_promoted.hotspot.promoted["tpl"].artifact
+    def test_injected_timeout_is_recorded_but_never_retried(self, stitched):
         with inject_faults(Fault("template.call", "timeout")):
             with pytest.raises(WolframTimeoutError):
-                artifact(10)
+                stitched(10)
         # a guard expiry does not trip the breaker
-        assert artifact.breaker.tier is Tier.TEMPLATE
-        assert artifact(10) == 20
+        assert stitched.breaker.tier is Tier.TEMPLATE
+        assert stitched(10) == 20
 
 
 class TestCorruptIrFaults:

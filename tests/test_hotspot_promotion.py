@@ -2,7 +2,7 @@
 
 The promotion half of tier governance (`runtime/hotspot.py`): hot DownValue
 definitions are synthesized into typed functions and promoted to the
-compiled/bytecode tiers; the existing circuit breaker demotes a bad
+compiled tier; the existing circuit breaker demotes a bad
 promotion; any redefinition invalidates the promoted artifact in the same
 ``state_version`` bump.
 """
@@ -224,7 +224,7 @@ class TestDemotion:
             hosted.run("p[1]")
         assert "p" in hosted.hotspot.promoted
 
-    def test_template_tier_kept_when_compiled_tier_declines(
+    def test_compiled_tier_decline_leaves_the_definition_interpreted(
         self, hosted, monkeypatch
     ):
         from repro.errors import CompilerError
@@ -233,27 +233,6 @@ class TestDemotion:
             raise CompilerError("compiled tier unavailable in this test")
 
         monkeypatch.setattr("repro.compiler.api.FunctionCompile", refuse)
-        hosted.run("q[n_] := n * 3")
-        for _ in range(6):
-            assert hosted.run("q[2]").to_python() == 6
-        # the template rung promoted early; the tier-up to compiled was
-        # refused, so the entry keeps its template artifact permanently
-        assert "q" in hosted.hotspot.promoted
-        entry = hosted.hotspot.promoted["q"]
-        assert entry.tier_kind == "template"
-        assert entry.upgrade_blocked
-        assert hosted.run("q[14]").to_python() == 42
-
-    def test_template_rung_disabled_is_full_pipeline_or_interpreted(
-        self, hosted, monkeypatch
-    ):
-        from repro.errors import CompilerError
-
-        def refuse(*args, **kwargs):
-            raise CompilerError("compiled tier unavailable in this test")
-
-        monkeypatch.setattr("repro.compiler.api.FunctionCompile", refuse)
-        hosted.hotspot.template_enabled = False
         hosted.run("q[n_] := n * 3")
         for _ in range(6):
             assert hosted.run("q[2]").to_python() == 6
@@ -262,23 +241,129 @@ class TestDemotion:
         assert "q" not in hosted.hotspot.promoted
         assert [e.action for e in hosted.hotspot.events] == ["blocked"]
         assert hosted.run("q[14]").to_python() == 42
+        assert hosted.hotspot.table()[0][:3] == ("q", 7, "blocked")
+        # the block is of those rules: the new definition's count profiles
+        hosted.run("q[n_] := n * 4")
+        assert hosted.run("q[2]").to_python() == 8
+        assert hosted.hotspot.table()[0][1:3] == (1, "profiling")
 
-    def test_recursive_definition_promotes_on_the_template_rung(
-        self, hosted, monkeypatch
+
+class TestTwoRungLadder:
+    """Interpreter, then the full pipeline at one threshold; the count
+    belongs to the definition it was taken against."""
+
+    @pytest.fixture()
+    def session(self):
+        session = Evaluator(recursion_limit=8192)
+        install_engine_support(session)
+        session.hotspot.threshold = DEFAULT_THRESHOLD
+        return session
+
+    def test_symbol_redefined_every_few_calls_never_promotes(self, session):
+        """A ``define``/``call`` mix: each definition is applied fewer
+        times than the threshold, so nothing is ever compiled."""
+        from repro.observe import with_tracing
+
+        with with_tracing() as tracer:
+            for version in range(12):
+                session.run(f"f[x_] := x + {version}")
+                for argument in range(5):
+                    assert session.run(f"f[{argument}]").to_python() == \
+                        argument + version
+        assert session.hotspot.promoted == {}
+        assert session.hotspot.events == []
+        assert session.hotspot.counts["f"] == 5
+        assert session.hotspot.compile_count == 0
+        assert not tracer.spans("hotspot.promote")
+        assert not tracer.spans("compile.function")
+        assert not tracer.spans("template.compile")
+
+    def test_one_definition_promotes_once_straight_to_compiled(
+        self, session
     ):
-        from repro.errors import CompilerError
+        from repro.observe import with_tracing
 
-        def refuse(*args, **kwargs):
-            raise CompilerError("compiled tier unavailable in this test")
+        session.run("sq[n_] := n*n + 1")
+        with with_tracing() as tracer:
+            for _ in range(DEFAULT_THRESHOLD - 1):
+                assert session.run("sq[3]").to_python() == 10
+            assert "sq" not in session.hotspot.promoted
+            for _ in range(DEFAULT_THRESHOLD + 4):
+                assert session.run("sq[3]").to_python() == 10
+        promotions = [(e.name, e.tier) for e in session.hotspot.events
+                      if e.action == "promoted"]
+        assert promotions == [("sq", "compiled")]
+        assert session.hotspot.promoted["sq"].tier_kind == "compiled"
+        (promote,) = tracer.instants("tier.promote")
+        assert promote.args["tier"] == "compiled"
+        assert promote.args["applications"] == DEFAULT_THRESHOLD
+        assert not tracer.spans("template.compile")
+        (attempt,) = tracer.spans("hotspot.promote")
+        assert set(attempt.args) == {"symbol"}
+        assert session.hotspot.compile_time_table()[0][:2] == ("compiled", 1)
 
-        monkeypatch.setattr("repro.compiler.api.FunctionCompile", refuse)
-        _define_fib(hosted)
-        assert hosted.run("fib[15]").to_python() == 610
-        # unlike the VM, the stitched tier supports direct self-calls, so
-        # recursion still gets a (template) promotion without FunctionCompile
-        assert "fib" in hosted.hotspot.promoted
-        assert hosted.hotspot.promoted["fib"].tier_kind == "template"
-        assert hosted.run("fib[20]").to_python() == 6765
+    def test_count_restarts_after_a_block_restore(self, session):
+        session.run("k[n_] := n + 1")
+        for _ in range(10):
+            session.run("k[1]")
+        assert session.hotspot.counts["k"] == 10
+        assert session.run("Block[{k}, k[n_] := n + 100; k[1]]") \
+            .to_python() == 101
+        assert session.hotspot.counts["k"] == 1
+        # the restored rules are the same, but the count is of the restore
+        for _ in range(10):
+            assert session.run("k[1]").to_python() == 2
+        assert session.hotspot.counts["k"] == 10
+        assert "k" not in session.hotspot.promoted
+        for _ in range(6):
+            session.run("k[1]")
+        assert session.hotspot.promoted["k"].tier_kind == "compiled"
+
+    def test_count_restarts_after_clear(self, session):
+        session.run("c[n_] := n + 1")
+        for _ in range(10):
+            session.run("c[1]")
+        session.run("Clear[c]")
+        session.run("c[n_] := n + 1")
+        for _ in range(10):
+            assert session.run("c[1]").to_python() == 2
+        assert session.hotspot.counts["c"] == 10
+        assert "c" not in session.hotspot.promoted
+
+    def test_retry_later_symbol_promotes_on_its_next_numeric_call(
+        self, session
+    ):
+        session.run("tw[n_] := n + n")
+        for _ in range(DEFAULT_THRESHOLD - 1):
+            session.run("tw[1]")
+        # the threshold call has a symbolic argument: no type to compile
+        # for, so the promotion waits without blocking the definition
+        assert full_form(session.run("tw[y]")) == "Plus[y, y]"
+        assert "tw" not in session.hotspot.promoted
+        assert session.hotspot.events == []
+        assert session.run("tw[2]").to_python() == 4
+        assert session.hotspot.promoted["tw"].kinds == ("i",)
+
+    def test_redefinition_invalidates_promotion(self, session):
+        session.hotspot.threshold = 3
+        session.run("f[n_] := n + 1")
+        for _ in range(3):
+            assert session.run("f[1]").to_python() == 2
+        stale = session.hotspot.promoted["f"]
+        assert stale.tier_kind == "compiled"
+        session.run("f[n_] := n + 100")
+        # the very next call sees the new rule, not the stale artifact
+        assert session.run("f[1]").to_python() == 101
+        assert "f" not in session.hotspot.promoted
+        assert any(
+            e.name == "f" and e.action == "invalidated"
+            for e in session.hotspot.events
+        )
+        # the new definition earns its own promotion
+        for _ in range(2):
+            session.run("f[1]")
+        assert session.hotspot.promoted["f"] is not stale
+        assert session.run("f[1]").to_python() == 101
 
 
 class TestThresholdKnob:
@@ -300,7 +385,6 @@ class TestThresholdKnob:
         session = Evaluator()
         install_engine_support(session)
         session.hotspot.threshold = 1000
-        session.hotspot.template_enabled = False
         session.run("r[n_] := n + 1")
         for _ in range(20):
             session.run("r[1]")

@@ -167,11 +167,11 @@ class TestTierEvents:
         with with_tracing() as tracer:
             session.run("fib[12]")
         assert "fib" in session.hotspot.promoted
-        # the ladder promotes twice: template rung first, then the tier-up
-        promotes = tracer.instants("tier.promote")
-        assert [p.args["tier"] for p in promotes] == ["template", "compiled"]
-        assert all(p.args["symbol"] == "fib" for p in promotes)
-        assert promotes[-1].args["upgraded_from"] == "template"
+        # one promotion, straight to the compiled tier
+        (promote,) = tracer.instants("tier.promote")
+        assert promote.args["tier"] == "compiled"
+        assert promote.args["symbol"] == "fib"
+        assert promote.args["applications"] == 4
         assert tracer.spans("hotspot.promote")  # the attempt span wraps it
 
     def test_breaker_demotion_emits_tier_demote_with_symbol(self):
@@ -267,8 +267,8 @@ class TestCLI:
         trace_path = tmp_path / "out.json"
         metrics_path = tmp_path / "metrics.json"
         out = io.StringIO()
-        # enough repeat calls to climb the whole ladder: the template rung
-        # promotes almost immediately, the full pipeline at the threshold
+        # the first fib[19] applies the rules thousands of times: past the
+        # threshold it promotes to the compiled tier mid-call
         calls = [arg for _ in range(16) for arg in ("-e", "fib[19]")]
         status = main(
             [
@@ -285,12 +285,9 @@ class TestCLI:
         assert "Out[4]= 4181" in out.getvalue()
         events = json.load(open(trace_path))
         categories = {e["cat"] for e in events}
-        assert {"evaluator", "pipeline", "hotspot",
-                "template_jit"} <= categories
+        assert {"evaluator", "pipeline", "hotspot"} <= categories
         promotes = [e for e in events if e["name"] == "tier.promote"]
-        assert [p["args"]["tier"] for p in promotes] == [
-            "template", "compiled"
-        ]
+        assert [p["args"]["tier"] for p in promotes] == ["compiled"]
         metrics = json.load(open(metrics_path))
         assert metrics["counters"]["eval.rule_applications"] >= 1
 

@@ -298,7 +298,7 @@ class TestDegradation:
         control = manager.evaluate(sessions, now=0.0)
         assert control["level"] is PressureLevel.ELEVATED
         assert control["budget_scale"] == 0.5
-        assert sessions["s"].caps[-1] is Tier.TEMPLATE
+        assert sessions["s"].caps[-1] is Tier.INTERPRETER
         reading["bytes"] = 2500
         control = manager.evaluate(sessions, now=0.0)
         assert control["level"] is PressureLevel.CRITICAL

@@ -363,7 +363,7 @@ class TestServerTelemetry:
         response, timeline = _run(scenario())
         assert response.ok
         names = [entry["name"] for entry in timeline]
-        assert "tier.promote" in names  # the template rung fired in-request
+        assert "tier.promote" in names  # fib[10] promoted in-request
         assert "hotspot.promote" in names
 
     def test_shed_request_timeline_records_the_shed_event(self):

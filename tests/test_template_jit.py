@@ -1,6 +1,6 @@
-"""The template-JIT baseline tier (`repro.template_jit`).
+"""The template-JIT baseline compiler (`repro.template_jit`).
 
-Covers the three layers of the tentpole:
+Covers its two layers:
 
 * **the stitcher** — stencil correctness against the bytecode VM on real
   kernels, the stitched source's shape (slot numbering, checkpoint
@@ -8,10 +8,10 @@ Covers the three layers of the tentpole:
   (:class:`TemplateCompilerError`);
 * **the artifact** — boundary type gates, copy-on-read tensors,
   abort/guard contract parity (its breaker and soft-failure protocol are
-  the shared ones: ``tests/test_governed_call.py``);
-* **the ladder** — three-rung promotion ordering, tier-up at the full
-  threshold, redefinition invalidation at the template rung, and the
-  environment knobs.
+  the shared ones: ``tests/test_governed_call.py``).
+
+It is a standalone baseline compiler: the hotspot ladder promotes straight
+to the full pipeline (``tests/test_hotspot_promotion.py``).
 """
 
 from __future__ import annotations
@@ -28,19 +28,13 @@ from repro.errors import (
 )
 from repro.mexpr import parse
 from repro.runtime.guard import Tier, guard_scope
-from repro.template_jit import (
-    SUPPORTED_HEADS,
-    compile_template,
-    compile_template_function,
-)
+from repro.template_jit import SUPPORTED_HEADS, compile_template_function
 
 
 @pytest.fixture()
 def hosted():
     session = Evaluator(recursion_limit=8192)
     install_engine_support(session)
-    session.hotspot.threshold = 6
-    session.hotspot.template_threshold = 2
     return session
 
 
@@ -243,118 +237,3 @@ class TestAbortAndGuards:
             with pytest.raises(WolframBudgetError):
                 artifact(10_000)
         assert artifact.breaker.tier is Tier.TEMPLATE
-
-
-# -- the three-rung ladder in a session --------------------------------------
-
-
-class TestSessionLadder:
-    def test_promotion_order_template_then_compiled(self, hosted):
-        hosted.run("sq[n_] := n*n + 1")
-        for _ in range(12):
-            assert hosted.run("sq[3]").to_python() == 10
-        promotions = [
-            (e.name, e.tier) for e in hosted.hotspot.events
-            if e.action == "promoted"
-        ]
-        assert promotions == [("sq", "template"), ("sq", "compiled")]
-        assert hosted.hotspot.promoted["sq"].tier_kind == "compiled"
-
-    def test_template_rung_respects_low_threshold(self, hosted):
-        hosted.hotspot.threshold = 1000  # never reach the full pipeline
-        hosted.run("inc[n_] := n + 1")
-        for _ in range(3):
-            hosted.run("inc[1]")
-        entry = hosted.hotspot.promoted["inc"]
-        assert entry.tier_kind == "template"
-        assert entry.artifact.compile_seconds < 0.05  # microsecond-class
-
-    def test_redefinition_invalidates_template_promotion(self, hosted):
-        hosted.hotspot.threshold = 1000
-        hosted.run("f[n_] := n + 1")
-        for _ in range(3):
-            assert hosted.run("f[1]").to_python() == 2
-        stale = hosted.hotspot.promoted["f"]
-        assert stale.tier_kind == "template"
-        hosted.run("f[n_] := n + 100")
-        # the very next call sees the new rule, not the stale stitching
-        assert hosted.run("f[1]").to_python() == 101
-        assert hosted.hotspot.promoted.get("f") is not stale
-        assert any(
-            e.name == "f" and e.action == "invalidated"
-            for e in hosted.hotspot.events
-        )
-
-    def test_compile_time_table_accumulates_per_tier(self, hosted):
-        hosted.run("g[n_] := n * 2")
-        for _ in range(12):
-            hosted.run("g[4]")
-        table = {tier: (count, seconds)
-                 for tier, count, seconds in
-                 hosted.hotspot.compile_time_table()}
-        assert table["template"][0] == 1
-        assert table["compiled"][0] == 1
-        assert 0 < table["template"][1] < table["compiled"][1]
-
-    def test_template_disabled_goes_straight_to_full_pipeline(self, hosted):
-        hosted.hotspot.template_enabled = False
-        hosted.run("h[n_] := n - 1")
-        for _ in range(3):
-            hosted.run("h[1]")
-        assert "h" not in hosted.hotspot.promoted  # below the full threshold
-        for _ in range(5):
-            hosted.run("h[1]")
-        assert hosted.hotspot.promoted["h"].tier_kind == "compiled"
-
-    def test_stitch_decline_defers_to_full_pipeline(self, hosted):
-        # Range has a bytecode lowering but no template stencil: the
-        # stitcher declines at the low threshold and the definition waits,
-        # interpreted, for the full-pipeline rung
-        hosted.run("s[n_] := Total[Range[n]]")
-        for _ in range(3):
-            assert hosted.run("s[4]").to_python() == 10
-        assert "s" not in hosted.hotspot.promoted
-        assert any(
-            e.name == "s" and e.action == "blocked"
-            and e.tier == Tier.TEMPLATE.value
-            for e in hosted.hotspot.events
-        )
-        for _ in range(5):
-            hosted.run("s[4]")
-        assert hosted.hotspot.promoted["s"].tier_kind == "compiled"
-
-
-# -- knobs -------------------------------------------------------------------
-
-
-class TestKnobs:
-    def test_template_threshold_environment(self, monkeypatch):
-        from repro.runtime.hotspot import (
-            DEFAULT_TEMPLATE_THRESHOLD,
-            HotspotProfiler,
-            template_threshold_from_environment,
-        )
-
-        monkeypatch.delenv("REPRO_TEMPLATE_THRESHOLD", raising=False)
-        assert (template_threshold_from_environment()
-                == DEFAULT_TEMPLATE_THRESHOLD)
-        monkeypatch.setenv("REPRO_TEMPLATE_THRESHOLD", "5")
-        assert template_threshold_from_environment() == 5
-        assert HotspotProfiler().template_threshold == 5
-        monkeypatch.setenv("REPRO_TEMPLATE_THRESHOLD", "garbage")
-        assert (template_threshold_from_environment()
-                == DEFAULT_TEMPLATE_THRESHOLD)
-
-    def test_template_enable_knob(self, monkeypatch):
-        from repro.runtime.hotspot import (
-            HotspotProfiler,
-            template_enabled_from_environment,
-        )
-
-        monkeypatch.delenv("REPRO_TEMPLATE_JIT", raising=False)
-        assert template_enabled_from_environment() is True
-        for off in ("0", "off", "false", "no"):
-            monkeypatch.setenv("REPRO_TEMPLATE_JIT", off)
-            assert template_enabled_from_environment() is False
-        monkeypatch.setenv("REPRO_TEMPLATE_JIT", "1")
-        assert HotspotProfiler().template_enabled is True

@@ -180,12 +180,16 @@ class TestHotspotTableThreads:
         hammer(worker)
 
     def test_demote_all_caps_future_promotions(self):
+        class _Definition:
+            rules_version = 0
+
         profiler = self._profiler()
         profiler.demote_all(Tier.INTERPRETER)
         for _ in range(20):
             # past the threshold, record() must hit the max_tier floor and
-            # return before touching evaluator/definition at all
-            profiler.record(None, "f", None, None)
+            # return before touching the evaluator or the rules at all
+            profiler.record(None, "f", _Definition(), None)
+        assert profiler.counts["f"] == 20
         assert profiler.promoted == {}
         assert profiler.max_tier is Tier.INTERPRETER
 
@@ -218,7 +222,7 @@ class TestHotspotTableThreads:
 
             def compile_plan(evaluator, name, the_plan):
                 if lower_cap_mid_compile:
-                    profiler.demote_all(Tier.TEMPLATE, reason="pressure")
+                    profiler.demote_all(Tier.INTERPRETER, reason="pressure")
                 return _entry(name, Tier.COMPILED).artifact
 
             monkeypatch.setattr(
@@ -226,7 +230,7 @@ class TestHotspotTableThreads:
             )
             profiler.counts["f"] = 5
             profiler._attempt_promotion_inner(
-                _Evaluator(), "f", _Definition(), None, full=True
+                _Evaluator(), "f", _Definition(), None
             )
             return profiler
 
@@ -240,18 +244,17 @@ class TestHotspotTableThreads:
                    if event.action == "blocked"]
         assert blocked and "cap lowered" in blocked[0].detail
 
-    def test_concurrent_template_rung_promotions(self):
-        """Many threads drive the same symbol through ``record``: at most
-        one template promotion installs (``_in_progress`` gate), the table
-        never tears, and the tier-up path stays consistent."""
+    def test_concurrent_promotions(self):
+        """Many threads drive the same symbol through ``record``: exactly
+        one promotion installs (``_in_progress`` gate), straight to the
+        compiled tier, and the table never tears."""
         from repro.compiler import install_engine_support
         from repro.engine import Evaluator
         from repro.mexpr import parse
 
         session = Evaluator()
         install_engine_support(session)
-        session.hotspot.threshold = 10_000  # stay on the template rung
-        session.hotspot.template_threshold = 2
+        session.hotspot.threshold = 2
         session.run("tw[n_] := n * 2 + 1")
         expression = parse("tw[21]")
 
@@ -261,20 +264,20 @@ class TestHotspotTableThreads:
 
         hammer(worker)
         entry = session.hotspot.promoted["tw"]
-        assert entry.tier_kind == "template"
+        assert entry.tier_kind == "compiled"
         promotions = [event for event in session.hotspot.events
                       if event.action == "promoted"]
         assert len(promotions) == 1
-        assert session.hotspot.compile_count["template"] == 1
+        assert session.hotspot.compile_count == 1
 
     def test_demote_all_reports_withdrawn_count(self):
         profiler = self._profiler()
-        for name, tier in (("a", Tier.COMPILED), ("b", Tier.TEMPLATE)):
-            profiler.promoted[name] = _entry(name, tier)
-        # capping at template withdraws only the compiled entry
-        assert profiler.demote_all(Tier.TEMPLATE) == 1
-        assert sorted(profiler.promoted) == ["b"]
-        assert profiler.demote_all(Tier.INTERPRETER) == 1
+        for name in ("a", "b"):
+            profiler.promoted[name] = _entry(name, Tier.COMPILED)
+        # the compiled cap withdraws nothing; the interpreter floor all
+        assert profiler.demote_all(Tier.COMPILED) == 0
+        assert sorted(profiler.promoted) == ["a", "b"]
+        assert profiler.demote_all(Tier.INTERPRETER) == 2
         assert profiler.promoted == {}
 
 

@@ -223,6 +223,46 @@ class Interval:
             return TOP
         return Interval(0, (1 << max(self.hi, other.hi).bit_length()) - 1)
 
+    def mod(self, divisor: "Interval") -> "Interval":
+        """``Mod[a, b]`` for ``b >= 1`` lies in ``[0, b - 1]``."""
+        if divisor.lo is not None and divisor.lo >= 1 \
+                and divisor.hi is not None:
+            return Interval(0, divisor.hi - 1)
+        return TOP
+
+    def quotient(self, divisor: "Interval") -> "Interval":
+        """``Quotient[a, b]`` of ``a >= 0`` by ``b >= 1`` is at most ``a``."""
+        if self.lo is not None and self.lo >= 0 \
+                and divisor.lo is not None and divisor.lo >= 1:
+            return Interval(0, self.hi)
+        return TOP
+
+    def minimum(self, other: "Interval") -> "Interval":
+        # lo: min of lows (-inf absorbs); hi: min of his (+inf neutral)
+        lo = None if self.lo is None or other.lo is None \
+            else min(self.lo, other.lo)
+        his = [h for h in (self.hi, other.hi) if h is not None]
+        return Interval(lo, min(his) if his else None)
+
+    def maximum(self, other: "Interval") -> "Interval":
+        los = [x for x in (self.lo, other.lo) if x is not None]
+        hi = None if self.hi is None or other.hi is None \
+            else max(self.hi, other.hi)
+        return Interval(max(los) if los else None, hi)
+
+    def absolute(self) -> "Interval":
+        if self.lo is None or self.hi is None:
+            return Interval(0, None)
+        return Interval(
+            max(0, self.lo) if self.lo >= 0 else (
+                0 if self.hi >= 0 else -self.hi
+            ),
+            max(abs(self.lo), abs(self.hi)),
+        )
+
+    def sign(self) -> "Interval":
+        return Interval(-1, 1)
+
     # -- lattice operations --------------------------------------------------
 
     def union(self, other: "Interval") -> "Interval":
@@ -320,22 +360,12 @@ class LoopFact:
 
 # -- per-function fact bundle ------------------------------------------------
 
-_ARITH = {
-    "checked_binary_plus_Integer64_Integer64": "add",
-    "plus_unchecked_Integer64": "add_exact",
-    "checked_binary_subtract_Integer64_Integer64": "subtract",
-    "subtract_unchecked_Integer64": "subtract_exact",
-    "checked_binary_times_Integer64_Integer64": "multiply",
-    "times_unchecked_Integer64": "multiply_exact",
-}
-_BITWISE = {"bit_and_Integer64": "bit_and", "bit_xor_Integer64": "bit_xor"}
-#: primitives whose result tensor holds only elements of a known range
-_ELEMENTS_OF = {
-    "string_utf8bytes": Interval(0, 0xFF),
-    "string_to_character_codes": Interval(0, 0x10FFFF),
-}
-_LENGTH_LIKE = {"tensor_length", "string_length", "expr_length",
-                "tensor_row_length"}
+#: the transfers of Integer64 ``Plus``/``Subtract``, checked or unchecked:
+#: what symbolic bounds and loop counters shift by a constant
+_ADDITIVE = ("add", "subtract")
+#: and with ``Times``: what :meth:`FunctionFacts.interval_at` re-evaluates
+#: over refined operands
+_ARITHMETIC = (*_ADDITIVE, "multiply")
 _COMPARISONS = {
     "compare_less", "compare_less_equal",
     "compare_greater", "compare_greater_equal", "compare_equal",
@@ -467,13 +497,13 @@ class FunctionFacts:
         if _depth > 0:
             definition = value.definition
             if isinstance(definition, CallPrimitiveInstr):
-                op = _ARITH.get(definition.primitive.runtime_name)
-                if op is not None:
+                op = definition.primitive.interval
+                if op in _ARITHMETIC:
                     a = self.interval_at(
                         definition.operands[0], block, _depth - 1)
                     b = self.interval_at(
                         definition.operands[1], block, _depth - 1)
-                    recomputed = getattr(a, op.replace("_exact", ""))(b)
+                    recomputed = getattr(a, op)(b)
                     result = result.intersect(recomputed.clamp_int64())
         return result
 
@@ -488,11 +518,10 @@ class FunctionFacts:
             return found
         definition = value.definition
         if isinstance(definition, CallPrimitiveInstr):
-            name = definition.primitive.runtime_name
-            op = _ARITH.get(name)
-            if op and op.startswith(("add", "subtract")):
+            op = definition.primitive.interval
+            if op in _ADDITIVE:
                 a, b = definition.operands
-                sign = 1 if op.startswith("add") else -1
+                sign = 1 if op == "add" else -1
                 const = _constant_of(b)
                 if const is not None:
                     for base, offset in self.upper_bounds_at(
@@ -501,7 +530,7 @@ class FunctionFacts:
                         shifted = offset + sign * const
                         if base not in found or shifted < found[base]:
                             found[base] = shifted
-                elif op.startswith("add"):
+                elif op == "add":
                     const = _constant_of(a)
                     if const is not None:
                         for base, offset in self.upper_bounds_at(
@@ -510,14 +539,14 @@ class FunctionFacts:
                             shifted = offset + const
                             if base not in found or shifted < found[base]:
                                 found[base] = shifted
-            elif name == "binary_min":
+            elif op == "minimum":
                 for operand in definition.operands:
                     for base, offset in self.upper_bounds_at(
                         operand, block, _depth - 1
                     ).items():
                         if base not in found or offset < found[base]:
                             found[base] = offset
-            if name in _LENGTH_LIKE:
+            if op == "count":
                 # a length is trivially bounded by itself
                 if value.id not in found or found[value.id] > 0:
                     found[value.id] = 0
@@ -714,29 +743,11 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
     if isinstance(instruction, LoadArgumentInstr):
         return _argument_range(instruction.result)
     if isinstance(instruction, CallPrimitiveInstr):
-        name = instruction.primitive.runtime_name
+        primitive = instruction.primitive
+        name = primitive.runtime_name
         operands = instruction.operands
-        op = _BITWISE.get(name)
-        if op is not None:
-            a, b = of(operands[0]), of(operands[1])
-            if a is None or b is None:
-                return None
-            return getattr(a, op)(b)
-        op = _ARITH.get(name)
-        if op is not None:
-            a, b = of(operands[0]), of(operands[1])
-            if a is None or b is None:
-                return None
-            # checked ops trap outside Integer64, and an unchecked one is
-            # unchecked because it was proven to stay inside (the verifier
-            # re-proves it from its operands): either way what comes out
-            # is an Integer64.  By induction over execution, no proof
-            # leans on the result of an operation that has yet to run.
-            return getattr(a, op.replace("_exact", ""))(b).clamp_int64()
-        if name == "checked_unary_minus_Integer64":
-            a = of(operands[0])
-            return None if a is None else a.negate().clamp_int64()
-        if name in _LENGTH_LIKE:
+        op = primitive.interval
+        if op == "count":
             if name == "tensor_length":
                 facts.length_of.setdefault(
                     instruction.result.id, set()).add(
@@ -757,62 +768,27 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
             facts.columns_of.setdefault(columns, set()).add(
                 instruction.result.id)
             return TOP
-        if name in ("tensor_part1", "tensor_part1_unchecked"):
+        if op == "element":
             # an element of a tensor the runtime itself filled
             producer = underlying(operands[0]).definition
-            if isinstance(producer, CallPrimitiveInstr):
-                return _ELEMENTS_OF.get(producer.primitive.runtime_name, TOP)
-            return TOP
-        if name == "checked_binary_mod_Integer64_Integer64":
-            b = of(operands[1])
-            if b is None:
-                return None
-            if b.lo is not None and b.lo >= 1 and b.hi is not None:
-                return Interval(0, b.hi - 1)
-            return TOP
-        if name == "checked_binary_quotient_Integer64_Integer64":
-            a, b = of(operands[0]), of(operands[1])
-            if a is None or b is None:
-                return None
-            if (
-                a.lo is not None and a.lo >= 0
-                and b.lo is not None and b.lo >= 1
+            if isinstance(producer, CallPrimitiveInstr) and (
+                producer.primitive.element_range is not None
             ):
-                return Interval(0, a.hi)
+                return Interval(*producer.primitive.element_range)
             return TOP
-        if name == "binary_min":
-            a, b = of(operands[0]), of(operands[1])
-            if a is None or b is None:
+        if op is not None:
+            intervals = [of(operand) for operand in operands]
+            if not all(intervals):  # an operand not computed yet
                 return None
-            # lo: min of lows (-inf absorbs); hi: min of his (+inf neutral)
-            lo = (
-                None if a.lo is None or b.lo is None else min(a.lo, b.lo)
-            )
-            his = [h for h in (a.hi, b.hi) if h is not None]
-            return Interval(lo, min(his) if his else None)
-        if name == "binary_max":
-            a, b = of(operands[0]), of(operands[1])
-            if a is None or b is None:
-                return None
-            los = [x for x in (a.lo, b.lo) if x is not None]
-            hi = (
-                None if a.hi is None or b.hi is None else max(a.hi, b.hi)
-            )
-            return Interval(max(los) if los else None, hi)
-        if name == "math_abs":
-            a = of(operands[0])
-            if a is None:
-                return None
-            if a.lo is None or a.hi is None:
-                return Interval(0, None)
-            return Interval(
-                max(0, a.lo) if a.lo >= 0 else (
-                    0 if a.hi >= 0 else -a.hi
-                ),
-                max(abs(a.lo), abs(a.hi)),
-            )
-        if name == "math_sign":
-            return Interval(-1, 1)
+            a, *rest = intervals
+            result = getattr(a, op)(*rest)
+            # a checked op traps outside Integer64, and an unchecked one
+            # is unchecked because it was proven to stay inside (the
+            # verifier re-proves it from its operands): either way what
+            # comes out is an Integer64.  By induction over execution, no
+            # proof leans on the result of an operation yet to run.
+            return result.clamp_int64() if primitive.overflow_checked \
+                else result
         if name == "identity":
             return of(operands[0])
         return TOP
@@ -932,11 +908,6 @@ def _holds_rows(value: Value) -> bool:
     return bool(inner) and getattr(inner[0], "constructor", None) == "Tensor"
 
 
-#: element-wise primitives: the result has the shape its operands share
-_ELEMENTWISE = {"tensor_plus": 2, "tensor_times": 2,
-                "tensor_scale": 1, "tensor_shift": 1}
-
-
 def static_lengths(function: FunctionModule) -> dict[int, int]:
     """``{value id: n}`` for the rank-1 tensors that have ``n`` elements
     on every path — and the matrices that have ``n`` columns: a list
@@ -1001,10 +972,11 @@ def static_lengths(function: FunctionModule) -> dict[int, int]:
                     "tensor_part1_set": [tensor, instruction.operands[-1]],
                 }.get(name.removesuffix("_unchecked"), [])
             else:
+                elementwise = instruction.primitive.elementwise
                 sources = instruction.operands[
                     :1 if instruction.primitive.mutates
                     or name == "tensor_row"
-                    else _ELEMENTWISE.get(name, 0)
+                    else elementwise[1] if elementwise else 0
                 ]
         else:
             sources = []
@@ -1184,18 +1156,13 @@ def _derive_refinements(function: FunctionModule, facts: FunctionFacts,
                     base_def = current.definition
                     if not isinstance(base_def, CallPrimitiveInstr):
                         break
-                    base_op = _ARITH.get(base_def.primitive.runtime_name)
-                    if base_op is None:
+                    base_op = base_def.primitive.interval
+                    if base_op not in _ADDITIVE:
                         break
                     constant = _constant_of(base_def.operands[1])
                     if constant is None:
                         break
-                    if base_op.startswith("add"):
-                        shift += constant
-                    elif base_op.startswith("subtract"):
-                        shift -= constant
-                    else:
-                        break
+                    shift += constant if base_op == "add" else -constant
                     current = base_def.operands[0]
         if refinement:
             facts.refinements[name] = refinement
@@ -1243,17 +1210,6 @@ def _resolve_environments(function: FunctionModule, facts: FunctionFacts,
             stack.append((child, env, ub))
 
 
-#: a ``Part``/``PartSet`` that returned had each of these operands inside
-#: the tensor: the checked forms raise ``PartOutOfRange`` otherwise, and
-#: the rank-1 unchecked forms (index proven >= 1) ``IndexError``, both of
-#: which leave the function.  Unchecked rank-2 forms say nothing: a column
-#: past the row's end reads the next row.
-_PART_INDICES = {
-    "tensor_part1": slice(1, 2), "tensor_part1_set": slice(1, 2),
-    "tensor_part1_unchecked": slice(1, 2),
-    "tensor_part1_set_unchecked": slice(1, 2),
-    "tensor_part2": slice(1, 3), "tensor_part2_set": slice(1, 3),
-}
 PART_INDEX_RANGE = Interval(-LENGTH_BOUND, LENGTH_BOUND)
 
 
@@ -1262,19 +1218,27 @@ def _survived_checks(block, facts: FunctionFacts):
     control gets past them — in every block ``block`` strictly dominates.
     A checked ``a + b`` / ``a - b`` did not overflow, so ``a <= MAX - b``;
     a ``Part`` found its element, so its index is no longer than the
-    longest list (:data:`LENGTH_BOUND`), either way round."""
+    longest list (:data:`LENGTH_BOUND`), either way round.
+
+    Which checks: the rows whose ``error`` says so.  A ``Part`` that
+    returned had each index inside the tensor when a too-large one raises
+    ``PartOutOfRange`` — the checked forms, and the rank-1 unchecked ones
+    (index proven >= 1) through ``IndexError``; a rank-2 unchecked form
+    raises nothing, since a column past the row's end reads the next
+    row.  Of arithmetic, only the checked ``Plus``/``Subtract`` trap."""
     found = []
     for instruction in block.instructions:
         if not isinstance(instruction, CallPrimitiveInstr):
             continue
-        name = instruction.primitive.runtime_name
-        indices = _PART_INDICES.get(name)
-        if indices is not None:
-            for index in instruction.operands[indices]:
-                found.append((index.id, PART_INDEX_RANGE))
+        primitive = instruction.primitive
+        if primitive.index_axes:
+            if primitive.error == "PartOutOfRange":
+                for position, _axis in primitive.index_axes:
+                    found.append((instruction.operands[position].id,
+                                  PART_INDEX_RANGE))
             continue
-        op = _ARITH.get(name)
-        if op not in ("add", "subtract"):
+        op = primitive.interval
+        if op not in _ADDITIVE or primitive.error != "IntegerOverflow":
             continue
         a, b = instruction.operands
         ia, ib = facts.interval_of(a), facts.interval_of(b)
@@ -1372,8 +1336,7 @@ def _trip_bound(function, loop, terminator, facts,
             increment = incoming.definition
             if not isinstance(increment, CallPrimitiveInstr):
                 return None
-            op = _ARITH.get(increment.primitive.runtime_name)
-            if op is None or not op.startswith("add"):
+            if increment.primitive.interval != "add":
                 return None
             a, b = increment.operands
             if a is counter:

@@ -543,12 +543,6 @@ def _check_memory_pairing(
 
 # -- fact consistency: elided checks must stay provable ----------------------------
 
-#: unchecked Integer64 arithmetic -> the Interval method that re-proves it
-_UNCHECKED_ARITH = {
-    "plus_unchecked_Integer64": "add",
-    "subtract_unchecked_Integer64": "subtract",
-    "times_unchecked_Integer64": "multiply",
-}
 
 def _check_fact_consistency(
     function: FunctionModule, cfg: CFG, diagnostics: list
@@ -559,25 +553,22 @@ def _check_fact_consistency(
     ``elided_check`` justification; this rule recomputes the dataflow
     analysis from scratch and re-derives the proof, so a pass that plants
     a wrong fact (or a later pass that invalidates one) is caught rather
-    than miscompiled.  A Part is re-proven per axis by the rule that
-    elided it (:func:`~repro.compiler.twir.check_elision.justified_at`)
-    over the recomputed facts.  Skipped entirely when the function
-    contains no unchecked primitives and no coalesced checkpoints — the
+    than miscompiled.  Each is re-proven by the rule that elided it
+    (:func:`~repro.compiler.twir.check_elision.justified_at`: a Part per
+    axis) over the recomputed facts.  The sites are the primitives whose
+    row names the ``checked`` one they stand in for.  Skipped entirely
+    when the function contains none and no coalesced checkpoints — the
     worklist recompute is not free and verify-each runs this after every
     pass.
     """
-    from repro.compiler.twir.check_elision import (
-        UNCHECKED_PARTS,
-        justified_at,
-    )
+    from repro.compiler.twir.check_elision import justified_at
 
     sites: list[tuple] = []
     for block in function.ordered_blocks():
         for instruction in block.instructions:
-            if not isinstance(instruction, CallPrimitiveInstr):
-                continue
-            name = instruction.primitive.runtime_name
-            if name in _UNCHECKED_ARITH or name in UNCHECKED_PARTS:
+            if isinstance(instruction, CallPrimitiveInstr) and (
+                instruction.primitive.checked is not None
+            ):
                 sites.append((block, instruction))
     coalesced = function.information.get("CoalescedHeaders", {})
     if not sites and not coalesced:
@@ -597,20 +588,10 @@ def _check_fact_consistency(
                   f"justification", function, block=block.name,
                   instruction=instruction)
             continue
-        method = _UNCHECKED_ARITH.get(name)
-        if method is not None:
-            a = facts.interval_at(instruction.operands[0], block.name)
-            b = facts.interval_at(instruction.operands[1], block.name)
-            if not getattr(a, method)(b).fits_int64():
-                _diag(diagnostics, "analysis.fact",
-                      f"elided overflow check on {name} is not justified: "
-                      f"recomputed intervals {a} {method} {b} can exceed "
-                      f"Integer64", function, block=block.name,
-                      instruction=instruction, justification=justification)
-            continue
         if not justified_at(instruction, block.name, facts):
+            kind = "bounds" if instruction.primitive.index_axes else "overflow"
             _diag(diagnostics, "analysis.fact",
-                  f"elided bounds check on {name} is not justified by the "
+                  f"elided {kind} check on {name} is not justified by the "
                   f"recomputed facts ({justification})", function,
                   block=block.name, instruction=instruction,
                   justification=justification)

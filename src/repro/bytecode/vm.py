@@ -27,13 +27,9 @@ from typing import Callable, Optional
 
 from repro.bytecode.boxed import BoxedTensor
 from repro.bytecode.instructions import Instruction, Op
-from repro.errors import (
-    IntegerOverflowError,
-    WolframRuntimeError,
-)
+from repro.errors import WolframRuntimeError
 from repro.observe import trace as _trace
-from repro.runtime.checked import INT64_MAX as _INT64_MAX
-from repro.runtime.checked import INT64_MIN as _INT64_MIN
+from repro.runtime.checked import check_int64 as _check_int
 from repro.runtime.guard import CHECKPOINT, charge_memory, checkpoint
 from repro.testing import faults as _faults
 
@@ -86,12 +82,6 @@ def _init_math_table() -> None:
 
 
 _init_math_table()
-
-
-def _check_int(value: int) -> int:
-    if value > _INT64_MAX or value < _INT64_MIN:
-        raise IntegerOverflowError()
-    return value
 
 
 def _elementwise(op: Callable, a, b):

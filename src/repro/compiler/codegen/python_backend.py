@@ -1046,13 +1046,16 @@ class PythonBackend:
         self._emit_aliases(result)
 
     def _guard_of(self, instruction: CallPrimitiveInstr) -> Optional[str]:
-        """The primitive's guard, unless its operands are literals that
-        decide it: ``if 256 == 0`` is not emitted."""
+        """The primitive's guard, unless the operands of its first test
+        are literals that decide it: ``if 256 == 0`` is not emitted."""
         guard = instruction.primitive.py_guard
         if guard is None:
             return None
+        test = guard.split("\n", 1)[0]
+        if not (test.startswith("if ") and test.endswith(":")):
+            return guard
         literals = {}
-        for _, index, form in _plan(guard, True).segments:
+        for _, index, form in _plan(test, True).segments:
             if form is None:
                 continue
             definition = (
@@ -1064,9 +1067,6 @@ class PythonBackend:
             ):
                 return guard
             literals[f"a{index}"] = repr(definition.value)
-        test = guard.split("\n", 1)[0]
-        if not (test.startswith("if ") and test.endswith(":")):
-            return guard
         if eval(test[3:-1].format(**literals), {"__builtins__": {}}):
             return guard
         return None

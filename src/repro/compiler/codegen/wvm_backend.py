@@ -2,9 +2,10 @@
 
 "prototype backends exist to target C++, the existing Wolfram Virtual
 Machine, WebAssembly, and NVIDIA PTX" — this is the WVM one.  It translates
-fully typed TWIR onto the legacy register machine's instruction set, which
-immediately surfaces the baseline's limits: strings, expressions, and
-function values have no WVM representation and raise a
+fully typed TWIR onto the legacy register machine's instruction set (a
+primitive's instruction is the ``wvm`` of its row in the primitive table),
+which immediately surfaces the baseline's limits: strings, expressions,
+and function values have no WVM representation and raise a
 :class:`CodegenError` (the L1 wall, from the other side).
 """
 
@@ -33,77 +34,6 @@ from repro.compiler.wir.instructions import (
     Value,
 )
 from repro.errors import CodegenError
-
-#: primitive runtime symbols with direct WVM opcodes
-_BINARY = {
-    "checked_binary_plus_Integer64_Integer64": Op.ADD,
-    "plus_unchecked_Integer64": Op.ADD,
-    "binary_plus_Real64": Op.ADD,
-    "binary_plus_ComplexReal64": Op.ADD,
-    "subtract_unchecked_Integer64": Op.SUB,
-    "times_unchecked_Integer64": Op.MUL,
-    "checked_binary_subtract_Integer64_Integer64": Op.SUB,
-    "binary_subtract_Real64": Op.SUB,
-    "binary_subtract_ComplexReal64": Op.SUB,
-    "checked_binary_times_Integer64_Integer64": Op.MUL,
-    "binary_times_Real64": Op.MUL,
-    "binary_times_ComplexReal64": Op.MUL,
-    "checked_divide_Real64": Op.DIV,
-    "binary_divide_ComplexReal64": Op.DIV,
-    "checked_binary_power_Integer64_Integer64": Op.POW,
-    "binary_power_Real64": Op.POW,
-    "binary_power_ComplexReal64": Op.POW,
-    "checked_binary_mod_Integer64_Integer64": Op.MOD,
-    "binary_mod_Real64": Op.MOD,
-    "checked_binary_quotient_Integer64_Integer64": Op.QUOT,
-    "binary_min": Op.MIN,
-    "binary_max": Op.MAX,
-    "compare_less": Op.LT,
-    "compare_less_equal": Op.LE,
-    "compare_greater": Op.GT,
-    "compare_greater_equal": Op.GE,
-    "compare_equal": Op.EQ,
-    "compare_unequal": Op.NE,
-    "boolean_and": Op.AND,
-    "boolean_or": Op.OR,
-    "boolean_xor": Op.XOR,
-    "bit_and_Integer64": Op.BIT_AND,
-    "bit_or_Integer64": Op.BIT_OR,
-    "bit_xor_Integer64": Op.BIT_XOR,
-    "bit_shift_left_Integer64": Op.BIT_SHL,
-    "bit_shift_right_Integer64": Op.BIT_SHR,
-    "tensor_dot": Op.TENSOR_DOT,
-    "random_real": Op.RANDOM_REAL,
-    "random_integer": Op.RANDOM_INT,
-}
-
-_UNARY_MATH = {
-    "math_sin": "Sin", "math_cos": "Cos", "math_tan": "Tan",
-    "math_arcsin": "ArcSin", "math_arccos": "ArcCos",
-    "math_arctan": "ArcTan", "math_sinh": "Sinh", "math_cosh": "Cosh",
-    "math_tanh": "Tanh", "math_exp": "Exp", "math_log": "Log",
-    "math_sqrt": "Sqrt", "math_abs": "Abs", "complex_abs": "Abs",
-    "math_floor": "Floor", "math_ceiling": "Ceiling", "math_round": "Round",
-    "math_sign": "Sign", "checked_unary_minus_Integer64": "Neg",
-    "unary_minus_Real64": "Neg", "unary_minus_ComplexReal64": "Neg",
-    "math_re": "Re", "math_im": "Im", "math_conjugate": "Conjugate",
-    "cmath_sin": "Sin", "cmath_cos": "Cos", "cmath_exp": "Exp",
-    "cmath_sqrt": "Sqrt", "cmath_log": "Log", "cmath_tan": "Tan",
-}
-
-_TENSOR = {
-    "tensor_part1": Op.TENSOR_GET,
-    "tensor_part1_unchecked": Op.TENSOR_GET,
-    "tensor_length": Op.TENSOR_LENGTH,
-    "tensor_total": Op.TENSOR_TOTAL,
-    "tensor_create": Op.TENSOR_CREATE,
-    "cast_Integer64_Real64": Op.CAST_REAL,
-    "cast_Real64_Integer64": Op.CAST_INT,
-}
-
-_UNREPRESENTABLE = (
-    "string_", "expr_", "wrap_",
-)
 
 
 def _register_type_char(type_: Optional[Type]) -> str:
@@ -295,10 +225,10 @@ class WVMBackend:
                 f"the WVM cannot represent constant {value!r} (L1)"
             )
         if isinstance(instruction, CallPrimitiveInstr):
-            name = instruction.primitive.runtime_name
-            if any(name.startswith(prefix) for prefix in _UNREPRESENTABLE):
+            primitive = instruction.primitive
+            if primitive.wvm is None:
                 raise CodegenError(
-                    f"the WVM has no instruction for {name} (L1)"
+                    f"the WVM has no instruction for {primitive.runtime_name}"
                 )
             operands = tuple(register_of(v) for v in instruction.operands)
             target = (
@@ -306,33 +236,22 @@ class WVMBackend:
                 if instruction.result is not None
                 else (operands[0] if operands else -1)
             )
-            if name in _BINARY:
-                emit(_BINARY[name], target, operands)
-                return
-            if name in _UNARY_MATH:
+            if primitive.wvm in MATH_CODES:
                 emit(Op.MATH_UNARY, target,
-                     (MATH_CODES[_UNARY_MATH[name]], operands[0]))
+                     (MATH_CODES[primitive.wvm], operands[0]))
                 return
-            if name in _TENSOR:
-                emit(_TENSOR[name], target, operands)
-                return
-            if name in ("tensor_part1_set", "tensor_part1_set_unchecked"):
-                emit(Op.TENSOR_SET, operands[0], (operands[1], operands[2]))
+            op = Op[primitive.wvm]
+            if op is Op.TENSOR_SET:
+                emit(op, operands[0], (operands[1], operands[2]))
                 if instruction.result is not None:
-                    emit(Op.MOVE, register_of(instruction.result),
-                         (operands[0],))
+                    emit(Op.MOVE, target, (operands[0],))
                 return
-            if name == "tensor_create_uninit":
-                zero = const_index(0)
-                # the result register briefly holds the zero fill value
-                emit(Op.LOAD_CONST, register_of(instruction.result), (zero,))
-                emit(Op.TENSOR_CREATE, register_of(instruction.result),
-                     (operands[0], register_of(instruction.result)))
-                return
-            if name in ("identity",):
-                emit(Op.MOVE, target, operands)
-                return
-            raise CodegenError(f"the WVM has no instruction for {name}")
+            if op is Op.TENSOR_CREATE and len(operands) == 1:
+                # uninitialised: the target briefly holds the zero fill
+                emit(Op.LOAD_CONST, target, (const_index(0),))
+                operands += (target,)
+            emit(op, target, operands)
+            return
         if isinstance(instruction, BuildListInstr):
             emit(Op.TENSOR_FROM_REGS, register_of(instruction.result),
                  tuple(register_of(v) for v in instruction.operands))

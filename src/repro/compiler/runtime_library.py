@@ -1,28 +1,41 @@
-"""The compiled-code runtime library: one callable per primitive.
+"""The primitive table: every compiled-code primitive, defined once.
 
 §A.6.3 shows resolved TWIR calling
 ``Native`PrimitiveFunction[checked_binary_plus_Integer64_Integer64]`` — "a
 function defined within the compiler runtime library".  This module is that
-library.  The Python backend either splices each primitive's inline template
-(default) or emits a call to the callable registered here (when primitive
-inlining is disabled — the §6 ablation), and the C backend declares the same
-symbols.
+library, and each primitive's row (a
+:class:`~repro.compiler.types.environment.PrimitiveImpl`) sits next to its
+callable: the Python and C templates the backends splice, the error its
+check raises, the unchecked twin check elision may swap in, the interval
+transfer of the dataflow analysis, the ``Part`` axes it proves, and the WVM
+instruction.  The backends, the TWIR passes, the dataflow analysis and the
+verifier read the row; none keeps a table of its own keyed by primitive
+name.  Type signatures are declared against the rows in
+:mod:`repro.compiler.types.builtin_env`, so adding a builtin is a row here
+plus its ``declare_function`` there.
+
+:data:`RUNTIME` is the name-keyed view generated code looks its callables
+up in (``_rt['tensor_part1']``): the Python backend calls through it when
+primitive inlining is disabled (the §6 ablation) or a template defers to
+the library, and fault injection swaps its entries.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+import random as _random
 from typing import Callable
 
+from repro.compiler.types.environment import PrimitiveImpl
 from repro.errors import WolframRuntimeError
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, boolean
 from repro.runtime import (
-    INT64_MAX,
-    INT64_MIN,
     PackedArray,
+    check_int64,
     checked_binary_mod_Integer64_Integer64,
     checked_binary_plus_Integer64_Integer64,
     checked_binary_power_Integer64_Integer64,
@@ -36,123 +49,214 @@ from repro.runtime import (
     memory_charge,
     memory_release,
 )
-
-RUNTIME: dict[str, Callable] = {}
-
-
-def primitive(name: str):
-    def register(func):
-        RUNTIME[name] = func
-        return func
-
-    return register
-
-
-# -- checked Integer64 arithmetic (names match the paper's LLVM dump) ------------
-
-RUNTIME["checked_binary_plus_Integer64_Integer64"] = (
-    checked_binary_plus_Integer64_Integer64
+from repro.runtime.strings import (
+    from_character_codes,
+    string_utf8_bytes,
+    to_character_codes,
 )
-RUNTIME["checked_binary_subtract_Integer64_Integer64"] = (
-    checked_binary_subtract_Integer64_Integer64
-)
-RUNTIME["checked_binary_times_Integer64_Integer64"] = (
-    checked_binary_times_Integer64_Integer64
-)
-RUNTIME["checked_binary_quotient_Integer64_Integer64"] = (
-    checked_binary_quotient_Integer64_Integer64
-)
-RUNTIME["checked_binary_mod_Integer64_Integer64"] = (
-    checked_binary_mod_Integer64_Integer64
-)
-RUNTIME["checked_binary_power_Integer64_Integer64"] = (
-    checked_binary_power_Integer64_Integer64
-)
-RUNTIME["checked_unary_minus_Integer64"] = checked_unary_minus_Integer64
-RUNTIME["checked_divide_Real64"] = checked_divide_Real64
+
+#: every primitive's row, keyed by its runtime-library symbol
+PRIMITIVE_IMPLS: dict[str, PrimitiveImpl] = {}
 
 
-# -- real / complex arithmetic ----------------------------------------------------
-
-for _name, _func in {
-    "binary_plus_Real64": lambda a, b: a + b,
-    "binary_subtract_Real64": lambda a, b: a - b,
-    "binary_times_Real64": lambda a, b: a * b,
-    "binary_power_Real64": lambda a, b: a ** b,
-    "binary_mod_Real64": lambda a, b: a - b * math.floor(a / b),
-    "identity": lambda a: a,
-    "plus_unchecked_Integer64": lambda a, b: a + b,
-    "subtract_unchecked_Integer64": lambda a, b: a - b,
-    "times_unchecked_Integer64": lambda a, b: a * b,
-    "binary_min": min,
-    "binary_max": max,
-    "binary_atan2_Real64": math.atan2,
-    "unary_minus_Real64": lambda a: -a,
-    "binary_plus_ComplexReal64": lambda a, b: a + b,
-    "binary_subtract_ComplexReal64": lambda a, b: a - b,
-    "binary_times_ComplexReal64": lambda a, b: a * b,
-    "binary_power_ComplexReal64": lambda a, b: a ** b,
-    "unary_minus_ComplexReal64": lambda a: -a,
-}.items():
-    RUNTIME[_name] = _func
+def _impl(name: str, py_inline=None, c_inline=None, *, unchecked=None,
+          checked=None, **fields) -> PrimitiveImpl:
+    """Add the row of primitive ``name``.  ``unchecked`` names its twin
+    (declared before it) and links the two both ways; ``checked`` names
+    the primitive whose elided check one that is not a twin stands for."""
+    # every primitive that acts is a store into its first operand
+    row = PrimitiveImpl(name, py_inline, c_inline,
+                        mutates=fields.get("py_effect") is not None, **fields)
+    if unchecked is not None:
+        row.unchecked = PRIMITIVE_IMPLS[unchecked]
+        row.unchecked.checked = row
+    if checked is not None:
+        row.checked = PRIMITIVE_IMPLS[checked]
+    PRIMITIVE_IMPLS[name] = row
+    return row
 
 
-@primitive("binary_divide_ComplexReal64")
+def primitive(py_inline=None, c_inline=None, **fields):
+    """Declare the decorated function the ``call`` of the primitive named
+    after it."""
+
+    def declare(function):
+        _impl(function.__name__, py_inline, c_inline, call=function, **fields)
+        return function
+
+    return declare
+
+
+_OVERFLOW_GUARD = (
+    "if {out} > 9223372036854775807 or {out} < -9223372036854775808:\n"
+    "    raise IntegerOverflowError()"
+)
+
+
+def _zero_guard(what: str) -> str:
+    return ("if {a1} == 0:\n"
+            f"    raise WolframRuntimeError('DivideByZero', '{what}')")
+
+
+# -- Integer64 arithmetic (checked names match the paper's LLVM dump) ---------------
+# The unchecked twins run only where the dataflow interval analysis proved
+# the checked guard can never fire (check elision).
+
+_impl("plus_unchecked_Integer64", "{a0} + {a1}", "{out} = {a0} + {a1};",
+      call=operator.add, total=True, interval="add", wvm="ADD")
+_impl("subtract_unchecked_Integer64", "{a0} - {a1}", "{out} = {a0} - {a1};",
+      call=operator.sub, total=True, interval="subtract", wvm="SUB")
+_impl("times_unchecked_Integer64", "{a0} * {a1}", "{out} = {a0} * {a1};",
+      call=operator.mul, total=True, interval="multiply", wvm="MUL")
+_impl(
+    "checked_binary_plus_Integer64_Integer64",
+    py_inline="{a0} + {a1}", py_guard=_OVERFLOW_GUARD,
+    c_inline="if (__builtin_add_overflow({a0}, {a1}, &{out})) "
+             "wolfram_rt_throw(RTERR_INTEGER_OVERFLOW);",
+    call=checked_binary_plus_Integer64_Integer64, error="IntegerOverflow",
+    unchecked="plus_unchecked_Integer64", interval="add", wvm="ADD",
+)
+_impl(
+    "checked_binary_subtract_Integer64_Integer64",
+    py_inline="{a0} - {a1}", py_guard=_OVERFLOW_GUARD,
+    c_inline="if (__builtin_sub_overflow({a0}, {a1}, &{out})) "
+             "wolfram_rt_throw(RTERR_INTEGER_OVERFLOW);",
+    call=checked_binary_subtract_Integer64_Integer64, error="IntegerOverflow",
+    unchecked="subtract_unchecked_Integer64", interval="subtract", wvm="SUB",
+)
+_impl(
+    "checked_binary_times_Integer64_Integer64",
+    py_inline="{a0} * {a1}", py_guard=_OVERFLOW_GUARD,
+    c_inline="if (__builtin_mul_overflow({a0}, {a1}, &{out})) "
+             "wolfram_rt_throw(RTERR_INTEGER_OVERFLOW);",
+    call=checked_binary_times_Integer64_Integer64, error="IntegerOverflow",
+    unchecked="times_unchecked_Integer64", interval="multiply", wvm="MUL",
+)
+# a literal positive divisor decides the first test: no guard is emitted
+_impl("checked_binary_quotient_Integer64_Integer64",
+      py_inline="{a0} // {a1}",
+      py_guard="if {a1} <= 0:\n"
+               "    if {a1} == 0:\n"
+               "        raise WolframRuntimeError('DivideByZero', "
+               "'Quotient by zero')\n"
+               "    if {a1} == -1 and {a0} == -9223372036854775808:\n"
+               "        raise IntegerOverflowError()",
+      c_inline="{out} = wolfram_rt_quotient_i64({a0}, {a1});",
+      call=checked_binary_quotient_Integer64_Integer64, error="DivideByZero",
+      interval="quotient", wvm="QUOT")
+_impl("checked_binary_mod_Integer64_Integer64",
+      py_inline="{a0} % {a1}", py_guard=_zero_guard("Mod by zero"),
+      c_inline="{out} = wolfram_rt_mod_i64({a0}, {a1});",
+      call=checked_binary_mod_Integer64_Integer64, error="DivideByZero",
+      interval="mod", wvm="MOD")
+_impl("checked_binary_power_Integer64_Integer64",
+      c_inline="{out} = wolfram_rt_power_i64({a0}, {a1});",
+      call=checked_binary_power_Integer64_Integer64, error="IntegerOverflow",
+      wvm="POW")
+_impl(
+    "checked_unary_minus_Integer64",
+    py_inline="-{a0}",
+    py_guard="if {out} > 9223372036854775807:\n"
+             "    raise IntegerOverflowError()",
+    c_inline="{out} = wolfram_rt_negate_i64({a0});",
+    call=checked_unary_minus_Integer64, error="IntegerOverflow",
+    interval="negate", wvm="Neg",
+)
+_impl("checked_divide_Real64",
+      py_inline="{a0} / {a1}", py_guard=_zero_guard("division by zero"),
+      c_inline="{out} = wolfram_rt_divide_r64({a0}, {a1});",
+      call=checked_divide_Real64, error="DivideByZero", wvm="DIV")
+_impl("power_mod_Integer64", "pow({a0}, {a1}, {a2})",
+      "{out} = wolfram_rt_powmod_i64({a0}, {a1}, {a2});", call=pow)
+
+# -- real / complex arithmetic ------------------------------------------------------
+
+for _suffix in ("Real64", "ComplexReal64"):
+    _impl(f"binary_plus_{_suffix}", "{a0} + {a1}", "{out} = {a0} + {a1};",
+          call=operator.add, total=True, wvm="ADD")
+    _impl(f"binary_subtract_{_suffix}", "{a0} - {a1}",
+          "{out} = {a0} - {a1};", call=operator.sub, total=True, wvm="SUB")
+    _impl(f"binary_times_{_suffix}", "{a0} * {a1}", "{out} = {a0} * {a1};",
+          call=operator.mul, total=True, wvm="MUL")
+    _impl(f"unary_minus_{_suffix}", "-{a0}", "{out} = -{a0};",
+          call=operator.neg, total=True, wvm="Neg")
+_impl("binary_power_Real64", "{a0} ** {a1}", "{out} = pow({a0}, {a1});",
+      call=operator.pow, wvm="POW")
+_impl("binary_power_ComplexReal64", "{a0} ** {a1}",
+      "{out} = cpow({a0}, {a1});", call=operator.pow, wvm="POW")
+
+
+@primitive("{a0} / {a1}", "{out} = {a0} / {a1};", error="DivideByZero",
+           wvm="DIV")
 def binary_divide_ComplexReal64(a, b):
     if b == 0:
         raise WolframRuntimeError("DivideByZero", "complex division by zero")
     return a / b
 
 
+_impl("binary_mod_Real64", "{a0} - {a1} * _math.floor({a0} / {a1})",
+      "{out} = {a0} - {a1} * floor({a0} / {a1});",
+      call=lambda a, b: a - b * math.floor(a / b), wvm="MOD")
+_impl("binary_min", "{a0} if {a0} < {a1} else {a1}",
+      "{out} = ({a0} < {a1}) ? {a0} : {a1};", call=min, total=True,
+      interval="minimum", wvm="MIN")
+_impl("binary_max", "{a1} if {a0} < {a1} else {a0}",
+      "{out} = ({a0} < {a1}) ? {a1} : {a0};", call=max, total=True,
+      interval="maximum", wvm="MAX")
+_impl("binary_atan2_Real64", "_math.atan2({a0}, {a1})",
+      "{out} = atan2({a0}, {a1});", call=math.atan2)
+
 # -- comparisons / logic ------------------------------------------------------------
 
-for _name, _func in {
-    "compare_less": lambda a, b: a < b,
-    "compare_less_equal": lambda a, b: a <= b,
-    "compare_greater": lambda a, b: a > b,
-    "compare_greater_equal": lambda a, b: a >= b,
-    "compare_equal": lambda a, b: a == b,
-    "compare_unequal": lambda a, b: a != b,
-    "boolean_not": lambda a: not a,
-    "boolean_and": lambda a, b: a and b,
-    "boolean_or": lambda a, b: a or b,
-    "boolean_xor": lambda a, b: bool(a) != bool(b),
-}.items():
-    RUNTIME[_name] = _func
-
+for _name, _op, _call, _wvm in (
+    ("compare_less", "<", operator.lt, "LT"),
+    ("compare_less_equal", "<=", operator.le, "LE"),
+    ("compare_greater", ">", operator.gt, "GT"),
+    ("compare_greater_equal", ">=", operator.ge, "GE"),
+    ("compare_equal", "==", operator.eq, "EQ"),
+    ("compare_unequal", "!=", operator.ne, "NE"),
+):
+    _impl(_name, f"{{a0}} {_op} {{a1}}", f"{{out}} = {{a0}} {_op} {{a1}};",
+          call=_call, total=True, wvm=_wvm)
+_impl("boolean_not", "not {a0}", "{out} = !{a0};", call=operator.not_,
+      total=True)
+_impl("boolean_and", "{a0} and {a1}", "{out} = {a0} && {a1};",
+      call=lambda a, b: a and b, total=True, wvm="AND")
+_impl("boolean_or", "{a0} or {a1}", "{out} = {a0} || {a1};",
+      call=lambda a, b: a or b, total=True, wvm="OR")
+_impl("boolean_xor", "{a0} is not {a1}", "{out} = {a0} != {a1};",
+      call=lambda a, b: bool(a) != bool(b), total=True, wvm="XOR")
 
 # -- bit operations -----------------------------------------------------------------
 
-for _name, _func in {
-    "bit_and_Integer64": lambda a, b: a & b,
-    "bit_or_Integer64": lambda a, b: a | b,
-    "bit_xor_Integer64": lambda a, b: a ^ b,
-    "bit_shift_right_Integer64": lambda a, b: a >> b,
-}.items():
-    RUNTIME[_name] = _func
+_impl("bit_and_Integer64", "{a0} & {a1}", "{out} = {a0} & {a1};",
+      call=operator.and_, total=True, interval="bit_and", wvm="BIT_AND")
+_impl("bit_or_Integer64", "{a0} | {a1}", "{out} = {a0} | {a1};",
+      call=operator.or_, total=True, wvm="BIT_OR")
+_impl("bit_xor_Integer64", "{a0} ^ {a1}", "{out} = {a0} ^ {a1};",
+      call=operator.xor, total=True, interval="bit_xor", wvm="BIT_XOR")
+_impl("bit_shift_left_Integer64", "{a0} << {a1}", "{out} = {a0} << {a1};",
+      py_guard=_OVERFLOW_GUARD, call=lambda a, b: check_int64(a << b),
+      error="IntegerOverflow", wvm="BIT_SHL")
+_impl("bit_shift_right_Integer64", "{a0} >> {a1}", "{out} = {a0} >> {a1};",
+      call=operator.rshift, wvm="BIT_SHR")
 
-
+# unsigned-64 wrapping arithmetic (C-style modular semantics; FNV1a, §6)
 _U64_MASK = (1 << 64) - 1
-for _name, _func in {
-    "wrap_plus_UnsignedInteger64": lambda a, b: (a + b) & _U64_MASK,
-    "wrap_subtract_UnsignedInteger64": lambda a, b: (a - b) & _U64_MASK,
-    "wrap_times_UnsignedInteger64": lambda a, b: (a * b) & _U64_MASK,
-    "bit_shift_left_UnsignedInteger64": lambda a, b: (a << b) & _U64_MASK,
-}.items():
-    RUNTIME[_name] = _func
+_impl("wrap_plus_UnsignedInteger64", f"({{a0}} + {{a1}}) & {_U64_MASK}",
+      "{out} = {a0} + {a1};", call=lambda a, b: (a + b) & _U64_MASK,
+      total=True)
+_impl("wrap_subtract_UnsignedInteger64", f"({{a0}} - {{a1}}) & {_U64_MASK}",
+      "{out} = {a0} - {a1};", call=lambda a, b: (a - b) & _U64_MASK,
+      total=True)
+_impl("wrap_times_UnsignedInteger64", f"({{a0}} * {{a1}}) & {_U64_MASK}",
+      "{out} = {a0} * {a1};", call=lambda a, b: (a * b) & _U64_MASK,
+      total=True)
+_impl("bit_shift_left_UnsignedInteger64",
+      f"({{a0}} << {{a1}}) & {_U64_MASK}", "{out} = {a0} << {a1};",
+      call=lambda a, b: (a << b) & _U64_MASK)
 
-
-@primitive("bit_shift_left_Integer64")
-def bit_shift_left_Integer64(a: int, b: int) -> int:
-    result = a << b
-    if result > INT64_MAX or result < INT64_MIN:
-        from repro.errors import IntegerOverflowError
-
-        raise IntegerOverflowError()
-    return result
-
-
-# -- unary math ------------------------------------------------------------------------
+# -- unary math and casts -----------------------------------------------------------
 
 
 def _real_or_complex(rf, cf):
@@ -164,68 +268,115 @@ def _real_or_complex(rf, cf):
     return apply
 
 
-for _name, _func in {
-    "math_sin": _real_or_complex(math.sin, cmath.sin),
-    "math_cos": _real_or_complex(math.cos, cmath.cos),
-    "math_tan": _real_or_complex(math.tan, cmath.tan),
-    "math_arcsin": _real_or_complex(math.asin, cmath.asin),
-    "math_arccos": _real_or_complex(math.acos, cmath.acos),
-    "math_arctan": _real_or_complex(math.atan, cmath.atan),
-    "math_sinh": _real_or_complex(math.sinh, cmath.sinh),
-    "math_cosh": _real_or_complex(math.cosh, cmath.cosh),
-    "math_tanh": _real_or_complex(math.tanh, cmath.tanh),
-    "math_exp": _real_or_complex(math.exp, cmath.exp),
-    "math_log": _real_or_complex(math.log, cmath.log),
-    "math_sqrt": _real_or_complex(math.sqrt, cmath.sqrt),
-    "math_abs": abs,
-    "complex_abs": abs,
-    "cmath_sin": cmath.sin,
-    "cmath_cos": cmath.cos,
-    "cmath_tan": cmath.tan,
-    "cmath_exp": cmath.exp,
-    "cmath_sqrt": cmath.sqrt,
-    "cmath_log": cmath.log,
-    "math_floor": lambda x: math.floor(x),
-    "math_ceiling": lambda x: math.ceil(x),
-    "math_round": lambda x: round(x),
-    "math_sign": lambda x: (x > 0) - (x < 0),
-    "math_re": lambda x: x.real if isinstance(x, complex) else x,
-    "math_im": lambda x: x.imag if isinstance(x, complex) else 0.0,
-    "math_conjugate": lambda x: x.conjugate() if isinstance(x, complex) else x,
-    "math_arg": lambda x: cmath.phase(complex(x)),
-    "cast_Integer64_Real64": float,
-    "cast_Real64_Integer64": int,
-    "cast_Integer64_ComplexReal64": complex,
-    "cast_Real64_ComplexReal64": complex,
-    "cast_Boolean_Integer64": int,
-}.items():
-    RUNTIME[_name] = _func
+for _name, _function, _wvm in (
+    ("sin", "sin", "Sin"), ("cos", "cos", "Cos"), ("tan", "tan", "Tan"),
+    ("exp", "exp", "Exp"), ("log", "log", "Log"), ("sqrt", "sqrt", "Sqrt"),
+    ("sinh", "sinh", "Sinh"), ("cosh", "cosh", "Cosh"),
+    ("tanh", "tanh", "Tanh"), ("arcsin", "asin", "ArcSin"),
+    ("arccos", "acos", "ArcCos"), ("arctan", "atan", "ArcTan"),
+):
+    _impl(f"math_{_name}", f"_math.{_function}({{a0}})",
+          f"{{out}} = {_function}({{a0}});",
+          call=_real_or_complex(getattr(math, _function),
+                                getattr(cmath, _function)), wvm=_wvm)
+for _name in ("sin", "cos", "tan", "exp", "sqrt", "log"):
+    _impl(f"cmath_{_name}", f"_cmath.{_name}({{a0}})",
+          f"{{out}} = c{_name}({{a0}});", call=getattr(cmath, _name),
+          wvm=_name.capitalize())
+_impl("math_abs", "abs({a0})", "{out} = fabs({a0});", call=abs, total=True,
+      interval="absolute", wvm="Abs")
+_impl("complex_abs", "abs({a0})", "{out} = cabs({a0});", call=abs,
+      wvm="Abs")
+_impl("math_floor", "_math.floor({a0})", "{out} = (int64_t)floor({a0});",
+      call=math.floor, wvm="Floor")
+_impl("math_ceiling", "_math.ceil({a0})", "{out} = (int64_t)ceil({a0});",
+      call=math.ceil, wvm="Ceiling")
+_impl("math_round", "round({a0})", "{out} = llround({a0});", call=round,
+      wvm="Round")
+_impl("math_sign", "({a0} > 0) - ({a0} < 0)",
+      "{out} = ({a0} > 0) - ({a0} < 0);", call=lambda x: (x > 0) - (x < 0),
+      total=True, interval="sign", wvm="Sign")
+_impl("math_re", "{a0}.real", "{out} = creal({a0});",
+      call=lambda x: x.real if isinstance(x, complex) else x, total=True,
+      wvm="Re")
+_impl("math_im", "{a0}.imag", "{out} = cimag({a0});",
+      call=lambda x: x.imag if isinstance(x, complex) else 0.0, total=True,
+      wvm="Im")
+_impl("math_conjugate", "{a0}.conjugate()", "{out} = conj({a0});",
+      call=lambda x: x.conjugate() if isinstance(x, complex) else x,
+      total=True, wvm="Conjugate")
+_impl("math_arg", "_cmath.phase({a0})", "{out} = carg({a0});",
+      call=lambda x: cmath.phase(complex(x)))
 
+_impl("identity", "{a0_bare}", "{out} = {a0};", call=lambda a: a,
+      total=True, wvm="MOVE")
+_impl("cast_Integer64_Real64", "float({a0})", "{out} = (double){a0};",
+      call=float, total=True, wvm="CAST_REAL")
+_impl("cast_Real64_Integer64", "int({a0})", "{out} = (int64_t){a0};",
+      call=int, wvm="CAST_INT")
+_impl("cast_Integer64_ComplexReal64", "complex({a0})",
+      "{out} = (double _Complex){a0};", call=complex, total=True)
+_impl("cast_Real64_ComplexReal64", "complex({a0})",
+      "{out} = (double _Complex){a0};", call=complex, total=True)
+_impl("cast_Boolean_Integer64", "1 if {a0} else 0", "{out} = {a0} ? 1 : 0;",
+      call=int, total=True)
 
 # -- tensors ---------------------------------------------------------------------------
+# Template fields beyond ``{aN}``: ``{aN_data}`` / ``{aN_cols}`` /
+# ``{aN_len}`` are the tensor's data list, column count and flat length
+# (locals bound once per tensor value: ``data`` is never resized in
+# place), ``{aN_zero}`` is the index operand less one, written without the
+# ``+ c ... - c`` round trip when the index is ``e + c``.
+#
+# Storage is charged against the active guard where it is created, so a
+# MemoryConstrained budget trips before the buffer exists; unguarded, the
+# statement is one test of the checkpoint word.
+
+_ROW = ((1, "row"),)
+_ROW_COLUMN = ((1, "row"), (2, "column"))
 
 
-@primitive("tensor_create")
+@primitive(c_inline="{out} = wolfram_rt_tensor_create({a0}, {a1});",
+           pure=False, allocates=True, wvm="TENSOR_CREATE")
 def tensor_create(length: int, fill) -> PackedArray:
     element_type = "Integer64" if isinstance(fill, int) else "Real64"
     memory_charge(length)
     return PackedArray([fill] * int(length), (int(length),), element_type)
 
 
-@primitive("tensor_create_uninit")
+@primitive("PackedArray([0] * {a0}, ({a0},), 'Integer64')",
+           "{out} = wolfram_rt_tensor_create_uninit({a0});", pure=False,
+           py_guard="if _armed[0]: _mem_charge({a0})", allocates=True,
+           wvm="TENSOR_CREATE")
 def tensor_create_uninit(length: int) -> PackedArray:
     memory_charge(length)
     return PackedArray([0] * int(length), (int(length),), "Integer64")
 
 
-@primitive("matrix_create")
+@primitive("PackedArray([{a2}] * ({a0} * {a1}), ({a0}, {a1}), '{elem}')",
+           "{out} = wolfram_rt_matrix_create({a0}, {a1}, {a2});", pure=False,
+           py_guard="if _armed[0]: _mem_charge({a0} * {a1})", allocates=True)
 def matrix_create(rows: int, cols: int, fill) -> PackedArray:
     element_type = "Real64" if isinstance(fill, float) else "Integer64"
     memory_charge(rows * cols)
     return PackedArray([fill] * (rows * cols), (rows, cols), element_type)
 
 
-@primitive("tensor_part1")
+# a too-large index makes an unchecked rank-1 access raise IndexError, which
+# the soft-failure path classifies as PartOutOfRange; a rank-2 one reads the
+# next row instead, so it raises nothing
+@primitive("{a0_data}[{a1_zero}]", "{out} = {a0}->data.i64[{a1} - 1];",
+           error="PartOutOfRange", index_axes=_ROW, interval="element",
+           wvm="TENSOR_GET")
+def tensor_part1_unchecked(t: PackedArray, index: int):
+    return t.data[index - 1]
+
+
+@primitive("{a0_data}[{a1_zero}] if 0 < {a1} <= {a0_len} "
+           "else _rt['tensor_part1']({a0}, {a1})",
+           "{out} = wolfram_rt_tensor_part1({a0}, {a1});",
+           error="PartOutOfRange", unchecked="tensor_part1_unchecked",
+           index_axes=_ROW, interval="element", wvm="TENSOR_GET")
 def tensor_part1(t: PackedArray, index: int):
     data = t.data
     n = len(data)
@@ -236,7 +387,24 @@ def tensor_part1(t: PackedArray, index: int):
     return data[index - 1]
 
 
-@primitive("tensor_part1_set")
+@primitive("{a0}", "{a0}->data.i64[{a1} - 1] = {a2}; {out} = {a0};",
+           py_effect="{a0_data}[{a1_zero}] = {a2}", pure=False,
+           error="PartOutOfRange", index_axes=_ROW, wvm="TENSOR_SET")
+def tensor_part1_set_unchecked(t: PackedArray, index: int,
+                               value) -> PackedArray:
+    t.data[index - 1] = value
+    return t
+
+
+@primitive("{a0}", "wolfram_rt_tensor_part1_set({a0}, {a1}, {a2}); "
+           "{out} = {a0};",
+           py_effect="if 0 < {a1} <= {a0_len}:\n"
+                     "    {a0_data}[{a1_zero}] = {a2}\n"
+                     "else:\n"
+                     "    _rt['tensor_part1_set']({a0}, {a1}, {a2})",
+           pure=False, error="PartOutOfRange",
+           unchecked="tensor_part1_set_unchecked", index_axes=_ROW,
+           wvm="TENSOR_SET")
 def tensor_part1_set(t: PackedArray, index: int, value) -> PackedArray:
     data = t.data
     n = len(data)
@@ -248,92 +416,115 @@ def tensor_part1_set(t: PackedArray, index: int, value) -> PackedArray:
     return t
 
 
-@primitive("tensor_part1_unchecked")
-def tensor_part1_unchecked(t: PackedArray, index: int):
-    return t.data[index - 1]
-
-
-@primitive("tensor_part1_set_unchecked")
-def tensor_part1_set_unchecked(t: PackedArray, index: int, value) -> PackedArray:
-    t.data[index - 1] = value
-    return t
-
-
-@primitive("tensor_part2")
-def tensor_part2(t: PackedArray, i: int, j: int):
-    return t.get2(i, j)
-
-
-@primitive("tensor_part2_unchecked")
+@primitive("{a0_data}[({a1_zero}) * {a0_cols} + {a2_zero}]",
+           "{out} = {a0}->data.i64[({a1} - 1) * {a0}->dims[1] + {a2} - 1];",
+           index_axes=_ROW_COLUMN)
 def tensor_part2_unchecked(t: PackedArray, i: int, j: int):
     return t.data[(i - 1) * t.dims[1] + j - 1]
 
 
-@primitive("tensor_part2_set_unchecked")
-def tensor_part2_set_unchecked(t: PackedArray, i: int, j: int, value) -> PackedArray:
+@primitive("_rt['tensor_part2']({a0}, {a1}, {a2})",
+           "{out} = wolfram_rt_tensor_part2({a0}, {a1}, {a2});",
+           error="PartOutOfRange", unchecked="tensor_part2_unchecked",
+           index_axes=_ROW_COLUMN)
+def tensor_part2(t: PackedArray, i: int, j: int):
+    return t.get2(i, j)
+
+
+@primitive("{a0}",
+           "{a0}->data.i64[({a1} - 1) * {a0}->dims[1] + {a2} - 1] = {a3}; "
+           "{out} = {a0};",
+           py_effect="{a0_data}[({a1_zero}) * {a0_cols} + {a2_zero}] = {a3}",
+           pure=False, index_axes=_ROW_COLUMN)
+def tensor_part2_set_unchecked(t: PackedArray, i: int, j: int,
+                               value) -> PackedArray:
     t.data[(i - 1) * t.dims[1] + j - 1] = value
     return t
 
 
-@primitive("tensor_part2_set")
+@primitive("{a0}", "wolfram_rt_tensor_part2_set({a0}, {a1}, {a2}, {a3}); "
+           "{out} = {a0};",
+           py_effect="_rt['tensor_part2_set']({a0}, {a1}, {a2}, {a3})",
+           pure=False, error="PartOutOfRange",
+           unchecked="tensor_part2_set_unchecked", index_axes=_ROW_COLUMN)
 def tensor_part2_set(t: PackedArray, i: int, j: int, value) -> PackedArray:
     t.set2(i, j, value)
     return t
 
 
-@primitive("tensor_row")
+# explicit addressing for unchecked rank-2 access: the row base (the flat
+# index of the element before the row's first) is its own value, so CSE
+# shares it between the accesses of one row and the loop-invariant pass
+# takes it out of the loop over the columns; the row base carries the row
+# index's part of the proof, the access itself the column index's
+
+
+@primitive("({a1_zero}) * {a0_cols} - 1",
+           "{out} = ({a1} - 1) * {a0}->dims[1] - 1;", total=True,
+           checked="tensor_part2", index_axes=_ROW)
+def tensor_row_base(t: PackedArray, i: int) -> int:
+    """Flat index of the element before row ``i``'s first."""
+    return (i - 1) * t.dims[1] - 1
+
+
+@primitive("{a0_data}[{a1} + {a2}]", "{out} = {a0}->data.i64[{a1} + {a2}];",
+           checked="tensor_part2", index_axes=((2, "column"),))
+def tensor_at(t: PackedArray, base: int, j: int):
+    return t.data[base + j]
+
+
+@primitive("{a0}", "{a0}->data.i64[{a1} + {a2}] = {a3}; {out} = {a0};",
+           py_effect="{a0_data}[{a1} + {a2}] = {a3}", pure=False,
+           checked="tensor_part2_set", index_axes=((2, "column"),))
+def tensor_at_set(t: PackedArray, base: int, j: int, value) -> PackedArray:
+    t.data[base + j] = value
+    return t
+
+
+@primitive(c_inline="{out} = wolfram_rt_tensor_row({a0}, {a1});",
+           error="PartOutOfRange", allocates=True)
 def tensor_row(t: PackedArray, i: int) -> PackedArray:
     rows, cols = t.dims[0], t.dims[1]
     start = t.part_index(i, rows) * cols
     return PackedArray(t.data[start : start + cols], (cols,), t.element_type)
 
 
-@primitive("tensor_row_length")
+@primitive(c_inline="{out} = wolfram_rt_tensor_row_length({a0}, {a1});",
+           error="PartOutOfRange", interval="count")
 def tensor_row_length(t: PackedArray, i: int) -> int:
     """``Length[t[[i]]]`` without the row: the bounds check and the count."""
     t.part_index(i, t.dims[0])
     return t.dims[1]
 
 
-@primitive("tensor_row_base")
-def tensor_row_base(t: PackedArray, i: int) -> int:
-    """Flat index of the element before row ``i``'s first."""
-    return (i - 1) * t.dims[1] - 1
-
-
-@primitive("tensor_at")
-def tensor_at(t: PackedArray, base: int, j: int):
-    return t.data[base + j]
-
-
-@primitive("tensor_at_set")
-def tensor_at_set(t: PackedArray, base: int, j: int, value) -> PackedArray:
-    t.data[base + j] = value
-    return t
-
-
-@primitive("tensor_length")
+@primitive("{a0}.dims[0]", "{out} = {a0}->dims[0];", total=True,
+           interval="count", wvm="TENSOR_LENGTH")
 def tensor_length(t: PackedArray) -> int:
     return t.dims[0] if t.dims else 0
 
 
-@primitive("tensor_copy")
+@primitive(c_inline="{out} = wolfram_rt_tensor_copy({a0});", pure=False,
+           allocates=True)
 def tensor_copy(t: PackedArray) -> PackedArray:
     memory_charge(t.flat_length)
     return t.copy()
 
 
-@primitive("tensor_total")
+@primitive("sum({a0_data})", "{out} = wolfram_rt_tensor_total({a0});",
+           wvm="TENSOR_TOTAL")
 def tensor_total(t: PackedArray):
     return sum(t.data)
 
 
-@primitive("tensor_dot")
+@primitive(c_inline="{out} = wolfram_rt_dgemm({a0}, {a1});",
+           allocates=True, wvm="TENSOR_DOT")
 def tensor_dot(a: PackedArray, b: PackedArray) -> PackedArray:
     return dgemm(a, b)
 
 
-@primitive("tensor_plus")
+@primitive(c_inline="{out} = wolfram_rt_tensor_plus({a0}, {a1});",
+           error="ShapeMismatch", allocates=True,
+           elementwise=("binary_plus", 2))
 def tensor_plus(a: PackedArray, b: PackedArray) -> PackedArray:
     if a.dims != b.dims:
         raise WolframRuntimeError("ShapeMismatch", "unequal tensor shapes")
@@ -343,7 +534,9 @@ def tensor_plus(a: PackedArray, b: PackedArray) -> PackedArray:
     )
 
 
-@primitive("tensor_times")
+@primitive(c_inline="{out} = wolfram_rt_tensor_times({a0}, {a1});",
+           error="ShapeMismatch", allocates=True,
+           elementwise=("binary_times", 2))
 def tensor_times(a: PackedArray, b: PackedArray) -> PackedArray:
     if a.dims != b.dims:
         raise WolframRuntimeError("ShapeMismatch", "unequal tensor shapes")
@@ -353,17 +546,20 @@ def tensor_times(a: PackedArray, b: PackedArray) -> PackedArray:
     )
 
 
-@primitive("tensor_scale")
+@primitive(c_inline="{out} = wolfram_rt_tensor_scale({a0}, {a1});",
+           allocates=True, elementwise=("binary_times", 1))
 def tensor_scale(a: PackedArray, s) -> PackedArray:
     return PackedArray([x * s for x in a.data], a.dims, a.element_type)
 
 
-@primitive("tensor_shift")
+@primitive(c_inline="{out} = wolfram_rt_tensor_shift({a0}, {a1});",
+           allocates=True, elementwise=("binary_plus", 1))
 def tensor_shift(a: PackedArray, s) -> PackedArray:
     return PackedArray([x + s for x in a.data], a.dims, a.element_type)
 
 
-@primitive("tensor_from_elements")
+@primitive(c_inline="{out} = wolfram_rt_tensor_pack({nargs}, {args});",
+           pure=False, error="RaggedArray", allocates=True)
 def tensor_from_elements(*elements) -> PackedArray:
     if elements and isinstance(elements[0], PackedArray):
         inner_dims = elements[0].dims
@@ -385,61 +581,57 @@ def tensor_from_elements(*elements) -> PackedArray:
     return PackedArray(list(elements), (len(elements),), element_type)
 
 
-@primitive("tensor_equal")
+@primitive(c_inline="{out} = wolfram_rt_tensor_equal({a0}, {a1});")
 def tensor_equal(a: PackedArray, b: PackedArray) -> bool:
     return a.dims == b.dims and a.data == b.data
 
 
 # -- strings ----------------------------------------------------------------------------
 
-from repro.runtime.strings import (  # noqa: E402
-    from_character_codes,
-    string_utf8_bytes,
-    to_character_codes,
-)
+_impl("string_length", "len({a0})",
+      "{out} = wolfram_rt_string_length({a0});", call=len, total=True,
+      interval="count")
+_impl("string_join", "{a0} + {a1}",
+      "{out} = wolfram_rt_string_join({a0}, {a1});", call=operator.add,
+      total=True, allocates=True)
 
 
-@primitive("string_length")
-def string_length(s: str) -> int:
-    return len(s)
-
-
-@primitive("string_join")
-def string_join(a: str, b: str) -> str:
-    return a + b
-
-
-@primitive("string_utf8bytes")
+@primitive(c_inline="{out} = wolfram_rt_string_utf8({a0});",
+           allocates=True, element_range=(0, 0xFF))
 def string_utf8bytes(s: str) -> PackedArray:
     data = string_utf8_bytes(s)
     return PackedArray(list(data), (len(data),), "UnsignedInteger8")
 
 
-@primitive("string_to_character_codes")
+@primitive(c_inline="{out} = wolfram_rt_string_codes({a0});",
+           allocates=True, element_range=(0, 0x10FFFF))
 def string_to_character_codes(s: str) -> PackedArray:
     codes = to_character_codes(s)
     return PackedArray(codes, (len(codes),), "Integer64")
 
 
-@primitive("string_from_character_codes")
+@primitive(c_inline="{out} = wolfram_rt_string_from_codes({a0});")
 def string_from_character_codes(t: PackedArray) -> str:
     return from_character_codes(t.data)
 
 
-@primitive("string_take")
+@primitive("{a0}[:{a1}] if {a1} >= 0 else {a0}[{a1}:]",
+           "{out} = wolfram_rt_string_take({a0}, {a1});", total=True,
+           allocates=True)
 def string_take(s: str, n: int) -> str:
     return s[:n] if n >= 0 else s[n:]
 
 
-@primitive("string_drop")
+@primitive("{a0}[{a1}:] if {a1} >= 0 else {a0}[:{a1}]",
+           "{out} = wolfram_rt_string_drop({a0}, {a1});", total=True,
+           allocates=True)
 def string_drop(s: str, n: int) -> str:
     return s[n:] if n >= 0 else s[:n]
 
 
-@primitive("string_equal")
-def string_equal(a: str, b: str) -> bool:
-    return a == b
-
+_impl("string_equal", "{a0} == {a1}",
+      "{out} = wolfram_rt_string_equal({a0}, {a1});", call=operator.eq,
+      total=True)
 
 # -- expressions (symbolic compute inside compiled code, F8) ------------------------------
 
@@ -486,12 +678,7 @@ def _expr_binary(head, py_op):
     return apply
 
 
-RUNTIME["expr_plus"] = _expr_binary("Plus", lambda a, b: a + b)
-RUNTIME["expr_times"] = _expr_binary("Times", lambda a, b: a * b)
-
-
-@primitive("expr_power")
-def expr_power(a: MExpr, b: MExpr) -> MExpr:
+def _expr_power(a: MExpr, b: MExpr) -> MExpr:
     na, nb = _expr_number(a), _expr_number(b)
     if na is not None and nb is not None and not (
         isinstance(na, int) and isinstance(nb, int) and nb < 0
@@ -500,23 +687,7 @@ def expr_power(a: MExpr, b: MExpr) -> MExpr:
     return MExprNormal(S.Power, [a, b])
 
 
-@primitive("expr_equal")
-def expr_equal(a: MExpr, b: MExpr) -> bool:
-    return a == b
-
-
-@primitive("expr_head")
-def expr_head(a: MExpr) -> MExpr:
-    return a.head
-
-
-@primitive("expr_length")
-def expr_length(a: MExpr) -> int:
-    return 0 if a.is_atom() else len(a.args)
-
-
-@primitive("expr_part")
-def expr_part(a: MExpr, index: int) -> MExpr:
+def _expr_part(a: MExpr, index: int) -> MExpr:
     if a.is_atom():
         raise WolframRuntimeError("PartOutOfRange", "Part of an atom")
     count = len(a.args)
@@ -529,78 +700,59 @@ def expr_part(a: MExpr, index: int) -> MExpr:
     return a.args[index - 1]
 
 
-@primitive("expr_construct")
-def expr_construct(head: MExpr, *args: MExpr) -> MExpr:
-    return MExprNormal(head, list(args))
-
-
-@primitive("expr_from_integer")
-def expr_from_integer(value: int) -> MExpr:
-    return MInteger(value)
-
-
-@primitive("expr_from_real")
-def expr_from_real(value: float) -> MExpr:
-    return MReal(value)
-
-
-@primitive("expr_from_string")
-def expr_from_string(value: str) -> MExpr:
-    return MString(value)
-
-
-@primitive("expr_symbol")
-def expr_symbol(name: str) -> MExpr:
-    return MSymbol(name)
-
+for _name, _call, _fields in (
+    ("expr_plus", _expr_binary("Plus", operator.add), {}),
+    ("expr_times", _expr_binary("Times", operator.mul), {}),
+    ("expr_power", _expr_power, {}),
+    ("expr_equal", operator.eq, {}),
+    ("expr_head", lambda a: a.head, {}),
+    ("expr_length", lambda a: 0 if a.is_atom() else len(a.args),
+     {"interval": "count"}),
+    ("expr_part", _expr_part, {"error": "PartOutOfRange"}),
+    ("expr_construct", lambda head, *args: MExprNormal(head, list(args)), {}),
+    ("expr_from_integer", MInteger, {}),
+    ("expr_from_real", MReal, {}),
+    ("expr_from_string", MString, {}),
+    ("expr_symbol", MSymbol, {}),
+):
+    _impl(_name, c_inline=f"{{out}} = wolfram_rt_{_name}({{args}});",
+          call=_call, **_fields)
 
 # -- structural products (§4.4 TypeProduct) -----------------------------------------------
 
-
-@primitive("product_make")
-def product_make(*fields):
-    return tuple(fields)
-
-
-@primitive("product_get1")
-def product_get1(p):
-    return p[0]
-
-
-@primitive("product_get2")
-def product_get2(p):
-    return p[1]
-
-
-@primitive("product_get3")
-def product_get3(p):
-    return p[2]
-
+_impl("product_make", "({args})", call=lambda *fields: tuple(fields),
+      total=True)
+for _position in (1, 2, 3):
+    _impl(f"product_get{_position}", f"{{a0}}[{_position - 1}]",
+          f"{{out}} = {{a0}}.f{_position};",
+          call=operator.itemgetter(_position - 1), total=True)
 
 # -- random -----------------------------------------------------------------------------
-
-import random as _random  # noqa: E402
 
 _GENERATOR = _random.Random()
 
 
-@primitive("seed_random")
+@primitive(c_inline="{out} = wolfram_rt_seed_random({a0});", pure=False)
 def seed_random(seed: int) -> int:
     _GENERATOR.seed(seed)
     return seed
 
 
-@primitive("random_real")
+@primitive(c_inline="{out} = wolfram_rt_random_real({a0}, {a1});",
+           pure=False, wvm="RANDOM_REAL")
 def random_real(lo: float, hi: float) -> float:
     return _GENERATOR.uniform(lo, hi)
 
 
-@primitive("random_integer")
+@primitive(c_inline="{out} = wolfram_rt_random_integer({a0}, {a1});",
+           pure=False, wvm="RANDOM_INT")
 def random_integer(lo: int, hi: int) -> int:
     return _GENERATOR.randint(lo, hi)
 
 
-# -- services ------------------------------------------------------------------------------
-
+#: ``{runtime name: callable}``: what generated code's ``_rt`` is
+RUNTIME: dict[str, Callable] = {
+    name: row.call for name, row in PRIMITIVE_IMPLS.items()
+}
 RUNTIME["memory_acquire"] = memory_acquire
 RUNTIME["memory_release"] = memory_release

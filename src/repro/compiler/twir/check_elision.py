@@ -48,76 +48,30 @@ if TYPE_CHECKING:  # pragma: no cover - the analyze import is deferred at
     # the whole compiler back in)
     from repro.analyze.dataflow import FunctionFacts
 
-#: checked Integer64 arithmetic -> (unchecked primitive, Interval method)
-CHECKED_ARITH = {
-    "checked_binary_plus_Integer64_Integer64":
-        ("plus_unchecked_Integer64", "add"),
-    "checked_binary_subtract_Integer64_Integer64":
-        ("subtract_unchecked_Integer64", "subtract"),
-    "checked_binary_times_Integer64_Integer64":
-        ("times_unchecked_Integer64", "multiply"),
-}
-
-#: checked Part primitives -> unchecked, with their index operand slice
-CHECKED_PARTS = {
-    "tensor_part1": ("tensor_part1_unchecked", slice(1, 2)),
-    "tensor_part1_set": ("tensor_part1_set_unchecked", slice(1, 2)),
-    "tensor_part2": ("tensor_part2_unchecked", slice(1, 3)),
-    "tensor_part2_set": ("tensor_part2_set_unchecked", slice(1, 3)),
-}
-
-
-#: what re-proves each primitive, under its checked or its unchecked name
-_ARITH_PROOF = {
-    name: method
-    for checked, (unchecked, method) in CHECKED_ARITH.items()
-    for name in (checked, unchecked)
-}
-
-_ROW, _COLUMN = "row", "column"
-#: Part primitive -> ``(operand position, axis)`` of each index it takes
-_PART_PROOF = {
-    name: tuple(zip(range(indices.start, indices.stop), (_ROW, _COLUMN)))
-    for checked, (unchecked, indices) in CHECKED_PARTS.items()
-    for name in (checked, unchecked)
-}
-# a rank-2 access lowered to explicit addressing: the row base carries the
-# row index's part of the proof, the access itself the column index's
-_PART_PROOF.update(
-    tensor_row_base=((1, _ROW),), tensor_at=((2, _COLUMN),),
-    tensor_at_set=((2, _COLUMN),),
-)
-#: the unchecked forms: each must carry a justification
-UNCHECKED_PARTS = frozenset(
-    {unchecked for unchecked, _ in CHECKED_PARTS.values()}
-    | {"tensor_row_base", "tensor_at", "tensor_at_set"}
-)
-
 
 def proof_of(instruction: CallPrimitiveInstr, block: str,
              facts: "FunctionFacts") -> Optional[str]:
     """The ``elided_check`` justification under which ``instruction`` — a
-    checked primitive, or the unchecked one it was swapped for — needs no
-    check inside ``block``; ``None`` when the facts prove none.
+    primitive with an ``unchecked`` twin, or one that stands in for a
+    ``checked`` one — needs no check inside ``block``; ``None`` when the
+    facts prove none.
 
     A Part's indices are proven per axis
     (:meth:`~repro.analyze.dataflow.FunctionFacts.index_proof`), and the
     access is as safe as its least safe index: ``part-bounds`` when every
     one is within its count, ``part-positive`` when one may only trap."""
-    name = instruction.primitive.runtime_name
-    method = _ARITH_PROOF.get(name)
-    if method is not None:
-        a = facts.interval_at(instruction.operands[0], block)
-        b = facts.interval_at(instruction.operands[1], block)
-        return "int64-overflow" if getattr(a, method)(b).fits_int64() else None
-    axes = _PART_PROOF.get(name)
-    if not axes:
-        return None
+    primitive = instruction.primitive
+    if not primitive.index_axes:
+        # Integer64 arithmetic: the exact result, before its check (or the
+        # proof standing in for it) keeps it in range, must fit
+        a, *rest = (facts.interval_at(v, block) for v in instruction.operands)
+        exact = getattr(a, primitive.interval)(*rest)
+        return "int64-overflow" if exact.fits_int64() else None
     tensor = instruction.operands[0]
     justification = "part-bounds"
-    for position, axis in axes:
+    for position, axis in primitive.index_axes:
         proven = facts.index_proof(instruction.operands[position], tensor,
-                                   block, column=axis == _COLUMN)
+                                   block, column=axis == "column")
         if proven is None:
             return None
         if proven == "part-positive":
@@ -146,7 +100,6 @@ def elide_redundant_checks(
     ``IndexChecksElided``, the keys the former pattern passes used).
     """
     from repro.analyze.dataflow import analyze_function
-    from repro.compiler.types.builtin_env import PRIMITIVE_IMPLS
 
     if facts is None:
         facts = analyze_function(function)
@@ -155,16 +108,15 @@ def elide_redundant_checks(
         for instruction in block.instructions:
             if not isinstance(instruction, CallPrimitiveInstr):
                 continue
-            name = instruction.primitive.runtime_name
-            swap = CHECKED_ARITH.get(name) or CHECKED_PARTS.get(name)
-            if swap is None:
+            primitive = instruction.primitive
+            if primitive.unchecked is None:
                 continue
             justification = proof_of(instruction, block.name, facts)
             if justification is None:
                 continue
-            instruction.primitive = PRIMITIVE_IMPLS[swap[0]]
+            instruction.primitive = primitive.unchecked
             instruction.properties["elided_check"] = justification
-            counts["int64" if name in CHECKED_ARITH else "bounds"] += 1
+            counts["bounds" if primitive.index_axes else "int64"] += 1
     if counts["int64"]:
         function.information["OverflowChecksElided"] = counts["int64"]
     if counts["bounds"]:

@@ -30,15 +30,6 @@ from repro.compiler.wir.instructions import (
     Value,
 )
 
-#: primitives whose result is a fresh managed allocation
-_ALLOCATING = {
-    "tensor_create", "tensor_create_uninit", "matrix_create",
-    "tensor_from_elements",
-    "tensor_copy", "tensor_plus", "tensor_times", "tensor_scale",
-    "tensor_shift", "tensor_dot", "tensor_row", "string_utf8bytes",
-    "string_to_character_codes", "string_join", "string_take", "string_drop",
-}
-
 
 def _is_allocation(instruction) -> bool:
     if isinstance(instruction, (BuildListInstr, CopyInstr, KernelCallInstr,
@@ -47,7 +38,7 @@ def _is_allocation(instruction) -> bool:
     if isinstance(instruction, LoadArgumentInstr):
         return True
     if isinstance(instruction, CallPrimitiveInstr):
-        return instruction.primitive.runtime_name in _ALLOCATING
+        return instruction.primitive.allocates
     return False
 
 

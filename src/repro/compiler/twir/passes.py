@@ -42,8 +42,6 @@ from repro.errors import LintError, WolframRuntimeError
 
 def constant_propagation(function: FunctionModule) -> bool:
     """Fold pure primitives over constants; fold branches on constants."""
-    from repro.compiler.runtime_library import RUNTIME
-
     changed = False
     constants: dict[int, object] = {}
     for block in function.ordered_blocks():
@@ -63,7 +61,7 @@ def constant_propagation(function: FunctionModule) -> bool:
                 and instruction.operands
                 and all(v.id in constants for v in instruction.operands)
             ):
-                runtime = RUNTIME.get(instruction.primitive.runtime_name)
+                runtime = instruction.primitive.call
                 if runtime is not None:
                     try:
                         result = runtime(

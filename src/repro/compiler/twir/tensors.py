@@ -71,19 +71,12 @@ from repro.compiler.wir.instructions import (
 #: longest tensor whose element-wise arithmetic is written out
 SCALARIZE_LIMIT = 4
 
-#: library call -> (scalar primitive stem, how many operands are tensors)
-_SCALAR_FORM = {
-    "tensor_plus": ("binary_plus", 2),
-    "tensor_times": ("binary_times", 2),
-    "tensor_scale": ("binary_times", 1),
-}
-
 #: marked impure only so that CSE never merges two of them: one that
 #: nothing reads has no alias either, and goes like any dead value
 _ALLOCATIONS = ("tensor_create", "tensor_create_uninit", "matrix_create",
                 "tensor_copy")
 
-_SIMPLIFIED = frozenset((*_ALLOCATIONS, *_SCALAR_FORM, "tensor_length"))
+_SIMPLIFIED = frozenset((*_ALLOCATIONS, "tensor_length"))
 
 _ROW_ACCESS = {
     "tensor_part2_unchecked": "tensor_at",
@@ -108,7 +101,8 @@ def simplify_tensors(function: FunctionModule,
         block for block in function.ordered_blocks()
         if any(
             isinstance(i, CallPrimitiveInstr)
-            and i.primitive.runtime_name in _SIMPLIFIED
+            and (i.primitive.runtime_name in _SIMPLIFIED
+                 or i.primitive.elementwise is not None)
             for i in block.instructions
         )
     ]
@@ -137,9 +131,11 @@ def simplify_tensors(function: FunctionModule,
                     instruction.operands = list(row.operands)
                     changed = True
                 continue
-            if not _primitive(instruction, _SCALAR_FORM):
+            if not isinstance(instruction, CallPrimitiveInstr) or (
+                instruction.primitive.elementwise is None
+            ):
                 continue
-            stem, tensors = _SCALAR_FORM[instruction.primitive.runtime_name]
+            stem, tensors = instruction.primitive.elementwise
             result = instruction.result
             element = result.type.params[0]
             scalar = PRIMITIVE_IMPLS.get(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 _declaration_counter = itertools.count(1)
 
@@ -65,7 +65,8 @@ def widens_to(source: Type, target: Type) -> bool:
 
 @dataclass
 class PrimitiveImpl:
-    """A compiler-runtime primitive implementation.
+    """A compiler-runtime primitive: one row of the primitive table
+    (:mod:`repro.compiler.runtime_library`), which every consumer reads.
 
     The Python backend splices these templates when primitive inlining is
     enabled (the default; §6 attributes a 10× swing to this):
@@ -92,10 +93,40 @@ class PrimitiveImpl:
     ``mutates`` marks a primitive that changes its first operand in place
     and returns it (``PartSet``): the one definition the copy-insertion,
     alias-collapse and memory passes and the shape analysis read.
+    ``allocates`` marks one whose result is a fresh managed object: it
+    starts a reference-counted interval in the memory pass.
 
-    ``runtime_name`` is the mangled symbol resolved against
-    :mod:`repro.compiler.runtime_library` when inlining is disabled, and is
-    also the name the C backend declares.
+    ``runtime_name`` is the mangled symbol generated code calls through
+    ``_rt`` (:data:`repro.compiler.runtime_library.RUNTIME`) when inlining
+    is disabled, and is also the name the C backend declares.
+
+    The rest of the row is what every other tier and analysis reads:
+
+    * ``call`` — the callable: the primitive's concrete semantics, what
+      ``_rt[runtime_name]`` is and what constant propagation folds with;
+    * ``error`` — the runtime error kind its check raises
+      (``"IntegerOverflow"``, ``"PartOutOfRange"``, ...);
+    * ``unchecked`` — the twin check elision swaps in where the dataflow
+      facts prove the check can never fire; ``checked`` is the way back,
+      set on every primitive that runs only under such a proof (the twin,
+      and the rank-2 addressing an unchecked access is lowered to), which
+      the verifier re-proves;
+    * ``interval`` — the interval transfer: the name of the
+      :class:`~repro.analyze.dataflow.Interval` method that computes the
+      exact result from the operands' intervals (``"add"``), or one the
+      analysis computes from more than the operands (``"count"``, a
+      length; ``"element"``, a tensor element);
+    * ``index_axes`` — ``(operand position, "row" | "column")`` of each
+      ``Part`` index the primitive takes, the axes check elision proves;
+    * ``element_range`` — ``(lo, hi)`` of every element of the tensor the
+      primitive makes;
+    * ``elementwise`` — ``(scalar primitive stem, how many leading
+      operands are tensors)`` of element-wise tensor arithmetic: the result
+      has the shape those operands share, and a short one is written out
+      as the scalar primitive per element;
+    * ``wvm`` — the WVM instruction: an
+      :class:`~repro.bytecode.instructions.Op` name, or the function of a
+      ``MATH_UNARY`` (``"Sin"``); ``None`` where the WVM has none.
     """
 
     runtime_name: str
@@ -106,6 +137,24 @@ class PrimitiveImpl:
     py_effect: Optional[str] = None
     total: bool = False
     mutates: bool = False
+    allocates: bool = False
+    call: Optional[Callable] = field(default=None, repr=False)
+    error: Optional[str] = None
+    unchecked: Optional["PrimitiveImpl"] = field(
+        default=None, repr=False, compare=False)
+    checked: Optional["PrimitiveImpl"] = field(
+        default=None, repr=False, compare=False)
+    interval: Optional[str] = None
+    index_axes: tuple = ()
+    element_range: Optional[tuple] = None
+    elementwise: Optional[tuple] = None
+    wvm: Optional[str] = None
+
+    @property
+    def overflow_checked(self) -> bool:
+        """Is the result an Integer64 by a check — this primitive's, or
+        the one whose elision was proven for it to run?"""
+        return (self.checked or self).error == "IntegerOverflow"
 
     def __post_init__(self):
         if self.py_inline is not None and self.py_inline.startswith("{out} = "):

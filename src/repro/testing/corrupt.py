@@ -126,8 +126,7 @@ def _bad_fact(subject) -> None:
     so the ``analysis.fact`` recompute must refuse the justification.
     """
     from repro.analyze.dataflow import analyze_function
-    from repro.compiler.twir.check_elision import CHECKED_ARITH
-    from repro.compiler.types.builtin_env import PRIMITIVE_IMPLS
+    from repro.compiler.twir.check_elision import proof_of
     from repro.compiler.wir.instructions import CallPrimitiveInstr
 
     function = _first_function(subject)
@@ -136,15 +135,12 @@ def _bad_fact(subject) -> None:
         for instruction in block.instructions:
             if not isinstance(instruction, CallPrimitiveInstr):
                 continue
-            arith = CHECKED_ARITH.get(instruction.primitive.runtime_name)
-            if arith is None:
+            primitive = instruction.primitive
+            if primitive.unchecked is None or primitive.index_axes:
                 continue
-            unchecked_name, method = arith
-            a = facts.interval_at(instruction.operands[0], block.name)
-            b = facts.interval_at(instruction.operands[1], block.name)
-            if getattr(a, method)(b).fits_int64():
+            if proof_of(instruction, block.name, facts) is not None:
                 continue  # genuinely safe: eliding it would be sound
-            instruction.primitive = PRIMITIVE_IMPLS[unchecked_name]
+            instruction.primitive = primitive.unchecked
             instruction.properties["elided_check"] = "int64-overflow"
             return
     raise CorruptionUnapplicable(

@@ -475,14 +475,13 @@ class TestRank2Columns:
     @pytest.mark.parametrize("kernel", ["NEW_BLUR", "NEW_RANDOM_WALK"])
     def test_blur_and_randomwalk_keep_every_access_unchecked(self, kernel):
         from repro.benchsuite import programs
-        from repro.compiler.twir.check_elision import CHECKED_PARTS
-
         _, program = compile_kernel(getattr(programs, kernel))
-        names = {
-            i.primitive.runtime_name
+        primitives = [
+            i.primitive
             for function in program.functions.values()
             for i in function.instructions()
             if getattr(i, "primitive", None) is not None
-        }
-        assert not names & set(CHECKED_PARTS)
-        assert {"tensor_at", "tensor_at_set"} & names
+        ]
+        assert not [p for p in primitives if p.index_axes and p.unchecked]
+        assert {"tensor_at", "tensor_at_set"} & {
+            p.runtime_name for p in primitives}

@@ -22,8 +22,7 @@ Flags
 ``--trace FILE``
     Record structured events (evaluator spans, pipeline passes, tier
     transitions; see :mod:`repro.observe`) and write a Chrome-trace JSON
-    file loadable in ``chrome://tracing`` / Perfetto.  The ``REPRO_TRACE``
-    environment variable supplies a default path.
+    file loadable in ``chrome://tracing`` / Perfetto.
 
 ``--metrics [FILE]``
     Dump the metrics registry (counters + histograms) as JSON at session
@@ -72,7 +71,6 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import threading
 
@@ -344,10 +342,8 @@ def _parser() -> argparse.ArgumentParser:
         help="evaluate EXPR and exit (repeatable; shares one session)",
     )
     parser.add_argument(
-        "--trace", metavar="FILE",
-        default=os.environ.get("REPRO_TRACE") or None,
-        help="write a Chrome-trace JSON of the session's structured "
-             "events (default: $REPRO_TRACE when set)",
+        "--trace", metavar="FILE", default=None,
+        help="write a Chrome-trace JSON of the session's structured events",
     )
     parser.add_argument(
         "--metrics", nargs="?", const="-", default=None, metavar="FILE",

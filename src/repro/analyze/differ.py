@@ -21,7 +21,7 @@ module checks that mechanically:
 
 Seeds make every run reproducible: ``run_differential(count, seed=...)``
 with the same arguments generates the same programs.  CI runs a budgeted
-smoke (``REPRO_DIFF_COUNT`` / ``REPRO_DIFF_BUDGET``) and uploads shrunk
+smoke (``REPRO_DIFF_COUNT`` / ``REPRO_DIFF_SEED``) and uploads shrunk
 reproducers written to ``REPRO_DIFF_ARTIFACTS``.
 
 A second, **boundary-value mode** targets the dataflow check-elision
@@ -479,16 +479,12 @@ def _run_mode(oracle_type, prefix: str, count, seed, time_budget,
 
     * ``REPRO_DIFF_COUNT`` — programs to generate (default 50);
     * ``REPRO_DIFF_SEED`` — generator seed (default 0);
-    * ``REPRO_DIFF_BUDGET`` — wall-clock budget in seconds (default none);
     * ``REPRO_DIFF_ARTIFACTS`` — directory for reproducer JSON files.
     """
     if count is None:
         count = int(os.environ.get("REPRO_DIFF_COUNT", "50"))
     if seed is None:
         seed = int(os.environ.get("REPRO_DIFF_SEED", "0"))
-    if time_budget is None:
-        raw = os.environ.get("REPRO_DIFF_BUDGET", "")
-        time_budget = float(raw) if raw else None
     if artifacts_dir is None:
         artifacts_dir = os.environ.get("REPRO_DIFF_ARTIFACTS") or None
     report = oracle_type(seed=seed).run(count=count, time_budget=time_budget)

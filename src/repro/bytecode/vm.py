@@ -21,6 +21,7 @@ Register machine execution with the baseline's characteristic costs (§6):
 
 from __future__ import annotations
 
+import cmath
 import math
 import random as _random
 from typing import Callable, Optional
@@ -33,52 +34,30 @@ from repro.runtime.checked import check_int64 as _check_int
 from repro.runtime.guard import CHECKPOINT, charge_memory, checkpoint
 from repro.testing import faults as _faults
 
+#: ``MATH_UNARY`` sub-code -> callable: the ``call`` of the ``math_*`` row
+#: in the primitive table whose ``wvm`` names the sub-code (it takes real
+#: and complex operands alike); the table has no row for the rest
 _MATH_FUNCS: dict[int, Callable] = {}
 
 
 def _init_math_table() -> None:
     from repro.bytecode.instructions import MATH_CODES
-
-    import cmath
-
-    def real_or_complex(rf, cf):
-        def apply(x):
-            if isinstance(x, complex):
-                return cf(x)
-            return rf(x)
-
-        return apply
+    from repro.compiler.runtime_library import PRIMITIVE_IMPLS
 
     table = {
-        "Sin": real_or_complex(math.sin, cmath.sin),
-        "Cos": real_or_complex(math.cos, cmath.cos),
-        "Tan": real_or_complex(math.tan, cmath.tan),
-        "ArcSin": real_or_complex(math.asin, cmath.asin),
-        "ArcCos": real_or_complex(math.acos, cmath.acos),
-        "ArcTan": real_or_complex(math.atan, cmath.atan),
-        "Sinh": real_or_complex(math.sinh, cmath.sinh),
-        "Cosh": real_or_complex(math.cosh, cmath.cosh),
-        "Tanh": real_or_complex(math.tanh, cmath.tanh),
-        "Log": real_or_complex(math.log, cmath.log),
-        "Log2": real_or_complex(math.log2, lambda z: cmath.log(z) / math.log(2)),
-        "Log10": real_or_complex(math.log10, cmath.log10),
-        "Sqrt": real_or_complex(math.sqrt, cmath.sqrt),
-        "Exp": real_or_complex(math.exp, cmath.exp),
-        "Abs": abs,
-        "Floor": lambda x: math.floor(x),
-        "Ceiling": lambda x: math.ceil(x),
-        "Round": lambda x: round(x),
-        "Sign": lambda x: (x > 0) - (x < 0),
+        "Log2": lambda x: (cmath.log(x) / math.log(2)
+                           if isinstance(x, complex) else math.log2(x)),
+        "Log10": lambda x: (cmath.log10(x)
+                            if isinstance(x, complex) else math.log10(x)),
         "Neg": lambda x: -x,
-        "Re": lambda x: x.real if isinstance(x, complex) else x,
-        "Im": lambda x: x.imag if isinstance(x, complex) else 0,
-        "Conjugate": lambda x: x.conjugate() if isinstance(x, complex) else x,
         "Arg": lambda x: math.atan2(x.imag if isinstance(x, complex) else 0.0,
                                     x.real if isinstance(x, complex) else x),
     }
+    for name, row in PRIMITIVE_IMPLS.items():
+        if row.wvm in MATH_CODES and name.startswith("math_"):
+            table[row.wvm] = row.call
     for name, code in MATH_CODES.items():
-        if name in table:
-            _MATH_FUNCS[code] = table[name]
+        _MATH_FUNCS[code] = table[name]
 
 
 _init_math_table()

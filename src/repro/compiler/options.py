@@ -40,28 +40,6 @@ def _verify_ir_default() -> str:
     return _VERIFY_MODES.get(raw, "off")
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return False
-    if raw in ("1", "on", "true", "yes"):
-        return True
-    return default
-
-
-def _dataflow_default() -> bool:
-    """``REPRO_DATAFLOW=0`` disables the abstract-interpretation pass
-    (and with it every fact-driven elision)."""
-    return _env_flag("REPRO_DATAFLOW", True)
-
-
-def elide_checks_default() -> bool:
-    """``REPRO_ELIDE_CHECKS=0`` keeps every runtime check even when the
-    dataflow facts prove it redundant (A/B knob for the differential
-    oracle and the template tier, which reads it through here)."""
-    return _env_flag("REPRO_ELIDE_CHECKS", True)
-
-
 #: WL-style option names ("AbortHandling" -> True, ...) and their fields
 _WOLFRAM_NAMES = {
     "OptimizationLevel": "optimization_level",
@@ -92,10 +70,10 @@ class CompilerOptions:
     index_check_elision: bool = True
     #: run the worklist abstract interpretation (intervals/shapes/effects)
     #: and attach its FactMap to program metadata
-    dataflow: bool = field(default_factory=_dataflow_default)
+    dataflow: bool = True
     #: let the dataflow facts delete runtime checks (overflow guards,
     #: Part bounds predicates, bounded-loop abort checkpoints)
-    elide_checks: bool = field(default_factory=elide_checks_default)
+    elide_checks: bool = True
     constant_array_handling: str = "hoisted"  # 'hoisted' | 'naive'
     #: instrument generated code with per-primitive execution counters
     #: (the "Profile" flag in the §A.6.2 Information header)

@@ -11,7 +11,7 @@ merely appended:
   buffer** (bounded per request and in the number of open requests);
 * when the server finishes the request, :meth:`finish_request` either
   flushes the buffer into the bounded **ring** or drops it, according to
-  **head sampling** (``REPRO_TELEMETRY_SAMPLE``, decided at mint time)
+  **head sampling** (the ``sample`` rate, decided at mint time)
   plus **tail retention**: every failed, shed, retried, slow, or
   demotion/guard-trip/breaker-touching request is kept regardless of the
   sampling decision — the interesting 1% never depends on the dice;
@@ -49,7 +49,6 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Optional
 
 from repro.observe import context as _context
 from repro.observe.trace import SpanRecord, Tracer
@@ -75,23 +74,6 @@ NOTABLE_EVENTS = frozenset({
 })
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
 def telemetry_enabled() -> bool:
     """``REPRO_TELEMETRY`` master switch (default: on)."""
     raw = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
@@ -105,28 +87,16 @@ class FlightRecorder(Tracer):
 
     def __init__(
         self,
-        max_events: Optional[int] = None,
-        sample: Optional[float] = None,
-        max_snapshots: Optional[int] = None,
-        slow_seconds: Optional[float] = None,
+        max_events: int = DEFAULT_RING_EVENTS,
+        sample: float = DEFAULT_SAMPLE,
+        max_snapshots: int = DEFAULT_SNAPSHOTS,
+        slow_seconds: float = DEFAULT_SLOW_SECONDS,
     ):
         super().__init__()
-        self.max_events = (
-            max_events if max_events is not None
-            else _env_int("REPRO_FLIGHT_MAX_EVENTS", DEFAULT_RING_EVENTS)
-        )
-        self.sample = (
-            sample if sample is not None
-            else _env_float("REPRO_TELEMETRY_SAMPLE", DEFAULT_SAMPLE)
-        )
-        self.max_snapshots = (
-            max_snapshots if max_snapshots is not None
-            else _env_int("REPRO_FLIGHT_SNAPSHOTS", DEFAULT_SNAPSHOTS)
-        )
-        self.slow_seconds = (
-            slow_seconds if slow_seconds is not None
-            else _env_float("REPRO_FLIGHT_SLOW_SECONDS", DEFAULT_SLOW_SECONDS)
-        )
+        self.max_events = max_events
+        self.sample = sample
+        self.max_snapshots = max_snapshots
+        self.slow_seconds = slow_seconds
         #: the ring of retained records — ``self.events`` so every base
         #: Tracer query (``spans``/``instants``/``chrome_trace``) reads it
         self.events = deque()

@@ -39,7 +39,6 @@ microseconds relative to tracer creation.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
@@ -54,16 +53,6 @@ from repro.observe.metrics import MetricsRegistry
 #: thousand events), but a *bound*: before PR 9 a long traced session grew
 #: ``Tracer.events`` without limit
 DEFAULT_MAX_SPANS = 100_000
-
-
-def max_spans_from_environment() -> int:
-    """``REPRO_TRACE_MAX_SPANS``, falling back to the default on junk."""
-    raw = os.environ.get("REPRO_TRACE_MAX_SPANS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_MAX_SPANS
-    return value if value > 0 else DEFAULT_MAX_SPANS
 
 
 @dataclass
@@ -117,14 +106,13 @@ class Tracer:
     background = False
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 max_spans: Optional[int] = None):
+                 max_spans: int = DEFAULT_MAX_SPANS):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: bounded record stream: deque.append is atomic under the GIL, so
         #: the hot path takes no lock; eviction past ``max_spans`` runs
         #: under ``_evict_lock`` so concurrent emitters cannot double-pop
         self.events: deque[SpanRecord] = deque()
-        self.max_spans = (max_spans if max_spans is not None
-                          else max_spans_from_environment())
+        self.max_spans = max_spans
         #: spans evicted oldest-first once the buffer filled
         self.dropped_spans = 0
         self._evict_lock = threading.Lock()

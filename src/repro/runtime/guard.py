@@ -26,8 +26,8 @@ polls at its existing abort checkpoints:
   native runner, boundary conversion, soft-exception set and warning text.
   Every failure and the one possible transition are recorded as
   :class:`FailureRecord` rows in the global :data:`FAILURE_LOG` — a
-  bounded, thread-safe ring buffer (capacity ``REPRO_FAILURE_LOG_MAX``,
-  default 1024) queryable from ``repro.compiler.api``.
+  bounded, thread-safe ring buffer (:data:`DEFAULT_FAILURE_LOG_MAX`, 1024
+  records) queryable from ``repro.compiler.api``.
 
 Guards are thread-local: the REPL evaluates on a worker thread and each
 engine session polls only the guards its own thread entered.
@@ -73,7 +73,6 @@ checkpoint cost is unchanged):
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -85,6 +84,7 @@ from typing import Iterator, Optional
 from repro import observe as _observe
 from repro.errors import (
     GUARD_EXCEPTIONS,
+    SOFT_FAILURE_EXCEPTIONS,
     WolframAbort,
     WolframBudgetError,
     WolframRuntimeError,
@@ -362,17 +362,6 @@ class FailureRecord:
 #: ring-buffer capacity of the process-wide failure log; bounded so a
 #: long-running multi-tenant server cannot leak memory through it
 DEFAULT_FAILURE_LOG_MAX = 1024
-_FAILURE_LOG_ENV = "REPRO_FAILURE_LOG_MAX"
-
-
-def failure_log_capacity_from_environment() -> int:
-    raw = os.environ.get(_FAILURE_LOG_ENV)
-    if raw is None:
-        return DEFAULT_FAILURE_LOG_MAX
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_FAILURE_LOG_MAX
 
 
 class FailureLog:
@@ -381,17 +370,14 @@ class FailureLog:
     The ring (``collections.deque(maxlen=capacity)``) drops the *oldest*
     records once full, so ``failure_records()`` always reflects the most
     recent failures and the log's footprint is O(capacity) no matter how
-    long the process serves.  Capacity defaults to ``REPRO_FAILURE_LOG_MAX``
-    (:data:`DEFAULT_FAILURE_LOG_MAX` when unset).  All access is serialized
-    by a lock: sessions on concurrent server worker threads record into the
-    same process-wide log.
+    long the process serves.  Capacity defaults to
+    :data:`DEFAULT_FAILURE_LOG_MAX`.  All access is serialized by a lock:
+    sessions on concurrent server worker threads record into the same
+    process-wide log.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = (
-            capacity if capacity is not None
-            else failure_log_capacity_from_environment()
-        )
+    def __init__(self, capacity: int = DEFAULT_FAILURE_LOG_MAX):
+        self.capacity = capacity
         self._records: deque[FailureRecord] = deque(maxlen=self.capacity)
         self._sequence = 0  # counts every record ever made, past evictions
         self._lock = threading.Lock()
@@ -581,7 +567,7 @@ class GovernedFunction:
 
     native_tier: Tier
     soft_boundary = False
-    soft_exceptions: tuple = (WolframRuntimeError,)
+    soft_exceptions: tuple = SOFT_FAILURE_EXCEPTIONS
     classify = staticmethod(classify_runtime_error)
     warning: str
 

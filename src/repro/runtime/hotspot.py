@@ -11,10 +11,10 @@ ladder**:
    belongs to the ``Definition.rules_version`` it was taken against, so
    any write to the rules (``Set``, ``Clear``, ``Block`` entry or restore)
    restarts it, whether or not the symbol was ever promoted;
-2. **full pipeline** (``REPRO_HOTSPOT_THRESHOLD``, default 16): a
-   definition applied that many times is synthesized into a typed plan and
-   compiled through ``FunctionCompile``.  If the compiled tier declines,
-   the definition stays interpreted, blocked until it changes.
+2. **full pipeline** (``threshold``, default 16): a definition applied
+   that many times is synthesized into a typed plan and compiled through
+   ``FunctionCompile``.  If the compiled tier declines, the definition
+   stays interpreted, blocked until it changes.
 
 The rung is durable: ``FunctionCompile`` consults the persistent artifact
 cache (:mod:`repro.artifacts`), so a function promoted in one process
@@ -67,7 +67,6 @@ rows (``--stats``) whether or not tracing is on.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -82,7 +81,6 @@ from repro.mexpr.symbols import S, to_mexpr
 from repro.runtime.guard import Tier
 
 DEFAULT_THRESHOLD = 16
-_ENV_KNOB = "REPRO_HOTSPOT_THRESHOLD"
 
 #: control heads usable in a promoted body beyond pure numeric calls
 _CONTROL_HEADS = frozenset({"If", "And", "Or", "Not"})
@@ -97,16 +95,6 @@ _TYPE_NAMES = {"i": "MachineInteger", "r": "Real64"}
 #: promotion synthesizes one branch per non-general rule; past this many
 #: rules the If chain stops paying for itself
 _MAX_RULES = 8
-
-
-def threshold_from_environment() -> int:
-    raw = os.environ.get(_ENV_KNOB)
-    if raw is None:
-        return DEFAULT_THRESHOLD
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_THRESHOLD
 
 
 @dataclass
@@ -164,10 +152,8 @@ class HotspotProfiler:
     shifts promotion by one application.
     """
 
-    def __init__(self, threshold: Optional[int] = None):
-        self.threshold = (
-            threshold if threshold is not None else threshold_from_environment()
-        )
+    def __init__(self, threshold: int = DEFAULT_THRESHOLD):
+        self.threshold = threshold
         #: applications of each symbol's current definition
         self.counts: dict[str, int] = {}
         #: the ``Definition.rules_version`` each count was taken against: a
@@ -775,7 +761,7 @@ def _body_compilable(
     return True
 
 
-def enable_hotspot(evaluator, threshold: Optional[int] = None):
+def enable_hotspot(evaluator, threshold: int = DEFAULT_THRESHOLD):
     """Attach a profiler to an engine session (idempotent)."""
     if getattr(evaluator, "hotspot", None) is None:
         evaluator.hotspot = HotspotProfiler(threshold=threshold)

@@ -23,7 +23,7 @@ instead of a pipeline run.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from repro.engine.definitions import Definition, KernelState
 from repro.engine.evaluator import Evaluator
@@ -97,7 +97,6 @@ class BaseImage:
         recursion_limit: int = 1024,
         iteration_limit: int = 4096,
         compile_support: bool = True,
-        hotspot_threshold: Optional[int] = None,
     ) -> Evaluator:
         """A fully equipped session evaluator over a fresh overlay."""
         evaluator = Evaluator(
@@ -107,12 +106,8 @@ class BaseImage:
         )
         if compile_support:
             from repro.compiler import install_engine_support
-            from repro.runtime.hotspot import enable_hotspot
 
             install_engine_support(evaluator)
-            if hotspot_threshold is not None:
-                evaluator.hotspot = None
-                enable_hotspot(evaluator, threshold=hotspot_threshold)
             profiler = getattr(evaluator, "hotspot", None)
             if profiler is not None:
                 # AOT preload: promote the manifest's hot definitions to

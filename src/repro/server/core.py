@@ -51,7 +51,12 @@ from typing import Optional
 from repro import observe as _observe
 from repro.observe import context as _obs_context
 from repro.observe import trace as _obs_trace
-from repro.observe.flight import FlightRecorder, telemetry_enabled
+from repro.observe.flight import (
+    DEFAULT_SAMPLE,
+    DEFAULT_SLOW_SECONDS,
+    FlightRecorder,
+    telemetry_enabled,
+)
 from repro.errors import RejectedError
 from repro.server.admission import AdmissionController, RequestBudget
 from repro.server.base import BaseImage
@@ -78,7 +83,6 @@ class ServerConfig:
     recursion_limit: int = 1024
     iteration_limit: int = 4096
     compile_support: bool = True
-    hotspot_threshold: Optional[int] = None
     # admission
     max_concurrent: int = 4
     queue_limit: int = 32
@@ -96,12 +100,11 @@ class ServerConfig:
     hard_limit_bytes: int = 512 * 1024 * 1024
     idle_ttl: float = 60.0
     # telemetry — the always-on flight recorder (DESIGN.md §7.5).  None
-    #: defers to the environment: ``REPRO_TELEMETRY`` (master switch),
-    #: ``REPRO_TELEMETRY_SAMPLE``, ``REPRO_FLIGHT_*`` knobs
+    #: defers to the ``REPRO_TELEMETRY`` master switch
     telemetry: Optional[bool] = None
-    telemetry_sample: Optional[float] = None
-    flight_max_events: Optional[int] = None
-    slow_request_seconds: Optional[float] = None
+    #: head-sampling rate for healthy requests (failed, slow and notable
+    #: ones are always kept)
+    telemetry_sample: float = DEFAULT_SAMPLE
 
 
 @dataclass
@@ -194,7 +197,6 @@ class EngineServer:
         active = _obs_trace.TRACER
         if use_telemetry and active is None:
             self.flight = FlightRecorder(
-                max_events=self.config.flight_max_events,
                 sample=self.config.telemetry_sample,
                 slow_seconds=self._slow_threshold(),
             )
@@ -203,14 +205,12 @@ class EngineServer:
         elif isinstance(active, FlightRecorder):
             self.flight = active
 
-    def _slow_threshold(self) -> Optional[float]:
-        """Tail-retention slow bound: explicit, or half the deadline."""
-        if self.config.slow_request_seconds is not None:
-            return self.config.slow_request_seconds
+    def _slow_threshold(self) -> float:
+        """Tail-retention slow bound: half the deadline, if there is one."""
         deadline = self.config.budget.deadline_seconds
         if deadline is not None:
             return max(0.05, 0.5 * deadline)
-        return None
+        return DEFAULT_SLOW_SECONDS
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -434,7 +434,6 @@ class EngineServer:
             recursion_limit=self.config.recursion_limit,
             iteration_limit=self.config.iteration_limit,
             compile_support=self.config.compile_support,
-            hotspot_threshold=self.config.hotspot_threshold,
         )
         session = Session(session_id, tenant, evaluator)
         self.sessions[session_id] = session

@@ -36,7 +36,6 @@ from functools import partial
 from typing import Optional
 
 from repro import observe as _observe
-from repro.compiler.options import elide_checks_default
 from repro.errors import TemplateCompilerError
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
@@ -429,10 +428,7 @@ def compile_template(
     """
     started = time.perf_counter()
     with _observe.span("template.compile", "template_jit", symbol=name):
-        mask = (
-            _analysis.unchecked_mask(body)
-            if elide_checks_default() else _analysis.EMPTY_MASK
-        )
+        mask = _analysis.unchecked_mask(body)
         compiler = TemplateCompiler(name, parameters, type_chars, body,
                                     unchecked=mask)
         source = compiler.compile_source()

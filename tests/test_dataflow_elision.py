@@ -329,32 +329,26 @@ class TestTemplateMask:
         body = "Module[{a = 1}, a = a * a; a + a]"
         assert len(unchecked_mask(parse(body))) == 0
 
-    #: every accepted spelling of ``REPRO_ELIDE_CHECKS`` (None = unset)
-    KNOB_SPELLINGS = [
-        *((raw, False) for raw in ("0", "off", "false", "no", " OFF ")),
-        *((raw, True) for raw in ("1", "on", "true", "yes", None)),
-    ]
+    def test_elided_stitch_agrees_with_checked(self):
+        from functools import partial
 
-    def test_knob_gates_the_stitcher(self, monkeypatch):
-        from repro.compiler.options import CompilerOptions
+        from repro.runtime.guard import checkpoint
         from repro.template_jit import compile_template_function
+        from repro.template_jit.analysis import EMPTY_MASK
+        from repro.template_jit.compiler import TemplateCompiler
+        from repro.template_jit.templates import RUNTIME_GLOBALS
 
-        specs = parse("{{x, _Integer}}")
         body = parse(self.BODY)
-        stitched = {}
-        for raw, enabled in self.KNOB_SPELLINGS:
-            if raw is None:
-                monkeypatch.delenv("REPRO_ELIDE_CHECKS", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_ELIDE_CHECKS", raw)
-            # one table, both tiers: the pipeline's default and the
-            # template stitcher read the knob through the same function
-            assert CompilerOptions().elide_checks is enabled, raw
-            stitched[enabled] = compile_template_function(specs, body)
-            assert (stitched[enabled].unchecked_ops >= 1) is enabled, raw
-        elided, checked = stitched[True], stitched[False]
-        assert checked.unchecked_bitmask == 0
-        assert elided.source.count("_ci(") < checked.source.count("_ci(")
+        elided = compile_template_function(parse("{{x, _Integer}}"), body)
+        assert elided.unchecked_ops >= 1
+        # the checked stitch: the same body with no operation proven safe
+        checked_source = TemplateCompiler(
+            "template", ["x"], ["i"], body, unchecked=EMPTY_MASK
+        ).compile_source()
+        assert elided.source.count("_ci(") < checked_source.count("_ci(")
+        namespace = dict(RUNTIME_GLOBALS, _checkpoint=partial(checkpoint, None))
+        exec(compile(checked_source, "<template:checked>", "exec"), namespace)
+        checked = namespace["_self"] = namespace["_tpl"]
         # both stitches compute the same sum of squares
         assert elided(0) == checked(0) == sum(i * i for i in range(1, 101))
 

@@ -338,19 +338,17 @@ class TestCiSmoke:
 @pytest.mark.usefixtures("_no_cache")
 class TestBoundaryCiSmoke:
     """The static-analysis acceptance bar: ≥200 boundary-biased programs,
-    elision forced on, zero divergences against the checks-kept build."""
+    elision on (the default), zero divergences against the checks-kept
+    build."""
 
-    def test_two_hundred_boundary_programs_agree(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ELIDE_CHECKS", "1")
-        monkeypatch.setenv("REPRO_DATAFLOW", "1")
+    def test_two_hundred_boundary_programs_agree(self):
         report = run_boundary_differential(
             count=200, seed=0, time_budget=120.0
         )
         assert report.ok(), [m.to_dict() for m in report.mismatches]
         assert report.attempted >= 200
 
-    def test_alternate_seed_agrees(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ELIDE_CHECKS", "1")
+    def test_alternate_seed_agrees(self):
         report = run_boundary_differential(
             count=100, seed=20260808, time_budget=60.0
         )

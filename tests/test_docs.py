@@ -1,6 +1,7 @@
 """Docs that cannot rot: every command the documentation gives for
 regenerating an experiment names something that exists, and the README
-knob table is exactly the set of ``REPRO_*`` names in ``src/``."""
+knob table is exactly the set of ``REPRO_*`` names in ``src/``, each read
+in one module."""
 
 import json
 import re
@@ -92,6 +93,21 @@ def test_regenerate_commands_name_things_that_exist(doc):
     assert not problems, "\n".join(problems)
 
 
+#: the environment knobs: a deployment path and disk bound, the
+#: flight recorder's safety off-switch, the IR verifier and the
+#: differential fuzzer's CI settings.  Every other value is set where it is
+#: used (a ``CompilerOptions`` field, a constructor parameter, a flag).
+KNOBS = {
+    "REPRO_ARTIFACT_CACHE",
+    "REPRO_ARTIFACT_CACHE_MAX",
+    "REPRO_TELEMETRY",
+    "REPRO_VERIFY_IR",
+    "REPRO_DIFF_COUNT",
+    "REPRO_DIFF_SEED",
+    "REPRO_DIFF_ARTIFACTS",
+}
+
+
 def test_readme_knob_table_is_exactly_the_knobs_in_src():
     # a trailing underscore is a ``REPRO_FLIGHT_*`` wildcard in prose
     in_src = {
@@ -104,3 +120,20 @@ def test_readme_knob_table_is_exactly_the_knobs_in_src():
     in_table = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", readme, re.M))
     assert in_src - in_table == set(), "read in src/, missing from README"
     assert in_table - in_src == set(), "in README's table, read nowhere"
+    assert in_table == KNOBS
+
+
+def test_each_knob_is_read_in_exactly_one_module():
+    readers: dict = {}
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        text = path.read_text("utf-8")
+        if "os.environ" not in text:
+            continue
+        # a quoted name is an argument of ``os.environ`` (or of the
+        # module constant it reads); prose names sit in backquotes
+        for name in set(re.findall(r"[\"'](REPRO_[A-Z_]+)[\"']", text)):
+            readers.setdefault(name, []).append(path.name)
+    assert readers.keys() == KNOBS
+    assert {name: len(paths) for name, paths in readers.items()} == {
+        name: 1 for name in KNOBS
+    }, readers

@@ -4,6 +4,8 @@ The fault-injection counterpart lives in ``test_fault_injection.py``; this
 file covers the guard subsystem itself and the guard/tier APIs.
 """
 
+import cmath
+import math
 import time
 
 import pytest
@@ -311,6 +313,37 @@ class TestClassification:
         with pytest.raises(AttributeError):
             f(10)
         assert f.fallback_count == 0
+
+
+class TestLegacyCompileMathErrors:
+    """The legacy ``Compile`` VM's Python math errors are soft failures
+    (F2), as they are for compiled code: classified, recorded, and rerun
+    by the interpreter when hosted."""
+
+    @pytest.mark.parametrize("body, argument, expected", [
+        ("Sqrt[x]", "-2.", complex(0.0, math.sqrt(2.0))),
+        ("Log[x]", "-2.", cmath.log(-2.0)),
+        ("ArcSin[x]", "2.", cmath.asin(2.0)),
+    ], ids=["Sqrt", "Log", "ArcSin"])
+    def test_value_error_reverts_to_interpreter(self, hosted, body, argument,
+                                                expected):
+        value = hosted.run(f"Compile[{{{{x, _Real}}}}, {body}][{argument}]")
+        assert value.to_python() == expected
+        assert any(
+            m.startswith("CompiledFunction:") and "InvalidValue" in m
+            for m in hosted.messages
+        )
+
+    def test_overflow_error_is_classified(self):
+        from repro.bytecode import compile_function
+        from repro.mexpr import parse
+
+        exp = compile_function(parse("{{x, _Real}}"), parse("Exp[x]"))
+        with pytest.raises(WolframRuntimeError) as info:
+            exp(1000.0)
+        assert info.value.kind == "NumericOverflow"
+        assert FAILURE_LOG.records(tier=Tier.BYTECODE,
+                                   kind="NumericOverflow")
 
 
 class TestFallbackStats:

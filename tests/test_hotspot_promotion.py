@@ -16,10 +16,8 @@ from repro.mexpr import full_form, parse
 from repro.runtime.guard import Tier
 from repro.runtime.hotspot import (
     DEFAULT_THRESHOLD,
-    HotspotProfiler,
     disable_hotspot,
     enable_hotspot,
-    threshold_from_environment,
 )
 
 
@@ -367,20 +365,6 @@ class TestTwoRungLadder:
 
 
 class TestThresholdKnob:
-    def test_environment_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOTSPOT_THRESHOLD", "3")
-        assert threshold_from_environment() == 3
-        profiler = HotspotProfiler()
-        assert profiler.threshold == 3
-
-    def test_environment_threshold_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HOTSPOT_THRESHOLD", raising=False)
-        assert threshold_from_environment() == DEFAULT_THRESHOLD
-        monkeypatch.setenv("REPRO_HOTSPOT_THRESHOLD", "not-a-number")
-        assert threshold_from_environment() == DEFAULT_THRESHOLD
-        monkeypatch.setenv("REPRO_HOTSPOT_THRESHOLD", "-5")
-        assert threshold_from_environment() == 1
-
     def test_below_threshold_no_promotion(self):
         session = Evaluator()
         install_engine_support(session)

@@ -87,6 +87,27 @@ class TestRows:
             if row.wvm is not None:
                 assert row.wvm in MATH_CODES or row.wvm in Op.__members__, row
 
+    def test_vm_math_table_runs_the_rows(self):
+        """A ``MATH_UNARY`` sub-code a ``math_*`` row names computes what
+        the row's callable does; only four sub-codes have no row."""
+        from repro.bytecode.vm import _MATH_FUNCS
+
+        rows = {row.wvm: row for name, row in PRIMITIVE_IMPLS.items()
+                if name.startswith("math_") and row.wvm in MATH_CODES}
+        assert set(MATH_CODES) - set(rows) == {"Log2", "Log10", "Neg", "Arg"}
+
+        def outcome(function, operand):
+            try:
+                value = function(operand)
+            except Exception as error:  # the row's error is the VM's too
+                return type(error)
+            return type(value), value
+
+        for wvm, row in rows.items():
+            for operand in (0.5, -0.25, 2.5, -3.0, 7, -2, 0.3 + 0.4j):
+                assert outcome(_MATH_FUNCS[MATH_CODES[wvm]], operand) == \
+                    outcome(row.call, operand), (wvm, operand)
+
     def test_interval_names_a_transfer(self):
         for row in ROWS:
             if row.interval is not None and (

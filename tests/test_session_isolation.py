@@ -118,8 +118,8 @@ class TestDispatchAndHotspotIsolation:
     def test_promoted_hot_function_survives_sibling_redefinition(self):
         base = make_base("fib[0] = 0", "fib[1] = 1",
                          "fib[n_] := fib[n - 1] + fib[n - 2]")
-        a = base.create_evaluator(hotspot_threshold=3)
-        b = base.create_evaluator(hotspot_threshold=3)
+        a = base.create_evaluator()
+        b = base.create_evaluator()
         assert full_form(a.evaluate(parse("fib[12]"))) == "144"
         assert "fib" in a.hotspot.promoted
         # b redefines fib: its own session, its own hotspot bookkeeping
@@ -130,7 +130,7 @@ class TestDispatchAndHotspotIsolation:
     def test_own_redefinition_still_invalidates(self):
         base = make_base("fib[0] = 0", "fib[1] = 1",
                          "fib[n_] := fib[n - 1] + fib[n - 2]")
-        a = base.create_evaluator(hotspot_threshold=3)
+        a = base.create_evaluator()
         assert full_form(a.evaluate(parse("fib[12]"))) == "144"
         assert "fib" in a.hotspot.promoted
         assert full_form(a.evaluate(parse("fib[n_] := 7; fib[12]"))) == "7"

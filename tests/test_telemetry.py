@@ -34,9 +34,7 @@ from repro.observe.flight import (
 )
 from repro.observe.metrics import Histogram, MetricsRegistry
 from repro.observe.trace import (
-    DEFAULT_MAX_SPANS,
     Tracer,
-    max_spans_from_environment,
     with_tracing,
 )
 from repro.server.cli import handle_connection
@@ -167,17 +165,6 @@ class TestBoundedTracer:
         assert tracer.dropped_spans == 15
         assert [r.name for r in tracer.events][0] == "e15"
         assert [r.name for r in tracer.events][-1] == "e24"
-
-    def test_max_spans_from_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_MAX_SPANS", raising=False)
-        assert max_spans_from_environment() == DEFAULT_MAX_SPANS
-        monkeypatch.setenv("REPRO_TRACE_MAX_SPANS", "123")
-        assert max_spans_from_environment() == 123
-        assert Tracer().max_spans == 123
-        monkeypatch.setenv("REPRO_TRACE_MAX_SPANS", "junk")
-        assert max_spans_from_environment() == DEFAULT_MAX_SPANS
-        monkeypatch.setenv("REPRO_TRACE_MAX_SPANS", "-5")
-        assert max_spans_from_environment() == DEFAULT_MAX_SPANS
 
 
 class TestFlightRecorder:

@@ -15,11 +15,9 @@ import threading
 import pytest
 
 from repro.runtime.guard import (
-    DEFAULT_FAILURE_LOG_MAX,
     CircuitBreaker,
     FailureLog,
     Tier,
-    failure_log_capacity_from_environment,
 )
 
 THREADS = 8
@@ -58,17 +56,6 @@ class TestFailureLogRing:
         assert records[0].function == "f84"
         # sequence numbers keep counting past evictions
         assert records[-1].sequence == 100
-
-    def test_default_capacity_from_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAILURE_LOG_MAX", raising=False)
-        assert failure_log_capacity_from_environment() == \
-            DEFAULT_FAILURE_LOG_MAX
-        monkeypatch.setenv("REPRO_FAILURE_LOG_MAX", "7")
-        assert failure_log_capacity_from_environment() == 7
-        assert FailureLog().capacity == 7
-        monkeypatch.setenv("REPRO_FAILURE_LOG_MAX", "not-a-number")
-        assert failure_log_capacity_from_environment() == \
-            DEFAULT_FAILURE_LOG_MAX
 
     def test_concurrent_records_none_lost(self):
         log = FailureLog(capacity=THREADS * ROUNDS + 10)

@@ -304,11 +304,12 @@ def _unary_math(name, real_func, complex_func=None, integer_exact=None):
         if _ie is not None and isinstance(value, int):
             exact = _ie(value)
             if exact is not None:
-                return number_expr(exact)
+                return exact if isinstance(exact, MExpr) else number_expr(exact)
         if isinstance(value, int):
             # exact zero results stay exact (Sin[0] -> 0)
             result = _rf(float(value))
-            if result == int(result) and name in {"Abs", "Sign", "Floor", "Ceiling"}:
+            if (not isinstance(result, complex) and result == int(result)
+                    and name in {"Abs", "Sign", "Floor", "Ceiling"}):
                 return number_expr(int(result))
             return number_expr(result)
         return number_expr(_rf(value))
@@ -344,8 +345,19 @@ _unary_math("Sinh", math.sinh, cmath.sinh, lambda n: 0 if n == 0 else None)
 _unary_math("Cosh", math.cosh, cmath.cosh, lambda n: 1 if n == 0 else None)
 _unary_math("Tanh", math.tanh, cmath.tanh, lambda n: 0 if n == 0 else None)
 _unary_math("Exp", math.exp, cmath.exp, lambda n: 1 if n == 0 else None)
-_unary_math("Sqrt", _safe(math.sqrt), cmath.sqrt,
-            lambda n: math.isqrt(n) if n >= 0 and math.isqrt(n) ** 2 == n else None)
+
+
+def _exact_sqrt(n: int):
+    """``Sqrt`` of a perfect square, exactly: ``Sqrt[-4]`` is ``2 I``."""
+    root = math.isqrt(abs(n))
+    if root * root != abs(n):
+        return None
+    if n >= 0:
+        return root
+    return S.I if root == 1 else MExprNormal(S.Times, [MInteger(root), S.I])
+
+
+_unary_math("Sqrt", _safe(math.sqrt), cmath.sqrt, _exact_sqrt)
 
 
 @builtin("Log", LISTABLE, NUMERIC_FUNCTION)

@@ -57,6 +57,7 @@ from repro.runtime.guard import CHECKPOINT as _CHECKPOINT, AbortFlag
 from repro.runtime.guard import _tls as _guard_tls, checkpoint as _checkpoint
 
 _EVALUATED_STAMP = "$evalv"
+_OVERFLOW_MESSAGE = "General::ovfl: Overflow occurred in computation."
 
 #: nominal bytes charged per evaluated expression node (head + arg slots);
 #: only an accounting unit for MemoryConstrained, not real allocation
@@ -399,11 +400,15 @@ class Evaluator:
                                     _NODE_BYTES + _SLOT_BYTES * len(values)
                                 )
                                 charged = True
-                            result = fold(
-                                sorted(values, key=_NUMBER_VALUE)
-                                if reals and plan.orderless and len(values) > 2
-                                else values
-                            )
+                            try:
+                                result = fold(
+                                    sorted(values, key=_NUMBER_VALUE)
+                                    if reals and plan.orderless
+                                    and len(values) > 2
+                                    else values
+                                )
+                            except OverflowError:
+                                result = None  # the builtin reports it
                             if result is not None:
                                 if type(result) is not MSymbol:
                                     return result
@@ -470,7 +475,11 @@ class Evaluator:
                     if result is None:
                         builtin = self._builtins.get(name)
                         if builtin is not None:
-                            result = builtin.func(self, rebuilt)
+                            try:
+                                result = builtin.func(self, rebuilt)
+                            except OverflowError:
+                                # past the machine range: stays unevaluated
+                                self.message(_OVERFLOW_MESSAGE)
                 elif result is None and not head.is_atom():
                     head_head = head.head
                     if isinstance(head_head, MSymbol):

@@ -57,8 +57,9 @@ event / metric                  emitted by
                                 ``reason=``)
 ``server.latency_seconds``      end-to-end request latency (quantile
                                 histogram: p50/p95/p99)
-``session.execute``             one request on a session's worker thread
-                                (span, ``session=``, ``tier_cap=``)
+``session.execute``             one request's evaluation, on its
+                                connection's thread (span, ``session=``,
+                                ``tier_cap=``)
 ``compile.function``            one ``FunctionCompile`` call (span,
                                 ``cache=`` hit/miss/off)
 ``hotspot.promotions.<tier>``   promotions by landing tier (counters)

@@ -10,9 +10,10 @@ The context is minted once per request at the server's front door
 (:meth:`repro.server.core.EngineServer.submit`), carried over the
 newline-JSON protocol (clients may supply their own ``trace`` id to join
 a distributed trace; the ``request`` id is always server-minted), and
-propagated to worker threads by copying the ``contextvars`` context into
-``run_in_executor`` — so the evaluator/VM/pipeline spans emitted on a
-worker thread land under the owning request automatically.
+active on the connection thread that evaluates the request — so the
+evaluator/VM/pipeline spans it emits land under the owning request
+automatically.  Work handed to another thread carries it by running in a
+``contextvars.copy_context()``.
 
 Hot-path contract: instrumentation reads one ``ContextVar`` per record
 *creation* (never on the disabled path — the ``TRACER`` guard in

@@ -1,6 +1,7 @@
 """``repro.server`` — the resilient multi-session engine front-end.
 
-An asyncio server over the synchronous engine: a shared warmed
+A threaded server over the synchronous engine, each request evaluated on
+the thread of the connection that sent it: a shared warmed
 :class:`BaseImage` with per-session copy-on-write overlays, bounded-queue
 admission control with load shedding, per-session and per-tenant circuit
 breakers, retry-with-jitter for transient failures, and graceful

@@ -13,7 +13,14 @@ Concurrency is a two-stage funnel:
    immediately with a structured :class:`~repro.errors.RejectedError`
    (``reason="queue-full"``) carrying a ``retry_after`` hint scaled by the
    current depth, so clients back off harder the deeper the overload;
-2. **run** — at most ``max_concurrent`` requests hold executor slots.
+2. **run** — at most ``max_concurrent`` requests hold evaluation slots.
+
+The slots are a counting semaphore on one :class:`threading.Condition`:
+a request is admitted on the connection thread that read it, and that
+thread blocks in :meth:`AdmissionController.slot` until a slot frees.
+The accounting (``waiting``/``running``/``shed``/``peak_queue_depth``)
+lives under the same lock, so a request costs one acquisition to enter
+and one to leave.
 
 Shedding at the door instead of timing out in the queue keeps the
 server's latency distribution honest under overload: a request we cannot
@@ -23,9 +30,9 @@ fail in seconds (the classic load-shedding argument).
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
-from contextlib import asynccontextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,7 +76,7 @@ class RequestBudget:
 
 
 class AdmissionController:
-    """The bounded queue in front of the worker pool."""
+    """The bounded queue in front of the evaluation slots."""
 
     def __init__(
         self,
@@ -85,54 +92,59 @@ class AdmissionController:
         self.shed = 0
         self.admitted = 0
         self.peak_queue_depth = 0
-        self._slots: Optional[asyncio.Semaphore] = None
-
-    def _semaphore(self) -> asyncio.Semaphore:
-        # created lazily so the controller binds to the loop that serves it
-        if self._slots is None:
-            self._slots = asyncio.Semaphore(self.max_concurrent)
-        return self._slots
+        self._free = threading.Condition(threading.Lock())
 
     def queue_depth(self) -> int:
         return self.waiting
 
-    @asynccontextmanager
-    async def slot(self):
-        """Admit (or shed) one request; hold a worker slot for the block."""
-        if self.waiting >= self.queue_limit:
+    def count_shed(self) -> None:
+        """Count a request shed by a narrower bound than the queue's."""
+        with self._free:
             self.shed += 1
-            _observe.count("server.shed")
-            retry_after = self.base_retry_after * (
-                1.0 + self.waiting / max(1, self.queue_limit)
-            )
-            raise RejectedError(
-                "queue-full",
-                f"admission queue is saturated ({self.waiting} waiting, "
-                f"limit {self.queue_limit})",
-                retry_after=retry_after,
-            )
-        semaphore = self._semaphore()
-        self.waiting += 1
-        self.peak_queue_depth = max(self.peak_queue_depth, self.waiting)
+        _observe.count("server.shed")
+
+    @contextmanager
+    def slot(self):
+        """Admit (or shed) one request; hold an evaluation slot for the
+        block.  Blocks the calling thread while every slot is taken."""
+        free = self._free
+        with free:
+            waiting = self.waiting
+            if waiting >= self.queue_limit:
+                self.shed += 1
+                _observe.count("server.shed")
+                raise RejectedError(
+                    "queue-full",
+                    f"admission queue is saturated ({waiting} waiting, "
+                    f"limit {self.queue_limit})",
+                    retry_after=self.base_retry_after * (
+                        1.0 + waiting / max(1, self.queue_limit)
+                    ),
+                )
+            self.waiting = joined = waiting + 1
+            if joined > self.peak_queue_depth:
+                self.peak_queue_depth = joined
+            try:
+                while self.running >= self.max_concurrent:
+                    free.wait()
+            finally:
+                self.waiting -= 1
+            self.running += 1
+            self.admitted += 1
+            running, waiting = self.running, self.waiting
         tracer = _observe.active_tracer()
         if tracer is not None:
-            tracer.metrics.observe("server.queue_depth", self.waiting)
-        try:
-            # a cancelled wait leaves the semaphore un-acquired, so the
-            # finally below is the only bookkeeping needed on that path
-            await semaphore.acquire()
-        finally:
-            self.waiting -= 1
-        self.running += 1
-        self.admitted += 1
+            # the depth this request joined at, counting itself
+            tracer.metrics.observe("server.queue_depth", joined)
         _observe.count("server.admitted")
         _observe.event("server.admit", "server",
-                       queue_depth=self.waiting, running=self.running)
+                       queue_depth=waiting, running=running)
         try:
             yield
         finally:
-            self.running -= 1
-            semaphore.release()
+            with free:
+                self.running -= 1
+                free.notify()
 
     def snapshot(self) -> dict:
         return {

@@ -17,7 +17,16 @@ themselves the faults —
     materializes a large ``Table`` to trip the memory budget;
 ``abort``
     schedules a mid-evaluation ``abort_session`` against its own session
-    while a long request runs.
+    while a long request runs;
+``overflow``
+    machine arithmetic past the float range (``Exp[1000.]``,
+    ``N[10^1000]``) and a square root of a negative integer: each must
+    come back as a value or stay unevaluated with a message, never
+    escape the interpreter as a raw Python error.
+
+Each client is its own thread calling ``EngineServer.submit``, as a
+connection thread of the wire server does; ``abort`` fires from a
+:class:`threading.Timer`.
 
 Healthy clients run the same workload as the load generator alongside the
 adversaries.  The report is the chaos suite's evidence base: zero crashed
@@ -27,16 +36,16 @@ their breakers, shed rate under 100%.
 
 from __future__ import annotations
 
-import asyncio
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.server.core import EngineServer, ServerConfig
-from repro.server.loadgen import DEFAULT_WORKLOAD, percentile
+from repro.server.loadgen import DEFAULT_WORKLOAD, percentile, run_clients
 
-BEHAVIOURS = ("slow", "poison", "spike", "abort")
+BEHAVIOURS = ("slow", "poison", "spike", "abort", "overflow")
 
 #: adversarial request bodies, by behaviour
 _SLOW_REQUEST = (
@@ -46,6 +55,7 @@ _POISON_DEFINE = "poison{n}[x_] := poison{n}[x + 1]"
 _POISON_CALL = "poison{n}[0]"
 _SPIKE_REQUEST = "Total[Table[i * i, {{i, {cells}}}]]"
 _ABORT_REQUEST = "Module[{acc = 0}, Do[acc = acc + i, {i, 2000000}]; acc]"
+_OVERFLOW_REQUESTS = ("Exp[{big}.]", "N[10^{big}]", "Cosh[{big}.] + Sqrt[-4]")
 
 
 @dataclass
@@ -122,73 +132,81 @@ def _adversary_requests(behaviour: str, index: int,
         return [_SPIKE_REQUEST.format(cells=spec.spike_cells)]
     if behaviour == "abort":
         return [_ABORT_REQUEST]
+    if behaviour == "overflow":
+        return [source.format(big=1000 + index)
+                for source in _OVERFLOW_REQUESTS]
     return [_SLOW_REQUEST]
 
 
-async def unleash(server: EngineServer,
-                  spec: Optional[ChaosSpec] = None) -> ChaosReport:
-    """Run adversarial and healthy clients concurrently; never raises."""
+def unleash(server: EngineServer,
+            spec: Optional[ChaosSpec] = None) -> ChaosReport:
+    """Run adversarial and healthy clients concurrently, one thread each;
+    never raises."""
     spec = spec if spec is not None else ChaosSpec()
     report = ChaosReport()
+    tally = threading.Lock()
 
-    async def adversary(index: int) -> None:
+    def adversary(index: int) -> None:
         rng = random.Random(spec.seed * 7919 + index)
         session_id = f"bad{index}"
         tenant = f"chaos-t{index % 2}"
         for _ in range(spec.requests_per_client):
             behaviour = BEHAVIOURS[rng.randrange(len(BEHAVIOURS))]
-            report.count(report.behaviour_counts, behaviour)
+            with tally:
+                report.count(report.behaviour_counts, behaviour)
             aborter = None
             if behaviour == "abort":
-                async def _fire(sid=session_id):
-                    await asyncio.sleep(spec.abort_delay)
-                    server.abort_session(sid)
-
-                aborter = asyncio.ensure_future(_fire())
+                aborter = threading.Timer(spec.abort_delay,
+                                          server.abort_session,
+                                          args=(session_id,))
+                aborter.start()
             for source in _adversary_requests(behaviour, index, spec):
-                response = await server.submit(
+                response = server.submit(
                     source, session_id=session_id, tenant=tenant
                 )
-                report.requests += 1
-                report.adversary_requests += 1
-                report.retries += response.retries
-                if response.ok:
-                    report.adversary_ok += 1
-                else:
-                    report.adversary_contained += 1
-                    if response.rejected:
-                        report.shed += 1
-                    if response.error:
-                        kind = (response.error.get("kind")
-                                or response.error.get("reason") or "unknown")
-                        report.count(report.failure_kinds, kind)
+                with tally:
+                    report.requests += 1
+                    report.adversary_requests += 1
+                    report.retries += response.retries
+                    if response.ok:
+                        report.adversary_ok += 1
+                    else:
+                        report.adversary_contained += 1
+                        if response.rejected:
+                            report.shed += 1
+                        if response.error:
+                            kind = (response.error.get("kind")
+                                    or response.error.get("reason")
+                                    or "unknown")
+                            report.count(report.failure_kinds, kind)
             if aborter is not None:
-                await aborter
+                aborter.join()
 
-    async def healthy(index: int) -> None:
+    def healthy(index: int) -> None:
         rng = random.Random(spec.seed * 104_729 + index)
         session_id = f"good{index}"
         tenant = "healthy"
         for _ in range(spec.requests_per_client):
             source = rng.choice(DEFAULT_WORKLOAD).format(n=index)
-            response = await server.submit(
+            response = server.submit(
                 source, session_id=session_id, tenant=tenant
             )
-            report.requests += 1
-            report.healthy_requests += 1
-            report.retries += response.retries
-            report.healthy_latencies.append(response.latency_seconds)
-            if response.ok:
-                report.healthy_ok += 1
-            elif response.rejected:
-                report.shed += 1
-            # yield so adversaries interleave rather than batch
-            await asyncio.sleep(rng.uniform(0, 0.002))
+            with tally:
+                report.requests += 1
+                report.healthy_requests += 1
+                report.retries += response.retries
+                report.healthy_latencies.append(response.latency_seconds)
+                if response.ok:
+                    report.healthy_ok += 1
+                elif response.rejected:
+                    report.shed += 1
+            # pause so adversaries interleave rather than batch
+            time.sleep(rng.uniform(0, 0.002))
 
     start = time.monotonic()
-    await asyncio.gather(
-        *(adversary(i) for i in range(spec.adversaries)),
-        *(healthy(i) for i in range(spec.healthy_clients)),
+    run_clients(
+        [lambda i=i: adversary(i) for i in range(spec.adversaries)]
+        + [lambda i=i: healthy(i) for i in range(spec.healthy_clients)]
     )
     report.duration_seconds = time.monotonic() - start
     return report
@@ -197,21 +215,17 @@ async def unleash(server: EngineServer,
 def run_chaos(config: Optional[ServerConfig] = None,
               spec: Optional[ChaosSpec] = None,
               flight_dir: Optional[str] = None):
-    """Synchronous wrapper: chaos against a fresh server; returns the
+    """Chaos against a fresh server; returns the
     :class:`ChaosReport` and the server's final stats dump.  With
     ``flight_dir``, the flight recorder's snapshots (auto-frozen on
     breaker trips and critical pressure during the run) are written
     there before shutdown — the CI chaos job uploads them as artifacts."""
-
-    async def _run():
-        server = EngineServer(config=config)
-        try:
-            report = await unleash(server, spec)
-            stats = server.stats()
-            if flight_dir and server.flight is not None:
-                server.flight.write_snapshots(flight_dir)
-            return report, stats
-        finally:
-            await server.close()
-
-    return asyncio.run(_run())
+    server = EngineServer(config=config)
+    try:
+        report = unleash(server, spec)
+        stats = server.stats()
+        if flight_dir and server.flight is not None:
+            server.flight.write_snapshots(flight_dir)
+        return report, stats
+    finally:
+        server.close()

@@ -2,8 +2,11 @@
 
 Two modes:
 
-* **network** (default): a newline-delimited-JSON TCP protocol.  Each
-  request line is ``{"expr": "...", "session": "...", "tenant": "..."}``
+* **network** (default): a newline-delimited-JSON TCP protocol, served
+  by a :class:`socketserver.ThreadingTCPServer` with one thread per
+  connection; that thread reads a line, calls
+  :meth:`~repro.server.core.EngineServer.submit` itself, and writes the
+  reply.  Each request line is ``{"expr": "...", "session": "...", "tenant": "..."}``
   (``session`` defaults to one id per connection); special ops are
   ``{"op": "stats"}``, ``{"op": "abort", "session": "..."}``,
   ``{"op": "ping"}``, and the PR 9 introspection ops —
@@ -12,7 +15,9 @@ Two modes:
   records), ``{"op": "trace", "request_id": "req-..."}`` (one request's
   full timeline, the id every eval response returns as
   ``request_id``).  Each response line is the structured
-  :class:`~repro.server.core.Response` envelope.
+  :class:`~repro.server.core.Response` envelope; a line that is not a
+  JSON object of that shape is answered with a ``BadRequest`` error and
+  the connection stays open.  SIGTERM stops the server like Ctrl-C.
 * **--loadgen / --chaos**: spin up an in-process server, drive it with
   the load generator or the chaos harness, print the report, and (with
   ``--dump-stats PATH``) write the full stats dump — the file
@@ -27,9 +32,10 @@ shell one-liner is a client::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import itertools
 import json
+import signal
+import socketserver
 import sys
 from typing import Optional
 
@@ -38,6 +44,9 @@ from repro.server.core import EngineServer, ServerConfig
 from repro.server.loadgen import LoadSpec, run_load
 
 DEFAULT_PORT = 7311
+#: the longest request line read; past it the connection is answered with
+#: a ``BadRequest`` and closed, since the next request cannot be found
+MAX_LINE_BYTES = 1 << 16
 
 _connection_ids = itertools.count(1)
 
@@ -95,93 +104,120 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
     return config
 
 
-async def handle_connection(server: EngineServer,
-                            reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter) -> None:
-    default_session = f"conn{next(_connection_ids)}"
+def _bad_request(message: str) -> dict:
+    return {"ok": False, "error": {"kind": "BadRequest", "message": message}}
 
-    async def reply(payload: dict) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-        await writer.drain()
 
+def _shape_error(request) -> Optional[str]:
+    """Why ``request`` is not a request, or ``None`` if it is one."""
+    if not isinstance(request, dict):
+        return f"a request is a JSON object, not {type(request).__name__}"
+    for key in ("op", "session", "tenant", "trace_id"):
+        value = request.get(key)
+        if value is not None and not isinstance(value, str):
+            return f"{key!r} must be a string"
+    return None
+
+
+def respond(engine: EngineServer, text: str, default_session: str) -> dict:
+    """The reply to one request line; never raises."""
     try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            try:
-                request = json.loads(text)
-            except json.JSONDecodeError as error:
-                await reply({"ok": False,
-                             "error": {"kind": "BadRequest",
-                                       "message": str(error)}})
-                continue
-            op = request.get("op", "eval")
-            if op == "ping":
-                await reply({"ok": True, "result": "pong"})
-            elif op == "stats":
-                await reply({"ok": True, "stats": server.stats()})
-            elif op == "abort":
-                found = server.abort_session(
-                    request.get("session", default_session)
-                )
-                await reply({"ok": found})
-            elif op == "metrics":
-                await reply({"ok": True, "metrics": server.metrics_dict()})
-            elif op == "events":
-                try:
-                    limit = int(request.get("limit", 50))
-                except (TypeError, ValueError):
-                    limit = 50
-                await reply({"ok": True,
-                             "events": server.recent_events(limit)})
-            elif op == "trace":
-                request_id = str(request.get("request_id")
-                                 or request.get("request", ""))
-                timeline = server.timeline(request_id)
-                await reply({"ok": bool(timeline),
-                             "request": request_id,
-                             "timeline": timeline})
-            elif op == "eval":
-                response = await server.submit(
-                    str(request.get("expr", "")),
-                    session_id=request.get("session", default_session),
-                    tenant=request.get("tenant"),
-                    trace_id=request.get("trace_id"),
-                )
-                await reply(response.to_dict())
-            else:
-                await reply({"ok": False,
-                             "error": {"kind": "BadRequest",
-                                       "message": f"unknown op {op!r}"}})
-    except (asyncio.CancelledError, ConnectionResetError):
-        pass  # server shutdown or client gone: close quietly
-    finally:
-        writer.close()
+        request = json.loads(text)
+    except (ValueError, RecursionError) as error:
+        return _bad_request(str(error) or type(error).__name__)
+    problem = _shape_error(request)
+    if problem is not None:
+        return _bad_request(problem)
+    session = request.get("session")
+    if session is None:
+        session = default_session
+    op = request.get("op", "eval")
+    if op == "eval":
+        return engine.submit(
+            str(request.get("expr", "")), session_id=session,
+            tenant=request.get("tenant"), trace_id=request.get("trace_id"),
+        ).to_dict()
+    if op == "ping":
+        return {"ok": True, "result": "pong"}
+    if op == "stats":
+        return {"ok": True, "stats": engine.stats()}
+    if op == "abort":
+        return {"ok": engine.abort_session(session)}
+    if op == "metrics":
+        return {"ok": True, "metrics": engine.metrics_dict()}
+    if op == "events":
+        try:
+            limit = int(request.get("limit", 50))
+        except (TypeError, ValueError):
+            limit = 50
+        return {"ok": True, "events": engine.recent_events(limit)}
+    if op == "trace":
+        request_id = str(request.get("request_id")
+                         or request.get("request", ""))
+        timeline = engine.timeline(request_id)
+        return {"ok": bool(timeline), "request": request_id,
+                "timeline": timeline}
+    return _bad_request(f"unknown op {op!r}")
 
 
-async def serve(config: ServerConfig, host: str, port: int,
-                dump_stats: Optional[str] = None,
-                flight_dir: Optional[str] = None) -> None:
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection, served start to end on its own thread."""
+
+    disable_nagle_algorithm = True  # TCP_NODELAY on every accepted socket
+
+    def handle(self) -> None:
+        engine = self.server.engine
+        default_session = f"conn{next(_connection_ids)}"
+        read, write = self.rfile.readline, self.wfile.write
+        try:
+            while True:
+                line = read(MAX_LINE_BYTES + 1)
+                if not line:
+                    return
+                if len(line) > MAX_LINE_BYTES and not line.endswith(b"\n"):
+                    reply = _bad_request(
+                        f"request line longer than {MAX_LINE_BYTES} bytes"
+                    )
+                    write(json.dumps(reply).encode("utf-8") + b"\n")
+                    return
+                text = line.decode("utf-8", errors="replace").strip()
+                if text:
+                    reply = respond(engine, text, default_session)
+                    write(json.dumps(reply).encode("utf-8") + b"\n")
+        except OSError:
+            pass  # the client hung up: close quietly
+
+
+class WireServer(socketserver.ThreadingTCPServer):
+    """The TCP front end of one :class:`EngineServer`: one daemon thread
+    per connection, each running its requests to completion itself."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+    request_queue_size = 100
+
+    def __init__(self, engine: EngineServer, address: tuple):
+        self.engine = engine
+        super().__init__(address, _Connection)
+
+
+def serve(config: ServerConfig, host: str, port: int,
+          dump_stats: Optional[str] = None,
+          flight_dir: Optional[str] = None) -> None:
     engine = EngineServer(config=config)
-    tcp = await asyncio.start_server(
-        lambda r, w: handle_connection(engine, r, w), host, port
-    )
-    address = tcp.sockets[0].getsockname()
+    wire = WireServer(engine, (host, port))
+    address = wire.server_address
     print(f"repro engine server listening on {address[0]}:{address[1]} "
-          f"({len(engine.base_image)} base definitions)")
+          f"({len(engine.base_image)} base definitions)", flush=True)
     try:
-        async with tcp:
-            await tcp.serve_forever()
+        wire.serve_forever()
     finally:
+        wire.server_close()
         if dump_stats:
             engine.dump_stats(dump_stats)
         if flight_dir and engine.flight is not None:
             engine.flight.write_snapshots(flight_dir)
-        await engine.close()
+        engine.close()
 
 
 def _print_report(title: str, report: dict) -> None:
@@ -214,11 +250,11 @@ def main(argv: Optional[list] = None) -> int:
             _write_stats(args.dump_stats, stats)
         crashed = [sid for sid, info in stats["sessions"].items()
                    if info["state"] == "crashed"]
-        return 1 if crashed else 0
+        return 1 if crashed or "Crash" in report.failure_kinds else 0
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        asyncio.run(serve(config, args.host, args.port,
-                          dump_stats=args.dump_stats,
-                          flight_dir=args.flight_dir))
+        serve(config, args.host, args.port, dump_stats=args.dump_stats,
+              flight_dir=args.flight_dir)
     except KeyboardInterrupt:
         print("server stopped", file=sys.stderr)
     return 0

@@ -1,5 +1,8 @@
-"""``EngineServer`` — the asyncio multi-session engine front-end.
+"""``EngineServer`` — the multi-session engine front-end.
 
+``submit`` is synchronous and runs on the caller's thread: the wire
+server calls it on the thread that read the request line, so a request
+is decoded, admitted, evaluated and answered without changing threads.
 The request path is a small state machine (DESIGN.md §10)::
 
     admit ──► queue ──► evaluate ──► (retry) ──► respond
@@ -14,19 +17,23 @@ The request path is a small state machine (DESIGN.md §10)::
 * **queue** — the bounded admission queue
   (:class:`~repro.server.admission.AdmissionController`): saturated means
   shed, not wait-forever.
-* **evaluate** — the request runs on a worker thread under an
+* **evaluate** — the request runs under an
   :class:`~repro.runtime.guard.ExecutionGuard` derived from the admission
   budget (scaled down under memory pressure).  Each session's requests
   are serialized by a per-session lock, so a session never races itself.
 * **retry** — transient soft failures re-run with exponential backoff and
   full jitter (:class:`~repro.server.retry.RetryPolicy`), never past the
   attempt bound, never for guard expiries.  Each attempt acquires its own
-  admission slot: a backoff sleep never pins worker capacity, and a retry
-  arriving into a saturated queue is shed like any other request.
+  admission slot: a backoff sleep never pins an evaluation slot, and a
+  retry arriving into a saturated queue is shed like any other request.
 * **degrade** — every request ticks the
   :class:`~repro.server.degrade.DegradationManager`: under pressure
   sessions step compiled → interpreter, and at critical pressure cold
   session overlays are evicted entirely.
+
+Shared bookkeeping — totals, the session table, per-session pending
+counts and locks, the pressure sweep — sits under one short server lock
+that is never held across ``Session.execute``.
 
 Failure isolation invariants the chaos suite pins:
 
@@ -40,11 +47,9 @@ Failure isolation invariants the chaos suite pins:
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import json
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -181,10 +186,11 @@ class EngineServer:
         self.started = self.clock()
         self.totals = {"requests": 0, "ok": 0, "failed": 0, "shed": 0,
                        "retries": 0, "aborted": 0, "evicted": 0}
-        self._locks: dict[str, asyncio.Lock] = {}
+        #: the server lock: held for bookkeeping, never across ``execute``
+        self._lock = threading.Lock()
+        self._locks: dict[str, threading.Lock] = {}
         self._pending: dict[str, int] = {}
         self._evicted_ids: list[str] = []
-        self._executor: Optional[ThreadPoolExecutor] = None
         # the always-on flight recorder: installed as the process tracer
         # unless telemetry is off or an explicit tracer is already active
         # (--trace, with_tracing) — explicit tracing wins
@@ -214,35 +220,27 @@ class EngineServer:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.max_concurrent,
-                thread_name_prefix="repro-server",
-            )
-        return self._executor
-
-    async def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+    def close(self) -> None:
         if self._owns_flight and _obs_trace.TRACER is self.flight:
             _obs_trace.disable_tracing()
             self._owns_flight = False
 
     # -- the request path ---------------------------------------------------
 
-    async def submit(self, source: str, session_id: str = "default",
-                     tenant: Optional[str] = None,
-                     trace_id: Optional[str] = None) -> Response:
-        """Admit, queue, evaluate (with retries), respond.  Never raises."""
+    def submit(self, source: str, session_id: str = "default",
+               tenant: Optional[str] = None,
+               trace_id: Optional[str] = None) -> Response:
+        """Admit, queue, evaluate (with retries), respond, on the calling
+        thread.  Never raises."""
         start = self.clock()
-        self.totals["requests"] += 1
-        _observe.count("server.requests")
         flight = self.flight
+        with self._lock:
+            self.totals["requests"] += 1
+            sampled = flight.sample_next() if flight is not None else True
+        _observe.count("server.requests")
         ctx = _obs_context.mint_context(
             session=session_id, tenant=tenant or "", trace_id=trace_id,
-            sampled=flight.sample_next() if flight is not None else True,
+            sampled=sampled,
         )
         # every span/instant emitted below this point — admission, session
         # execution, tier events, cache lookups — is stamped with this
@@ -253,20 +251,18 @@ class EngineServer:
             with _observe.span("server.request", "server",
                                session=session_id, tenant=tenant or ""):
                 try:
-                    response = await self._submit_inner(
+                    response = self._submit_inner(
                         source, session_id, tenant, start
                     )
                 except RejectedError as rejection:
                     response = self._rejected(
                         rejection, session_id, tenant, start
                     )
-                except asyncio.CancelledError:
-                    raise
                 except Exception as error:
                     # the no-crash invariant holds at the protocol boundary
-                    # even for faults the request path never classifies —
-                    # e.g. ``run_in_executor`` racing ``close()``
-                    self.totals["failed"] += 1
+                    # even for faults the request path never classifies
+                    with self._lock:
+                        self.totals["failed"] += 1
                     _observe.count("server.failures")
                     response = Response(
                         ok=False, session=session_id, tenant=tenant,
@@ -292,39 +288,42 @@ class EngineServer:
             )
         return response
 
-    async def _submit_inner(self, source: str, session_id: str,
-                            tenant: Optional[str], start: float) -> Response:
+    def _submit_inner(self, source: str, session_id: str,
+                      tenant: Optional[str], start: float) -> Response:
         probes = self.breakers.admit(session_id, tenant)
         try:
-            session = self._session(session_id, tenant)
-            pending = self._pending.get(session_id, 0)
-            if pending >= self.config.session_queue_limit:
-                self.admission.shed += 1
-                _observe.count("server.shed")
-                raise RejectedError(
-                    "session-queue-full",
-                    f"session {session_id!r} already has {pending} requests "
-                    "queued",
-                    retry_after=self.config.budget.deadline_seconds,
-                    scope=session_id,
-                )
-            self._pending[session_id] = pending + 1
+            with self._lock:
+                session = self._session(session_id, tenant)
+                pending = self._pending.get(session_id, 0)
+                if pending >= self.config.session_queue_limit:
+                    self.admission.count_shed()
+                    raise RejectedError(
+                        "session-queue-full",
+                        f"session {session_id!r} already has {pending} "
+                        "requests queued",
+                        retry_after=self.config.budget.deadline_seconds,
+                        scope=session_id,
+                    )
+                self._pending[session_id] = pending + 1
+                lock = self._locks.get(session_id)
+                if lock is None:
+                    lock = self._locks[session_id] = threading.Lock()
             try:
-                lock = self._locks.setdefault(session_id, asyncio.Lock())
-                async with lock:
-                    outcome, retries = await self._run_with_retries(
+                with lock:
+                    outcome, retries = self._run_with_retries(
                         session, source
                     )
             finally:
-                remaining = self._pending.get(session_id, 1) - 1
-                if remaining:
-                    self._pending[session_id] = remaining
-                else:
-                    self._pending.pop(session_id, None)
+                with self._lock:
+                    remaining = self._pending.get(session_id, 1) - 1
+                    if remaining:
+                        self._pending[session_id] = remaining
+                    else:
+                        self._pending.pop(session_id, None)
         except BaseException:
-            # rejected (or crashed, or cancelled) before the breakers could
-            # see an outcome: any half-open probe slot this request holds
-            # must be handed back, or the scope stays locked out forever
+            # rejected (or crashed) before the breakers could see an
+            # outcome: any half-open probe slot this request holds must be
+            # handed back, or the scope stays locked out forever
             for breaker in probes:
                 breaker.abandon_probe()
             raise
@@ -335,14 +334,14 @@ class EngineServer:
         healthy = outcome.ok or outcome.aborted
         self.breakers.record(session_id, tenant, ok=healthy,
                              kind=outcome.error_kind or "failure")
-        if outcome.ok:
-            self.totals["ok"] += 1
-            _observe.count("server.ok")
-        else:
-            if outcome.aborted:
-                self.totals["aborted"] += 1
-            self.totals["failed"] += 1
-            _observe.count("server.failures")
+        with self._lock:
+            if outcome.ok:
+                self.totals["ok"] += 1
+            else:
+                if outcome.aborted:
+                    self.totals["aborted"] += 1
+                self.totals["failed"] += 1
+        _observe.count("server.ok" if outcome.ok else "server.failures")
         return Response(
             ok=outcome.ok, session=session_id, tenant=tenant,
             result=outcome.value,
@@ -353,29 +352,21 @@ class EngineServer:
             retries=retries, latency_seconds=latency,
         )
 
-    async def _run_with_retries(self, session: Session, source: str):
+    def _run_with_retries(self, session: Session, source: str):
         policy = self.config.retry
-        loop = asyncio.get_running_loop()
         attempt = 1
         while True:
             # the admission slot is held only while the attempt actually
-            # runs: a backoff sleep must not pin a worker slot during
+            # runs: a backoff sleep must not pin an evaluation slot during
             # exactly the overload that made the attempt fail.  Each
             # attempt re-reads the pressure controls, so a retry admitted
             # into a degraded server gets the degraded budget.
-            async with self.admission.slot():
-                control = self.degrade.evaluate(self.sessions)
-                self._apply_evictions(control["evict"], keep=session.id)
+            with self.admission.slot():
+                with self._lock:
+                    control = self.degrade.evaluate(self.sessions)
+                    self._apply_evictions(control["evict"], keep=session.id)
                 budget = self.config.budget.scaled(control["budget_scale"])
-                # asyncio does not propagate contextvars into executor
-                # threads; carry the request context across explicitly so
-                # worker-side spans (session.execute, vm.run, tier events)
-                # are stamped with the owning request
-                run_context = contextvars.copy_context()
-                outcome = await loop.run_in_executor(
-                    self._pool(), run_context.run,
-                    session.execute, source, budget,
-                )
+                outcome = session.execute(source, budget)
             retryable = (
                 not outcome.ok
                 and not outcome.aborted
@@ -387,20 +378,22 @@ class EngineServer:
                 return outcome, attempt - 1
             delay = policy.delay(attempt)
             session.stats.retries += 1
-            self.totals["retries"] += 1
+            with self._lock:
+                self.totals["retries"] += 1
             _observe.count("server.retries")
             _observe.event("server.retry", "server", session=session.id,
                            attempt=attempt, delay=delay,
                            kind=outcome.error_kind)
-            await asyncio.sleep(delay)
+            time.sleep(delay)
             attempt += 1
 
     def _rejected(self, rejection: RejectedError, session_id: str,
                   tenant: Optional[str], start: float) -> Response:
-        self.totals["shed"] += 1
-        session = self.sessions.get(session_id)
-        if session is not None:
-            session.stats.rejected += 1
+        with self._lock:
+            self.totals["shed"] += 1
+            session = self.sessions.get(session_id)
+            if session is not None:
+                session.stats.rejected += 1
         _observe.event("server.shed", "server", session=session_id,
                        reason=rejection.reason, scope=rejection.scope)
         return Response(
@@ -413,6 +406,8 @@ class EngineServer:
     # -- session management -------------------------------------------------
 
     def _session(self, session_id: str, tenant: Optional[str]) -> Session:
+        """The session for ``session_id``, created on first use (server
+        lock held)."""
         session = self.sessions.get(session_id)
         if session is not None:
             if tenant is not None and session.tenant != tenant:
@@ -442,12 +437,12 @@ class EngineServer:
         return session
 
     def _apply_evictions(self, evict: dict, keep: str = "") -> None:
+        """Drop cold sessions (server lock held)."""
         for session_id, session in evict.items():
             if session_id == keep or session.state is SessionState.RUNNING:
                 continue
-            lock = self._locks.get(session_id)
-            if lock is not None and lock.locked():
-                continue  # requests queued behind the lock: not cold
+            if self._pending.get(session_id):
+                continue  # requests admitted or queued behind its lock
             session.state = SessionState.EVICTED
             self.sessions.pop(session_id, None)
             self._locks.pop(session_id, None)
@@ -479,20 +474,24 @@ class EngineServer:
         return self.totals["shed"] / total if total else 0.0
 
     def stats(self) -> dict:
+        with self._lock:
+            totals = dict(self.totals)
+            sessions = list(self.sessions.items())
+            evicted = list(self._evicted_ids)
         return {
             "schema": STATS_SCHEMA,
             "kind": "repro-server-stats",
             "uptime_seconds": self.clock() - self.started,
-            "requests": dict(self.totals),
+            "requests": totals,
             "shed_rate": self.shed_rate(),
             "admission": self.admission.snapshot(),
             "pressure": self.degrade.snapshot(),
             "breakers": self.breakers.snapshot(),
             "sessions": {
                 session_id: session.snapshot()
-                for session_id, session in self.sessions.items()
+                for session_id, session in sessions
             },
-            "evicted_sessions": list(self._evicted_ids),
+            "evicted_sessions": evicted,
             "base_image_definitions": len(self.base_image),
             "telemetry": self.flight.stats() if self.flight else {},
         }

@@ -13,8 +13,8 @@ attributable to the engine, not the workload.
 
 from __future__ import annotations
 
-import asyncio
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -113,34 +113,47 @@ class LoadReport:
         return payload
 
 
-async def generate(server: EngineServer,
-                   spec: Optional[LoadSpec] = None) -> LoadReport:
-    """Run the load against ``server`` and collect a report."""
+def run_clients(clients) -> None:
+    """Run each zero-argument callable on its own thread; wait for all."""
+    threads = [threading.Thread(target=client, name=f"client-{index}")
+               for index, client in enumerate(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
+def generate(server: EngineServer,
+             spec: Optional[LoadSpec] = None) -> LoadReport:
+    """Run the load against ``server``, one thread per client, and
+    collect a report."""
     spec = spec if spec is not None else LoadSpec()
     report = LoadReport()
+    tally = threading.Lock()
 
-    async def client(index: int) -> None:
+    def client(index: int) -> None:
         rng = random.Random(spec.seed * 10_007 + index)
         session_id = f"s{index % max(1, spec.sessions)}"
         tenant = f"t{index % max(1, spec.tenants)}"
         for _ in range(spec.requests_per_client):
             source = rng.choice(spec.workload).format(n=index)
-            response = await server.submit(source, session_id=session_id,
-                                           tenant=tenant)
-            report.requests += 1
-            report.latencies.append(response.latency_seconds)
-            report.retries += response.retries
-            if response.ok:
-                report.ok += 1
-            elif response.rejected:
-                report.shed += 1
-            else:
-                report.failed += 1
+            response = server.submit(source, session_id=session_id,
+                                     tenant=tenant)
+            with tally:
+                report.requests += 1
+                report.latencies.append(response.latency_seconds)
+                report.retries += response.retries
+                if response.ok:
+                    report.ok += 1
+                elif response.rejected:
+                    report.shed += 1
+                else:
+                    report.failed += 1
             if spec.think_time:
-                await asyncio.sleep(rng.uniform(0, spec.think_time))
+                time.sleep(rng.uniform(0, spec.think_time))
 
     start = time.monotonic()
-    await asyncio.gather(*(client(i) for i in range(spec.clients)))
+    run_clients([lambda i=i: client(i) for i in range(spec.clients)])
     report.duration_seconds = time.monotonic() - start
     return report
 
@@ -159,21 +172,18 @@ def attach_hist_quantiles(report: LoadReport, server: EngineServer) -> None:
 def run_load(config: Optional[ServerConfig] = None,
              spec: Optional[LoadSpec] = None,
              flight_dir: Optional[str] = None):
-    """Synchronous wrapper: build a server, run the load, return both
+    """Build a server, run the load, return both
     the :class:`LoadReport` and the server's final stats dump.  With
     ``flight_dir``, the flight recorder's snapshots and ring are written
     there before shutdown."""
 
-    async def _run():
-        server = EngineServer(config=config)
-        try:
-            report = await generate(server, spec)
-            attach_hist_quantiles(report, server)
-            stats = server.stats()
-            if flight_dir and server.flight is not None:
-                server.flight.write_snapshots(flight_dir)
-            return report, stats
-        finally:
-            await server.close()
-
-    return asyncio.run(_run())
+    server = EngineServer(config=config)
+    try:
+        report = generate(server, spec)
+        attach_hist_quantiles(report, server)
+        stats = server.stats()
+        if flight_dir and server.flight is not None:
+            server.flight.write_snapshots(flight_dir)
+        return report, stats
+    finally:
+        server.close()

@@ -7,11 +7,11 @@ execution under an :class:`~repro.runtime.guard.ExecutionGuard`, outcome
 classification, a private bounded failure log, and the degradation lever
 (:meth:`apply_tier_cap`) the memory-pressure manager pulls.
 
-``execute`` runs on a worker thread (the engine is synchronous); the
-asyncio front-end serializes each session's requests with a per-session
-lock, so a session never races itself — the remaining shared state
-(breakers, hotspot tables, the global failure log) is lock-protected in
-its own modules.
+``execute`` runs on the connection thread that read the request (the
+engine is synchronous); the server serializes each session's requests
+with a per-session lock, so a session never races itself — the remaining
+shared state (breakers, hotspot tables, the global failure log) is
+lock-protected in its own modules.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class Session:
         #: high-water mark of guard-charged memory across requests
         self.peak_memory_charged = 0
 
-    # -- execution (worker thread) ------------------------------------------
+    # -- execution (the request's thread) -----------------------------------
 
     def execute(self, source: str, budget: RequestBudget) -> Outcome:
         """Parse and evaluate one request under its admission budget.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -75,3 +78,72 @@ def run_value(evaluator):
         return evaluator.run(source).to_python()
 
     return runner
+
+
+class WireClient:
+    """A newline-JSON client of ``python -m repro serve`` over a real
+    socket."""
+
+    def __init__(self, address):
+        self.socket = socket.create_connection(address, timeout=10)
+        self.stream = self.socket.makefile("rwb")
+
+    def send(self, payload) -> None:
+        """Send one request line: a dict is encoded, a str goes raw."""
+        if isinstance(payload, dict):
+            payload = json.dumps(payload)
+        self.stream.write(payload.encode("utf-8") + b"\n")
+        self.stream.flush()
+
+    def receive(self) -> dict:
+        line = self.stream.readline()
+        assert line, "the server closed the connection"
+        return json.loads(line)
+
+    def request(self, payload) -> dict:
+        self.send(payload)
+        return self.receive()
+
+    def close(self) -> None:
+        self.stream.close()
+        self.socket.close()
+
+
+@pytest.fixture()
+def wire_connect():
+    """``wire_connect(address)`` opens a :class:`WireClient`; every client
+    opened is closed afterwards."""
+    clients = []
+
+    def connect(address) -> WireClient:
+        client = WireClient(address)
+        clients.append(client)
+        return client
+
+    yield connect
+    for client in clients:
+        client.close()
+
+
+@pytest.fixture()
+def serve_wire(wire_connect):
+    """``serve_wire(engine)`` serves ``engine`` over TCP on an ephemeral
+    port from a background thread and returns a ``connect()`` that opens a
+    :class:`WireClient` to it; server and thread are stopped afterwards."""
+    from repro.server.cli import WireServer
+
+    servers = []
+
+    def start(engine):
+        wire = WireServer(engine, ("127.0.0.1", 0))
+        thread = threading.Thread(target=wire.serve_forever, args=(0.05,),
+                                  daemon=True)
+        thread.start()
+        servers.append((wire, thread))
+        return lambda: wire_connect(wire.server_address)
+
+    yield start
+    for wire, thread in servers:
+        wire.shutdown()
+        wire.server_close()
+        thread.join(5)

@@ -1139,24 +1139,17 @@ class TestAOT:
     def test_engine_server_boots_from_image_path(
         self, artifact_cache, tmp_path
     ):
-        import asyncio
-
         from repro.artifacts import aot
         from repro.server.core import EngineServer, ServerConfig
 
         path = str(tmp_path / "image.json")
         aot.build_image(_PRELUDE, out=path)
 
-        async def drive():
-            server = EngineServer(
-                config=ServerConfig(image_path=path)
-            )
-            try:
-                return await server.submit("fib[15]", session_id="s1")
-            finally:
-                await server.close()
-
-        response = asyncio.run(drive())
+        server = EngineServer(config=ServerConfig(image_path=path))
+        try:
+            response = server.submit("fib[15]", session_id="s1")
+        finally:
+            server.close()
         assert response.ok and response.result == "610"
 
     def test_version_skew_degrades_to_cold_boot(self, artifact_cache):

@@ -176,3 +176,55 @@ class TestEvaluatorEdges:
             evaluator.evaluate(parse("f[x_] := f[x + 1]; f[0]"))
         with pytest.raises((WolframIterationError, WolframRecursionError)):
             evaluator.evaluate(parse("g[x_] := g[g[x]]; g[0]"))
+
+    @pytest.mark.parametrize("source, expected", [
+        ("Exp[1000.]", "Exp[1000.0]"),
+        ("Cosh[1000.]", "Cosh[1000.0]"),
+        ("Exp[1000]", "Exp[1000]"),
+        ("10.^400", "Power[10.0, 400]"),
+        ("Quotient[1.*^308, 1.*^-308]", "Quotient[1e+308, 1e-308]"),
+    ])
+    def test_past_the_machine_range_stays_unevaluated(self, evaluator, run,
+                                                      source, expected):
+        """A machine result past the float range is no Python
+        ``OverflowError``: the call stays as it is, with a message."""
+        assert run(source) == expected
+        assert evaluator.messages == [
+            "General::ovfl: Overflow occurred in computation."
+        ]
+
+    def test_n_of_a_huge_integer_stays_unevaluated(self, evaluator, run):
+        assert run("N[10^400]") == f"N[{10 ** 400}]"
+        assert evaluator.messages
+        assert set(evaluator.messages) == {
+            "General::ovfl: Overflow occurred in computation."
+        }
+
+    def test_overflow_inside_a_list_leaves_the_rest(self, evaluator, run):
+        assert run("Map[Exp, {0., 1000.}]") == "List[1.0, Exp[1000.0]]"
+        assert len(evaluator.messages) == 1
+
+    @pytest.mark.parametrize("source, expected", [
+        ("Sqrt[-4]", "Times[2, I]"),
+        ("Sqrt[-1]", "I"),
+        ("Sqrt[-8]", "Complex[0.0, 2.8284271247461903]"),
+        ("Sqrt[9]", "3"),
+        ("Sqrt[-4] == 2 I", "True"),
+    ])
+    def test_square_roots_of_negative_integers(self, run, source, expected):
+        assert run(source) == expected
+
+    def test_compiled_overflow_falls_back_to_the_same_answer(self):
+        """The compiled tier's overflow reverts to the interpreter, which
+        now has an answer: the unevaluated call."""
+        from repro.compiler import install_engine_support
+        from repro.engine import Evaluator
+        from repro.mexpr import full_form
+
+        evaluator = Evaluator()
+        install_engine_support(evaluator)
+        evaluator.run(
+            'cf = FunctionCompile[Function[{Typed[x, "Real64"]}, Exp[x]]]'
+        )
+        assert full_form(evaluator.run("cf[1000.]")) == "Exp[1000.0]"
+        assert full_form(evaluator.run("cf[0.]")) == "1.0"

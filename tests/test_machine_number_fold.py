@@ -51,13 +51,17 @@ def _outcome(compute):
 def _builtin_path(evaluator, name, arguments):
     """What the step did before the fold: sort an Orderless head's
     arguments canonically, build the node, call the builtin; an inert node
-    is its own value."""
+    is its own value, and so is a node whose builtin overflowed the
+    machine range."""
     builtin = BUILTINS[name]
     values = list(arguments)
     if "Orderless" in builtin.attributes:
         values.sort(key=canonical_order_key)
     node = MExprNormal(MSymbol(name), values)
-    result = builtin.func(evaluator, node)
+    try:
+        result = builtin.func(evaluator, node)
+    except OverflowError:
+        result = None
     return node if result is None else result
 
 

@@ -3,9 +3,10 @@ degradation, and the ``EngineServer`` request path."""
 
 from __future__ import annotations
 
-import asyncio
 import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -30,8 +31,14 @@ from repro.server import (
 from repro.server.session import Outcome, SessionState
 
 
-def run_async(coroutine):
-    return asyncio.run(coroutine)
+def wait_until(predicate, timeout: float = 5.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 class FakeClock:
@@ -64,33 +71,35 @@ class TestAdmission:
         assert unlimited.deadline_seconds is None
 
     def test_sheds_past_queue_limit(self):
-        async def scenario():
-            controller = AdmissionController(max_concurrent=1, queue_limit=1)
-            release = asyncio.Event()
+        controller = AdmissionController(max_concurrent=1, queue_limit=1)
+        holding = threading.Event()
+        release = threading.Event()
 
-            async def occupant():
-                async with controller.slot():
-                    await release.wait()
+        def occupant():
+            with controller.slot():
+                holding.set()
+                release.wait()
 
-            async def waiter():
-                async with controller.slot():
-                    pass
+        def waiter():
+            with controller.slot():
+                pass
 
-            holder = asyncio.ensure_future(occupant())
-            await asyncio.sleep(0.01)
-            queued = asyncio.ensure_future(waiter())
-            await asyncio.sleep(0.01)  # one waiting: the queue is full
-            with pytest.raises(RejectedError) as excinfo:
-                async with controller.slot():
-                    pass
-            assert excinfo.value.reason == "queue-full"
-            assert excinfo.value.retry_after > 0
-            release.set()
-            await holder
-            await queued
-            return controller
+        holder = threading.Thread(target=occupant)
+        holder.start()
+        assert holding.wait(5)
+        queued = threading.Thread(target=waiter)
+        queued.start()
+        # one waiting: the queue is full
+        assert wait_until(lambda: controller.waiting == 1)
+        with pytest.raises(RejectedError) as excinfo:
+            with controller.slot():
+                pass
+        assert excinfo.value.reason == "queue-full"
+        assert excinfo.value.retry_after > 0
+        release.set()
+        holder.join()
+        queued.join()
 
-        controller = run_async(scenario())
         assert controller.shed == 1
         assert controller.admitted == 2
         assert controller.waiting == 0
@@ -343,15 +352,15 @@ class TestEngineServer:
         return EngineServer(config=config)
 
     def test_submit_roundtrip_and_isolation(self):
-        async def scenario(server):
-            ok = await server.submit("double[21]", session_id="a")
-            masked = await server.submit("double[x_] := 0; double[21]",
-                                         session_id="b")
-            again = await server.submit("double[21]", session_id="a")
+        def scenario(server):
+            ok = server.submit("double[21]", session_id="a")
+            masked = server.submit("double[x_] := 0; double[21]",
+                                   session_id="b")
+            again = server.submit("double[21]", session_id="a")
             return ok, masked, again
 
         server = self.make()
-        ok, masked, again = run_async(scenario(server))
+        ok, masked, again = scenario(server)
         assert (ok.ok, ok.result) == (True, "42")
         assert masked.result == "0"
         assert again.result == "42"
@@ -359,11 +368,11 @@ class TestEngineServer:
         assert payload["ok"] and payload["result"] == "42"
 
     def test_failures_are_soft_and_tracked(self):
-        async def scenario(server):
-            return await server.submit("missing[", session_id="a")
+        def scenario(server):
+            return server.submit("missing[", session_id="a")
 
         server = self.make()
-        response = run_async(scenario(server))
+        response = scenario(server)
         assert not response.ok
         assert response.error["kind"]
         session = server.sessions["a"]
@@ -377,48 +386,48 @@ class TestEngineServer:
             deadline_seconds=5.0, steps=2_000, memory_bytes=None
         )
 
-        async def scenario():
-            runaway = await server.submit(
+        def scenario():
+            runaway = server.submit(
                 "Do[Length[Range[10]], {i, 100000}]", session_id="a"
             )
-            healthy = await server.submit("double[2]", session_id="b")
+            healthy = server.submit("double[2]", session_id="b")
             return runaway, healthy
 
-        runaway, healthy = run_async(scenario())
+        runaway, healthy = scenario()
         assert not runaway.ok
         assert healthy.ok  # one tenant's budget trip never hurts another
 
     def test_session_limit_rejects(self):
         server = self.make(max_sessions=1)
 
-        async def scenario():
-            await server.submit("1 + 1", session_id="a")
-            return await server.submit("1 + 1", session_id="b")
+        def scenario():
+            server.submit("1 + 1", session_id="a")
+            return server.submit("1 + 1", session_id="b")
 
-        response = run_async(scenario())
+        response = scenario()
         assert response.rejected
         assert response.error["reason"] == "session-limit"
 
     def test_tenant_mismatch_rejects(self):
         server = self.make()
 
-        async def scenario():
-            await server.submit("1", session_id="a", tenant="t1")
-            return await server.submit("2", session_id="a", tenant="t2")
+        def scenario():
+            server.submit("1", session_id="a", tenant="t1")
+            return server.submit("2", session_id="a", tenant="t2")
 
-        response = run_async(scenario())
+        response = scenario()
         assert response.rejected
         assert response.error["reason"] == "tenant-mismatch"
 
     def test_breaker_opens_after_repeated_failures(self):
         server = self.make(breaker_threshold=2)
 
-        async def scenario():
+        def scenario():
             for _ in range(2):
-                await server.submit("oops[", session_id="a")
-            return await server.submit("1 + 1", session_id="a")
+                server.submit("oops[", session_id="a")
+            return server.submit("1 + 1", session_id="a")
 
-        response = run_async(scenario())
+        response = scenario()
         assert response.rejected
         assert response.error["reason"] == "session-breaker-open"
         assert response.retry_after > 0
@@ -431,18 +440,18 @@ class TestEngineServer:
         config = ServerConfig(breaker_threshold=1, breaker_cooldown=1.0)
         server = EngineServer(config=config, clock=clock)
 
-        async def scenario():
-            tripped = await server.submit("oops[", session_id="a")
+        def scenario():
+            tripped = server.submit("oops[", session_id="a")
             assert not tripped.ok
             clock.advance(2.0)  # cooldown elapsed: next admit is the probe
             server._pending["a"] = config.session_queue_limit  # queue full
-            shed = await server.submit("1", session_id="a")
+            shed = server.submit("1", session_id="a")
             assert shed.rejected
             assert shed.error["reason"] == "session-queue-full"
             server._pending.pop("a")  # the queue drains
-            return await server.submit("1 + 1", session_id="a")
+            return server.submit("1 + 1", session_id="a")
 
-        recovered = run_async(scenario())
+        recovered = scenario()
         assert recovered.ok and recovered.result == "2"
         assert server.breakers.session("a").state == "closed"
 
@@ -451,25 +460,25 @@ class TestEngineServer:
         config = ServerConfig(breaker_threshold=1, breaker_cooldown=1.0)
         server = EngineServer(config=config, clock=clock)
 
-        async def scenario():
-            await server.submit("1", session_id="a", tenant="t1")
-            tripped = await server.submit("oops[", session_id="a",
-                                          tenant="t1")
+        def scenario():
+            server.submit("1", session_id="a", tenant="t1")
+            tripped = server.submit("oops[", session_id="a",
+                                    tenant="t1")
             assert not tripped.ok
             clock.advance(2.0)
             # the probe is admitted, then rejected by the tenant check
-            mismatch = await server.submit("1", session_id="a", tenant="t2")
+            mismatch = server.submit("1", session_id="a", tenant="t2")
             assert mismatch.error["reason"] == "tenant-mismatch"
-            return await server.submit("1 + 1", session_id="a", tenant="t1")
+            return server.submit("1 + 1", session_id="a", tenant="t1")
 
-        recovered = run_async(scenario())
+        recovered = scenario()
         assert recovered.ok and recovered.result == "2"
 
     def test_transient_failures_retry_until_success(self, monkeypatch):
         server = self.make()
         server.config.retry = RetryPolicy(attempts=3, base_delay=0.001,
                                           max_delay=0.002)
-        session = run_async(self._prime(server))
+        session = self._prime(server)
         outcomes = [
             Outcome(ok=False, error_kind="Transient", error_message="blip",
                     transient=True),
@@ -479,7 +488,7 @@ class TestEngineServer:
         ]
         monkeypatch.setattr(type(session), "execute",
                             lambda self, source, budget: outcomes.pop(0))
-        response = run_async(server.submit("whatever", session_id="a"))
+        response = server.submit("whatever", session_id="a")
         assert response.ok and response.result == "42"
         assert response.retries == 2
         assert server.totals["retries"] == 2
@@ -488,7 +497,7 @@ class TestEngineServer:
         server = self.make()
         server.config.retry = RetryPolicy(attempts=2, base_delay=0.001,
                                           max_delay=0.002)
-        session = run_async(self._prime(server))
+        session = self._prime(server)
         monkeypatch.setattr(
             type(session), "execute",
             lambda self, source, budget: Outcome(
@@ -496,19 +505,19 @@ class TestEngineServer:
                 transient=True,
             ),
         )
-        response = run_async(server.submit("whatever", session_id="a"))
+        response = server.submit("whatever", session_id="a")
         assert not response.ok
         assert response.retries == 1  # attempts=2 -> exactly one retry
 
-    async def _prime(self, server):
-        await server.submit("1 + 1", session_id="a")
+    def _prime(self, server):
+        server.submit("1 + 1", session_id="a")
         return server.sessions["a"]
 
     def test_retry_backoff_does_not_hold_admission_slot(self, monkeypatch):
         server = self.make()
         server.config.retry = RetryPolicy(attempts=3, base_delay=0.001,
                                           max_delay=0.002)
-        session = run_async(self._prime(server))
+        session = self._prime(server)
         outcomes = [
             Outcome(ok=False, error_kind="Transient", error_message="blip",
                     transient=True),
@@ -518,46 +527,46 @@ class TestEngineServer:
         ]
         monkeypatch.setattr(type(session), "execute",
                             lambda self, source, budget: outcomes.pop(0))
-        real_sleep = asyncio.sleep
+        real_sleep = time.sleep
         slots_held_during_backoff = []
 
-        async def spying_sleep(delay, *args, **kwargs):
+        def spying_sleep(delay):
             slots_held_during_backoff.append(server.admission.running)
-            await real_sleep(0)
+            real_sleep(0)
 
-        monkeypatch.setattr(asyncio, "sleep", spying_sleep)
-        response = run_async(server.submit("whatever", session_id="a"))
+        monkeypatch.setattr(time, "sleep", spying_sleep)
+        response = server.submit("whatever", session_id="a")
         assert response.ok and response.retries == 2
         # both backoff sleeps ran with zero worker slots pinned
         assert slots_held_during_backoff == [0, 0]
 
     def test_abort_on_idle_session_does_not_poison_next_request(self):
         server = self.make()
-        run_async(server.submit("1 + 1", session_id="a"))
+        server.submit("1 + 1", session_id="a")
         # the session is idle: the abort targets nothing and must be
         # dropped, not left armed for the next unrelated request
         assert server.abort_session("a") is True
         assert server.abort_session("missing") is False
-        response = run_async(server.submit("double[3]", session_id="a"))
+        response = server.submit("double[3]", session_id="a")
         assert response.ok and response.result == "6"
         assert server.sessions["a"].stats.aborted == 0
 
     def test_submit_never_raises_on_internal_error(self, monkeypatch):
         server = self.make()
-        session = run_async(self._prime(server))
+        session = self._prime(server)
 
         def explode(self, source, budget):
             raise RuntimeError("cannot schedule new futures after shutdown")
 
         monkeypatch.setattr(type(session), "execute", explode)
-        response = run_async(server.submit("1", session_id="a"))
+        response = server.submit("1", session_id="a")
         assert not response.ok
         assert response.error["kind"] == "InternalError"
         assert "RuntimeError" in response.error["message"]
         assert server.totals["failed"] == 1
         # the protocol boundary stayed intact: the next request still works
         monkeypatch.undo()
-        healthy = run_async(server.submit("double[4]", session_id="a"))
+        healthy = server.submit("double[4]", session_id="a")
         assert healthy.ok and healthy.result == "8"
 
     def test_guard_trips_never_retry(self):
@@ -565,10 +574,10 @@ class TestEngineServer:
         server.config.budget = RequestBudget(deadline_seconds=5.0,
                                              steps=1_000, memory_bytes=None)
 
-        async def scenario():
-            return await server.submit("Do[i, {i, 100000}]", session_id="a")
+        def scenario():
+            return server.submit("Do[i, {i, 100000}]", session_id="a")
 
-        response = run_async(scenario())
+        response = scenario()
         assert not response.ok
         assert response.retries == 0
 
@@ -581,13 +590,13 @@ class TestEngineServer:
         server.degrade.hard_limit_bytes = 2000
         server.degrade.idle_ttl = 0.0
 
-        async def scenario():
-            await server.submit("1 + 1", session_id="old")
+        def scenario():
+            server.submit("1 + 1", session_id="old")
             reading["bytes"] = 5000  # critical from here on
-            response = await server.submit("2 + 2", session_id="fresh")
+            response = server.submit("2 + 2", session_id="fresh")
             return response
 
-        response = run_async(scenario())
+        response = scenario()
         assert response.ok
         # the idle "old" session was evicted by the critical sweep; the
         # session serving the request survived it
@@ -598,7 +607,7 @@ class TestEngineServer:
 
     def test_stats_dump_shape(self, tmp_path):
         server = self.make()
-        run_async(server.submit("double[2]", session_id="a", tenant="t"))
+        server.submit("double[2]", session_id="a", tenant="t")
         path = tmp_path / "dump.json"
         server.dump_stats(str(path))
         dump = json.loads(path.read_text())
@@ -614,6 +623,189 @@ class TestEngineServer:
             BaseImage(prelude=("this is not [ valid",))
 
 
+# -- the wire server: real sockets, one thread per connection ----------------
+
+
+def wire_config(**overrides) -> ServerConfig:
+    """A server whose long requests run until aborted."""
+    config = ServerConfig(**overrides)
+    config.budget = RequestBudget(deadline_seconds=30.0, steps=None,
+                                  memory_bytes=None)
+    return config
+
+
+LONG_LOOP = {"expr": "Do[i, {i, 10^9}]", "session": "a"}
+
+
+def running(engine: EngineServer, session_id: str) -> bool:
+    session = engine.sessions.get(session_id)
+    return session is not None and session.state is SessionState.RUNNING
+
+
+class TestWireServer:
+    def test_ping_is_answered_while_another_connection_evaluates(
+            self, serve_wire):
+        engine = EngineServer(config=wire_config())
+        connect = serve_wire(engine)
+        first, second = connect(), connect()
+        first.send(LONG_LOOP)
+        assert wait_until(lambda: running(engine, "a"))
+        assert second.request({"op": "ping"}) == {"ok": True,
+                                                  "result": "pong"}
+        assert running(engine, "a")  # the loop is still going
+        assert second.request({"op": "abort", "session": "a"})["ok"]
+        assert first.receive()["error"]["kind"] == "Aborted"
+        engine.close()
+
+    def test_abort_from_another_connection_stops_the_loop(self, serve_wire):
+        engine = EngineServer(config=wire_config())
+        connect = serve_wire(engine)
+        first, second = connect(), connect()
+        first.send(LONG_LOOP)
+        assert wait_until(lambda: running(engine, "a"))
+        assert second.request({"op": "abort", "session": "a"}) == {"ok": True}
+        aborted = first.receive()
+        assert not aborted["ok"]
+        assert aborted["error"]["kind"] == "Aborted"
+        # the session serves its next request
+        after = first.request({"expr": "1 + 1", "session": "a"})
+        assert after["ok"] and after["result"] == "2"
+        assert engine.sessions["a"].state is SessionState.IDLE
+        engine.close()
+
+    def test_third_concurrent_request_is_shed_queue_full(self, serve_wire):
+        from repro.server.cli import build_parser, config_from_args
+
+        config = config_from_args(build_parser().parse_args(
+            ["--max-concurrent", "1", "--queue-limit", "1"]))
+        config.budget = wire_config().budget
+        engine = EngineServer(config=config)
+        connect = serve_wire(engine)
+        first, second, third, control = (connect() for _ in range(4))
+        first.send(LONG_LOOP)
+        assert wait_until(lambda: running(engine, "a"))
+        second.send({"expr": "2 + 2", "session": "b"})
+        assert wait_until(lambda: engine.admission.waiting == 1)
+        shed = third.request({"expr": "3 + 3", "session": "c"})
+        assert shed["rejected"]
+        assert shed["error"]["reason"] == "queue-full"
+        assert shed["retry_after"] > 0
+        control.request({"op": "abort", "session": "a"})
+        assert first.receive()["error"]["kind"] == "Aborted"
+        queued = second.receive()
+        assert queued["ok"] and queued["result"] == "4"
+        engine.close()
+
+    def test_client_hanging_up_mid_request_frees_its_slot(self, serve_wire):
+        engine = EngineServer(config=wire_config())
+        connect = serve_wire(engine)
+        leaving, control = connect(), connect()
+        leaving.send(LONG_LOOP)
+        assert wait_until(lambda: running(engine, "a"))
+        leaving.close()
+        control.request({"op": "abort", "session": "a"})
+        assert wait_until(lambda: not running(engine, "a"))
+        assert wait_until(lambda: engine.admission.running == 0)
+        reply = connect().request({"expr": "6 * 7"})
+        assert reply["ok"] and reply["result"] == "42"
+        assert engine.admission.running == 0
+        engine.close()
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "a request is a JSON object, not list"),
+        ('"text"', "a request is a JSON object, not str"),
+        ("7", "a request is a JSON object, not int"),
+        ('{"op": "abort", "session": ["x"]}', "'session' must be a string"),
+        ('{"expr": "1", "session": 5}', "'session' must be a string"),
+        ('{"expr": "1", "tenant": {"t": 1}}', "'tenant' must be a string"),
+        ('{"op": 3}', "'op' must be a string"),
+        ('{"expr": "1", "trace_id": [1]}', "'trace_id' must be a string"),
+    ])
+    def test_malformed_request_shapes_are_bad_requests(self, serve_wire,
+                                                       line, message):
+        engine = EngineServer(config=ServerConfig())
+        client = serve_wire(engine)()
+        reply = client.request(line)
+        assert reply == {"ok": False, "error": {"kind": "BadRequest",
+                                                "message": message}}
+        # the connection stays open and keeps serving
+        assert client.request({"op": "ping"})["result"] == "pong"
+        assert client.request({"expr": "1 + 1"})["result"] == "2"
+        assert engine.totals["failed"] == 0
+        engine.close()
+
+    def test_overlong_line_is_answered_then_closed(self, serve_wire):
+        from repro.server.cli import MAX_LINE_BYTES
+
+        engine = EngineServer(config=ServerConfig())
+        connect = serve_wire(engine)
+        client = connect()
+        reply = client.request("x" * (MAX_LINE_BYTES + 10))
+        assert reply["error"]["kind"] == "BadRequest"
+        assert client.stream.readline() == b""  # closed by the server
+        assert connect().request({"op": "ping"})["ok"]
+        engine.close()
+
+    @pytest.mark.parametrize("source, result", [
+        ("Exp[1000.]", "Exp[1000.0]"),
+        ("Cosh[1000.]", "Cosh[1000.0]"),
+        ("Sqrt[-4]", "Times[2, I]"),
+    ])
+    def test_machine_math_never_crashes_a_session(self, serve_wire, source,
+                                                  result):
+        engine = EngineServer(config=ServerConfig())
+        client = serve_wire(engine)()
+        reply = client.request({"expr": source, "session": "m"})
+        assert reply["ok"] and reply["result"] == result
+        assert engine.sessions["m"].state is SessionState.IDLE
+        engine.close()
+
+    def test_n_of_a_huge_integer_over_the_wire(self, serve_wire):
+        engine = EngineServer(config=ServerConfig())
+        client = serve_wire(engine)()
+        reply = client.request({"expr": "N[10^400]", "session": "m"})
+        assert reply["ok"] and reply["result"].startswith("N[1000")
+        assert engine.sessions["m"].state is SessionState.IDLE
+        engine.close()
+
+    def test_serve_banner_and_sigterm(self, wire_connect):
+        """The CLI's network mode: the banner ``bench/`` parses, requests
+        over TCP, and a prompt exit on SIGTERM."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--max-concurrent", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            banner = process.stdout.readline()
+            assert banner.startswith("repro engine server listening on ")
+            address = banner.split(" listening on ")[1].split()[0]
+            host, port = address.rsplit(":", 1)
+            assert banner.rstrip().endswith("(0 base definitions)")
+            client = wire_connect((host, int(port)))
+            assert client.request({"expr": "2^10"})["result"] == "1024"
+            client.close()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=5) == 0
+            assert "server stopped" in process.stderr.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            process.stderr.close()
+
+
 # -- load generator ----------------------------------------------------------
 
 
@@ -625,14 +817,14 @@ class TestLoadGenerator:
         assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
         assert percentile([3.0, 1.0, 2.0], 0.99) == 3.0
 
-        async def scenario():
+        def scenario():
             server = EngineServer(config=ServerConfig())
             spec = LoadSpec(clients=4, requests_per_client=6, seed=3)
-            report = await generate(server, spec)
-            await server.close()
+            report = generate(server, spec)
+            server.close()
             return report
 
-        report = run_async(scenario())
+        report = scenario()
         assert report.requests == 24
         assert report.ok == 24
         assert report.shed_rate == 0.0
@@ -652,11 +844,11 @@ class TestStatsRenderer:
             config=ServerConfig(prelude=("double[x_] := x * 2",))
         )
 
-        async def scenario():
-            await server.submit("double[4]", session_id="a", tenant="t1")
-            await server.submit("oops[", session_id="b", tenant="t2")
+        def scenario():
+            server.submit("double[4]", session_id="a", tenant="t1")
+            server.submit("oops[", session_id="b", tenant="t2")
 
-        run_async(scenario())
+        scenario()
         path = tmp_path / "stats.json"
         server.dump_stats(str(path))
         out = io.StringIO()

@@ -2,11 +2,11 @@
 job runs exactly this).
 
 Adversarial tenants — runaway loops, poisoned recursive definitions,
-memory spikes, mid-evaluation aborts — are driven through the normal
-request path alongside healthy traffic, and the suite asserts the
-server's containment invariants:
+memory spikes, mid-evaluation aborts, machine-math overflow — are driven
+through the normal request path alongside healthy traffic, and the suite
+asserts the server's containment invariants:
 
-* zero crashed sessions, ever;
+* zero crashed sessions, ever — machine-math overflow included;
 * healthy sessions keep completing while the chaos runs;
 * misbehaving sessions are isolated by their circuit breakers, healthy
   breakers stay closed;
@@ -18,7 +18,7 @@ server's containment invariants:
 
 from __future__ import annotations
 
-import asyncio
+import threading
 
 import pytest
 
@@ -50,10 +50,10 @@ def chaos_config() -> ServerConfig:
 
 
 def run_chaos_round(seed: int, spec: ChaosSpec | None = None):
-    async def scenario():
+    def scenario():
         server = EngineServer(config=chaos_config())
         try:
-            report = await unleash(
+            report = unleash(
                 server,
                 spec if spec is not None else ChaosSpec(
                     adversaries=3, healthy_clients=3,
@@ -62,7 +62,7 @@ def run_chaos_round(seed: int, spec: ChaosSpec | None = None):
             )
             probes = {}
             for index in range(3):
-                response = await server.submit(
+                response = server.submit(
                     f"poison{index}[0]", session_id="leak-probe",
                     tenant="auditor",
                 )
@@ -70,19 +70,22 @@ def run_chaos_round(seed: int, spec: ChaosSpec | None = None):
             stats = server.stats()
             return report, stats, probes
         finally:
-            await server.close()
+            server.close()
 
-    return asyncio.run(scenario())
+    return scenario()
 
 
 class TestChaosContainment:
     def test_no_crashes_healthy_completes_breakers_isolate(self):
         report, stats, probes = run_chaos_round(seed=1)
 
-        # 1. zero crashed sessions
+        # 1. zero crashed sessions, and no request that crashed one on the
+        # way — the machine-math overflow poison among them
         crashed = [sid for sid, info in stats["sessions"].items()
                    if info["state"] == "crashed"]
         assert crashed == []
+        assert "Crash" not in report.failure_kinds
+        assert report.behaviour_counts.get("overflow", 0) > 0
         assert report.requests > 0
 
         # 2. healthy sessions keep completing
@@ -132,42 +135,40 @@ class TestChaosContainment:
             assert any(count > 0 for count in bad_overlays)
 
     def test_abort_leaves_session_reusable(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=chaos_config())
             try:
-                async def fire():
-                    await asyncio.sleep(0.05)
-                    server.abort_session("victim")
-
-                aborter = asyncio.ensure_future(fire())
-                slow = await server.submit(
+                aborter = threading.Timer(0.05, server.abort_session,
+                                          args=("victim",))
+                aborter.start()
+                slow = server.submit(
                     "Module[{acc = 0}, Do[acc = acc + i, {i, 2000000}]; acc]",
                     session_id="victim",
                 )
-                await aborter
-                followup = await server.submit("1 + 1", session_id="victim")
+                aborter.join()
+                followup = server.submit("1 + 1", session_id="victim")
                 return slow, followup, server.stats()
             finally:
-                await server.close()
+                server.close()
 
-        slow, followup, stats = asyncio.run(scenario())
+        slow, followup, stats = scenario()
         assert not slow.ok  # aborted or budget-tripped, never served
         assert followup.ok and followup.result == "2"
         assert stats["sessions"]["victim"]["state"] == "idle"
 
     def test_memory_spike_is_contained(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=chaos_config())
             try:
-                spike = await server.submit(
+                spike = server.submit(
                     "Total[Table[i * i, {i, 400000}]]", session_id="hog",
                 )
-                healthy = await server.submit("stable[41]", session_id="ok")
+                healthy = server.submit("stable[41]", session_id="ok")
                 return spike, healthy
             finally:
-                await server.close()
+                server.close()
 
-        spike, healthy = asyncio.run(scenario())
+        spike, healthy = scenario()
         assert not spike.ok
         assert spike.error["kind"] in ("BudgetExhausted", "Timeout")
         assert healthy.ok and healthy.result == "42"
@@ -188,10 +189,10 @@ class TestChaosTelemetry:
     auto-snapshots without any test-side plumbing."""
 
     def test_chaos_round_yields_coherent_timelines_and_snapshots(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=chaos_config())
             try:
-                await unleash(server, ChaosSpec(
+                unleash(server, ChaosSpec(
                     adversaries=3, healthy_clients=3,
                     requests_per_client=4, seed=1,
                 ))
@@ -210,9 +211,9 @@ class TestChaosTelemetry:
                 snapshots = [s["reason"] for s in flight.snapshots]
                 return stats, by_request, timelines, snapshots
             finally:
-                await server.close()
+                server.close()
 
-        stats, by_request, timelines, snapshots = asyncio.run(scenario())
+        stats, by_request, timelines, snapshots = scenario()
 
         # breakers opened during the round, and each opening froze a
         # snapshot from inside the event stream
@@ -242,14 +243,14 @@ class TestChaosTelemetry:
                                                             monkeypatch):
         from repro.server.session import Outcome
 
-        async def scenario():
+        def scenario():
             config = chaos_config()
             config.telemetry_sample = 0.0  # tail retention must carry it
             config.retry = RetryPolicy(attempts=3, base_delay=0.001,
                                        max_delay=0.002)
             server = EngineServer(config=config)
             try:
-                await server.submit("1 + 1", session_id="flaky")
+                server.submit("1 + 1", session_id="flaky")
                 session = server.sessions["flaky"]
                 outcomes = [
                     Outcome(ok=False, error_kind="Transient",
@@ -262,13 +263,13 @@ class TestChaosTelemetry:
                     type(session), "execute",
                     lambda self, source, budget: outcomes.pop(0),
                 )
-                response = await server.submit("whatever",
-                                               session_id="flaky")
+                response = server.submit("whatever",
+                                         session_id="flaky")
                 return response, server.timeline(response.request_id)
             finally:
-                await server.close()
+                server.close()
 
-        response, timeline = asyncio.run(scenario())
+        response, timeline = scenario()
         assert response.ok and response.retries == 2
         retries = [entry for entry in timeline
                    if entry["name"] == "server.retry"]
@@ -280,7 +281,7 @@ class TestChaosTelemetry:
         assert len(admits) == 3
 
     def test_critical_pressure_snapshots_and_stamps_demotions(self):
-        async def scenario():
+        def scenario():
             reading = {"bytes": 0}
             config = chaos_config()
             config.soft_limit_bytes = 1000
@@ -290,20 +291,20 @@ class TestChaosTelemetry:
                                   memory_probe=lambda: reading["bytes"])
             try:
                 # promote something so CRITICAL has a tier to withdraw
-                await server.submit(
+                server.submit(
                     "hot[n_] := If[n < 2, n, hot[n-1] + hot[n-2]]", "s1"
                 )
-                await server.submit("hot[10]", session_id="s1")
+                server.submit("hot[10]", session_id="s1")
                 reading["bytes"] = 5000  # past the hard limit
-                squeezed = await server.submit("hot[5]", session_id="s1")
+                squeezed = server.submit("hot[5]", session_id="s1")
                 flight = server.flight
                 snapshots = [s["reason"] for s in flight.snapshots]
                 return (squeezed, server.timeline(squeezed.request_id),
                         snapshots, server.stats())
             finally:
-                await server.close()
+                server.close()
 
-        squeezed, timeline, snapshots, stats = asyncio.run(scenario())
+        squeezed, timeline, snapshots, stats = scenario()
         assert stats["pressure"]["level"] == "CRITICAL"
         assert "pressure-critical" in snapshots
         names = [entry["name"] for entry in timeline]

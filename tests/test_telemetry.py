@@ -12,7 +12,6 @@ the complete admission → session → tier timeline.
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
 import json
 import socket
@@ -37,7 +36,6 @@ from repro.observe.trace import (
     Tracer,
     with_tracing,
 )
-from repro.server.cli import handle_connection
 from repro.server.core import EngineServer, ServerConfig
 from repro.server.top import render_top
 
@@ -91,7 +89,7 @@ class TestTraceContext:
         assert tracer.spans(request=ctx.request_id)
 
     def test_copy_context_carries_the_stamp_into_worker_threads(self):
-        """The server's executor handoff: ``contextvars.copy_context``."""
+        """A copied context carries the request stamp to another thread."""
         tracer = Tracer()
         ctx = mint_context(session="s")
         results = []
@@ -290,10 +288,6 @@ class TestFlightRecorder:
         assert telemetry_enabled()
 
 
-def _run(coroutine):
-    return asyncio.run(coroutine)
-
-
 def server_config(**overrides) -> ServerConfig:
     defaults = dict(max_concurrent=2, prelude=("inc[x_] := x + 1",))
     defaults.update(overrides)
@@ -302,18 +296,18 @@ def server_config(**overrides) -> ServerConfig:
 
 class TestServerTelemetry:
     def test_submit_returns_ids_and_a_complete_timeline(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=server_config())
             try:
                 assert trace_module.TRACER is server.flight
-                response = await server.submit("inc[41]", session_id="s1")
+                response = server.submit("inc[41]", session_id="s1")
                 timeline = server.timeline(response.request_id)
                 return (response, timeline, server.stats(),
                         server.metrics_dict())
             finally:
-                await server.close()
+                server.close()
 
-        response, timeline, stats, metrics = _run(scenario())
+        response, timeline, stats, metrics = scenario()
         assert response.ok and response.result == "42"
         assert response.request_id.startswith("req-")
         assert response.trace_id.startswith("tr-")
@@ -326,7 +320,7 @@ class TestServerTelemetry:
         assert {entry["trace_id"] for entry in timeline} == {
             response.trace_id
         }
-        # worker-thread spans were stamped (executor context propagation)
+        # the session's spans carry the owning request's stamp
         execute = next(e for e in timeline
                        if e["name"] == "session.execute")
         assert execute["args"]["session"] == "s1"
@@ -336,34 +330,34 @@ class TestServerTelemetry:
         assert histogram["count"] == 1
 
     def test_tier_promotion_lands_in_the_owning_requests_timeline(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=server_config())
             try:
-                await server.submit(
+                server.submit(
                     "fib[n_] := If[n < 2, n, fib[n-1] + fib[n-2]]", "s1"
                 )
-                response = await server.submit("fib[10]", session_id="s1")
+                response = server.submit("fib[10]", session_id="s1")
                 return response, server.timeline(response.request_id)
             finally:
-                await server.close()
+                server.close()
 
-        response, timeline = _run(scenario())
+        response, timeline = scenario()
         assert response.ok
         names = [entry["name"] for entry in timeline]
         assert "tier.promote" in names  # fib[10] promoted in-request
         assert "hotspot.promote" in names
 
     def test_shed_request_timeline_records_the_shed_event(self):
-        async def scenario():
+        def scenario():
             config = server_config(session_queue_limit=0)
             server = EngineServer(config=config)
             try:
-                response = await server.submit("inc[1]", session_id="s1")
+                response = server.submit("inc[1]", session_id="s1")
                 return response, server.timeline(response.request_id)
             finally:
-                await server.close()
+                server.close()
 
-        response, timeline = _run(scenario())
+        response, timeline = scenario()
         assert response.rejected
         names = [entry["name"] for entry in timeline]
         assert "server.shed" in names
@@ -371,84 +365,70 @@ class TestServerTelemetry:
         assert shed["args"]["reason"] == "session-queue-full"
 
     def test_telemetry_disabled_serves_without_a_recorder(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=server_config(telemetry=False))
             try:
                 assert server.flight is None
                 assert trace_module.TRACER is None
-                response = await server.submit("inc[1]", session_id="s1")
+                response = server.submit("inc[1]", session_id="s1")
                 return response, server.timeline(response.request_id)
             finally:
-                await server.close()
+                server.close()
 
-        response, timeline = _run(scenario())
+        response, timeline = scenario()
         assert response.ok and response.result == "2"
         assert response.request_id  # identity is minted regardless
         assert timeline == []  # but nothing records it
 
     def test_recorder_uninstalls_on_close_only_if_owned(self):
-        async def scenario():
+        def scenario():
             explicit = trace_module.enable_tracing()
             try:
                 server = EngineServer(config=server_config())
                 assert server.flight is None  # explicit tracer wins
-                await server.close()
+                server.close()
                 assert trace_module.TRACER is explicit
             finally:
                 trace_module.disable_tracing()
 
-        _run(scenario())
+        scenario()
 
     def test_sampling_drops_healthy_but_keeps_failed(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(
                 config=server_config(telemetry_sample=0.0)
             )
             try:
-                healthy = await server.submit("inc[1]", session_id="s1")
-                await server.submit("boom[x_] := boom[x + 1]",
-                                    session_id="s1")
-                failed = await server.submit("boom[0]", session_id="s1")
+                healthy = server.submit("inc[1]", session_id="s1")
+                server.submit("boom[x_] := boom[x + 1]",
+                              session_id="s1")
+                failed = server.submit("boom[0]", session_id="s1")
                 return (
                     healthy, server.timeline(healthy.request_id),
                     failed, server.timeline(failed.request_id),
                 )
             finally:
-                await server.close()
+                server.close()
 
-        healthy, healthy_tl, failed, failed_tl = _run(scenario())
+        healthy, healthy_tl, failed, failed_tl = scenario()
         assert healthy.ok and healthy_tl == []
         assert not failed.ok and failed_tl  # tail retention
 
 
 class TestProtocolOps:
-    def run_ops(self, exchanges):
+    def run_ops(self, serve_wire, exchanges):
         """Drive the newline-JSON protocol over a real TCP socket."""
-
-        async def scenario():
-            engine = EngineServer(config=server_config())
-            tcp = await asyncio.start_server(
-                lambda r, w: handle_connection(engine, r, w),
-                "127.0.0.1", 0,
-            )
-            port = tcp.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        engine = EngineServer(config=server_config())
+        try:
+            client = serve_wire(engine)()
             replies = []
-            try:
-                for payload in exchanges(replies):
-                    writer.write(json.dumps(payload).encode() + b"\n")
-                    await writer.drain()
-                    replies.append(json.loads(await reader.readline()))
-                return replies
-            finally:
-                writer.close()
-                tcp.close()
-                await tcp.wait_closed()
-                await engine.close()
+            for payload in exchanges(replies):
+                replies.append(client.request(payload))
+            return replies
+        finally:
+            engine.close()
 
-        return _run(scenario())
-
-    def test_trace_op_returns_the_request_timeline(self):
+    def test_trace_op_returns_the_request_timeline(self, serve_wire):
         def exchanges(replies):
             yield {"expr": "inc[1]", "session": "s1"}
             yield {"op": "trace", "request_id": replies[0]["request_id"]}
@@ -456,7 +436,7 @@ class TestProtocolOps:
             yield {"op": "trace", "request": replies[0]["request_id"]}
             yield {"op": "trace", "request_id": "req-does-not-exist"}
 
-        replies = self.run_ops(exchanges)
+        replies = self.run_ops(serve_wire, exchanges)
         assert replies[0]["ok"] and replies[0]["request_id"]
         trace_reply = replies[1]
         assert trace_reply["ok"]
@@ -465,41 +445,41 @@ class TestProtocolOps:
         assert replies[2]["timeline"] == trace_reply["timeline"]
         assert not replies[3]["ok"] and replies[3]["timeline"] == []
 
-    def test_metrics_and_events_ops(self):
+    def test_metrics_and_events_ops(self, serve_wire):
         def exchanges(replies):
             yield {"expr": "inc[5]", "session": "s1"}
             yield {"op": "metrics"}
             yield {"op": "events", "limit": 3}
             yield {"op": "events", "limit": "junk"}
 
-        replies = self.run_ops(exchanges)
+        replies = self.run_ops(serve_wire, exchanges)
         metrics = replies[1]["metrics"]
         assert metrics["counters"]["server.requests"] == 1
         assert "server.latency_seconds" in metrics["histograms"]
         assert len(replies[2]["events"]) == 3
         assert replies[3]["ok"]  # junk limit falls back, never errors
 
-    def test_client_supplied_trace_id_propagates(self):
+    def test_client_supplied_trace_id_propagates(self, serve_wire):
         def exchanges(replies):
             yield {"expr": "inc[1]", "session": "s1",
                    "trace_id": "tr-from-client"}
 
-        (reply,) = self.run_ops(exchanges)
+        (reply,) = self.run_ops(serve_wire, exchanges)
         assert reply["trace_id"] == "tr-from-client"
 
 
 class TestTopRendering:
     def test_render_top_summarizes_a_live_server(self):
-        async def scenario():
+        def scenario():
             server = EngineServer(config=server_config())
             try:
-                await server.submit("inc[1]", session_id="s1")
-                await server.submit("inc[2]", session_id="s2")
+                server.submit("inc[1]", session_id="s1")
+                server.submit("inc[2]", session_id="s2")
                 return server.stats(), server.metrics_dict()
             finally:
-                await server.close()
+                server.close()
 
-        stats, metrics = _run(scenario())
+        stats, metrics = scenario()
         text = render_top(stats, metrics)
         assert "pressure NORMAL" in text
         assert "sessions 2" in text

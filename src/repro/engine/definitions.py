@@ -15,10 +15,10 @@ in the original specificity order.  Any mutation of the rule list —
 including ``Block``'s snapshot restore, which swaps in a different list
 object — invalidates the index.
 
-:class:`KernelState` optionally layers a mutable per-session *overlay* over
-an immutable shared *base* mapping (see the class docstring) — the
-copy-on-write split the multi-tenant server (:mod:`repro.server`) builds
-its session isolation on.
+:class:`KernelState` optionally starts from an immutable shared *base*
+mapping, referenced entry by entry and copied on first write (see the class
+docstring) — the copy-on-write split the multi-tenant server
+(:mod:`repro.server`) builds its session isolation on.
 """
 
 from __future__ import annotations
@@ -112,8 +112,16 @@ class DownValueIndex:
             else:
                 self._by_arity.setdefault(arity, []).append(entry)
 
-    def candidates(self, expression: MExpr) -> Iterator[DownValue]:
-        """Rules that may match ``expression``, in original rule order."""
+    def candidates(
+        self, expression: MExpr, tally: Optional[dict] = None
+    ) -> Iterator[DownValue]:
+        """Rules that may match ``expression``, in original rule order.
+
+        While tracing, ``tally`` (the evaluator's counter dict) counts
+        the lookup: a hit when literal first-argument discrimination found
+        a bucket, a miss when it fell through to the arity/general
+        candidates.
+        """
         args = expression.args
         arity = len(args)
         literal = (
@@ -123,14 +131,11 @@ class DownValueIndex:
         )
         fixed = self._by_arity.get(arity, ())
         general = self._general
-        tracer = _trace.TRACER
-        if tracer is not None:
-            # hit: literal first-argument discrimination found a bucket;
-            # miss: the lookup fell through to arity/general candidates
-            tracer.metrics.count(
-                "eval.dispatch_index.hits" if literal
-                else "eval.dispatch_index.misses"
-            )
+        if tally is not None and _trace.TRACER is not None:
+            if literal:
+                tally["eval.dispatch_index.hits"] += 1
+            else:
+                tally["eval.dispatch_index.misses"] += 1
         # fast paths: at most one non-empty bucket needs no position merge
         if not general:
             if not fixed:
@@ -257,14 +262,17 @@ class KernelState:
     invalidate previously "fully evaluated" subtrees.
 
     A state may be layered over an immutable shared **base** (``base=``, a
-    read-only ``name -> Definition`` mapping produced by :meth:`freeze`):
-    ``lookup`` falls through to the base, while every mutation path funnels
-    through :meth:`definition`, which first copies the base entry into the
-    per-session **overlay** (copy-on-write).  Base ``Definition`` objects
-    are therefore never mutated by a session — the only write that ever
-    lands on them is the idempotent lazy ``_index`` cache, which any racer
-    rebuilds to an identical value — so thousands of sessions can share one
-    warmed image of builtins, attribute sets, and dispatch indexes.
+    read-only ``name -> Definition`` mapping produced by :meth:`freeze`).
+    The session's table is still one dict: the base's entries are copied
+    into it *by reference* when the state is built, so ``lookup`` is the
+    dict's own ``get`` at every layer.  Every mutation path funnels through
+    :meth:`definition`, which replaces a shared entry with its
+    ``snapshot()`` on first write (copy-on-write) and records it in the
+    **overlay**.  Base ``Definition`` objects are therefore never mutated by
+    a session — the only write that ever lands on them is the idempotent
+    lazy ``_index`` cache, which any racer rebuilds to an identical value —
+    so thousands of sessions can share one warmed image of builtins,
+    attribute sets, and dispatch indexes.
 
     Sessions over a base also take **disjoint ``state_version`` ranges**:
     evaluated-subtree stamps (``$evalv``) live on the ``MExpr`` nodes
@@ -275,14 +283,21 @@ class KernelState:
     """
 
     def __init__(self, base: Optional[Mapping[str, Definition]] = None):
-        self._definitions: dict[str, Definition] = {}
+        #: every definition this session sees: the base's entries by
+        #: reference until written, then the session's own copies
+        self._definitions: dict[str, Definition] = (
+            {} if base is None else dict(base)
+        )
+        #: the entries this session owns (written or created); the same
+        #: dict as ``_definitions`` when there is no base
+        self._overlay: dict[str, Definition] = (
+            self._definitions if base is None else {}
+        )
         #: the immutable shared layer; ``None`` for a plain standalone state
         self._base = base
-        if base is None:
-            # one layer: ``lookup`` *is* the dict's own ``get``.  The
-            # evaluator asks for every symbol it meets, and a C method
-            # costs it no Python frame
-            self.lookup = self._definitions.get
+        # ``lookup`` *is* the dict's own ``get``: the evaluator asks for
+        # every symbol it meets, and a C method costs it no Python frame
+        self.lookup = self._definitions.get
         self.state_version = (
             0 if base is None else next(_version_slots) * _VERSION_STRIDE
         )
@@ -292,23 +307,17 @@ class KernelState:
         self._module_counter = 0
 
     def definition(self, name: str) -> Definition:
-        existing = self._definitions.get(name)
+        existing = self._overlay.get(name)
         if existing is None:
-            shared = self._base.get(name) if self._base is not None else None
+            shared = self._definitions.get(name)
             # copy-on-write: the caller holds a mutation intent, so the
             # shared entry must never be handed out directly
             existing = (
                 shared.snapshot() if shared is not None
                 else Definition(name=name)
             )
-            self._definitions[name] = existing
+            self._overlay[name] = self._definitions[name] = existing
         return existing
-
-    def lookup(self, name: str) -> Optional[Definition]:
-        found = self._definitions.get(name)
-        if found is None and self._base is not None:
-            return self._base.get(name)
-        return found
 
     # -- base/overlay layering ----------------------------------------------
 
@@ -333,10 +342,10 @@ class KernelState:
 
     def overlay_size(self) -> int:
         """Number of definitions this session has written over the base."""
-        return len(self._definitions)
+        return len(self._overlay)
 
     def overlay_names(self) -> list[str]:
-        return list(self._definitions)
+        return list(self._overlay)
 
     def touch(self) -> None:
         self.state_version += 1
@@ -348,9 +357,7 @@ class KernelState:
         self.touch()
 
     def clear(self, name: str) -> None:
-        if self._definitions.get(name) is None and (
-            self._base is None or self._base.get(name) is None
-        ):
+        if self._definitions.get(name) is None:
             return  # nothing to clear at either layer
         # goes through definition() so clearing a base-layer symbol writes
         # an emptied overlay entry instead of touching the shared base

@@ -54,7 +54,8 @@ from repro.mexpr.parser import parse
 from repro.mexpr.symbols import S, head_name, is_head
 from repro.observe import trace as _trace
 from repro.runtime.guard import CHECKPOINT as _CHECKPOINT, AbortFlag
-from repro.runtime.guard import _tls as _guard_tls, checkpoint as _checkpoint
+from repro.runtime.guard import _settle_memory, _thread
+from repro.runtime.guard import checkpoint as _checkpoint
 
 _EVALUATED_STAMP = "$evalv"
 _OVERFLOW_MESSAGE = "General::ovfl: Overflow occurred in computation."
@@ -107,6 +108,14 @@ _LEAF_TYPES = frozenset({MInteger, MReal, MString, MComplex})
 #: what is *not* a leaf, subclasses included
 _NODE_TYPES = (MSymbol, MExprNormal)
 
+#: the counters one evaluation tallies while tracing (DESIGN §7)
+_EVAL_COUNTERS = (
+    "eval.fixed_point_iterations",
+    "eval.rule_applications",
+    "eval.dispatch_index.hits",
+    "eval.dispatch_index.misses",
+)
+
 #: the canonical order of numbers (see :func:`canonical_order_key`)
 _NUMBER_VALUE = attrgetter("value")
 
@@ -147,6 +156,9 @@ class Evaluator:
         #: node it was given (see there); how a parent step learns that an
         #: argument came back unchanged without comparing structures
         self._unchanged: Optional[MExpr] = None
+        #: the ``eval.*`` counters of the running top-level call, while
+        #: tracing; folded into the tracer's registry as it returns
+        self._tally = dict.fromkeys(_EVAL_COUNTERS, 0)
         from repro.engine.builtins import BUILTINS, HEAD_APPLICATORS
         from repro.engine.builtins.functional import apply_function
 
@@ -165,12 +177,15 @@ class Evaluator:
         tracer = _trace.TRACER
         if tracer is None:
             return self._evaluate_protected(expression)
-        with tracer.span(
+        span = tracer.begin(
             "eval.evaluate",
             "evaluator",
             head=head_name(expression) or type(expression).__name__,
-        ):
+        )
+        try:
             return self._evaluate_protected(expression)
+        finally:
+            tracer.end(span)
 
     def _evaluate_protected(self, expression: MExpr) -> MExpr:
         try:
@@ -219,10 +234,22 @@ class Evaluator:
           copy is stamped and returned (never the caller's own node:
           stamping that would change which later evaluations stop at a
           stamp), and ``self._unchanged`` names that copy so the parent's
-          step can tell "an equal copy" from "something else".
+          step can tell "an equal copy" from "something else";
+        * armed, a poll is the abort-flag test and one poll taken from this
+          thread's grant (:mod:`repro.runtime.guard`), a node's memory
+          charge one subtraction from the memory grant; only the poll or
+          charge that spends a grant calls into the guard layer;
+        * traced, the ``eval.*`` counters are tallied in ``self._tally``
+          and folded into the registry once, as the top-level call returns.
         """
         if _CHECKPOINT[0]:
-            self._check_abort()
+            ledger = _thread.ledger
+            if ledger.steps > 1 and not self.abort_flag.pending:
+                ledger.steps -= 1
+            else:
+                self._check_abort()
+        else:
+            ledger = None  # this thread's, fetched once a frame when armed
         kind = type(expression)
         if kind is not MExprNormal and kind is not MSymbol and (
             kind in _LEAF_TYPES or not isinstance(expression, _NODE_TYPES)
@@ -254,7 +281,7 @@ class Evaluator:
                         if definition is None or not definition.has_own_value:
                             return current
                         if tracer is not None:
-                            tracer.metrics.count("eval.fixed_point_iterations")
+                            self._tally["eval.fixed_point_iterations"] += 1
                         # the next trip evaluates the OwnValue
                         result = definition.own_value
                         if isinstance(result, MSymbol):
@@ -274,7 +301,7 @@ class Evaluator:
                         self._unchanged = None
                     return current
                 if tracer is not None:
-                    tracer.metrics.count("eval.fixed_point_iterations")
+                    self._tally["eval.fixed_point_iterations"] += 1
 
                 # -- the head ------------------------------------------------
                 unchanged = True  # head and arguments all came back as given
@@ -286,7 +313,12 @@ class Evaluator:
                     definition = lookup(name)
                     if definition is None or not definition.has_own_value:
                         if _CHECKPOINT[0]:
-                            self._check_abort()
+                            if ledger is None:
+                                ledger = _thread.ledger
+                            if ledger.steps > 1 and not self.abort_flag.pending:
+                                ledger.steps -= 1
+                            else:
+                                self._check_abort()
                         if at_limit:
                             raise self._recursion_limit_exceeded()
                     else:
@@ -295,7 +327,12 @@ class Evaluator:
                         name = head.name if type(head) is MSymbol else None
                 elif kind in _LEAF_TYPES or not isinstance(head, _NODE_TYPES):
                     if _CHECKPOINT[0]:
-                        self._check_abort()
+                        if ledger is None:
+                            ledger = _thread.ledger
+                        if ledger.steps > 1 and not self.abort_flag.pending:
+                            ledger.steps -= 1
+                        else:
+                            self._check_abort()
                 else:
                     head = self.evaluate(head)
                     if head is not given and head is not self._unchanged:
@@ -342,7 +379,12 @@ class Evaluator:
                         definition = lookup(argument.name)
                         if definition is None or not definition.has_own_value:
                             if _CHECKPOINT[0]:
-                                self._check_abort()
+                                if ledger is None:
+                                    ledger = _thread.ledger
+                                if ledger.steps > 1 and not self.abort_flag.pending:
+                                    ledger.steps -= 1
+                                else:
+                                    self._check_abort()
                             if at_limit:
                                 raise self._recursion_limit_exceeded()
                         else:
@@ -353,7 +395,12 @@ class Evaluator:
                         and not isinstance(argument, _NODE_TYPES)
                     ):
                         if _CHECKPOINT[0]:
-                            self._check_abort()
+                            if ledger is None:
+                                ledger = _thread.ledger
+                            if ledger.steps > 1 and not self.abort_flag.pending:
+                                ledger.steps -= 1
+                            else:
+                                self._check_abort()
                     else:
                         value = self.evaluate(argument)
                         if value is not argument and (
@@ -394,11 +441,13 @@ class Evaluator:
                     else:
                         definition = lookup(name)
                         if definition is None or not definition.down_values:
-                            guard = _guard_tls.top
-                            if guard is not None:
-                                guard.charge_memory(
-                                    _NODE_BYTES + _SLOT_BYTES * len(values)
-                                )
+                            if _CHECKPOINT[0]:
+                                if ledger is None:
+                                    ledger = _thread.ledger
+                                nbytes = _NODE_BYTES + _SLOT_BYTES * len(values)
+                                ledger.memory -= nbytes
+                                if ledger.memory < 0:
+                                    _settle_memory(nbytes)
                                 charged = True
                             try:
                                 result = fold(
@@ -437,11 +486,13 @@ class Evaluator:
                         unchanged = False
                         saw_list = True
 
-                guard = _guard_tls.top
-                if guard is not None and not charged:
-                    guard.charge_memory(
-                        _NODE_BYTES + _SLOT_BYTES * len(values)
-                    )
+                if _CHECKPOINT[0] and not charged:
+                    if ledger is None:
+                        ledger = _thread.ledger
+                    nbytes = _NODE_BYTES + _SLOT_BYTES * len(values)
+                    ledger.memory -= nbytes
+                    if ledger.memory < 0:
+                        _settle_memory(nbytes)
 
                 # -- a promoted definition: the gate and the native call, on
                 # the arguments as they stand (no node is built for them)
@@ -536,8 +587,17 @@ class Evaluator:
                 f"$IterationLimit of {self.iteration_limit} exceeded while "
                 f"evaluating {head_name(expression) or expression}"
             )
+        except RecursionError:
+            # nested data can run out of host stack before $RecursionLimit
+            # counts that deep: the same classified error, never a crash
+            raise WolframRecursionError(
+                f"$RecursionLimit of {self.recursion_limit} exceeded: the "
+                f"host stack ran out at depth {self._depth}"
+            ) from None
         finally:
             self._depth -= 1
+            if tracer is not None and not self._depth:
+                tracer.metrics.drain(self._tally)
 
     def _recursion_limit_exceeded(self) -> WolframRecursionError:
         return WolframRecursionError(
@@ -603,14 +663,15 @@ class Evaluator:
         self, name: str, definition, expression: MExprNormal
     ) -> Optional[MExpr]:
         hotspot = self.hotspot
-        for down_value in definition.dispatch_index().candidates(expression):
+        for down_value in definition.dispatch_index().candidates(
+            expression, self._tally
+        ):
             bindings = match(down_value.lhs, expression, evaluator=self)
             if bindings is not None:
                 if hotspot is not None:
                     hotspot.record(self, name, definition, expression)
-                tracer = _trace.TRACER
-                if tracer is not None:
-                    tracer.metrics.count("eval.rule_applications")
+                if _trace.TRACER is not None:
+                    self._tally["eval.rule_applications"] += 1
                 return substitute(down_value.rhs, bindings)
         return None
 

@@ -104,7 +104,7 @@ from repro.observe.trace import (
     with_tracing,
 )
 from repro.observe import trace as _trace
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 __all__ = [
     "FlightRecorder", "Histogram", "MetricsRegistry", "SpanRecord",
@@ -126,15 +126,16 @@ def event(name: str, category: str = "repro", **args) -> None:
         tracer.event(name, category, **args)
 
 
-@contextmanager
+#: what :func:`span` hands out while tracing is off
+_NO_SPAN = nullcontext()
+
+
 def span(name: str, category: str = "repro", **args):
     """Span the block on the active tracer; a plain passthrough when off."""
     tracer = _trace.TRACER
     if tracer is None:
-        yield None
-    else:
-        with tracer.span(name, category, **args) as record:
-            yield record
+        return _NO_SPAN
+    return tracer.span(name, category, **args)
 
 
 def count(name: str, delta: int = 1) -> None:

@@ -24,15 +24,13 @@ dict-free lookup on the current context object.
 from __future__ import annotations
 
 import itertools
-import uuid
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """Identity of one request as the telemetry plane sees it.
 
     ``trace_id`` groups causally related requests (a client may thread its
@@ -61,6 +59,19 @@ CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
 _SEQUENCE = itertools.count(1)
 
 
+
+def _draw_trace_prefix() -> None:
+    """Once per process (a forked child draws its own): a minted trace id
+    is this prefix plus the request's sequence number, unique across
+    processes without a random draw per request."""
+    global _TRACE_PREFIX
+    _TRACE_PREFIX = os.urandom(4).hex()
+
+
+_draw_trace_prefix()
+os.register_at_fork(after_in_child=_draw_trace_prefix)
+
+
 def current_context() -> Optional[TraceContext]:
     """The request context active on this thread/task, or ``None``."""
     return CURRENT.get()
@@ -74,15 +85,9 @@ def mint_context(
 ) -> TraceContext:
     """Mint the context for one request (server-side, one per submit)."""
     sequence = next(_SEQUENCE)
-    request_id = f"req-{sequence:08d}"
-    if not trace_id:
-        trace_id = f"tr-{uuid.uuid4().hex[:12]}"
     return TraceContext(
-        trace_id=trace_id,
-        request_id=request_id,
-        session=session,
-        tenant=tenant,
-        sampled=sampled,
+        trace_id or f"tr-{_TRACE_PREFIX}{sequence:08x}",
+        f"req-{sequence:08d}", session, tenant, sampled,
     )
 
 

@@ -63,6 +63,9 @@ MAX_REQUEST_EVENTS = 2048
 #: open-request bound — buffers past this are force-flushed oldest-first
 MAX_OPEN_REQUESTS = 1024
 
+#: instant events that may freeze a snapshot (see ``_maybe_auto_snapshot``)
+SNAPSHOT_TRIGGERS = frozenset({"server.breaker", "server.pressure"})
+
 #: event names whose presence makes an unsampled request worth keeping
 NOTABLE_EVENTS = frozenset({
     "guard.trip",
@@ -135,24 +138,32 @@ class FlightRecorder(Tracer):
     def _emit(self, record: SpanRecord) -> None:
         request = record.request
         if request:
-            with self._lock:
-                buffer = self._buffers.get(request)
-                if buffer is None:
-                    if len(self._buffers) >= MAX_OPEN_REQUESTS:
-                        # a leaked/forgotten request must not pin memory:
-                        # force the oldest open buffer through retention
-                        oldest = next(iter(self._buffers))
-                        stale = self._buffers.pop(oldest)
-                        self._retain_locked(stale)
-                    buffer = self._buffers[request] = []
-                if len(buffer) < MAX_REQUEST_EVENTS:
-                    buffer.append(record)
-                else:
-                    self.dropped_events += 1
+            # an open buffer is appended to without the lock: only the
+            # request's own thread records under its id, and list.append
+            # is atomic; opening, overflowing and closing take the lock
+            buffer = self._buffers.get(request)
+            if buffer is None or len(buffer) >= MAX_REQUEST_EVENTS:
+                with self._lock:
+                    buffer = self._buffers.get(request)
+                    if buffer is None:
+                        if len(self._buffers) >= MAX_OPEN_REQUESTS:
+                            # a leaked/forgotten request must not pin
+                            # memory: force the oldest open buffer
+                            # through retention
+                            oldest = next(iter(self._buffers))
+                            stale = self._buffers.pop(oldest)
+                            self._retain_locked(stale)
+                        buffer = self._buffers[request] = []
+                    if len(buffer) >= MAX_REQUEST_EVENTS:
+                        self.dropped_events += 1
+                        buffer = None
+            if buffer is not None:
+                buffer.append(record)
         else:
             with self._lock:
                 self._retain_locked([record])
-        self._maybe_auto_snapshot(record)
+        if record.duration is None and record.name in SNAPSHOT_TRIGGERS:
+            self._maybe_auto_snapshot(record)
 
     def _retain_locked(self, records: list) -> None:
         ring = self.events
@@ -178,25 +189,28 @@ class FlightRecorder(Tracer):
         ``slow_seconds``), or whose buffer carries a notable event
         (guard trip, tier demotion, breaker/pressure transition).
         """
-        with self._lock:
-            buffer = self._buffers.pop(context.request_id, [])
-        interesting = (
-            not ok
+        keep = (
+            context.sampled
+            or not ok
             or rejected
             or retries > 0
             or latency >= self.slow_seconds
-            or any(record.name in NOTABLE_EVENTS for record in buffer)
         )
-        if context.sampled or interesting:
-            with self._lock:
-                self._retain_locked(buffer)
-                self.retained_requests += 1
-                if len(buffer) >= MAX_REQUEST_EVENTS:
-                    self.truncated_requests += 1
-            return True
         with self._lock:
-            self.dropped_requests += 1
-        return False
+            buffer = self._buffers.pop(context.request_id, None) or []
+            if not keep:
+                for record in buffer:
+                    if record.name in NOTABLE_EVENTS:
+                        keep = True
+                        break
+            if not keep:
+                self.dropped_requests += 1
+                return False
+            self._retain_locked(buffer)
+            self.retained_requests += 1
+            if len(buffer) >= MAX_REQUEST_EVENTS:
+                self.truncated_requests += 1
+        return True
 
     def open_requests(self) -> int:
         with self._lock:
@@ -233,8 +247,6 @@ class FlightRecorder(Tracer):
     # -- snapshots ------------------------------------------------------------
 
     def _maybe_auto_snapshot(self, record: SpanRecord) -> None:
-        if record.duration is not None:
-            return
         if record.name == "server.breaker" and \
                 record.args.get("to") == "open":
             self.auto_snapshot(

@@ -151,12 +151,17 @@ class Histogram:
         )
 
 
+class _Shard(threading.local):
+    #: this thread's counter dict; ``None`` until the thread first counts
+    counters: Optional[dict] = None
+
+
 class MetricsRegistry:
     """A named collection of counters and histograms with JSON export."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._tls = threading.local()
+        self._tls = _Shard()
         #: one private counter dict per writer thread (single-writer each)
         self._shards: list[dict] = []
         #: counters restored from snapshots / merged by ``from_dict``
@@ -165,13 +170,35 @@ class MetricsRegistry:
 
     # -- recording -----------------------------------------------------------
 
+    def _new_shard(self) -> dict:
+        shard = self._tls.counters = {}
+        with self._lock:
+            self._shards.append(shard)
+        return shard
+
     def count(self, name: str, delta: int = 1) -> None:
-        shard = getattr(self._tls, "shard", None)
+        shard = self._tls.counters
         if shard is None:
-            shard = self._tls.shard = {}
-            with self._lock:
-                self._shards.append(shard)
-        shard[name] = shard.get(name, 0) + delta
+            shard = self._new_shard()
+        if name in shard:
+            shard[name] += delta
+        else:
+            shard[name] = delta
+
+    def drain(self, tally: dict) -> None:
+        """Add every non-zero count in ``tally`` to its counter and zero
+        it there: how a caller that tallied in plain integers reports."""
+        shard = self._tls.counters
+        if shard is None:
+            shard = self._new_shard()
+        for name in tally:
+            delta = tally[name]
+            if delta:
+                tally[name] = 0
+                if name in shard:
+                    shard[name] += delta
+                else:
+                    shard[name] = delta
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:

@@ -76,6 +76,10 @@ class SpanRecord:
     #: (stamped from :mod:`repro.observe.context` at creation time)
     request: str = ""
     trace_id: str = ""
+    #: the enclosing open span while this one is open (see ``begin``)
+    outer: Optional["SpanRecord"] = field(
+        default=None, compare=False, repr=False
+    )
 
     def is_span(self) -> bool:
         return self.duration is not None
@@ -98,6 +102,31 @@ class SpanRecord:
         return payload
 
 
+class _Thread(threading.local):
+    """One thread's view of a tracer: its innermost open span and its id."""
+
+    #: the innermost open span on this thread (spans link outward)
+    top: Optional[SpanRecord] = None
+    #: ``threading.get_ident()``, read once per thread
+    ident: Optional[int] = None
+
+
+class _Span:
+    """The ``with`` form of :meth:`Tracer.begin` / :meth:`Tracer.end`."""
+
+    __slots__ = ("tracer", "record")
+
+    def __init__(self, tracer: "Tracer", record: SpanRecord):
+        self.tracer = tracer
+        self.record = record
+
+    def __enter__(self) -> SpanRecord:
+        return self.record
+
+    def __exit__(self, *exc_info) -> None:
+        self.tracer.end(self.record)
+
+
 class Tracer:
     """Collects spans, instant events, and metrics for one tracing session."""
 
@@ -117,7 +146,7 @@ class Tracer:
         self.dropped_spans = 0
         self._evict_lock = threading.Lock()
         self._origin = time.perf_counter()
-        self._tls = threading.local()
+        self._tls = _Thread()
 
     # -- clock ---------------------------------------------------------------
 
@@ -129,25 +158,20 @@ class Tracer:
         """Convert a raw ``time.perf_counter()`` reading to the timebase."""
         return perf_counter_value - self._origin
 
-    def _stack(self) -> list:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
     def _record(self, name: str, category: str, start: float,
                 duration: Optional[float], args: dict) -> SpanRecord:
-        """Build one record, stamped with the active request context."""
-        stack = self._stack()
+        """Build one record under this thread's innermost open span,
+        stamped with the active request context."""
+        local = self._tls
+        ident = local.ident
+        if ident is None:
+            ident = local.ident = threading.get_ident()
+        outer = local.top
         record = SpanRecord(
-            name=name,
-            category=category,
-            start=start,
-            duration=duration,
-            args=args,
-            parent=stack[-1].name if stack else "",
-            depth=len(stack),
-            thread=threading.get_ident(),
+            name, category, start, duration, args,
+            "" if outer is None else outer.name,
+            0 if outer is None else outer.depth + 1,
+            ident,
         )
         context = _context.CURRENT.get()
         if context is not None:
@@ -170,18 +194,25 @@ class Tracer:
 
     # -- spans ---------------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, category: str = "repro", **args) -> Iterator[SpanRecord]:
-        """Record a named interval around the block (nesting-aware)."""
-        record = self._record(name, category, self.now(), None, dict(args))
-        stack = self._stack()
-        stack.append(record)
-        try:
-            yield record
-        finally:
-            stack.pop()
-            record.duration = self.now() - record.start
-            self._emit(record)
+    def begin(self, name: str, category: str = "repro", **args) -> SpanRecord:
+        """Open a named interval on this thread; :meth:`end` closes it.
+        Spans opened inside it (on the same thread) nest under it."""
+        record = self._record(name, category,
+                              time.perf_counter() - self._origin, None, args)
+        record.outer = self._tls.top
+        self._tls.top = record
+        return record
+
+    def end(self, record: SpanRecord) -> None:
+        """Close a span :meth:`begin` opened, and record it."""
+        record.duration = time.perf_counter() - self._origin - record.start
+        self._tls.top = record.outer
+        record.outer = None
+        self._emit(record)
+
+    def span(self, name: str, category: str = "repro", **args) -> _Span:
+        """Record a named interval around a ``with`` block (nesting-aware)."""
+        return _Span(self, self.begin(name, category, **args))
 
     def complete(
         self, name: str, category: str, start: float, **args
@@ -189,7 +220,7 @@ class Tracer:
         """Record an already-finished interval begun at ``start`` (a value
         from :meth:`now`); for sites where a ``with`` block is awkward."""
         record = self._record(name, category, start,
-                              self.now() - start, dict(args))
+                              self.now() - start, args)
         self._emit(record)
         return record
 
@@ -197,7 +228,8 @@ class Tracer:
 
     def event(self, name: str, category: str = "repro", **args) -> SpanRecord:
         """Record an instant event (``tier.promote``, ``guard.trip``, ...)."""
-        record = self._record(name, category, self.now(), None, dict(args))
+        record = self._record(name, category,
+                              time.perf_counter() - self._origin, None, args)
         self._emit(record)
         return record
 

@@ -54,6 +54,21 @@ Arming is process-wide: while any thread holds a guard or a pending abort,
 their own guard stack and abort flag), merely not free.  Unarmed, a
 checkpoint is a list subscript and a truth test.
 
+The slow path is a **countdown**.  Each thread's :class:`_Ledger` holds its
+guard stack and a grant of polls (and of memory bytes): a poll checks the
+abort flag and the fault sites, then takes one poll from the grant.  Only
+when the grant is spent does the poll *settle* — charge the spent polls to
+every guard on the chain, read the clock once, trip what expired, and take
+the next grant of at most :data:`QUANTUM` polls.  A grant never covers
+more polls than any guard's step budget has left (``step_budget −
+steps_used + 1``), so a budget trips on exactly the poll a per-poll count
+would trip it on; memory grants are capped the same way by every memory
+budget's headroom.  :func:`push_guard` and :func:`pop_guard` settle first,
+so polls land on the chain they ran under, and ``steps_used`` /
+``memory_used`` are exact once a guard is popped.  The first poll under a
+changed stack settles, so a deadline is read on the first poll inside a
+new scope and then at least once per quantum.
+
 Event vocabulary (emitted through :mod:`repro.observe` when tracing is
 enabled; emission sits on the raise/transition paths only, so the per-step
 checkpoint cost is unchanged):
@@ -94,13 +109,39 @@ from repro.errors import (
 from repro.testing import faults as _faults
 
 
-class _GuardStack(threading.local):
-    #: class-level default: a thread that never installed a guard reads
-    #: ``None`` by an attribute hit, not an AttributeError miss (~7x dearer)
-    top: Optional["ExecutionGuard"] = None
+#: the most polls one grant covers: a guard's deadline is read at least
+#: once per this many polls
+QUANTUM = 128
+#: the memory grant while no guard on the chain has a memory budget
+_UNMETERED = 1 << 62
 
 
-_tls = _GuardStack()
+class _Ledger:
+    """One thread's guard stack and its countdown (see the module doc).
+
+    A plain object reached through :data:`_thread` once per poll: its own
+    fields are read and written at slot speed, where every access to a
+    ``threading.local`` attribute costs a per-thread dict lookup.
+    """
+
+    __slots__ = ("top", "steps", "step_grant", "memory", "memory_grant")
+
+    def __init__(self) -> None:
+        self.top: Optional[ExecutionGuard] = None
+        #: polls left in the current grant, and how many it covered
+        self.steps = self.step_grant = 1
+        #: memory bytes left in the current grant, and how many it covered
+        self.memory = self.memory_grant = _UNMETERED
+
+
+class _Thread(threading.local):
+    """Each thread's :class:`_Ledger` (made on the thread's first poll)."""
+
+    def __init__(self) -> None:
+        self.ledger = _Ledger()
+
+
+_thread = _Thread()
 
 #: the checkpoint word: ``CHECKPOINT[0]`` counts installed guards (all
 #: threads), pending abort requests and armed fault injectors
@@ -178,45 +219,71 @@ class ExecutionGuard:
             return None
         return self.deadline - time.monotonic()
 
-    def check(self, steps: int = 1) -> None:
-        """Charge ``steps`` against this guard and every enclosing one."""
+    def check(self, steps: int = 1) -> int:
+        """Charge ``steps`` polls to this guard and every enclosing one;
+        returns how many polls the chain can take before the next check
+        (a quantum, or less where a step budget runs out sooner).
+
+        The last poll may trip: the chain is walked innermost-out, and a
+        guard that trips has been charged all ``steps``, while the guards
+        outside it are charged all but the tripping poll — what polling
+        one step at a time would have charged them.
+        """
         guard: Optional[ExecutionGuard] = self
         now: Optional[float] = None
+        grant = QUANTUM
         while guard is not None:
-            if steps:
-                guard.steps_used += steps
-                if (
-                    guard.step_budget is not None
-                    and guard.steps_used > guard.step_budget
-                ):
+            guard.steps_used += steps
+            budget = guard.step_budget
+            if budget is not None:
+                if guard.steps_used > budget:
+                    _charge_steps(guard.parent, steps - 1)
                     _observe.event(
                         "guard.trip", "guard", kind="steps",
                         label=guard.label, used=guard.steps_used,
-                        budget=guard.step_budget,
+                        budget=budget,
                     )
                     raise WolframBudgetError(
                         "steps",
-                        f"evaluation-step budget of {guard.step_budget} "
-                        "exhausted",
+                        f"evaluation-step budget of {budget} exhausted",
                         guard=guard,
                     )
+                if budget - guard.steps_used < grant:
+                    grant = budget - guard.steps_used + 1
             if guard.deadline is not None:
                 if now is None:
                     now = time.monotonic()
                 if now > guard.deadline:
+                    _charge_steps(guard.parent, steps - 1)
                     _observe.event(
                         "guard.trip", "guard", kind="deadline",
                         label=guard.label,
                     )
                     raise WolframTimeoutError(guard=guard)
             guard = guard.parent
+        return grant
 
     def charge_memory(self, nbytes: int) -> None:
+        """Charge an allocation against this guard and every enclosing
+        one, past this thread's memory grant (which is settled first and
+        granted afresh after)."""
+        ledger = _thread.ledger
+        _charge_bytes(ledger.top, ledger.memory_grant - ledger.memory)
+        try:
+            self._charge_memory(nbytes, nbytes)
+        finally:
+            _grant_memory(ledger)
+
+    def _charge_memory(self, nbytes: int, last: int) -> None:
+        """Charge ``nbytes`` to every guard on the chain with a memory
+        budget; of them only the final ``last`` may trip, so the guards
+        outside a tripping one are charged the rest."""
         guard: Optional[ExecutionGuard] = self
         while guard is not None:
             if guard.memory_budget is not None:
                 guard.memory_used += nbytes
                 if guard.memory_used > guard.memory_budget:
+                    _charge_bytes(guard.parent, nbytes - last)
                     _observe.event(
                         "guard.trip", "guard", kind="memory",
                         label=guard.label, used=guard.memory_used,
@@ -242,18 +309,75 @@ class ExecutionGuard:
         return f"<ExecutionGuard{label} {' '.join(parts) or 'unconstrained'}>"
 
 
-# -- the thread-local guard stack ------------------------------------------------------
+# -- the thread-local guard stack and its countdown -----------------------------------
+
+
+def _charge_steps(guard: Optional[ExecutionGuard], steps: int) -> None:
+    while guard is not None:
+        guard.steps_used += steps
+        guard = guard.parent
+
+
+def _charge_bytes(guard: Optional[ExecutionGuard], nbytes: int) -> None:
+    while guard is not None:
+        if guard.memory_budget is not None:
+            guard.memory_used += nbytes
+        guard = guard.parent
+
+
+def _grant_memory(ledger: _Ledger) -> None:
+    """The next memory grant: the least headroom of any memory budget on
+    the chain (negative when one is already over: any charge trips)."""
+    memory = _UNMETERED
+    guard = ledger.top
+    while guard is not None:
+        if guard.memory_budget is not None:
+            left = guard.memory_budget - guard.memory_used
+            if left < memory:
+                memory = left
+        guard = guard.parent
+    ledger.memory = ledger.memory_grant = memory
+
+
+def _restack(ledger: _Ledger, top: Optional[ExecutionGuard]) -> None:
+    """Settle what the old chain spent (no trips: they are the polls'
+    business), make ``top`` the innermost guard, and start fresh grants;
+    the first poll under the new chain settles."""
+    steps = ledger.step_grant - ledger.steps
+    nbytes = ledger.memory_grant - ledger.memory
+    guard = ledger.top
+    while guard is not None:
+        guard.steps_used += steps
+        if guard.memory_budget is not None:
+            guard.memory_used += nbytes
+        guard = guard.parent
+    ledger.top = top
+    ledger.steps = ledger.step_grant = 1
+    _grant_memory(ledger)
+
+
+def _settle_memory(last: int) -> None:
+    """The memory grant ran out on a charge of ``last`` bytes."""
+    ledger = _thread.ledger
+    try:
+        top = ledger.top
+        if top is not None:
+            top._charge_memory(ledger.memory_grant - ledger.memory, last)
+    finally:
+        _grant_memory(ledger)
 
 
 def active_guard() -> Optional[ExecutionGuard]:
     """The innermost guard on this thread, or ``None``."""
-    return _tls.top
+    return _thread.ledger.top
 
 
 def push_guard(guard: ExecutionGuard) -> ExecutionGuard:
-    guard.parent = _tls.top
-    _tls.top = guard
-    arm(1)
+    ledger = _thread.ledger
+    guard.parent = ledger.top
+    _restack(ledger, guard)
+    with _word_lock:
+        CHECKPOINT[0] += 1
     return guard
 
 
@@ -261,15 +385,17 @@ def pop_guard(guard: ExecutionGuard) -> None:
     """Unwind this thread's stack through ``guard`` (the whole stack when
     ``guard`` is not on it: unwound out of order, nearest consistent
     state), disarming once per guard removed."""
+    ledger = _thread.ledger
     removed = 0
-    current = _tls.top
+    current = ledger.top
     while current is not None:
         removed += 1
         if current is guard:
             break
         current = current.parent
-    _tls.top = current.parent if current is not None else None
-    arm(-removed)
+    _restack(ledger, current.parent if current is not None else None)
+    with _word_lock:
+        CHECKPOINT[0] -= removed
 
 
 @contextmanager
@@ -303,8 +429,10 @@ def checkpoint(abort: Optional[AbortFlag] = None,
                guard_site: Optional[str] = "guard.checkpoint") -> None:
     """The checkpoint slow path; a noop when nothing applies to the caller.
 
-    Compiled code binds the ``abort.check`` fault site; the interpreter's
-    per-step poll binds no site at all, so a scheduled
+    Every poll checks the abort flag and fires the bound fault sites, then
+    takes one poll from this thread's grant; the poll that spends it
+    settles.  Compiled code binds the ``abort.check`` fault site; the
+    interpreter's per-step poll binds no site at all, so a scheduled
     ``Fault(site, after=N)`` counts compiled-tier checkpoints only.
     """
     injector = _faults._INJECTOR
@@ -314,16 +442,33 @@ def checkpoint(abort: Optional[AbortFlag] = None,
         raise WolframAbort()
     if injector is not None and guard_site is not None:
         injector.fire(guard_site)
-    guard = _tls.top
-    if guard is not None:
-        guard.check(1)
+    ledger = _thread.ledger
+    ledger.steps -= 1
+    if ledger.steps > 0:
+        return
+    # the grant is spent: settle it on the chain, which trips what expired
+    # and sizes the next grant
+    top = ledger.top
+    if top is None:
+        ledger.steps = ledger.step_grant = QUANTUM
+        return
+    try:
+        grant = top.check(ledger.step_grant - ledger.steps)
+    except BaseException:
+        # charged and tripped: the next poll settles afresh (and trips
+        # again while a budget stays exhausted, as a per-poll count would)
+        ledger.steps = ledger.step_grant = 1
+        raise
+    ledger.steps = ledger.step_grant = grant
 
 
 def charge_memory(nbytes: int) -> None:
-    """Charge an allocation against the active guard; noop when unguarded."""
-    guard = _tls.top
-    if guard is not None:
-        guard.charge_memory(nbytes)
+    """Charge an allocation against this thread's guards: one subtraction
+    from the memory grant, unless the charge overdraws it."""
+    ledger = _thread.ledger
+    ledger.memory -= nbytes
+    if ledger.memory < 0:
+        _settle_memory(nbytes)
 
 
 # -- execution tiers -------------------------------------------------------------------

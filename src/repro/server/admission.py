@@ -17,10 +17,11 @@ Concurrency is a two-stage funnel:
 
 The slots are a counting semaphore on one :class:`threading.Condition`:
 a request is admitted on the connection thread that read it, and that
-thread blocks in :meth:`AdmissionController.slot` until a slot frees.
-The accounting (``waiting``/``running``/``shed``/``peak_queue_depth``)
-lives under the same lock, so a request costs one acquisition to enter
-and one to leave.
+thread blocks in :meth:`AdmissionController.enter` until a slot frees
+and gives it back with :meth:`~AdmissionController.leave`.  The
+accounting (``waiting``/``running``/``shed``/``peak_queue_depth``) lives
+under the same lock, so a request costs one acquisition to enter and one
+to leave.
 
 Shedding at the door instead of timing out in the queue keeps the
 server's latency distribution honest under overload: a request we cannot
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import observe as _observe
+from repro.observe import trace as _trace
 from repro.errors import RejectedError
 from repro.runtime.guard import ExecutionGuard
 
@@ -61,7 +63,10 @@ class RequestBudget:
         )
 
     def scaled(self, factor: float) -> "RequestBudget":
-        """A proportionally tighter budget (degraded-mode admission)."""
+        """A proportionally tighter budget (degraded-mode admission);
+        the budget itself at full scale."""
+        if factor == 1.0:
+            return self
         return RequestBudget(
             deadline_seconds=(
                 self.deadline_seconds * factor
@@ -92,23 +97,26 @@ class AdmissionController:
         self.shed = 0
         self.admitted = 0
         self.peak_queue_depth = 0
-        self._free = threading.Condition(threading.Lock())
+        #: the accounting lock, and the slot-freed condition over it (the
+        #: lock is taken bare where nobody is waited for: a ``Condition``
+        #: is Python-level)
+        self._lock = threading.Lock()
+        self._free = threading.Condition(self._lock)
 
     def queue_depth(self) -> int:
         return self.waiting
 
     def count_shed(self) -> None:
         """Count a request shed by a narrower bound than the queue's."""
-        with self._free:
+        with self._lock:
             self.shed += 1
         _observe.count("server.shed")
 
-    @contextmanager
-    def slot(self):
-        """Admit (or shed) one request; hold an evaluation slot for the
-        block.  Blocks the calling thread while every slot is taken."""
-        free = self._free
-        with free:
+    def enter(self) -> None:
+        """Admit (or shed) one request and take an evaluation slot for it;
+        blocks the calling thread while every slot is taken.  The caller
+        must :meth:`leave` once the request has run."""
+        with self._lock:
             waiting = self.waiting
             if waiting >= self.queue_limit:
                 self.shed += 1
@@ -126,25 +134,35 @@ class AdmissionController:
                 self.peak_queue_depth = joined
             try:
                 while self.running >= self.max_concurrent:
-                    free.wait()
+                    self._free.wait()
             finally:
                 self.waiting -= 1
             self.running += 1
             self.admitted += 1
             running, waiting = self.running, self.waiting
-        tracer = _observe.active_tracer()
+        tracer = _trace.TRACER
         if tracer is not None:
             # the depth this request joined at, counting itself
             tracer.metrics.observe("server.queue_depth", joined)
-        _observe.count("server.admitted")
-        _observe.event("server.admit", "server",
-                       queue_depth=waiting, running=running)
+            tracer.metrics.count("server.admitted")
+            tracer.event("server.admit", "server",
+                         queue_depth=waiting, running=running)
+
+    def leave(self) -> None:
+        """Give back the slot :meth:`enter` took."""
+        with self._lock:
+            self.running -= 1
+            if self.waiting:
+                self._free.notify()
+
+    @contextmanager
+    def slot(self):
+        """:meth:`enter` and :meth:`leave` around a block."""
+        self.enter()
         try:
             yield
         finally:
-            with free:
-                self.running -= 1
-                free.notify()
+            self.leave()
 
     def snapshot(self) -> dict:
         return {

@@ -22,7 +22,11 @@ themselves the faults —
     machine arithmetic past the float range (``Exp[1000.]``,
     ``N[10^1000]``) and a square root of a negative integer: each must
     come back as a value or stay unevaluated with a message, never
-    escape the interpreter as a raw Python error.
+    escape the interpreter as a raw Python error;
+``deep``
+    data nested deeper than Python's frame limit (``Nest[f, x, 5000]``)
+    rendered, and walked again by the evaluator: a value or the
+    classified ``$RecursionLimit`` error, never a crashed session.
 
 Each client is its own thread calling ``EngineServer.submit``, as a
 connection thread of the wire server does; ``abort`` fires from a
@@ -45,7 +49,7 @@ from typing import Optional
 from repro.server.core import EngineServer, ServerConfig
 from repro.server.loadgen import DEFAULT_WORKLOAD, percentile, run_clients
 
-BEHAVIOURS = ("slow", "poison", "spike", "abort", "overflow")
+BEHAVIOURS = ("slow", "poison", "spike", "abort", "overflow", "deep")
 
 #: adversarial request bodies, by behaviour
 _SLOW_REQUEST = (
@@ -56,6 +60,10 @@ _POISON_CALL = "poison{n}[0]"
 _SPIKE_REQUEST = "Total[Table[i * i, {{i, {cells}}}]]"
 _ABORT_REQUEST = "Module[{acc = 0}, Do[acc = acc + i, {i, 2000000}]; acc]"
 _OVERFLOW_REQUESTS = ("Exp[{big}.]", "N[10^{big}]", "Cosh[{big}.] + Sqrt[-4]")
+_DEEP_REQUESTS = (
+    "Nest[f, x, {depth}]",
+    "deep = Nest[List, 1, {depth}]; Depth[deep]",
+)
 
 
 @dataclass
@@ -135,6 +143,9 @@ def _adversary_requests(behaviour: str, index: int,
     if behaviour == "overflow":
         return [source.format(big=1000 + index)
                 for source in _OVERFLOW_REQUESTS]
+    if behaviour == "deep":
+        return [source.format(depth=3000 + 1000 * index)
+                for source in _DEEP_REQUESTS]
     return [_SLOW_REQUEST]
 
 

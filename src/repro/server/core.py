@@ -32,8 +32,9 @@ The request path is a small state machine (DESIGN.md §10)::
   session overlays are evicted entirely.
 
 Shared bookkeeping — totals, the session table, per-session pending
-counts and locks, the pressure sweep — sits under one short server lock
-that is never held across ``Session.execute``.
+counts and locks, the pressure step — sits under one short server lock
+that is never held across ``Session.execute``: a request takes it once
+before its evaluation and once after it.
 
 Failure isolation invariants the chaos suite pins:
 
@@ -190,6 +191,10 @@ class EngineServer:
         self._lock = threading.Lock()
         self._locks: dict[str, threading.Lock] = {}
         self._pending: dict[str, int] = {}
+        #: running total of the live sessions' ``memory_estimate()`` (each
+        #: session's share is updated after its own request): the
+        #: default pressure reading, without a walk over every session
+        self._footprint = 0
         self._evicted_ids: list[str] = []
         # the always-on flight recorder: installed as the process tracer
         # unless telemetry is off or an explicit tracer is already active
@@ -234,63 +239,63 @@ class EngineServer:
         thread.  Never raises."""
         start = self.clock()
         flight = self.flight
-        with self._lock:
-            self.totals["requests"] += 1
-            sampled = flight.sample_next() if flight is not None else True
-        _observe.count("server.requests")
         ctx = _obs_context.mint_context(
-            session=session_id, tenant=tenant or "", trace_id=trace_id,
-            sampled=sampled,
+            session_id, tenant or "", trace_id,
+            flight.sample_next() if flight is not None else True,
         )
         # every span/instant emitted below this point — admission, session
         # execution, tier events, cache lookups — is stamped with this
         # request's identity via the contextvar, reconstructable later as
         # one timeline under ``{"op": "trace", "request": ctx.request_id}``
         token = _obs_context.CURRENT.set(ctx)
+        tracer = _obs_trace.TRACER
+        if tracer is not None:
+            tracer.metrics.count("server.requests")
+            span = tracer.begin("server.request", "server",
+                                session=session_id, tenant=tenant or "")
         try:
-            with _observe.span("server.request", "server",
-                               session=session_id, tenant=tenant or ""):
-                try:
-                    response = self._submit_inner(
-                        source, session_id, tenant, start
-                    )
-                except RejectedError as rejection:
-                    response = self._rejected(
-                        rejection, session_id, tenant, start
-                    )
-                except Exception as error:
-                    # the no-crash invariant holds at the protocol boundary
-                    # even for faults the request path never classifies
-                    with self._lock:
-                        self.totals["failed"] += 1
-                    _observe.count("server.failures")
-                    response = Response(
-                        ok=False, session=session_id, tenant=tenant,
-                        error={
-                            "kind": "InternalError",
-                            "message": f"{type(error).__name__}: {error}",
-                        },
-                        latency_seconds=self.clock() - start,
-                    )
+            response = self._serve(source, session_id, tenant, start)
+        except RejectedError as rejection:
+            response = self._rejected(rejection, session_id, tenant, start)
+        except Exception as error:
+            # the no-crash invariant holds at the protocol boundary even
+            # for faults the request path never classifies
+            with self._lock:
+                self.totals["requests"] += 1
+                self.totals["failed"] += 1
+            _observe.count("server.failures")
+            response = Response(
+                ok=False, session=session_id, tenant=tenant,
+                error={
+                    "kind": "InternalError",
+                    "message": f"{type(error).__name__}: {error}",
+                },
+                latency_seconds=self.clock() - start,
+            )
         finally:
+            if tracer is not None:
+                tracer.end(span)
             _obs_context.CURRENT.reset(token)
         response.request_id = ctx.request_id
         response.trace_id = ctx.trace_id
-        tracer = _obs_trace.TRACER
         if tracer is not None:
             tracer.metrics.observe(
                 "server.latency_seconds", response.latency_seconds
             )
         if flight is not None:
             flight.finish_request(
-                ctx, ok=response.ok, rejected=response.rejected,
-                retries=response.retries, latency=response.latency_seconds,
+                ctx, response.ok, response.rejected, response.retries,
+                response.latency_seconds,
             )
         return response
 
-    def _submit_inner(self, source: str, session_id: str,
-                      tenant: Optional[str], start: float) -> Response:
+    def _serve(self, source: str, session_id: str,
+               tenant: Optional[str], start: float) -> Response:
+        """The request once past the door: the server lock is taken once
+        before the evaluation (session, queue slot, pressure) and once
+        after it (queue slot back, totals, footprint)."""
         probes = self.breakers.admit(session_id, tenant)
+        queued = False
         try:
             with self._lock:
                 session = self._session(session_id, tenant)
@@ -305,27 +310,24 @@ class EngineServer:
                         scope=session_id,
                     )
                 self._pending[session_id] = pending + 1
+                queued = True
                 lock = self._locks.get(session_id)
                 if lock is None:
                     lock = self._locks[session_id] = threading.Lock()
-            try:
-                with lock:
-                    outcome, retries = self._run_with_retries(
-                        session, source
-                    )
-            finally:
-                with self._lock:
-                    remaining = self._pending.get(session_id, 1) - 1
-                    if remaining:
-                        self._pending[session_id] = remaining
-                    else:
-                        self._pending.pop(session_id, None)
+                scale = self._pressure_step(session)
+            with lock:
+                outcome, retries = self._run_with_retries(
+                    session, source, scale
+                )
         except BaseException:
             # rejected (or crashed) before the breakers could see an
             # outcome: any half-open probe slot this request holds must be
             # handed back, or the scope stays locked out forever
             for breaker in probes:
                 breaker.abandon_probe()
+            if queued:
+                with self._lock:
+                    self._dequeue(session_id)
             raise
 
         latency = self.clock() - start
@@ -334,13 +336,20 @@ class EngineServer:
         healthy = outcome.ok or outcome.aborted
         self.breakers.record(session_id, tenant, ok=healthy,
                              kind=outcome.error_kind or "failure")
+        totals = self.totals
         with self._lock:
+            self._dequeue(session_id)
+            totals["requests"] += 1
             if outcome.ok:
-                self.totals["ok"] += 1
+                totals["ok"] += 1
             else:
                 if outcome.aborted:
-                    self.totals["aborted"] += 1
-                self.totals["failed"] += 1
+                    totals["aborted"] += 1
+                totals["failed"] += 1
+            if session.state is not SessionState.EVICTED:
+                estimate = session.memory_estimate()
+                self._footprint += estimate - session.footprint
+                session.footprint = estimate
         _observe.count("server.ok" if outcome.ok else "server.failures")
         return Response(
             ok=outcome.ok, session=session_id, tenant=tenant,
@@ -352,8 +361,28 @@ class EngineServer:
             retries=retries, latency_seconds=latency,
         )
 
-    def _run_with_retries(self, session: Session, source: str):
+    def _dequeue(self, session_id: str) -> None:
+        """One of the session's requests has left (server lock held)."""
+        remaining = self._pending.get(session_id, 1) - 1
+        if remaining:
+            self._pending[session_id] = remaining
+        else:
+            self._pending.pop(session_id, None)
+
+    def _pressure_step(self, session: Session) -> float:
+        """One degradation control step for an attempt of ``session``'s
+        (server lock held): caps on a level change, cold overlays evicted
+        at CRITICAL; returns the attempt's budget scale."""
+        control = self.degrade.evaluate(self.sessions,
+                                        footprint=self._footprint)
+        if control["evict"]:
+            self._apply_evictions(control["evict"], keep=session.id)
+        return control["budget_scale"]
+
+    def _run_with_retries(self, session: Session, source: str,
+                          scale: float):
         policy = self.config.retry
+        admission = self.admission
         attempt = 1
         while True:
             # the admission slot is held only while the attempt actually
@@ -361,12 +390,12 @@ class EngineServer:
             # exactly the overload that made the attempt fail.  Each
             # attempt re-reads the pressure controls, so a retry admitted
             # into a degraded server gets the degraded budget.
-            with self.admission.slot():
-                with self._lock:
-                    control = self.degrade.evaluate(self.sessions)
-                    self._apply_evictions(control["evict"], keep=session.id)
-                budget = self.config.budget.scaled(control["budget_scale"])
+            budget = self.config.budget.scaled(scale)
+            admission.enter()
+            try:
                 outcome = session.execute(source, budget)
+            finally:
+                admission.leave()
             retryable = (
                 not outcome.ok
                 and not outcome.aborted
@@ -386,10 +415,13 @@ class EngineServer:
                            kind=outcome.error_kind)
             time.sleep(delay)
             attempt += 1
+            with self._lock:
+                scale = self._pressure_step(session)
 
     def _rejected(self, rejection: RejectedError, session_id: str,
                   tenant: Optional[str], start: float) -> Response:
         with self._lock:
+            self.totals["requests"] += 1
             self.totals["shed"] += 1
             session = self.sessions.get(session_id)
             if session is not None:
@@ -431,6 +463,12 @@ class EngineServer:
             compile_support=self.config.compile_support,
         )
         session = Session(session_id, tenant, evaluator)
+        cap = self.degrade.cap
+        if cap is not session.tier_cap:
+            # created under pressure: the cap the last level change set
+            session.apply_tier_cap(
+                cap, reason=f"memory pressure {self.degrade.level.name}"
+            )
         self.sessions[session_id] = session
         _observe.event("server.session", "server", session=session_id,
                        tenant=tenant or "", action="created")
@@ -444,6 +482,7 @@ class EngineServer:
             if self._pending.get(session_id):
                 continue  # requests admitted or queued behind its lock
             session.state = SessionState.EVICTED
+            self._footprint -= session.footprint
             self.sessions.pop(session_id, None)
             self._locks.pop(session_id, None)
             self.breakers.drop_session(session_id)

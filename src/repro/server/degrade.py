@@ -18,10 +18,14 @@ pressure       response
 =============  ==========================================================
 
 Pressure is read from an injectable probe (tests drive transitions
-deterministically); the default probe sums the sessions' deterministic
-footprint estimates.  Thresholds use hysteresis — the level steps down
-only below ``ratio - hysteresis`` — so the server doesn't flap between
-tiers at a boundary.  Every transition emits a ``server.pressure`` event.
+deterministically); the default probe is the sum of the sessions'
+deterministic footprint estimates, which the server keeps as a running
+total (each session updates its share after its own request), so a
+control step is O(1) in the number of sessions.  Thresholds use
+hysteresis — the level steps down only below ``ratio - hysteresis`` — so
+the server doesn't flap between tiers at a boundary.  Every transition
+emits a ``server.pressure`` event and caps every session; a session
+created later takes the cap in force (:attr:`DegradationManager.cap`).
 """
 
 from __future__ import annotations
@@ -78,10 +82,20 @@ class DegradationManager:
 
     # -- the pressure reading -----------------------------------------------
 
-    def pressure_bytes(self, sessions: Iterable) -> int:
+    def pressure_bytes(self, sessions: Iterable,
+                       footprint: Optional[int] = None) -> int:
+        """The probe's reading; else ``footprint``, the caller's running
+        total of the sessions' estimates; else that sum, walked."""
         if self.memory_probe is not None:
             return self.memory_probe()
+        if footprint is not None:
+            return footprint
         return sum(session.memory_estimate() for session in sessions)
+
+    @property
+    def cap(self) -> Tier:
+        """The tier cap in force at the current level."""
+        return TIER_CAPS[self.level]
 
     def _classify(self, used: int) -> PressureLevel:
         down = 1.0 - self.hysteresis
@@ -101,15 +115,18 @@ class DegradationManager:
 
     # -- the control action -------------------------------------------------
 
-    def evaluate(self, sessions: dict, now: Optional[float] = None) -> dict:
-        """One control step: read pressure, apply caps, evict cold overlays.
+    def evaluate(self, sessions: dict, now: Optional[float] = None,
+                 footprint: Optional[int] = None) -> dict:
+        """One control step: read pressure; on a level change cap every
+        session; at CRITICAL, pick the cold overlays to evict.
 
-        ``sessions`` is the server's live ``id -> Session`` dict; evicted
-        ids are *returned* (with their sessions) rather than deleted here,
-        so the server core owns the dict mutation and its own bookkeeping.
+        ``sessions`` is the server's live ``id -> Session`` dict, and
+        ``footprint`` its running total of their estimates (see
+        :meth:`pressure_bytes`); evicted ids are *returned* (with their
+        sessions) rather than deleted here, so the server core owns the
+        dict mutation and its own bookkeeping.
         """
-        now = now if now is not None else time.monotonic()
-        used = self.pressure_bytes(sessions.values())
+        used = self.pressure_bytes(sessions.values(), footprint)
         level = self._classify(used)
         changed = level is not self.level
         if changed:
@@ -119,13 +136,15 @@ class DegradationManager:
                 "server.pressure", "server", used_bytes=used,
                 **{"from": previous.name, "to": level.name},
             )
-        cap = TIER_CAPS[level]
-        for session in sessions.values():
-            self.demotions += session.apply_tier_cap(
-                cap, reason=f"memory pressure {level.name}"
-            )
+            cap = TIER_CAPS[level]
+            for session in sessions.values():
+                self.demotions += session.apply_tier_cap(
+                    cap, reason=f"memory pressure {level.name}"
+                )
         evicted = {}
         if level is PressureLevel.CRITICAL:
+            if now is None:
+                now = time.monotonic()
             for session_id, session in list(sessions.items()):
                 if session.idle_seconds(now) >= self.idle_ttl:
                     evicted[session_id] = session

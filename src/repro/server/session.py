@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from repro import observe as _observe
+from repro.observe import trace as _trace
 from repro.engine.evaluator import Evaluator
 from repro.errors import (
     GUARD_EXCEPTIONS,
@@ -29,7 +29,7 @@ from repro.errors import (
     WolframRuntimeError,
 )
 from repro.mexpr import full_form, parse
-from repro.runtime.guard import FailureLog, Tier, guard_scope
+from repro.runtime.guard import FailureLog, Tier, pop_guard, push_guard
 from repro.server.admission import RequestBudget
 
 #: per-session failure logs stay small: the server aggregates many of them
@@ -94,6 +94,11 @@ class Session:
         self.failure_log = FailureLog(capacity=SESSION_LOG_CAPACITY)
         #: high-water mark of guard-charged memory across requests
         self.peak_memory_charged = 0
+        #: this session's share of the server's running footprint total
+        #: (its :meth:`memory_estimate` as of its last request)
+        self.footprint = 0
+        #: the label its request guards carry
+        self.label = f"session:{session_id}"
 
     # -- execution (the request's thread) -----------------------------------
 
@@ -107,19 +112,27 @@ class Session:
         """
         self.state = SessionState.RUNNING
         self.stats.requests += 1
-        guard = budget.make_guard(label=f"session:{self.id}")
-        with _observe.span("session.execute", "server", session=self.id,
-                           tier_cap=self.tier_cap.value):
+        guard = budget.make_guard(label=self.label)
+        tracer = _trace.TRACER
+        if tracer is None:
             return self._execute_guarded(source, guard)
+        span = tracer.begin("session.execute", "server", session=self.id,
+                            tier_cap=self.tier_cap._value_)
+        try:
+            return self._execute_guarded(source, guard)
+        finally:
+            tracer.end(span)
 
     def _execute_guarded(self, source: str, guard) -> Outcome:
         try:
             expression = parse(source)
-            with guard_scope(guard):
+            push_guard(guard)
+            try:
                 value = self.evaluator.evaluate_protected(expression)
-            self.peak_memory_charged = max(
-                self.peak_memory_charged, guard.memory_used
-            )
+            finally:
+                pop_guard(guard)
+            if guard.memory_used > self.peak_memory_charged:
+                self.peak_memory_charged = guard.memory_used
             rendered = full_form(value)
             if rendered == "$Aborted":
                 self.stats.aborted += 1
@@ -143,7 +156,8 @@ class Session:
                 self.state = SessionState.IDLE
             self.last_active = time.monotonic()
             # a request must not leak abort state into the next one
-            self.evaluator.clear_abort()
+            if self.evaluator.abort_flag.pending:
+                self.evaluator.clear_abort()
 
     def _soft_failure(self, kind: str, message: str,
                       transient: bool) -> Outcome:

@@ -34,8 +34,9 @@ Flags
     failures, circuit-breaker tier), the artifact cache's hit / miss /
     store / unstorable counts, and the guarded-execution failure log.
     With a ``DUMP`` path (a stats file written by ``python -m repro serve
-    --dump-stats``): render the server's per-session breaker and failure
-    tables instead of starting a session.
+    --dump-stats``): render it as ``python -m repro top`` renders a live
+    server (request totals, breakers, tenants, sessions, failure kinds)
+    instead of starting a session.
 
 Subcommands
 -----------
@@ -71,6 +72,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import threading
 
@@ -158,89 +160,6 @@ def _print_session_stats(session, out) -> None:
                 f"  #{record.sequence} {record.function} "
                 f"{record.tier.value}: {record.kind}{arrow}\n"
             )
-
-
-def _print_server_stats(path: str, out) -> int:
-    """The ``--stats DUMP`` report: per-session breaker/failure tables
-    rendered from a server stats dump (``repro serve --dump-stats``)."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            dump = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        out.write(f"cannot read stats dump {path!r}: {error}\n")
-        return 1
-    if dump.get("kind") != "repro-server-stats":
-        out.write(f"{path!r} is not a repro server stats dump "
-                  f"(kind={dump.get('kind')!r})\n")
-        return 1
-
-    totals = dump.get("requests", {})
-    out.write(f"-- server summary (uptime "
-              f"{dump.get('uptime_seconds', 0.0):.1f}s) --\n")
-    out.write(
-        f"requests {totals.get('requests', 0)}  ok {totals.get('ok', 0)}  "
-        f"failed {totals.get('failed', 0)}  shed {totals.get('shed', 0)}  "
-        f"retries {totals.get('retries', 0)}  "
-        f"evicted {totals.get('evicted', 0)}\n"
-    )
-    pressure = dump.get("pressure", {})
-    out.write(f"shed rate {dump.get('shed_rate', 0.0):.1%}  "
-              f"pressure {pressure.get('level', 'NORMAL')}  "
-              f"demotions {pressure.get('demotions', 0)}\n")
-
-    sessions = dump.get("sessions", {})
-    breakers = dump.get("breakers", {}).get("sessions", {})
-    out.write("\n-- sessions --\n")
-    out.write(
-        f"{'session':<12} {'tenant':<10} {'state':<8} {'tier cap':<12} "
-        f"{'requests':>8} {'ok':>6} {'soft':>5} {'shed':>5} "
-        f"{'breaker':<9} {'opened':>6}\n"
-    )
-    for session_id in sorted(sessions):
-        info = sessions[session_id]
-        breaker = breakers.get(session_id, {})
-        out.write(
-            f"{session_id:<12} {str(info.get('tenant') or '-'):<10} "
-            f"{info.get('state', '?'):<8} {info.get('tier_cap', '?'):<12} "
-            f"{info.get('requests', 0):>8} {info.get('ok', 0):>6} "
-            f"{info.get('soft_failures', 0):>5} "
-            f"{info.get('rejected', 0):>5} "
-            f"{breaker.get('state', '-'):<9} "
-            f"{breaker.get('times_opened', 0):>6}\n"
-        )
-
-    tenants = dump.get("breakers", {}).get("tenants", {})
-    if tenants:
-        out.write("\n-- tenant breakers --\n")
-        out.write(f"{'tenant':<12} {'state':<9} {'in window':>9} "
-                  f"{'opened':>6}\n")
-        for tenant_id in sorted(tenants):
-            breaker = tenants[tenant_id]
-            out.write(
-                f"{tenant_id:<12} {breaker.get('state', '?'):<9} "
-                f"{breaker.get('failures_in_window', 0):>9} "
-                f"{breaker.get('times_opened', 0):>6}\n"
-            )
-
-    kinds_by_session = {
-        session_id: info.get("failure_kinds") or {}
-        for session_id, info in sessions.items()
-        if info.get("failure_kinds")
-    }
-    if kinds_by_session:
-        out.write("\n-- failure kinds --\n")
-        for session_id in sorted(kinds_by_session):
-            kinds = kinds_by_session[session_id]
-            rendered = "  ".join(
-                f"{kind}:{count}" for kind, count in sorted(kinds.items())
-            )
-            out.write(f"{session_id:<12} {rendered}\n")
-    evicted = dump.get("evicted_sessions") or []
-    if evicted:
-        out.write(f"\nevicted sessions: {', '.join(evicted)}\n")
-    return 0
 
 
 def repl(input_stream=None, output=None, show_stats: bool = False) -> int:
@@ -354,7 +273,7 @@ def _parser() -> argparse.ArgumentParser:
         "--stats", nargs="?", const=True, default=False, metavar="DUMP",
         help="print guarded-execution and hotspot statistics at exit; "
              "with a DUMP path (from 'repro serve --dump-stats'), render "
-             "the server's per-session breaker/failure tables instead",
+             "it as 'repro top' does instead",
     )
     return parser
 
@@ -383,7 +302,22 @@ def main(argv=None, input_stream=None, output=None) -> int:
         return int(error.code or 0)
     out = output or sys.stdout
     if isinstance(args.stats, str):
-        return _print_server_stats(args.stats, out)
+        # a server stats dump (``repro serve --dump-stats``): the ``top`` view
+        from repro.server.top import render_top
+
+        try:
+            with open(args.stats, "r", encoding="utf-8") as handle:
+                dump = json.load(handle)
+        except (OSError, json.JSONDecodeError) as error:
+            out.write(f"cannot read stats dump {args.stats!r}: {error}\n")
+            return 1
+        kind = dump.get("kind") if isinstance(dump, dict) else None
+        if kind != "repro-server-stats":
+            out.write(f"{args.stats!r} is not a repro server stats dump "
+                      f"(kind={kind!r})\n")
+            return 1
+        out.write(render_top(dump) + "\n")
+        return 0
     tracer = None
     if args.trace or args.metrics:
         tracer = _trace.enable_tracing()

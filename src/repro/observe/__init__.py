@@ -38,9 +38,13 @@ event / metric                  emitted by
                                 alongside
 ``server.request`` (span)       one engine-server request, ``session=``,
                                 ``tenant=``
-``server.requests``             requests received (counter); ``server.ok``,
+``server.requests``             requests answered (counter); ``server.ok``,
                                 ``server.failures``, ``server.retries``,
-                                ``server.shed``, ``server.admitted`` alongside
+                                ``server.shed`` (every ``rejected`` reply),
+                                ``server.admitted`` (attempts) alongside;
+                                read from the server's request ledger by
+                                ``EngineServer.metrics_dict``, one
+                                definition each, present with telemetry off
 ``server.queue_depth``          admission queue depth at each enqueue
                                 (histogram)
 ``server.retry``                one backoff retry (instant, ``attempt=``,

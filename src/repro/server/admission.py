@@ -18,10 +18,11 @@ Concurrency is a two-stage funnel:
 The slots are a counting semaphore on one :class:`threading.Condition`:
 a request is admitted on the connection thread that read it, and that
 thread blocks in :meth:`AdmissionController.enter` until a slot frees
-and gives it back with :meth:`~AdmissionController.leave`.  The
-accounting (``waiting``/``running``/``shed``/``peak_queue_depth``) lives
-under the same lock, so a request costs one acquisition to enter and one
-to leave.
+and gives it back with :meth:`~AdmissionController.leave`.  The gauges
+(``waiting``/``running``/``peak_queue_depth``) live under the same lock,
+so a request costs one acquisition to enter and one to leave.  What was
+admitted or shed is counted once, in the server's request ledger
+(:class:`~repro.server.session.SessionStats`).
 
 Shedding at the door instead of timing out in the queue keeps the
 server's latency distribution honest under overload: a request we cannot
@@ -37,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import observe as _observe
 from repro.observe import trace as _trace
 from repro.errors import RejectedError
 from repro.runtime.guard import ExecutionGuard
@@ -94,23 +94,12 @@ class AdmissionController:
         self.base_retry_after = base_retry_after
         self.waiting = 0
         self.running = 0
-        self.shed = 0
-        self.admitted = 0
         self.peak_queue_depth = 0
-        #: the accounting lock, and the slot-freed condition over it (the
+        #: the gauge lock, and the slot-freed condition over it (the
         #: lock is taken bare where nobody is waited for: a ``Condition``
         #: is Python-level)
         self._lock = threading.Lock()
         self._free = threading.Condition(self._lock)
-
-    def queue_depth(self) -> int:
-        return self.waiting
-
-    def count_shed(self) -> None:
-        """Count a request shed by a narrower bound than the queue's."""
-        with self._lock:
-            self.shed += 1
-        _observe.count("server.shed")
 
     def enter(self) -> None:
         """Admit (or shed) one request and take an evaluation slot for it;
@@ -119,8 +108,6 @@ class AdmissionController:
         with self._lock:
             waiting = self.waiting
             if waiting >= self.queue_limit:
-                self.shed += 1
-                _observe.count("server.shed")
                 raise RejectedError(
                     "queue-full",
                     f"admission queue is saturated ({waiting} waiting, "
@@ -138,13 +125,11 @@ class AdmissionController:
             finally:
                 self.waiting -= 1
             self.running += 1
-            self.admitted += 1
             running, waiting = self.running, self.waiting
         tracer = _trace.TRACER
         if tracer is not None:
             # the depth this request joined at, counting itself
             tracer.metrics.observe("server.queue_depth", joined)
-            tracer.metrics.count("server.admitted")
             tracer.event("server.admit", "server",
                          queue_depth=waiting, running=running)
 
@@ -168,8 +153,6 @@ class AdmissionController:
         return {
             "waiting": self.waiting,
             "running": self.running,
-            "admitted": self.admitted,
-            "shed": self.shed,
             "queue_limit": self.queue_limit,
             "max_concurrent": self.max_concurrent,
             "peak_queue_depth": self.peak_queue_depth,

@@ -21,7 +21,7 @@ Two modes:
 * **--loadgen / --chaos**: spin up an in-process server, drive it with
   the load generator or the chaos harness, print the report, and (with
   ``--dump-stats PATH``) write the full stats dump — the file
-  ``python -m repro --stats PATH`` renders as per-session tables.
+  ``python -m repro --stats PATH`` renders as ``repro top`` does.
 
 The protocol is deliberately line-oriented and dependency-free so a
 shell one-liner is a client::

@@ -31,10 +31,13 @@ The request path is a small state machine (DESIGN.md §10)::
   sessions step compiled → interpreter, and at critical pressure cold
   session overlays are evicted entirely.
 
-Shared bookkeeping — totals, the session table, per-session pending
-counts and locks, the pressure step — sits under one short server lock
-that is never held across ``Session.execute``: a request takes it once
-before its evaluation and once after it.
+Shared bookkeeping — the request ledger's per-request counts, the session
+table, per-session pending counts and locks, the pressure step — sits
+under one short server lock that is never held across
+``Session.execute``: a request takes it once before its evaluation and
+once after it.  Every request count the server publishes is a sum over
+the ledger's rows (:class:`~repro.server.session.SessionStats`), taken
+when it is read.
 
 Failure isolation invariants the chaos suite pins:
 
@@ -69,7 +72,7 @@ from repro.server.base import BaseImage
 from repro.server.breakers import BreakerBoard
 from repro.server.degrade import DegradationManager
 from repro.server.retry import RetryPolicy
-from repro.server.session import Session, SessionState
+from repro.server.session import Session, SessionState, SessionStats
 
 STATS_SCHEMA = 1
 
@@ -185,8 +188,8 @@ class EngineServer:
             memory_probe=memory_probe,
         )
         self.started = self.clock()
-        self.totals = {"requests": 0, "ok": 0, "failed": 0, "shed": 0,
-                       "retries": 0, "aborted": 0, "evicted": 0}
+        #: the ledger row no live session owns (server lock)
+        self.server_row = SessionStats()
         #: the server lock: held for bookkeeping, never across ``execute``
         self._lock = threading.Lock()
         self._locks: dict[str, threading.Lock] = {}
@@ -250,7 +253,6 @@ class EngineServer:
         token = _obs_context.CURRENT.set(ctx)
         tracer = _obs_trace.TRACER
         if tracer is not None:
-            tracer.metrics.count("server.requests")
             span = tracer.begin("server.request", "server",
                                 session=session_id, tenant=tenant or "")
         try:
@@ -261,9 +263,7 @@ class EngineServer:
             # the no-crash invariant holds at the protocol boundary even
             # for faults the request path never classifies
             with self._lock:
-                self.totals["requests"] += 1
-                self.totals["failed"] += 1
-            _observe.count("server.failures")
+                self.server_row.failed += 1
             response = Response(
                 ok=False, session=session_id, tenant=tenant,
                 error={
@@ -293,7 +293,7 @@ class EngineServer:
                tenant: Optional[str], start: float) -> Response:
         """The request once past the door: the server lock is taken once
         before the evaluation (session, queue slot, pressure) and once
-        after it (queue slot back, totals, footprint)."""
+        after it (queue slot back, the request's ledger count, footprint)."""
         probes = self.breakers.admit(session_id, tenant)
         queued = False
         try:
@@ -301,7 +301,6 @@ class EngineServer:
                 session = self._session(session_id, tenant)
                 pending = self._pending.get(session_id, 0)
                 if pending >= self.config.session_queue_limit:
-                    self.admission.count_shed()
                     raise RejectedError(
                         "session-queue-full",
                         f"session {session_id!r} already has {pending} "
@@ -336,21 +335,19 @@ class EngineServer:
         healthy = outcome.ok or outcome.aborted
         self.breakers.record(session_id, tenant, ok=healthy,
                              kind=outcome.error_kind or "failure")
-        totals = self.totals
+        row = session.stats
         with self._lock:
             self._dequeue(session_id)
-            totals["requests"] += 1
             if outcome.ok:
-                totals["ok"] += 1
+                row.ok += 1
             else:
+                row.failed += 1
                 if outcome.aborted:
-                    totals["aborted"] += 1
-                totals["failed"] += 1
+                    row.aborted += 1
             if session.state is not SessionState.EVICTED:
                 estimate = session.memory_estimate()
                 self._footprint += estimate - session.footprint
                 session.footprint = estimate
-        _observe.count("server.ok" if outcome.ok else "server.failures")
         return Response(
             ok=outcome.ok, session=session_id, tenant=tenant,
             result=outcome.value,
@@ -406,10 +403,7 @@ class EngineServer:
             if not retryable:
                 return outcome, attempt - 1
             delay = policy.delay(attempt)
-            session.stats.retries += 1
-            with self._lock:
-                self.totals["retries"] += 1
-            _observe.count("server.retries")
+            session.stats.retries += 1  # the session lock is held
             _observe.event("server.retry", "server", session=session.id,
                            attempt=attempt, delay=delay,
                            kind=outcome.error_kind)
@@ -420,14 +414,14 @@ class EngineServer:
 
     def _rejected(self, rejection: RejectedError, session_id: str,
                   tenant: Optional[str], start: float) -> Response:
+        reason = rejection.reason
         with self._lock:
-            self.totals["requests"] += 1
-            self.totals["shed"] += 1
             session = self.sessions.get(session_id)
-            if session is not None:
-                session.stats.rejected += 1
+            refusals = (session.stats if session is not None
+                        else self.server_row).refusals
+            refusals[reason] = refusals.get(reason, 0) + 1
         _observe.event("server.shed", "server", session=session_id,
-                       reason=rejection.reason, scope=rejection.scope)
+                       reason=reason, scope=rejection.scope)
         return Response(
             ok=False, session=session_id, tenant=tenant,
             error=rejection.to_dict(), rejected=True,
@@ -475,7 +469,8 @@ class EngineServer:
         return session
 
     def _apply_evictions(self, evict: dict, keep: str = "") -> None:
-        """Drop cold sessions (server lock held)."""
+        """Drop cold sessions, folding each one's ledger row into the
+        server row (server lock held)."""
         for session_id, session in evict.items():
             if session_id == keep or session.state is SessionState.RUNNING:
                 continue
@@ -486,8 +481,8 @@ class EngineServer:
             self.sessions.pop(session_id, None)
             self._locks.pop(session_id, None)
             self.breakers.drop_session(session_id)
+            self.server_row.fold(session.stats)
             self._evicted_ids.append(session_id)
-            self.totals["evicted"] += 1
             _observe.event("server.session", "server", session=session_id,
                            action="evicted")
 
@@ -508,23 +503,38 @@ class EngineServer:
 
     # -- reporting ----------------------------------------------------------
 
-    def shed_rate(self) -> float:
-        total = self.totals["requests"]
-        return self.totals["shed"] / total if total else 0.0
+    def _ledger_total(self) -> SessionStats:
+        """The ledger's rows summed (server lock held)."""
+        total = SessionStats()
+        total.fold(self.server_row)
+        for session in self.sessions.values():
+            total.fold(session.stats)
+        return total
 
     def stats(self) -> dict:
         with self._lock:
-            totals = dict(self.totals)
+            total = self._ledger_total()
             sessions = list(self.sessions.items())
             evicted = list(self._evicted_ids)
+        requests, refusals = total.answered, total.refusals
         return {
             "schema": STATS_SCHEMA,
             "kind": "repro-server-stats",
             "uptime_seconds": self.clock() - self.started,
-            "requests": totals,
-            "shed_rate": self.shed_rate(),
-            "admission": self.admission.snapshot(),
-            "pressure": self.degrade.snapshot(),
+            "requests": {
+                "requests": requests, "ok": total.ok, "failed": total.failed,
+                "shed": total.rejected, "retries": total.retries,
+                "aborted": total.aborted, "evicted": len(evicted),
+            },
+            "shed_rate": total.rejected / requests if requests else 0.0,
+            "admission": {
+                **self.admission.snapshot(),
+                "admitted": total.attempts,
+                # the queue-bound refusals
+                "shed": (refusals.get("queue-full", 0)
+                         + refusals.get("session-queue-full", 0)),
+            },
+            "pressure": {**self.degrade.snapshot(), "evicted": len(evicted)},
             "breakers": self.breakers.snapshot(),
             "sessions": {
                 session_id: session.snapshot()
@@ -550,11 +560,21 @@ class EngineServer:
         return [record.to_dict() for record in self.flight.recent(limit)]
 
     def metrics_dict(self) -> dict:
-        """Counters and quantile histograms from the active recorder."""
+        """Counters and quantile histograms from the active recorder, and
+        the ``server.*`` request counters from the ledger (present with
+        the recorder off too)."""
+        with self._lock:
+            total = self._ledger_total()
         tracer = _obs_trace.TRACER if self.flight is None else self.flight
-        if tracer is None:
-            return {"counters": {}, "histograms": {}}
-        return tracer.metrics.as_dict()
+        metrics = ({"counters": {}, "histograms": {}} if tracer is None
+                   else tracer.metrics.as_dict())
+        metrics["counters"] = dict(sorted({
+            **metrics["counters"],
+            "server.requests": total.answered, "server.ok": total.ok,
+            "server.failures": total.failed, "server.retries": total.retries,
+            "server.shed": total.rejected, "server.admitted": total.attempts,
+        }.items()))
+        return metrics
 
     def dump_stats(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:

@@ -77,7 +77,6 @@ class DegradationManager:
         self.memory_probe = memory_probe
         self.level = PressureLevel.NORMAL
         self.transitions = 0
-        self.evicted = 0
         self.demotions = 0
 
     # -- the pressure reading -----------------------------------------------
@@ -122,9 +121,10 @@ class DegradationManager:
 
         ``sessions`` is the server's live ``id -> Session`` dict, and
         ``footprint`` its running total of their estimates (see
-        :meth:`pressure_bytes`); evicted ids are *returned* (with their
-        sessions) rather than deleted here, so the server core owns the
-        dict mutation and its own bookkeeping.
+        :meth:`pressure_bytes`); the cold ids are *proposed* (returned
+        with their sessions) rather than deleted here: the server core
+        keeps the requester and any busy session, and counts only the
+        evictions it applies.
         """
         used = self.pressure_bytes(sessions.values(), footprint)
         level = self._classify(used)
@@ -148,7 +148,6 @@ class DegradationManager:
             for session_id, session in list(sessions.items()):
                 if session.idle_seconds(now) >= self.idle_ttl:
                     evicted[session_id] = session
-            self.evicted += len(evicted)
         return {
             "level": level,
             "used_bytes": used,
@@ -163,6 +162,5 @@ class DegradationManager:
             "soft_limit_bytes": self.soft_limit_bytes,
             "hard_limit_bytes": self.hard_limit_bytes,
             "transitions": self.transitions,
-            "evicted": self.evicted,
             "demotions": self.demotions,
         }

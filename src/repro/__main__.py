@@ -30,9 +30,10 @@ Flags
 
 ``--stats [DUMP]``
     With no argument: print, at session end, each compiled function's
-    :class:`~repro.runtime.guard.FallbackStats` (per-tier calls, soft
-    failures, circuit-breaker tier), the artifact cache's hit / miss /
-    store / unstorable counts, and the guarded-execution failure log.
+    :class:`~repro.runtime.guard.FallbackStats` (a view of its circuit
+    breaker's ledger: calls, reruns, failure kinds, tier), the artifact
+    cache's hit / miss / store / unstorable counts, and the
+    guarded-execution failure log, each record under its function's handle.
     With a ``DUMP`` path (a stats file written by ``python -m repro serve
     --dump-stats``): render it as ``python -m repro top`` renders a live
     server (request totals, breakers, tenants, sessions, failure kinds)

@@ -24,7 +24,6 @@ from repro.bytecode.vm import WVM
 from repro.mexpr.expr import MExpr
 from repro.runtime.guard import (
     CircuitBreaker,
-    FallbackStats,
     SpecTypedFunction,
     Tier,
 )
@@ -47,11 +46,8 @@ class CompiledFunction(SpecTypedFunction):
     result_type: str
     #: set when the function is hosted inside an engine session
     evaluator: Optional[object] = field(default=None, repr=False)
-    #: per-tier call/failure statistics (see :meth:`stats`)
-    fallback_stats: FallbackStats = field(
-        default_factory=FallbackStats, repr=False
-    )
-    #: tier governor: VM → interpreter after N soft failures
+    #: health ledger and tier governor: VM → interpreter after N soft
+    #: failures (see :meth:`stats`)
     breaker: CircuitBreaker = field(
         default_factory=lambda: CircuitBreaker(
             "CompiledFunction", start=Tier.BYTECODE

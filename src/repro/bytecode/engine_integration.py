@@ -48,6 +48,8 @@ def compile_(evaluator, expression):
     table = _table(evaluator)
     handle = len(table) + 1
     table[handle] = compiled
+    # the failure log names the handle ``--stats`` prints
+    compiled.breaker.function = f"CompiledFunction[{handle}]"
     return MExprNormal(S.CompiledFunction, [MInteger(handle)])
 
 

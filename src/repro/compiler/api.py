@@ -69,7 +69,6 @@ from repro.runtime.guard import (
     FAILURE_LOG,
     CircuitBreaker,
     FailureRecord,
-    FallbackStats,
     GovernedFunction,
     Tier,
     checkpoint,
@@ -89,8 +88,10 @@ def failure_records(
     """Query the global guarded-execution failure log.
 
     Every soft failure and every circuit-breaker tier transition of every
-    compiled function lands here; filter by ``function`` (the program's
-    main-function name), ``tier``, or ``kind``.
+    compiled function lands here; filter by ``function`` (the breaker's
+    name: ``CompiledCodeFunction[k]`` / ``CompiledFunction[k]`` for an
+    engine-registered handle, the symbol for a hotspot promotion, the
+    program's main-function name otherwise), ``tier``, or ``kind``.
     """
     return FAILURE_LOG.records(function, **filters)
 
@@ -235,7 +236,6 @@ class CompiledCodeFunction(GovernedFunction):
             program.main, threshold=CIRCUIT_BREAKER_THRESHOLD,
             start=self.native_tier,
         )
-        self.fallback_stats = FallbackStats()
 
     @property
     def evaluator(self):
@@ -717,6 +717,8 @@ def _register_with_engine(evaluator, compiled: CompiledCodeFunction) -> int:
     table = evaluator.extensions.setdefault(_ENGINE_TABLE_KEY, {})
     handle = len(table) + 1
     table[handle] = compiled
+    # the failure log names the handle ``--stats`` prints
+    compiled.breaker.function = f"CompiledCodeFunction[{handle}]"
     return handle
 
 

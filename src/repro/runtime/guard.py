@@ -19,12 +19,14 @@ polls at its existing abort checkpoints:
 * Every callable artifact is a **two-state machine**: its native tier
   (compiled, template, or the legacy ``Compile`` VM) or the interpreter —
   the paper's contract (F2) is that compiled code which fails softly
-  reverts to the interpreter, nothing in between.  :class:`CircuitBreaker`
-  holds the state: after ``threshold`` soft failures the function stops
-  re-attempting its native tier.  :class:`GovernedFunction` is the one
-  definition of the call protocol around it; an artifact supplies only its
-  native runner, boundary conversion, soft-exception set and warning text.
-  Every failure and the one possible transition are recorded as
+  reverts to the interpreter, nothing in between.  Each artifact's
+  :class:`CircuitBreaker` is its one health ledger: after ``threshold``
+  counted soft failures the function stops re-attempting its native tier,
+  and ``stats()`` is a :class:`FallbackStats` view of it built on read.
+  :class:`GovernedFunction` is the one definition of the call protocol
+  around it; an artifact supplies only its native runner, boundary
+  conversion, soft-exception set and warning text.  Every failure and the
+  one possible transition are recorded, under the breaker's lock, as
   :class:`FailureRecord` rows in the global :data:`FAILURE_LOG` — a
   bounded, thread-safe ring buffer (:data:`DEFAULT_FAILURE_LOG_MAX`, 1024
   records) queryable from ``repro.compiler.api``.
@@ -92,7 +94,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
@@ -585,8 +587,13 @@ FAILURE_LOG = FailureLog()
 
 
 class CircuitBreaker:
-    """Per-function tier governor: native tier until ``threshold`` soft
-    failures, then the interpreter until :meth:`reset`.
+    """A compiled function's one health ledger and tier governor: native
+    tier until ``threshold`` counted soft failures, then the interpreter
+    until :meth:`reset`.
+
+    The per-call counts are plain ints the call protocol bumps without a
+    lock (racing calls may lose one); failures are counted under the lock
+    by :meth:`record_failure` and are exact.
     """
 
     def __init__(
@@ -600,85 +607,80 @@ class CircuitBreaker:
         self.threshold = threshold
         self.start = start
         self.tier = start
-        self.failures: dict[Tier, int] = {t: 0 for t in Tier}
         self.log = log if log is not None else FAILURE_LOG
-        #: serializes counters and the tier transition: concurrent server
+        self.native_calls = self.interpreter_calls = self.reruns = 0
+        #: every recorded failure by kind, and the counted ones since the
+        #: last reset: written under the lock
+        self.kinds: dict[str, int] = {}
+        self.strikes = 0
+        #: serializes failures and the tier transition: concurrent server
         #: sessions may fail the same function on different worker threads,
         #: and exactly one racing failure must carry the transition record
         self._lock = threading.Lock()
 
-    def record_failure(self, tier: Tier, kind: str, message: str = "") -> Tier:
-        """Count one soft failure; returns the (possibly tripped) tier."""
-        self.log.record(self.function, tier, kind, message)
+    def record_failure(self, kind: str, message: str = "",
+                       counted: bool = True) -> Tier:
+        """Record one failure on the native tier; a ``counted`` one is a
+        strike, and the ``threshold``-th trips the breaker.  Returns the
+        (possibly tripped) tier."""
+        start = self.start
         with self._lock:
-            self.failures[tier] += 1
-            if (
-                tier is self.tier
-                and tier is not Tier.INTERPRETER
-                and self.failures[tier] >= self.threshold
-            ):
-                self.log.record(
-                    self.function, tier, f"CircuitOpen:{kind}",
-                    transition=(tier, Tier.INTERPRETER),
-                )
-                self.tier = Tier.INTERPRETER
-                _observe.event(
-                    "tier.demote", "guard", symbol=self.function,
-                    kind=f"CircuitOpen:{kind}",
-                    **{"from": tier.value, "to": Tier.INTERPRETER.value},
-                )
+            self.log.record(self.function, start, kind, message)
+            self.kinds[kind] = self.kinds.get(kind, 0) + 1
+            if counted:
+                self.strikes += 1
+                if self.tier is start and self.strikes >= self.threshold:
+                    self.log.record(
+                        self.function, start, f"CircuitOpen:{kind}",
+                        transition=(start, Tier.INTERPRETER),
+                    )
+                    self.tier = Tier.INTERPRETER
+                    _observe.event(
+                        "tier.demote", "guard", symbol=self.function,
+                        kind=f"CircuitOpen:{kind}",
+                        **{"from": start.value,
+                           "to": Tier.INTERPRETER.value},
+                    )
             return self.tier
 
-    def tripped(self, tier: Tier) -> bool:
-        return self.failures[tier] >= self.threshold
-
     def reset(self) -> None:
+        """Back to the native tier, every count zeroed."""
         with self._lock:
             self.tier = self.start
-            self.failures = {t: 0 for t in Tier}
+            self.native_calls = self.interpreter_calls = self.reruns = 0
+            self.strikes = 0
+            self.kinds = {}
+
+    def stats(self) -> FallbackStats:
+        """A snapshot of the ledger; later calls do not change it."""
+        native = self.start.value
+        with self._lock:
+            counts = ((native, self.native_calls),
+                      (Tier.INTERPRETER.value, self.interpreter_calls))
+            kinds = dict(self.kinds)
+            return FallbackStats(
+                calls={tier: n for tier, n in counts if n},
+                failures={native: sum(kinds.values())} if kinds else {},
+                kinds=kinds,
+                interpreter_reruns=self.reruns,
+                current_tier=self.tier.value,
+            )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FallbackStats:
-    """Inspection/reset API for a compiled function's fallback behaviour.
-
-    Replaces the old bare ``fallback_count`` integer: per-tier call and
-    failure counters, failure kinds, and the breaker's current tier.
-    Surfaced through ``.stats()`` on every compiled artifact and
-    the ``python -m repro --stats`` CLI.
+    """A compiled function's fallback behaviour, as
+    :meth:`CircuitBreaker.stats` reads it: calls per tier (zero entries
+    omitted), failures on the native tier, failure kinds, interpreter
+    reruns and the breaker's current tier.  Surfaced through ``.stats()``
+    on every compiled artifact and the ``python -m repro --stats`` CLI.
     """
 
-    calls: dict[str, int] = field(default_factory=dict)
-    failures: dict[str, int] = field(default_factory=dict)
-    kinds: dict[str, int] = field(default_factory=dict)
-    interpreter_reruns: int = 0
-    current_tier: str = Tier.COMPILED.value
-
-    def record_call(self, tier: Tier) -> None:
-        # ``_value_``, not ``value``: the public name is a Python-level
-        # descriptor on 3.11 (two frames a read), and this runs on every
-        # governed call
-        name = tier._value_
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def record_failure(self, tier: Tier, kind: str) -> None:
-        name = tier.value
-        self.failures[name] = self.failures.get(name, 0) + 1
-        self.kinds[kind] = self.kinds.get(kind, 0) + 1
-
-    def record_rerun(self) -> None:
-        self.interpreter_reruns += 1
-
-    @property
-    def fallback_total(self) -> int:
-        return self.interpreter_reruns
-
-    def reset(self) -> None:
-        self.calls.clear()
-        self.failures.clear()
-        self.kinds.clear()
-        self.interpreter_reruns = 0
-        self.current_tier = Tier.COMPILED.value
+    calls: dict[str, int]
+    failures: dict[str, int]
+    kinds: dict[str, int]
+    interpreter_reruns: int
+    current_tier: str
 
     def summary(self) -> str:
         calls = ", ".join(f"{t}={n}" for t, n in sorted(self.calls.items()))
@@ -695,7 +697,8 @@ class GovernedFunction:
     An artifact is a two-state machine: it runs on its ``native_tier``
     until the breaker trips, then on the interpreter.  A subclass supplies
 
-    * ``native_tier``, ``breaker`` (started there) and ``fallback_stats``;
+    * ``native_tier`` and ``breaker`` (started there: the function's one
+      health ledger);
     * ``evaluator`` — the host engine, ``None`` for a standalone artifact;
     * ``_to_native(arguments)`` — the boundary check/conversion (§4.5),
       raising :class:`WolframRuntimeError` on a mismatch, and
@@ -738,46 +741,36 @@ class GovernedFunction:
         ``arguments`` as the native code takes them.  The hotspot gate
         enters here with values its own check already converted, after
         finding the breaker on the native tier."""
-        native = self.native_tier
-        self.fallback_stats.record_call(native)
+        self.breaker.native_calls += 1
         try:
             if _faults._INJECTOR is not None:
-                _faults.fire(f"{native.value}.call")
+                _faults.fire(f"{self.native_tier.value}.call")
             return self._native(*converted)
         except WolframAbort:
             raise
         except GUARD_EXCEPTIONS as error:
             # an expired deadline/budget stays expired on every tier:
             # recorded, never retried, never counted
-            self._record(error, False)
+            self.breaker.record_failure(error.kind, str(error), False)
             raise
         except self.soft_exceptions as error:
             if not isinstance(error, WolframRuntimeError):
                 error = self.classify(error)
             return self._soft_failure(self.evaluator, arguments, error, True)
 
-    def _record(self, error: WolframRuntimeError, counted: bool) -> None:
-        native = self.native_tier
-        self.fallback_stats.record_failure(native, error.kind)
-        if counted:
-            self.breaker.record_failure(native, error.kind, str(error))
-        else:
-            self.breaker.log.record(
-                self.breaker.function, native, error.kind, str(error)
-            )
-
     def _soft_failure(self, evaluator, arguments, error, counted: bool):
         """F2: record, print the paper's warning, revert to the interpreter."""
-        self._record(error, counted and evaluator is not None)
+        self.breaker.record_failure(error.kind, str(error),
+                                    counted and evaluator is not None)
         if evaluator is None:
             raise error
         evaluator.message(self.warning.format(kind=error.kind))
-        self.fallback_stats.record_rerun()
+        self.breaker.reruns += 1
         return self._reevaluate(evaluator, arguments)
 
     def _reevaluate(self, evaluator, arguments):
         """The always-correct tier: arbitrary-precision interpretation."""
-        self.fallback_stats.record_call(Tier.INTERPRETER)
+        self.breaker.interpreter_calls += 1
         result = evaluator.evaluate(self._interpreter_form(arguments))
         try:
             return result.to_python()
@@ -787,14 +780,13 @@ class GovernedFunction:
     # -- inspection of the fallback machinery ----------------------------------
 
     def stats(self) -> FallbackStats:
-        """Per-tier call/failure counters; see :class:`FallbackStats`."""
-        self.fallback_stats.current_tier = self.breaker.tier.value
-        return self.fallback_stats
+        """A snapshot of the breaker's ledger; see :class:`FallbackStats`."""
+        return self.breaker.stats()
 
     @property
     def fallback_count(self) -> int:
         """Number of interpreter re-evaluations (F2)."""
-        return self.fallback_stats.interpreter_reruns
+        return self.breaker.reruns
 
     @property
     def current_tier(self) -> Tier:
@@ -802,9 +794,8 @@ class GovernedFunction:
         return self.breaker.tier
 
     def reset_tiers(self) -> None:
-        """Re-arm the circuit breaker and zero the fallback statistics."""
+        """Re-arm the circuit breaker and zero its counts."""
         self.breaker.reset()
-        self.fallback_stats.reset()
 
 
 class SpecTypedFunction(GovernedFunction):

@@ -27,7 +27,6 @@ from repro.errors import WolframRuntimeError
 from repro.mexpr.expr import MExpr
 from repro.runtime.guard import (
     CircuitBreaker,
-    FallbackStats,
     SpecTypedFunction,
     Tier,
 )
@@ -73,9 +72,6 @@ class TemplateCompiledFunction(SpecTypedFunction):
     evaluator: Optional[object] = field(default=None, repr=False)
     #: wall-clock cost of the stitch+compile, set by ``compile_template``
     compile_seconds: float = 0.0
-    fallback_stats: FallbackStats = field(
-        default_factory=FallbackStats, repr=False
-    )
     breaker: CircuitBreaker = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):

@@ -582,9 +582,11 @@ def test_python_calls_of_one_promoted_call():
     ]
     assert native, "poly[5] did not reach the compiled entry"
     # 71 / 49 before the fast path, 16 / 12 before the gate took the
-    # arguments as they stand and converted each once
-    assert len(calls) <= 10, len(calls)
-    assert native[0] <= 7, native[0]
+    # arguments as they stand and converted each once, 10 / 7 while a
+    # method call counted each governed call; 9 / 6 with a bare increment
+    # (each count includes the measuring lambda's own frame)
+    assert len(calls) <= 9, len(calls)
+    assert native[0] <= 6, native[0]
 
 
 def test_one_state_version_bump_per_loop_value():

@@ -175,6 +175,7 @@ class TestGovernanceContract:
                                "interpreter": THRESHOLD + 2}
         assert stats.failures == {native.value: THRESHOLD}
         assert stats.kinds == {"IntegerOverflow": THRESHOLD}
+        assert stats.failures == {native.value: sum(stats.kinds.values())}
         assert stats.current_tier == "interpreter"
         assert cube.fallback_count == len(hosted.messages) == THRESHOLD
         assert len(failure_records(cube.breaker.function)) == logged
@@ -314,6 +315,32 @@ class TestHostedBoundaryPolicy:
         assert all("ArgumentCount" in m for m in hosted.messages)
         assert cube.stats().kinds == {"ArgumentCount": 2}
         assert cube.current_tier is Tier.COMPILED
+
+
+def test_failure_log_names_each_engine_handle(hosted):
+    """An engine-registered artifact's records carry the handle ``--stats``
+    prints, so each function's log holds its own failures only."""
+    hosted.run("cf = Compile[{{n, _Integer}}, n*n*n]")
+    hosted.run("cg = Compile[{{n, _Integer}}, n*n]")
+    hosted.run('ff = FunctionCompile[Function[{Typed[n, "MachineInteger"]},'
+               " n*n*n]]")
+    hosted.run('fg = FunctionCompile[Function[{Typed[n, "MachineInteger"]},'
+               " n*n]]")
+    for call in ("cf[10^7]", "cg[10^10]", "ff[10^7]", "fg[10^10]"):
+        hosted.run(call)
+    artifacts = {
+        **{f"CompiledFunction[{handle}]": artifact for handle, artifact in
+           hosted.extensions["bytecode_compiled_functions"].items()},
+        **{f"CompiledCodeFunction[{handle}]": artifact for handle, artifact
+           in hosted.extensions["compiled_code_functions"].items()},
+    }
+    assert len(artifacts) == 4
+    for label, artifact in artifacts.items():
+        assert artifact.breaker.function == label
+        (record,) = failure_records(label)
+        assert record.kind == "IntegerOverflow"
+        assert record.tier is artifact.native_tier
+        assert artifact.stats().kinds == {"IntegerOverflow": 1}
 
 
 @pytest.mark.parametrize("tier, hook, callers", [

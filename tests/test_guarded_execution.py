@@ -362,6 +362,16 @@ class TestFallbackStats:
         assert stats.kinds == {"IntegerOverflow": 1}
         assert f.fallback_count == 1  # compatibility alias
 
+    def test_stats_is_a_snapshot(self, hosted):
+        f = FunctionCompile(
+            'Function[{Typed[n, "MachineInteger"]}, n * n]', evaluator=hosted
+        )
+        f(3)
+        s = f.stats()
+        f(4)
+        assert s.calls == {"compiled": 1}
+        assert f.stats().calls == {"compiled": 2}
+
     def test_stats_reset(self, hosted):
         f = FunctionCompile(
             'Function[{Typed[n, "MachineInteger"]}, n * n]', evaluator=hosted
@@ -410,13 +420,13 @@ class TestCircuitBreaker:
     def test_trips_to_the_interpreter_after_threshold(self):
         breaker = CircuitBreaker("f", threshold=3, log=FAILURE_LOG)
         assert breaker.tier is Tier.COMPILED
-        breaker.record_failure(Tier.COMPILED, "IntegerOverflow")
-        breaker.record_failure(Tier.COMPILED, "IntegerOverflow")
+        breaker.record_failure("IntegerOverflow")
+        breaker.record_failure("IntegerOverflow")
         assert breaker.tier is Tier.COMPILED
-        breaker.record_failure(Tier.COMPILED, "IntegerOverflow")
+        breaker.record_failure("IntegerOverflow")
         assert breaker.tier is Tier.INTERPRETER
         # a straggler's failure at the abandoned tier changes nothing
-        breaker.record_failure(Tier.COMPILED, "IntegerOverflow")
+        breaker.record_failure("IntegerOverflow")
         assert breaker.tier is Tier.INTERPRETER
         assert len(failure_transitions("f")) == 1
 

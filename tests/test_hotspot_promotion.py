@@ -404,7 +404,7 @@ class TestPromotedCall:
     """A promoted call is gated once: no lock on the read path (an entry
     is valid while its ``rules_version`` is the definition's), one check
     and conversion per argument, and the artifact's call protocol past its
-    own boundary — breaker, soft failure and ``fallback_stats`` as ever."""
+    own boundary — breaker, soft failure and its counts as ever."""
 
     @staticmethod
     def _promote(session):

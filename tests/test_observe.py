@@ -177,8 +177,8 @@ class TestTierEvents:
     def test_breaker_demotion_emits_tier_demote_with_symbol(self):
         breaker = CircuitBreaker("fib", threshold=2, log=FAILURE_LOG)
         with with_tracing() as tracer:
-            breaker.record_failure(Tier.COMPILED, "IntegerOverflow")
-            breaker.record_failure(Tier.COMPILED, "IntegerOverflow")
+            breaker.record_failure("IntegerOverflow")
+            breaker.record_failure("IntegerOverflow")
         assert breaker.tier is not Tier.COMPILED
         (demote,) = tracer.instants("tier.demote")
         assert demote.args["symbol"] == "fib"

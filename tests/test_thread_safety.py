@@ -92,11 +92,11 @@ class TestCircuitBreakerThreads:
 
         def worker(index: int) -> None:
             for _ in range(ROUNDS):
-                breaker.record_failure(Tier.COMPILED, "Overflow", "boom")
+                breaker.record_failure("Overflow", "boom")
 
         hammer(worker)
         # every failure was counted (no torn increments)...
-        assert breaker.failures[Tier.COMPILED] == THREADS * ROUNDS
+        assert breaker.strikes == THREADS * ROUNDS
         # ...and the threshold crossing tripped exactly once
         transitions = [record.transition for record in log.records()
                        if record.transition is not None]
@@ -110,13 +110,39 @@ class TestCircuitBreakerThreads:
         def worker(index: int) -> None:
             for _ in range(ROUNDS):
                 if index % 2:
-                    breaker.record_failure(Tier.COMPILED, "Overflow", "x")
+                    breaker.record_failure("Overflow", "x")
                 else:
                     breaker.reset()
-                    breaker.tripped(Tier.COMPILED)
+                    breaker.stats()
 
         hammer(worker)
         assert breaker.tier in (Tier.COMPILED, Tier.INTERPRETER)
+
+    def test_the_failure_path_is_exact_under_contention(self):
+        """Every failure lands once in the kinds, the strikes, the stats
+        view and the log, with the GIL switching as often as it can."""
+        import sys
+
+        log = FailureLog(capacity=10_000)
+        breaker = CircuitBreaker("hot", log=log, threshold=THREADS * ROUNDS)
+
+        def worker(index: int) -> None:
+            for _ in range(ROUNDS):
+                breaker.record_failure("Overflow", "boom", counted=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        total = THREADS * ROUNDS
+        assert sum(breaker.kinds.values()) == total
+        assert breaker.strikes == total
+        assert breaker.stats().failures == {Tier.COMPILED.value: total}
+        records = log.records("hot")
+        assert len([r for r in records if r.transition is None]) == total
+        assert len(log.transitions("hot")) == 1
 
 
 def _entry(name: str, tier: Tier):

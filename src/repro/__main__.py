@@ -115,10 +115,7 @@ def _print_session_stats(session, out) -> None:
     if not compiled and not bytecode:
         out.write("no compiled functions in this session\n")
     for handle, fn in compiled.items():
-        out.write(
-            f"CompiledCodeFunction[{handle}] <{fn.program.main}>: "
-            f"{fn.stats().summary()}\n"
-        )
+        out.write(f"CompiledCodeFunction[{handle}]: {fn.stats().summary()}\n")
     for handle, fn in bytecode.items():
         out.write(f"CompiledFunction[{handle}]: {fn.stats().summary()}\n")
     elided = {"int64": 0, "bounds": 0, "checkpoints": 0}

@@ -14,11 +14,10 @@ from repro.bytecode.compiler import (
     BytecodeCompiler,
 )
 from repro.bytecode.instructions import Instruction, Op, RegisterCounts
-from repro.bytecode.supported import supported_function_names
 from repro.bytecode.vm import WVM
 
 __all__ = [
     "BYTECODE_COMPILER_VERSION", "BoxedTensor", "BytecodeCompiler",
     "CompiledFunction", "Instruction", "Op", "RegisterCounts", "WVM",
-    "WVM_ENGINE_VERSION", "compile_function", "supported_function_names",
+    "WVM_ENGINE_VERSION", "compile_function",
 ]

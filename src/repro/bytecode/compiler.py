@@ -28,6 +28,7 @@ from repro.bytecode.supported import (
     BINARY_OPS,
     COMPARISON_OPS,
     UNARY_MATH,
+    UNSUPPORTED_FEATURES,
 )
 from repro.errors import BytecodeCompilerError
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
@@ -120,9 +121,9 @@ class BytecodeCompiler:
                 mapping = {"Integer": "i", "Real": "r", "Complex": "c"}
                 if head.name in mapping:
                     return mapping[head.name]
-                if head.name == "String":
+                if head.name in UNSUPPORTED_FEATURES:
                     raise BytecodeCompilerError(
-                        "strings are not supported by the bytecode compiler"
+                        UNSUPPORTED_FEATURES[head.name]
                     )
         if is_head(pattern, "Blank"):
             return "r"
@@ -217,9 +218,7 @@ class BytecodeCompiler:
         if isinstance(node, MComplex):
             return self.load_const(node.value, "c"), "c", True
         if isinstance(node, MString):
-            raise BytecodeCompilerError(
-                "strings are not supported by the bytecode compiler"
-            )
+            raise BytecodeCompilerError(UNSUPPORTED_FEATURES["String"])
         if isinstance(node, MSymbol):
             return self._emit_symbol(node)
         return self._emit_normal(node)
@@ -273,11 +272,8 @@ class BytecodeCompiler:
             return self._emit_comparison(COMPARISON_OPS[name], node)
         if name in UNARY_MATH and len(node.args) == 1:
             return self._emit_unary_math(name, node)
-        if name in {"StringJoin", "StringLength", "StringTake", "StringDrop",
-                    "Characters", "StringReplace", "ToCharacterCode"}:
-            raise BytecodeCompilerError(
-                "strings are not supported by the bytecode compiler"
-            )
+        if name in UNSUPPORTED_FEATURES:
+            raise BytecodeCompilerError(UNSUPPORTED_FEATURES[name])
         # generic call: if a Function value flows in as data, that is L1 —
         # "Function passing cannot be represented in the bytecode compiler"
         from repro.engine.builtins import BUILTINS

@@ -1,12 +1,12 @@
-"""The bytecode compiler's supported-function table.
+"""The bytecode compiler's opcode selection (§2.2's baseline).
 
-§1/§2.2: the bytecode compiler "supports around 200 commonly used functions
-(mainly numerical computation ...)".  This module is that table: source
-functions the single forward pass can translate, split by how they lower.
-Anything outside the table either escapes to the interpreter at runtime
-(pure numeric expressions whose arguments are compilable) or aborts
-compilation (structural features the VM cannot represent at all: strings,
-function values, symbolic expressions — limitations L1).
+Which source functions its single forward pass maps onto one WVM opcode
+(binary, comparison, unary math sub-code), and which features it refuses
+outright (strings, symbolic expressions — limitations L1).  The rest of
+what it translates is its ``_emit_<Head>`` handlers; anything else escapes
+to the interpreter at run time.  This is the baseline's private table: the
+new compiler's surface, which tier-up and lint read, is
+:func:`repro.compiler.surface.compilable_heads`.
 """
 
 from __future__ import annotations
@@ -45,46 +45,13 @@ COMPARISON_OPS = {
 #: unary source functions lowering to MATH_UNARY with a sub-code
 UNARY_MATH = dict(MATH_CODES)
 
-#: structured constructs the compiler lowers to control flow
-STRUCTURED = {
-    "If", "While", "For", "Do", "Module", "Block", "With",
-    "CompoundExpression", "Set", "Increment", "Decrement", "PreIncrement",
-    "PreDecrement", "AddTo", "SubtractFrom", "TimesBy", "DivideBy",
-    "And", "Or", "Not", "Xor", "Return", "Break", "Continue",
-    "Table", "Map", "Fold", "NestList", "Nest", "Sum",
-}
+_STRINGS = "strings are not supported by the bytecode compiler"
 
-#: list/tensor functions with direct opcode support
-TENSOR_FUNCTIONS = {
-    "Part", "Length", "List", "Dot", "Total", "ConstantArray", "Range",
-    "RandomReal", "RandomInteger",
-}
-
-#: predicates translated to comparisons against literals
-PREDICATES = {"EvenQ", "OddQ", "IntegerQ", "Positive", "Negative", "TrueQ"}
-
-#: type patterns accepted in Compile[{{x, _Integer}, ...}] argument specs
-ARGUMENT_TYPE_PATTERNS = {
-    "_Integer": "i",
-    "_Real": "r",
-    "_Complex": "c",
-    "True|False": "b",
-}
-
-#: features the VM cannot represent at all -> hard compile errors (L1)
+#: features the VM cannot represent at all -> hard compile errors (L1),
+#: as a call head or as an argument pattern (``_String``, ``_Expression``)
 UNSUPPORTED_FEATURES = {
-    "String": "strings are not supported by the bytecode compiler",
-    "StringJoin": "strings are not supported by the bytecode compiler",
-    "StringLength": "strings are not supported by the bytecode compiler",
-    "StringTake": "strings are not supported by the bytecode compiler",
-    "ToCharacterCode": "strings are not supported by the bytecode compiler",
-    "FunctionValue": "function values cannot be represented in bytecode",
+    **dict.fromkeys(
+        ("String", "StringJoin", "StringLength", "StringTake", "StringDrop",
+         "Characters", "StringReplace", "ToCharacterCode"), _STRINGS),
     "Expression": "symbolic expressions cannot be represented in bytecode",
 }
-
-
-def supported_function_names() -> set[str]:
-    """Every source-level function the bytecode compiler can translate."""
-    names = set(BINARY_OPS) | set(COMPARISON_OPS) | set(UNARY_MATH)
-    names |= STRUCTURED | TENSOR_FUNCTIONS | PREDICATES
-    return names

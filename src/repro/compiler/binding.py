@@ -27,6 +27,9 @@ from repro.mexpr.symbols import S, head_name, is_head
 
 _rename_counter = itertools.count(1)
 
+#: the scoping constructs the analysis desugars or opens a scope for
+SCOPING_HEADS = frozenset({"Module", "Block", "With", "Function"})
+
 
 @dataclass
 class BindingResult:

@@ -257,6 +257,11 @@ def _beta_reduce(function: MExpr, arguments: list[MExpr]) -> MExpr:
     return substitute(fargs[1], dict(zip(names, arguments)))
 
 
+#: heads the expander consumes itself: β-reduction fills a literal pure
+#: function's ``Slot``s with the arguments it is applied to
+STRUCTURAL_HEADS = frozenset({"Slot"})
+
+
 def _fill_slots(body: MExpr, arguments: list[MExpr]) -> MExpr:
     if is_head(body, "Slot") and len(body.args) == 1 and isinstance(
         body.args[0], MInteger

@@ -203,8 +203,9 @@ _impl("binary_min", "{a0} if {a0} < {a1} else {a1}",
 _impl("binary_max", "{a1} if {a0} < {a1} else {a0}",
       "{out} = ({a0} < {a1}) ? {a1} : {a0};", call=max, total=True,
       interval="maximum", wvm="MAX")
-_impl("binary_atan2_Real64", "_math.atan2({a0}, {a1})",
-      "{out} = atan2({a0}, {a1});", call=math.atan2)
+# ArcTan[x, y] is the angle of the point (x, y): atan2 takes y first
+_impl("binary_atan2_Real64", "_math.atan2({a1}, {a0})",
+      "{out} = atan2({a1}, {a0});", call=lambda x, y: math.atan2(y, x))
 
 # -- comparisons / logic ------------------------------------------------------------
 

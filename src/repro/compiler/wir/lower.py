@@ -397,3 +397,12 @@ class Lowerer:
         instruction.properties["result_type"] = result.type
         self.emit(instruction, source)
         return result
+
+
+#: heads the lowerer consumes itself instead of resolving them as calls:
+#: one ``_lower_<Head>`` handler each, the ``KernelFunction`` escape and
+#: the ``Native`AbortInhibit`` region
+STRUCTURAL_HEADS = frozenset(
+    name[len("_lower_"):] for name in vars(Lowerer)
+    if name.startswith("_lower_") and name[len("_lower_")].isupper()
+) | {"KernelFunction", "Native`AbortInhibit"}

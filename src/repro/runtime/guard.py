@@ -104,6 +104,7 @@ from repro.errors import (
     SOFT_FAILURE_EXCEPTIONS,
     WolframAbort,
     WolframBudgetError,
+    WolframRecursionError,
     WolframRuntimeError,
     WolframTimeoutError,
     classify_runtime_error,
@@ -757,6 +758,13 @@ class GovernedFunction:
             if not isinstance(error, WolframRuntimeError):
                 error = self.classify(error)
             return self._soft_failure(self.evaluator, arguments, error, True)
+        except RecursionError:
+            # unbounded native recursion exhausts the host stack: the
+            # evaluator's classified error, never a raw crash
+            raise WolframRecursionError(
+                f"$RecursionLimit exceeded: {self.breaker.function} ran "
+                "out of host stack in compiled code"
+            ) from None
 
     def _soft_failure(self, evaluator, arguments, error, counted: bool):
         """F2: record, print the paper's warning, revert to the interpreter."""

@@ -25,6 +25,7 @@ from repro.errors import (
     WolframAbort,
     WolframBudgetError,
     WolframEvaluationError,
+    WolframRecursionError,
     WolframRuntimeError,
     WolframTimeoutError,
 )
@@ -341,6 +342,50 @@ def test_failure_log_names_each_engine_handle(hosted):
         assert record.kind == "IntegerOverflow"
         assert record.tier is artifact.native_tier
         assert artifact.stats().kinds == {"IntegerOverflow": 1}
+
+
+def test_stats_report_names_each_hosted_function_by_its_handle(hosted):
+    """``--stats`` prints one ``<Artifact>[handle]: <summary>`` line per
+    hosted function, the same shape for both compilers."""
+    import io
+    import re
+
+    from repro.__main__ import _print_session_stats
+
+    for name in ("ff", "fg"):
+        hosted.run(f'{name} = FunctionCompile[Function[{{Typed[n, '
+                   '"MachineInteger"]}, n + 1]]')
+    hosted.run("cf = Compile[{{n, _Integer}}, n + 1]")
+    hosted.run("ff[1]")
+    out = io.StringIO()
+    _print_session_stats(hosted, out)
+    lines = [line for line in out.getvalue().splitlines()
+             if line.startswith("Compiled")]
+    assert [line.split(":")[0] for line in lines] == [
+        "CompiledCodeFunction[1]", "CompiledCodeFunction[2]",
+        "CompiledFunction[1]",
+    ]
+    for line in lines:
+        assert re.fullmatch(r"Compiled\w*\[\d+\]: tier=\w+ calls\[.*\] "
+                            r"reruns=\d+ kinds\[.*\]", line)
+
+
+@pytest.mark.parametrize("source, argument", [
+    ('Function[{Typed[n, "MachineInteger"]},'
+     ' If[n < 1, 0, 1 + self[n - 1]]]', 100000),
+    # an undeclared same-arity callee is typed as a self-call
+    ('Function[{Typed[x, "Real64"]}, Log10[x] + 1.0]', 2.0),
+])
+def test_unbounded_native_recursion_is_a_classified_error(hosted, source,
+                                                         argument):
+    """Compiled code that exhausts the host stack raises the evaluator's
+    ``WolframRecursionError``, standalone or hosted, never a raw
+    ``RecursionError``."""
+    with pytest.raises(WolframRecursionError):
+        FunctionCompile(source)(argument)
+    with pytest.raises(WolframRecursionError):
+        FunctionCompile(source, evaluator=hosted)(argument)
+    assert hosted.run("1 + 1").to_python() == 2
 
 
 @pytest.mark.parametrize("tier, hook, callers", [

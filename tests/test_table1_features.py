@@ -178,9 +178,8 @@ class TestF8SymbolicCompute:
 
     def test_bytecode_compiler_cannot(self):
         # no Expression datatype exists in the bytecode compiler at all
-        from repro.bytecode.supported import UNSUPPORTED_FEATURES
-
-        assert "Expression" in UNSUPPORTED_FEATURES
+        with pytest.raises(BytecodeCompilerError, match="symbolic"):
+            compile_function(parse("{{a, _Expression}}"), parse("a + 1"))
 
 
 class TestF9GradualCompilation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.engine.builtins.support import (
     all_numbers,
     as_number,
@@ -429,9 +431,25 @@ def identity_matrix(evaluator, expression):
 
 @builtin("Total")
 def total(evaluator, expression):
-    if len(expression.args) != 1 or not is_head(expression.args[0], "List"):
+    """``Total[list]``, and ``Total[list, n]``: the sum of the elements
+    down to level ``n`` (a positive integer or ``Infinity``)."""
+    args = expression.args
+    if not 1 <= len(args) <= 2 or not is_head(args[0], "List"):
         return None
-    return evaluator.evaluate(MExprNormal(S.Plus, list(expression.args[0].args)))
+    levels = 1
+    if len(args) == 2:
+        if type(args[1]) is MInteger and args[1].value >= 1:
+            levels = args[1].value
+        elif args[1] == S.Infinity:
+            levels = math.inf
+        else:
+            return None
+    items = list(args[0].args)
+    while levels > 1 and any(is_head(item, "List") for item in items):
+        items = [leaf for item in items
+                 for leaf in (item.args if is_head(item, "List") else [item])]
+        levels -= 1
+    return evaluator.evaluate(MExprNormal(S.Plus, items))
 
 
 @builtin("Accumulate")

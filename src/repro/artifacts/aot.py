@@ -90,7 +90,7 @@ def build_image(
         preloaded, deferred = [], []
         for name in sorted(image.definitions):
             definition = image.definitions[name]
-            if not definition.down_values:
+            if not definition.rule_count():
                 continue
             if profiler is not None and profiler.preload(evaluator, name):
                 preloaded.append(name)

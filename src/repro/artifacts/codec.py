@@ -30,7 +30,6 @@ and reported as a miss; the caller recompiles.
 from __future__ import annotations
 
 import base64
-import hashlib
 import marshal
 from types import CodeType
 from typing import Optional
@@ -151,9 +150,6 @@ def _python_payload(program, compiled, backend,
             "ndarray": list(program.metadata.get("ndarrayParameters", ())),
             "consts": [_const_to_wire(c, named) for c in backend.constants],
             "kexprs": kexprs,
-            "twir": hashlib.sha256(
-                program.to_string().encode("utf-8")
-            ).hexdigest(),
         }
     except (TypeError, ValueError):
         return None

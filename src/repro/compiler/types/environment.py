@@ -55,12 +55,29 @@ _WIDENS_TO = {
 _WIDENS_TO["Integer64"] = _WIDENS_TO["Integer64"] | {"UnsignedInteger64"}
 
 
+#: ``(source, target) -> distance``: one more than the number of types the
+#: widening passes through (Integer64 -> Real64 is 1, -> ComplexReal64 is
+#: 2), so resolution prefers the narrowest overload a coercion reaches
+_WIDENING_DISTANCE = {
+    (source, target): 1 + sum(
+        target in _WIDENS_TO.get(middle, ()) for middle in targets
+    )
+    for source, targets in _WIDENS_TO.items()
+    for target in targets
+}
+
+
 def widens_to(source: Type, target: Type) -> bool:
     return (
         isinstance(source, AtomicType)
         and isinstance(target, AtomicType)
         and target.name in _WIDENS_TO.get(source.name, ())
     )
+
+
+def widening_distance(source: Type, target: Type) -> int:
+    """How far a coercion that :func:`widens_to` allows reaches."""
+    return _WIDENING_DISTANCE[source.name, target.name]
 
 
 @dataclass
@@ -337,7 +354,7 @@ class TypeEnvironment:
                 continue
             probe = substitution.copy()
             coercions: list[Optional[Type]] = []
-            coercion_count = 0
+            coercion_count = distance = 0
             failed = False
             for param, argument in zip(instantiated.params, argument_types):
                 # a failed unification leaves a binding behind only when
@@ -353,6 +370,9 @@ class TypeEnvironment:
                 if widens_to(resolved_argument, resolved_param):
                     coercions.append(resolved_param)
                     coercion_count += 1
+                    distance += widening_distance(
+                        resolved_argument, resolved_param
+                    )
                     continue
                 failed = True
                 break
@@ -382,10 +402,11 @@ class TypeEnvironment:
                 mangled_name=mangle(name, function_type.params),
                 coercions=tuple(coercions),
             )
-            # ordering (§4.4): fewer coercions, then more-specific (fewer
+            # ordering (§4.4): fewer coercions, then shorter widenings
+            # (Real64 before ComplexReal64), then more-specific (fewer
             # leftover variables), then later declarations win (user
             # extensions override builtins)
-            rank = (coercion_count, unresolved, -declaration.order)
+            rank = (coercion_count, distance, unresolved, -declaration.order)
             out.append((resolved, rank))
         out.sort(key=lambda c: c[1])
         return out

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.compiler.types.environment import TypeEnvironment, widens_to
+from repro.compiler.types.environment import (
+    TypeEnvironment, widening_distance, widens_to,
+)
 from repro.compiler.types.specifier import (
     AtomicType,
     CompoundType,
@@ -370,12 +372,13 @@ class TypeInference:
                 f"in `{_source_of(instruction)}`"
             )
         best = viable[0]
-        is_unique = len(viable) == 1 or viable[1][:2] != best[:2]
+        # unique: the runner-up is worse on more than declaration order
+        is_unique = len(viable) == 1 or viable[1][:-2] != best[:-2]
         if not (is_unique or ground_enough):
             if commit_unique:
                 return False
         # commit: unify for real against the main substitution
-        instantiated = best[3]
+        instantiated = best[-1]
         for param, argument in zip(instantiated.params,
                                    constraint.operand_types):
             resolved_arg = self.substitution.resolve(argument)
@@ -388,16 +391,17 @@ class TypeInference:
 
     def _viable_overloads(self, declarations, operand_types: list[Type],
                           result_type: Type) -> list[tuple]:
-        """``(coercions, unresolved, -order, instantiated type)`` of every
-        declaration that accepts the operands and can produce
-        ``result_type``, best first."""
+        """``(coercions, widening distance, unresolved, -order,
+        instantiated type)`` of every declaration that accepts the operands
+        and can produce ``result_type``, best first — the rank
+        :meth:`TypeEnvironment._candidates` gives."""
         viable = []
         for declaration in declarations:
             if declaration.arity() != len(operand_types):
                 continue
             instantiated, obligations = instantiate(declaration.type)
             probe = self.substitution.copy()
-            coercion_count = 0
+            coercion_count = distance = 0
             failed = False
             for param, argument in zip(instantiated.params, operand_types):
                 # a failed unification leaves a binding behind only when
@@ -407,8 +411,10 @@ class TypeInference:
                     continue
                 except TypeInferenceError:
                     pass
-                if widens_to(probe.resolve(argument), probe.resolve(param)):
+                source, target = probe.resolve(argument), probe.resolve(param)
+                if widens_to(source, target):
                     coercion_count += 1
+                    distance += widening_distance(source, target)
                     continue
                 failed = True
                 break
@@ -428,9 +434,9 @@ class TypeInference:
                 continue
             if not unifiable(instantiated.result, result_type, probe):
                 continue
-            viable.append((coercion_count, unresolved, -declaration.order,
-                           instantiated))
-        viable.sort(key=lambda item: item[:3])
+            viable.append((coercion_count, distance, unresolved,
+                           -declaration.order, instantiated))
+        viable.sort(key=lambda item: item[:4])
         return viable
 
     def _try_self_call(self, constraint: CallConstraint,

@@ -5,15 +5,26 @@ A symbol's ``OwnValues`` hold its value binding (``x = 5``); its
 (``f[x_] := x^2``) — the same two stores the Wolfram Engine uses (§2.1
 footnote 2).
 
-Dispatch over DownValues is accelerated by a :class:`DownValueIndex` that
-discriminates rules by arity and by a literal first argument, falling back
-to the ordered linear scan for general patterns.  The index is a pure cache:
-candidate selection only ever *excludes* rules that provably cannot match
-(wrong arity for a fixed-arity rule, or a literal first argument that is not
-structurally equal to the call's first argument), and candidates are yielded
-in the original specificity order.  Any mutation of the rule list —
-including ``Block``'s snapshot restore, which swaps in a different list
-object — invalidates the index.
+A :class:`Definition` keeps its DownValues in two parts, as the Wolfram
+Engine does.  **Facts** — rules whose lhs has no pattern construct at any
+depth, under a head without ``Orderless``, ``Flat`` or ``OneIdentity`` —
+live in a dict keyed by the lhs arguments: a memo write such as
+``mfib[n] = ...`` is one walk of its lhs and one dict store, and a call
+that names a fact is one hash probe.  **Pattern rules** stay in an ordered
+list (most specific first, definition order among equals), and only they
+are covered by the :class:`DownValueIndex`, which discriminates by arity
+and by a literal first argument and falls back to the ordered scan for
+general patterns.  The index is a pure cache: candidate selection only
+ever *excludes* rules that provably cannot match, and yields candidates in
+rule order.  It is rebuilt only when a pattern rule changes — a fact write
+bumps ``rules_version`` and leaves it alone.
+
+Both parts share one dispatch order: every rule carries its specificity
+and the stamp of its first definition, and a fact answers a call unless a
+pattern rule that may match outranks it (higher specificity, or equal and
+defined earlier), in which case the call takes the ordered scan with the
+fact at its rank.  :attr:`Definition.down_values` is the one ordered view
+over both parts, for every reader that needs the whole rule list.
 
 :class:`KernelState` optionally starts from an immutable shared *base*
 mapping, referenced entry by entry and copied on first write (see the class
@@ -27,8 +38,9 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
+from repro.engine.attributes import FLAT, ONE_IDENTITY, ORDERLESS
 from repro.engine.patterns import pattern_specificity
 from repro.mexpr.atoms import MSymbol
 from repro.mexpr.expr import MExpr
@@ -47,15 +59,41 @@ _PATTERN_HEADS = frozenset({
     "HoldPattern",
 })
 
+#: a head with any of these keeps its pattern-free rules in the ordered
+#: list: its calls are not compared with an lhs by plain equality
+_NO_FACTS = frozenset({ORDERLESS, FLAT, ONE_IDENTITY})
 
-def _is_literal_pattern(node: MExpr) -> bool:
-    """True when ``node`` contains no pattern constructs at any depth."""
-    for sub in node.subexpressions():
-        if not sub.is_atom():
-            head = sub.head
+
+def _takes_facts(attributes: frozenset[str]) -> bool:
+    return attributes.isdisjoint(_NO_FACTS)
+
+
+def _literal_weight(node: MExpr) -> Optional[int]:
+    """``pattern_specificity(node)`` when ``node`` contains no pattern
+    construct at any depth (4 per node), else ``None``."""
+    nodes = 0
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if not node.is_atom():
+            head = node.head
             if isinstance(head, MSymbol) and head.name in _PATTERN_HEADS:
-                return False
-    return True
+                return None
+            stack.append(head)
+            stack.extend(node.args)
+    return 4 * nodes
+
+
+def _fact_weight(definition: "Definition", lhs: MExpr) -> Optional[int]:
+    """The specificity of ``lhs`` when its rule is a fact of
+    ``definition`` (see the module docstring), else ``None``."""
+    if not _takes_facts(definition.attributes):
+        return None
+    head = lhs.head
+    if not isinstance(head, MSymbol) or head.name != definition.name:
+        return None
+    return _literal_weight(lhs)
 
 
 @dataclass
@@ -66,15 +104,26 @@ class DownValue:
     rhs: MExpr
     #: ``True`` for ``:=`` (rhs held until the rule fires), ``False`` for ``=``
     delayed: bool = True
-    #: memoized ``pattern_specificity(lhs)`` (the insertion point is found
-    #: by it; the lhs never mutates, so the score never changes)
+    #: memoized ``pattern_specificity(lhs)`` (the lhs never mutates, so the
+    #: score never changes)
     specificity: Optional[int] = field(default=None, compare=False, repr=False)
+    #: definition order: stamped when the lhs is first defined and kept by
+    #: a redefinition, so ``(-specificity, order)`` is the rule's rank
+    order: int = field(default=0, compare=False, repr=False)
 
 
 def _specificity(down_value: DownValue) -> int:
     if down_value.specificity is None:
         down_value.specificity = pattern_specificity(down_value.lhs)
     return down_value.specificity
+
+
+def _rank(down_value: DownValue) -> tuple[int, int]:
+    return -_specificity(down_value), down_value.order
+
+
+#: process-wide source of :attr:`DownValue.order` stamps
+_rule_orders = itertools.count(1)
 
 
 class DownValueIndex:
@@ -106,7 +155,7 @@ class DownValueIndex:
                 self._general.append(entry)
                 continue
             arity = len(lhs.args)
-            if lhs.args and _is_literal_pattern(lhs.args[0]):
+            if lhs.args and _literal_weight(lhs.args[0]) is not None:
                 key = (arity, lhs.args[0].structure_key())
                 self._by_literal.setdefault(key, []).append(entry)
             else:
@@ -124,9 +173,11 @@ class DownValueIndex:
         """
         args = expression.args
         arity = len(args)
+        # the first argument's structure key is a walk of the whole
+        # argument when it was just built: take it only when a rule needs it
         literal = (
             self._by_literal.get((arity, args[0].structure_key()), ())
-            if args
+            if args and self._by_literal
             else ()
         )
         fixed = self._by_arity.get(arity, ())
@@ -162,7 +213,12 @@ class Definition:
     own_value: Optional[MExpr] = None
     #: present ≠ has value: ``x=Null`` stores Null, unset stores nothing
     has_own_value: bool = False
-    down_values: list[DownValue] = field(default_factory=list)
+    #: the rules with a pattern construct, in rank order — what the
+    #: :class:`DownValueIndex` covers
+    patterns: list[DownValue] = field(default_factory=list)
+    #: the pattern-free rules, ``lhs.args -> rule`` (the lhs head is this
+    #: symbol): a call naming one is a hash probe
+    facts: dict[tuple, DownValue] = field(default_factory=dict)
     attributes: frozenset[str] = frozenset()
     _index: Optional[DownValueIndex] = field(
         default=None, compare=False, repr=False
@@ -171,23 +227,39 @@ class Definition:
     _by_lhs: Optional[tuple[list, dict]] = field(
         default=None, compare=False, repr=False
     )
-    #: names the current contents of ``down_values``: every write to the
-    #: rule list (a rule added or replaced, ``Clear``, a ``Block`` entry or
-    #: restore) and every copy of the definition takes a stamp no other
-    #: rule list in the process ever had, so "same rules as when I looked"
-    #: is one integer comparison (the hotspot profiler's validity test)
+    #: names the current contents of the rules: every write to either part
+    #: (a rule added or replaced, ``Clear``, a ``Block`` entry or restore)
+    #: and every copy of the definition takes a stamp no other rule set in
+    #: the process ever had, so "same rules as when I looked" is one
+    #: integer comparison (the hotspot profiler's validity test)
     rules_version: int = field(
         default_factory=_rules_versions.__next__, compare=False, repr=False
     )
 
+    @property
+    def down_values(self) -> list[DownValue]:
+        """Every rule, facts and patterns, in dispatch order (a new list:
+        the one view for readers of the whole rule set)."""
+        if not self.facts:
+            return list(self.patterns)
+        return sorted([*self.patterns, *self.facts.values()], key=_rank)
+
+    def rule_count(self) -> int:
+        return len(self.patterns) + len(self.facts)
+
     def clear_values(self) -> None:
         self.own_value = None
         self.has_own_value = False
-        self.down_values = []
+        # an empty part is kept, not replaced: ``bind`` runs this on every
+        # iteration of a ``Table``/``Do``, whose iterator has no rules
+        if self.patterns:
+            self.patterns = []
+        if self.facts:
+            self.facts = {}
         self.invalidate_index()
 
     def invalidate_index(self) -> None:
-        """The rule list was written (every writer calls this)."""
+        """A pattern rule was written (every such writer calls this)."""
         self._index = None
         self.rules_version = next(_rules_versions)
 
@@ -203,24 +275,98 @@ class Definition:
         """Put back what :meth:`snapshot` saved (``Block`` exit)."""
         self.own_value = saved.own_value
         self.has_own_value = saved.has_own_value
-        self.down_values = saved.down_values
+        self.patterns = saved.patterns
+        self.facts = saved.facts
+        self.invalidate_index()
+        if _takes_facts(saved.attributes) != _takes_facts(self.attributes):
+            self.repartition()  # the attributes changed inside the Block
+
+    def repartition(self) -> None:
+        """Put every rule in the part the current attributes call for
+        (after an attribute change); each keeps its rank."""
+        rules = self.down_values
+        self.patterns, self.facts = [], {}
+        for rule in rules:
+            if _fact_weight(self, rule.lhs) is None:
+                self.patterns.append(rule)
+            else:
+                self.facts[rule.lhs.args] = rule
         self.invalidate_index()
 
     def rules_by_lhs(self) -> dict[MExpr, DownValue]:
-        """``lhs -> rule`` over ``down_values`` (an lhs occurs at most
-        once), so a definition finds the rule it replaces by one hash
-        lookup.  Rebuilt when another list object was swapped in
-        (``Block`` restore, ``Clear``); :meth:`KernelState.add_down_value`,
-        the only in-place writer, keeps it current."""
+        """``lhs -> rule`` over ``patterns`` (an lhs occurs at most once),
+        so a definition finds the rule it replaces by one hash lookup.
+        Rebuilt when another list object was swapped in (``Block``
+        restore, ``Clear``); :meth:`add_pattern`, the only in-place
+        writer, keeps it current."""
         cached = self._by_lhs
-        if cached is None or cached[0] is not self.down_values:
+        if cached is None or cached[0] is not self.patterns:
             cached = self._by_lhs = (
-                self.down_values, {dv.lhs: dv for dv in self.down_values}
+                self.patterns, {dv.lhs: dv for dv in self.patterns}
             )
         return cached[1]
 
+    def add_fact(self, down_value: DownValue, weight: int) -> None:
+        """Store a fact of specificity ``weight``: one dict store, and the
+        pattern index stays as it is."""
+        key = down_value.lhs.args
+        existing = self.facts.get(key)
+        down_value.specificity = weight
+        down_value.order = (
+            next(_rule_orders) if existing is None else existing.order
+        )
+        self.facts[key] = down_value
+        self.rules_version = next(_rules_versions)
+
+    def add_pattern(self, down_value: DownValue) -> None:
+        """Store a pattern rule at its rank; a later identical lhs replaces
+        an earlier one in place, as in Wolfram."""
+        rules, by_lhs = self.patterns, self.rules_by_lhs()
+        existing = by_lhs.get(down_value.lhs)
+        if existing is not None:
+            down_value.specificity = existing.specificity
+            down_value.order = existing.order
+            position = next(
+                i for i, rule in enumerate(rules) if rule is existing
+            )
+            rules[position] = down_value
+        else:
+            # more specific rules first (Wolfram pattern ordering, §4.2),
+            # definition order among equals: after the last rule that is
+            # at least as specific
+            score = _specificity(down_value)
+            down_value.order = next(_rule_orders)
+            rules.insert(
+                bisect.bisect_right(
+                    rules, -score, key=lambda rule: -rule.specificity,
+                ),
+                down_value,
+            )
+        by_lhs[down_value.lhs] = down_value
+        self.invalidate_index()
+
+    def ahead_of(
+        self, fact: DownValue, expression: MExpr
+    ) -> Iterable[DownValue]:
+        """The pattern rules that may match ``expression`` and outrank
+        ``fact``, in rule order: usually none, decided by comparing with
+        the top-ranked pattern rule alone."""
+        patterns = self.patterns
+        if not patterns:
+            return ()
+        top = patterns[0]
+        if fact.specificity > top.specificity or (
+            fact.specificity == top.specificity and fact.order < top.order
+        ):
+            return ()
+        rank = _rank(fact)
+        return itertools.takewhile(
+            lambda rule: _rank(rule) < rank,
+            self.dispatch_index().candidates(expression),
+        )
+
     def dispatch_index(self) -> DownValueIndex:
-        """The (lazily rebuilt) dispatch index over ``down_values``.
+        """The (lazily rebuilt) dispatch index over ``patterns``.
 
         Staleness is detected by list-object identity and length: ``Block``
         restores a snapshot by assigning a fresh list, and every in-place
@@ -229,10 +375,10 @@ class Definition:
         index = self._index
         if (
             index is None
-            or index.source is not self.down_values
-            or index.length != len(self.down_values)
+            or index.source is not self.patterns
+            or index.length != len(self.patterns)
         ):
-            index = self._index = DownValueIndex(self.down_values)
+            index = self._index = DownValueIndex(self.patterns)
         return index
 
     def snapshot(self) -> "Definition":
@@ -241,7 +387,8 @@ class Definition:
             name=self.name,
             own_value=self.own_value,
             has_own_value=self.has_own_value,
-            down_values=list(self.down_values),
+            patterns=list(self.patterns),
+            facts=dict(self.facts),
             attributes=self.attributes,
         )
 
@@ -329,10 +476,11 @@ class KernelState:
         (:class:`repro.server.base.BaseImage` enforces this by discarding
         the warming session once frozen).  Dispatch indexes are pre-built so
         overlay sessions share them instead of each paying the first-call
-        rebuild.
+        rebuild, and no session's call writes a lazy cache on a shared
+        definition afterwards.
         """
         for definition in self._definitions.values():
-            if definition.down_values:
+            if definition.rule_count():
                 definition.dispatch_index()
         return MappingProxyType(dict(self._definitions))
 
@@ -366,32 +514,21 @@ class KernelState:
 
     def add_down_value(self, name: str, down_value: DownValue) -> None:
         definition = self.definition(name)
-        rules, by_lhs = definition.down_values, definition.rules_by_lhs()
-        # Later identical-lhs definitions replace earlier ones, as in Wolfram.
-        existing = by_lhs.get(down_value.lhs)
-        if existing is not None:
-            position = next(
-                i for i, rule in enumerate(rules) if rule is existing
-            )
-            rules[position] = down_value
+        weight = _fact_weight(definition, down_value.lhs)
+        if weight is None:
+            definition.add_pattern(down_value)
         else:
-            # more specific rules first (Wolfram pattern ordering, §4.2),
-            # definition order among equals: after the last rule that is
-            # at least as specific
-            rules.insert(
-                bisect.bisect_right(
-                    rules, -_specificity(down_value),
-                    key=lambda rule: -_specificity(rule),
-                ),
-                down_value,
-            )
-        by_lhs[down_value.lhs] = down_value
-        definition.invalidate_index()
+            definition.add_fact(down_value, weight)
         self.touch()
 
     def set_attributes(self, name: str, attributes: frozenset[str]) -> None:
         definition = self.definition(name)
-        definition.attributes = frozenset(attributes)
+        attributes = frozenset(attributes)
+        regroup = _takes_facts(definition.attributes) != \
+            _takes_facts(attributes)
+        definition.attributes = attributes
+        if regroup:
+            definition.repartition()
         self.attributes_version += 1
         self.touch()
 

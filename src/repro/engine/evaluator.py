@@ -440,7 +440,9 @@ class Evaluator:
                             break
                     else:
                         definition = lookup(name)
-                        if definition is None or not definition.down_values:
+                        if definition is None or not (
+                            definition.patterns or definition.facts
+                        ):
                             if _CHECKPOINT[0]:
                                 if ledger is None:
                                     ledger = _thread.ledger
@@ -504,7 +506,9 @@ class Evaluator:
                     and not (saw_list and plan.listable)
                 ):
                     definition = lookup(name)
-                    if definition is not None and definition.down_values:
+                    if definition is not None and (
+                        definition.patterns or definition.facts
+                    ):
                         result = hotspot.dispatch(
                             self, name, definition, values
                         )
@@ -519,7 +523,9 @@ class Evaluator:
                     # own library functions (FindRoot's method steps etc.)
                     # are definable in-language.
                     definition = lookup(name)
-                    if definition is not None and definition.down_values:
+                    if definition is not None and (
+                        definition.patterns or definition.facts
+                    ):
                         result = self._apply_down_values(
                             name, definition, rebuilt
                         )
@@ -662,18 +668,34 @@ class Evaluator:
     def _apply_down_values(
         self, name: str, definition, expression: MExprNormal
     ) -> Optional[MExpr]:
-        hotspot = self.hotspot
-        for down_value in definition.dispatch_index().candidates(
-            expression, self._tally
-        ):
+        # a fact (pattern-free rule) naming the call is one hash probe; it
+        # answers unless a pattern rule that may match outranks it
+        facts = definition.facts
+        fact = facts.get(expression.args) if facts else None
+        if fact is not None:
+            if _trace.TRACER is not None:
+                self._tally["eval.dispatch_index.hits"] += 1
+            candidates = definition.ahead_of(fact, expression)
+        elif definition.patterns:
+            candidates = definition.dispatch_index().candidates(
+                expression, self._tally
+            )
+        else:
+            return None
+        for down_value in candidates:
             bindings = match(down_value.lhs, expression, evaluator=self)
             if bindings is not None:
-                if hotspot is not None:
-                    hotspot.record(self, name, definition, expression)
-                if _trace.TRACER is not None:
-                    self._tally["eval.rule_applications"] += 1
-                return substitute(down_value.rhs, bindings)
-        return None
+                break
+        else:
+            if fact is None:
+                return None
+            down_value, bindings = fact, {}
+        hotspot = self.hotspot
+        if hotspot is not None:
+            hotspot.record(self, name, definition, expression)
+        if _trace.TRACER is not None:
+            self._tally["eval.rule_applications"] += 1
+        return substitute(down_value.rhs, bindings)
 
 
 def _build_order_key(expression: MExpr) -> tuple:

@@ -10,7 +10,8 @@ event / metric                  emitted by
 ``eval.evaluate`` (span)        top-level ``Evaluator.evaluate_protected``
 ``eval.fixed_point_iterations`` the evaluator's fixed-point loop (counter)
 ``eval.rule_applications``      each DownValue rule firing (counter)
-``eval.dispatch_index.hits``    literal-discriminated dispatch lookups (counter)
+``eval.dispatch_index.hits``    dispatch lookups answered by the fact table or
+                                a literal first argument (counter)
 ``eval.dispatch_index.misses``  dispatch lookups that fell to the scan (counter)
 ``vm.run`` (span)               one WVM invocation, with instruction count
 ``vm.instructions``             WVM instructions dispatched (counter)

@@ -84,9 +84,10 @@ from repro.runtime.guard import Tier
 
 DEFAULT_THRESHOLD = 16
 
-#: exact integer semantics diverge from machine arithmetic for these heads
-#: (``5/2`` is ``Rational[5, 2]``, ``2^-1`` is ``1/2``): block promotion of
-#: integer-typed definitions that use them
+#: the interpreter keeps an exact result of integers an Integer where
+#: compiled code computes a Real (``4/2`` and ``Sqrt[4]`` are ``2``,
+#: compiled ``2.0``), and leaves ``2^-1`` unevaluated: block promotion of
+#: integer-typed definitions that use these heads
 _INT_UNSAFE_HEADS = frozenset({"Divide", "Power", "Sqrt"})
 
 #: heads the compiler takes but the interpreter means otherwise: the
@@ -272,7 +273,7 @@ class HotspotProfiler:
         installed.
         """
         definition = evaluator.state.lookup(name)
-        if definition is None or not definition.down_values:
+        if definition is None or not definition.rule_count():
             return False
         if self.max_tier is not _COMPILED:
             return False
@@ -511,9 +512,10 @@ class HotspotProfiler:
         blanks). Literal rules become an ``If`` chain in rule order, so
         dispatch semantics are preserved exactly.
         """
-        rules = definition.down_values
-        if not rules or len(rules) > _MAX_RULES:
+        # count first: a memo table of a thousand facts is never sorted
+        if not 0 < definition.rule_count() <= _MAX_RULES:
             return None
+        rules = definition.down_values
         parsed = []
         arity = None
         for rule in rules:

@@ -770,6 +770,23 @@ class TestFunctionCompileCache:
         assert [warm(i) for i in (1, 2, 3)] == table
 
     @caches_function_compiles
+    def test_entry_with_a_twir_digest_still_hits(self, artifact_cache):
+        """Entries no longer record the TWIR digest; one written when they
+        did (an extra ``twir`` member) is still a hit."""
+        cold = FunctionCompile(TABLE_READ, constants={"myTable": [7, 8]})
+        digest = _only_digest(artifact_cache)
+        entry = artifact_cache.get(digest)
+        assert "twir" not in entry
+        del entry["sha256"]
+        entry["twir"] = "0" * 64
+        artifact_cache.put(digest, entry)
+        hits = artifact_cache.stats["hits"]
+        warm = FunctionCompile(TABLE_READ, constants={"myTable": [7, 8]})
+        assert artifact_cache.stats["hits"] == hits + 1
+        assert artifact_cache.stats["evictions"] == 0
+        assert [warm(i) for i in (1, 2)] == [cold(i) for i in (1, 2)] == [7, 8]
+
+    @caches_function_compiles
     def test_function_typed_parameter_hits(self, artifact_cache):
         cold = FunctionCompile(programs.NEW_QSORT)
         with with_tracing() as tracer:

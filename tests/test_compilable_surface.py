@@ -217,6 +217,20 @@ class TestDisagreementsReversed:
         assert _promoted_or_refused(
             *_run_hot_and_cold(definition, calls)) == "promoted"
 
+    def test_integer_argument_takes_the_real_overload(self):
+        """``Sin`` of an Integer64 is the Real64 overload's float, compiled
+        directly and promoted alike, never a ``Complex``."""
+        session = _session(False)
+        value = session.run(
+            'FunctionCompile[Function[{Typed[n, "MachineInteger"]}, Sin[n]]][3]'
+        )
+        assert full_form(value) == full_form(session.run("Sin[3]"))
+        assert isinstance(value.to_python(), float)
+        calls = [f"probe[{k}]" for k in range(1, 7)]
+        assert _promoted_or_refused(
+            *_run_hot_and_cold("probe[n_] := Sin[n]", calls)
+        ) == "promoted"
+
     @pytest.mark.parametrize("head", ["Positive", "IntegerQ"])
     def test_heads_the_compiler_lacks_are_refused_before_compiling(
             self, head):

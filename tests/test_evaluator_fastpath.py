@@ -606,6 +606,12 @@ def test_record_on_a_blocked_definition_never_walks_its_rules():
         def __iter__(self):
             raise AssertionError("record() iterated the rule list")
 
+    class UnwalkableFacts(dict):
+        def __iter__(self):
+            raise AssertionError("record() iterated the facts")
+
+        values = items = keys = __iter__
+
     evaluator = _session({"hosted": True})
     for k in range(12):
         evaluator.run(f"many[{k}] = {k}")
@@ -616,7 +622,8 @@ def test_record_on_a_blocked_definition_never_walks_its_rules():
         "blocked"
     ]
     definition = evaluator.state.lookup("many")
-    definition.down_values = Unwalkable(definition.down_values)
+    definition.patterns = Unwalkable(definition.patterns)
+    definition.facts = UnwalkableFacts(definition.facts)
     events = len(profiler.events)
     expression = parse("many[3]")
     for _ in range(5):

@@ -192,6 +192,15 @@ class TestResolution:
         assert resolved.coercions[0] == ty("Real64")
         assert resolved.coercions[1] is None
 
+    @pytest.mark.parametrize("head", ["Sin", "Cos", "Tan", "Exp", "Log"])
+    def test_integer_widens_to_the_nearest_overload(self, head):
+        """Integer64 widens to Real64 and to ComplexReal64 alike; the
+        shorter widening wins, whatever the declaration order."""
+        env = default_environment()
+        resolved = env.resolve_call(head, [ty("Integer64")])
+        assert resolved.function_type.result == ty("Real64")
+        assert resolved.coercions == (ty("Real64"),)
+
     def test_polymorphic_with_qualifier(self):
         env = default_environment()
         resolved = env.resolve_call("Min", [ty("Real64"), ty("Real64")])

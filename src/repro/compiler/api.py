@@ -50,6 +50,7 @@ from repro.compiler.types.specifier import (
     AtomicType,
     CompoundType,
     FunctionType,
+    INTEGER_RANGES,
     Type,
     python_check,
 )
@@ -73,7 +74,7 @@ from repro.runtime.guard import (
     Tier,
     checkpoint,
 )
-from repro.runtime.checked import INT64_MAX, INT64_MIN, check_int64
+from repro.runtime.checked import INT64_MAX, INT64_MIN
 from repro.runtime.packed import PackedArray
 
 FunctionLike = Union[MExpr, str]
@@ -405,8 +406,11 @@ def _unpack_one(value, type_: Type):
         )
     if isinstance(type_, AtomicType) and type_.name == "Real64":
         return float(value)
-    if isinstance(type_, AtomicType) and type_.name.startswith("Integer"):
-        return check_int64(int(value))
+    if isinstance(type_, AtomicType) and type_.name in INTEGER_RANGES:
+        least, greatest = INTEGER_RANGES[type_.name]
+        value = int(value)
+        if value > greatest or value < least:
+            raise IntegerOverflowError()
     return value
 
 
@@ -440,7 +444,7 @@ def unpacker(type_: Type, resident: bool = False):
             return general(value)
 
         return unpack_resident
-    if isinstance(type_, AtomicType) and type_.name.startswith("Integer"):
+    if isinstance(type_, AtomicType) and type_.name == "Integer64":
 
         def unpack_integer(value):
             if type(value) is int:  # excludes bool, as python_check does
@@ -450,6 +454,15 @@ def unpacker(type_: Type, resident: bool = False):
             return general(value)
 
         return unpack_integer
+    if isinstance(type_, AtomicType) and type_.name in INTEGER_RANGES:
+        least, greatest = INTEGER_RANGES[type_.name]
+
+        def unpack_narrow(value):
+            if type(value) is int and least <= value <= greatest:
+                return value
+            return general(value)  # raises on a value out of range
+
+        return unpack_narrow
     if isinstance(type_, AtomicType) and type_.name == "Real64":
 
         def unpack_real(value):

@@ -18,15 +18,15 @@ back into a WIR — the pipeline re-runs inference afterwards (§4.5).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.compiler.types.environment import (
     PrimitiveImpl,
     ResolvedCall,
     TypeEnvironment,
-    mangle,
+    widening_cast,
 )
-from repro.compiler.types.specifier import AtomicType, FunctionType, Type
+from repro.compiler.types.specifier import FunctionType, Type
 from repro.compiler.wir.function_module import (
     BasicBlock,
     Forwarding,
@@ -44,26 +44,10 @@ from repro.compiler.wir.instructions import (
     LoadArgumentInstr,
     PhiInstr,
     ReturnInstr,
-    Terminator,
     Value,
 )
 from repro.errors import FunctionResolutionError
 from repro.mexpr.expr import MExpr
-
-_CAST_PRIMS = {
-    ("Integer64", "Real64"): "cast_Integer64_Real64",
-    ("Integer64", "ComplexReal64"): "cast_Integer64_ComplexReal64",
-    ("Real64", "ComplexReal64"): "cast_Real64_ComplexReal64",
-    ("Integer32", "Integer64"): "identity",
-    ("Integer16", "Integer64"): "identity",
-    ("Integer8", "Integer64"): "identity",
-    ("UnsignedInteger8", "Integer64"): "identity",
-    ("UnsignedInteger8", "UnsignedInteger64"): "identity",
-    ("Integer64", "UnsignedInteger64"): "identity",
-    ("UnsignedInteger8", "Real64"): "cast_Integer64_Real64",
-    ("Boolean", "Integer64"): "cast_Boolean_Integer64",
-}
-
 
 class FunctionResolver:
     def __init__(
@@ -167,26 +151,18 @@ class FunctionResolver:
         )
 
     def _insert_coercions(self, block, index, instruction, resolved) -> int:
+        from repro.compiler.types.builtin_env import PRIMITIVE_IMPLS
+
         inserted = 0
         for position, target in enumerate(resolved.coercions):
             if target is None:
                 continue
             operand = instruction.operands[position]
-            source_type = operand.type
-            cast_name = _CAST_PRIMS.get(
-                (getattr(source_type, "name", "?"),
-                 getattr(target, "name", "?"))
-            )
-            if cast_name is None:
-                raise FunctionResolutionError(
-                    f"no coercion from {source_type} to {target}"
-                )
-            from repro.compiler.types.builtin_env import PRIMITIVE_IMPLS
-
             cast_value = Value(hint="cast", type_=target)
             cast = CallPrimitiveInstr(
-                cast_value, PRIMITIVE_IMPLS[cast_name], [operand],
-                source_name="Native`Cast",
+                cast_value,
+                PRIMITIVE_IMPLS[widening_cast(operand.type, target)],
+                [operand], source_name="Native`Cast",
             )
             block.instructions.insert(index, cast)
             index += 1

@@ -31,38 +31,48 @@ from repro.compiler.types.specifier import (
     TypeVariable,
     instantiate,
 )
-from repro.compiler.types.unify import Substitution, unify
+from repro.compiler.types.unify import Substitution, unifiable, unify
 from repro.errors import (
     AmbiguousTypeError,
     FunctionResolutionError,
     TypeInferenceError,
 )
-from repro.mexpr.expr import MExpr
 
-#: numeric widening lattice for implicit coercion during resolution
-_WIDENS_TO = {
-    "Integer8": {"Integer16", "Integer32", "Integer64", "Real64", "ComplexReal64"},
-    "Integer16": {"Integer32", "Integer64", "Real64", "ComplexReal64"},
-    "Integer32": {"Integer64", "Real64", "ComplexReal64"},
-    "Integer64": {"Real64", "ComplexReal64"},
-    "UnsignedInteger8": {"Integer16", "Integer32", "Integer64",
-                         "UnsignedInteger64", "Real64", "ComplexReal64"},
-    "Real32": {"Real64", "ComplexReal64"},
-    "Real64": {"ComplexReal64"},
+#: the numeric widening lattice for implicit coercion during resolution:
+#: ``source -> {target: cast primitive}``, each widening declared once with
+#: the primitive function resolution emits to perform it.  A non-negative
+#: Integer64 literal may widen into unsigned-64 arithmetic (the FNV1a
+#: benchmark mixes byte values into a U64 hash).
+_LATTICE = {
+    "Integer8": {"Integer16": "identity", "Integer32": "identity",
+                 "Integer64": "identity", "Real64": "cast_Integer64_Real64",
+                 "ComplexReal64": "cast_Integer64_ComplexReal64"},
+    "Integer16": {"Integer32": "identity", "Integer64": "identity",
+                  "Real64": "cast_Integer64_Real64",
+                  "ComplexReal64": "cast_Integer64_ComplexReal64"},
+    "Integer32": {"Integer64": "identity", "Real64": "cast_Integer64_Real64",
+                  "ComplexReal64": "cast_Integer64_ComplexReal64"},
+    "Integer64": {"UnsignedInteger64": "identity",
+                  "Real64": "cast_Integer64_Real64",
+                  "ComplexReal64": "cast_Integer64_ComplexReal64"},
+    "UnsignedInteger8": {"Integer16": "identity", "Integer32": "identity",
+                         "Integer64": "identity",
+                         "UnsignedInteger64": "identity",
+                         "Real64": "cast_Integer64_Real64",
+                         "ComplexReal64": "cast_Integer64_ComplexReal64"},
+    "Real32": {"Real64": "identity",
+               "ComplexReal64": "cast_Real64_ComplexReal64"},
+    "Real64": {"ComplexReal64": "cast_Real64_ComplexReal64"},
 }
-# non-negative Integer64 literals may widen into unsigned-64 arithmetic
-# (the FNV1a benchmark mixes byte values into a U64 hash)
-_WIDENS_TO["Integer64"] = _WIDENS_TO["Integer64"] | {"UnsignedInteger64"}
-
 
 #: ``(source, target) -> distance``: one more than the number of types the
 #: widening passes through (Integer64 -> Real64 is 1, -> ComplexReal64 is
 #: 2), so resolution prefers the narrowest overload a coercion reaches
 _WIDENING_DISTANCE = {
     (source, target): 1 + sum(
-        target in _WIDENS_TO.get(middle, ()) for middle in targets
+        target in _LATTICE.get(middle, ()) for middle in targets
     )
-    for source, targets in _WIDENS_TO.items()
+    for source, targets in _LATTICE.items()
     for target in targets
 }
 
@@ -71,13 +81,18 @@ def widens_to(source: Type, target: Type) -> bool:
     return (
         isinstance(source, AtomicType)
         and isinstance(target, AtomicType)
-        and target.name in _WIDENS_TO.get(source.name, ())
+        and target.name in _LATTICE.get(source.name, ())
     )
 
 
 def widening_distance(source: Type, target: Type) -> int:
     """How far a coercion that :func:`widens_to` allows reaches."""
     return _WIDENING_DISTANCE[source.name, target.name]
+
+
+def widening_cast(source: Type, target: Type) -> str:
+    """The primitive that performs a coercion :func:`widens_to` allows."""
+    return _LATTICE[source.name][target.name]
 
 
 @dataclass
@@ -196,15 +211,45 @@ class Declaration:
 
 @dataclass(frozen=True)
 class ResolvedCall:
-    """The outcome of function resolution for one call site.  Frozen: a
-    resolution at ground argument types is shared by every call site that
-    asks for it (:meth:`TypeEnvironment.ground_candidates`)."""
+    """One overload that accepts a call's argument types, with what ranks
+    it (§4.4); the best-ranked one is the outcome of function resolution
+    for the call site.  Frozen: a ranking at ground argument types is
+    shared by every call site that asks for it
+    (:meth:`TypeEnvironment.ground_candidates`)."""
 
     declaration: Declaration
-    function_type: FunctionType  # fully instantiated
-    mangled_name: str
+    function_type: FunctionType  # instantiated
     #: per-argument coercion targets (None = exact match)
     coercions: tuple[Optional[Type], ...] = ()
+    #: the summed :func:`widening_distance` of the coercions
+    distance: int = 0
+    #: qualified type variables the argument types leave unbound
+    unresolved: int = 0
+
+    @property
+    def order(self) -> int:
+        return self.declaration.order
+
+    @property
+    def mangled_name(self) -> str:
+        return mangle(self.declaration.name, self.function_type.params)
+
+    @property
+    def rank(self) -> tuple:
+        """The ordering (§4.4), least first: fewer coercions, then shorter
+        widenings (Real64 before ComplexReal64), then more specific (fewer
+        unbound variables), then later declarations (user extensions
+        override builtins)."""
+        return (*self._merit, -self.order)
+
+    def ties(self, other: "ResolvedCall") -> bool:
+        """Does ``other`` rank alike on everything but declaration order?"""
+        return self._merit == other._merit
+
+    @property
+    def _merit(self) -> tuple:
+        coerced = len(self.coercions) - self.coercions.count(None)
+        return coerced, self.distance, self.unresolved
 
 
 class TypeEnvironment:
@@ -271,50 +316,44 @@ class TypeEnvironment:
 
     # -- resolution (§4.5) --------------------------------------------------------
 
-    def resolve_call(
-        self,
-        name: str,
-        argument_types: list[Type],
-        substitution: Optional[Substitution] = None,
-    ) -> ResolvedCall:
+    def resolve_call(self, name: str,
+                     argument_types: list[Type]) -> ResolvedCall:
         """Resolve ``name[args...]`` to an implementation for the given
-        (ground) argument types.  Raises on no match or ambiguity."""
-        substitution = substitution or Substitution()
-        argument_types = [substitution.resolve(t) for t in argument_types]
+        argument types.  Raises on no match or ambiguity."""
         candidates = None
         if not any(t.free_variables() for t in argument_types):
             candidates = self.ground_candidates(name, argument_types)
         if candidates is None:
-            candidates = self._candidates(
-                name, self.declarations(name), argument_types, substitution
+            candidates = self.candidates(
+                self.declarations(name), argument_types, Substitution()
             )
         if not candidates:
             raise FunctionResolutionError(
                 f"no implementation of {name} matches "
                 f"({', '.join(map(str, argument_types))})"
             )
+        best = candidates[0]
         if (
             len(candidates) > 1
-            and candidates[0][1] == candidates[1][1]
-            and candidates[0][0].function_type != candidates[1][0].function_type
+            and candidates[1].rank == best.rank
+            and candidates[1].function_type != best.function_type
         ):
             raise AmbiguousTypeError(
                 f"ambiguous call {name}"
                 f"({', '.join(map(str, argument_types))}): "
-                f"{candidates[0][0].function_type} vs "
-                f"{candidates[1][0].function_type}"
+                f"{best.function_type} vs {candidates[1].function_type}"
             )
-        return candidates[0][0]
+        return best
 
     def ground_candidates(
         self, name: str, argument_types: list[Type]
-    ) -> Optional[tuple[tuple[ResolvedCall, tuple], ...]]:
-        """Every overload of ``name`` that accepts the variable-free
-        ``argument_types``, best rank first — worked out once per
-        environment and then shared by every call site, function and
-        compile that asks (inference and function resolution both do).
-        ``None`` when some overload's instantiated type keeps a free
-        variable: those belong to one call site and are never shared.
+    ) -> Optional[tuple[ResolvedCall, ...]]:
+        """:meth:`candidates` for the variable-free ``argument_types`` —
+        worked out once per environment and then shared by every call
+        site, function and compile that asks (inference and function
+        resolution both do).  ``None`` when some overload's instantiated
+        type keeps a free variable: those belong to one call site and are
+        never shared.
 
         The key holds everything the answer depends on besides the types:
         the orders of the declarations consulted, so a ``declare_function``
@@ -327,35 +366,34 @@ class TypeEnvironment:
             return self._ground_candidates[key]
         except KeyError:
             pass
-        candidates = self._candidates(
-            name, declarations, argument_types, Substitution()
+        candidates = self.candidates(
+            declarations, argument_types, Substitution()
         )
         shared = None
-        if not any(r.function_type.free_variables() for r, _ in candidates):
+        if not any(c.function_type.free_variables() for c in candidates):
             shared = tuple(candidates)
         self._ground_candidates[key] = shared
         return shared
 
-    def _candidates(
+    def candidates(
         self,
-        name: str,
         declarations: list[Declaration],
         argument_types: list[Type],
         substitution: Substitution,
-    ) -> list[tuple[ResolvedCall, tuple]]:
-        """The overloads that accept ``argument_types``, best rank first
-        (ties keep declaration order)."""
-        out: list[tuple[ResolvedCall, tuple]] = []
+        result_type: Optional[Type] = None,
+    ) -> list[ResolvedCall]:
+        """The ``declarations`` that accept ``argument_types`` under
+        ``substitution`` (and can produce ``result_type``, when given),
+        best :attr:`~ResolvedCall.rank` first.  The one ranking of
+        overloads: type inference and function resolution both read it."""
+        out: list[ResolvedCall] = []
         for declaration in declarations:
             if declaration.arity() != len(argument_types):
                 continue
             instantiated, obligations = instantiate(declaration.type)
-            if not isinstance(instantiated, FunctionType):
-                continue
             probe = substitution.copy()
             coercions: list[Optional[Type]] = []
-            coercion_count = distance = 0
-            failed = False
+            distance = 0
             for param, argument in zip(instantiated.params, argument_types):
                 # a failed unification leaves a binding behind only when
                 # both sides are structured, and then nothing widens either
@@ -367,49 +405,36 @@ class TypeEnvironment:
                     pass
                 resolved_param = probe.resolve(param)
                 resolved_argument = probe.resolve(argument)
-                if widens_to(resolved_argument, resolved_param):
-                    coercions.append(resolved_param)
-                    coercion_count += 1
-                    distance += widening_distance(
-                        resolved_argument, resolved_param
-                    )
-                    continue
-                failed = True
-                break
-            if failed:
-                continue
-            # qualifier obligations: every qualified variable's binding must
-            # be a member of the required class
-            obligations_ok = True
-            unresolved = 0
-            for variable, class_name in obligations:
-                bound = probe.resolve(variable)
-                if isinstance(bound, TypeVariable):
-                    unresolved += 1
-                    continue
-                if not self.classes.satisfies(bound, class_name):
-                    obligations_ok = False
+                if not widens_to(resolved_argument, resolved_param):
                     break
-            if not obligations_ok:
-                continue
-            function_type = probe.resolve(instantiated)
-            if function_type.free_variables():
-                # under-determined polymorphic match: deprioritize but keep
-                unresolved += len(function_type.free_variables())
-            resolved = ResolvedCall(
-                declaration=declaration,
-                function_type=function_type,
-                mangled_name=mangle(name, function_type.params),
-                coercions=tuple(coercions),
-            )
-            # ordering (§4.4): fewer coercions, then shorter widenings
-            # (Real64 before ComplexReal64), then more-specific (fewer
-            # leftover variables), then later declarations win (user
-            # extensions override builtins)
-            rank = (coercion_count, distance, unresolved, -declaration.order)
-            out.append((resolved, rank))
-        out.sort(key=lambda c: c[1])
+                coercions.append(resolved_param)
+                distance += widening_distance(resolved_argument,
+                                              resolved_param)
+            else:
+                unresolved = self._unbound_obligations(obligations, probe)
+                if unresolved is not None and (
+                    result_type is None
+                    or unifiable(instantiated.result, result_type, probe)
+                ):
+                    out.append(ResolvedCall(
+                        declaration, probe.resolve(instantiated),
+                        tuple(coercions), distance, unresolved,
+                    ))
+        out.sort(key=lambda candidate: candidate.rank)
         return out
+
+    def _unbound_obligations(self, obligations, probe: Substitution
+                             ) -> Optional[int]:
+        """How many qualified variables ``probe`` leaves unbound, or
+        ``None`` when a bound one is not a member of its class."""
+        unbound = 0
+        for variable, class_name in obligations:
+            bound = probe.resolve(variable)
+            if isinstance(bound, TypeVariable):
+                unbound += 1
+            elif not self.classes.satisfies(bound, class_name):
+                return None
+        return unbound
 
 
 def mangle(name: str, param_types) -> str:

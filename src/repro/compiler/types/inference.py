@@ -21,14 +21,11 @@ when exactly one candidate survives or when the candidate ordering (§4.4,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.compiler.types.environment import (
-    TypeEnvironment, widening_distance, widens_to,
-)
+from repro.compiler.types.environment import TypeEnvironment
 from repro.compiler.types.specifier import (
-    AtomicType,
     CompoundType,
     FunctionType,
     Type,
@@ -356,14 +353,14 @@ class TypeInference:
             # variable-free overloads, ranked once per environment: only
             # the result type still has to fit this call site
             viable = [
-                (*rank, resolved.function_type)
-                for resolved, rank in shared
-                if unifiable(resolved.function_type.result,
+                candidate for candidate in shared
+                if unifiable(candidate.function_type.result,
                              constraint.result_type, self.substitution)
             ]
         else:
-            viable = self._viable_overloads(
-                declarations, operand_types, constraint.result_type
+            viable = self.environment.candidates(
+                declarations, operand_types, self.substitution,
+                constraint.result_type,
             )
         if not viable:
             raise TypeInferenceError(
@@ -372,13 +369,12 @@ class TypeInference:
                 f"in `{_source_of(instruction)}`"
             )
         best = viable[0]
-        # unique: the runner-up is worse on more than declaration order
-        is_unique = len(viable) == 1 or viable[1][:-2] != best[:-2]
+        is_unique = len(viable) == 1 or not best.ties(viable[1])
         if not (is_unique or ground_enough):
             if commit_unique:
                 return False
         # commit: unify for real against the main substitution
-        instantiated = best[-1]
+        instantiated = best.function_type
         for param, argument in zip(instantiated.params,
                                    constraint.operand_types):
             resolved_arg = self.substitution.resolve(argument)
@@ -388,56 +384,6 @@ class TypeInference:
                          instruction)
         constraint.resolved = True
         return True
-
-    def _viable_overloads(self, declarations, operand_types: list[Type],
-                          result_type: Type) -> list[tuple]:
-        """``(coercions, widening distance, unresolved, -order,
-        instantiated type)`` of every declaration that accepts the operands
-        and can produce ``result_type``, best first — the rank
-        :meth:`TypeEnvironment._candidates` gives."""
-        viable = []
-        for declaration in declarations:
-            if declaration.arity() != len(operand_types):
-                continue
-            instantiated, obligations = instantiate(declaration.type)
-            probe = self.substitution.copy()
-            coercion_count = distance = 0
-            failed = False
-            for param, argument in zip(instantiated.params, operand_types):
-                # a failed unification leaves a binding behind only when
-                # both sides are structured, and then nothing widens either
-                try:
-                    unify(param, argument, probe)
-                    continue
-                except TypeInferenceError:
-                    pass
-                source, target = probe.resolve(argument), probe.resolve(param)
-                if widens_to(source, target):
-                    coercion_count += 1
-                    distance += widening_distance(source, target)
-                    continue
-                failed = True
-                break
-            if failed:
-                continue
-            obligations_failed = False
-            unresolved = 0
-            for variable, class_name in obligations:
-                bound = probe.resolve(variable)
-                if isinstance(bound, TypeVariable):
-                    unresolved += 1
-                    continue
-                if not self.environment.classes.satisfies(bound, class_name):
-                    obligations_failed = True
-                    break
-            if obligations_failed:
-                continue
-            if not unifiable(instantiated.result, result_type, probe):
-                continue
-            viable.append((coercion_count, distance, unresolved,
-                           -declaration.order, instantiated))
-        viable.sort(key=lambda item: item[:4])
-        return viable
 
     def _try_self_call(self, constraint: CallConstraint,
                        operand_types: list[Type]) -> bool:

@@ -337,6 +337,16 @@ def parse_type_specifier(node: MExpr) -> Type:
     raise WolframTypeError(f"cannot parse type specifier {node}")
 
 
+#: ``name -> (least, greatest)`` of each machine integer type: the values
+#: an argument of that type may take at the boundary
+INTEGER_RANGES = {
+    **{f"Integer{bits}": (-(1 << bits - 1), (1 << bits - 1) - 1)
+       for bits in (8, 16, 32, 64)},
+    **{f"UnsignedInteger{bits}": (0, (1 << bits) - 1)
+       for bits in (8, 16, 32, 64)},
+}
+
+
 #: runtime Python representatives, used for argument checking at the boundary
 def python_check(type_: Type, value) -> bool:
     """Does a Python value inhabit this (monomorphic) type at the boundary?"""

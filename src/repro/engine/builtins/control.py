@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.attributes import HOLD_ALL, HOLD_ALL_COMPLETE, HOLD_FIRST
+from repro.engine.attributes import (
+    HOLD_ALL,
+    HOLD_ALL_COMPLETE,
+    HOLD_FIRST,
+    HOLD_REST,
+    ORDERLESS,
+)
 from repro.engine.builtins.support import as_number, builtin, number_expr
 from repro.engine.controlflow import (
     BreakSignal,
@@ -13,14 +19,18 @@ from repro.engine.controlflow import (
     ThrowSignal,
 )
 from repro.engine.builtins.scoping import block_symbols
-from repro.engine.definitions import DownValue
+from repro.engine.definitions import (
+    _PATTERN_HEADS,
+    DownValue,
+    _literal_weight,
+)
 from repro.errors import (
     WolframAbort,
     WolframBudgetError,
     WolframEvaluationError,
     WolframTimeoutError,
 )
-from repro.mexpr.atoms import MInteger, MString, MSymbol
+from repro.mexpr.atoms import MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, head_name, is_false, is_head, is_true
 from repro.runtime.guard import charge_memory
@@ -265,10 +275,54 @@ def _assign(evaluator, lhs: MExpr, value: MExpr, delayed: bool):
         )
     if not lhs.is_atom() and isinstance(lhs.head, MSymbol):
         evaluator.state.add_down_value(
-            lhs.head.name, DownValue(lhs=lhs, rhs=value, delayed=delayed)
+            lhs.head.name,
+            DownValue(lhs=_call_form(evaluator, lhs), rhs=value,
+                      delayed=delayed),
         )
         return MSymbol("Null") if delayed else value
     raise WolframEvaluationError(f"cannot assign to {lhs}")
+
+
+#: atoms evaluation leaves as they are
+_INERT = frozenset({MInteger, MReal, MString})
+
+
+def _call_form(evaluator, lhs: MExpr) -> MExpr:
+    """``lhs`` as a call of its head presents it to the rules: each
+    argument the head's ``Hold*`` attributes leave free evaluated unless it
+    holds a pattern construct, and a pattern-free ``Orderless`` lhs in
+    canonical order — rules match by position, so a pattern keeps the
+    place it was written in.  A pattern construct as the lhs
+    (``f[x_] /; x > 0``) is as it stands."""
+    args = lhs.args
+    if len(args) < 2 and (not args or type(args[0]) in _INERT):
+        return lhs  # a memo write: nothing to evaluate or to order
+    if lhs.head.name in _PATTERN_HEADS:
+        return lhs
+    attributes = evaluator._attributes_of(lhs.head)
+    if HOLD_ALL in attributes or HOLD_ALL_COMPLETE in attributes:
+        free = range(0)
+    else:
+        free = range(HOLD_FIRST in attributes,
+                     1 if HOLD_REST in attributes else len(args))
+    args = list(args)
+    literal = True
+    for position, argument in enumerate(args):
+        if type(argument) in _INERT:
+            continue
+        if isinstance(argument, MExprNormal) and (
+            _literal_weight(argument) is None
+        ):
+            literal = False
+        elif position in free:
+            args[position] = evaluator.evaluate(argument)
+    if literal and ORDERLESS in attributes:
+        from repro.engine.evaluator import canonical_order_key
+
+        args.sort(key=canonical_order_key)
+    if all(new is old for new, old in zip(args, lhs.args)):
+        return lhs
+    return MExprNormal(lhs.head, args)
 
 
 def _assign_part(evaluator, lhs: MExpr, value: MExpr):
@@ -583,8 +637,6 @@ def absolute_timing(evaluator, expression):
     start = time.perf_counter()
     result = evaluator.evaluate(expression.args[0])
     elapsed = time.perf_counter() - start
-    from repro.mexpr.atoms import MReal
-
     return MExprNormal(S.List, [MReal(elapsed), result])
 
 

@@ -746,9 +746,10 @@ def _body_compilable(
     non-numeric atoms, and — before and after macro expansion (``Mean``
     divides, ``n++`` sets) — ``_INT_UNSAFE_HEADS`` on integers and any
     assignment to a parameter, which the interpreter has replaced by its
-    value (``3 = 4`` is an error)."""
+    value (``3 = 4`` is an error).  After expansion a head that only a
+    macro compiles is one no macro rule took (``Sum[n, {3}]``): out."""
     from repro.compiler.macros import MacroExpander, default_macro_environment
-    from repro.compiler.surface import compilable_heads
+    from repro.compiler.surface import compilable_heads, macro_only_heads
 
     allowed = compilable_heads()
     for node in _nodes(body):
@@ -772,6 +773,10 @@ def _body_compilable(
         expanded = MacroExpander(default_macro_environment()).expand(body)
     except MacroExpansionError:
         return False
+    unexpanded = macro_only_heads()
+    for node in _nodes(expanded):
+        if head_name(node) in unexpanded:
+            return False
     for node in (*_nodes(body), *_nodes(expanded)):
         if integer_typed and head_name(node) in _INT_UNSAFE_HEADS:
             return False

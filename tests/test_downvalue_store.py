@@ -70,9 +70,13 @@ class _OrderedScan:
         self.conditions = Evaluator()  # evaluates Condition/PatternTest
 
     def define(self, lhs_source: str, assignment: str) -> str:
-        """Record the rule; the engine source that defines it."""
+        """Record the rule; the engine source that defines it.  Under
+        ``Orderless`` a pattern-free lhs is stored in canonical order."""
         tag = next(self.tags)
         lhs = parse(lhs_source)
+        if self.orderless and lhs_source in _FACTS:
+            lhs = MExprNormal(lhs.head,
+                              sorted(lhs.args, key=canonical_order_key))
         rule = (lhs, tag, assignment == ":=!")
         for position, (existing, _, _) in enumerate(self.rules):
             if existing == lhs:

@@ -193,6 +193,59 @@ class TestStateInvalidations:
         assert run("q = 5; Clear[q]; q") == "q"
 
 
+class TestAssignmentLhs:
+    """A DownValue is stored under the lhs a call of its head presents."""
+
+    @pytest.mark.parametrize("source, expected", [
+        ("Do[g[i] = i^2, {i, 3}]; {g[1], g[2], g[3]}", "List[1, 4, 9]"),
+        ("f[1 + 1] = 3; f[2]", "3"),
+        ("k = 4; h[k] = 5; h[4]", "5"),
+        ("k = 4; h[k] := 5; h[4]", "5"),
+        ("k = 3; q[{k, 1 + 1}] = 1; q[{3, 2}]", "1"),
+    ])
+    def test_arguments_are_evaluated(self, run, source, expected):
+        assert run(source) == expected
+
+    def test_a_pattern_argument_is_not_evaluated(self, run):
+        assert run("x = 7; w[x_] := x + 1; w[1]") == "2"
+
+    def test_a_pattern_construct_lhs_is_as_written(self, evaluator):
+        from repro.mexpr import full_form
+
+        evaluator.run("x = 7; c[x_] /; x > 0 := 1")
+        [rule] = evaluator.state.lookup("Condition").down_values
+        assert full_form(rule.lhs) == \
+            "Condition[c[Pattern[x, Blank[]]], Greater[x, 0]]"
+
+    @pytest.mark.parametrize("attribute, source, expected", [
+        ("HoldFirst", "hf[1 + 1, 1 + 1] = 9; {hf[1 + 1, 2], hf[2, 2]}",
+         "List[9, hf[2, 2]]"),
+        ("HoldRest", "hf[1 + 1, 1 + 1] = 9; {hf[2, 1 + 1], hf[2, 2]}",
+         "List[9, hf[2, 2]]"),
+        ("HoldAll", "hf[1 + 1] = 9; {hf[1 + 1], hf[2]}", "List[9, hf[2]]"),
+    ])
+    def test_a_held_argument_is_not_evaluated(self, run, attribute, source,
+                                              expected):
+        assert run(f"SetAttributes[hf, {attribute}]; {source}") == expected
+
+    def test_orderless_lhs_is_stored_in_canonical_order(self, run):
+        assert run("SetAttributes[h, Orderless]; h[b, a] = 1; "
+                   "h[2, 1] = 2; {h[a, b], h[b, a], h[1, 2]}") == \
+            "List[1, 1, 2]"
+
+    def test_literal_memo_writes_keep_their_lhs(self, evaluator):
+        """Number and string arguments are stored as written: the very
+        node, not an evaluated copy."""
+        from repro.mexpr import parse
+        from repro.mexpr.atoms import MInteger, MSymbol
+        from repro.mexpr.expr import MExprNormal
+
+        lhs = parse('m[1, "s"]')
+        evaluator.evaluate(MExprNormal(MSymbol("Set"), [lhs, MInteger(5)]))
+        [rule] = evaluator.state.lookup("m").down_values
+        assert rule.lhs is lhs
+
+
 class TestFixedPointAndAtomFastPath:
     """The atom fast path and the hash-short-circuited fixed-point check
     must not change observable evaluation semantics."""

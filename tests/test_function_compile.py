@@ -352,6 +352,50 @@ class TestBoundary:
         f = fc('Function[{Typed[x, "MachineInteger"]}, x * 2]')
         assert f(parse("21")) == 42
 
+    @pytest.mark.parametrize("type_name, outside, edges", [
+        ("Integer64", (2**63, -2**63 - 1), (2**63 - 1, -2**63)),
+        ("Integer8", (300, 128, -129), (127, -128)),
+        ("Integer16", (2**15, -2**15 - 1), (2**15 - 1, -2**15)),
+        ("Integer32", (2**31, -2**31 - 1), (2**31 - 1, -2**31)),
+        ("UnsignedInteger8", (-5, 1000, 256), (0, 255)),
+        ("UnsignedInteger64", (-1, 2**64), (0, 2**64 - 1)),
+    ])
+    def test_integer_argument_outside_its_type_overflows(
+            self, type_name, outside, edges):
+        """Every machine integer type checks its own range, the way an
+        out-of-range Integer64 fails; in range, the value passes."""
+        from repro.errors import IntegerOverflowError
+        from repro.mexpr import parse
+
+        f = fc(f'Function[{{Typed[x, "{type_name}"]}}, x]')
+        for value in outside:
+            for argument in (value, parse(str(value))):  # fast path, general
+                with pytest.raises(IntegerOverflowError):
+                    f(argument)
+        for value in edges:
+            assert f(value) == value
+
+    def test_hosted_narrow_integer_out_of_range_reverts(self):
+        """Hosted, an out-of-range narrow argument reverts to the
+        interpreter with the message an Integer64 overflow gives."""
+        from repro.compiler import install_engine_support
+        from repro.engine import Evaluator
+        from repro.mexpr import full_form
+
+        session = Evaluator()
+        install_engine_support(session)
+        for type_name, argument in (("Integer64", 2**70),
+                                    ("Integer8", 300),
+                                    ("UnsignedInteger8", -5)):
+            session.run(f'cf = FunctionCompile[Function['
+                        f'{{Typed[x, "{type_name}"]}}, x + 1]]')
+            before = len(session.messages)
+            assert full_form(session.run(f"cf[{argument}]")) == \
+                str(argument + 1)
+            [message] = session.messages[before:]
+            assert "reverting to uncompiled evaluation: IntegerOverflow" \
+                in str(message)
+
     def test_signature_exposed(self):
         f = fc('Function[{Typed[x, "Real64"]}, x]')
         assert "Real64" in str(f.signature)

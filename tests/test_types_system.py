@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler.types.classes import DEFAULT_CLASSES, TypeClassRegistry
 from repro.compiler.types.environment import (
+    _LATTICE,
     TypeEnvironment,
     mangle,
     widens_to,
@@ -282,6 +283,68 @@ class TestWidening:
     ])
     def test_widens(self, source, target, expected):
         assert widens_to(ty(source), ty(target)) is expected
+
+
+#: every widening the lattice admits, read from the lattice itself
+_WIDENINGS = sorted((source, target) for source, targets in _LATTICE.items()
+                    for target in targets)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("source, target", _WIDENINGS,
+                             ids=[f"{s}-{t}" for s, t in _WIDENINGS])
+    def test_every_widening_compiles(self, source, target):
+        """A function declared only at ``target``, called with a ``source``
+        argument: resolution picks the lattice's cast, the verifier accepts
+        every stage, and the value is the interpreter's."""
+        from repro.compiler import FunctionCompile
+        from repro.engine import Evaluator
+
+        env = TypeEnvironment(parent=default_environment())
+        env.declare_function("Widened", fn([target], target),
+                             parse("Function[{y}, y]"))
+        compiled = FunctionCompile(
+            f'Function[{{Typed[x, "{source}"]}}, Widened[x]]',
+            type_environment=env, VerifyIR="Each",
+        )
+        argument = 2.5 if source.startswith("Real") else 3
+        value = compiled(argument)
+        assert value == Evaluator().run(
+            f"Function[{{y}}, y][{argument}]").to_python()
+        assert type(value) is {"Real64": float,
+                               "ComplexReal64": complex}.get(target, int)
+
+
+class TestCandidateRecord:
+    """The ranking is read from named fields, not tuple positions."""
+
+    def test_a_shorter_widening_is_not_a_tie(self):
+        env = default_environment()
+        best, runner_up = env.candidates(
+            env.declarations("Sin"), [ty("Integer64")], Substitution())[:2]
+        assert best.function_type.result == ty("Real64")
+        assert (best.distance, runner_up.distance) == (1, 2)
+        assert not best.ties(runner_up)
+
+    def test_declaration_order_alone_is_a_tie(self):
+        env = TypeEnvironment()
+        impl = PRIMITIVE_IMPLS["binary_min"]
+        first = env.declare_function("two", fn(["Real64"], "Real64"), impl)
+        second = env.declare_function("two", fn(["Real64"], "Real64"), impl)
+        best, runner_up = env.candidates(
+            env.declarations("two"), [ty("Integer64")], Substitution())
+        assert (best.declaration, runner_up.declaration) == (second, first)
+        assert best.ties(runner_up)
+        assert best.rank < runner_up.rank
+        assert best.coercions == (ty("Real64"),)
+
+    def test_the_result_filter_is_inside_the_probe(self):
+        env = default_environment()
+        reals = env.candidates(env.declarations("Plus"),
+                               [ty("Integer64"), ty("Integer64")],
+                               Substitution(), result_type=ty("Real64"))
+        assert reals
+        assert {c.function_type.result for c in reals} == {ty("Real64")}
 
 
 class TestUserTypes:

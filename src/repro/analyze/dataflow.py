@@ -15,12 +15,14 @@ with three abstract domains over one engine:
     whether the check can go — ``fits_int64`` on the exact sum/product
     is precisely "this guard can never fire".
 
-**Tensor shape/rank facts**
-    constant packed arrays carry their exact dims; ``tensor_length`` of
-    a shape-known tensor folds to a constant interval, and any length is
-    bounded by :data:`LENGTH_BOUND` (a tensor with more than 2^48
-    elements does not fit in memory — the same argument the paper's
-    redundant-check removal leans on).
+**Tensor extents**
+    one structural pass (:func:`structure_of`), run before the intervals,
+    gives each tensor value the extent of every axis it has on all paths,
+    the tensor whose dims it shares, and the values that count an axis;
+    ``tensor_length`` of a tensor of known length is a constant interval,
+    and any length is bounded by :data:`LENGTH_BOUND` (a tensor with more
+    than 2^48 elements does not fit in memory — the same argument the
+    paper's redundant-check removal leans on).
 
 **Purity/effect lattice**
     ``pure < local < effectful`` per function: pure primitives only,
@@ -330,20 +332,7 @@ INT64_RANGE = Interval(INT64_MIN, INT64_MAX)
 LENGTH_RANGE = Interval(0, LENGTH_BOUND)
 
 
-# -- shape and loop facts ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShapeFact:
-    """Rank and (partially) known dims of a packed-array value."""
-
-    rank: Optional[int] = None
-    dims: Optional[tuple] = None  # tuple[Optional[int], ...]
-
-    def length(self) -> Optional[int]:
-        if self.dims and self.dims[0] is not None:
-            return self.dims[0]
-        return None
+# -- loop facts --------------------------------------------------------------
 
 
 @dataclass
@@ -390,53 +379,208 @@ def underlying(value: Value) -> Value:
     return value
 
 
-def _dims_roots(function: FunctionModule) -> dict[int, int]:
-    """``{value id: root id}`` for :meth:`FunctionFacts.dims_of`.  Phis
-    resolve optimistically: one whose other operands all come from one
-    root has that root (its own loop-carried stores come back to it), one
-    that merges two roots is its own."""
-    source: dict[int, int] = {}
-    phis: list[PhiInstr] = []
+# -- the structural pass: extents, tensor roots, count relations -------------
+
+
+@dataclass
+class Structure:
+    """What :func:`structure_of` proves of one function's tensors."""
+
+    #: tensor value id -> the extent of each of its axes on every path,
+    #: ``None`` where unknown (its rank is the tuple's length)
+    extents: dict[int, tuple] = field(default_factory=dict)
+    #: value id -> the id of the value whose dims it has on every path
+    #: (see :meth:`FunctionFacts.dims_of`)
+    roots: dict[int, int] = field(default_factory=dict)
+    #: value id -> the ``(root, axis)`` pairs it is the extent of: a
+    #: ``tensor_length(t)`` result is ``(root(t), 0)``, a
+    #: ``tensor_row_length(t, k)`` result ``(root(t), 1)``, the ``r`` and
+    #: ``c`` of ``matrix_create(r, c, _)`` its axes 0 and 1
+    counts: dict[int, set] = field(default_factory=dict)
+
+    def last_extents(self) -> dict[int, int]:
+        """``{value id: n}`` for the tensors whose last axis is known:
+        a rank-1 tensor's length, a matrix's column count, the length of
+        the rows of a tensor of rows."""
+        return {
+            value_id: dims[-1]
+            for value_id, dims in self.extents.items()
+            if dims and dims[-1] is not None
+        }
+
+
+#: an extent no definition has reached yet: the optimistic start
+_UNSET = object()
+
+_COUNTED_AXIS = {"tensor_length": 0, "tensor_row_length": 1}
+
+#: primitives whose result is one element of their tensor operand: a row
+#: has the extents of the axes after the first
+_ROW_READS = frozenset(("tensor_part1", "tensor_part1_unchecked",
+                        "tensor_row"))
+
+
+def _rank_of(type_) -> Optional[int]:
+    """The rank of a ``Tensor`` type, counting the axes of tensor elements
+    (a tensor of rows has rank 2); ``None`` for anything else."""
+    params = getattr(type_, "params", ())
+    if getattr(type_, "constructor", None) != "Tensor" or len(params) < 2:
+        return None
+    rank = getattr(params[1], "value", None)
+    if type(rank) is not int:
+        return None
+    return rank + (_rank_of(params[0]) or 0)
+
+
+def _holds_rows(value: Value) -> bool:
+    """Is ``value`` a tensor whose elements are tensors?"""
+    inner = getattr(value.type, "params", None)
+    return bool(inner) and getattr(inner[0], "constructor", None) == "Tensor"
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """Per-axis join: an unset axis takes the other's extent, two
+    different extents give ``None``."""
+    return tuple(
+        y if x is _UNSET else x if y is _UNSET or x == y else None
+        for x, y in zip(a, b)
+    )
+
+
+def structure_of(function: FunctionModule) -> Structure:
+    """The one structural fixpoint over ``function``'s tensor values.
+
+    Optimistic: every extent starts unset and takes what its definition
+    gives, until nothing moves.  A constant has its dims; a list display
+    its length, then the common extents of its elements (a display of rows
+    has the row count and the common row length); ``matrix_create`` and
+    ``tensor_create_uninit`` their constant size operands; a copy, an
+    ``identity`` and an element store their operand's; a phi the extent
+    all its incoming values share, so a loop-carried ``acc = acc + step``
+    from ``{0., 0.}`` keeps length 2; an element-wise primitive its tensor
+    operands' (it traps on any two that differ); a row read the extents of
+    its tensor's other axes; and a tensor of rows takes the length of each
+    row stored into it.  An extent still unset at the end is unknown.
+
+    Tensor roots follow the same walk: copies, ``identity`` and stores
+    have their operand's root, a phi whose other operands all have one
+    root has it, and one that merges two roots is its own."""
+    found = Structure()
+    #: value id -> extents so far, ``_UNSET`` where none has arrived
+    known: dict[int, tuple] = {}
+    roots: dict[int, Optional[int]] = {}
+    nodes = []
+    #: rows stored in place (after alias collapse a store has no result):
+    #: each gives its length to the tensor of rows it went into
+    stored_rows: dict[int, list[Value]] = {}
+    counted = []
     for instruction in function.instructions():
-        if instruction.result is None:
+        result = instruction.result
+        if isinstance(instruction, CallPrimitiveInstr):
+            name = instruction.primitive.runtime_name
+            if name in _COUNTED_AXIS or name == "matrix_create":
+                counted.append(instruction)
+            if result is None and instruction.primitive.mutates and (
+                _holds_rows(instruction.operands[0])
+            ):
+                stored_rows.setdefault(instruction.operands[0].id, []).append(
+                    instruction.operands[-1])
+        if result is None:
             continue
+        dims = getattr(instruction.value, "dims", None) \
+            if isinstance(instruction, ConstantInstr) else None
+        if dims is not None:
+            known[result.id] = tuple(dims)
+            roots[result.id] = result.id
+        elif _rank_of(result.type) is not None:
+            known[result.id] = (_UNSET,) * _rank_of(result.type)
+            roots[result.id] = None  # none yet
+            nodes.append(instruction)
+
+    def extents_of(value: Value, rank: int) -> tuple:
+        dims = known.get(value.id)
+        return dims if dims is not None and len(dims) == rank \
+            else (None,) * rank
+
+    def root_of(value: Value) -> Optional[int]:
+        return roots.get(value.id, value.id)
+
+    def transfer(instruction, rank: int):
+        """The extents and root ``instruction``'s result has now."""
+        own = instruction.result
+        operands = instruction.operands
+        if isinstance(instruction, BuildListInstr):
+            dims = (_UNSET,) * (rank - 1)
+            for element in operands:
+                dims = _join(dims, extents_of(element, rank - 1))
+            return (len(operands), *dims), own.id
         if isinstance(instruction, PhiInstr):
-            phis.append(instruction)
-        elif isinstance(instruction, CopyInstr) or (
-            isinstance(instruction, CallPrimitiveInstr) and (
-                instruction.primitive.mutates
-                or instruction.primitive.runtime_name == "identity"
-            )
-        ):
-            source[instruction.result.id] = instruction.operands[0].id
-    #: phi id -> its root, ``None`` while no operand has one yet
-    merged: dict[int, Optional[int]] = {phi.result.id: None for phi in phis}
+            dims, merged = (_UNSET,) * rank, set()
+            for value in operands:
+                if value is not own:
+                    dims = _join(dims, extents_of(value, rank))
+                    merged.add(root_of(value))
+            merged.discard(None)
+            root = own.id if roots[own.id] == own.id or len(merged) > 1 \
+                else next(iter(merged), None)
+            return dims, root
+        if isinstance(instruction, CopyInstr):
+            return extents_of(operands[0], rank), root_of(operands[0])
+        if not isinstance(instruction, CallPrimitiveInstr):
+            return (None,) * rank, own.id
+        primitive = instruction.primitive
+        name = primitive.runtime_name
+        if primitive.mutates or name == "identity":
+            dims = extents_of(operands[0], rank)
+            if primitive.mutates and _holds_rows(operands[0]):
+                dims = _join(dims, (_UNSET, *extents_of(operands[-1], rank - 1)))
+            return dims, root_of(operands[0])
+        if name == "matrix_create":
+            return tuple(_constant_of(v) for v in operands[:2]), own.id
+        if name == "tensor_create_uninit":
+            return (_constant_of(operands[0]),
+                    *(_UNSET,) * (rank - 1)), own.id
+        if name in _ROW_READS:
+            return extents_of(operands[0], rank + 1)[1:], own.id
+        if primitive.elementwise is not None:
+            dims = (_UNSET,) * rank
+            for tensor in operands[:primitive.elementwise[1]]:
+                dims = _join(dims, extents_of(tensor, rank))
+            return dims, own.id
+        return (None,) * rank, own.id
 
-    def root(value_id: int) -> Optional[int]:
-        seen = set()
-        while value_id in source and value_id not in seen:
-            seen.add(value_id)
-            value_id = source[value_id]
-        return merged[value_id] if value_id in merged else value_id
-
-    changed = bool(phis)
+    changed = bool(nodes)
     while changed:
         changed = False
-        for phi in phis:
-            own = phi.result.id
-            if merged[own] == own:
-                continue  # merges two tensors: settled
-            roots = {root(v.id) for v in phi.operands if v.id != own}
-            roots.discard(None)
-            new = own if len(roots) > 1 else (roots.pop() if roots else None)
-            if new != merged[own]:
-                merged[own] = new
+        for instruction in nodes:
+            result = instruction.result
+            old = known[result.id]
+            dims, root = transfer(instruction, len(old))
+            for row in stored_rows.get(result.id, ()):
+                dims = _join(dims, (_UNSET, *extents_of(row, len(old) - 1)))
+            dims = _join(old, dims)
+            if dims != old or root != roots[result.id]:
+                known[result.id], roots[result.id] = dims, root
                 changed = True
-    resolved = {}
-    for value_id in (*source, *merged):
-        found = root(value_id)
-        resolved[value_id] = value_id if found is None else found
-    return resolved
+    for value_id, dims in known.items():
+        found.extents[value_id] = tuple(
+            None if d is _UNSET else d for d in dims)
+        root = roots[value_id]
+        found.roots[value_id] = value_id if root is None else root
+    for instruction in counted:
+        operands = instruction.operands
+        if instruction.primitive.runtime_name == "matrix_create":
+            made = instruction.result.id
+            sites = ((operands[0], (made, 0)), (operands[1], (made, 1)))
+        else:
+            tensor = underlying(operands[0])
+            sites = ((instruction.result, (
+                found.roots.get(tensor.id, tensor.id),
+                _COUNTED_AXIS[instruction.primitive.runtime_name],
+            )),)
+        for value, pair in sites:
+            found.counts.setdefault(value.id, set()).add(pair)
+    return found
 
 
 class FunctionFacts:
@@ -449,7 +593,8 @@ class FunctionFacts:
 
     def __init__(self, function: FunctionModule):
         self.function_name = function.name
-        self._function = function
+        #: extents, tensor roots and count relations (:func:`structure_of`)
+        self.structure = Structure()
         #: flow-insensitive interval per SSA value id
         self.intervals: dict[int, Interval] = {}
         #: per-block numeric refinements (local to the block; inherited
@@ -457,18 +602,8 @@ class FunctionFacts:
         self.refinements: dict[str, dict[int, Interval]] = {}
         #: per-block symbolic upper bounds: value <= base + offset
         self.bounds: dict[str, dict[int, dict[int, int]]] = {}
-        self.shapes: dict[int, ShapeFact] = {}
         self.effect: str = EFFECT_PURE
         self.loops: dict[str, LoopFact] = {}
-        #: value id -> the tensors (by :meth:`dims_of`) it is the length
-        #: (row count) of: a ``tensor_length`` result, the ``r`` of a
-        #: ``matrix_create(r, c, _)``
-        self.length_of: dict[int, set[int]] = {}
-        #: value id -> the rank-2 tensors (by :meth:`dims_of`) it is the
-        #: column count of: a ``tensor_row_length(t, k)`` result, the ``c``
-        #: of a ``matrix_create(r, c, _)``
-        self.columns_of: dict[int, set[int]] = {}
-        self._dims_roots: Optional[dict[int, int]] = None
         # resolved (inherited) per-block environments
         self._env: dict[str, dict[int, Interval]] = {}
         self._ub: dict[str, dict[int, dict[int, int]]] = {}
@@ -552,26 +687,6 @@ class FunctionFacts:
                     found[value.id] = 0
         return found
 
-    def proves_part_in_range(self, index: Value, tensor: Value,
-                             block: str) -> bool:
-        """Is ``index`` provably in ``[1, Length[tensor]]`` at ``block``?
-        For a rank-2 tensor that is the row index; its column index is
-        :meth:`proves_column_in_range`'s."""
-        shape = self.shapes.get(underlying(tensor).id)
-        return self._within(index, tensor, block, self.length_of,
-                            None if shape is None else shape.length())
-
-    def proves_column_in_range(self, index: Value, tensor: Value,
-                               block: str) -> bool:
-        """Is ``index`` provably in ``[1, columns of tensor]`` at
-        ``block``, for the column of a rank-2 ``Part``?"""
-        shape = self.shapes.get(underlying(tensor).id)
-        columns = None
-        if shape is not None and shape.rank == 2 and shape.dims is not None \
-                and len(shape.dims) == 2:
-            columns = shape.dims[1]
-        return self._within(index, tensor, block, self.columns_of, columns)
-
     def index_proof(self, index: Value, tensor: Value, block: str,
                     column: bool = False) -> Optional[str]:
         """Why ``index`` needs no check as a ``Part`` index of ``tensor``
@@ -581,33 +696,26 @@ class FunctionFacts:
         lands past the end of the flat data, column 1 is in every row
         unless there is no element at all; else ``None``.  A larger
         column has no such fallback: it lands in the next row."""
-        if column:
-            if self.proves_column_in_range(index, tensor, block):
-                return "part-bounds"
-            interval = self.interval_at(index, block)
-            return "part-positive" if interval.lo == interval.hi == 1 \
-                else None
-        if self.proves_part_in_range(index, tensor, block):
-            return "part-bounds"
-        if self.proves_positive_index(index, block):
-            return "part-positive"
-        return None
-
-    def _within(self, index: Value, tensor: Value, block: str,
-                counts: dict[int, set[int]], known: Optional[int]) -> bool:
-        """``1 <= index <= n`` at ``block``, where ``n`` is ``known`` or a
-        value that ``counts`` names as ``tensor``'s count on that axis."""
         interval = self.interval_at(index, block)
         if interval.lo is None or interval.lo < 1:
-            return False
-        if known is not None and interval.hi is not None \
-                and interval.hi <= known:
-            return True
-        tensor_id = self.dims_of(tensor)
+            return None
+        axis = 1 if column else 0
+        extent = self.extent(tensor, axis)
+        if extent is not None and interval.hi is not None \
+                and interval.hi <= extent:
+            return "part-bounds"
+        counted = (self.dims_of(tensor), axis)
         for base, offset in self.upper_bounds_at(index, block).items():
-            if offset <= 0 and tensor_id in counts.get(base, ()):
-                return True
-        return False
+            if offset <= 0 and counted in self.structure.counts.get(base, ()):
+                return "part-bounds"
+        if column and not interval.lo == interval.hi == 1:
+            return None
+        return "part-positive"
+
+    def extent(self, tensor: Value, axis: int) -> Optional[int]:
+        """The extent ``tensor`` has on ``axis`` on every path, if known."""
+        dims = self.structure.extents.get(underlying(tensor).id, ())
+        return dims[axis] if axis < len(dims) else None
 
     def dims_of(self, tensor: Value) -> int:
         """The id of the value whose dims ``tensor`` has on every path:
@@ -615,17 +723,8 @@ class FunctionFacts:
         into, dims unchanged) and phis that merge versions of that one
         tensor only — so a matrix written in a loop is still the one
         ``matrix_create`` made."""
-        if self._dims_roots is None:
-            self._dims_roots = _dims_roots(self._function)
         tensor = underlying(tensor)
-        return self._dims_roots.get(tensor.id, tensor.id)
-
-    def proves_positive_index(self, index: Value, block: str) -> bool:
-        """The legacy (weaker) Part criterion: index >= 1, so negative-
-        index predication is dead and a residual too-large index is a
-        trapped runtime error handled by the soft-failure path."""
-        interval = self.interval_at(index, block)
-        return interval.lo is not None and interval.lo >= 1
+        return self.structure.roots.get(tensor.id, tensor.id)
 
     def fact_counts(self) -> dict[str, int]:
         """How much the analysis actually proved (for ``pass_report``)."""
@@ -635,7 +734,7 @@ class FunctionFacts:
         )
         return {
             "intervals": bounded,
-            "shapes": len(self.shapes),
+            "shapes": len(self.structure.extents),
             "refined_blocks": len(
                 [b for b, r in self.refinements.items() if r]
             ),
@@ -689,12 +788,8 @@ def analyze_function(function: FunctionModule,
     if cfg is None:
         cfg = function.cfg()
     facts = FunctionFacts(function)
+    facts.structure = structure_of(function)
     _interval_fixpoint(function, facts, cfg)
-    _shape_pass(function, facts)
-    # shapes can sharpen length results to constants; one cheap re-run of
-    # the interval fixpoint folds those through dependent arithmetic
-    if any(s.length() is not None for s in facts.shapes.values()):
-        _interval_fixpoint(function, facts, cfg)
     _derive_refinements(function, facts, cfg)
     _resolve_environments(function, facts, cfg)
     facts.effect = _effect_of(function, callee_effects or {})
@@ -748,26 +843,9 @@ def _transfer(instruction, of, facts: FunctionFacts) -> Optional[Interval]:
         operands = instruction.operands
         op = primitive.interval
         if op == "count":
-            if name == "tensor_length":
-                facts.length_of.setdefault(
-                    instruction.result.id, set()).add(
-                        facts.dims_of(operands[0]))
-                shape = facts.shapes.get(underlying(operands[0]).id)
-                if shape is not None and shape.length() is not None:
-                    return Interval.const(shape.length())
-            elif name == "tensor_row_length":
-                # every row of a rank-2 tensor has its column count
-                facts.columns_of.setdefault(
-                    instruction.result.id, set()).add(
-                        facts.dims_of(operands[0]))
-            return LENGTH_RANGE
-        if name == "matrix_create":
-            rows, columns = operands[0].id, operands[1].id
-            facts.length_of.setdefault(rows, set()).add(
-                instruction.result.id)
-            facts.columns_of.setdefault(columns, set()).add(
-                instruction.result.id)
-            return TOP
+            axis = _COUNTED_AXIS.get(name)
+            length = None if axis is None else facts.extent(operands[0], axis)
+            return LENGTH_RANGE if length is None else Interval.const(length)
         if op == "element":
             # an element of a tensor the runtime itself filled
             producer = underlying(operands[0]).definition
@@ -878,178 +956,6 @@ def _interval_fixpoint(function: FunctionModule, facts: FunctionFacts,
     for value_id in table:
         intervals.setdefault(value_id, TOP)
     facts.intervals = intervals
-
-
-def _declared_rank(value: Value) -> Optional[int]:
-    from repro.compiler.types.specifier import CompoundType, TypeLiteral
-
-    type_ = value.type
-    if isinstance(type_, CompoundType) and type_.constructor == "Tensor":
-        for argument in type_.params:
-            if isinstance(argument, TypeLiteral) and isinstance(
-                argument.value, int
-            ):
-                return argument.value
-    return None
-
-
-_UNDERIVED = object()
-
-
-def _primitive_named(instruction, name: str) -> bool:
-    return isinstance(instruction, CallPrimitiveInstr) and (
-        instruction.primitive.runtime_name == name
-    )
-
-
-def _holds_rows(value: Value) -> bool:
-    """Is ``value`` a tensor whose elements are tensors?"""
-    inner = getattr(value.type, "params", None)
-    return bool(inner) and getattr(inner[0], "constructor", None) == "Tensor"
-
-
-def static_lengths(function: FunctionModule) -> dict[int, int]:
-    """``{value id: n}`` for the rank-1 tensors that have ``n`` elements
-    on every path — and the matrices that have ``n`` columns: a list
-    display, a constant array, a matrix created with a constant column
-    count, a row of such a matrix, a tensor of rows that all have one
-    length (its "length" is theirs), and whatever copies, stores into,
-    merges (phi) or combines element-wise only such tensors of one
-    length.  Optimistic over phis, so a loop-carried ``acc = acc + step``
-    that starts as ``{0., 0.}`` has length 2."""
-    if not any(
-        isinstance(i, BuildListInstr) or (
-            isinstance(i, ConstantInstr) and hasattr(i.value, "dims")
-        ) or _primitive_named(i, "matrix_create")
-        for i in function.instructions()
-    ):
-        return {}
-    candidates = []
-    #: rows stored in place (after alias collapse a store has no result):
-    #: they are sources of the tensor of rows they went into
-    stored_rows: dict[int, list[Value]] = {}
-    for i in function.instructions():
-        if i.result is not None:
-            if _declared_rank(i.result) in (1, 2):
-                candidates.append(i)
-        elif isinstance(i, CallPrimitiveInstr) and i.primitive.mutates and (
-            _holds_rows(i.operands[0])
-        ):
-            stored_rows.setdefault(i.operands[0].id, []).append(
-                i.operands[-1])
-    #: absent = nothing derived yet, None = no single length
-    lengths: dict[int, Optional[int]] = {}
-
-    def derive(instruction):
-        """The length of ``instruction``'s result; ``_UNDERIVED`` while
-        none of what it depends on has a length yet."""
-        if isinstance(instruction, BuildListInstr):
-            if _declared_rank(instruction.result) == 1:
-                return len(instruction.operands)
-            sources = instruction.operands  # a display of rows
-        elif isinstance(instruction, ConstantInstr):
-            dims = getattr(instruction.value, "dims", None)
-            return (
-                dims[-1] if dims is not None and len(dims) in (1, 2) else None
-            )
-        elif isinstance(instruction, PhiInstr):
-            sources = [v for v in instruction.operands
-                       if v is not instruction.result]
-        elif isinstance(instruction, CopyInstr):
-            sources = instruction.operands
-        elif isinstance(instruction, CallPrimitiveInstr):
-            name = instruction.primitive.runtime_name
-            if name == "matrix_create":
-                return _constant_of(instruction.operands[1])
-            tensor = instruction.operands[0] if instruction.operands else None
-            if name == "tensor_create_uninit":
-                sources = []  # no row yet: whatever gets stored
-            elif tensor is not None and _holds_rows(tensor):
-                # a tensor of rows has the length of its rows: the ones
-                # stored into it, and so the ones read back out
-                sources = {
-                    "tensor_part1": [tensor],
-                    "tensor_part1_set": [tensor, instruction.operands[-1]],
-                }.get(name.removesuffix("_unchecked"), [])
-            else:
-                elementwise = instruction.primitive.elementwise
-                sources = instruction.operands[
-                    :1 if instruction.primitive.mutates
-                    or name == "tensor_row"
-                    else elementwise[1] if elementwise else 0
-                ]
-        else:
-            sources = []
-        if not sources and not _primitive_named(
-            instruction, "tensor_create_uninit"
-        ):
-            return None  # made by something that says nothing of lengths
-        sources = [*sources, *stored_rows.get(instruction.result.id, ())]
-        known = {lengths[v.id] for v in sources if v.id in lengths}
-        if None in known or len(known) > 1:
-            return None
-        return known.pop() if known else _UNDERIVED
-
-    changed = True
-    while changed:
-        changed = False
-        for instruction in candidates:
-            new = derive(instruction)
-            if new is not _UNDERIVED and (
-                lengths.get(instruction.result.id, _UNDERIVED) != new
-            ):
-                lengths[instruction.result.id] = new
-                changed = True
-    return {i: n for i, n in lengths.items() if n is not None}
-
-
-def _shape_pass(function: FunctionModule, facts: FunctionFacts) -> None:
-    for block in function.ordered_blocks():
-        for instruction in block.all_instructions():
-            result = instruction.result
-            if result is None:
-                continue
-            if isinstance(instruction, ConstantInstr):
-                dims = getattr(instruction.value, "dims", None)
-                if dims is not None:
-                    facts.shapes[result.id] = ShapeFact(
-                        rank=len(dims), dims=tuple(dims)
-                    )
-                continue
-            if isinstance(instruction, BuildListInstr):
-                facts.shapes[result.id] = ShapeFact(
-                    rank=_declared_rank(result) or 1,
-                    dims=(len(instruction.operands),),
-                )
-                continue
-            rank = _declared_rank(result)
-            if rank is not None and result.id not in facts.shapes:
-                if isinstance(instruction, CopyInstr):
-                    source = facts.shapes.get(
-                        underlying(instruction.operands[0]).id
-                    )
-                    if source is not None:
-                        facts.shapes[result.id] = source
-                        continue
-                if isinstance(instruction, CallPrimitiveInstr) and (
-                    instruction.primitive.mutates
-                ):
-                    source = facts.shapes.get(
-                        underlying(instruction.operands[0]).id
-                    )
-                    if source is not None:
-                        facts.shapes[result.id] = source
-                        continue
-                facts.shapes[result.id] = ShapeFact(rank=rank)
-    for value_id, length in static_lengths(function).items():
-        known = facts.shapes.get(value_id)
-        if known is None or known.dims is None:
-            # of a matrix this is the column count: its length is unknown
-            facts.shapes[value_id] = (
-                ShapeFact(rank=1, dims=(length,))
-                if known is None or known.rank in (None, 1)
-                else ShapeFact(rank=known.rank, dims=(None, length))
-            )
 
 
 def _comparison_facts(guard: CallPrimitiveInstr, sense: bool, facts):

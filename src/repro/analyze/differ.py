@@ -28,8 +28,9 @@ A second, **boundary-value mode** targets the dataflow check-elision
 passes (DESIGN.md §12): :class:`_BoundaryGenerator` biases programs
 toward the exact inputs where an unsound elision would diverge —
 ``INT64_MAX±1`` constants feeding checked arithmetic, empty and
-short arrays, off-by-one ``Part`` indices, and statically bounded
-loops (the checkpoint-coalescing shape).  :class:`ElisionOracle`
+short arrays, off-by-one ``Part`` indices (of a matrix too, row and
+column), and statically bounded loops (the checkpoint-coalescing
+shape).  :class:`ElisionOracle`
 compiles each program twice — ``ElideChecks -> True`` vs ``False`` —
 and demands bit-identical results *including the error class*: a
 trapped overflow on the checked side must still trap (or be provably
@@ -529,19 +530,21 @@ BOUNDARY_INTEGERS = (
 
 @dataclass
 class _BoundarySpec:
-    """A boundary-biased program: ``Module[{a = seed, v = {...}}, ...]``."""
+    """A boundary-biased program: ``Module[{a = seed, v = {...}}, ...]``,
+    with a matrix ``m`` as well when ``matrix`` is its initial value."""
 
     seed_value: int
     values: list[int]
     statements: list[str]
+    matrix: Optional[str] = None
 
     def body(self) -> str:
         vector = "{" + ", ".join(str(v) for v in self.values) + "}"
+        bindings = f"a = {self.seed_value}, v = {vector}"
+        if self.matrix is not None:
+            bindings += f", m = {self.matrix}"
         statements = [*self.statements, "a"]
-        return (
-            f"Module[{{a = {self.seed_value}, v = {vector}}}, "
-            + "; ".join(statements) + "]"
-        )
+        return f"Module[{{{bindings}}}, " + "; ".join(statements) + "]"
 
     def statement_count(self) -> int:
         return len(self.statements)
@@ -555,27 +558,80 @@ class _BoundaryGenerator:
     arithmetic on an index that a ``Part`` which succeeded has bounded),
     ``Part`` with off-by-one, negative, huge and empty-array indices
     (bounds elision), and statically bounded ``Do`` loops (checkpoint
-    coalescing).
+    coalescing).  About a third of the programs also bind a matrix ``m``
+    — a display of rows or a ``Native`CreateMatrix`` — and read and write
+    ``m[[i, j]]`` with both indices off-by-one biased, in loops up to
+    ``Length[m]`` and ``Length[m[[1]]]`` (or one past): the row and column
+    proofs of the bounds elision.
     """
 
     def __init__(self, rng: random.Random):
         self.rng = rng
 
     def spec(self) -> _BoundarySpec:
-        length = self.rng.choice([0, 1, 2, 3, 5])
+        matrix = self._matrix() if self.rng.random() < 1 / 3 else None
+        # an empty ``v`` cannot be typed, which would leave the matrix
+        # statements beside it untested
+        length = self.rng.choice([0, 1, 2, 3, 5] if matrix is None
+                                 else [1, 2, 3])
         values = [
             self.rng.choice(BOUNDARY_INTEGERS)
             if self.rng.random() < 0.4 else self.rng.randint(-9, 9)
             for _ in range(length)
         ]
         statements = [
-            self._statement(length)
+            self._matrix_statement(*matrix[1:])
+            if matrix is not None and self.rng.random() < 0.75
+            else self._statement(length)
             for _ in range(self.rng.randint(1, 4))
         ]
         return _BoundarySpec(
             seed_value=self._boundary_or_small(),
             values=values,
             statements=statements,
+            matrix=None if matrix is None else matrix[0],
+        )
+
+    def _matrix(self) -> tuple[str, int, int]:
+        """``(initial value, rows, columns)`` of a small matrix: a display
+        of rows or an allocation."""
+        # mostly two rows or more: a column past the end of a row reads
+        # the next row, where an unsound column proof shows as a value
+        rows, columns = self.rng.choice([1, 2, 2, 3]), self.rng.randint(1, 3)
+        if self.rng.random() < 0.5:
+            return f"Native`CreateMatrix[{rows}, {columns}, 0]", rows, columns
+        display = ", ".join(
+            "{" + ", ".join(
+                str(self._boundary_or_small()) for _ in range(columns)
+            ) + "}"
+            for _ in range(rows)
+        )
+        return "{" + display + "}", rows, columns
+
+    def _axis_index(self, extent: int) -> str:
+        """Off-by-one biased for an axis of ``extent``: 0, 1, the extent,
+        one past it, -1, the largest Integer64, or the argument."""
+        return self.rng.choice(
+            ["0", "1", str(extent), str(extent + 1), "-1", str(INT64_MAX), "x"]
+        )
+
+    def _matrix_statement(self, rows: int, columns: int) -> str:
+        i, j = self._axis_index(rows), self._axis_index(columns)
+        pick = self.rng.randrange(5)
+        if pick == 0:
+            return f"a = a + m[[{i}, {j}]]"
+        if pick == 1:
+            return f"m[[{i}, {j}]] = a"
+        if pick == 2:  # the columns of one row, or one past them
+            bound = self.rng.choice([
+                "Length[m[[1]]]", "Length[m[[1]]] + 1", f"Length[m[[{i}]]]",
+            ])
+            return f"Do[a = a + m[[{i}, k]], {{k, {bound}}}]"
+        if pick == 3:  # one column of every row, or one row past them
+            bound = self.rng.choice(["Length[m]", "Length[m] + 1"])
+            return f"Do[m[[k, {j}]] = a + k, {{k, {bound}}}]"
+        return (
+            "Do[Do[a = a + m[[k, l]], {l, Length[m[[k]]]}], {k, Length[m]}]"
         )
 
     def argument(self) -> int:

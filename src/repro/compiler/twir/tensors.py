@@ -12,7 +12,7 @@ management, so what it removes never gets an acquire/release pair:
   builds a two-element list only to hand it to the runtime library's
   ``tensor_plus``, which builds another.  When both operands provably have
   the same length of at most :data:`SCALARIZE_LIMIT`
-  (:func:`repro.analyze.dataflow.static_lengths`), the call becomes element
+  (:func:`repro.analyze.dataflow.structure_of`), the call becomes element
   arithmetic and one list display; an operand that is itself a list display
   gives its elements directly and then has no use left.  Unequal or unknown
   shapes keep the library call, which is what raises ``ShapeMismatch``.
@@ -145,9 +145,9 @@ def simplify_tensors(function: FunctionModule,
             ):
                 continue
             if lengths is None:
-                from repro.analyze.dataflow import static_lengths
+                from repro.analyze.dataflow import structure_of
 
-                lengths = static_lengths(function)
+                lengths = structure_of(function).last_extents()
             sizes = {lengths.get(v.id) for v in instruction.operands[:tensors]}
             size = sizes.pop()
             if sizes or size is None or not 0 < size <= SCALARIZE_LIMIT:
@@ -205,9 +205,9 @@ def _scalarize_rows(function: FunctionModule,
     ]
     if not creations and not phis:
         return False
-    from repro.analyze.dataflow import static_lengths
+    from repro.analyze.dataflow import structure_of
 
-    lengths = static_lengths(function)
+    lengths = structure_of(function).last_extents()
     if not lengths:
         return False
     changed = False

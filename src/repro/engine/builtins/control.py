@@ -273,9 +273,14 @@ def _assign(evaluator, lhs: MExpr, value: MExpr, delayed: bool):
         raise WolframEvaluationError(
             f"shapes do not match in assignment to {lhs}"
         )
-    if not lhs.is_atom() and isinstance(lhs.head, MSymbol):
+    owner = lhs
+    while owner.args and (
+        is_head(owner, "Condition") or is_head(owner, "HoldPattern")
+    ):
+        owner = owner.args[0]  # f[x_] /; x > 0 is a rule for f
+    if not owner.is_atom() and isinstance(owner.head, MSymbol):
         evaluator.state.add_down_value(
-            lhs.head.name,
+            owner.head.name,
             DownValue(lhs=_call_form(evaluator, lhs), rhs=value,
                       delayed=delayed),
         )

@@ -22,6 +22,7 @@ from repro.analyze.dataflow import (
     Interval,
     analyze_function,
     dead_assignments,
+    structure_of,
 )
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import CompilerPipeline
@@ -59,6 +60,15 @@ def compile_kernel(source: str, **changes):
 
 def main_function(program):
     return program.functions[program.main]
+
+
+def _results(function, *names):
+    """The results of ``function``'s calls of the primitives ``names``."""
+    return [
+        i.result for i in function.instructions()
+        if getattr(i, "primitive", None) is not None
+        and i.primitive.runtime_name in names
+    ]
 
 
 class TestIntervalDomain:
@@ -118,8 +128,35 @@ class TestEngineFacts:
     def test_shape_facts_for_literal_tensor(self):
         _, program = compile_kernel(BOUNDS_KERNEL, elide_checks=False)
         facts = analyze_function(main_function(program))
-        lengths = [shape.length() for shape in facts.shapes.values()]
-        assert 5 in lengths
+        assert (5,) in facts.structure.extents.values()
+        assert facts.fact_counts()["shapes"] == len(facts.structure.extents)
+
+    def test_one_interval_fixpoint_per_function(self, monkeypatch):
+        """Extents are known before the intervals, so ``Length`` of a
+        display folds on the first and only run of the interval fixpoint,
+        and the loop it bounds has its trip count."""
+        import repro.analyze.dataflow as dataflow
+
+        calls = []
+        original = dataflow._interval_fixpoint
+
+        def counting(function, *rest):
+            calls.append(function.name)
+            return original(function, *rest)
+
+        monkeypatch.setattr(dataflow, "_interval_fixpoint", counting)
+        _, program = compile_kernel(
+            'Function[{Typed[x, "MachineInteger"]},'
+            ' Module[{v = {1, 2, 3, 4, x}, a = 0},'
+            ' Do[a = a + v[[j]], {j, Length[v]}]; a]]',
+            dataflow=False,
+        )
+        function = main_function(program)
+        facts = analyze_function(function)
+        assert calls == [function.name]
+        [length] = _results(function, "tensor_length")
+        assert facts.interval_of(length) == Interval.const(5)
+        assert 5 in [loop.trip_bound for loop in facts.loops.values()]
 
     def test_fact_map_attached_to_metadata(self):
         _, program = compile_kernel(OVERFLOW_KERNEL)
@@ -479,3 +516,131 @@ class TestRank2Columns:
         assert not [p for p in primitives if p.index_axes and p.unchecked]
         assert {"tensor_at", "tensor_at_set"} & {
             p.runtime_name for p in primitives}
+
+
+def _structure(source: str, constants=None):
+    """The main function of ``source`` with the tensor rewrites off
+    (``Profile -> True``), so its tensors stay as written, and what
+    :func:`structure_of` proves of them."""
+    options = CompilerOptions(profile=True)
+    program = CompilerPipeline(options=options).compile_program(
+        parse(source), constants=constants)
+    function = main_function(program)
+    return function, structure_of(function)
+
+
+def _extents_of(function, structure, kind, rank=None):
+    """The extents of the one result of an instruction of ``kind`` (a
+    class name or a primitive name), optionally of one ``rank``."""
+    [extents] = [
+        structure.extents[i.result.id]
+        for i in function.instructions()
+        if i.result is not None and i.result.id in structure.extents
+        and kind in (type(i).__name__, getattr(
+            getattr(i, "primitive", None), "runtime_name", None))
+        and rank in (None, len(structure.extents[i.result.id]))
+    ]
+    return extents
+
+
+_ONE_ARGUMENT = 'Function[{Typed[x, "MachineInteger"]}, %s]'
+
+
+class TestStructuralPass:
+    """One optimistic walk gives every tensor value its rank and the
+    extent of each axis, its root, and the count relations."""
+
+    def test_a_constant_has_its_dims(self):
+        function, structure = _structure(
+            _ONE_ARGUMENT % "tbl[[x, 2]]",
+            constants={"tbl": [[1, 2, 3], [4, 5, 6]]})
+        assert _extents_of(function, structure, "ConstantInstr") == (2, 3)
+
+    def test_a_display_has_its_length(self):
+        function, structure = _structure(_ONE_ARGUMENT % "{x, 1, 2}[[x]]")
+        assert _extents_of(function, structure, "BuildListInstr") == (3,)
+
+    def test_a_display_of_rows_has_both_axes(self):
+        function, structure = _structure(
+            _ONE_ARGUMENT % "{{x, 1}, {2, 3}, {4, 5}}[[x, 1]]")
+        assert _extents_of(
+            function, structure, "BuildListInstr", rank=2) == (3, 2)
+
+    def test_matrix_create_and_its_count_relations(self):
+        _, program = compile_kernel(
+            'Function[{Typed[r, "MachineInteger"],'
+            ' Typed[c, "MachineInteger"]},'
+            ' Module[{m = Native`CreateMatrix[r, c, 0.]},'
+            ' Length[m] + Length[m[[1]]]]]')
+        function = main_function(program)
+        structure = structure_of(function)
+        assert _extents_of(function, structure, "matrix_create") == (None, None)
+        [made] = _results(function, "matrix_create")
+        r, c = function.parameters
+        [length] = _results(function, "tensor_length")
+        [columns] = _results(function, "tensor_row_length")
+        assert structure.counts[r.id] == {(made.id, 0)}
+        assert structure.counts[c.id] == {(made.id, 1)}
+        assert structure.counts[length.id] == {(made.id, 0)}
+        assert structure.counts[columns.id] == {(made.id, 1)}
+
+    def test_a_row_has_the_column_count(self):
+        function, structure = _structure(
+            _ONE_ARGUMENT % "Native`CreateMatrix[2, 3, 0.][[x]]")
+        assert _extents_of(function, structure, "matrix_create") == (2, 3)
+        assert _extents_of(function, structure, "tensor_row") == (3,)
+
+    def test_a_loop_carried_sum_keeps_its_length(self):
+        function, structure = _structure(
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Module[{acc = {0., 0.}}, Do[acc = acc + {1., 2.}, {i, n}];'
+            ' acc]]')
+        assert _extents_of(function, structure, "PhiInstr", rank=1) == (2,)
+        assert _extents_of(function, structure, "tensor_plus") == (2,)
+
+    def test_a_tensor_of_rows_has_the_rows_length_on_its_last_axis(self):
+        """Its row count is the ``Table``'s, not the rows' length: a
+        ``Length`` of it keeps its range, so the product below keeps its
+        overflow check."""
+        from repro.compiler import FunctionCompile
+        from repro.errors import WolframRuntimeError
+
+        source = (
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Module[{t = Table[{1.0 i, 2., 3., 4., 5.}, {i, n}]},'
+            ' Length[t] * 1152921504606846976]]'
+        )
+        function, structure = _structure(source)
+        assert _extents_of(function, structure, "tensor_create_uninit") == (None, 5)
+        _, program = compile_kernel(source)
+        assert not _results(main_function(program), "times_unchecked_Integer64")
+        compiled = FunctionCompile(source)
+        assert compiled(3) == 3 * 1152921504606846976
+        with pytest.raises(WolframRuntimeError) as info:
+            compiled(9)
+        assert info.value.kind == "IntegerOverflow"
+
+    def test_both_indices_into_a_display_of_rows_are_proven(self):
+        """The column count of a display of rows bounds its column index,
+        so neither index of ``m[[i, j]]`` is checked."""
+        from repro.compiler import FunctionCompile
+
+        source = (
+            'Function[{Typed[x, "MachineInteger"]},'
+            ' Module[{m = {{x, 1}, {2, 3}, {4, 5}}, s = 0},'
+            ' Do[Do[s = s + m[[i, j]], {j, Length[m[[1]]]}], {i, Length[m]}];'
+            ' s]]'
+        )
+        _, program = compile_kernel(source)
+        function = main_function(program)
+        proofs = {
+            i.properties.get("elided_check")
+            for i in function.instructions()
+            if getattr(i, "primitive", None) is not None
+            and i.primitive.index_axes
+        }
+        assert proofs == {"part-bounds"}
+        assert not [i for i in function.instructions()
+                    if getattr(i, "primitive", None) is not None
+                    and i.primitive.runtime_name == "tensor_part2"]
+        assert FunctionCompile(source)(10) == 10 + 1 + 2 + 3 + 4 + 5

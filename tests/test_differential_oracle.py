@@ -143,6 +143,20 @@ class TestBoundaryGenerator:
         assert "v = {}" in text  # empty arrays appear
         assert "[[0]]" in text  # below-range index appears
 
+    def test_a_third_of_the_programs_index_a_matrix(self):
+        """The rank-2 arm: ``m`` is a display of rows or an allocated
+        matrix, indexed by row and column off-by-one biased, and looped
+        over up to its row length."""
+        generator = _BoundaryGenerator(random.Random(4))
+        specs = [generator.spec() for _ in range(300)]
+        matrices = [spec for spec in specs if spec.matrix is not None]
+        assert 70 <= len(matrices) <= 130
+        text = "\n".join(spec.body() for spec in matrices)
+        assert "m = {{" in text and "m = Native`CreateMatrix[" in text
+        assert "Length[m[[1]]]" in text and "Length[m]" in text
+        assert f"m[[1, {INT64_MAX}]]" in text or f"m[[{INT64_MAX}, 1]]" in text
+        assert "m[[0, " in text and ", 0]] = a" in text
+
     def test_arguments_are_boundary_biased(self):
         generator = _BoundaryGenerator(random.Random(1))
         arguments = {generator.argument() for _ in range(80)}

@@ -210,12 +210,44 @@ class TestAssignmentLhs:
         assert run("x = 7; w[x_] := x + 1; w[1]") == "2"
 
     def test_a_pattern_construct_lhs_is_as_written(self, evaluator):
+        """A conditional lhs is a rule of the symbol it calls, kept whole
+        so that matching evaluates the condition."""
         from repro.mexpr import full_form
 
         evaluator.run("x = 7; c[x_] /; x > 0 := 1")
-        [rule] = evaluator.state.lookup("Condition").down_values
+        [rule] = evaluator.state.lookup("c").down_values
         assert full_form(rule.lhs) == \
             "Condition[c[Pattern[x, Blank[]]], Greater[x, 0]]"
+        assert evaluator.state.lookup("Condition") is None or not (
+            evaluator.state.lookup("Condition").down_values)
+
+    @pytest.mark.parametrize("source, expected", [
+        ("c[x_] /; x > 0 := 1; {c[3], c[-1]}", "List[1, c[-1]]"),
+        ("s[x_] /; x > 0 := 1; s[x_] /; x < 0 := -1; {s[3], s[-2], s[0]}",
+         "List[1, -1, s[0]]"),
+        ("HoldPattern[hp[x_]] /; x > 1 := big; {hp[2], hp[1]}",
+         "List[big, hp[1]]"),
+        ("c[x_] /; x > 0 := 1; Clear[c]; c[3]", "c[3]"),
+    ])
+    def test_a_conditional_rule_fires_by_its_condition(self, run, source,
+                                                       expected):
+        assert run(source) == expected
+
+    def test_a_conditional_rule_is_not_promoted(self):
+        """Hot calls of a conditional definition give the interpreter's
+        answers: the hotspot synthesiser takes only ``name[...]`` rules,
+        so the symbol stays interpreted."""
+        from repro.runtime.hotspot import HotspotProfiler
+
+        evaluator = Evaluator()
+        evaluator.hotspot = HotspotProfiler(threshold=2)
+        evaluator.run("g[x_] /; x > 0 := x + 1")
+        got = [full_form(evaluator.run(f"g[{k}]")) for k in range(-25, 25)]
+        assert got == [
+            str(k + 1) if k > 0 else f"g[{k}]" for k in range(-25, 25)
+        ]
+        assert evaluator.hotspot.counts["g"] >= 2  # hot, yet declined
+        assert "g" not in evaluator.hotspot.promoted
 
     @pytest.mark.parametrize("attribute, source, expected", [
         ("HoldFirst", "hf[1 + 1, 1 + 1] = 9; {hf[1 + 1, 2], hf[2, 2]}",

@@ -87,7 +87,10 @@ def run_script(server: EngineServer, reading: dict) -> list:
 
 
 @pytest.fixture()
-def scripted(artifact_cache):
+def scripted(artifact_cache, monkeypatch):
+    # the script's retried COMPILE is a fault on an artifact load, and
+    # verify-each compiles bypass the artifact cache
+    monkeypatch.delenv("REPRO_VERIFY_IR", raising=False)
     reading = {"bytes": 0}
     config = ServerConfig(
         max_sessions=3, breaker_threshold=2, breaker_cooldown=60.0,

@@ -539,7 +539,12 @@ class _BoundarySpec:
     matrix: Optional[str] = None
 
     def body(self) -> str:
-        vector = "{" + ", ".join(str(v) for v in self.values) + "}"
+        # an empty list literal has no element to type; an empty
+        # allocation is the same array, with a known length of 0
+        vector = (
+            "{" + ", ".join(str(v) for v in self.values) + "}"
+            if self.values else "Native`CreateTensor[0, 0]"
+        )
         bindings = f"a = {self.seed_value}, v = {vector}"
         if self.matrix is not None:
             bindings += f", m = {self.matrix}"
@@ -570,8 +575,8 @@ class _BoundaryGenerator:
 
     def spec(self) -> _BoundarySpec:
         matrix = self._matrix() if self.rng.random() < 1 / 3 else None
-        # an empty ``v`` cannot be typed, which would leave the matrix
-        # statements beside it untested
+        # beside a matrix, ``v`` is never empty: a ``Part`` of an empty
+        # ``v`` fails at once, before the matrix statements after it run
         length = self.rng.choice([0, 1, 2, 3, 5] if matrix is None
                                  else [1, 2, 3])
         values = [
@@ -765,11 +770,7 @@ class ElisionOracle:
         from repro.compiler import FunctionCompile
         from repro.compiler.options import CompilerOptions
 
-        options = CompilerOptions(
-            dataflow=True,
-            elide_checks=elide,
-            index_check_elision=elide,
-        )
+        options = CompilerOptions(dataflow=True, elide_checks=elide)
         try:
             compiled = FunctionCompile(
                 f'Function[{{Typed[x, "MachineInteger"]}}, {body}]',

@@ -1,7 +1,7 @@
 """The IR verifier: machine-checked invariants over ``FunctionModule``.
 
-The pipeline runs seven TWIR optimization passes in an 8-round fixpoint
-loop plus a stack of semantic passes; a pass that silently corrupts the CFG
+The pipeline runs six TWIR optimization passes in a fixpoint loop of at
+most 8 rounds plus a stack of semantic passes; a pass that silently corrupts the CFG
 or types would otherwise only surface (maybe) in codegen or as a wrong
 answer.  This module checks the invariants every pass must preserve and
 reports violations as structured :class:`~repro.analyze.diagnostics.Diagnostic`
@@ -11,8 +11,8 @@ objects rather than bare asserts:
     every block terminated (``cfg.terminated``), every branch target exists
     (``cfg.target``), the entry block exists and has no predecessors
     (``cfg.entry``); unreachable blocks are a *warning* (``cfg.unreachable``)
-    because dead-branch deletion legitimately lags branch folding within an
-    optimization round.
+    because the CFG clean-up that deletes them legitimately lags branch
+    folding within an optimization round.
 
 **SSA discipline** (any stage)
     each value defined exactly once (``ssa.unique-def``), every use

@@ -57,11 +57,13 @@ import math
 import os
 import sys
 import zlib
+from dataclasses import fields
 from importlib.util import MAGIC_NUMBER
 from typing import Any, Optional
 
 import numpy as np
 
+from repro.compiler.options import CompilerOptions
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.runtime.packed import PackedArray
@@ -73,21 +75,12 @@ KEY_SCHEMA = 2
 #: marshalled code objects, which only the Python that wrote them can load
 PYTHON_TAG = (sys.implementation.cache_tag, MAGIC_NUMBER.hex())
 
-#: CompilerOptions fields that change generated code, in canonical order
-_SEMANTIC_OPTION_FIELDS = (
-    "optimization_level",
-    "abort_handling",
-    "inline_policy",
-    "memory_management",
-    "copy_insertion",
-    "index_check_elision",
-    "dataflow",
-    "elide_checks",
-    "constant_array_handling",
-    "profile",
-    "target_system",
-    "lazy_jit",
-    "argument_alias",
+#: CompilerOptions fields that change generated code, in canonical order:
+#: every field but the two that only observe a compile.  Derived, never
+#: listed by hand, so that a new option can never be left out of the key
+_SEMANTIC_OPTION_FIELDS = tuple(
+    field.name for field in fields(CompilerOptions)
+    if field.name not in ("pass_logger", "verify_ir")
 )
 
 #: packages whose every module decides what code a compile produces: the

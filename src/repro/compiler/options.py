@@ -10,7 +10,8 @@ predicated on them (``Conditioned``), and the ablation benchmarks flip them:
 * ``constant_array_handling`` — ``"naive"`` re-materializes embedded
   constant arrays per call (the 1.5× PrimeQ note), ``"hoisted"`` builds
   them once at module load;
-* ``index_check_elision`` — the §6 redundant-indexing-check removal;
+* ``dataflow`` / ``elide_checks`` — the dataflow analysis, and the §6
+  redundant-check removal it drives (index, overflow and abort checks);
 * ``optimization_level`` — 0 skips the optimization pipeline entirely
   (``CompileToIR[..., "OptimizationLevel" -> None]``).
 """
@@ -47,14 +48,12 @@ _WOLFRAM_NAMES = {
     "InlinePolicy": "inline_policy",
     "MemoryManagement": "memory_management",
     "CopyInsertion": "copy_insertion",
-    "IndexCheckElision": "index_check_elision",
     "Dataflow": "dataflow",
     "ElideChecks": "elide_checks",
     "ConstantArrayHandling": "constant_array_handling",
     "Profile": "profile",
     "TargetSystem": "target_system",
     "PassLogger": "pass_logger",
-    "LazyJIT": "lazy_jit",
     "ArgumentAlias": "argument_alias",
     "VerifyIR": "verify_ir",
 }
@@ -67,7 +66,6 @@ class CompilerOptions:
     inline_policy: str = "default"  # 'none' | 'default' | 'aggressive'
     memory_management: bool = True
     copy_insertion: bool = True
-    index_check_elision: bool = True
     #: run the worklist abstract interpretation (intervals/shapes/effects)
     #: and attach its FactMap to program metadata
     dataflow: bool = True
@@ -80,7 +78,6 @@ class CompilerOptions:
     profile: bool = False
     target_system: str = "Python"  # 'Python' | 'C' | 'WVM'
     pass_logger: Optional[Any] = None
-    lazy_jit: bool = False
     argument_alias: bool = False
     #: IR-verifier sanitizer mode: 'off' (default), 'final' (verify the
     #: finished program once), 'each' (LLVM-style verify-each: after

@@ -39,11 +39,9 @@ from repro.compiler.twir.passes import (
     common_subexpression_elimination,
     constant_propagation,
     dead_code_elimination,
-    delete_dead_blocks,
-    fuse_blocks,
     hoist_constants,
     lint,
-    simplify_boolean_comparisons,
+    simplify_cfg,
 )
 from repro.compiler.twir.resolve import FunctionResolver
 from repro.compiler.types.builtin_env import default_environment
@@ -393,59 +391,29 @@ class CompilerPipeline:
     def _optimize(self, program: ProgramModule) -> None:
         if self.options.optimization_level < 1:
             return
-        from repro.compiler.twir.loops import thread_jumps
         from repro.compiler.twir.tensors import simplify_tensors
 
+        passes = [
+            ("constant-hoisting", hoist_constants),
+            ("constant-propagation", constant_propagation),
+            ("cfg-simplification", simplify_cfg),
+            ("tensor-simplification",
+             lambda f: simplify_tensors(f, program)),
+            ("cse", common_subexpression_elimination),
+            ("dce", dead_code_elimination),
+        ]
+        # Profile counts calls of the source program's functions: one
+        # tensor Plus stays the one call it was written as
+        if self.options.profile:
+            passes = [p for p in passes if p[0] != "tensor-simplification"]
         for function_module in program.functions.values():
             for _ in range(8):
                 changed = False
-                changed |= self._timed(
-                    "constant-hoisting",
-                    lambda f=function_module: hoist_constants(f),
-                    subject=function_module,
-                )
-                changed |= self._timed(
-                    "constant-propagation",
-                    lambda f=function_module: constant_propagation(f),
-                    subject=function_module,
-                )
-                changed |= self._timed(
-                    "boolean-simplification",
-                    lambda f=function_module: simplify_boolean_comparisons(f),
-                    subject=function_module,
-                )
-                changed |= self._timed(
-                    "jump-threading",
-                    lambda f=function_module: thread_jumps(f),
-                    subject=function_module,
-                )
-                changed |= self._timed(
-                    "dead-branch-deletion",
-                    lambda f=function_module: delete_dead_blocks(f),
-                    subject=function_module,
-                )
-                changed |= self._timed(
-                    "block-fusion", lambda f=function_module: fuse_blocks(f),
-                    subject=function_module,
-                )
-                # Profile counts calls of the source program's functions:
-                # one tensor Plus stays the one call it was written as
-                if not self.options.profile:
+                for name, run in passes:
                     changed |= self._timed(
-                        "tensor-simplification",
-                        lambda f=function_module:
-                            simplify_tensors(f, program),
+                        name, lambda f=function_module, run=run: run(f),
                         subject=function_module,
                     )
-                changed |= self._timed(
-                    "cse",
-                    lambda f=function_module: common_subexpression_elimination(f),
-                    subject=function_module,
-                )
-                changed |= self._timed(
-                    "dce", lambda f=function_module: dead_code_elimination(f),
-                    subject=function_module,
-                )
                 if not changed:
                     break
             self._run_user_passes("twir", function_module)
@@ -475,11 +443,7 @@ class CompilerPipeline:
                 total["facts"] = total.get("facts", 0) + sum(
                     facts.fact_counts().values()
                 )
-            elide = (
-                facts is not None
-                and self.options.index_check_elision
-                and self.options.elide_checks
-            )
+            elide = facts is not None and self.options.elide_checks
             if elide:
                 counts = self._timed(
                     "check-elision",

@@ -108,15 +108,3 @@ def insert_memory_management(function: FunctionModule) -> int:
         function.information["MemoryManaged"] = True
     return inserted
 
-
-def strip_memory_management(function: FunctionModule) -> int:
-    removed = 0
-    for block in function.ordered_blocks():
-        before = len(block.instructions)
-        block.instructions = [
-            i
-            for i in block.instructions
-            if not isinstance(i, (MemoryAcquireInstr, MemoryReleaseInstr))
-        ]
-        removed += before - len(block.instructions)
-    return removed

@@ -1,8 +1,11 @@
 """Optimization passes (§4.3 WIR-safe, §4.5 TWIR).
 
-* dead-branch deletion and basic-block fusion — safe on untyped WIR (§4.3);
 * sparse conditional constant propagation [79] (implemented as iterative
-  constant folding over pure primitives with conditional-branch folding);
+  constant folding over pure primitives with conditional-branch folding,
+  plus the ``x == True`` identity the And/Or macros leave behind);
+* one CFG clean-up, safe on untyped WIR (§4.3): jump threading of
+  short-circuit loop exits, dead-branch deletion, trivial-phi removal and
+  basic-block fusion, sharing one predecessor map;
 * dominator-based common-subexpression elimination [20];
 * dead-code elimination [47];
 * the IR linter (§4.3 footnote 3): verifies the SSA single-definition
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.compiler.wir.analysis import compute_dominators, dominates
+from repro.compiler.wir.analysis import compute_dominators
 from repro.compiler.wir.function_module import (
     BasicBlock,
     Forwarding,
@@ -21,17 +24,11 @@ from repro.compiler.wir.function_module import (
 )
 from repro.compiler.wir.instructions import (
     BranchInstr,
-    BuildListInstr,
-    CallFunctionInstr,
-    CallIndirectInstr,
     CallPrimitiveInstr,
     ConstantInstr,
-    CopyInstr,
     FunctionRef,
     JumpInstr,
-    KernelCallInstr,
     PhiInstr,
-    ReturnInstr,
     Value,
 )
 from repro.errors import LintError, WolframRuntimeError
@@ -41,65 +38,85 @@ from repro.errors import LintError, WolframRuntimeError
 
 
 def constant_propagation(function: FunctionModule) -> bool:
-    """Fold pure primitives over constants; fold branches on constants."""
+    """Fold pure primitives over constants; fold branches on constants;
+    forward ``x == True`` to ``x`` for Boolean ``x`` (an artifact of the
+    §4.2 And/Or desugaring macros).  The last never creates a value, so
+    ``x == False`` is left alone."""
+    from repro.compiler.types.specifier import AtomicType
+
     changed = False
-    constants: dict[int, object] = {}
-    for block in function.ordered_blocks():
-        for instruction in block.all_instructions():
-            if isinstance(instruction, ConstantInstr) and not isinstance(
-                instruction.value, FunctionRef
-            ):
-                constants[instruction.result.id] = instruction.value
+    forwarding = Forwarding()
+    constants: dict[int, object] = {
+        instruction.result.id: instruction.value
+        for block in function.ordered_blocks()
+        for instruction in block.instructions  # never a phi or terminator
+        if isinstance(instruction, ConstantInstr)
+        and not isinstance(instruction.value, FunctionRef)
+    }
+
+    def boolean_operand(instruction) -> Optional[Value]:
+        """The other operand of ``== True`` when it is a Boolean."""
+        a, b = map(forwarding.resolve, instruction.operands)
+        for constant, other in ((a, b), (b, a)):
+            if constants.get(constant.id) is True and isinstance(
+                other.type, AtomicType
+            ) and other.type.name == "Boolean":
+                return other
+        return None
 
     for block in function.ordered_blocks():
         new_instructions = []
         for instruction in block.instructions:
-            folded: Optional[ConstantInstr] = None
-            if (
-                isinstance(instruction, CallPrimitiveInstr)
-                and instruction.primitive.pure
-                and instruction.operands
-                and all(v.id in constants for v in instruction.operands)
-            ):
-                runtime = instruction.primitive.call
-                if runtime is not None:
-                    try:
-                        result = runtime(
-                            *[constants[v.id] for v in instruction.operands]
-                        )
-                        folded = ConstantInstr(instruction.result, result)
-                        folded.properties.update(instruction.properties)
-                        constants[instruction.result.id] = result
-                    except (WolframRuntimeError, ValueError,
-                            ZeroDivisionError, OverflowError):
-                        folded = None  # fold-time error: leave for run time
-            if isinstance(instruction, CopyInstr):
-                pass  # copies are semantic (F5); never folded
-            if folded is not None:
-                new_instructions.append(folded)
-                changed = True
-            else:
-                new_instructions.append(instruction)
+            if isinstance(instruction, CallPrimitiveInstr):
+                folded = _fold(instruction, constants)
+                if folded is not None:
+                    instruction = folded
+                    changed = True
+                elif (
+                    instruction.primitive.runtime_name == "compare_equal"
+                    and len(instruction.operands) == 2
+                    and (operand := boolean_operand(instruction)) is not None
+                ):
+                    forwarding.replace(instruction.result, operand)
+                    changed = True
+            new_instructions.append(instruction)
         block.instructions = new_instructions
 
         terminator = block.terminator
         if isinstance(terminator, BranchInstr) and (
             terminator.condition.id in constants
         ):
-            taken = (
-                terminator.true_target
-                if constants[terminator.condition.id]
-                else terminator.false_target
-            )
-            not_taken = (
-                terminator.false_target
-                if constants[terminator.condition.id]
-                else terminator.true_target
-            )
+            taken, not_taken = terminator.true_target, terminator.false_target
+            if not constants[terminator.condition.id]:
+                taken, not_taken = not_taken, taken
             block.terminator = JumpInstr(taken)
             _remove_phi_edges(function, not_taken, block.name)
             changed = True
+    forwarding.apply(function)
     return changed
+
+
+def _fold(instruction: CallPrimitiveInstr,
+          constants: dict[int, object]) -> Optional[ConstantInstr]:
+    """``instruction`` evaluated now, if it is a pure primitive over
+    constants that does not fail; its result joins ``constants``."""
+    runtime = instruction.primitive.call
+    if not (
+        instruction.primitive.pure
+        and runtime is not None
+        and instruction.operands
+        and all(v.id in constants for v in instruction.operands)
+    ):
+        return None
+    try:
+        result = runtime(*[constants[v.id] for v in instruction.operands])
+    except (WolframRuntimeError, ValueError,
+            ZeroDivisionError, OverflowError):
+        return None  # fold-time error: leave for run time
+    constants[instruction.result.id] = result
+    folded = ConstantInstr(instruction.result, result)
+    folded.properties.update(instruction.properties)
+    return folded
 
 
 def _remove_phi_edges(function: FunctionModule, block_name: str,
@@ -111,48 +128,6 @@ def _remove_phi_edges(function: FunctionModule, block_name: str,
         phi.set_incoming(
             [(p, v) for p, v in phi.incoming if p != predecessor]
         )
-
-
-def simplify_boolean_comparisons(function: FunctionModule) -> bool:
-    """Fold ``x == True`` to ``x`` and ``x == False`` to ``!x`` for Boolean
-    ``x`` — artifacts of the §4.2 And/Or desugaring macros."""
-    from repro.compiler.types.specifier import AtomicType
-
-    changed = False
-    constants: dict[int, object] = {}
-    for block in function.ordered_blocks():
-        for instruction in block.all_instructions():
-            if isinstance(instruction, ConstantInstr):
-                constants[instruction.result.id] = instruction.value
-
-    forwarding = Forwarding()
-
-    def boolean_operand(instruction) -> Optional[Value]:
-        """The non-constant operand when the other one is literal True."""
-        a, b = map(forwarding.resolve, instruction.operands)
-        if constants.get(a.id) is True and isinstance(b.type, AtomicType) \
-                and b.type.name == "Boolean":
-            return b
-        if constants.get(b.id) is True and isinstance(a.type, AtomicType) \
-                and a.type.name == "Boolean":
-            return a
-        return None
-
-    for block in function.ordered_blocks():
-        for index, instruction in enumerate(block.instructions):
-            if not isinstance(instruction, CallPrimitiveInstr):
-                continue
-            if instruction.primitive.runtime_name != "compare_equal":
-                continue
-            if len(instruction.operands) != 2:
-                continue
-            operand = boolean_operand(instruction)
-            if operand is None:
-                continue
-            forwarding.replace(instruction.result, operand)
-            changed = True
-    forwarding.apply(function)
-    return changed
 
 
 def hoist_constants(function: FunctionModule) -> bool:
@@ -185,11 +160,184 @@ def hoist_constants(function: FunctionModule) -> bool:
     return True
 
 
-# -- dead branch / unreachable block deletion ------------------------------------------
+# -- CFG clean-up ----------------------------------------------------------------------
 
 
-def delete_dead_blocks(function: FunctionModule) -> bool:
-    """Remove blocks unreachable from the entry (dead-branch deletion)."""
+def simplify_cfg(function: FunctionModule) -> bool:
+    """Thread short-circuit loop exits, delete the blocks unreachable from
+    the entry (and their phi edges), drop trivial phis, then fuse each
+    block into its unique predecessor where control is linear.  One
+    predecessor map, taken once, is kept up to date through every edit."""
+    predecessors = {
+        name: list(sources)
+        for name, sources in function.predecessors().items()
+    }
+    changed = _thread_jumps(function, predecessors)
+    changed |= _delete_dead_blocks(function, predecessors)
+    forwarding = Forwarding()
+    # not a change by itself: the phis a lowering leaves trivial go in the
+    # first round without asking for another
+    simplify_trivial_phis(function, forwarding)
+    changed |= _fuse_blocks(function, predecessors, forwarding)
+    forwarding.apply(function)
+    return changed
+
+
+def _retarget(function: FunctionModule, predecessors: dict,
+              source: str, old: str, new: str) -> None:
+    """Point ``source``'s edges to ``old`` at ``new``, and say so in
+    ``predecessors``."""
+    block = function.blocks[source]
+    for _ in range(block.successors().count(old)):
+        predecessors[old].remove(source)
+        predecessors[new].append(source)
+    block.retarget(old, new)
+
+
+def _innermost_loops(function: FunctionModule) -> dict[str, str]:
+    """``{block name: header of the smallest loop around it}``."""
+    innermost: dict[str, str] = {}
+    for loop in sorted(function.cfg().loops, key=lambda l: -len(l.body)):
+        for name in loop.body:
+            innermost[name] = loop.header
+    return innermost
+
+
+def _constant_edges(block: BasicBlock) -> Optional[PhiInstr]:
+    """The phi ``block`` branches on, if ``block`` is nothing but phis and
+    that branch and some edge brings the phi a Boolean constant."""
+    terminator = block.terminator
+    if block.instructions or not isinstance(terminator, BranchInstr):
+        return None
+    phi = terminator.condition.definition
+    if not isinstance(phi, PhiInstr) or phi not in block.phis:
+        return None
+    if terminator.true_target == terminator.false_target:
+        return None
+    for _, value in phi.incoming:
+        definition = value.definition
+        if isinstance(definition, ConstantInstr) and isinstance(
+            definition.value, bool
+        ):
+            return phi
+    return None
+
+
+def _thread_jumps(function: FunctionModule, predecessors: dict) -> bool:
+    """Send each edge that brings a branched-on phi a constant straight to
+    the branch's target, when that target lies outside the loop.
+
+    The ``&&``/``||`` macros (§4.2) lower ``While[a && b, ...]`` to a
+    Boolean phi: one edge brings ``b``, the other the constant ``False``,
+    and the loop branches on the phi.  Threaded, the loop tests ``a`` and
+    ``b`` with two nested branches, and the dataflow analysis, which
+    refines a value only on an edge out of a comparison, sees ``a`` hold
+    in the body.  Only edges that leave the loop are threaded: the
+    threaded predecessor then ends in one more ``break`` to the exit the
+    loop already had, which the structurizer prints as such, while a join
+    threaded inside straight-line code gets two ways in that no
+    ``if``/``else`` nesting can print."""
+    joins = [
+        (block, phi) for block in function.ordered_blocks()
+        for phi in (_constant_edges(block),) if phi is not None
+    ]
+    if not joins:
+        return False
+    # the loop facts are read once: an edge next to one threaded in this
+    # run waits for the next round of the optimisation loop
+    innermost = _innermost_loops(function)
+    bodies = {loop.header: loop.body for loop in function.cfg().loops}
+    touched: set[str] = set()
+    for join, phi in joins:
+        header = innermost.get(join.name)
+        if header is None:
+            continue
+        for source_name, value in phi.incoming:
+            definition = value.definition
+            if not (isinstance(definition, ConstantInstr)
+                    and isinstance(definition.value, bool)):
+                continue
+            target_name = (
+                join.terminator.true_target if definition.value
+                else join.terminator.false_target
+            )
+            source = function.blocks[source_name]
+            if (
+                touched & {join.name, source_name, target_name}
+                or target_name in bodies[header]
+                or innermost.get(source_name) != header
+                or target_name in source.successors()
+                or _read_past_successors(function, join)
+            ):
+                continue
+            join_phis = {p.result: p for p in join.phis}
+            for target_phi in function.blocks[target_name].phis:
+                carried = dict(target_phi.incoming)[join.name]
+                if carried in join_phis:
+                    carried = dict(join_phis[carried].incoming)[source_name]
+                target_phi.set_incoming(
+                    target_phi.incoming + [(source_name, carried)]
+                )
+            for join_phi in join.phis:
+                join_phi.set_incoming(
+                    [(p, v) for p, v in join_phi.incoming if p != source_name]
+                )
+            _retarget(function, predecessors, source_name, join.name,
+                      target_name)
+            touched |= {join.name, source_name, target_name}
+            touched |= _bypass_if_empty(function, source, predecessors)
+            break
+    return bool(touched)
+
+
+def _read_past_successors(function: FunctionModule, join: BasicBlock) -> bool:
+    """Is a phi of ``join`` read anywhere but by ``join``'s own branch and
+    the phis of its successors?  Past a threaded edge nothing else could
+    name it any more."""
+    results = {phi.result for phi in join.phis}
+    successors = join.successors()
+    return any(
+        operand in results
+        for block in function.ordered_blocks()
+        for instruction in block.all_instructions()
+        if instruction is not join.terminator
+        and not (isinstance(instruction, PhiInstr)
+                 and block.name in successors)
+        for operand in instruction.operands
+    )
+
+
+def _bypass_if_empty(function: FunctionModule, block: BasicBlock,
+                     predecessors: dict) -> set:
+    """A threaded predecessor that holds nothing (the ``else`` arm of the
+    desugared ``&&``) would be a second place the loop exits to; point the
+    edges into it at where it jumps instead.  Returns the blocks whose
+    edges moved."""
+    if block.phis or block.instructions or block.name == function.entry:
+        return set()
+    (target_name,) = block.successors()
+    target = function.blocks[target_name]
+    sources = sorted(predecessors[block.name],
+                     key=lambda s: function.blocks[s].index)
+    if any(target_name in function.blocks[s].successors() for s in sources):
+        return set()
+    for phi in target.phis:
+        carried = dict(phi.incoming)[block.name]
+        phi.set_incoming(
+            [(p, v) for p, v in phi.incoming if p != block.name]
+            + [(source, carried) for source in sources]
+        )
+    for source in sources:
+        _retarget(function, predecessors, source, block.name, target_name)
+    predecessors[target_name].remove(block.name)
+    del predecessors[block.name]
+    function.remove_block(block.name)
+    return set(sources)
+
+
+def _delete_dead_blocks(function: FunctionModule, predecessors: dict) -> bool:
+    """Remove blocks unreachable from the entry (dead-branch deletion),
+    and their edges from the phis of the blocks they jumped to."""
     reachable: set[str] = set()
     stack = [function.entry]
     while stack:
@@ -200,81 +348,79 @@ def delete_dead_blocks(function: FunctionModule) -> bool:
         stack.extend(function.blocks[name].successors())
     dead = [name for name in function.block_order if name not in reachable]
     for name in dead:
-        for survivor_name in reachable:
-            survivor = function.blocks.get(survivor_name)
-            if survivor:
-                for phi in survivor.phis:
-                    phi.set_incoming(
-                        [(p, v) for p, v in phi.incoming if p != name]
-                    )
+        for successor_name in set(function.blocks[name].successors()):
+            if successor_name not in reachable:
+                continue  # dead too
+            predecessors[successor_name] = [
+                s for s in predecessors[successor_name] if s != name
+            ]
+            for phi in function.blocks[successor_name].phis:
+                phi.set_incoming(
+                    [(p, v) for p, v in phi.incoming if p != name]
+                )
+        del predecessors[name]
         function.remove_block(name)
-    simplify_trivial_phis(function)
     return bool(dead)
 
 
-def simplify_trivial_phis(function: FunctionModule) -> None:
+def simplify_trivial_phis(function: FunctionModule,
+                          forwarding: Optional[Forwarding] = None) -> None:
     """Remove every phi that merges one value (with itself), to a fixed
-    point: removing one can make another trivial."""
-    forwarding = Forwarding()
+    point: removing one can make another trivial.  The uses are rewritten
+    here unless the caller passes the ``forwarding`` it applies itself."""
+    pending = Forwarding() if forwarding is None else forwarding
     changed = True
     while changed:
         changed = False
         for block in function.ordered_blocks():
             for phi in list(block.phis):
-                values = {forwarding.resolve(v) for _, v in phi.incoming}
+                values = {pending.resolve(v) for _, v in phi.incoming}
                 values.discard(phi.result)
                 if len(values) == 1:
                     (only,) = values
-                    forwarding.replace(phi.result, only)
+                    pending.replace(phi.result, only)
                     block.phis.remove(phi)
                     changed = True
-    forwarding.apply(function)
+    if forwarding is None:
+        pending.apply(function)
 
 
-# -- block fusion ----------------------------------------------------------------------
-
-
-def fuse_blocks(function: FunctionModule) -> bool:
+def _fuse_blocks(function: FunctionModule, predecessors: dict,
+                 forwarding: Forwarding) -> bool:
     """Merge a block into its unique predecessor when control is linear."""
     changed = False
-    forwarding = Forwarding()
-    progress = True
-    while progress:
-        progress = False
-        predecessors = function.predecessors()
-        for block in function.ordered_blocks():
-            terminator = block.terminator
-            if not isinstance(terminator, JumpInstr):
-                continue
-            target_name = terminator.target
-            target = function.blocks.get(target_name)
-            if target is None or target_name == function.entry:
-                continue
-            if len(predecessors.get(target_name, [])) != 1:
-                continue
-            if target.phis:
-                # single predecessor: phis are trivial; inline them as copies
-                for phi in target.phis:
-                    if phi.incoming:
-                        forwarding.replace(phi.result, phi.incoming[0][1])
-                target.phis = []
+    for block in function.ordered_blocks():
+        if block.name not in function.blocks:
+            continue  # fused into an earlier block already
+        while isinstance(block.terminator, JumpInstr):
+            target_name = block.terminator.target
+            if target_name == function.entry or (
+                len(predecessors.get(target_name, ())) != 1
+            ):
+                break
+            target = function.blocks[target_name]
+            # single predecessor: phis are trivial; forward them
+            for phi in target.phis:
+                if phi.incoming:
+                    forwarding.replace(phi.result, phi.incoming[0][1])
+            target.phis = []
             block.instructions.extend(target.instructions)
             block.terminator = target.terminator
-            for successor_name in (
-                target.terminator.successors() if target.terminator else []
-            ):
-                successor = function.blocks.get(successor_name)
-                if successor is None:
+            for successor_name in set(target.successors()):
+                if successor_name not in predecessors:
                     continue
-                for phi in successor.phis:
+                predecessors[successor_name] = [
+                    block.name if p == target_name else p
+                    for p in predecessors[successor_name]
+                ]
+                for phi in function.blocks[successor_name].phis:
                     phi.incoming = [
                         (block.name if p == target_name else p, v)
                         for p, v in phi.incoming
                     ]
+            del predecessors[target_name]
             function.remove_block(target_name)
-            changed = progress = True
-            break
-    forwarding.apply(function)
+            changed = True
     return changed
 
 

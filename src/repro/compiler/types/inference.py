@@ -388,8 +388,18 @@ class TypeInference:
     def _try_self_call(self, constraint: CallConstraint,
                        operand_types: list[Type]) -> bool:
         """An unknown callee matching our own shape is a self-recursive call
-        (the paper's ``cfib`` pattern); otherwise it is a type error."""
+        (the paper's ``cfib`` pattern); otherwise it is a type error.  A
+        function the interpreter defines is never the one being compiled:
+        the compiler only lacks an implementation of it."""
+        from repro.engine.builtins import registry
+
         instruction = constraint.instruction
+        if instruction.callee in registry():
+            raise TypeInferenceError(
+                f"no compiled implementation of {instruction.callee}"
+                f"({', '.join(map(str, operand_types))}) "
+                f"in `{_source_of(instruction)}`"
+            )
         if self.self_type is not None and len(operand_types) == len(
             self.self_type.params
         ):

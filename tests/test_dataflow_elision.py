@@ -51,7 +51,7 @@ BOUNDS_KERNEL = (
 
 def compile_kernel(source: str, **changes):
     options = CompilerOptions(
-        dataflow=True, elide_checks=True, index_check_elision=True,
+        dataflow=True, elide_checks=True,
     ).with_(**changes)
     pipeline = CompilerPipeline(options=options)
     program = pipeline.compile_program(parse(source))
@@ -260,7 +260,6 @@ class TestCheckElision:
             for elide in (True, False):
                 options = CompilerOptions(
                     dataflow=True, elide_checks=elide,
-                    index_check_elision=elide,
                 )
                 assert FunctionCompile(kernel, options=options)(0) == expected
 

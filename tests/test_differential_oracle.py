@@ -140,7 +140,8 @@ class TestBoundaryGenerator:
         bodies = [generator.spec().body() for _ in range(60)]
         text = "\n".join(bodies)
         assert str(INT64_MAX) in text or str(INT64_MAX - 1) in text
-        assert "v = {}" in text  # empty arrays appear
+        # empty arrays appear, as an allocation: `{}` has no type
+        assert "v = Native`CreateTensor[0, 0]" in text
         assert "[[0]]" in text  # below-range index appears
 
     def test_a_third_of_the_programs_index_a_matrix(self):
@@ -222,6 +223,24 @@ class TestElisionOracle:
             assert not oracle.consistent(
                 oracle.run_pair(mismatch.reproducer(), mismatch.argument)
             )
+
+    def test_empty_arrays_are_typed(self):
+        """An empty ``v`` is written so that it types: at CI's seed, one
+        rank-1 program in five has one, and each used to stop at "cannot
+        type an empty list literal" before any of its indices ran."""
+        oracle = ElisionOracle(seed=20260808)
+        empty = 0
+        for _ in range(200):
+            spec = oracle.generator.spec()
+            argument = oracle.generator.argument()
+            empty += not spec.values
+            results = oracle.run_pair(spec.body(), argument)
+            assert not any(
+                isinstance(result, _ElisionError)
+                and "empty list literal" in result.message
+                for result in results.values()
+            ), spec.body()
+        assert empty == 30
 
     def test_artifacts_written(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DIFF_ARTIFACTS", str(tmp_path))

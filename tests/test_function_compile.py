@@ -138,6 +138,13 @@ class TestControlFlow:
         )
         assert f(10) == 144
 
+    def test_interpreter_function_is_not_a_self_call(self):
+        """A callee the interpreter defines has the function's own arity
+        here, but it is not the function: no compiled implementation of
+        it is a compile error, not an unbounded recursion."""
+        with pytest.raises(TypeInferenceError, match="Log10"):
+            fc('Function[{Typed[x, "Real64"]}, Log10[x] + 1.0]')
+
     def test_comparison_chain(self):
         f = fc(
             'Function[{Typed[x, "MachineInteger"]}, If[0 < x < 10, 1, 0]]'

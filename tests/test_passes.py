@@ -1,8 +1,23 @@
 """Individual TWIR passes (§4.3/§4.5): optimizations and semantic passes."""
 
 from repro.compiler import CompileToIR, FunctionCompile
-from repro.compiler.pipeline import CompilerPipeline
 from repro.compiler.options import CompilerOptions
+from repro.compiler.twir.passes import (
+    constant_propagation,
+    hoist_constants,
+    lint,
+    simplify_cfg,
+)
+from repro.compiler.types.specifier import ty
+from repro.compiler.wir.function_module import FunctionModule
+from repro.compiler.wir.instructions import (
+    BranchInstr,
+    ConstantInstr,
+    JumpInstr,
+    PhiInstr,
+    ReturnInstr,
+    Value,
+)
 from repro.mexpr import parse
 
 
@@ -13,6 +28,13 @@ def ir_text(source: str, **options) -> str:
         line for line in text.splitlines()
         if not line.startswith("; module metadata")
     )
+
+
+def unoptimized(source: str):
+    """The typed main function of ``source``, before any optimization."""
+    return CompileToIR(
+        source, OptimizationLevel=None
+    )["program"].main_function()
 
 
 class TestConstantPropagation:
@@ -33,6 +55,17 @@ class TestConstantPropagation:
             ' If[x > 0, x, 9223372036854775807 + 9223372036854775807]]'
         )
         assert f(1) == 1
+
+    def test_compare_with_true_forwards_the_boolean(self):
+        fn = unoptimized(
+            'Function[{Typed[b, "Boolean"]}, If[b == True, 1, 2]]'
+        )
+        (argument,) = [
+            i.result for i in fn.instructions() if i.opcode == "LoadArgument"
+        ]
+        assert constant_propagation(fn)
+        branches = [i for i in fn.instructions() if isinstance(i, BranchInstr)]
+        assert [b.condition for b in branches] == [argument]
 
 
 class TestCSE:
@@ -69,20 +102,93 @@ class TestDCE:
         assert "random_real" in text
 
 
-class TestBlockFusion:
+class TestSimplifyCfg:
     def test_linear_blocks_merge(self):
-        from repro.compiler.wir.lower import Lowerer
-        from repro.compiler.twir.passes import fuse_blocks
-
-        pipeline = CompilerPipeline()
-        params, body = pipeline.parse_function(parse(
-            'Function[{Typed[c, "Boolean"]}, If[c, 1, 2]]'
-        ))
-        body = pipeline.expand_macros(body)
-        fn = Lowerer("Main", pipeline.type_environment).lower(params, body)
+        fn = unoptimized('Function[{Typed[c, "Boolean"]}, If[c, 1, 2]]')
         before = len(fn.blocks)
-        fuse_blocks(fn)
+        simplify_cfg(fn)
+        lint(fn)
         assert len(fn.blocks) <= before
+
+    def test_short_circuit_loop_exit_is_threaded(self):
+        """``While[a && b]``: the edge that brings the join's phi
+        ``False`` goes straight to the loop exit, the empty ``else`` arm
+        is bypassed, and the join is fused away."""
+        fn = unoptimized(
+            'Function[{Typed[n, "MachineInteger"]},'
+            ' Module[{i = 0}, While[i < n && i < 10, i = i + 1]; i]]'
+        )
+        hoist_constants(fn)
+        assert simplify_cfg(fn)
+        lint(fn)
+        block = {name.split("(")[0]: b for name, b in fn.blocks.items()}
+        assert "if_else" not in block and "if_end" not in block
+        assert not any(
+            isinstance(b.terminator.condition.definition, PhiInstr)
+            for b in fn.blocks.values()
+            if isinstance(b.terminator, BranchInstr)
+        )
+        exit_ = block["while_end"].name
+        assert block["while_head"].terminator.false_target == exit_
+        assert block["if_then"].terminator.false_target == exit_
+
+    def test_dead_block_deleted_and_phi_pruned(self):
+        fn = FunctionModule("F")
+        entry, left, right, join = (
+            fn.new_block(name) for name in ("entry", "left", "right", "join")
+        )
+        one, two, merged = (Value(h, ty("Integer64")) for h in "12m")
+        entry.terminator = JumpInstr(left.name)  # `right` is unreachable
+        left.append(ConstantInstr(one, 1))
+        left.terminator = JumpInstr(join.name)
+        right.append(ConstantInstr(two, 2))
+        right.terminator = JumpInstr(join.name)
+        join.append(PhiInstr(merged, [(left.name, one), (right.name, two)]))
+        join.terminator = ReturnInstr(merged)
+
+        assert simplify_cfg(fn)
+        lint(fn)
+        # `right` is gone, the phi lost its edge from it and, left with one
+        # value, went too; the straight line that remains is one block
+        assert list(fn.blocks) == [entry.name]
+        assert not any(isinstance(i, PhiInstr) for i in fn.instructions())
+        assert entry.terminator.value is one
+
+
+class TestOptimizerSchedule:
+    PASSES = ["constant-hoisting", "constant-propagation",
+              "cfg-simplification", "tensor-simplification", "cse", "dce"]
+    #: optimizer rounds over the benchsuite programs (every ``NEW_*``
+    #: kernel and ``ITERATIVE_FIB``): 22 with the nine-pass loop, the same
+    #: 22 with the six passes it became
+    ROUNDS_NINE_PASSES = 22
+
+    def test_each_round_runs_the_six_passes(self):
+        from repro.benchsuite import programs, reference
+
+        rounds = 0
+        for name in sorted(vars(programs)):
+            if not (name.startswith("NEW_") or name == "ITERATIVE_FIB"):
+                continue
+            source = getattr(programs, name)
+            keywords = {}
+            if "primeTable" in source:
+                keywords["constants"] = {
+                    "primeTable": reference.prime_sieve_bitmap(),
+                    "witnesses": programs.RM_WITNESSES,
+                }
+            names = []
+            CompileToIR(source, PassLogger=lambda n, s: names.append(n),
+                        **keywords)
+            # the optimizer runs after the last resolution and before the
+            # dataflow analysis that starts the semantic passes
+            start = max(i for i, n in enumerate(names)
+                        if n.startswith(("infer:", "resolve:")))
+            schedule = names[start + 1:names.index("dataflow")]
+            count = schedule.count("constant-hoisting")
+            assert schedule == self.PASSES * count, name
+            rounds += count
+        assert 0 < rounds <= self.ROUNDS_NINE_PASSES
 
 
 class TestAbortInsertion:
@@ -139,7 +245,7 @@ class TestIndexElision:
             'Function[{Typed[v, TypeSpecifier["Tensor"["Real64", 1]]]},'
             ' Module[{s = 0.0, i = 1}, While[i <= Length[v],'
             '  s = s + v[[i]]; i = i + 1]; s]]',
-            IndexCheckElision=False,
+            ElideChecks=False,
         )
         assert "unchecked" not in text
 

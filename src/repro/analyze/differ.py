@@ -567,7 +567,9 @@ class _BoundaryGenerator:
     — a display of rows or a ``Native`CreateMatrix`` — and read and write
     ``m[[i, j]]`` with both indices off-by-one biased, in loops up to
     ``Length[m]`` and ``Length[m[[1]]]`` (or one past): the row and column
-    proofs of the bounds elision.
+    proofs of the bounds elision.  Some read or write the column one past
+    the end of a row that is not the last, where a column proof that is
+    off by one returns the next row's element instead of trapping.
     """
 
     def __init__(self, rng: random.Random):
@@ -622,7 +624,7 @@ class _BoundaryGenerator:
 
     def _matrix_statement(self, rows: int, columns: int) -> str:
         i, j = self._axis_index(rows), self._axis_index(columns)
-        pick = self.rng.randrange(5)
+        pick = self.rng.randrange(6)
         if pick == 0:
             return f"a = a + m[[{i}, {j}]]"
         if pick == 1:
@@ -635,6 +637,12 @@ class _BoundaryGenerator:
         if pick == 3:  # one column of every row, or one row past them
             bound = self.rng.choice(["Length[m]", "Length[m] + 1"])
             return f"Do[m[[k, {j}]] = a + k, {{k, {bound}}}]"
+        if pick == 5 and rows > 1:
+            # one column past the end of a row that is not the last: the
+            # flat offset is in range, so only the column check stands
+            # between this and the next row's first element
+            at = f"m[[{self.rng.randint(1, rows - 1)}, {columns + 1}]]"
+            return self.rng.choice([f"a = a + {at}", f"{at} = a"])
         return (
             "Do[Do[a = a + m[[k, l]], {l, Length[m[[k]]]}], {k, Length[m]}]"
         )

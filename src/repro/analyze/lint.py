@@ -53,6 +53,7 @@ no occurrence is found.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Optional
 
 from repro.analyze.diagnostics import Diagnostic, position_to_line_column
@@ -891,11 +892,17 @@ def _free_symbols(node: MExpr) -> set[str]:
     return names
 
 
-#: heads whose first argument is mutated in place
-_MUTATING_HEADS = frozenset({
-    "Set", "SetDelayed", "Increment", "Decrement", "PreIncrement",
-    "PreDecrement", "AddTo", "SubtractFrom", "TimesBy", "DivideBy",
-})
+@cache
+def _mutating_heads() -> frozenset[str]:
+    """Heads that may assign their first argument: every builtin that
+    holds it unevaluated (``HoldFirst``/``HoldAll``) — ``Set``,
+    ``AppendTo``, ``Increment``, ... — so none can be left off by hand."""
+    from repro.engine.builtins.support import registry
+
+    return frozenset(
+        name for name, builtin in registry().items()
+        if builtin.attributes & {"HoldFirst", "HoldAll"}
+    )
 
 
 def _assigned_names(node: MExpr) -> set[str]:
@@ -904,7 +911,7 @@ def _assigned_names(node: MExpr) -> set[str]:
     if node.is_atom():
         return names
     if (
-        head_name(node) in _MUTATING_HEADS
+        head_name(node) in _mutating_heads()
         and node.args
         and isinstance(node.args[0], MSymbol)
     ):

@@ -8,6 +8,8 @@ Why it exists
 Every process restart re-pays JIT warmup: the server's base image, the
 hotspot ladder's compiled rung, and every ``FunctionCompile`` all run
 the same multi-pass pipeline over the same definitions, per process.
+That pipeline is the one thing cached: the legacy bytecode compiler
+(``Compile``) is a single forward pass that costs less than a hit.
 This package makes the pipeline's results durable and, via the AOT
 mode, specializes the engine to a fixed definition set ahead of time —
 the first Futamura projection reading of ``repro serve``'s warm boot.
@@ -25,9 +27,9 @@ Layout
   write-rename, LRU size cap (``REPRO_ARTIFACT_CACHE_MAX``), a content
   digest checked before any decode, corruption-tolerant loads,
   ``artifact.cache`` spans and counters;
-* :mod:`repro.artifacts.codec` — what an entry of each tier holds and
-  how a hit is rebuilt from it (``lookup`` / ``store``, the two calls a
-  cached compiler makes);
+* :mod:`repro.artifacts.codec` — what an entry holds and how a hit is
+  rebuilt from it (``lookup`` / ``store``, the two calls
+  ``FunctionCompile`` makes);
 * :mod:`repro.artifacts.aot` — ``python -m repro aot``: warm a
   definition set, emit a manifest-driven self-contained image, and boot
   a server :class:`~repro.server.base.BaseImage` from it.
@@ -41,7 +43,6 @@ recompiled, never raised and never decoded.
 """
 
 from repro.artifacts.keys import (
-    bytecode_key,
     function_key,
     runtime_fingerprint,
     type_from_wire,
@@ -56,7 +57,6 @@ from repro.artifacts.store import (
 
 __all__ = [
     "ArtifactStore",
-    "bytecode_key",
     "cache_enabled",
     "cache_root_from_environment",
     "function_key",

@@ -1,27 +1,25 @@
 """What a compile stores in the artifact cache and how a hit is rebuilt.
 
-Both cached tiers go through the same two calls, one each side of their
-compiler: :func:`lookup` before it and :func:`store` after it.
+``FunctionCompile`` makes two calls, one each side of the pipeline:
+:func:`lookup` before it and :func:`store` after it.  Only that tier is
+cached; an entry's ``kind`` is always ``python``.
 
-``python`` entries (the generated-Python JIT tier) carry the module's
-code object — ``marshal``, base64 — beside its source, the signature, the
-constant pool and the kernel-escape expressions.  A hit unmarshals the
-code object and ``exec``s it: no ``compile`` of the source, no pipeline
-pass.  A pool entry that *is* one of the caller's named ``constants=``
-arrays is stored as its name (``{"n": name}``), never as its elements:
-the key holds that array's content digest, so a hit binds the caller's
+An entry carries the generated module's code object — ``marshal``,
+base64 — beside its source, the signature, the constant pool and the
+kernel-escape expressions.  A hit unmarshals the code object and
+``exec``s it: no ``compile`` of the source, no pipeline pass.  A pool
+entry that *is* one of the caller's named ``constants=`` arrays is
+stored as its name (``{"n": name}``), never as its elements: the key
+holds that array's content digest, so a hit binds the caller's
 normalized array — the object a miss embeds — and decodes nothing.  Any
 other array is one deflated element buffer (``{"pa": ...}``).  That is
-the only way a ``python`` entry is restored; the source is kept for
-``generated_source``, ``--stats`` and tooling.  ``marshal`` is
-safe here because nothing reaches it but what
+the only way an entry is restored; the source is kept for
+``generated_source``, ``--stats`` and tooling.  ``marshal`` is safe
+here because nothing reaches it but what
 :meth:`~repro.artifacts.store.ArtifactStore.get` returned, and ``get``
 checks the content digest of the bytes it read before decoding any of
 them; that the code object is this interpreter's is the key's business
 (:data:`repro.artifacts.keys.PYTHON_TAG`).
-
-``bytecode`` entries (the WVM tier) carry the instruction stream
-(:meth:`~repro.bytecode.compiled_function.CompiledFunction.to_payload`).
 
 An entry whose payload does not decode — whatever the reason — is evicted
 and reported as a miss; the caller recompiles.
@@ -77,34 +75,31 @@ class CachedProgram:
         }
 
 
-def lookup(cache: ArtifactStore, key: str, kind: str, **context):
-    """The artifact stored under ``key``, rebuilt, or ``None`` on a miss.
-    ``context`` is what the ``kind`` needs besides the entry (``python``:
+def lookup(cache: ArtifactStore, key: str, **context):
+    """The compiled function stored under ``key``, rebuilt, or ``None`` on
+    a miss.  ``context`` is what the entry does not hold:
     ``source_function``, ``evaluator``, ``options`` and the normalized
-    ``constants`` the key was taken over)."""
+    ``constants`` the key was taken over."""
     entry = cache.get(key)
     if entry is None:
         return None
     try:
-        if entry.get("kind") != kind:
+        if entry.get("kind") != "python":
             raise ValueError(f"unexpected entry kind {entry.get('kind')!r}")
-        return _DECODERS[kind](entry, **context)
+        return _python_function(entry, **context)
     except Exception:
         cache.evict(key)
         return None
 
 
-def store(cache: ArtifactStore, key: str, kind: str, **artifact) -> None:
+def store(cache: ArtifactStore, key: str, **artifact) -> None:
     """Store a fresh compile under ``key``; one with no wire form (an
     exotic constant, a polymorphic type) is counted as unstorable."""
-    payload = _ENCODERS[kind](**artifact)
+    payload = _python_payload(**artifact)
     if payload is None:
         cache.decline()
     else:
-        cache.put(key, {"kind": kind, **payload})
-
-
-# -- python entries -----------------------------------------------------------
+        cache.put(key, {"kind": "python", **payload})
 
 
 def _const_to_wire(value, named: dict):
@@ -190,20 +185,3 @@ def _python_function(entry, source_function, evaluator, options, constants):
     )
     return compiled
 
-
-# -- bytecode entries ---------------------------------------------------------
-
-
-def _bytecode_payload(function) -> Optional[dict]:
-    payload = function.to_payload()
-    return None if payload is None else {"function": payload}
-
-
-def _bytecode_function(entry):
-    from repro.bytecode.compiled_function import CompiledFunction
-
-    return CompiledFunction.from_payload(entry["function"])
-
-
-_ENCODERS = {"python": _python_payload, "bytecode": _bytecode_payload}
-_DECODERS = {"python": _python_function, "bytecode": _bytecode_function}

@@ -23,8 +23,8 @@ covers:
   deliberately excluded: ``pass_logger`` is a side channel and
   ``verify_ir`` is a diagnostic mode (compiles with the sanitizer on
   bypass the cache entirely rather than key on it);
-* the **backend** the artifact was generated for (``python`` for the
-  generated-Python JIT tier, ``bytecode`` for the WVM tier);
+* the **backend** the artifact was generated for (``python``, the
+  generated-Python JIT tier, is the only one ``FunctionCompile`` caches);
 * the **Python bytecode identity** (:data:`PYTHON_TAG`:
   ``sys.implementation.cache_tag`` and ``importlib.util.MAGIC_NUMBER``) —
   a ``python`` entry holds a marshalled code object, which only the
@@ -35,10 +35,10 @@ covers:
   source of every module under ``repro.compiler`` and ``repro.analyze``
   (each pass, the inline templates of the type environment, the back
   ends, the analysis that elides checks) and of every module generated
-  code calls back into (checked arithmetic, packed arrays, the guard, the
-  WVM).  Editing any of those invalidates every cached artifact: a fixed
-  pass must not keep serving what the broken one produced, and stored
-  code may embed assumptions about the runtime;
+  code calls back into (checked arithmetic, packed arrays, the guard).
+  Editing any of those invalidates every cached artifact: a fixed pass
+  must not keep serving what the broken one produced, and stored code
+  may embed assumptions about the runtime;
 * the **repro package version**, the key schema, and any caller-supplied
   extra versions (e.g. ``CompiledCodeFunction.COMPILER_VERSION``).
 
@@ -57,13 +57,12 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import fields
 from importlib.util import MAGIC_NUMBER
 from typing import Any, Optional
 
 import numpy as np
 
-from repro.compiler.options import CompilerOptions
+from repro.compiler.options import SEMANTIC_FIELDS
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.runtime.packed import PackedArray
@@ -75,29 +74,18 @@ KEY_SCHEMA = 2
 #: marshalled code objects, which only the Python that wrote them can load
 PYTHON_TAG = (sys.implementation.cache_tag, MAGIC_NUMBER.hex())
 
-#: CompilerOptions fields that change generated code, in canonical order:
-#: every field but the two that only observe a compile.  Derived, never
-#: listed by hand, so that a new option can never be left out of the key
-_SEMANTIC_OPTION_FIELDS = tuple(
-    field.name for field in fields(CompilerOptions)
-    if field.name not in ("pass_logger", "verify_ir")
-)
-
 #: packages whose every module decides what code a compile produces: the
 #: pipeline, each pass, the type environment with its inline templates,
 #: the back ends, and the analysis that elides checks
 _COMPILER_PACKAGES = ("repro.compiler", "repro.analyze")
 
-#: modules the generated code (or the VM) links against when it runs
+#: modules the generated code links against when it runs
 _RUNTIME_FINGERPRINT_MODULES = (
     "repro.runtime.guard",
     "repro.runtime.checked",
     "repro.runtime.memory",
     "repro.runtime.packed",
     "repro.runtime.blas",
-    "repro.bytecode.compiler",
-    "repro.bytecode.instructions",
-    "repro.bytecode.vm",
 )
 
 _fingerprint_cache: Optional[str] = None
@@ -195,21 +183,6 @@ def _write_tree(node: MExpr, emit) -> None:
                     emit(f"m{len(name)}:{name}{len(text)}:{text}")
 
 
-def _digest(fields: tuple, *trees: MExpr) -> str:
-    """SHA-256 over what every key shares — key schema, Python bytecode
-    identity, compiler/runtime fingerprint, package version — then the
-    caller's ``fields`` (a tuple of plain values, keyed by ``repr``), then
-    each tree."""
-    from repro import __version__
-
-    parts = [repr((KEY_SCHEMA, PYTHON_TAG, runtime_fingerprint(),
-                   __version__, *fields))]
-    for tree in trees:
-        _write_tree(tree, parts.append)
-    text = "".join(parts)
-    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
-
-
 def function_key(
     source_function: MExpr,
     options,
@@ -217,23 +190,24 @@ def function_key(
     extra: Optional[dict] = None,
     constants: Optional[dict] = None,
 ) -> str:
-    """The lookup key for one compile of ``source_function``;
+    """The lookup key for one compile of ``source_function``: SHA-256 over
+    what ties an entry to this build — key schema, Python bytecode
+    identity, compiler/runtime fingerprint, package version — then the
+    compile's own fields (``repr``-ed plain values), then the tree.
     ``constants`` is the normalized ``constants=`` mapping
     (:func:`repro.compiler.pipeline.normalize_constants`)."""
-    return _digest(
-        (
-            backend,
-            tuple(getattr(options, name) for name in _SEMANTIC_OPTION_FIELDS),
-            sorted(extra.items()) if extra else None,
-            constants_digest(constants) if constants else None,
-        ),
-        source_function,
-    )
+    from repro import __version__
 
-
-def bytecode_key(specs: MExpr, body: MExpr, versions) -> str:
-    """The lookup key for one bytecode-tier (WVM) compile."""
-    return _digest(("bytecode", tuple(versions)), specs, body)
+    parts = [repr((
+        KEY_SCHEMA, PYTHON_TAG, runtime_fingerprint(), __version__,
+        backend,
+        tuple(getattr(options, name) for name in SEMANTIC_FIELDS),
+        sorted(extra.items()) if extra else None,
+        constants_digest(constants) if constants else None,
+    ))]
+    _write_tree(source_function, parts.append)
+    text = "".join(parts)
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 # -- packed arrays: one pass per array in a key, one buffer in an entry ------

@@ -10,7 +10,7 @@ One directory tree, ccache-style::
 Each object file is a single JSON document whose first member is the
 SHA-256 of every byte after it::
 
-    {"sha256":"<64 hex>","key":"<digest>","kind":"python"|"bytecode",
+    {"sha256":"<64 hex>","key":"<digest>","kind":"python",
      ...,"schema":2,...}
 
 A read checks that digest over the bytes it got **before decoding any of
@@ -20,13 +20,13 @@ code blob or the digest itself — and every schema-1 entry (which has no
 such prefix) stop there.  Only then is the JSON parsed; ``schema`` is the
 entry-format version (bump it and every older entry reads as a miss),
 ``key`` must equal the file's own digest (a copied or renamed file never
-masquerades as another entry), and ``kind`` selects the decoder
-(:mod:`repro.artifacts.codec`) — the generated-Python JIT tier stores its
-module's marshalled code object, source, signature and constant pool; the
-bytecode tier stores its instruction stream.  Everything else in the
-entry belongs to the decoder.  The content digest is what makes handing
-entry bytes to ``marshal`` acceptable: ``marshal.loads`` is not safe on
-arbitrary input, and nothing reaches it that has not passed the check.
+masquerades as another entry), and ``kind`` names the decoder
+(:mod:`repro.artifacts.codec`): the generated-Python JIT tier stores its
+module's marshalled code object, source, signature and constant pool.
+Everything else in the entry belongs to the decoder.  The content
+digest is what makes handing entry bytes to ``marshal`` acceptable:
+``marshal.loads`` is not safe on arbitrary input, and nothing reaches it
+that has not passed the check.
 
 :meth:`ArtifactStore.get` returns the decoded document, ``sha256``
 included, and :meth:`ArtifactStore.put` accepts it back (that is how an

@@ -56,13 +56,6 @@ def mandelbrot_point(pixel0: complex, max_iters: int = 1000) -> int:
     return iters
 
 
-def mandelbrot_grid(points, max_iters: int = 1000) -> int:
-    total = 0
-    for point in points:
-        total += mandelbrot_point(point, max_iters)
-    return total
-
-
 # -- Dot (the shared BLAS path) ----------------------------------------------------------
 
 def dot_reference(a: list, b: list) -> list:

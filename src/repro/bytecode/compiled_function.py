@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.bytecode.boxed import BoxedTensor
-from repro.bytecode.instructions import Instruction, Op, RegisterCounts
+from repro.bytecode.instructions import Instruction, RegisterCounts
 from repro.bytecode.vm import WVM
 from repro.mexpr.expr import MExpr
 from repro.runtime.guard import (
@@ -54,102 +54,6 @@ class CompiledFunction(SpecTypedFunction):
         ),
         repr=False,
     )
-
-    # -- serialization fidelity -------------------------------------------------
-
-    def to_payload(self) -> Optional[dict]:
-        """The artifact-cache wire form of this function, or ``None`` when
-        some component does not serialize (the compile is then not cached
-        and counted ``unstorable`` — never an error).
-
-        Everything the VM executes round-trips: the instruction stream
-        (``EVAL_EXPR`` payloads carry their escape expression in MExpr wire
-        form), the constant pool (scalars plus tagged complex values), the
-        register allocation, and the original ``specs``/``body`` trees the
-        §2.2 version check recompiles from.  Host state (``evaluator``,
-        breaker, stats) is per-process and deliberately excluded.
-        """
-        from repro.mexpr.serialize import to_wire
-
-        constants = []
-        for value in self.constants:
-            if isinstance(value, complex):
-                constants.append({"j": [value.real, value.imag]})
-            elif value is None or isinstance(value, (bool, int, float)):
-                constants.append(value)
-            elif isinstance(value, MExpr):
-                constants.append({"x": to_wire(value)})
-            else:
-                return None
-        instructions = []
-        for ins in self.instructions:
-            wire = {"op": int(ins.op), "t": ins.target,
-                    "o": [int(o) for o in ins.operands]}
-            if ins.payload is not None:
-                expression, free_variables = ins.payload
-                wire["p"] = {
-                    "e": to_wire(expression),
-                    "f": [[name, register]
-                          for name, register in free_variables],
-                }
-            instructions.append(wire)
-        return {
-            "versions": list(self.versions),
-            "argument_types": list(self.argument_types),
-            "argument_names": list(self.argument_names),
-            "constants": constants,
-            "register_counts": self.register_counts.encode(),
-            "register_total": self.register_total,
-            "instructions": instructions,
-            "specs": to_wire(self.source_specs),
-            "body": to_wire(self.source_body),
-            "result_type": self.result_type,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CompiledFunction":
-        """Rebuild a function from :meth:`to_payload` output.
-
-        Raises on malformed payloads; callers (the artifact store path in
-        :func:`compile_function`) treat any exception as a cache miss.
-        """
-        from repro.mexpr.serialize import from_wire
-
-        constants = []
-        for value in payload["constants"]:
-            if isinstance(value, dict):
-                if "j" in value:
-                    constants.append(complex(value["j"][0], value["j"][1]))
-                else:
-                    constants.append(from_wire(value["x"]))
-            else:
-                constants.append(value)
-        instructions = []
-        for wire in payload["instructions"]:
-            escape = None
-            if "p" in wire:
-                escape = (
-                    from_wire(wire["p"]["e"]),
-                    [(name, register) for name, register in wire["p"]["f"]],
-                )
-            instructions.append(
-                Instruction(
-                    Op(wire["op"]), wire["t"], tuple(wire["o"]), escape
-                )
-            )
-        counts = payload["register_counts"]
-        return cls(
-            versions=tuple(payload["versions"]),
-            argument_types=list(payload["argument_types"]),
-            argument_names=list(payload["argument_names"]),
-            constants=constants,
-            register_counts=RegisterCounts(*counts),
-            register_total=payload["register_total"],
-            instructions=instructions,
-            source_specs=from_wire(payload["specs"]),
-            source_body=from_wire(payload["body"]),
-            result_type=payload["result_type"],
-        )
 
     def input_form(self) -> str:
         """The §2.2 ``InputForm`` rendering of the serialized function."""
@@ -204,32 +108,11 @@ class CompiledFunction(SpecTypedFunction):
 
 
 def compile_function(specs: MExpr, body: MExpr, evaluator=None) -> CompiledFunction:
-    """Compile and attach a host evaluator, consulting the persistent
-    artifact cache (:mod:`repro.artifacts`) keyed on the source trees and
-    the compiler/engine versions.  A hit skips the bytecode compiler
-    entirely; a fresh compile whose payload serializes is stored for the
-    next process.  Cache failures of any kind degrade to a plain compile.
-    """
-    from repro.artifacts import bytecode_key, codec, get_store
-    from repro.bytecode.compiler import (
-        BYTECODE_COMPILER_VERSION,
-        DEFAULT_COMPILE_FLAGS,
-        WVM_ENGINE_VERSION,
-        BytecodeCompiler,
-    )
-
-    store = get_store()
-    if store is not None:
-        versions = (BYTECODE_COMPILER_VERSION, WVM_ENGINE_VERSION,
-                    DEFAULT_COMPILE_FLAGS)
-        cache_key = bytecode_key(specs, body, versions)
-        function = codec.lookup(store, cache_key, "bytecode")
-        if function is not None:
-            function.evaluator = evaluator
-            return function
+    """Compile and attach a host evaluator.  The compiler is one forward
+    pass, cheaper than a persistent-cache hit would be, so nothing here
+    keys, looks up or stores an artifact."""
+    from repro.bytecode.compiler import BytecodeCompiler
 
     function = BytecodeCompiler().compile(specs, body)
     function.evaluator = evaluator
-    if store is not None:
-        codec.store(store, cache_key, "bytecode", function=function)
     return function

@@ -319,11 +319,7 @@ class CompiledCodeFunction(GovernedFunction):
             "compilerVersion": self.COMPILER_VERSION,
             "inputFunction": to_wire(self.source_function),
             "generatedSource": self.generated_source,
-            "options": {
-                "AbortHandling": self.options.abort_handling,
-                "InlinePolicy": self.options.inline_policy,
-                "OptimizationLevel": self.options.optimization_level,
-            },
+            "options": self.options.semantic_wolfram(),
         }
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
@@ -609,7 +605,7 @@ def _function_compile(
             constants=constants,
         )
         compiled = codec.lookup(
-            store, cache_key, "python", source_function=source_function,
+            store, cache_key, source_function=source_function,
             evaluator=evaluator, options=options, constants=constants,
         )
         if span_record is not None:
@@ -652,7 +648,7 @@ def _function_compile(
     )
     compiled_holder["fn"] = compiled
     if store is not None:
-        codec.store(store, cache_key, "python", program=program,
+        codec.store(store, cache_key, program=program,
                     compiled=compiled, backend=backend, constants=constants)
     return _bound(compiled, evaluator, bind)
 

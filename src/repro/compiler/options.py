@@ -19,7 +19,7 @@ predicated on them (``Conditioned``), and the ablation benchmarks flip them:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 #: accepted spellings of the ``REPRO_VERIFY_IR`` environment knob
@@ -98,6 +98,15 @@ class CompilerOptions:
             if field_name != "pass_logger"
         }
 
+    def semantic_wolfram(self) -> dict:
+        """The :data:`SEMANTIC_FIELDS` under their WL names: what a saved
+        function stores, and :meth:`from_wolfram` reads back."""
+        return {
+            name: getattr(self, field_name)
+            for name, field_name in _WOLFRAM_NAMES.items()
+            if field_name in SEMANTIC_FIELDS
+        }
+
     @classmethod
     def from_wolfram(cls, rules: dict) -> "CompilerOptions":
         """Translate WL-style option names ("AbortHandling" -> True, ...)."""
@@ -121,3 +130,13 @@ class CompilerOptions:
                                               "off")
             translated[field_name] = value
         return cls(**translated)
+
+
+#: the fields that change generated code, in declaration order: every
+#: field but the two that only observe a compile.  Derived, never listed
+#: by hand, so that a new option can never be left out of an artifact key
+#: or a saved function
+SEMANTIC_FIELDS = tuple(
+    option.name for option in fields(CompilerOptions)
+    if option.name not in ("pass_logger", "verify_ir")
+)

@@ -59,9 +59,6 @@ class TypeClassRegistry:
             return type_.constructor in self._compound_members.get(class_name, ())
         return False
 
-    def atomic_members(self, class_name: str) -> set[str]:
-        return set(self._members.get(class_name, ()))
-
 
 #: the default registry shared by the builtin type environment
 DEFAULT_CLASSES = TypeClassRegistry()

@@ -60,25 +60,12 @@ from repro.mexpr.printer import input_form
 
 
 @dataclass
-class EqualityConstraint:
-    left: Type
-    right: Type
-    source: object = None
-
-
-@dataclass
 class CallConstraint:
     """AlternativeConstraint over a callee's overload set."""
 
     instruction: CallInstr
     operand_types: list[Type]
     result_type: Type
-    resolved: bool = False
-
-
-@dataclass
-class IndirectCallConstraint:
-    instruction: CallIndirectInstr
 
 
 @dataclass
@@ -382,7 +369,6 @@ class TypeInference:
                 unify(param, resolved_arg, self.substitution)
         self._unify_soft(instantiated.result, constraint.result_type,
                          instruction)
-        constraint.resolved = True
         return True
 
     def _try_self_call(self, constraint: CallConstraint,
@@ -409,7 +395,6 @@ class TypeInference:
             self._unify_soft(self.self_type.result, constraint.result_type,
                              instruction)
             instruction.properties["self_recursive"] = True
-            constraint.resolved = True
             return True
         raise TypeInferenceError(
             f"unknown function {instruction.callee} "
@@ -453,12 +438,6 @@ class TypeInference:
                     continue  # dead value; DCE will drop it
             value.type = resolved
         function.result_type = self.substitution.resolve(return_type)
-
-    def resolved_operand_types(self, instruction) -> list[Type]:
-        return [
-            self.substitution.resolve(self.type_of(v))
-            for v in instruction.operands
-        ]
 
 
 def _source_of(instruction) -> str:

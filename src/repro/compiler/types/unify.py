@@ -62,9 +62,6 @@ class Substitution:
             )
         self.mapping[name] = type_
 
-    def is_ground(self, type_: Type) -> bool:
-        return not self.resolve(type_).free_variables()
-
 
 def _free_vars_resolved(substitution: Substitution, type_: Type) -> set[str]:
     return substitution.resolve(type_).free_variables()

@@ -20,7 +20,7 @@ tuples on every evaluation step.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 #: slots that :meth:`MExpr.clone` must NOT copy: metadata is dropped by
 #: contract, and the weakref slot is unassignable
@@ -156,11 +156,6 @@ class MExpr:
         if self.is_atom():
             raise ValueError("atoms have no arguments to replace")
         return MExprNormal(self.head, new_args)
-
-    def map_args(self, fn: Callable[["MExpr"], "MExpr"]) -> "MExpr":
-        if self.is_atom():
-            return self
-        return MExprNormal(self.head, [fn(a) for a in self.args])
 
     # -- sugar ---------------------------------------------------------------
 

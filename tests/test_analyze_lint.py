@@ -3,8 +3,12 @@
 import io
 import json
 
+import pytest
+
 from repro.analyze import lint_text
 from repro.analyze.lint import run_lint_cli
+from repro.engine import Evaluator
+from repro.mexpr import full_form
 
 
 def findings(source: str, **kwargs) -> dict:
@@ -142,6 +146,20 @@ class TestIntervalLint:
             'Function[{x}, Module[{v = {1, 2, 3}}, v[[0]]]]'
         )
         assert found["lint.part-bounds"][0].column is not None
+
+    @pytest.mark.parametrize("mutator", ["AppendTo", "PrependTo"])
+    def test_held_mutator_invalidates_the_known_length(self, mutator):
+        # the list grows in place: index 4 is in range, as the
+        # interpreter's answer shows, so no provable error may be reported
+        source = (
+            f'Function[{{x}}, Module[{{v = {{1, 2, 3}}}},'
+            f' {mutator}[v, 4]; v[[4]]]]'
+        )
+        assert "lint.part-bounds" not in findings(source)
+        evaluator = Evaluator()
+        assert full_form(evaluator.run(f"{source}[0]")) == (
+            "4" if mutator == "AppendTo" else "3"
+        )
 
     def test_in_range_iteration_stays_silent(self):
         # j in [1, 4] over a length-3 list is not *provably* wrong on

@@ -4,6 +4,7 @@ import json
 import re
 
 from repro.compiler import CompiledCodeFunction, FunctionCompile
+from repro.compiler.options import SEMANTIC_FIELDS
 
 
 SRC = 'Function[{Typed[x, "MachineInteger"]}, x * x + 1]'
@@ -57,11 +58,19 @@ class TestPersistence:
             'Function[{Typed[n, "MachineInteger"]},'
             ' Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 1]; s]]'
         )
-        original = FunctionCompile(loop, AbortHandling=False,
-                                   InlinePolicy=None, OptimizationLevel=0)
+        original = FunctionCompile(
+            loop, AbortHandling=False, InlinePolicy=None, OptimizationLevel=0,
+            ElideChecks=False, ConstantArrayHandling="naive",
+            MemoryManagement=False, Dataflow=False,
+        )
         assert "_armed" not in original.generated_source
         path = str(tmp_path / "loop.json")
         original.save(path)
+        with open(path) as handle:
+            saved = json.load(handle)["options"]
+        # every option that changes generated code, under its WL name
+        assert len(saved) == len(SEMANTIC_FIELDS) == 11
+        assert saved["ElideChecks"] is False and saved["Dataflow"] is False
         loaded = CompiledCodeFunction.load(path)
         assert loaded.options == original.options
         assert _renumbered(loaded.generated_source) == _renumbered(

@@ -3,9 +3,10 @@
 Covers the tentpole's acceptance criteria end to end: canonical keys
 (stable, hash-busting on every input), the on-disk store (hit/miss/evict,
 LRU cap, corruption recovery, fault injection), the ``FunctionCompile``
-and bytecode-tier wiring (a warm compile runs **zero pipeline passes**,
-including from a different process), and the AOT round trip into a
-server :class:`~repro.server.base.BaseImage`.
+wiring (a warm compile runs **zero pipeline passes**, including from a
+different process), the bytecode tier's ``Compile`` staying out of the
+store, and the AOT round trip into a server
+:class:`~repro.server.base.BaseImage`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.artifacts import (
     ArtifactStore,
-    bytecode_key,
     function_key,
     get_store,
     runtime_fingerprint,
@@ -205,7 +205,7 @@ class TestKeys:
         options = CompilerOptions()
         expr = parse(FIB)
         assert function_key(expr, options, "python") != \
-            function_key(expr, options, "bytecode")
+            function_key(expr, options, "C")
         assert function_key(expr, options, "python") != \
             function_key(expr, options, "python", extra={"compiler": 99})
 
@@ -304,14 +304,6 @@ class TestKeys:
         base = function_key(parse(FIB), options, "python")
         monkeypatch.setattr(keys, "PYTHON_TAG", ("cpython-00", "00000000"))
         assert function_key(parse(FIB), options, "python") != base
-
-    def test_bytecode_key_depends_on_body_and_versions(self):
-        specs = parse('{{x, _Real}}')
-        body, other = parse("x + 1.0"), parse("x + 2.0")
-        assert bytecode_key(specs, body, (1, 2, 3)) != \
-            bytecode_key(specs, other, (1, 2, 3))
-        assert bytecode_key(specs, body, (1, 2, 3)) != \
-            bytecode_key(specs, body, (1, 2, 4))
 
     def test_constants_are_keyed_by_content(self):
         table = reference.prime_sieve_bitmap()  # the 2^14-entry §6 table
@@ -787,6 +779,25 @@ class TestFunctionCompileCache:
         assert [warm(i) for i in (1, 2)] == [cold(i) for i in (1, 2)] == [7, 8]
 
     @caches_function_compiles
+    def test_entry_of_another_kind_is_evicted_not_decoded(
+        self, artifact_cache
+    ):
+        """Every entry is a ``python`` one.  A well-formed entry naming
+        another kind under a ``FunctionCompile`` key (older builds also
+        wrote ``bytecode`` entries) is evicted and the program recompiled."""
+        FunctionCompile(FIB)
+        digest = _only_digest(artifact_cache)
+        entry = artifact_cache.get(digest)
+        del entry["sha256"]
+        entry["kind"] = "bytecode"
+        artifact_cache.put(digest, entry)
+        warm = FunctionCompile(FIB)
+        assert artifact_cache.stats["evictions"] == 1
+        assert artifact_cache.stats["stores"] == 3
+        assert artifact_cache.get(digest)["kind"] == "python"
+        assert warm(10) == 55
+
+    @caches_function_compiles
     def test_function_typed_parameter_hits(self, artifact_cache):
         cold = FunctionCompile(programs.NEW_QSORT)
         with with_tracing() as tracer:
@@ -934,30 +945,26 @@ class TestFunctionCompileCache:
 # -- bytecode tier -----------------------------------------------------------
 
 
-class TestBytecodeCache:
-    def test_compile_function_hits(self, artifact_cache):
-        from repro.bytecode import compile_function
+class TestCompileStaysOutOfTheStore:
+    """The bytecode compiler behind ``Compile`` is one forward pass, and a
+    store hit costs more than it does: it keys, reads and writes nothing."""
 
-        specs, body = parse('{{x, _Real}}'), parse("Sin[x] + x*x")
-        cold = compile_function(specs, body)
-        warm = compile_function(specs, body)
-        assert artifact_cache.stats["hits"] == 1
-        assert cold(0.5) == warm(0.5)
+    SOURCE = "Compile[{{x, _Real}}, Sin[x] + x*x][0.5]"
 
-    def test_payload_roundtrips_interpreter_escape(self):
-        from repro.bytecode import compile_function
-        from repro.bytecode.compiled_function import CompiledFunction
+    def test_compile_leaves_the_store_untouched(self, artifact_cache,
+                                                monkeypatch):
         from repro.engine import Evaluator
-
-        specs, body = parse('{{x, _Real}}'), parse("x + Gamma[x]")
-        original = compile_function(specs, body, evaluator=Evaluator())
-        payload = original.to_payload()
-        json.dumps(payload)  # the wire form must be pure JSON
-        restored = CompiledFunction.from_payload(payload)
-        restored.evaluator = Evaluator()
         from repro.mexpr import full_form
 
-        assert full_form(original(3.0)) == full_form(restored(3.0))
+        answer = full_form(Evaluator().run(self.SOURCE))
+        assert {artifact_cache.stats[name]
+                for name in ("hits", "misses", "stores")} == {0}
+        objects = os.path.join(artifact_cache.root, "objects")
+        assert not os.path.isdir(objects) or not any(os.scandir(objects))
+
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "off")
+        assert get_store() is None
+        assert full_form(Evaluator().run(self.SOURCE)) == answer
 
 
 # -- cross-process -----------------------------------------------------------

@@ -201,6 +201,55 @@ class _UnsoundProver:
         return self._patch.__exit__(*exc_info)
 
 
+class _OffByOneColumnProof:
+    """Context manager: a ``Part`` index up to one past its axis's extent
+    counts as proven in bounds.  For a rank-1 or row index that is still a
+    trap (it lands past the end of the data), but one column past the end
+    of a row that is not the last reads or writes the next row."""
+
+    def __enter__(self):
+        from unittest import mock
+
+        from repro.analyze.dataflow import FunctionFacts
+
+        sound = FunctionFacts.index_proof
+
+        def index_proof(facts, index, tensor, block, column=False):
+            interval = facts.interval_at(index, block)
+            extent = facts.extent(tensor, 1 if column else 0)
+            if None not in (interval.lo, interval.hi, extent) \
+                    and interval.lo >= 1 and interval.hi <= extent + 1:
+                return "part-bounds"
+            return sound(facts, index, tensor, block, column)
+
+        self._patch = mock.patch.object(
+            FunctionFacts, "index_proof", index_proof
+        )
+        self._patch.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._patch.__exit__(*exc_info)
+
+
+@pytest.mark.usefixtures("_no_cache")
+class TestOffByOneColumnProof:
+    """The oracle's sensitivity to the column proof: CI's seed reaches a
+    column one past the end of a row that is not the last."""
+
+    def test_off_by_one_column_proof_is_detected(self, monkeypatch):
+        # a planted fault's reproducers are not findings: write none
+        monkeypatch.delenv("REPRO_DIFF_ARTIFACTS", raising=False)
+        with _OffByOneColumnProof():
+            report = run_boundary_differential(count=200, seed=20260808)
+        assert report.mismatches, "an off-by-one column proof went unnoticed"
+
+    @pytest.mark.parametrize("seed", [0, 20260808])
+    def test_sound_proof_agrees(self, seed):
+        report = run_boundary_differential(count=200, seed=seed)
+        assert report.ok(), [m.to_dict() for m in report.mismatches]
+
+
 @pytest.mark.usefixtures("_no_cache")
 class TestElisionOracle:
     def test_boundary_programs_agree(self):
@@ -226,7 +275,7 @@ class TestElisionOracle:
 
     def test_empty_arrays_are_typed(self):
         """An empty ``v`` is written so that it types: at CI's seed, one
-        rank-1 program in five has one, and each used to stop at "cannot
+        rank-1 program in six has one, and each used to stop at "cannot
         type an empty list literal" before any of its indices ran."""
         oracle = ElisionOracle(seed=20260808)
         empty = 0
@@ -240,7 +289,7 @@ class TestElisionOracle:
                 and "empty list literal" in result.message
                 for result in results.values()
             ), spec.body()
-        assert empty == 30
+        assert empty == 22
 
     def test_artifacts_written(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DIFF_ARTIFACTS", str(tmp_path))

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import __version__
 from repro.artifacts import keys
-from repro.compiler.options import CompilerOptions
+from repro.compiler.options import SEMANTIC_FIELDS, CompilerOptions
 from repro.errors import WolframParseError
 from repro.mexpr import input_form, parse
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
@@ -329,7 +329,7 @@ def _frozen_function_key(tree: MExpr, options: CompilerOptions) -> str:
         keys.KEY_SCHEMA, keys.PYTHON_TAG, keys.runtime_fingerprint(),
         __version__, "python",
         tuple(getattr(options, name)
-              for name in keys._SEMANTIC_OPTION_FIELDS),
+              for name in SEMANTIC_FIELDS),
         None, None,
     ))]
     _frozen_write_tree(tree, parts.append)

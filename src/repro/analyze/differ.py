@@ -10,9 +10,13 @@ module checks that mechanically:
 
 * a **seeded generator** (plain :mod:`random`, no external dependency)
   builds terminating statement programs over the common compilable subset —
-  integer kernels (arithmetic, ``Mod``/``Abs``/``Min``/``Max``, bounded
-  ``While``, ``If``) and real kernels (``Sin``/``Cos`` keep values bounded);
-* each program runs on **all four tiers** with the same argument;
+  integer kernels (arithmetic, ``Mod``/``Abs``/``Min``/``Max``, a bounded
+  ``While``, ``Do`` or ``For`` loop whose body may ``Break[]``,
+  ``Continue[]`` or ``Return[]`` early, ``If``) and real kernels
+  (``Sin``/``Cos`` keep values bounded);
+* each program runs on **all four tiers** with the same argument, each
+  under a step budget (:data:`STEP_BUDGET`), so a tier that loops forever
+  reports a budget error, which reads as a mismatch;
 * results are compared exactly for integers and with an
   :func:`math.isclose` tolerance for reals (the tiers may legitimately
   differ in float summation order);
@@ -63,6 +67,10 @@ REAL_TOLERANCE = 1e-8
 
 _TIERS = ("interpreter", "bytecode", "template", "compiled")
 
+#: evaluation steps (interpreter) or loop polls (compiled tiers) one tier
+#: may spend on one program; the generated loops run at most six times
+STEP_BUDGET = 100_000
+
 
 # -- program specs -----------------------------------------------------------
 
@@ -76,15 +84,23 @@ class _Spec:
     loop: list[str]
     trips: int
     epilogue: list[str]
+    form: str = "While"  # 'While' | 'Do' | 'For'
 
     def body(self) -> str:
         zero = "0" if self.kind == "integer" else "0.0"
         scale = "1000" if self.kind == "integer" else "1000.0"
+        loop = "; ".join(self.loop) or "Null"
+        if self.form == "Do":
+            loop = f"Do[{loop}, {{i, {self.trips}}}]"
+        elif self.form == "For":
+            loop = f"For[i = 1, i <= {self.trips}, i = i + 1, {loop}]"
+        else:
+            loop = (f"While[i <= {self.trips}, "
+                    + "; ".join([*self.loop, "i = i + 1"]) + "]")
         statements = [
             *self.prologue,
             "i = 1",
-            f"While[i <= {self.trips}, "
-            + "; ".join([*self.loop, "i = i + 1"]) + "]",
+            loop,
             *self.epilogue,
             f"a + {scale} * b",
         ]
@@ -114,13 +130,27 @@ class _Generator:
             else self._real_condition
         )
         statement = lambda: self._statement(expression, condition)  # noqa: E731
+        form = self.rng.choice(["While", "Do", "For"])
+        loop = [statement() for _ in range(self.rng.randint(1, 3))]
+        for _ in range(self.rng.randint(0, 2)):
+            loop.insert(self.rng.randint(0, len(loop)),
+                        self._exit(form, expression, condition))
         return _Spec(
             kind=kind,
             prologue=[statement() for _ in range(self.rng.randint(1, 3))],
-            loop=[statement() for _ in range(self.rng.randint(1, 3))],
+            loop=loop,
             trips=self.rng.randint(0, 6),
             epilogue=[statement() for _ in range(self.rng.randint(0, 2))],
+            form=form,
         )
+
+    def _exit(self, form: str, expression, condition) -> str:
+        """An early exit from the loop: ``Continue[]`` only where a step
+        follows (a ``While`` body carries its own ``i = i + 1``)."""
+        exits = ["Break[]", f"Return[{expression()}]"]
+        if form != "While":
+            exits.append("Continue[]")
+        return f"If[{condition()}, {self.rng.choice(exits)}]"
 
     def argument(self, kind: str):
         if kind == "integer":
@@ -305,12 +335,15 @@ class DifferentialOracle:
 
     def run_tiers(self, kind: str, body: str, argument) -> dict:
         """Evaluate ``Function[{x}, body][argument]`` on every tier."""
+        from repro.runtime.guard import guard_scope
+
         results = {}
         for tier in _TIERS:
             try:
-                results[tier] = getattr(self, f"_run_{tier}")(
-                    kind, body, argument
-                )
+                with guard_scope(step_budget=STEP_BUDGET, label=tier):
+                    results[tier] = getattr(self, f"_run_{tier}")(
+                        kind, body, argument
+                    )
             except Exception as error:  # noqa: BLE001 — recorded, compared
                 results[tier] = _TierError(error)
         return results

@@ -57,6 +57,7 @@ from functools import cache
 from typing import Optional
 
 from repro.analyze.diagnostics import Diagnostic, position_to_line_column
+from repro.engine.builtins import BUILTINS
 from repro.errors import ReproError
 from repro.mexpr.atoms import MInteger, MSymbol
 from repro.mexpr.expr import MExpr
@@ -893,28 +894,16 @@ def _free_symbols(node: MExpr) -> set[str]:
 
 
 @cache
-def _mutating_heads() -> frozenset[str]:
-    """Heads that may assign their first argument: every builtin that
-    holds it unevaluated (``HoldFirst``/``HoldAll``) — ``Set``,
-    ``AppendTo``, ``Increment``, ... — so none can be left off by hand."""
-    from repro.engine.builtins.support import registry
-
-    return frozenset(
-        name for name, builtin in registry().items()
-        if builtin.attributes & {"HoldFirst", "HoldAll"}
-    )
-
-
 def _assigned_names(node: MExpr) -> set[str]:
-    """Symbols assigned anywhere under ``node`` (including nested flow)."""
+    """Symbols assigned anywhere under ``node`` (including nested flow):
+    the first argument of each builtin registered with ``writes=True``
+    (``Set``, ``AppendTo``, ``Increment``, ...)."""
     names: set[str] = set()
     if node.is_atom():
         return names
-    if (
-        head_name(node) in _mutating_heads()
-        and node.args
-        and isinstance(node.args[0], MSymbol)
-    ):
+    builtin = BUILTINS.get(head_name(node))
+    if builtin is not None and builtin.writes and node.args and isinstance(
+            node.args[0], MSymbol):
         names.add(node.args[0].name)
     for arg in node.args:
         names |= _assigned_names(arg)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bytecode.boxed import BoxedTensor
 from repro.bytecode.instructions import Instruction, Op
 from repro.bytecode.regalloc import RegisterAllocator
 from repro.bytecode.supported import (
@@ -60,7 +59,10 @@ class BytecodeCompiler:
         self.alloc = RegisterAllocator()
         self.scopes: list[_Scope] = [_Scope()]
         self._cse_counter = 0
-        self._loop_depth = 0
+        #: per enclosing loop, innermost last, the jumps its ``Break[]``s
+        #: and ``Continue[]``s left to patch; ``None`` for an iterator
+        #: (``Table``, ``Sum``, ``Map``, ...) whose body cannot leave early
+        self._loops: list[Optional[dict[str, list[int]]]] = []
 
     # -- public entry ----------------------------------------------------------
 
@@ -489,44 +491,76 @@ class BytecodeCompiler:
         return target, result_type, True
 
     def _emit_While(self, node):  # noqa: N802
-        head = self.here()
-        condition, _t, owned = self.emit_value(node.args[0])
-        exit_at = self.emit(Op.JUMP_IF_NOT, -1, (0, condition))
-        self._free_temp(condition, owned)
-        if len(node.args) > 1:
-            register, _bt, body_owned = self.emit_value(node.args[1])
-            self._free_temp(register, body_owned)
-        self.emit(Op.JUMP, -1, (head,))
-        self.patch_jump(exit_at, self.here())
-        return self.load_const(None, "i"), "i", True
+        return self._emit_loop(node.args[0], node.args[1:2], None)
 
     def _emit_For(self, node):  # noqa: N802
         if len(node.args) not in (3, 4):
             raise BytecodeCompilerError("For needs 3 or 4 arguments")
-        init_register, _it, init_owned = self.emit_value(node.args[0])
-        self._free_temp(init_register, init_owned)
+        self._emit_effect(node.args[0])
+        return self._emit_loop(node.args[1], node.args[3:], node.args[2])
+
+    def _emit_loop(self, test: MExpr, body, step: Optional[MExpr]):
+        """``test`` at the head, then ``body`` (at most one expression),
+        then ``step``, which is where ``Continue[]`` jumps."""
         head = self.here()
-        condition, _ct, cond_owned = self.emit_value(node.args[1])
+        condition, _t, owned = self.emit_value(test)
         exit_at = self.emit(Op.JUMP_IF_NOT, -1, (0, condition))
-        self._free_temp(condition, cond_owned)
-        if len(node.args) == 4:
-            body_register, _bt, body_owned = self.emit_value(node.args[3])
-            self._free_temp(body_register, body_owned)
-        step_register, _st, step_owned = self.emit_value(node.args[2])
-        self._free_temp(step_register, step_owned)
+        self._free_temp(condition, owned)
+        self._loops.append({"Break": [], "Continue": []})
+        for statement in body:
+            self._emit_effect(statement)
+        stepping = self.here() if step is not None else head
+        if step is not None:
+            self._emit_effect(step)
         self.emit(Op.JUMP, -1, (head,))
         self.patch_jump(exit_at, self.here())
+        self._close_loop(stepping)
+        return self.load_const(None, "i"), "i", True
+
+    def _emit_effect(self, node: MExpr) -> None:
+        register, _t, owned = self.emit_value(node)
+        self._free_temp(register, owned)
+
+    def _close_loop(self, step: int) -> None:
+        """Leave the innermost loop, which ends here: its ``Continue[]``s
+        jump to ``step``, its ``Break[]``s to here."""
+        exits = self._loops.pop() or {}
+        for head, destination in (("Continue", step), ("Break", self.here())):
+            for at in exits.get(head, ()):
+                self.patch_jump(at, destination)
+
+    def _emit_Break(self, node):  # noqa: N802
+        return self._jump_out("Break")
+
+    def _emit_Continue(self, node):  # noqa: N802
+        return self._jump_out("Continue")
+
+    def _jump_out(self, head: str):
+        if not self._loops or self._loops[-1] is None:
+            raise BytecodeCompilerError(
+                f"{head}[] outside of a loop or inside an iterator such as "
+                "Table or Sum")
+        self._loops[-1][head].append(self.emit(Op.JUMP, -1, (-1,)))
+        return self.load_const(None, "i"), "i", True
+
+    def _emit_Return(self, node):  # noqa: N802
+        if node.args:
+            register, _rt = self.emit_expr(node.args[0])
+        else:
+            register = self.load_const(None, "i")
+        self.emit(Op.RETURN, -1, (register,))
         return self.load_const(None, "i"), "i", True
 
     def _emit_Do(self, node):  # noqa: N802
         if len(node.args) != 2:
             raise BytecodeCompilerError("Do needs a body and one iterator")
-        _, body_emitter = self._loop_over_iterator(node.args[1])
+        _, body_emitter = self._loop_over_iterator(node.args[1], escapes=True)
         body_emitter(lambda: self.emit_expr(node.args[0]))
         return self.load_const(None, "i"), "i", True
 
-    def _loop_over_iterator(self, spec: MExpr):
-        """Set up a counted loop for {i, n} / {i, a, b} / {i, a, b, step}."""
+    def _loop_over_iterator(self, spec: MExpr, escapes: bool = False):
+        """Set up a counted loop for {i, n} / {i, a, b} / {i, a, b, step};
+        ``escapes`` lets its body ``Break[]`` and ``Continue[]`` (``Do``)."""
         if not is_head(spec, "List") or not spec.args or not isinstance(
             spec.args[0], MSymbol
         ):
@@ -557,10 +591,14 @@ class BytecodeCompiler:
             in_range = self.alloc.alloc("b")
             self.emit(Op.LE, in_range, (counter, stop))
             exit_at = self.emit(Op.JUMP_IF_NOT, -1, (0, in_range))
+            self._loops.append(
+                {"Break": [], "Continue": []} if escapes else None)
             body_callback()
+            stepping = self.here()
             self.emit(Op.ADD, counter, (counter, step))
             self.emit(Op.JUMP, -1, (head,))
             self.patch_jump(exit_at, self.here())
+            self._close_loop(stepping)
             self.scopes.pop()
             for register in (start, stop, step, counter, in_range):
                 self.alloc.free(register)
@@ -906,9 +944,11 @@ class BytecodeCompiler:
         element_name = f"$map{id(node) % 10_000}"
         scope.names[element_name] = (element, element_type)
         self.scopes.append(scope)
+        self._loops.append(None)
         mapped, _mt, mapped_owned = self._emit_inline_apply(
             function, [MSymbol(element_name)]
         )
+        self._loops.pop()
         self.scopes.pop()
         self.emit(Op.TENSOR_SET, target, (index, mapped))
         self._free_temp(mapped, mapped_owned)
@@ -944,9 +984,11 @@ class BytecodeCompiler:
         scope.names[accumulator_name] = (accumulator, accumulator_type)
         scope.names[element_name] = (element, element_type)
         self.scopes.append(scope)
+        self._loops.append(None)
         combined, _ct, combined_owned = self._emit_inline_apply(
             function, [MSymbol(accumulator_name), MSymbol(element_name)]
         )
+        self._loops.pop()
         self.scopes.pop()
         self.emit(Op.MOVE, accumulator, (combined,))
         self._free_temp(combined, combined_owned)
@@ -997,9 +1039,11 @@ class BytecodeCompiler:
         current_name = f"$cur{id(node) % 10_000}"
         scope.names[current_name] = (current, current_type)
         self.scopes.append(scope)
+        self._loops.append(None)
         stepped, _st, stepped_owned = self._emit_inline_apply(
             function, [MSymbol(current_name)]
         )
+        self._loops.pop()
         self.scopes.pop()
         self.emit(Op.MOVE, current, (stepped,))
         self._free_temp(stepped, stepped_owned)

@@ -669,10 +669,10 @@ def FunctionCompileExportString(
     constants: Optional[dict] = None,
     **option_rules,
 ) -> str:
-    """Textual code for a backend: 'Python', 'C', 'IR', or 'WVM' (§A.6.4-5).
+    """Textual code for a backend: 'Python', 'IR', or 'WVM' (§A.6.4-5).
 
-    The paper's LLVM/Assembler targets map onto our Python and C backends —
-    the substitution table in DESIGN.md records why.
+    The paper's LLVM/Assembler targets map onto our Python and WVM
+    backends — the substitution table in DESIGN.md records why.
     """
     pipeline = _pipeline(type_environment, None, option_rules)
     program = pipeline.compile_program(
@@ -682,10 +682,6 @@ def FunctionCompileExportString(
         return PythonBackend(program, pipeline.options).generate_source(
             standalone=True
         )
-    if target in ("C", "C++"):
-        from repro.compiler.codegen.c_backend import CBackend
-
-        return CBackend(program, pipeline.options).generate_source()
     if target == "IR":
         return program.to_string()
     if target in ("WVM", "Assembler"):

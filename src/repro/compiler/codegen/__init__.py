@@ -1,1 +1,1 @@
-"""Code generation backends (§4.6): Python (the JIT), C (export), WVM."""
+"""Code generation backends (§4.6): Python (the JIT) and WVM."""

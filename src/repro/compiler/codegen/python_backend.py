@@ -33,9 +33,7 @@ from repro.compiler.codegen.structurize import (
     IfNode,
     LoopNode,
     Plan,
-    ReturnNode,
     Structurizer,
-    StructurizeError,
 )
 from repro.compiler.options import CompilerOptions
 from repro.compiler.types.specifier import CompoundType, Type
@@ -51,7 +49,6 @@ from repro.compiler.wir.instructions import (
     CopyInstr,
     FunctionRef,
     Instruction,
-    JumpInstr,
     KernelCallInstr,
     LoadArgumentInstr,
     MemoryAcquireInstr,
@@ -433,14 +430,7 @@ class PythonBackend:
         self._scan(function)
         module_lines, self._lines = self._lines, []
         self._indent += 1
-        try:
-            plan = Structurizer(function).build()
-        except StructurizeError:
-            plan = None
-        if plan is not None:
-            self._emit_plan(function, plan)
-        else:
-            self._emit_dispatcher(function)
+        self._emit_plan(function, Structurizer(function).build())
         self._indent -= 1
         if self._free or self._sequence:  # pragma: no cover - backend bug
             raise CodegenError(
@@ -535,20 +525,20 @@ class PythonBackend:
     # -- structured emission ------------------------------------------------------------
 
     def _emit_plan(self, function: FunctionModule, plan: list[Plan]) -> None:
-        if not plan:
-            self._line("pass")
-            return
+        """The plan's statements, or ``pass`` if they print nothing."""
+        before = len(self._lines)
         for node in plan:
             self._emit_plan_node(function, node)
+        if len(self._lines) == before:
+            self._line("pass")
 
     def _emit_plan_node(self, function: FunctionModule, node: Plan) -> None:
         if isinstance(node, BlockNode):
             block = function.blocks[node.name]
             for instruction in block.instructions:
                 self._emit_instruction(instruction, block.name)
-            return
-        if isinstance(node, ReturnNode):
-            self._emit_return(function.blocks[node.block].terminator)
+            if isinstance(block.terminator, ReturnInstr):
+                self._emit_return(block.terminator)
             return
         if isinstance(node, EdgeNode):
             self._emit_phi_copies(function, node.source, node.target)
@@ -563,27 +553,20 @@ class PythonBackend:
             assert isinstance(terminator, BranchInstr)
             self._emit_branch_test(terminator)
             self._indent += 1
-            self._emit_plan_or_pass(function, node.then_plan)
+            self._emit_plan(function, node.then_plan)
             self._indent -= 1
             self._line("else:")
             self._indent += 1
-            self._emit_plan_or_pass(function, node.else_plan)
+            self._emit_plan(function, node.else_plan)
             self._indent -= 1
             return
         if isinstance(node, LoopNode):
             self._line("while True:")
             self._indent += 1
-            self._emit_plan_or_pass(function, node.body)
+            self._emit_plan(function, node.body)
             self._indent -= 1
             return
         raise CodegenError(f"unknown plan node {node!r}")
-
-    def _emit_plan_or_pass(self, function: FunctionModule,
-                           plan: list[Plan]) -> None:
-        before = len(self._lines)
-        self._emit_plan(function, plan)
-        if len(self._lines) == before:
-            self._line("pass")
 
     def _emit_return(self, terminator: ReturnInstr) -> None:
         if terminator.value is None:
@@ -642,48 +625,6 @@ class PythonBackend:
         for index, (destination, _) in enumerate(pairs):
             self._line(f"{self._var(destination)} = _phi{index}")
             self._emit_aliases(destination)
-
-    # -- dispatcher fallback --------------------------------------------------------------
-
-    def _emit_dispatcher(self, function: FunctionModule) -> None:
-        """State-machine emission: correct for any CFG shape."""
-        self._line(f"_state = {function.entry!r}")
-        self._line("while True:")
-        self._indent += 1
-        first = True
-        for block in function.ordered_blocks():
-            keyword = "if" if first else "elif"
-            first = False
-            self._line(f"{keyword} _state == {block.name!r}:")
-            self._indent += 1
-            before = len(self._lines)
-            for instruction in block.instructions:
-                self._emit_instruction(instruction, block.name)
-            terminator = block.terminator
-            if isinstance(terminator, ReturnInstr):
-                self._emit_return(terminator)
-            elif isinstance(terminator, JumpInstr):
-                self._emit_phi_copies(function, block.name, terminator.target)
-                self._line(f"_state = {terminator.target!r}")
-                self._line("continue")
-            elif isinstance(terminator, BranchInstr):
-                self._emit_branch_test(terminator)
-                self._indent += 1
-                self._emit_phi_copies(function, block.name,
-                                      terminator.true_target)
-                self._line(f"_state = {terminator.true_target!r}")
-                self._indent -= 1
-                self._line("else:")
-                self._indent += 1
-                self._emit_phi_copies(function, block.name,
-                                      terminator.false_target)
-                self._line(f"_state = {terminator.false_target!r}")
-                self._indent -= 1
-                self._line("continue")
-            elif len(self._lines) == before:
-                self._line("pass")
-            self._indent -= 1
-        self._indent -= 1
 
     # -- names, literals, library bindings -----------------------------------------------------
 

@@ -1,18 +1,18 @@
 """CFG structurization for gotoless targets (§4.6).
 
 The Python backend needs structured control flow.  Lowering produces
-reducible CFGs (If diamonds, single-header loops with breaks), and the
-optimization passes preserve reducibility, so a dominator/postdominator-
-driven reconstruction suffices; anything it cannot prove structured falls
-back to the backend's state-machine dispatch loop.
+reducible CFGs (If diamonds, single-header loops with breaks and early
+returns), and the optimization passes preserve reducibility, so a
+dominator/postdominator-driven reconstruction suffices; a CFG it cannot
+structure is a :class:`~repro.errors.CodegenError`.
 
 The result is an emission *plan* — a tree of regions — that the backend
 walks to print code:
 
-* ``SeqNode``: a linear run of block bodies;
-* ``IfNode``: a conditional with two arm plans and a join;
-* ``LoopNode``: a natural loop (``while True`` + ``break``/``continue``);
-* ``BlockNode``: one basic block's straight-line body plus edge copies.
+* ``BlockNode``: one basic block's straight-line body, and its return;
+* ``EdgeNode``: the phi copies of one CFG edge, then its transfer;
+* ``IfNode``: a conditional with two arm plans;
+* ``LoopNode``: a natural loop (``while True`` + ``break``/``continue``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from typing import Optional
 
 from repro.compiler.wir.analysis import (
     compute_dominators,
+    dominates,
     find_natural_loops,
+    immediate_dominators,
 )
 from repro.compiler.wir.function_module import FunctionModule
 from repro.compiler.wir.instructions import (
@@ -31,10 +33,6 @@ from repro.compiler.wir.instructions import (
     ReturnInstr,
 )
 from repro.errors import CodegenError
-
-
-class StructurizeError(CodegenError):
-    """The CFG resisted structuring; the caller should use the dispatcher."""
 
 
 @dataclass
@@ -53,12 +51,7 @@ class EdgeNode(Plan):
 
     source: str
     target: str
-    transfer: str  # 'fallthrough' | 'break' | 'continue' | 'return'
-
-
-@dataclass
-class ReturnNode(Plan):
-    block: str  # block whose terminator is the Return
+    transfer: str  # 'fallthrough' | 'break' | 'continue'
 
 
 @dataclass
@@ -89,7 +82,7 @@ class Structurizer:
         plan = self._region(self.function.entry, None, [])
         if len(self._emitted) != len(self.function.blocks):
             missing = set(self.function.blocks) - self._emitted
-            raise StructurizeError(f"unstructured blocks remain: {missing}")
+            raise CodegenError(f"unstructured blocks remain: {missing}")
         return plan
 
     # -- region emission -----------------------------------------------------------
@@ -105,7 +98,7 @@ class Structurizer:
         while current is not None and current != stop:
             self._budget -= 1
             if self._budget <= 0:
-                raise StructurizeError("structurizer did not converge")
+                raise CodegenError("structurizer did not converge")
             loop = self.loops.get(current)
             in_active = any(h == current for h, _ in loop_stack)
             if loop is not None and not in_active:
@@ -119,14 +112,14 @@ class Structurizer:
 
             block = self.function.blocks.get(current)
             if block is None:
-                raise StructurizeError(f"missing block {current}")
-            if current in self._emitted and loop is None:
-                raise StructurizeError(f"block {current} reached twice")
+                raise CodegenError(f"missing block {current}")
+            # a block several paths reach (a ``For`` step, the code a
+            # ``Break[]`` skips to) is written on each: every copy ends in
+            # its own return, break or continue, or runs to the region's end
             self._emitted.add(current)
             plan.append(BlockNode(current))
             terminator = block.terminator
             if isinstance(terminator, ReturnInstr):
-                plan.append(ReturnNode(current))
                 current = None
             elif isinstance(terminator, JumpInstr):
                 transfer, next_block = self._classify_jump(
@@ -141,8 +134,17 @@ class Structurizer:
                 plan.append(node)
                 current = next_block
             else:
-                raise StructurizeError(f"block {current} lacks a terminator")
+                raise CodegenError(f"block {current} lacks a terminator")
         return plan
+
+    @staticmethod
+    def _copyable(block, loop_stack) -> bool:
+        """Is ``block`` a join an arm may skip to, to be written on each
+        path: one that returns, one that only jumps, or a ``For`` step?"""
+        terminator = block.terminator
+        return isinstance(terminator, ReturnInstr) or isinstance(
+            terminator, JumpInstr) and (not block.instructions or bool(
+                loop_stack) and terminator.target == loop_stack[-1][0])
 
     def _classify_jump(
         self,
@@ -217,51 +219,94 @@ class Structurizer:
         if not interior:
             return stop
         join = self.postdom.get(current)
-        if join in special:
-            return stop if join == stop else None
-        return join
+        if join is not None and join == stop:
+            return stop
+        if join is None or join in special or self._copyable(
+                self.function.blocks[join], loop_stack):
+            # an arm that leaves (break, return, continue) skips where the
+            # arms meet, so the postdominator lies past it or there is
+            # none: the arms meet where the branch alone leads
+            join = self._merge_below(current, special) or (
+                None if join in special else join)
+        # a join past the region's end (an arm continues to the step the
+        # region's end leads to) is that end
+        after = self.postdom.get(stop) if stop is not None else None
+        while after is not None and after != join:
+            after = self.postdom.get(after)
+        return stop if after is not None else join
+
+    def _merge_below(self, branch: str, special: set) -> Optional[str]:
+        """The first block ``branch`` immediately dominates that more than
+        one forward edge enters, if any."""
+        predecessors = self.function.predecessors()
+        for name in self.function.cfg().reverse_postorder:
+            if self.idom.get(name) != branch or name in special:
+                continue
+            forward = [p for p in predecessors[name]
+                       if not dominates(self.idom, name, p)]
+            if len(forward) > 1:
+                return name
+        return None
 
     def _loop_exit(self, loop) -> Optional[str]:
-        exits = set()
-        for name in loop.body:
-            block = self.function.blocks.get(name)
-            if block is None:
-                continue
-            for successor in block.successors():
-                if successor not in loop.body:
-                    exits.add(successor)
-        if len(exits) > 1:
-            raise StructurizeError(
-                f"loop {loop.header} has multiple exits {exits}"
+        """The loop's follow, the block after the ``while True``.  Other
+        exits (an early ``Return[]``, a ``Break[]``) are emitted inline at
+        their branch.  One that runs into another exit ends in ``break``:
+        the exit every such one runs into is the follow.  If none does,
+        every exit returns, and the loop test's exit stays the follow."""
+        exits: list[str] = []
+        for block in self.function.ordered_blocks():
+            if block.name in loop.body:
+                for successor in block.successors():
+                    if successor not in loop.body and successor not in exits:
+                        exits.append(successor)
+        if len(exits) <= 1:
+            return next(iter(exits), None)
+        reach = {name: self._reach(name, loop) for name in exits}
+        joining = [name for name in exits
+                   if any(other in reach[name] for other in exits
+                          if other != name)]
+        if not joining:
+            return next((name for name in
+                         self.function.blocks[loop.header].successors()
+                         if name in exits), None)
+        follows = [name for name in exits if name not in joining
+                   and all(name in reach[other] for other in joining)]
+        if len(follows) != 1:
+            raise CodegenError(
+                f"loop {loop.header} has no single follow among {exits}"
             )
-        return next(iter(exits), None)
+        return follows[0]
+
+    def _reach(self, name: str, loop) -> set[str]:
+        """The blocks reachable from ``name`` without entering the loop."""
+        seen: set[str] = set()
+        stack = [name]
+        while stack:
+            current = stack.pop()
+            if current in seen or current in loop.body:
+                continue
+            seen.add(current)
+            stack.extend(self.function.blocks[current].successors())
+        return seen
 
 
 def _compute_postdominators(function: FunctionModule) -> dict[str, Optional[str]]:
-    """Immediate postdominators on the reversed CFG with a virtual exit."""
-    names = [b.name for b in function.ordered_blocks()]
-    successors = {name: function.blocks[name].successors() for name in names}
-    exits = [
-        name for name in names
-        if isinstance(function.blocks[name].terminator, ReturnInstr)
-        or not successors[name]
-    ]
+    """Immediate postdominators: the dominators of the reversed CFG, rooted
+    at a virtual exit that every returning block leads to."""
     virtual_exit = "<exit>"
-    # reversed graph: edge v -> u for each original u -> v, plus
-    # virtual_exit -> e for each original exit block e
-    predecessors_orig: dict[str, list[str]] = {name: [] for name in names}
-    for name in names:
-        for successor in successors[name]:
-            if successor in predecessors_orig:
-                predecessors_orig[successor].append(name)
-    # predecessors in the reversed graph = successors in the original graph
-    reverse_predecessors: dict[str, list[str]] = {
-        name: list(successors[name]) for name in names
+    successors = {b.name: b.successors() for b in function.ordered_blocks()}
+    exits = [
+        name for name, targets in successors.items()
+        if not targets
+        or isinstance(function.blocks[name].terminator, ReturnInstr)
+    ]
+    predecessors = function.predecessors()
+    # in the reversed graph a block's predecessors are its successors
+    reverse_predecessors = {
+        name: [*targets, *([virtual_exit] if name in exits else [])]
+        for name, targets in successors.items()
     }
-    for exit_name in exits:
-        reverse_predecessors[exit_name].append(virtual_exit)
-
-    # reverse postorder of the reversed graph, rooted at the virtual exit
     order: list[str] = []
     seen: set[str] = set()
 
@@ -269,48 +314,16 @@ def _compute_postdominators(function: FunctionModule) -> dict[str, Optional[str]
         if node in seen:
             return
         seen.add(node)
-        children = exits if node == virtual_exit else predecessors_orig.get(
-            node, []
-        )
-        for child in children:
+        for child in (exits if node == virtual_exit
+                      else predecessors.get(node, ())):
             visit(child)
         order.append(node)
 
     visit(virtual_exit)
     order.reverse()
-    for name in names:  # blocks unreachable backwards from any exit
-        if name not in seen:
-            order.append(name)
-    index = {name: i for i, name in enumerate(order)}
-    ipdom: dict[str, Optional[str]] = {name: None for name in order}
-    ipdom[virtual_exit] = virtual_exit
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while index[a] > index[b]:
-                a = ipdom[a]  # type: ignore[assignment]
-            while index[b] > index[a]:
-                b = ipdom[b]  # type: ignore[assignment]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            if name == virtual_exit:
-                continue
-            candidates = [
-                p for p in reverse_predecessors.get(name, ())
-                if ipdom.get(p) is not None and p in index
-            ]
-            if not candidates:
-                continue
-            new = candidates[0]
-            for other in candidates[1:]:
-                new = intersect(new, other)
-            if ipdom[name] != new:
-                ipdom[name] = new
-                changed = True
+    # blocks unreachable backwards from any exit
+    order += [name for name in successors if name not in seen]
+    ipdom = immediate_dominators(order, reverse_predecessors, virtual_exit)
     return {
         name: (None if value in (virtual_exit, None) else value)
         for name, value in ipdom.items()

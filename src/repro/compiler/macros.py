@@ -19,15 +19,15 @@ a CUDA-targeting ``Map`` rule that only fires when ``TargetSystem`` is CUDA.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.engine.patterns import match, pattern_specificity, substitute
 from repro.errors import MacroExpansionError
-from repro.mexpr.atoms import MInteger, MReal, MSymbol
+from repro.mexpr.atoms import MInteger, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.parser import parse
-from repro.mexpr.symbols import S, head_name, is_head
+from repro.mexpr.symbols import head_name, is_head
 
 _hygiene_counter = itertools.count(1)
 
@@ -358,14 +358,6 @@ def build_default_macro_environment() -> MacroEnvironment:
 
     # control-flow sugar
     register_macro(
-        env, "For",
-        "For[init_, test_, step_, body_] -> "
-        "CompoundExpression[init, While[test, CompoundExpression[body, step]],"
-        " Null]",
-        "For[init_, test_, step_] -> "
-        "CompoundExpression[init, While[test, step], Null]",
-    )
-    register_macro(
         env, "Which",
         "Which[] -> Null",
         # a literal-True default clause closes the chain with a typed value
@@ -374,17 +366,19 @@ def build_default_macro_environment() -> MacroEnvironment:
     )
 
     # iteration constructs lower to explicit loops over tensor primitives;
-    # `name$` binders are hygiene-renamed per expansion
+    # `name$` binders are hygiene-renamed per expansion.  `Do` is a `For`,
+    # so `Continue[]` runs the step; the other iterators' loops are
+    # `Native`Iterate` (a `While` that refuses `Break[]` and `Continue[]`)
     register_macro(
         env, "Do",
         "Do[body_, {n_}] -> Do[body, {i$, 1, n}]",
         "Do[body_, {i_, n_}] -> Do[body, {i, 1, n}]",
         "Do[body_, {i_, a_, b_}] -> "
-        "Module[{i = a, stop$ = b}, While[i <= stop$, body; Set[i, i + 1]];"
-        " Null]",
+        "Module[{i = a, stop$ = b},"
+        " For[Null, i <= stop$, Set[i, i + 1], body]; Null]",
         "Do[body_, {i_, a_, b_, step_}] -> "
         "Module[{i = a, stop$ = b, step$ = step},"
-        " While[i <= stop$, body; Set[i, i + step$]]; Null]",
+        " For[Null, i <= stop$, Set[i, i + step$], body]; Null]",
     )
     register_macro(
         env, "Table",
@@ -396,7 +390,7 @@ def build_default_macro_environment() -> MacroEnvironment:
         "Module[{lo$ = a},"
         " Module[{i = lo$, len$ = Max[b - lo$ + 1, 0], k$ = 1},"
         "  Module[{res$ = Native`CreateTensorUninit[len$]},"
-        "   While[k$ <= len$,"
+        "   Native`Iterate[k$ <= len$,"
         "    Set[Part[res$, k$], body]; Set[i, i + 1]; Set[k$, k$ + 1]];"
         "   res$]]]",
         # a real-valued stepped iterator: the count and the values are the
@@ -406,7 +400,7 @@ def build_default_macro_environment() -> MacroEnvironment:
         " Module[{len$ = Max[IntegerPart[(b - lo$)/step$ + 1.*^-9] + 1, 0],"
         "         k$ = 1},"
         "  Module[{res$ = Native`CreateTensorUninit[len$]},"
-        "   While[k$ <= len$,"
+        "   Native`Iterate[k$ <= len$,"
         "    Module[{i = lo$ + N[k$ - 1]*step$}, Set[Part[res$, k$], body]];"
         "    Set[k$, k$ + 1]];"
         "   res$]]]",
@@ -416,7 +410,8 @@ def build_default_macro_environment() -> MacroEnvironment:
         "Sum[body_, {i_, n_}] -> Sum[body, {i, 1, n}]",
         "Sum[body_, {i_, a_, b_}] -> "
         "Module[{i = a, stop$ = b, acc$ = 0},"
-        " While[i <= stop$, Set[acc$, acc$ + body]; Set[i, i + 1]]; acc$]",
+        " Native`Iterate[i <= stop$, Set[acc$, acc$ + body]; Set[i, i + 1]];"
+        " acc$]",
     )
     register_macro(
         env, "Range",
@@ -434,7 +429,7 @@ def build_default_macro_environment() -> MacroEnvironment:
         "Module[{t$ = t},"
         " Module[{len$ = Length[t$], k$ = 1},"
         "  Module[{res$ = Native`CreateTensorUninit[len$]},"
-        "   While[k$ <= len$,"
+        "   Native`Iterate[k$ <= len$,"
         "    Set[Part[res$, k$], f[Part[t$, k$]]]; Set[k$, k$ + 1]];"
         "   res$]]]",
     )
@@ -443,13 +438,13 @@ def build_default_macro_environment() -> MacroEnvironment:
         "Fold[f_, init_, t_] -> "
         "Module[{t$ = t},"
         " Module[{len$ = Length[t$], acc$ = init, k$ = 1},"
-        "  While[k$ <= len$,"
+        "  Native`Iterate[k$ <= len$,"
         "   Set[acc$, f[acc$, Part[t$, k$]]]; Set[k$, k$ + 1]];"
         "  acc$]]",
         "Fold[f_, t_] -> "
         "Module[{t$ = t},"
         " Module[{len$ = Length[t$], acc$ = Part[t$, 1], k$ = 2},"
-        "  While[k$ <= len$,"
+        "  Native`Iterate[k$ <= len$,"
         "   Set[acc$, f[acc$, Part[t$, k$]]]; Set[k$, k$ + 1]];"
         "  acc$]]",
     )
@@ -457,7 +452,8 @@ def build_default_macro_environment() -> MacroEnvironment:
         env, "Nest",
         "Nest[f_, x_, n_] -> "
         "Module[{cur$ = x, k$ = 1, stop$ = n},"
-        " While[k$ <= stop$, Set[cur$, f[cur$]]; Set[k$, k$ + 1]]; cur$]",
+        " Native`Iterate[k$ <= stop$, Set[cur$, f[cur$]]; Set[k$, k$ + 1]];"
+        " cur$]",
     )
     register_macro(
         env, "NestList",
@@ -465,7 +461,7 @@ def build_default_macro_environment() -> MacroEnvironment:
         "Module[{cur$ = x, k$ = 1, stop$ = n},"
         " Module[{res$ = Native`CreateTensorUninit[stop$ + 1]},"
         "  Set[Part[res$, 1], cur$];"
-        "  While[k$ <= stop$,"
+        "  Native`Iterate[k$ <= stop$,"
         "   Set[cur$, f[cur$]];"
         "   Set[Part[res$, k$ + 1], cur$]; Set[k$, k$ + 1]];"
         "  res$]]",
@@ -473,7 +469,7 @@ def build_default_macro_environment() -> MacroEnvironment:
     register_macro(
         env, "NestWhile",
         "NestWhile[f_, x_, test_] -> "
-        "Module[{cur$ = x}, While[SameQ[test[cur$], True],"
+        "Module[{cur$ = x}, Native`Iterate[SameQ[test[cur$], True],"
         " Set[cur$, f[cur$]]]; cur$]",
     )
     register_macro(
@@ -481,7 +477,7 @@ def build_default_macro_environment() -> MacroEnvironment:
         "FixedPoint[f_, x_] -> "
         "Module[{cur$ = x},"
         " Module[{next$ = f[cur$]},"
-        "  While[Unequal[cur$, next$],"
+        "  Native`Iterate[Unequal[cur$, next$],"
         "   Set[cur$, next$]; Set[next$, f[cur$]]]; cur$]]",
     )
     register_macro(

@@ -22,6 +22,8 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
+from repro.errors import CompilerError
+
 #: accepted spellings of the ``REPRO_VERIFY_IR`` environment knob
 _VERIFY_MODES = {
     "0": "off", "off": "off", "false": "off", "": "off",
@@ -59,6 +61,15 @@ _WOLFRAM_NAMES = {
 }
 
 
+#: the values each enumerated field accepts
+_CHOICES = {
+    "target_system": {"Python", "WVM"},
+    "inline_policy": {"none", "default", "aggressive"},
+    "constant_array_handling": {"hoisted", "naive"},
+    "verify_ir": {"off", "final", "each"},
+}
+
+
 @dataclass(frozen=True)
 class CompilerOptions:
     optimization_level: int = 1
@@ -76,7 +87,7 @@ class CompilerOptions:
     #: instrument generated code with per-primitive execution counters
     #: (the "Profile" flag in the §A.6.2 Information header)
     profile: bool = False
-    target_system: str = "Python"  # 'Python' | 'C' | 'WVM'
+    target_system: str = "Python"  # 'Python' | 'WVM'
     pass_logger: Optional[Any] = None
     argument_alias: bool = False
     #: IR-verifier sanitizer mode: 'off' (default), 'final' (verify the
@@ -84,6 +95,19 @@ class CompilerOptions:
     #: lowering and after every pass, attributing violations to the
     #: offending pass).  Defaults from the ``REPRO_VERIFY_IR`` env knob.
     verify_ir: str = field(default_factory=_verify_ir_default)
+
+    def __post_init__(self):
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in allowed:
+                raise CompilerError(
+                    f"{name} must be one of {sorted(allowed)}, not {value!r}"
+                )
+        level = self.optimization_level
+        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
+            raise CompilerError(
+                f"optimization_level must be an integer >= 0, not {level!r}"
+            )
 
     def with_(self, **changes) -> "CompilerOptions":
         return replace(self, **changes)

@@ -9,7 +9,7 @@ compiler also inserts an abort check in each function's prologue."
 Each inserted check is a checkpoint of the shared protocol
 (:mod:`repro.runtime.guard`): one test of the checkpoint word inline, and a
 slow path that polls the host engine's abort flag and raises through the
-runtime; generated cleanup is Python/C unwinding.  The slow path also
+runtime; generated cleanup is Python unwinding.  The slow path also
 polls the active :class:`~repro.runtime.guard.ExecutionGuard`, which is how
 ``TimeConstrained``/``MemoryConstrained`` deadlines and budgets reach
 compiled code at exactly the loop-header/prologue granularity the paper

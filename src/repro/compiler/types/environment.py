@@ -8,7 +8,7 @@ specify which type environment to use at FunctionCompile time."
 
 A declaration pairs a (possibly polymorphic, possibly qualified) function
 type with an *implementation*: either a runtime primitive (inline template +
-runtime callable + C template) or a Wolfram ``Function`` expression that the
+runtime callable) or a Wolfram ``Function`` expression that the
 compiler instantiates and compiles on demand (§4.5 Function Resolution).
 """
 
@@ -130,7 +130,7 @@ class PrimitiveImpl:
 
     ``runtime_name`` is the mangled symbol generated code calls through
     ``_rt`` (:data:`repro.compiler.runtime_library.RUNTIME`) when inlining
-    is disabled, and is also the name the C backend declares.
+    is disabled.
 
     The rest of the row is what every other tier and analysis reads:
 
@@ -163,7 +163,6 @@ class PrimitiveImpl:
 
     runtime_name: str
     py_inline: Optional[str] = None
-    c_inline: Optional[str] = None
     pure: bool = True
     py_guard: Optional[str] = None
     py_effect: Optional[str] = None

@@ -74,40 +74,10 @@ class CFG:
     @cached_property
     def idom(self) -> dict[str, Optional[str]]:
         """Immediate dominators via the Cooper–Harvey–Kennedy iteration."""
-        order = self.reverse_postorder
-        index = {name: i for i, name in enumerate(order)}
-        predecessors = self.predecessors
-        idom: dict[str, Optional[str]] = {name: None for name in order}
-        entry = self.function.entry
-        idom[entry] = entry
-
-        def intersect(a: str, b: str) -> str:
-            while a != b:
-                while index[a] > index[b]:
-                    a = idom[a]  # type: ignore[assignment]
-                while index[b] > index[a]:
-                    b = idom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for name in order:
-                if name == entry:
-                    continue
-                candidates = [
-                    p for p in predecessors.get(name, ())
-                    if p in index and idom.get(p) is not None
-                ]
-                if not candidates:
-                    continue
-                new_idom = candidates[0]
-                for other in candidates[1:]:
-                    new_idom = intersect(new_idom, other)
-                if idom[name] != new_idom:
-                    idom[name] = new_idom
-                    changed = True
-        idom[entry] = None
+        idom = immediate_dominators(
+            self.reverse_postorder, self.predecessors, self.function.entry
+        )
+        idom[self.function.entry] = None
         return idom
 
     @cached_property
@@ -134,6 +104,44 @@ class CFG:
                         loop.body.add(current)
                         stack.extend(predecessors.get(current, ()))
         return list(loops.values())
+
+
+def immediate_dominators(order: list[str], predecessors, root: str
+                         ) -> dict[str, Optional[str]]:
+    """The Cooper–Harvey–Kennedy iteration over a graph given as
+    ``order`` (reverse postorder from ``root``) and ``predecessors``; a
+    node the root does not reach maps to ``None``, the root to itself."""
+    index = {name: i for i, name in enumerate(order)}
+    idom: dict[str, Optional[str]] = {name: None for name in order}
+    idom[root] = root
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]  # type: ignore[assignment]
+            while index[b] > index[a]:
+                b = idom[b]  # type: ignore[assignment]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for name in order:
+            if name == root:
+                continue
+            candidates = [
+                p for p in predecessors.get(name, ())
+                if p in index and idom.get(p) is not None
+            ]
+            if not candidates:
+                continue
+            new_idom = candidates[0]
+            for other in candidates[1:]:
+                new_idom = intersect(new_idom, other)
+            if idom[name] != new_idom:
+                idom[name] = new_idom
+                changed = True
+    return idom
 
 
 def compute_dominators(function: FunctionModule) -> dict[str, Optional[str]]:

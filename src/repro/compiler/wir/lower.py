@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.compiler.binding import analyze_bindings
 from repro.compiler.types.specifier import (
-    AtomicType,
     Type,
     parse_type_specifier,
     ty,
@@ -63,7 +62,10 @@ class Lowerer:
         self.builder = SSABuilder(self.function)
         self.type_environment = type_environment
         self.block: Optional[BasicBlock] = None
-        self._loops: list[_LoopContext] = []
+        #: enclosing loops, innermost last; ``None`` for one a macro wrote
+        #: (``Table``, ``Sum``, ...), whose body is the user's but which a
+        #: ``Break[]``/``Continue[]`` would leave mid-bookkeeping
+        self._loops: list[Optional[_LoopContext]] = []
         self._temp_counter = 0
         self._abort_inhibit_depth = 0
 
@@ -130,6 +132,8 @@ class Lowerer:
             return self._lower_If(node, used=False)
         if not used and is_head(node, "CompoundExpression"):
             return self._lower_CompoundExpression(node, used=False)
+        if is_head(node, "Native`Iterate"):
+            return self._lower_While(node, escapable=False)
         # §6's selective abort inhibition decorator
         if is_head(node, "Native`AbortInhibit") and len(node.args) == 1:
             self._abort_inhibit_depth += 1
@@ -273,28 +277,59 @@ class Lowerer:
         value.type = ty("Void")
         return value
 
-    def _lower_While(self, node: MExpr) -> Value:  # noqa: N802
+    def _lower_While(self, node: MExpr,  # noqa: N802
+                     escapable: bool = True) -> Value:
         if len(node.args) not in (1, 2):
             raise CompilerError("While needs 1 or 2 arguments")
+        body = node.args[1] if len(node.args) == 2 else None
+        return self._loop(node.args[0], body, None, escapable)
+
+    def _lower_For(self, node: MExpr) -> Value:  # noqa: N802
+        if len(node.args) not in (3, 4):
+            raise CompilerError("For needs 3 or 4 arguments")
+        self.lower_expr(node.args[0], used=False)
+        if self.block is None:
+            return self._unreachable_value()
+        body = node.args[3] if len(node.args) == 4 else None
+        return self._loop(node.args[1], body, node.args[2], True)
+
+    def _loop(self, test: MExpr, body: Optional[MExpr],
+              step: Optional[MExpr], escapable: bool) -> Value:
+        """``test`` in the header, then ``body``, then ``step`` in a block
+        of its own, which is where ``Continue[]`` goes."""
         header = self.function.new_block("while_head")
         body_block = self.function.new_block("while_body")
         exit_block = self.function.new_block("while_end")
+        step_block = (None if step is None
+                      else self.function.new_block("for_step"))
         self._terminate(JumpInstr(header.name))
 
         self.block = header
-        condition = self.lower_expr(node.args[0])
+        condition = self.lower_expr(test)
         self._terminate(
             BranchInstr(condition, body_block.name, exit_block.name)
         )
         self.builder.seal(body_block)
 
-        self._loops.append(_LoopContext(header.name, exit_block.name))
+        latch = step_block or header
+        self._loops.append(
+            _LoopContext(latch.name, exit_block.name) if escapable else None
+        )
         self.block = body_block
-        if len(node.args) == 2:
-            self.lower_expr(node.args[1], used=False)
+        if body is not None:
+            self.lower_expr(body, used=False)
         if self.block is not None:
-            self._terminate(JumpInstr(header.name))
+            self._terminate(JumpInstr(latch.name))
         self._loops.pop()
+
+        if step_block is not None:
+            self.builder.seal(step_block)
+            if self.builder.predecessors(step_block):
+                self.block = step_block
+                self.lower_expr(step, used=False)
+                self._terminate(JumpInstr(header.name))
+            else:  # the body never falls through nor continues
+                self.function.remove_block(step_block.name)
 
         self.builder.seal(header)
         self.block = exit_block
@@ -312,16 +347,24 @@ class Lowerer:
         return self._unreachable_value()
 
     def _lower_Break(self, node: MExpr) -> Value:  # noqa: N802
-        if not self._loops:
-            raise CompilerError("Break outside of a loop")
-        self._terminate(JumpInstr(self._loops[-1].break_target))
-        self.block = None
-        return self._unreachable_value()
+        return self._jump_out(self._innermost_loop("Break").break_target)
 
     def _lower_Continue(self, node: MExpr) -> Value:  # noqa: N802
+        return self._jump_out(
+            self._innermost_loop("Continue").continue_target)
+
+    def _innermost_loop(self, head: str) -> _LoopContext:
         if not self._loops:
-            raise CompilerError("Continue outside of a loop")
-        self._terminate(JumpInstr(self._loops[-1].continue_target))
+            raise CompilerError(f"{head} outside of a loop")
+        if self._loops[-1] is None:
+            raise CompilerError(
+                f"{head}[] inside an iterator such as Table or Sum "
+                "cannot be compiled"
+            )
+        return self._loops[-1]
+
+    def _jump_out(self, target: str) -> Value:
+        self._terminate(JumpInstr(target))
         self.block = None
         return self._unreachable_value()
 
@@ -400,9 +443,9 @@ class Lowerer:
 
 
 #: heads the lowerer consumes itself instead of resolving them as calls:
-#: one ``_lower_<Head>`` handler each, the ``KernelFunction`` escape and
-#: the ``Native`AbortInhibit`` region
+#: one ``_lower_<Head>`` handler each, the ``KernelFunction`` escape, the
+#: ``Native`AbortInhibit`` region and the macros' ``Native`Iterate`` loop
 STRUCTURAL_HEADS = frozenset(
     name[len("_lower_"):] for name in vars(Lowerer)
     if name.startswith("_lower_") and name[len("_lower_")].isupper()
-) | {"KernelFunction", "Native`AbortInhibit"}
+) | {"KernelFunction", "Native`AbortInhibit", "Native`Iterate"}

@@ -239,7 +239,7 @@ def product(evaluator, expression):
 # -- assignment ---------------------------------------------------------------
 
 
-@builtin("Set", HOLD_FIRST)
+@builtin("Set", HOLD_FIRST, writes=True)
 def set_(evaluator, expression):
     if len(expression.args) != 2:
         return None
@@ -248,7 +248,7 @@ def set_(evaluator, expression):
     return _assign(evaluator, lhs, value, delayed=False)
 
 
-@builtin("SetDelayed", HOLD_ALL)
+@builtin("SetDelayed", HOLD_ALL, writes=True)
 def set_delayed(evaluator, expression):
     if len(expression.args) != 2:
         return None
@@ -370,7 +370,7 @@ def _replace_part(container: MExpr, indices: list[int], value: MExpr) -> MExpr:
 
 
 def _make_increment(name, arity, delta_expr_builder, returns_old):
-    @builtin(name, HOLD_FIRST)
+    @builtin(name, HOLD_FIRST, writes=True)
     def implementation(evaluator, expression, _arity=arity,
                        _build=delta_expr_builder, _old=returns_old):
         if len(expression.args) != _arity:
@@ -418,7 +418,7 @@ _make_increment(
 )
 
 
-@builtin("Clear", HOLD_ALL)
+@builtin("Clear", HOLD_ALL, writes=True)
 def clear(evaluator, expression):
     for argument in expression.args:
         if isinstance(argument, MSymbol):
@@ -426,7 +426,7 @@ def clear(evaluator, expression):
     return MSymbol("Null")
 
 
-@builtin("ClearAll", HOLD_ALL)
+@builtin("ClearAll", HOLD_ALL, writes=True)
 def clear_all(evaluator, expression):
     for argument in expression.args:
         if isinstance(argument, MSymbol):

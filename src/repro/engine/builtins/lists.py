@@ -11,7 +11,7 @@ from repro.engine.builtins.support import (
     number_expr,
 )
 from repro.errors import WolframEvaluationError
-from repro.mexpr.atoms import MInteger, MSymbol
+from repro.mexpr.atoms import MInteger
 from repro.mexpr.expr import MExpr, MExprNormal
 from repro.mexpr.symbols import S, boolean, is_head
 
@@ -153,7 +153,7 @@ def prepend(evaluator, expression):
     return MExprNormal(subject.head, (item, *subject.args))
 
 
-@builtin("AppendTo", "HoldFirst")
+@builtin("AppendTo", "HoldFirst", writes=True)
 def append_to(evaluator, expression):
     if len(expression.args) != 2:
         return None
@@ -168,7 +168,7 @@ def append_to(evaluator, expression):
     return new_value
 
 
-@builtin("PrependTo", "HoldFirst")
+@builtin("PrependTo", "HoldFirst", writes=True)
 def prepend_to(evaluator, expression):
     if len(expression.args) != 2:
         return None

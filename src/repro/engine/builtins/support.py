@@ -32,16 +32,21 @@ class Builtin:
     #: set for the arithmetic and comparison heads the evaluator step
     #: folds on machine-number arguments without building the node
     fold: Optional[NumberFold] = None
+    #: the builtin assigns (or clears) the symbol its first argument names:
+    #: ``Set``, ``AddTo``, ``AppendTo``, ``Increment``, ...
+    writes: bool = False
 
 
 _REGISTRY: dict[str, Builtin] = {}
 
 
-def builtin(name: str, *attributes: str, fold: Optional[NumberFold] = None):
+def builtin(name: str, *attributes: str, fold: Optional[NumberFold] = None,
+            writes: bool = False):
     """Decorator registering a builtin implementation under ``name``."""
 
     def register(func: BuiltinFunc) -> BuiltinFunc:
-        _REGISTRY[name] = Builtin(name, func, frozenset(attributes), fold)
+        _REGISTRY[name] = Builtin(name, func, frozenset(attributes), fold,
+                                  writes)
         return func
 
     return register

@@ -9,8 +9,8 @@ managed objects (packed arrays, boxed expressions) have their counts
 adjusted and are released at zero.
 
 CPython garbage-collects regardless; the explicit counts exist so tests can
-assert the paper's invariants (balanced acquire/release, no use after free)
-and so the C backend can emit real calls.
+assert the paper's invariants (balanced acquire/release, no use after
+free).
 
 Counting references and accounting for storage are separate: storage is
 charged against the active :class:`~repro.runtime.guard.ExecutionGuard`

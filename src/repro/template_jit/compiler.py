@@ -88,6 +88,9 @@ class TemplateCompiler:
         self._scopes: list[dict[str, str]] = [{}]
         self._slot_kinds: dict[str, str] = {}
         self._lines: list[str] = []
+        #: the step of each enclosing loop, innermost last (``None`` for a
+        #: ``While`` or ``Do``): a ``Continue[]`` in a ``For`` runs it first
+        self._steps: list[Optional[MExpr]] = []
         #: interval-proven overflow-free ops (checked/unchecked mask)
         self._unchecked = unchecked or _analysis.EMPTY_MASK
 
@@ -249,31 +252,16 @@ class TemplateCompiler:
         if head in ("Module", "Block", "With"):
             self._module(node, indent, result)
             return
-        if head == "While":
-            cond, _ = self.expr(node.args[0])
-            self._emit(indent, f"while {cond}:")
-            self._emit(indent + 1, _CHECKPOINT)
-            if len(node.args) > 1:
-                for argument in node.args[1:]:
-                    self.stmt(argument, indent + 1, None)
-            if result:
-                self._emit(indent, f"{result} = None")
-            return
-        if head == "Do":
-            self._do(node, indent)
-            if result:
-                self._emit(indent, f"{result} = None")
-            return
-        if head == "For":
-            if len(node.args) != 4:
+        if head in ("While", "Do", "For"):
+            if head == "While":
+                self._loop(node.args[0], node.args[1:], None, indent)
+            elif head == "Do":
+                self._do(node, indent)
+            elif len(node.args) != 4:
                 raise TemplateCompilerError("For needs 4 arguments")
-            init, cond_node, step, body = node.args
-            self.stmt(init, indent, None)
-            cond, _ = self.expr(cond_node)
-            self._emit(indent, f"while {cond}:")
-            self._emit(indent + 1, _CHECKPOINT)
-            self.stmt(body, indent + 1, None)
-            self.stmt(step, indent + 1, None)
+            else:
+                self.stmt(node.args[0], indent, None)
+                self._loop(node.args[1], node.args[3:], node.args[2], indent)
             if result:
                 self._emit(indent, f"{result} = None")
             return
@@ -310,6 +298,8 @@ class TemplateCompiler:
             self._emit(indent, "break")
             return
         if head == "Continue":
+            if self._steps and self._steps[-1] is not None:
+                self.stmt(self._steps[-1], indent, None)
             self._emit(indent, "continue")
             return
         # plain expression in statement position
@@ -319,6 +309,20 @@ class TemplateCompiler:
             self._note_assignment(result, kind)
         else:
             self._emit(indent, code)
+
+    def _loop(self, test: MExpr, body, step: Optional[MExpr],
+              indent: int) -> None:
+        """A ``while`` over ``body``, then ``step``: a ``Continue[]`` in
+        the body runs the step first."""
+        cond, _ = self.expr(test)
+        self._emit(indent, f"while {cond}:")
+        self._emit(indent + 1, _CHECKPOINT)
+        self._steps.append(step)
+        for statement in body:
+            self.stmt(statement, indent + 1, None)
+        self._steps.pop()
+        if step is not None:
+            self.stmt(step, indent + 1, None)
 
     def _module(self, node: MExpr, indent: int, result: Optional[str]) -> None:
         if not node.args or _head_name(node.args[0]) != "List":
@@ -369,7 +373,9 @@ class TemplateCompiler:
                 slot = self._fresh_slot()
             self._emit(indent, f"for {slot} in range({lower}, {upper} + 1):")
             self._emit(indent + 1, _CHECKPOINT)
+            self._steps.append(None)
             self.stmt(body, indent + 1, None)
+            self._steps.pop()
         finally:
             self._scopes.pop()
 

@@ -161,6 +161,16 @@ class TestIntervalLint:
             "4" if mutator == "AppendTo" else "3"
         )
 
+    @pytest.mark.parametrize("holder", ["Table[v, {2}]", "Hold[v]",
+                                        "Do[v, {2}]"])
+    def test_holding_head_that_never_writes_keeps_the_length(self, holder):
+        # Table, Hold and Do hold v unevaluated but never assign it, so
+        # the provable error survives
+        found = findings(
+            f'Function[{{x}}, Module[{{v = {{1, 2, 3}}}}, {holder}; v[[5]]]]'
+        )
+        assert found["lint.part-bounds"][0].severity == "error"
+
     def test_in_range_iteration_stays_silent(self):
         # j in [1, 4] over a length-3 list is not *provably* wrong on
         # every execution — the runtime check handles the overshoot

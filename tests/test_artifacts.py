@@ -205,7 +205,7 @@ class TestKeys:
         options = CompilerOptions()
         expr = parse(FIB)
         assert function_key(expr, options, "python") != \
-            function_key(expr, options, "C")
+            function_key(expr, options, "wvm")
         assert function_key(expr, options, "python") != \
             function_key(expr, options, "python", extra={"compiler": 99})
 

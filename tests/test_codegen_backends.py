@@ -1,7 +1,5 @@
-"""Backend tests: Python (structurizer + fallback), C export, WVM, library
-export (§4.6, F4, F10)."""
-
-import subprocess
+"""Backend tests: Python (the structurizer), WVM, library export (§4.6,
+F4, F10)."""
 
 import pytest
 
@@ -19,6 +17,29 @@ LOOP_FN = (
     'Function[{Typed[n, "MachineInteger"]},'
     ' Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 1]; s]]'
 )
+
+#: loops with more than one exit: an early Return[], a Break[] beside the
+#: loop test, both, nested
+EARLY_EXITS = [
+    "Module[{s = 0}, Do[If[i == 7, Return[i]]; If[s > 50, Break[]];"
+    " s += i, {i, n}]; s]",
+    "Module[{s = 0}, Do[If[i == 7, Return[i]]; s += i, {i, n}]; s]",
+    "Module[{s = 0}, Do[If[s > 50, Break[]]; s += i, {i, n}]; s]",
+    "Module[{s = 0, i = 0}, While[i < n, i++;"
+    " If[Mod[i, 5] == 0, Return[-i]]; s += i]; s]",
+    "Module[{s = 0}, Do[Do[If[j > i, Break[]]; If[i*j == 12, Return[i]];"
+    " s += j, {j, n}], {i, n}]; s]",
+    # an arm skips the block its sibling runs into: a Continue[] past the
+    # inner If's end to the step, a Break[] past an empty join
+    "Module[{a = 0, b = 1}, For[k = 1, k <= 4, k++, a = n + 1;"
+    " If[n < 11, If[a > -2, Continue[]]]]; a + 10 b]",
+    "Module[{a = 0, b = 1}, b = n - 2; Do[If[n < -2, If[EvenQ[b], b = a - 1,"
+    " If[EvenQ[a], Break[]]]]; Break[], {k, 2}]; b]",
+    "Module[{a = 0, b = 1}, Do[If[a > 3, If[b > 7, a = a - 2,"
+    " If[b > 2, Return[b + 3]]]]; If[b > 8, If[b > -1, If[a > 6,"
+    " a = n + 3; Continue[]]; b = b + 1, If[a > 8, Break[]]]]; b = a + 1,"
+    " {k, n}]; a + 10 b]",
+]
 
 
 class TestPythonBackend:
@@ -61,24 +82,22 @@ class TestPythonBackend:
         check_index = body.index("if _armed[0]: _check_abort()", loop_index)
         assert check_index - loop_index < 60  # first statement of the loop
 
-    def test_dispatcher_fallback_is_correct(self):
-        """Force the state-machine path and check behaviour matches."""
-        from repro.compiler.codegen import python_backend
-        from repro.compiler.codegen.structurize import StructurizeError
+    @pytest.mark.parametrize("body", EARLY_EXITS)
+    def test_early_exits_are_structured(self, body):
+        """A loop with an early Return[] or a Break[] beside its test is
+        one ``while True``: each extra exit is inline, and no CFG falls
+        back to a state machine."""
+        from repro.engine import Evaluator
+        from repro.runtime.guard import guard_scope
 
-        original = python_backend.Structurizer
-
-        class Refuses(original):
-            def build(self):
-                raise StructurizeError("forced")
-
-        python_backend.Structurizer = Refuses
-        try:
-            f = FunctionCompile(LOOP_FN)
-        finally:
-            python_backend.Structurizer = original
-        assert "_state" in f.generated_source
-        assert f(100) == 5050
+        f = FunctionCompile(
+            f'Function[{{Typed[n, "MachineInteger"]}}, {body}]')
+        assert "_state" not in f.generated_source
+        evaluator = Evaluator()
+        for n in (3, 10, 40):
+            with guard_scope(step_budget=100_000):
+                assert f(n) == evaluator.run(
+                    f"Function[{{n}}, {body}][{n}]").to_python()
 
     def test_constant_hoisting(self):
         src = (
@@ -86,8 +105,8 @@ class TestPythonBackend:
             ' Module[{s = 0, i = 1},'
             '  While[i <= n, s = s + 7; i = i + 1]; s]]'
         )
-        # the IR defines the literal 7 once, before the loop (what the C
-        # and WVM exports load it from) ...
+        # the IR defines the literal 7 once, before the loop (what the
+        # WVM export loads it from) ...
         text = CompileToIR(src)["toString"]
         assert text.count("Constant 7") == 1
         assert text.index("Constant 7") < text.index("while_head")
@@ -95,60 +114,6 @@ class TestPythonBackend:
         source = FunctionCompile(src).generated_source
         assert "+ 7" in source
         assert not [l for l in source.splitlines() if l.strip().endswith("= 7")]
-
-
-class TestCBackend:
-    def gcc_check(self, source: str, tmp_path):
-        path = tmp_path / "out.c"
-        path.write_text(source)
-        result = subprocess.run(
-            ["gcc", "-fsyntax-only", "-std=c11", str(path)],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_scalar_function_compiles(self, tmp_path):
-        source = FunctionCompileExportString(LOOP_FN, "C")
-        assert "int64_t" in source
-        assert "goto" in source
-        self.gcc_check(source, tmp_path)
-
-    def test_real_function_compiles(self, tmp_path):
-        source = FunctionCompileExportString(
-            'Function[{Typed[x, "Real64"]}, Sin[x] + Exp[x]]', "C"
-        )
-        assert "sin(" in source and "exp(" in source
-        self.gcc_check(source, tmp_path)
-
-    def test_overflow_check_uses_builtins(self, tmp_path):
-        source = FunctionCompileExportString(
-            'Function[{Typed[x, "MachineInteger"]}, x + x]', "C"
-        )
-        assert "__builtin_add_overflow" in source
-        self.gcc_check(source, tmp_path)
-
-    def test_tensor_function_declares_runtime(self, tmp_path):
-        source = FunctionCompileExportString(
-            'Function[{Typed[v, TypeSpecifier["Tensor"["Real64", 1]]]},'
-            ' Total[v] + v[[1]]]', "C",
-        )
-        assert "wolfram_tensor" in source
-        self.gcc_check(source, tmp_path)
-
-    def test_complex_function(self, tmp_path):
-        source = FunctionCompileExportString(
-            'Function[{Typed[z, "ComplexReal64"]}, Abs[z]]', "C"
-        )
-        assert "_Complex" in source
-        self.gcc_check(source, tmp_path)
-
-    def test_kernel_escape_becomes_stub(self, tmp_path):
-        source = FunctionCompileExportString(
-            'Function[{Typed[n, "MachineInteger"]},'
-            ' KernelFunction[Fibonacci][n]]', "C",
-        )
-        assert "RTERR_NO_KERNEL" in source
-        self.gcc_check(source, tmp_path)
 
 
 class TestWVMBackend:
@@ -260,7 +225,9 @@ class TestLibraryExport:
     def test_unknown_target_rejected(self):
         from repro.errors import CompilerError
 
-        # the JavaScript backend is gone: its spellings are unknown too
-        for target in ("FPGA", "JavaScript", "JS", "WebAssembly"):
+        # the JavaScript and C backends are gone: their spellings are
+        # unknown too
+        for target in ("FPGA", "JavaScript", "JS", "WebAssembly", "C",
+                       "C++"):
             with pytest.raises(CompilerError, match="unknown export target"):
                 FunctionCompileExportString(LOOP_FN, target)

@@ -8,11 +8,14 @@ nowhere: set to junk or to non-default values, they change nothing.
 
 import re
 
+import pytest
+
 from repro.__main__ import _parser
 from repro.analyze.differ import run_differential
 from repro.compiler import FunctionCompile, install_engine_support
 from repro.compiler.options import CompilerOptions
 from repro.engine import Evaluator
+from repro.errors import CompilerError
 from repro.mexpr import parse
 from repro.observe.flight import FlightRecorder
 from repro.observe.trace import Tracer
@@ -86,3 +89,29 @@ def test_deleted_knobs_change_nothing(monkeypatch):
     for name, value in DELETED_KNOBS.items():
         monkeypatch.setenv(name, value)
     assert _behaviour() == unset
+
+
+@pytest.mark.parametrize("rules", [
+    {"TargetSystem": "Bogus"},
+    {"TargetSystem": "C"},
+    {"InlinePolicy": "bogus"},
+    {"ConstantArrayHandling": "eager"},
+    {"OptimizationLevel": "x"},
+    {"OptimizationLevel": -1},
+    {"OptimizationLevel": True},
+])
+def test_malformed_option_is_a_compiler_error(rules):
+    """An enumerated option outside its values, or an optimization level
+    that is not an integer >= 0, is refused; it never compiles the
+    default instead."""
+    with pytest.raises(CompilerError):
+        FunctionCompile(BOUNDED_SUM, **rules)
+
+
+@pytest.mark.parametrize("rules", [
+    {"TargetSystem": "WVM"}, {"InlinePolicy": None},
+    {"InlinePolicy": "aggressive"}, {"ConstantArrayHandling": "naive"},
+    {"OptimizationLevel": None}, {"OptimizationLevel": 2},
+])
+def test_well_formed_options_compile(rules):
+    assert FunctionCompile(BOUNDED_SUM, **rules) is not None

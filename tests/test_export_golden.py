@@ -1,11 +1,11 @@
 """Golden export identity: a compile-time change must not move one byte
 of generated code.
 
-``tests/golden/export_sha256.json`` holds the sha256 of the Python and the
-C export of every ``repro.benchsuite.programs`` kernel.  Generated code
-names variables after SSA value ids, and ids come from a process-wide
-counter, so each program is exported in a fresh interpreter (Python first,
-then C) where numbering starts at 1.
+``tests/golden/export_sha256.json`` holds the sha256 of the Python export
+of every ``repro.benchsuite.programs`` kernel.  Generated code names
+variables after SSA value ids, and ids come from a process-wide counter,
+so each program is exported in a fresh interpreter, where numbering starts
+at 1.
 
 A PR that changes code generation on purpose regenerates the file::
 
@@ -43,7 +43,7 @@ print(json.dumps({
     target: hashlib.sha256(
         FunctionCompileExportString(source, target, **keywords)
         .encode("utf-8")).hexdigest()
-    for target in ("Python", "C")
+    for target in ("Python",)
 }))
 '''
 
@@ -57,8 +57,8 @@ def _program_names() -> list[str]:
 
 
 def export_digests(name: str) -> dict[str, str]:
-    """``{"Python": sha256, "C": sha256}`` of one program's exports, taken
-    in a fresh interpreter."""
+    """``{"Python": sha256}`` of one program's export, taken in a fresh
+    interpreter."""
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, environment.get("PYTHONPATH")) if p

@@ -209,14 +209,14 @@ class TestUserPasses:
     def test_conditioned_pass(self):
         fired = []
 
-        def only_when_c(function_module):
+        def only_when_wvm(function_module):
             fired.append(True)
 
         f = FunctionCompile(
             'Function[{Typed[x, "MachineInteger"]}, x]',
             user_passes=[UserPass(
-                stage="twir", run=only_when_c, name="conditional",
-                condition=lambda options: options.target_system == "C",
+                stage="twir", run=only_when_wvm, name="conditional",
+                condition=lambda options: options.target_system == "WVM",
             )],
         )
         assert f(1) == 1

@@ -161,13 +161,21 @@ class TestDefaultDesugarings:
         assert "old$" in result  # returns the pre-increment value
 
     def test_for_loop(self):
+        # For is lowered natively (its step is the Continue[] target);
+        # only its parts expand
         result = expand("For[i = 0, i < 3, i++, body]")
-        assert "While" in result
+        assert result.startswith("For[")
+        assert "old$" in result
+
+    def test_do_becomes_for(self):
+        result = expand("Do[body, {i, 1, 5}]")
+        assert "For[" in result and "While" not in result
 
     def test_table_becomes_loop_over_tensor_primitives(self):
+        # Native`Iterate: a While whose body may not Break[] or Continue[]
         result = expand("Table[i, {i, 1, 5}]")
         assert "Native`CreateTensorUninit" in result
-        assert "While" in result
+        assert "Native`Iterate" in result
 
     def test_comparison_chain(self):
         result = expand("Less[a, b, c]")

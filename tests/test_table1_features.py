@@ -81,9 +81,9 @@ class TestF3AbortableEvaluation:
 
 
 class TestF4BackendSupport:
-    def test_new_compiler_targets_python_c_wvm_ir(self):
+    def test_new_compiler_targets_python_wvm_ir(self):
         src = 'Function[{Typed[x, "MachineInteger"]}, x + 1]'
-        for target in ("Python", "C", "WVM", "IR"):
+        for target in ("Python", "WVM", "IR"):
             assert FunctionCompileExportString(src, target)
 
     def test_bytecode_compiler_is_wvm_only(self):

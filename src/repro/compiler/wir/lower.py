@@ -262,12 +262,14 @@ class Lowerer:
         else:
             self._terminate(JumpInstr(join_block.name))
 
-        self.block = join_block
-        self.builder.seal(join_block)
         if not self.builder.predecessors(join_block):
-            # both branches escaped (Return/Break): join unreachable
+            # both branches escaped (Return/Break): no join, so no block
+            # is left without a terminator at any optimisation level
+            self.function.remove_block(join_block.name)
             self.block = None
             return self._unreachable_value()
+        self.block = join_block
+        self.builder.seal(join_block)
         if produces_value:
             return self.builder.read(temp, join_block)
         return self._constant(None, ty("Void"))

@@ -54,6 +54,14 @@ def multiply(numbers) -> Number:
     return product
 
 
+def _row_plus(row: tuple) -> Number:
+    return row[0] if len(row) == 1 else add(row)
+
+
+def _row_times(row: tuple) -> Number:
+    return row[0] if len(row) == 1 else multiply(row)
+
+
 def _fold_plus(values: list) -> MExpr:
     if len(values) == 1:
         return values[0]
@@ -67,7 +75,7 @@ def _fold_times(values: list) -> MExpr:
 
 
 @builtin("Plus", FLAT, ORDERLESS, LISTABLE, ONE_IDENTITY, NUMERIC_FUNCTION,
-         fold=_fold_plus)
+         fold=_fold_plus, core=_row_plus)
 def plus(evaluator, expression):
     if len(expression.args) == 0:
         return MInteger(0)
@@ -109,7 +117,7 @@ def _reciprocal_integer(node: MExpr):
 
 
 @builtin("Times", FLAT, ORDERLESS, LISTABLE, ONE_IDENTITY, NUMERIC_FUNCTION,
-         fold=_fold_times)
+         fold=_fold_times, core=_row_times)
 def times(evaluator, expression):
     if len(expression.args) == 0:
         return MInteger(1)
@@ -163,6 +171,27 @@ def times(evaluator, expression):
     return MExprNormal(S.Times, parts)
 
 
+def _power_value(base: Number, exponent: Number) -> Optional[Number]:
+    """Power's numeric core on two numbers, or ``None`` where the power
+    stays symbolic; ``0^-n`` raises ``ZeroDivisionError``."""
+    if exponent == 1:
+        return base
+    if exponent == 0 and base != 0:
+        return 1
+    if isinstance(base, int) and isinstance(exponent, int):
+        if exponent >= 0:
+            return base ** exponent
+        if base in (1, -1):
+            return base ** (-exponent)
+        # negative integer powers stay symbolic so Times can fold exact
+        # integer division (we have no Rational type; see DESIGN.md)
+        return None
+    result = base ** exponent
+    if isinstance(result, complex) and result.imag == 0:
+        result = result.real
+    return result
+
+
 def _power(arguments) -> Optional[MExpr]:
     """Power on its evaluated arguments (the builtin and its fold)."""
     if len(arguments) != 2:
@@ -171,28 +200,21 @@ def _power(arguments) -> Optional[MExpr]:
     base_value, exp_value = as_number(base), as_number(exponent)
     if exp_value == 1:
         return base
-    if exp_value == 0 and base_value != 0:
-        return MInteger(1)
     if base_value is None or exp_value is None:
-        return None
-    if isinstance(base_value, int) and isinstance(exp_value, int):
-        if exp_value >= 0:
-            return MInteger(base_value ** exp_value)
-        if base_value in (1, -1):
-            return MInteger(base_value ** (-exp_value))
-        # negative integer powers stay symbolic so Times can fold exact
-        # integer division (we have no Rational type; see DESIGN.md)
-        return None
+        return MInteger(1) if exp_value == 0 else None
     try:
-        result = base_value ** exp_value
+        result = _power_value(base_value, exp_value)
     except ZeroDivisionError:
         return MSymbol("ComplexInfinity")
-    if isinstance(result, complex) and result.imag == 0:
-        result = result.real
-    return number_expr(result)
+    return None if result is None else number_expr(result)
 
 
-@builtin("Power", LISTABLE, NUMERIC_FUNCTION, fold=_power)
+def _row_power(row: tuple) -> Optional[Number]:
+    return _power_value(*row) if len(row) == 2 else None
+
+
+@builtin("Power", LISTABLE, NUMERIC_FUNCTION, fold=_power,
+         core=_row_power)
 def power(evaluator, expression):
     return _power(expression.args)
 
@@ -233,30 +255,46 @@ def _real_pair(arguments):
     return a, b
 
 
+def _mod_value(a, b):
+    return a - b * math.floor(a / b)
+
+
+def _quotient_value(a, b):
+    return math.floor(a / b)
+
+
 def _mod(arguments) -> Optional[MExpr]:
     """Mod on its evaluated arguments (the builtin and its fold)."""
     pair = _real_pair(arguments)
-    if pair is None:
-        return None
-    a, b = pair
-    return number_expr(a - b * math.floor(a / b))
+    return None if pair is None else number_expr(_mod_value(*pair))
 
 
 def _quotient(arguments) -> Optional[MExpr]:
     """Quotient on its evaluated arguments (the builtin and its fold)."""
     pair = _real_pair(arguments)
-    if pair is None:
-        return None
-    a, b = pair
-    return number_expr(math.floor(a / b))
+    return None if pair is None else number_expr(_quotient_value(*pair))
 
 
-@builtin("Mod", LISTABLE, NUMERIC_FUNCTION, fold=_mod)
+def _row_pair(value):
+    """A two-argument core over one row of machine numbers (no complex
+    among them): ``None`` for a zero divisor, as :func:`_real_pair` says."""
+
+    def core(row: tuple) -> Optional[Number]:
+        if len(row) != 2 or row[1] == 0:
+            return None
+        return value(*row)
+
+    return core
+
+
+@builtin("Mod", LISTABLE, NUMERIC_FUNCTION, fold=_mod,
+         core=_row_pair(_mod_value))
 def mod(evaluator, expression):
     return _mod(expression.args)
 
 
-@builtin("Quotient", LISTABLE, NUMERIC_FUNCTION, fold=_quotient)
+@builtin("Quotient", LISTABLE, NUMERIC_FUNCTION, fold=_quotient,
+         core=_row_pair(_quotient_value))
 def quotient(evaluator, expression):
     return _quotient(expression.args)
 

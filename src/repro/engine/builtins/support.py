@@ -23,6 +23,11 @@ BuiltinFunc = Callable[["Evaluator", MExprNormal], Optional[MExpr]]
 #: or ``None`` where it would not return one
 NumberFold = Callable[[list], Optional[MExpr]]
 
+#: ``core(row)``: the same numeric core over one row of raw machine
+#: numbers (a tuple of ``int``/``float``) — the number the fold would make
+#: its atom from, or ``None`` where the fold would give no number
+RowCore = Callable[[tuple], Optional["Number"]]
+
 
 @dataclass(frozen=True)
 class Builtin:
@@ -32,6 +37,9 @@ class Builtin:
     #: set for the arithmetic and comparison heads the evaluator step
     #: folds on machine-number arguments without building the node
     fold: Optional[NumberFold] = None
+    #: set with ``fold`` for the ``Listable`` arithmetic heads: what
+    #: threading over packed lists applies to each row of their buffers
+    core: Optional[RowCore] = None
     #: the builtin assigns (or clears) the symbol its first argument names:
     #: ``Set``, ``AddTo``, ``AppendTo``, ``Increment``, ...
     writes: bool = False
@@ -41,12 +49,12 @@ _REGISTRY: dict[str, Builtin] = {}
 
 
 def builtin(name: str, *attributes: str, fold: Optional[NumberFold] = None,
-            writes: bool = False):
+            core: Optional[RowCore] = None, writes: bool = False):
     """Decorator registering a builtin implementation under ``name``."""
 
     def register(func: BuiltinFunc) -> BuiltinFunc:
         _REGISTRY[name] = Builtin(name, func, frozenset(attributes), fold,
-                                  writes)
+                                  core, writes)
         return func
 
     return register

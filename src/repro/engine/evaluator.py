@@ -27,6 +27,7 @@ version and invalidates the stamps.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -50,12 +51,15 @@ from repro.engine.definitions import KernelState
 from repro.engine.patterns import match, substitute
 from repro.mexpr.atoms import MComplex, MInteger, MReal, MString, MSymbol
 from repro.mexpr.expr import MExpr, MExprNormal
+from repro.mexpr.packed import PackedList
 from repro.mexpr.parser import parse
 from repro.mexpr.symbols import S, head_name, is_head
 from repro.observe import trace as _trace
 from repro.runtime.guard import CHECKPOINT as _CHECKPOINT, AbortFlag
 from repro.runtime.guard import _settle_memory, _thread
 from repro.runtime.guard import checkpoint as _checkpoint
+from repro.runtime.checked import INT64_MAX, INT64_MIN
+from repro.runtime.packed import PackedArray
 
 _EVALUATED_STAMP = "$evalv"
 _OVERFLOW_MESSAGE = "General::ovfl: Overflow occurred in computation."
@@ -252,9 +256,11 @@ class Evaluator:
             ledger = None  # this thread's, fetched once a frame when armed
         kind = type(expression)
         if kind is not MExprNormal and kind is not MSymbol and (
-            kind in _LEAF_TYPES or not isinstance(expression, _NODE_TYPES)
+            kind in _LEAF_TYPES or kind is PackedList
+            or not isinstance(expression, _NODE_TYPES)
         ):
-            return expression  # a non-symbol atom is its own value
+            # a non-symbol atom is its own value, and so is a packed list
+            return expression
         if self._depth >= self.recursion_limit:
             raise self._recursion_limit_exceeded()
         state = self.state
@@ -273,7 +279,7 @@ class Evaluator:
             for _ in range(self.iteration_limit):
                 if type(current) is not MExprNormal:
                     if not isinstance(current, MSymbol):
-                        if current.is_atom():
+                        if type(current) is PackedList or current.is_atom():
                             return current
                     else:
                         name = current.name
@@ -401,6 +407,9 @@ class Evaluator:
                                 ledger.steps -= 1
                             else:
                                 self._check_abort()
+                        held = hold_rest
+                        append(value)
+                        continue  # an atom: nothing for the flags below
                     else:
                         value = self.evaluate(argument)
                         if value is not argument and (
@@ -419,6 +428,8 @@ class Evaluator:
                                 saw_list = True
                             if value_name == name:
                                 saw_nested = True
+                    elif type(value) is PackedList:
+                        saw_list = True
 
                 # -- machine numbers: the builtin's numeric core, here --------
                 # every argument exactly an MInteger or MReal and no user
@@ -465,6 +476,14 @@ class Evaluator:
                                     return result
                                 current = result  # True, False: one more trip
                                 continue
+
+                # -- Listable arithmetic over packed lists: the same core,
+                # on the buffers (before canonical ordering, which would
+                # build every element's order key)
+                if saw_list and fold is not None and plan.listable:
+                    result = self._thread_packed(name, plan, values)
+                    if result is not None:
+                        return result
 
                 # -- canonical form, only where the pass saw a reason ---------
                 if saw_nested and plan.flat:
@@ -564,7 +583,7 @@ class Evaluator:
                     # has to build either structure key
                     kind = type(result)
                     if kind is not MExprNormal:
-                        if kind in _LEAF_TYPES or (
+                        if kind in _LEAF_TYPES or kind is PackedList or (
                             not isinstance(result, MSymbol)
                             and result.is_atom()
                         ):
@@ -645,6 +664,81 @@ class Evaluator:
             else:
                 spliced.append(argument)
         return spliced
+
+    def charge_unwalked(self, slots: int, polls: int, nodes: int = 1) -> None:
+        """Charge the guard, before the work and in one subtraction each,
+        for nodes no step walks (a packed list): the nominal bytes of
+        ``nodes`` nodes with ``slots`` arguments among them, and ``polls``
+        polls — what evaluating the unpacked form would have charged."""
+        if _CHECKPOINT[0]:
+            nbytes = _NODE_BYTES * nodes + _SLOT_BYTES * slots
+            ledger = _thread.ledger
+            ledger.memory -= nbytes
+            if ledger.memory < 0:
+                _settle_memory(nbytes)
+            self._check_abort(polls)
+
+    def _thread_packed(self, name: str, plan: _Plan,
+                       values: list[MExpr]) -> Optional[MExpr]:
+        """``name`` threaded over rank-1 packed lists and machine numbers
+        by its row core (the fold's arithmetic on raw values, rows put in
+        canonical order where the fold would sort them), as one packed
+        list of the operands' type; ``None`` — the general threading
+        decides, with its values and messages — for any other operand,
+        unequal lengths, user rules on ``name``, or a row whose result is
+        not a machine number of that type (an int64 overflow, a symbolic
+        power, a complex root).  A fold without a row core (``Equal``
+        made ``Listable`` by the user) is also ``None``."""
+        core = self._builtins[name].core
+        if core is None:
+            return None
+        columns: list = []
+        length = None
+        real = False
+        for value in values:
+            kind = type(value)
+            if kind is PackedList:
+                array = value.array
+                if len(array.dims) != 1 or (
+                    length is not None and array.dims[0] != length
+                ):
+                    return None
+                length = array.dims[0]
+                real = real or array.element_type == "Real64"
+                columns.append(array.data)
+            elif kind is MInteger or kind is MReal:
+                real = real or kind is MReal
+                columns.append(repeat(value.value))  # zip ends with a list
+            else:
+                return None
+        definition = self.state.lookup(name)
+        if definition is not None and (definition.patterns or definition.facts):
+            return None
+        arity = len(columns)
+        # what threading would have charged: this node, ``length`` rows of
+        # ``arity`` arguments, and the result list built and then walked
+        self.charge_unwalked(
+            arity + length * arity + 2 * length,
+            length * (arity + 3) + 3,
+            nodes=length + 3,
+        )
+        rows = zip(*columns)
+        if real and plan.orderless and arity > 2:
+            rows = map(sorted, rows)
+        try:
+            out = list(map(core, rows))
+        except (ArithmeticError, ValueError):
+            return None
+        kinds = set(map(type, out))
+        if real:
+            if not kinds <= {float}:
+                return None
+        elif not kinds <= {int} or out and (
+            min(out) < INT64_MIN or max(out) > INT64_MAX
+        ):
+            return None
+        return PackedList(PackedArray(
+            out, (length,), "Real64" if real else "Integer64"))
 
     def _thread_listable(self, expression: MExprNormal) -> Optional[MExpr]:
         lengths = {

@@ -14,6 +14,7 @@ from repro.mexpr.atoms import (
     MSymbol,
 )
 from repro.mexpr.expr import MExpr, MExprNormal, normal
+from repro.mexpr.packed import PackedList
 from repro.mexpr.parser import parse, parse_all, tokenize
 from repro.mexpr.printer import full_form, input_form
 from repro.mexpr.serialize import dumps, from_wire, loads, to_wire
@@ -37,7 +38,8 @@ from repro.mexpr.visitor import MExprTransformer, MExprVisitor
 
 __all__ = [
     "MComplex", "MExpr", "MExprAtom", "MExprNormal", "MExprTransformer",
-    "MExprVisitor", "MInteger", "MReal", "MString", "MSymbol", "S",
+    "MExprVisitor", "MInteger", "MReal", "MString", "MSymbol", "PackedList",
+    "S",
     "boolean", "dumps", "expr", "from_wire", "full_form", "head_name",
     "input_form", "integer", "is_false", "is_head", "is_symbol", "is_true",
     "list_expr", "loads", "normal", "parse", "parse_all", "real", "string",

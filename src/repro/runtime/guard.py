@@ -429,7 +429,8 @@ def guard_scope(
 
 def checkpoint(abort: Optional[AbortFlag] = None,
                abort_site: Optional[str] = None,
-               guard_site: Optional[str] = "guard.checkpoint") -> None:
+               guard_site: Optional[str] = "guard.checkpoint",
+               polls: int = 1) -> None:
     """The checkpoint slow path; a noop when nothing applies to the caller.
 
     Every poll checks the abort flag and fires the bound fault sites, then
@@ -437,6 +438,9 @@ def checkpoint(abort: Optional[AbortFlag] = None,
     settles.  Compiled code binds the ``abort.check`` fault site; the
     interpreter's per-step poll binds no site at all, so a scheduled
     ``Fault(site, after=N)`` counts compiled-tier checkpoints only.
+    ``polls`` above one is work whose size is known before it runs (a
+    packed ``Range``): taken in one subtraction, and settled at once when
+    it overdraws the grant, so a budget it exhausts trips before the work.
     """
     injector = _faults._INJECTOR
     if injector is not None and abort_site is not None:
@@ -446,7 +450,7 @@ def checkpoint(abort: Optional[AbortFlag] = None,
     if injector is not None and guard_site is not None:
         injector.fire(guard_site)
     ledger = _thread.ledger
-    ledger.steps -= 1
+    ledger.steps -= polls
     if ledger.steps > 0:
         return
     # the grant is spent: settle it on the chain, which trips what expired

@@ -100,3 +100,20 @@ def test_loop_inside_an_iterator_may_break():
 def test_escape_outside_a_loop_is_declined(head):
     with pytest.raises(CompilerError, match="outside of a loop"):
         FunctionCompile(f'Function[{{Typed[n, "MachineInteger"]}}, {head}[]]')
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("body, values", [
+    ("If[n > 0, Return[1], Return[2]]", (1, 2)),
+    ("Module[{i = 0}, While[True, i++; If[i > n, Break[], Break[]]]; i]",
+     (1, 1)),
+])
+def test_if_whose_arms_both_leave_has_no_join(body, values, level):
+    """Both arms leave, so lowering makes no join block: nothing is left
+    unterminated for the verifier to reject at level 0, where no CFG
+    clean-up runs."""
+    f = FunctionCompile(f'Function[{{Typed[n, "MachineInteger"]}}, {body}]',
+                        OptimizationLevel=level)
+    with guard_scope(step_budget=BUDGET):
+        assert (f(3), f(-3)) == values == (
+            _interpreted(body, 3), _interpreted(body, -3))
